@@ -123,8 +123,8 @@ fn bench_isa_tiers(c: &mut Criterion) {
 }
 
 /// The dataflow axis of the schedule tuple: the same stride-1 3×3 workload
-/// through the output-stationary, weight-stationary, and shift-reuse strip
-/// microkernels (EXPERIMENTS.md E13).
+/// through the output-stationary and shift-reuse strip microkernels
+/// (EXPERIMENTS.md E13).
 fn bench_dataflow(c: &mut Criterion) {
     use neocpu_kernels::conv::Dataflow;
     let p = Conv2dParams::square(64, 64, 56, 3, 1, 1);

@@ -511,7 +511,7 @@ pub struct DataflowSweepRow {
     pub os_us: f64,
     /// Best measured time (µs) with the dataflow searched as a dimension.
     pub best_us: f64,
-    /// Dataflow of the measured winner (`os`/`ws`/`sr`).
+    /// Dataflow of the measured winner (`os`/`sr`).
     pub best_dataflow: &'static str,
     /// Throughput ratio `os_us / best_us` (≥ 1 by construction: the
     /// searched space contains every output-stationary candidate).
@@ -520,7 +520,7 @@ pub struct DataflowSweepRow {
 
 /// The dataflow sweep (E13): the `conv_reg_n`/`conv_isa` microbenchmark
 /// workloads, each timed with the schedule's dataflow fixed to
-/// output-stationary vs searched over all three dataflows. Candidates are
+/// output-stationary vs searched over both dataflows. Candidates are
 /// preselected per tier by the analytical model (AVX-512 / AVX2 / scalar
 /// lane caps mirror `conv_isa`), then timed on the real template.
 pub fn dataflow_sweep(cfg: &HarnessCfg) -> Vec<DataflowSweepRow> {

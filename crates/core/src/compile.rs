@@ -522,8 +522,8 @@ fn verify_ranked_for_target(
 /// width, the vector microkernel holds `reg_n × (oc_bn / lanes)`
 /// accumulator tiles live — plus, in the single-row case where a dedicated
 /// strip kernel dispatches, the dataflow's resident vectors (kernel vector
-/// and broadcast for output-stationary; `kernel_w` kernel vectors for
-/// weight-stationary/shift-reuse) — which must all fit the architectural
+/// and broadcast for output-stationary; `kernel_w` kernel vectors plus the
+/// in-flight input for shift-reuse) — which must all fit the architectural
 /// register file. Narrower `oc_bn` runs the scalar path and carries no
 /// such constraint.
 fn verify_schedule_for_target(
@@ -1025,6 +1025,27 @@ mod tests {
         assert!(matches!(load_scheme_db(&corrupt), Err(NeoError::Database(_))));
         let (db, problems) = load_scheme_db_lenient(&corrupt).unwrap();
         assert_eq!(db.len(), 0);
+        assert_eq!(problems.len(), 1);
+        assert!(problems[0].contains("line 2"), "missing line number: {}", problems[0]);
+        // A file from a build that still searched the weight-stationary
+        // dataflow: strict loading names the token, lenient loading drops
+        // the row and keeps the rest, so compile degrades instead of failing.
+        let old = dir.join("pre-removal.tsv");
+        std::fs::write(
+            &old,
+            "neocpu-scheme-db v3\n\
+             host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 ws 1e-4\n\
+             host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 sr 2e-4\n",
+        )
+        .unwrap();
+        match load_scheme_db(&old) {
+            Err(NeoError::Database(msg)) => {
+                assert!(msg.contains("line 2") && msg.contains("'ws'"), "unexpected: {msg}")
+            }
+            other => panic!("expected a database error, got {:?}", other.map(|db| db.len())),
+        }
+        let (db, problems) = load_scheme_db_lenient(&old).unwrap();
+        assert_eq!(db.len(), 1);
         assert_eq!(problems.len(), 1);
         assert!(problems[0].contains("line 2"), "missing line number: {}", problems[0]);
         std::fs::remove_dir_all(&dir).ok();

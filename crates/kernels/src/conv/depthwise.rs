@@ -18,8 +18,8 @@ use neocpu_tensor::{AlignedBuf, Layout, Tensor};
 use neocpu_threadpool::Parallelism;
 
 use super::blocked::{pad_nchwc_into, padded_input_len};
-use super::microkernel::{self, Geo};
-use super::{Conv2dParams, ConvSchedule, Epilogue};
+use super::microkernel::{self, Geo, Strip};
+use super::{Conv2dParams, ConvSchedule, Epilogue, RowEpilogue};
 use crate::util::SendPtr;
 use crate::{KernelError, Result};
 
@@ -117,19 +117,14 @@ pub fn depthwise_conv2d_nchwc(
         }
     };
 
-    let geo = Geo::new(p, c_bn, c_bn);
-    let isa = microkernel::select_isa(c_bn, max_lanes);
+    let geo = Geo::new(p, schedule, max_lanes, false);
     let (oh, ow) = (p.out_h(), p.out_w());
     let c_chunks = p.out_channels / c_bn;
     let reg_n = schedule.reg_n;
-    let unroll = schedule.unroll_ker;
-    let dataflow = schedule.dataflow;
     let sh = p.stride_h;
 
     let w_data = weights.data();
-    let bias = epilogue.bias;
-    let relu = epilogue.relu;
-    let res_data = epilogue.residual.map(Tensor::data);
+    let epilogue = RowEpilogue::new(epilogue);
     let out_ptr = SendPtr(output.data_mut().as_mut_ptr());
 
     let in_batch_stride = c_chunks * geo.ph * geo.pw * c_bn;
@@ -155,44 +150,21 @@ pub fn depthwise_conv2d_nchwc(
                 // SAFETY: the strip lies inside the row; padded input covers
                 // the receptive field `(rn-1)*sw + kw` columns from `iw0`.
                 unsafe {
-                    microkernel::run_dw_strip(
-                        isa,
-                        &geo,
-                        dataflow,
-                        in_cc,
-                        w_cc,
-                        out_row.add(x0 * c_bn),
-                        ih0,
-                        x0 * geo.sw,
+                    let strip = Strip {
+                        input: in_cc,
+                        weights: w_cc,
                         rn,
-                        unroll,
-                    );
+                        out: out_row.add(x0 * c_bn),
+                        ih0,
+                        iw0: x0 * geo.sw,
+                    };
+                    microkernel::run_strip(&geo, &strip);
                 }
                 x0 += rn;
             }
-            // Fused epilogue, applied while the row is hot in cache.
-            if bias.is_some() || relu || res_data.is_some() {
-                // SAFETY: same disjoint-row argument as above.
-                let row = unsafe { std::slice::from_raw_parts_mut(out_row, ow * c_bn) };
-                if let Some(bv) = bias {
-                    let bch = &bv[cc * c_bn..(cc + 1) * c_bn];
-                    for px in row.chunks_exact_mut(c_bn) {
-                        for (v, b) in px.iter_mut().zip(bch) {
-                            *v += b;
-                        }
-                    }
-                }
-                if let Some(res) = res_data {
-                    for (v, r) in row.iter_mut().zip(&res[row_off..row_off + ow * c_bn]) {
-                        *v += r;
-                    }
-                }
-                if relu {
-                    for v in row.iter_mut() {
-                        *v = v.max(0.0);
-                    }
-                }
-            }
+            // SAFETY: same disjoint-row argument as above.
+            let row = unsafe { std::slice::from_raw_parts_mut(out_row, ow * c_bn) };
+            epilogue.apply(row, cc, c_bn, row_off);
         }
     });
     Ok(())

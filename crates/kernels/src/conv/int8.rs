@@ -33,8 +33,8 @@ use neocpu_tensor::{AlignedBuf, DType, Layout, Tensor};
 use neocpu_threadpool::Parallelism;
 
 use super::blocked::padded_input_len;
-use super::microkernel::{Geo, Isa};
-use super::{Conv2dParams, ConvSchedule, Dataflow, Epilogue};
+use super::microkernel::{self, Geo, Strip};
+use super::{Conv2dParams, ConvSchedule, Dataflow, Epilogue, RowEpilogue};
 use crate::util::SendPtr;
 use crate::{KernelError, Result};
 
@@ -159,19 +159,15 @@ pub fn conv2d_nchwc_u8(
         }
     };
 
-    let geo = Geo::new(p, ic_bn, oc_bn);
-    let isa = select_isa_i8(oc_bn, max_lanes);
+    let geo = Geo::new(p, schedule, max_lanes, true);
     let (oh, ow) = (p.out_h(), p.out_w());
     let oc_chunks = p.out_channels / oc_bn;
     let reg_n = schedule.reg_n;
-    let unroll = schedule.unroll_ker;
     let sh = p.stride_h;
 
     let w_data = weights.data_i8();
     let mult = quant.mult;
-    let bias = epilogue.bias;
-    let relu = epilogue.relu;
-    let res_data = epilogue.residual.map(Tensor::data);
+    let epilogue = RowEpilogue::new(epilogue);
     let out_ptr = SendPtr(output.data_mut().as_mut_ptr());
 
     let in_batch_stride = geo.ic_chunks * geo.ph * geo.pw * ic_bn;
@@ -197,44 +193,21 @@ pub fn conv2d_nchwc_u8(
                 // SAFETY: the strip lies inside the row; padded input covers
                 // the receptive field `(rn-1)*sw + kw` columns from `iw0`.
                 unsafe {
-                    run_strip_i8(
-                        isa,
-                        &geo,
-                        in_n,
-                        w_oc,
-                        mult_oc,
-                        out_row.add(x0 * oc_bn),
-                        ih0,
-                        x0 * geo.sw,
+                    let strip = Strip {
+                        input: in_n,
+                        weights: w_oc,
                         rn,
-                        unroll,
-                    );
+                        out: out_row.add(x0 * oc_bn),
+                        ih0,
+                        iw0: x0 * geo.sw,
+                    };
+                    microkernel::run_strip_i8(&geo, &strip, mult_oc);
                 }
                 x0 += rn;
             }
-            // Fused f32 epilogue, identical to the f32 template.
-            if bias.is_some() || relu || res_data.is_some() {
-                // SAFETY: same disjoint-row argument as above.
-                let row = unsafe { std::slice::from_raw_parts_mut(out_row, ow * oc_bn) };
-                if let Some(bv) = bias {
-                    let bch = &bv[occ * oc_bn..(occ + 1) * oc_bn];
-                    for px in row.chunks_exact_mut(oc_bn) {
-                        for (v, b) in px.iter_mut().zip(bch) {
-                            *v += b;
-                        }
-                    }
-                }
-                if let Some(res) = res_data {
-                    for (v, r) in row.iter_mut().zip(&res[row_off..row_off + ow * oc_bn]) {
-                        *v += r;
-                    }
-                }
-                if relu {
-                    for v in row.iter_mut() {
-                        *v = v.max(0.0);
-                    }
-                }
-            }
+            // SAFETY: same disjoint-row argument as above.
+            let row = unsafe { std::slice::from_raw_parts_mut(out_row, ow * oc_bn) };
+            epilogue.apply(row, occ, oc_bn, row_off);
         }
     });
     Ok(())
@@ -344,8 +317,7 @@ pub fn depthwise_conv2d_nchwc_u8(
         }
     };
 
-    let geo = Geo::new(p, c_bn, c_bn);
-    let isa = select_isa_i8_dw(c_bn, max_lanes);
+    let geo = Geo::new(p, schedule, max_lanes, true);
     let (oh, ow) = (p.out_h(), p.out_w());
     let c_chunks = p.out_channels / c_bn;
     let reg_n = schedule.reg_n;
@@ -353,9 +325,7 @@ pub fn depthwise_conv2d_nchwc_u8(
 
     let w_data = weights.data_i8();
     let mult = quant.mult;
-    let bias = epilogue.bias;
-    let relu = epilogue.relu;
-    let res_data = epilogue.residual.map(Tensor::data);
+    let epilogue = RowEpilogue::new(epilogue);
     let out_ptr = SendPtr(output.data_mut().as_mut_ptr());
 
     let in_batch_stride = c_chunks * geo.ph * geo.pw * c_bn;
@@ -382,42 +352,21 @@ pub fn depthwise_conv2d_nchwc_u8(
                 // SAFETY: strip inside the row; padded input covers the
                 // receptive field.
                 unsafe {
-                    run_dw_strip_i8(
-                        isa,
-                        &geo,
-                        in_cc,
-                        w_cc,
-                        mult_cc,
-                        out_row.add(x0 * c_bn),
-                        ih0,
-                        x0 * geo.sw,
+                    let strip = Strip {
+                        input: in_cc,
+                        weights: w_cc,
                         rn,
-                    );
+                        out: out_row.add(x0 * c_bn),
+                        ih0,
+                        iw0: x0 * geo.sw,
+                    };
+                    microkernel::run_strip_i8(&geo, &strip, mult_cc);
                 }
                 x0 += rn;
             }
-            if bias.is_some() || relu || res_data.is_some() {
-                // SAFETY: same disjoint-row argument as above.
-                let row = unsafe { std::slice::from_raw_parts_mut(out_row, ow * c_bn) };
-                if let Some(bv) = bias {
-                    let bch = &bv[cc * c_bn..(cc + 1) * c_bn];
-                    for px in row.chunks_exact_mut(c_bn) {
-                        for (v, b) in px.iter_mut().zip(bch) {
-                            *v += b;
-                        }
-                    }
-                }
-                if let Some(res) = res_data {
-                    for (v, r) in row.iter_mut().zip(&res[row_off..row_off + ow * c_bn]) {
-                        *v += r;
-                    }
-                }
-                if relu {
-                    for v in row.iter_mut() {
-                        *v = v.max(0.0);
-                    }
-                }
-            }
+            // SAFETY: same disjoint-row argument as above.
+            let row = unsafe { std::slice::from_raw_parts_mut(out_row, ow * c_bn) };
+            epilogue.apply(row, cc, c_bn, row_off);
         }
     });
     Ok(())
@@ -486,456 +435,6 @@ struct SendPtrU8(*mut u8);
 unsafe impl Send for SendPtrU8 {}
 // SAFETY: as above.
 unsafe impl Sync for SendPtrU8 {}
-
-/// Picks the widest int8 dense microkernel available. AVX-512 needs
-/// `avx512bw` on top of `avx512f` (the 512-bit `maddubs`/`madd` forms).
-fn select_isa_i8(oc_bn: usize, max_lanes: usize) -> Isa {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if oc_bn == 16
-            && max_lanes >= 16
-            && std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512bw")
-        {
-            return Isa::Avx512;
-        }
-        if oc_bn == 8 && max_lanes >= 8 && std::arch::is_x86_feature_detected!("avx2") {
-            return Isa::Avx2;
-        }
-    }
-    let _ = (oc_bn, max_lanes);
-    Isa::Scalar
-}
-
-/// Picks the int8 depthwise microkernel (widening multiplies only, so
-/// AVX-512 needs just `avx512f`).
-fn select_isa_i8_dw(c_bn: usize, max_lanes: usize) -> Isa {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if c_bn == 16 && max_lanes >= 16 && std::arch::is_x86_feature_detected!("avx512f") {
-            return Isa::Avx512;
-        }
-        if c_bn == 8 && max_lanes >= 8 && std::arch::is_x86_feature_detected!("avx2") {
-            return Isa::Avx2;
-        }
-    }
-    let _ = (c_bn, max_lanes);
-    Isa::Scalar
-}
-
-/// Runs one int8 output strip: `rn · oc_bn` f32 values `m[oc] · acc[oc]`.
-///
-/// `in_n` points at the padded u8 input of the current batch item
-/// (`[ic_chunks, ph, pw, ic_bn]`), `w_oc` at the quad-packed i8 weight
-/// block of the current oc chunk (`[ic_chunks, kh, kw, ic_bn/4, oc_bn,
-/// 4]`), `mult` at the chunk's `oc_bn` multipliers, `out` at the strip.
-///
-/// # Safety
-///
-/// All pointers must be valid for the extents implied by `geo` and `rn`;
-/// `out` must not alias the inputs; `geo.ic_bn` divisible by 4.
-unsafe fn run_strip_i8(
-    isa: Isa,
-    geo: &Geo,
-    in_n: *const u8,
-    w_oc: *const i8,
-    mult: *const f32,
-    out: *mut f32,
-    ih0: usize,
-    iw0: usize,
-    rn: usize,
-    unroll: bool,
-) {
-    match isa {
-        Isa::Scalar => strip_i8_scalar(geo, in_n, w_oc, mult, out, ih0, iw0, rn),
-        // 28/16-accumulator variants are gone: with acc + weight + activation
-        // + ones vectors resident, anything past ~12 accumulators spills the
-        // 16-register YMM file.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => match rn {
-            14 => strip_i8_avx2::<14>(geo, in_n, w_oc, mult, out, ih0, iw0, unroll),
-            12 => strip_i8_avx2::<12>(geo, in_n, w_oc, mult, out, ih0, iw0, unroll),
-            8 => strip_i8_avx2::<8>(geo, in_n, w_oc, mult, out, ih0, iw0, unroll),
-            4 => strip_i8_avx2::<4>(geo, in_n, w_oc, mult, out, ih0, iw0, unroll),
-            2 => strip_i8_avx2::<2>(geo, in_n, w_oc, mult, out, ih0, iw0, unroll),
-            1 => strip_i8_avx2::<1>(geo, in_n, w_oc, mult, out, ih0, iw0, unroll),
-            _ => strip_i8_scalar(geo, in_n, w_oc, mult, out, ih0, iw0, rn),
-        },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => match rn {
-            28 => strip_i8_avx512::<28>(geo, in_n, w_oc, mult, out, ih0, iw0, unroll),
-            16 => strip_i8_avx512::<16>(geo, in_n, w_oc, mult, out, ih0, iw0, unroll),
-            8 => strip_i8_avx512::<8>(geo, in_n, w_oc, mult, out, ih0, iw0, unroll),
-            4 => strip_i8_avx512::<4>(geo, in_n, w_oc, mult, out, ih0, iw0, unroll),
-            2 => strip_i8_avx512::<2>(geo, in_n, w_oc, mult, out, ih0, iw0, unroll),
-            1 => strip_i8_avx512::<1>(geo, in_n, w_oc, mult, out, ih0, iw0, unroll),
-            _ => strip_i8_scalar(geo, in_n, w_oc, mult, out, ih0, iw0, rn),
-        },
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = unroll;
-}
-
-/// Portable int8 strip: exact i32 accumulation per (pixel, oc), f32 store.
-///
-/// # Safety
-///
-/// See [`run_strip_i8`].
-unsafe fn strip_i8_scalar(
-    geo: &Geo,
-    in_n: *const u8,
-    w_oc: *const i8,
-    mult: *const f32,
-    out: *mut f32,
-    ih0: usize,
-    iw0: usize,
-    rn: usize,
-) {
-    let Geo { ic_chunks, ic_bn, oc_bn, ph, pw, kh, kw, sw } = *geo;
-    let quads = ic_bn / 4;
-    for i in 0..rn {
-        for oci in 0..oc_bn {
-            let mut acc: i32 = 0;
-            for icc in 0..ic_chunks {
-                let in_c = in_n.add(icc * ph * pw * ic_bn);
-                let w_c = w_oc.add(icc * kh * kw * ic_bn * oc_bn);
-                for r in 0..kh {
-                    for s in 0..kw {
-                        let in_rs = in_c.add(((ih0 + r) * pw + iw0 + s + i * sw) * ic_bn);
-                        let w_rs = w_c.add((r * kw + s) * ic_bn * oc_bn);
-                        for q in 0..quads {
-                            for lane in 0..4 {
-                                // SAFETY: offsets stay inside the operand
-                                // extents per the contract; quad-packed
-                                // weight index [q][oci][lane].
-                                let a = unsafe { *in_rs.add(q * 4 + lane) };
-                                let w =
-                                    unsafe { *w_rs.add((q * oc_bn + oci) * 4 + lane) };
-                                acc += i32::from(a) * i32::from(w);
-                            }
-                        }
-                    }
-                }
-            }
-            // SAFETY: `out` holds `rn * oc_bn` f32; `mult` holds `oc_bn`.
-            unsafe { *out.add(i * oc_bn + oci) = *mult.add(oci) * acc as f32 };
-        }
-    }
-}
-
-/// AVX2 int8 strip for `oc_bn == 8`: `RN` i32 YMM accumulators.
-///
-/// Per (tap, quad, pixel): broadcast 4 adjacent activation bytes
-/// (`set1_epi32` of an unaligned u32 read), `maddubs` against 32 contiguous
-/// quad-packed weight bytes (exact — pair sums ≤ 32130), `madd` with ones
-/// to finish the quad reduction, add into the pixel's accumulator. That is
-/// 4 instructions + 1 broadcast for 32 MACs, vs 2 instructions for 8 MACs
-/// in the f32 kernel — the ≥1.5× throughput claim comes from here.
-///
-/// # Safety
-///
-/// Caller must ensure AVX2 is available and the pointer contract of
-/// [`run_strip_i8`]; `geo.oc_bn` must be 8.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn strip_i8_avx2<const RN: usize>(
-    geo: &Geo,
-    in_n: *const u8,
-    w_oc: *const i8,
-    mult: *const f32,
-    out: *mut f32,
-    ih0: usize,
-    iw0: usize,
-    unroll: bool,
-) {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(geo.oc_bn, 8);
-    let Geo { ic_chunks, ic_bn, pw, kh, kw, sw, .. } = *geo;
-    let quads = ic_bn / 4;
-    let khw = kh * kw;
-    let ones = _mm256_set1_epi16(1);
-    let mut acc = [_mm256_setzero_si256(); RN];
-    for icc in 0..ic_chunks {
-        let in_c = in_n.add(icc * geo.ph * pw * ic_bn);
-        let w_c = w_oc.add(icc * khw * ic_bn * 8);
-        // `unroll` flattens the (kh, kw) nest, as in the f32 template.
-        if unroll {
-            for e in 0..khw {
-                let (r, s) = (e / kw, e % kw);
-                let in_rs = in_c.add(((ih0 + r) * pw + iw0 + s) * ic_bn);
-                let w_rs = w_c.add(e * ic_bn * 8);
-                for q in 0..quads {
-                    let wv = _mm256_loadu_si256(w_rs.add(q * 32).cast());
-                    for i in 0..RN {
-                        let a = in_rs.add(i * sw * ic_bn + q * 4).cast::<u32>().read_unaligned();
-                        let av = _mm256_set1_epi32(a as i32);
-                        let prod = _mm256_maddubs_epi16(av, wv);
-                        acc[i] = _mm256_add_epi32(acc[i], _mm256_madd_epi16(prod, ones));
-                    }
-                }
-            }
-        } else {
-            for r in 0..kh {
-                for s in 0..kw {
-                    let in_rs = in_c.add(((ih0 + r) * pw + iw0 + s) * ic_bn);
-                    let w_rs = w_c.add((r * kw + s) * ic_bn * 8);
-                    for q in 0..quads {
-                        let wv = _mm256_loadu_si256(w_rs.add(q * 32).cast());
-                        for i in 0..RN {
-                            let a = in_rs
-                                .add(i * sw * ic_bn + q * 4)
-                                .cast::<u32>()
-                                .read_unaligned();
-                            let av = _mm256_set1_epi32(a as i32);
-                            let prod = _mm256_maddubs_epi16(av, wv);
-                            acc[i] = _mm256_add_epi32(acc[i], _mm256_madd_epi16(prod, ones));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let mv = _mm256_loadu_ps(mult);
-    for i in 0..RN {
-        let f = _mm256_cvtepi32_ps(acc[i]);
-        _mm256_storeu_ps(out.add(i * 8), _mm256_mul_ps(f, mv));
-    }
-}
-
-/// AVX-512 int8 strip for `oc_bn == 16`: the AVX2 scheme with ZMM registers
-/// (one 64-byte weight load covers a whole quad × 16 output channels).
-///
-/// # Safety
-///
-/// Caller must ensure AVX-512F **and** AVX-512BW are available and the
-/// pointer contract of [`run_strip_i8`]; `geo.oc_bn` must be 16.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512bw")]
-unsafe fn strip_i8_avx512<const RN: usize>(
-    geo: &Geo,
-    in_n: *const u8,
-    w_oc: *const i8,
-    mult: *const f32,
-    out: *mut f32,
-    ih0: usize,
-    iw0: usize,
-    unroll: bool,
-) {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(geo.oc_bn, 16);
-    let Geo { ic_chunks, ic_bn, pw, kh, kw, sw, .. } = *geo;
-    let quads = ic_bn / 4;
-    let khw = kh * kw;
-    let ones = _mm512_set1_epi16(1);
-    let mut acc = [_mm512_setzero_si512(); RN];
-    for icc in 0..ic_chunks {
-        let in_c = in_n.add(icc * geo.ph * pw * ic_bn);
-        let w_c = w_oc.add(icc * khw * ic_bn * 16);
-        if unroll {
-            for e in 0..khw {
-                let (r, s) = (e / kw, e % kw);
-                let in_rs = in_c.add(((ih0 + r) * pw + iw0 + s) * ic_bn);
-                let w_rs = w_c.add(e * ic_bn * 16);
-                for q in 0..quads {
-                    let wv = _mm512_loadu_si512(w_rs.add(q * 64).cast());
-                    for i in 0..RN {
-                        let a = in_rs.add(i * sw * ic_bn + q * 4).cast::<u32>().read_unaligned();
-                        let av = _mm512_set1_epi32(a as i32);
-                        let prod = _mm512_maddubs_epi16(av, wv);
-                        acc[i] = _mm512_add_epi32(acc[i], _mm512_madd_epi16(prod, ones));
-                    }
-                }
-            }
-        } else {
-            for r in 0..kh {
-                for s in 0..kw {
-                    let in_rs = in_c.add(((ih0 + r) * pw + iw0 + s) * ic_bn);
-                    let w_rs = w_c.add((r * kw + s) * ic_bn * 16);
-                    for q in 0..quads {
-                        let wv = _mm512_loadu_si512(w_rs.add(q * 64).cast());
-                        for i in 0..RN {
-                            let a = in_rs
-                                .add(i * sw * ic_bn + q * 4)
-                                .cast::<u32>()
-                                .read_unaligned();
-                            let av = _mm512_set1_epi32(a as i32);
-                            let prod = _mm512_maddubs_epi16(av, wv);
-                            acc[i] = _mm512_add_epi32(acc[i], _mm512_madd_epi16(prod, ones));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let mv = _mm512_loadu_ps(mult);
-    for i in 0..RN {
-        let f = _mm512_cvtepi32_ps(acc[i]);
-        _mm512_storeu_ps(out.add(i * 16), _mm512_mul_ps(f, mv));
-    }
-}
-
-/// Runs one int8 *depthwise* output strip.
-///
-/// `in_c` points at the padded u8 input of the current (batch,
-/// channel-chunk) pair (`[ph, pw, c_bn]`), `w_c` at that chunk's i8 filter
-/// block (`[kh, kw, c_bn]`), `mult` at the chunk's multipliers, `out` at
-/// the strip (`rn · c_bn` f32).
-///
-/// # Safety
-///
-/// Same contract as [`run_strip_i8`].
-unsafe fn run_dw_strip_i8(
-    isa: Isa,
-    geo: &Geo,
-    in_c: *const u8,
-    w_c: *const i8,
-    mult: *const f32,
-    out: *mut f32,
-    ih0: usize,
-    iw0: usize,
-    rn: usize,
-) {
-    match isa {
-        Isa::Scalar => dw_strip_i8_scalar(geo, in_c, w_c, mult, out, ih0, iw0, rn),
-        // Same YMM-file cap as run_strip_i8: no 28/16-accumulator variants.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => match rn {
-            14 => dw_strip_i8_avx2::<14>(geo, in_c, w_c, mult, out, ih0, iw0),
-            12 => dw_strip_i8_avx2::<12>(geo, in_c, w_c, mult, out, ih0, iw0),
-            8 => dw_strip_i8_avx2::<8>(geo, in_c, w_c, mult, out, ih0, iw0),
-            4 => dw_strip_i8_avx2::<4>(geo, in_c, w_c, mult, out, ih0, iw0),
-            2 => dw_strip_i8_avx2::<2>(geo, in_c, w_c, mult, out, ih0, iw0),
-            1 => dw_strip_i8_avx2::<1>(geo, in_c, w_c, mult, out, ih0, iw0),
-            _ => dw_strip_i8_scalar(geo, in_c, w_c, mult, out, ih0, iw0, rn),
-        },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => match rn {
-            28 => dw_strip_i8_avx512::<28>(geo, in_c, w_c, mult, out, ih0, iw0),
-            16 => dw_strip_i8_avx512::<16>(geo, in_c, w_c, mult, out, ih0, iw0),
-            8 => dw_strip_i8_avx512::<8>(geo, in_c, w_c, mult, out, ih0, iw0),
-            4 => dw_strip_i8_avx512::<4>(geo, in_c, w_c, mult, out, ih0, iw0),
-            2 => dw_strip_i8_avx512::<2>(geo, in_c, w_c, mult, out, ih0, iw0),
-            1 => dw_strip_i8_avx512::<1>(geo, in_c, w_c, mult, out, ih0, iw0),
-            _ => dw_strip_i8_scalar(geo, in_c, w_c, mult, out, ih0, iw0, rn),
-        },
-    }
-}
-
-/// Portable int8 depthwise strip.
-///
-/// # Safety
-///
-/// See [`run_dw_strip_i8`].
-unsafe fn dw_strip_i8_scalar(
-    geo: &Geo,
-    in_c: *const u8,
-    w_c: *const i8,
-    mult: *const f32,
-    out: *mut f32,
-    ih0: usize,
-    iw0: usize,
-    rn: usize,
-) {
-    let Geo { ic_bn: c_bn, pw, kh, kw, sw, .. } = *geo;
-    for i in 0..rn {
-        for ci in 0..c_bn {
-            let mut acc: i32 = 0;
-            for r in 0..kh {
-                for s in 0..kw {
-                    // SAFETY: offsets inside operand extents per contract.
-                    let a = unsafe {
-                        *in_c.add(((ih0 + r) * pw + iw0 + s + i * sw) * c_bn + ci)
-                    };
-                    let w = unsafe { *w_c.add((r * kw + s) * c_bn + ci) };
-                    acc += i32::from(a) * i32::from(w);
-                }
-            }
-            // SAFETY: `out` holds `rn * c_bn` f32; `mult` holds `c_bn`.
-            unsafe { *out.add(i * c_bn + ci) = *mult.add(ci) * acc as f32 };
-        }
-    }
-}
-
-/// AVX2 int8 depthwise strip for `c_bn == 8`: widen 8 u8 activations and 8
-/// i8 weights to i32 lanes, `mullo` + add. The win over f32 here is the 4×
-/// smaller activation traffic, not instruction count.
-///
-/// # Safety
-///
-/// Caller must ensure AVX2 is available and the pointer contract of
-/// [`run_dw_strip_i8`]; `geo.oc_bn` must be 8.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dw_strip_i8_avx2<const RN: usize>(
-    geo: &Geo,
-    in_c: *const u8,
-    w_c: *const i8,
-    mult: *const f32,
-    out: *mut f32,
-    ih0: usize,
-    iw0: usize,
-) {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(geo.oc_bn, 8);
-    let Geo { pw, kh, kw, sw, .. } = *geo;
-    let mut acc = [_mm256_setzero_si256(); RN];
-    for r in 0..kh {
-        for s in 0..kw {
-            let in_rs = in_c.add(((ih0 + r) * pw + iw0 + s) * 8);
-            let wv =
-                _mm256_cvtepi8_epi32(_mm_loadl_epi64(w_c.add((r * kw + s) * 8).cast()));
-            for i in 0..RN {
-                let xv = _mm256_cvtepu8_epi32(_mm_loadl_epi64(in_rs.add(i * sw * 8).cast()));
-                acc[i] = _mm256_add_epi32(acc[i], _mm256_mullo_epi32(xv, wv));
-            }
-        }
-    }
-    let mv = _mm256_loadu_ps(mult);
-    for i in 0..RN {
-        let f = _mm256_cvtepi32_ps(acc[i]);
-        _mm256_storeu_ps(out.add(i * 8), _mm256_mul_ps(f, mv));
-    }
-}
-
-/// AVX-512 int8 depthwise strip for `c_bn == 16` (widening converts are
-/// AVX-512F, no BW requirement).
-///
-/// # Safety
-///
-/// Caller must ensure AVX-512F is available and the pointer contract of
-/// [`run_dw_strip_i8`]; `geo.oc_bn` must be 16.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn dw_strip_i8_avx512<const RN: usize>(
-    geo: &Geo,
-    in_c: *const u8,
-    w_c: *const i8,
-    mult: *const f32,
-    out: *mut f32,
-    ih0: usize,
-    iw0: usize,
-) {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(geo.oc_bn, 16);
-    let Geo { pw, kh, kw, sw, .. } = *geo;
-    let mut acc = [_mm512_setzero_si512(); RN];
-    for r in 0..kh {
-        for s in 0..kw {
-            let in_rs = in_c.add(((ih0 + r) * pw + iw0 + s) * 16);
-            let wv =
-                _mm512_cvtepi8_epi32(_mm_loadu_si128(w_c.add((r * kw + s) * 16).cast()));
-            for i in 0..RN {
-                let xv = _mm512_cvtepu8_epi32(_mm_loadu_si128(in_rs.add(i * sw * 16).cast()));
-                acc[i] = _mm512_add_epi32(acc[i], _mm512_mullo_epi32(xv, wv));
-            }
-        }
-    }
-    let mv = _mm512_loadu_ps(mult);
-    for i in 0..RN {
-        let f = _mm512_cvtepi32_ps(acc[i]);
-        _mm512_storeu_ps(out.add(i * 16), _mm512_mul_ps(f, mv));
-    }
-}
 
 #[cfg(test)]
 mod tests {

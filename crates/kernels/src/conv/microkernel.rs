@@ -1,4 +1,4 @@
-//! Inner strip microkernels for the blocked convolution template.
+//! Strip dispatch for the blocked convolution templates.
 //!
 //! A *strip* is `rn` consecutive output pixels of one output row within one
 //! output-channel chunk. Per [`Dataflow`] the strip keeps different
@@ -7,39 +7,33 @@
 //! * **Output-stationary** (Figure 1 of the paper) — `rn` accumulators stay
 //!   resident; one kernel vector and one broadcast input scalar stream
 //!   through.
-//! * **Weight-stationary** — the `kw` kernel vectors of one kernel row stay
-//!   resident across the whole strip while the inputs stream through.
-//! * **Shift-reuse** (stride-1 only) — weight-stationary residency, plus
-//!   each overlapping input column is broadcast once per kernel row and
-//!   reused across the `kw` taps that touch it (`rn + kw - 1` broadcasts
-//!   per row instead of `rn × kw`).
+//! * **Shift-reuse** (stride-1 only) — the `kw` kernel vectors of one
+//!   kernel row stay resident too, and each overlapping input column is
+//!   broadcast once per kernel row and reused across the `kw` taps that
+//!   touch it (`rn + kw - 1` broadcasts per row instead of `rn × kw`).
 //!
-//! Three ISA backends exist per dataflow:
-//!
-//! * **AVX-512** — `oc_bn == 16`, ZMM registers, up to 28 accumulators
-//!   (leaving headroom in the 32-register file exactly as §3.1.1 describes);
-//! * **AVX2** — `oc_bn == 8`, YMM registers (the AMD EPYC configuration) —
-//!   capped at 14 accumulators so the strip plus its resident vectors fits
-//!   the 16-register YMM file (the old 28/16-accumulator monomorphizations
-//!   silently spilled to the stack);
-//! * **scalar** — any `oc_bn`, accumulating in memory; the portable fallback
-//!   that also stands in for NEON-class 4-lane targets.
-//!
-//! SIMD variants are monomorphized per `reg_n` candidate value (and per
-//! kernel width for the row-resident dataflows) so the accumulators
-//! actually live in registers; non-candidate strip lengths (output-width
-//! tails) and kernel widths fall back to the scalar path.
+//! The SIMD strips are the generic bodies of [`super::simd`], instantiated
+//! by the one dispatch table below ([`simd_tiers!`]): a tier per vector
+//! width, and per tier the strip lengths (and, for shift-reuse, kernel
+//! widths) that are monomorphized so the accumulators actually live in
+//! registers. Everything else — blocks no tier serves, output-width tails,
+//! kernel widths without an entry — runs the runtime-`rn` scalar strips in
+//! this file, which accumulate in memory and double as the portable tier
+//! (any `oc_bn`, NEON-class targets included) and as the reference the SIMD
+//! strips are tested against.
 
-use super::{Conv2dParams, Dataflow};
+use super::{Conv2dParams, ConvSchedule, Dataflow};
 
-/// Loop geometry shared by every strip invocation of one convolution call.
+/// What every strip invocation of one convolution call shares: the loop
+/// geometry, the schedule's strip knobs and the tier they dispatch to.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct Geo {
-    /// Number of input-channel chunks (`C / ic_bn`).
+    /// Number of input-channel chunks (`C / ic_bn`); unused by depthwise
+    /// strips, whose caller iterates channel chunks.
     pub ic_chunks: usize,
     /// Input-channel block size (`x`).
     pub ic_bn: usize,
-    /// Output-channel block size (`y`).
+    /// Output-channel block size (`y`); equals `ic_bn` when depthwise.
     pub oc_bn: usize,
     /// Padded input height.
     pub ph: usize,
@@ -51,847 +45,324 @@ pub(super) struct Geo {
     pub kw: usize,
     /// Horizontal stride.
     pub sw: usize,
+    /// Depthwise workload: each channel of the block pairs with its own
+    /// `kh×kw` filter, so strips multiply an input *vector* element-wise
+    /// against the tap's kernel vector instead of broadcasting a scalar.
+    pub depthwise: bool,
+    /// Strip dataflow; shift-reuse requires `sw == 1` (validated at the
+    /// schedule level).
+    pub dataflow: Dataflow,
+    /// Whether SIMD and f32 scalar strips flatten the `(kh, kw)` nest into
+    /// one loop — the codegen difference the `unroll_ker` knob toggles.
+    pub unroll: bool,
+    /// The SIMD tier serving `oc_bn` on this host, if any.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    isa: Isa,
 }
 
 impl Geo {
-    pub(super) fn new(p: &Conv2dParams, ic_bn: usize, oc_bn: usize) -> Self {
+    /// `max_lanes` lets a `CpuTarget` descriptor *narrow* the tier choice
+    /// (e.g. model an AVX2-only EPYC or a NEON-class core on an AVX-512
+    /// host); `int8` says the call runs the int8 strips, which some tiers
+    /// need extra CPU features for.
+    pub(super) fn new(p: &Conv2dParams, s: &ConvSchedule, max_lanes: usize, int8: bool) -> Self {
         Self {
-            ic_chunks: p.in_channels / ic_bn,
-            ic_bn,
-            oc_bn,
+            ic_chunks: p.in_channels / s.ic_bn,
+            ic_bn: s.ic_bn,
+            oc_bn: s.oc_bn,
             ph: p.in_h + 2 * p.pad_h,
             pw: p.in_w + 2 * p.pad_w,
             kh: p.kernel_h,
             kw: p.kernel_w,
             sw: p.stride_w,
+            depthwise: p.is_depthwise(),
+            dataflow: s.dataflow,
+            unroll: s.unroll_ker,
+            isa: select_isa(s.oc_bn, max_lanes, int8),
         }
     }
 }
 
-/// Which strip implementation a convolution call dispatches to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum Isa {
-    Scalar,
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
+/// The operands of one strip invocation.
+///
+/// Dense: `input` is the padded input of the current batch item
+/// (`[ic_chunks, ph, pw, ic_bn]`), `weights` the weight block of the current
+/// output-channel chunk (`[ic_chunks, kh, kw, ic_bn, oc_bn]`; quad-packed
+/// `[ic_chunks, kh, kw, ic_bn/4, oc_bn, 4]` for int8). Depthwise: `input` is
+/// the padded input of the current (batch, channel-chunk) pair
+/// (`[ph, pw, c_bn]`), `weights` that chunk's filter block (`[kh, kw, c_bn]`).
+pub(super) struct Strip<A, W> {
+    pub input: *const A,
+    pub weights: *const W,
+    /// Output pixels in the strip (`≥ 1`, inside the output row).
+    pub rn: usize,
+    /// First element of the strip: `rn * oc_bn` contiguous floats, fully
+    /// overwritten.
+    pub out: *mut f32,
+    /// Padded-input row of the strip's top-left receptive field.
+    pub ih0: usize,
+    /// Padded-input column of the strip's top-left receptive field.
+    pub iw0: usize,
 }
 
-/// Picks the widest microkernel the host supports for this `oc_bn`.
-///
-/// `max_lanes` lets a `CpuTarget` descriptor *narrow* the choice (e.g. model
-/// an AVX2-only EPYC or a NEON-class core on an AVX-512 host).
-pub(super) fn select_isa(oc_bn: usize, max_lanes: usize) -> Isa {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if oc_bn == 16 && max_lanes >= 16 && std::arch::is_x86_feature_detected!("avx512f") {
-            return Isa::Avx512;
-        }
-        if oc_bn == 8
-            && max_lanes >= 8
-            && std::arch::is_x86_feature_detected!("avx2")
-            && std::arch::is_x86_feature_detected!("fma")
-        {
-            return Isa::Avx2;
-        }
-    }
-    let _ = (oc_bn, max_lanes);
-    Isa::Scalar
+/// One SIMD tier of the strip dispatch table, as data.
+struct Tier {
+    /// f32 lanes per vector: the one `oc_bn` the tier serves.
+    lanes: usize,
+    /// Output-stationary strip lengths, largest first (any kernel width).
+    os: &'static [usize],
+    /// Shift-reuse strips: `(kernel width, strip lengths largest first)`.
+    sr: &'static [(usize, &'static [usize])],
 }
 
-/// Runs one output strip.
-///
-/// `in_n` points at the padded input of the current batch item
-/// (`[ic_chunks, ph, pw, ic_bn]`), `w_oc` at the weight block of the current
-/// output-channel chunk (`[ic_chunks, kh, kw, ic_bn, oc_bn]`), `out` at the
-/// first element of the strip (`rn * oc_bn` contiguous floats). `ih0`/`iw0`
-/// are the padded-input coordinates of the strip's top-left receptive field.
+/// Strip lengths with a SIMD strip for `oc_bn` under dataflow `df` at kernel
+/// width `kw`, largest first; `None` when no tier serves the block (it runs
+/// the scalar strips).
+pub(super) fn strip_lengths(oc_bn: usize, df: Dataflow, kw: usize) -> Option<&'static [usize]> {
+    let tier = TIERS.iter().find(|t| t.lanes == oc_bn)?;
+    Some(match df {
+        Dataflow::OutputStationary => tier.os,
+        Dataflow::ShiftReuse => tier.sr.iter().find(|(k, _)| *k == kw).map_or(&[], |(_, l)| l),
+    })
+}
+
+/// Runs `$body` for every kernel tap — `$e` its row-major index, `($r, $s)`
+/// its row and column — and is the one place that says what the
+/// `unroll_ker` knob toggles: with `$unroll` the `(kh, kw)` nest is a single
+/// flattened loop, trading a branch per kernel row for index arithmetic per
+/// tap.
+macro_rules! for_each_tap {
+    ($kh:expr, $kw:expr, $unroll:expr, |$e:ident, $r:ident, $s:ident| $body:block) => {
+        if $unroll {
+            for $e in 0..$kh * $kw {
+                let ($r, $s) = ($e / $kw, $e % $kw);
+                $body
+            }
+        } else {
+            for $r in 0..$kh {
+                for $s in 0..$kw {
+                    let $e = $r * $kw + $s;
+                    $body
+                }
+            }
+        }
+    };
+}
+#[cfg(target_arch = "x86_64")]
+pub(super) use for_each_tap;
+
+/// Generates one `#[target_feature]` entry point: the place a generic strip
+/// body of [`super::simd`] becomes code for one tier's register type.
+#[cfg(target_arch = "x86_64")]
+macro_rules! entry {
+    ([$($feat:tt),+] $v:ident $name:ident<$($c:ident),+; $($b:ident)?>($($arg:ident: $t:ty),*)) => {
+        $(#[target_feature(enable = $feat)])+
+        pub(super) unsafe fn $name<$(const $c: usize,)+ $(const $b: bool)?>($($arg: $t),*) {
+            simd::$name::<$v, $($c,)+ $($b)?>($($arg),*)
+        }
+    };
+}
+
+/// The strip dispatch table. Each row is one SIMD tier: the [`Isa`] variant
+/// and entry-point module it generates, its register type and lane count,
+/// the CPU features [`select_isa`] requires and the entry points enable
+/// (`+ int8 […]` are the ones only the int8 strips add, so an f32 convolution
+/// does not ask for them), and the strips it monomorphizes — `os [reg_n…]` for output-stationary
+/// (runtime kernel width) and `sr [kw: [reg_n…]]` for shift-reuse. The
+/// candidate generator ([`super::reg_n_candidates`]),
+/// [`super::simd_strip_exists`] and the dispatcher all read this table, so a
+/// schedule the search can emit always has the strip it names.
+macro_rules! simd_tiers {
+    ($($isa:ident = $module:ident: $v:ident, lanes $lanes:literal,
+       features [$($feat:tt),+] + int8 [$($i8feat:tt),*],
+       os [$($os:literal),+], sr [$($kw:literal: [$($sr:literal),+]),+];)+) => {
+        const TIERS: &[Tier] = &[$(Tier {
+            lanes: $lanes,
+            os: &[$($os),+],
+            sr: &[$(($kw, &[$($sr),+])),+],
+        }),+];
+
+        /// Which strip implementation a convolution call dispatches to.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+        enum Isa {
+            Scalar,
+            $($isa,)+
+        }
+
+        /// Picks the tier serving this `oc_bn`, if the host has its
+        /// features (the int8 ones too when `int8`) and `max_lanes` admits
+        /// it.
+        fn select_isa(oc_bn: usize, max_lanes: usize, int8: bool) -> Isa {
+            #[cfg(target_arch = "x86_64")]
+            {
+                $(if oc_bn == $lanes
+                    && max_lanes >= $lanes
+                    $(&& std::arch::is_x86_feature_detected!($feat))+
+                    && (!int8 || (true $(&& std::arch::is_x86_feature_detected!($i8feat))*))
+                {
+                    return Isa::$isa;
+                })+
+            }
+            let _ = (oc_bn, max_lanes, int8);
+            Isa::Scalar
+        }
+
+        /// The tiers' entry points, and the dispatch onto them.
+        #[cfg(target_arch = "x86_64")]
+        mod tiers {
+            use super::super::{simd, Dataflow};
+            use super::{Geo, Isa, Strip};
+
+            $(mod $module {
+                use std::arch::x86_64::$v;
+
+                use super::{simd, Geo, Strip};
+
+                entry!([$($feat),+] $v os<RN; DW>(g: &Geo, strip: &Strip<f32, f32>));
+                entry!([$($feat),+] $v sr<RN, KW; DW>(g: &Geo, strip: &Strip<f32, f32>));
+                entry!([$($feat),+ $(, $i8feat)*] $v i8_dense<RN;>(g: &Geo, strip: &Strip<u8, i8>, m: *const f32));
+                entry!([$($feat),+ $(, $i8feat)*] $v i8_dw<RN;>(g: &Geo, strip: &Strip<u8, i8>, m: *const f32));
+            })+
+
+            /// Runs the SIMD f32 strip the table holds for this call;
+            /// `false` when it has none.
+            ///
+            /// # Safety
+            ///
+            /// [`super::run_strip`]'s contract; `g.isa` coming from
+            /// [`super::select_isa`] is what guarantees the tier's CPU
+            /// features are available.
+            #[inline]
+            pub(super) unsafe fn strip_f32(g: &Geo, strip: &Strip<f32, f32>) -> bool {
+                use Dataflow::{OutputStationary as Os, ShiftReuse as Sr};
+                match (g.isa, g.depthwise, g.dataflow, strip.rn, g.kw) {
+                    $($((Isa::$isa, false, Os, $os, _) => $module::os::<$os, false>(g, strip),
+                    (Isa::$isa, true, Os, $os, _) => $module::os::<$os, true>(g, strip),)+
+                    $($((Isa::$isa, false, Sr, $sr, $kw) => $module::sr::<$sr, $kw, false>(g, strip),
+                    (Isa::$isa, true, Sr, $sr, $kw) => $module::sr::<$sr, $kw, true>(g, strip),)+)+)+
+                    _ => return false,
+                }
+                true
+            }
+
+            /// Runs the SIMD int8 strip the table holds for this call;
+            /// `false` when it has none.
+            ///
+            /// # Safety
+            ///
+            /// As [`strip_f32`], under [`super::run_strip_i8`]'s contract.
+            #[inline]
+            pub(super) unsafe fn strip_i8(g: &Geo, strip: &Strip<u8, i8>, m: *const f32) -> bool {
+                match (g.isa, g.depthwise, strip.rn) {
+                    $($((Isa::$isa, false, $os) => $module::i8_dense::<$os>(g, strip, m),
+                    (Isa::$isa, true, $os) => $module::i8_dw::<$os>(g, strip, m),)+)+
+                    _ => return false,
+                }
+                true
+            }
+        }
+    };
+}
+
+// Strip lengths are capped by the register file. An output-stationary strip
+// keeps its accumulators, one kernel vector and the pipelined broadcast
+// temps live: 12 is the widest that stays in the 16 YMM registers (14
+// nominally fits but measurably spills; the int8 strip also pins its `ones`
+// multiplicand), 28 in the 32 ZMM registers as §3.1.1 describes. A
+// shift-reuse strip keeps `reg_n` accumulators plus `kw + 1` resident
+// vectors and runs a full file without spilling.
+simd_tiers! {
+    Avx2 = avx2: __m256, lanes 8, features ["avx2", "fma"] + int8 [],
+        os [12, 8, 4, 2, 1],
+        sr [3: [12, 8, 4, 2, 1], 5: [10, 8, 4, 2, 1], 7: [8, 4, 2, 1]];
+    Avx512 = avx512: __m512, lanes 16, features ["avx512f"] + int8 ["avx512bw"],
+        os [28, 16, 8, 4, 2, 1],
+        sr [3: [28, 16, 8, 4, 2, 1], 5: [24, 16, 8, 4, 2, 1], 7: [24, 16, 8, 4, 2, 1]];
+}
+
+/// Runs one f32 output strip, dense or depthwise per `geo.depthwise`.
 ///
 /// # Safety
 ///
-/// All pointers must be valid for the extents implied by `geo` and `rn`;
-/// `out` must not alias the inputs. The strip must lie fully inside the
-/// output row (`rn ≥ 1`).
-pub(super) unsafe fn run_strip(
-    isa: Isa,
-    geo: &Geo,
-    dataflow: Dataflow,
-    in_n: *const f32,
-    w_oc: *const f32,
-    out: *mut f32,
-    ih0: usize,
-    iw0: usize,
-    rn: usize,
-    unroll: bool,
-) {
-    match dataflow {
-        Dataflow::OutputStationary => {
-            run_strip_os(isa, geo, in_n, w_oc, out, ih0, iw0, rn, unroll)
-        }
-        Dataflow::WeightStationary => run_strip_ws(isa, geo, in_n, w_oc, out, ih0, iw0, rn),
-        Dataflow::ShiftReuse => run_strip_sr(isa, geo, in_n, w_oc, out, ih0, iw0, rn),
+/// `strip` must be valid for the extents its docs give under `geo`, and
+/// `strip.out` must not alias the inputs.
+pub(super) unsafe fn run_strip(geo: &Geo, strip: &Strip<f32, f32>) {
+    debug_assert!(geo.dataflow != Dataflow::ShiftReuse || geo.sw == 1);
+    #[cfg(target_arch = "x86_64")]
+    if tiers::strip_f32(geo, strip) {
+        return;
+    }
+    // The dataflow is a register-residency scheme; with the accumulators in
+    // memory there is nothing to schedule, so one scalar strip serves all.
+    // The scalar strips are `#[inline(never)]`: inlined here, their register
+    // pressure gives this dispatcher a spilling prologue on the SIMD path
+    // too, which a nine-tap depthwise strip measurably feels.
+    if geo.depthwise {
+        dw_strip_scalar(geo, strip)
+    } else {
+        strip_scalar(geo, strip)
     }
 }
 
-/// Dispatches one `(rn, kw)`-monomorphized row-resident strip, falling back
-/// to the given scalar expression for combinations without a SIMD kernel
-/// (output-width tails, unusual kernel widths).
-#[cfg(target_arch = "x86_64")]
-macro_rules! dispatch_rn_kw {
-    ($f:ident, $rn:expr, $kw:expr, $args:tt, $fallback:expr,
-     [$(($r:literal, $k:literal)),+ $(,)?]) => {
-        match ($rn, $kw) {
-            $( ($r, $k) => $f::<$r, $k> $args, )+
-            _ => $fallback,
-        }
-    };
-}
-
-/// `(reg_n, kw)` pairs with a monomorphized AVX2 row-resident strip: the
-/// accumulators plus `kw + 1` resident vectors fit the 16-register file.
-#[cfg(target_arch = "x86_64")]
-macro_rules! avx2_rn_kw {
-    ($f:ident, $rn:expr, $kw:expr, $args:tt, $fallback:expr) => {
-        dispatch_rn_kw!($f, $rn, $kw, $args, $fallback, [
-            (12, 3), (8, 3), (4, 3), (2, 3), (1, 3),
-            (10, 5), (8, 5), (4, 5), (2, 5), (1, 5),
-            (8, 7), (4, 7), (2, 7), (1, 7),
-        ])
-    };
-}
-
-/// `(reg_n, kw)` pairs with a monomorphized AVX-512 row-resident strip:
-/// the accumulators plus `kw + 1` resident vectors fit the 32-register
-/// file.
-#[cfg(target_arch = "x86_64")]
-macro_rules! avx512_rn_kw {
-    ($f:ident, $rn:expr, $kw:expr, $args:tt, $fallback:expr) => {
-        dispatch_rn_kw!($f, $rn, $kw, $args, $fallback, [
-            (28, 3), (16, 3), (8, 3), (4, 3), (2, 3), (1, 3),
-            (24, 5), (16, 5), (8, 5), (4, 5), (2, 5), (1, 5),
-            (24, 7), (16, 7), (8, 7), (4, 7), (2, 7), (1, 7),
-        ])
-    };
-}
-
-/// Output-stationary strip dispatch (the Figure 1 kernel).
-unsafe fn run_strip_os(
-    isa: Isa,
-    geo: &Geo,
-    in_n: *const f32,
-    w_oc: *const f32,
-    out: *mut f32,
-    ih0: usize,
-    iw0: usize,
-    rn: usize,
-    unroll: bool,
-) {
-    match isa {
-        Isa::Scalar => strip_scalar(geo, in_n, w_oc, out, ih0, iw0, rn, unroll),
-        // 28- and 16-accumulator AVX2 monomorphizations are deliberately
-        // absent: with only 16 YMM registers they spilled every iteration.
-        // 12 accumulators is the widest strip that stays in the file once
-        // the kernel vector and the pipelined broadcast temps are counted
-        // (a 14-wide strip nominally fits but measurably spills).
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => match rn {
-            12 => strip_avx2::<12>(geo, in_n, w_oc, out, ih0, iw0, unroll),
-            8 => strip_avx2::<8>(geo, in_n, w_oc, out, ih0, iw0, unroll),
-            4 => strip_avx2::<4>(geo, in_n, w_oc, out, ih0, iw0, unroll),
-            2 => strip_avx2::<2>(geo, in_n, w_oc, out, ih0, iw0, unroll),
-            1 => strip_avx2::<1>(geo, in_n, w_oc, out, ih0, iw0, unroll),
-            _ => strip_scalar(geo, in_n, w_oc, out, ih0, iw0, rn, unroll),
-        },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => match rn {
-            28 => strip_avx512::<28>(geo, in_n, w_oc, out, ih0, iw0, unroll),
-            16 => strip_avx512::<16>(geo, in_n, w_oc, out, ih0, iw0, unroll),
-            8 => strip_avx512::<8>(geo, in_n, w_oc, out, ih0, iw0, unroll),
-            4 => strip_avx512::<4>(geo, in_n, w_oc, out, ih0, iw0, unroll),
-            2 => strip_avx512::<2>(geo, in_n, w_oc, out, ih0, iw0, unroll),
-            1 => strip_avx512::<1>(geo, in_n, w_oc, out, ih0, iw0, unroll),
-            _ => strip_scalar(geo, in_n, w_oc, out, ih0, iw0, rn, unroll),
-        },
+/// Runs one int8 output strip: `rn · oc_bn` f32 values `m[oc] · acc[oc]`
+/// with exact i32 accumulation, so every tier is bit-identical. `mult`
+/// points at the chunk's `oc_bn` multipliers.
+///
+/// # Safety
+///
+/// As [`run_strip`]; additionally `mult` must be valid for `geo.oc_bn`
+/// floats and dense strips need `geo.ic_bn` divisible by 4.
+pub(super) unsafe fn run_strip_i8(geo: &Geo, strip: &Strip<u8, i8>, mult: *const f32) {
+    #[cfg(target_arch = "x86_64")]
+    if tiers::strip_i8(geo, strip, mult) {
+        return;
+    }
+    if geo.depthwise {
+        dw_strip_i8_scalar(geo, strip, mult)
+    } else {
+        strip_i8_scalar(geo, strip, mult)
     }
 }
 
-/// Weight-stationary strip dispatch.
-unsafe fn run_strip_ws(
-    isa: Isa,
-    geo: &Geo,
-    in_n: *const f32,
-    w_oc: *const f32,
-    out: *mut f32,
-    ih0: usize,
-    iw0: usize,
-    rn: usize,
-) {
-    match isa {
-        Isa::Scalar => strip_ws_scalar(geo, in_n, w_oc, out, ih0, iw0, rn),
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => avx2_rn_kw!(
-            strip_ws_avx2,
-            rn,
-            geo.kw,
-            (geo, in_n, w_oc, out, ih0, iw0),
-            strip_ws_scalar(geo, in_n, w_oc, out, ih0, iw0, rn)
-        ),
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => avx512_rn_kw!(
-            strip_ws_avx512,
-            rn,
-            geo.kw,
-            (geo, in_n, w_oc, out, ih0, iw0),
-            strip_ws_scalar(geo, in_n, w_oc, out, ih0, iw0, rn)
-        ),
-    }
-}
-
-/// Shift-reuse strip dispatch. Callers guarantee `geo.sw == 1` (validated
-/// at the schedule level).
-unsafe fn run_strip_sr(
-    isa: Isa,
-    geo: &Geo,
-    in_n: *const f32,
-    w_oc: *const f32,
-    out: *mut f32,
-    ih0: usize,
-    iw0: usize,
-    rn: usize,
-) {
-    debug_assert_eq!(geo.sw, 1, "shift-reuse requires stride_w == 1");
-    match isa {
-        Isa::Scalar => strip_sr_scalar(geo, in_n, w_oc, out, ih0, iw0, rn),
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => avx2_rn_kw!(
-            strip_sr_avx2,
-            rn,
-            geo.kw,
-            (geo, in_n, w_oc, out, ih0, iw0),
-            strip_sr_scalar(geo, in_n, w_oc, out, ih0, iw0, rn)
-        ),
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => avx512_rn_kw!(
-            strip_sr_avx512,
-            rn,
-            geo.kw,
-            (geo, in_n, w_oc, out, ih0, iw0),
-            strip_sr_scalar(geo, in_n, w_oc, out, ih0, iw0, rn)
-        ),
-    }
-}
-
-/// Portable strip: accumulates directly into the (zero-initialized) output.
+/// Portable dense strip: accumulates directly into the (zero-initialized)
+/// output.
 ///
 /// # Safety
 ///
 /// See [`run_strip`].
-unsafe fn strip_scalar(
-    geo: &Geo,
-    in_n: *const f32,
-    w_oc: *const f32,
-    out: *mut f32,
-    ih0: usize,
-    iw0: usize,
-    rn: usize,
-    unroll: bool,
-) {
-    let Geo { ic_chunks, ic_bn, oc_bn, ph: _, pw, kh, kw, sw } = *geo;
+#[inline(never)]
+unsafe fn strip_scalar(geo: &Geo, strip: &Strip<f32, f32>) {
+    let Geo { ic_chunks, ic_bn, oc_bn, ph, pw, kh, kw, sw, unroll, .. } = *geo;
+    let Strip { input: in_n, weights: w_oc, rn, out, ih0, iw0 } = *strip;
     // Zero the strip; the SIMD paths keep sums in registers instead.
     for i in 0..rn * oc_bn {
         // SAFETY: `out` is valid for `rn * oc_bn` elements per contract.
         unsafe { *out.add(i) = 0.0 };
     }
-    let khw = kh * kw;
     for icc in 0..ic_chunks {
-        let in_c = in_n.add(icc * geo.ph * pw * ic_bn);
-        let w_c = w_oc.add(icc * khw * ic_bn * oc_bn);
-        // `unroll` flattens the (kh, kw) nest into a single loop, trading a
-        // branch per kernel column for index arithmetic — the codegen
-        // difference the `unroll_ker` knob toggles.
-        if unroll {
-            for e in 0..khw {
-                let (r, s) = (e / kw, e % kw);
-                let in_rs = in_c.add(((ih0 + r) * pw + iw0 + s) * ic_bn);
-                let w_rs = w_c.add(e * ic_bn * oc_bn);
-                strip_scalar_tap(in_rs, w_rs, out, ic_bn, oc_bn, sw, rn);
-            }
-        } else {
-            for r in 0..kh {
-                for s in 0..kw {
-                    let in_rs = in_c.add(((ih0 + r) * pw + iw0 + s) * ic_bn);
-                    let w_rs = w_c.add((r * kw + s) * ic_bn * oc_bn);
-                    strip_scalar_tap(in_rs, w_rs, out, ic_bn, oc_bn, sw, rn);
-                }
-            }
-        }
-    }
-}
-
-/// One kernel tap of the scalar strip: multiply every input sub-channel
-/// against the `oc_bn` kernel values and accumulate into each strip pixel.
-///
-/// # Safety
-///
-/// Pointers valid per [`run_strip`]'s contract.
-#[inline(always)]
-unsafe fn strip_scalar_tap(
-    in_rs: *const f32,
-    w_rs: *const f32,
-    out: *mut f32,
-    ic_bn: usize,
-    oc_bn: usize,
-    sw: usize,
-    rn: usize,
-) {
-    for ici in 0..ic_bn {
-        let w_vec = w_rs.add(ici * oc_bn);
-        for i in 0..rn {
-            // SAFETY: strip pixel `i` reads input at column offset
-            // `i * sw`, in bounds because the padded width covers
-            // `(rn-1)*sw + kw`.
-            let x = unsafe { *in_rs.add(i * sw * ic_bn + ici) };
-            let o = out.add(i * oc_bn);
-            for oci in 0..oc_bn {
-                // SAFETY: `out` strip holds `rn * oc_bn` elements.
-                unsafe { *o.add(oci) += x * *w_vec.add(oci) };
-            }
-        }
-    }
-}
-
-/// AVX2 strip for `oc_bn == 8`: `RN` YMM accumulators.
-///
-/// # Safety
-///
-/// Caller must ensure AVX2+FMA are available (checked in [`select_isa`]) and
-/// the pointer contract of [`run_strip`]; `geo.oc_bn` must be 8.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn strip_avx2<const RN: usize>(
-    geo: &Geo,
-    in_n: *const f32,
-    w_oc: *const f32,
-    out: *mut f32,
-    ih0: usize,
-    iw0: usize,
-    unroll: bool,
-) {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(geo.oc_bn, 8);
-    let Geo { ic_chunks, ic_bn, pw, kh, kw, sw, .. } = *geo;
-    let khw = kh * kw;
-    let mut acc = [_mm256_setzero_ps(); RN];
-    for icc in 0..ic_chunks {
-        let in_c = in_n.add(icc * geo.ph * pw * ic_bn);
-        let w_c = w_oc.add(icc * khw * ic_bn * 8);
-        if unroll {
-            for e in 0..khw {
-                let (r, s) = (e / kw, e % kw);
-                let in_rs = in_c.add(((ih0 + r) * pw + iw0 + s) * ic_bn);
-                let w_rs = w_c.add(e * ic_bn * 8);
-                for ici in 0..ic_bn {
-                    let wv = _mm256_loadu_ps(w_rs.add(ici * 8));
-                    for i in 0..RN {
-                        let x = _mm256_set1_ps(*in_rs.add(i * sw * ic_bn + ici));
-                        acc[i] = _mm256_fmadd_ps(x, wv, acc[i]);
-                    }
-                }
-            }
-        } else {
-            for r in 0..kh {
-                for s in 0..kw {
-                    let in_rs = in_c.add(((ih0 + r) * pw + iw0 + s) * ic_bn);
-                    let w_rs = w_c.add((r * kw + s) * ic_bn * 8);
-                    for ici in 0..ic_bn {
-                        let wv = _mm256_loadu_ps(w_rs.add(ici * 8));
-                        for i in 0..RN {
-                            let x = _mm256_set1_ps(*in_rs.add(i * sw * ic_bn + ici));
-                            acc[i] = _mm256_fmadd_ps(x, wv, acc[i]);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    for i in 0..RN {
-        _mm256_storeu_ps(out.add(i * 8), acc[i]);
-    }
-}
-
-/// AVX-512 strip for `oc_bn == 16`: `RN` ZMM accumulators plus one ZMM of
-/// kernel values — the Figure 1 register scheme.
-///
-/// # Safety
-///
-/// Caller must ensure AVX-512F is available and the pointer contract of
-/// [`run_strip`]; `geo.oc_bn` must be 16.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn strip_avx512<const RN: usize>(
-    geo: &Geo,
-    in_n: *const f32,
-    w_oc: *const f32,
-    out: *mut f32,
-    ih0: usize,
-    iw0: usize,
-    unroll: bool,
-) {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(geo.oc_bn, 16);
-    let Geo { ic_chunks, ic_bn, pw, kh, kw, sw, .. } = *geo;
-    let khw = kh * kw;
-    let mut acc = [_mm512_setzero_ps(); RN];
-    for icc in 0..ic_chunks {
-        let in_c = in_n.add(icc * geo.ph * pw * ic_bn);
-        let w_c = w_oc.add(icc * khw * ic_bn * 16);
-        if unroll {
-            for e in 0..khw {
-                let (r, s) = (e / kw, e % kw);
-                let in_rs = in_c.add(((ih0 + r) * pw + iw0 + s) * ic_bn);
-                let w_rs = w_c.add(e * ic_bn * 16);
-                for ici in 0..ic_bn {
-                    let wv = _mm512_loadu_ps(w_rs.add(ici * 16));
-                    for i in 0..RN {
-                        let x = _mm512_set1_ps(*in_rs.add(i * sw * ic_bn + ici));
-                        acc[i] = _mm512_fmadd_ps(x, wv, acc[i]);
-                    }
-                }
-            }
-        } else {
-            for r in 0..kh {
-                for s in 0..kw {
-                    let in_rs = in_c.add(((ih0 + r) * pw + iw0 + s) * ic_bn);
-                    let w_rs = w_c.add((r * kw + s) * ic_bn * 16);
-                    for ici in 0..ic_bn {
-                        let wv = _mm512_loadu_ps(w_rs.add(ici * 16));
-                        for i in 0..RN {
-                            let x = _mm512_set1_ps(*in_rs.add(i * sw * ic_bn + ici));
-                            acc[i] = _mm512_fmadd_ps(x, wv, acc[i]);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    for i in 0..RN {
-        _mm512_storeu_ps(out.add(i * 16), acc[i]);
-    }
-}
-
-/// Portable weight-stationary strip: the kernel row is walked innermost per
-/// pixel so each row's `kw` taps are consumed while "resident" (the scalar
-/// analogue of pinning the row's kernel vectors in registers). Accumulates
-/// in memory like [`strip_scalar`].
-///
-/// # Safety
-///
-/// See [`run_strip`].
-unsafe fn strip_ws_scalar(
-    geo: &Geo,
-    in_n: *const f32,
-    w_oc: *const f32,
-    out: *mut f32,
-    ih0: usize,
-    iw0: usize,
-    rn: usize,
-) {
-    let Geo { ic_chunks, ic_bn, oc_bn, pw, kh, kw, sw, .. } = *geo;
-    for i in 0..rn * oc_bn {
-        // SAFETY: `out` is valid for `rn * oc_bn` elements per contract.
-        unsafe { *out.add(i) = 0.0 };
-    }
-    for icc in 0..ic_chunks {
-        let in_c = in_n.add(icc * geo.ph * pw * ic_bn);
+        let in_c = in_n.add(icc * ph * pw * ic_bn);
         let w_c = w_oc.add(icc * kh * kw * ic_bn * oc_bn);
-        for r in 0..kh {
-            let in_r = in_c.add((ih0 + r) * pw * ic_bn);
-            let w_r = w_c.add(r * kw * ic_bn * oc_bn);
+        for_each_tap!(kh, kw, unroll, |e, r, s| {
+            let in_rs = in_c.add(((ih0 + r) * pw + iw0 + s) * ic_bn);
+            let w_rs = w_c.add(e * ic_bn * oc_bn);
+            // Every input sub-channel against its `oc_bn` kernel values,
+            // accumulated into each strip pixel.
             for ici in 0..ic_bn {
+                let w_vec = w_rs.add(ici * oc_bn);
                 for i in 0..rn {
-                    let px = in_r.add((iw0 + i * sw) * ic_bn + ici);
+                    // SAFETY: strip pixel `i` reads input at column offset
+                    // `i * sw`, in bounds because the padded width covers
+                    // `(rn-1)*sw + kw`.
+                    let x = unsafe { *in_rs.add(i * sw * ic_bn + ici) };
                     let o = out.add(i * oc_bn);
-                    for s in 0..kw {
-                        // SAFETY: pixel `i`, tap `s` reads padded-input
-                        // column `iw0 + i*sw + s`, in bounds because the
-                        // padded width covers `(rn-1)*sw + kw`.
-                        let x = unsafe { *px.add(s * ic_bn) };
-                        let w_vec = w_r.add((s * ic_bn + ici) * oc_bn);
-                        for oci in 0..oc_bn {
-                            // SAFETY: `out` strip holds `rn * oc_bn`.
-                            unsafe { *o.add(oci) += x * *w_vec.add(oci) };
-                        }
+                    for oci in 0..oc_bn {
+                        // SAFETY: `out` strip holds `rn * oc_bn` elements.
+                        unsafe { *o.add(oci) += x * *w_vec.add(oci) };
                     }
                 }
             }
-        }
-    }
-}
-
-/// Portable shift-reuse strip (`sw == 1`): each padded-input column of the
-/// strip's footprint is read once per `(row, ici)` and applied to every
-/// kernel tap that overlaps it.
-///
-/// # Safety
-///
-/// See [`run_strip`]; additionally `geo.sw` must be 1.
-unsafe fn strip_sr_scalar(
-    geo: &Geo,
-    in_n: *const f32,
-    w_oc: *const f32,
-    out: *mut f32,
-    ih0: usize,
-    iw0: usize,
-    rn: usize,
-) {
-    let Geo { ic_chunks, ic_bn, oc_bn, pw, kh, kw, .. } = *geo;
-    for i in 0..rn * oc_bn {
-        // SAFETY: `out` is valid for `rn * oc_bn` elements per contract.
-        unsafe { *out.add(i) = 0.0 };
-    }
-    for icc in 0..ic_chunks {
-        let in_c = in_n.add(icc * geo.ph * pw * ic_bn);
-        let w_c = w_oc.add(icc * kh * kw * ic_bn * oc_bn);
-        for r in 0..kh {
-            let in_r = in_c.add(((ih0 + r) * pw + iw0) * ic_bn);
-            let w_r = w_c.add(r * kw * ic_bn * oc_bn);
-            for ici in 0..ic_bn {
-                // The strip touches `rn + kw - 1` overlapping columns; tap
-                // `s` of pixel `i` reads column `i + s`.
-                for col in 0..rn + kw - 1 {
-                    // SAFETY: column `col < rn + kw - 1 = (rn-1)*sw + kw`
-                    // lies inside the strip's padded footprint.
-                    let x = unsafe { *in_r.add(col * ic_bn + ici) };
-                    let s_lo = (col + 1).saturating_sub(rn);
-                    let s_hi = col.min(kw - 1);
-                    for s in s_lo..=s_hi {
-                        let w_vec = w_r.add((s * ic_bn + ici) * oc_bn);
-                        let o = out.add((col - s) * oc_bn);
-                        for oci in 0..oc_bn {
-                            // SAFETY: `col - s < rn` by the `s_lo` bound.
-                            unsafe { *o.add(oci) += x * *w_vec.add(oci) };
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// AVX2 weight-stationary strip for `oc_bn == 8`: `RN` YMM accumulators
-/// plus the `KW` kernel vectors of the current row held resident.
-///
-/// # Safety
-///
-/// Caller must ensure AVX2+FMA are available and the pointer contract of
-/// [`run_strip`]; `geo.oc_bn` must be 8 and `geo.kw` must equal `KW`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn strip_ws_avx2<const RN: usize, const KW: usize>(
-    geo: &Geo,
-    in_n: *const f32,
-    w_oc: *const f32,
-    out: *mut f32,
-    ih0: usize,
-    iw0: usize,
-) {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(geo.oc_bn, 8);
-    debug_assert_eq!(geo.kw, KW);
-    let Geo { ic_chunks, ic_bn, pw, kh, sw, .. } = *geo;
-    let mut acc = [_mm256_setzero_ps(); RN];
-    for icc in 0..ic_chunks {
-        let in_c = in_n.add(icc * geo.ph * pw * ic_bn);
-        let w_c = w_oc.add(icc * kh * KW * ic_bn * 8);
-        for r in 0..kh {
-            let in_r = in_c.add((ih0 + r) * pw * ic_bn);
-            let w_r = w_c.add(r * KW * ic_bn * 8);
-            for ici in 0..ic_bn {
-                let mut wv = [_mm256_setzero_ps(); KW];
-                for s in 0..KW {
-                    wv[s] = _mm256_loadu_ps(w_r.add((s * ic_bn + ici) * 8));
-                }
-                for i in 0..RN {
-                    let px = in_r.add((iw0 + i * sw) * ic_bn + ici);
-                    for s in 0..KW {
-                        let x = _mm256_set1_ps(*px.add(s * ic_bn));
-                        acc[i] = _mm256_fmadd_ps(x, wv[s], acc[i]);
-                    }
-                }
-            }
-        }
-    }
-    for i in 0..RN {
-        _mm256_storeu_ps(out.add(i * 8), acc[i]);
-    }
-}
-
-/// AVX-512 weight-stationary strip for `oc_bn == 16`.
-///
-/// # Safety
-///
-/// Caller must ensure AVX-512F is available and the pointer contract of
-/// [`run_strip`]; `geo.oc_bn` must be 16 and `geo.kw` must equal `KW`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn strip_ws_avx512<const RN: usize, const KW: usize>(
-    geo: &Geo,
-    in_n: *const f32,
-    w_oc: *const f32,
-    out: *mut f32,
-    ih0: usize,
-    iw0: usize,
-) {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(geo.oc_bn, 16);
-    debug_assert_eq!(geo.kw, KW);
-    let Geo { ic_chunks, ic_bn, pw, kh, sw, .. } = *geo;
-    let mut acc = [_mm512_setzero_ps(); RN];
-    for icc in 0..ic_chunks {
-        let in_c = in_n.add(icc * geo.ph * pw * ic_bn);
-        let w_c = w_oc.add(icc * kh * KW * ic_bn * 16);
-        for r in 0..kh {
-            let in_r = in_c.add((ih0 + r) * pw * ic_bn);
-            let w_r = w_c.add(r * KW * ic_bn * 16);
-            for ici in 0..ic_bn {
-                let mut wv = [_mm512_setzero_ps(); KW];
-                for s in 0..KW {
-                    wv[s] = _mm512_loadu_ps(w_r.add((s * ic_bn + ici) * 16));
-                }
-                for i in 0..RN {
-                    let px = in_r.add((iw0 + i * sw) * ic_bn + ici);
-                    for s in 0..KW {
-                        let x = _mm512_set1_ps(*px.add(s * ic_bn));
-                        acc[i] = _mm512_fmadd_ps(x, wv[s], acc[i]);
-                    }
-                }
-            }
-        }
-    }
-    for i in 0..RN {
-        _mm512_storeu_ps(out.add(i * 16), acc[i]);
-    }
-}
-
-/// AVX2 shift-reuse strip for `oc_bn == 8` (`sw == 1`): `RN` YMM
-/// accumulators, the row's `KW` kernel vectors resident, and each of the
-/// `RN + KW - 1` overlapping input columns broadcast exactly once per
-/// `(row, ici)` — the register-shift reuse scheme.
-///
-/// # Safety
-///
-/// Caller must ensure AVX2+FMA are available and the pointer contract of
-/// [`run_strip`]; `geo.oc_bn` must be 8, `geo.kw` must equal `KW`, and
-/// `geo.sw` must be 1.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn strip_sr_avx2<const RN: usize, const KW: usize>(
-    geo: &Geo,
-    in_n: *const f32,
-    w_oc: *const f32,
-    out: *mut f32,
-    ih0: usize,
-    iw0: usize,
-) {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(geo.oc_bn, 8);
-    debug_assert_eq!(geo.kw, KW);
-    debug_assert_eq!(geo.sw, 1);
-    let Geo { ic_chunks, ic_bn, pw, kh, .. } = *geo;
-    let mut acc = [_mm256_setzero_ps(); RN];
-    for icc in 0..ic_chunks {
-        let in_c = in_n.add(icc * geo.ph * pw * ic_bn);
-        let w_c = w_oc.add(icc * kh * KW * ic_bn * 8);
-        for r in 0..kh {
-            let in_r = in_c.add(((ih0 + r) * pw + iw0) * ic_bn);
-            let w_r = w_c.add(r * KW * ic_bn * 8);
-            for ici in 0..ic_bn {
-                let mut wv = [_mm256_setzero_ps(); KW];
-                for s in 0..KW {
-                    wv[s] = _mm256_loadu_ps(w_r.add((s * ic_bn + ici) * 8));
-                }
-                for col in 0..RN + KW - 1 {
-                    let x = _mm256_set1_ps(*in_r.add(col * ic_bn + ici));
-                    // Constant-bound tap loop with guards instead of a
-                    // runtime `s_lo..=s_hi` range: both loops fully unroll,
-                    // so `acc` indexing is constant and the accumulators
-                    // stay in registers instead of spilling as an array.
-                    for s in 0..KW {
-                        if s <= col && col - s < RN {
-                            acc[col - s] = _mm256_fmadd_ps(x, wv[s], acc[col - s]);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    for i in 0..RN {
-        _mm256_storeu_ps(out.add(i * 8), acc[i]);
-    }
-}
-
-/// AVX-512 shift-reuse strip for `oc_bn == 16` (`sw == 1`).
-///
-/// # Safety
-///
-/// Caller must ensure AVX-512F is available and the pointer contract of
-/// [`run_strip`]; `geo.oc_bn` must be 16, `geo.kw` must equal `KW`, and
-/// `geo.sw` must be 1.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn strip_sr_avx512<const RN: usize, const KW: usize>(
-    geo: &Geo,
-    in_n: *const f32,
-    w_oc: *const f32,
-    out: *mut f32,
-    ih0: usize,
-    iw0: usize,
-) {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(geo.oc_bn, 16);
-    debug_assert_eq!(geo.kw, KW);
-    debug_assert_eq!(geo.sw, 1);
-    let Geo { ic_chunks, ic_bn, pw, kh, .. } = *geo;
-    let mut acc = [_mm512_setzero_ps(); RN];
-    for icc in 0..ic_chunks {
-        let in_c = in_n.add(icc * geo.ph * pw * ic_bn);
-        let w_c = w_oc.add(icc * kh * KW * ic_bn * 16);
-        for r in 0..kh {
-            let in_r = in_c.add(((ih0 + r) * pw + iw0) * ic_bn);
-            let w_r = w_c.add(r * KW * ic_bn * 16);
-            for ici in 0..ic_bn {
-                let mut wv = [_mm512_setzero_ps(); KW];
-                for s in 0..KW {
-                    wv[s] = _mm512_loadu_ps(w_r.add((s * ic_bn + ici) * 16));
-                }
-                for col in 0..RN + KW - 1 {
-                    let x = _mm512_set1_ps(*in_r.add(col * ic_bn + ici));
-                    // Constant-bound tap loop with guards (see the AVX2
-                    // strip): keeps the accumulator array in registers.
-                    for s in 0..KW {
-                        if s <= col && col - s < RN {
-                            acc[col - s] = _mm512_fmadd_ps(x, wv[s], acc[col - s]);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    for i in 0..RN {
-        _mm512_storeu_ps(out.add(i * 16), acc[i]);
-    }
-}
-
-/// Runs one *depthwise* output strip.
-///
-/// Depthwise convolution pairs each channel of the block with its own
-/// `kh×kw` filter, so instead of broadcasting an input scalar against a
-/// kernel vector (the dense Figure 1 scheme), the microkernel multiplies
-/// an input *vector* (the `c_bn` channels of one padded pixel) element-wise
-/// against the kernel vector for that tap. There is no input-channel
-/// reduction: `geo.ic_bn == geo.oc_bn` is the channel block `c_bn`, and
-/// `geo.ic_chunks` is unused (the caller iterates channel chunks).
-///
-/// `in_c` points at the padded input of the current (batch, channel-chunk)
-/// pair (`[ph, pw, c_bn]`), `w_c` at that chunk's filter block
-/// (`[kh, kw, c_bn]`), `out` at the strip (`rn * c_bn` contiguous floats).
-///
-/// # Safety
-///
-/// Same contract as [`run_strip`].
-pub(super) unsafe fn run_dw_strip(
-    isa: Isa,
-    geo: &Geo,
-    dataflow: Dataflow,
-    in_c: *const f32,
-    w_c: *const f32,
-    out: *mut f32,
-    ih0: usize,
-    iw0: usize,
-    rn: usize,
-    unroll: bool,
-) {
-    match dataflow {
-        // Weight-stationary is rejected at the schedule level for depthwise
-        // workloads (each tap already is one kernel vector); route it to
-        // the output-stationary kernel defensively.
-        Dataflow::OutputStationary | Dataflow::WeightStationary => {
-            run_dw_strip_os(isa, geo, in_c, w_c, out, ih0, iw0, rn, unroll)
-        }
-        Dataflow::ShiftReuse => run_dw_strip_sr(isa, geo, in_c, w_c, out, ih0, iw0, rn),
-    }
-}
-
-/// Output-stationary depthwise strip dispatch.
-unsafe fn run_dw_strip_os(
-    isa: Isa,
-    geo: &Geo,
-    in_c: *const f32,
-    w_c: *const f32,
-    out: *mut f32,
-    ih0: usize,
-    iw0: usize,
-    rn: usize,
-    unroll: bool,
-) {
-    match isa {
-        Isa::Scalar => dw_strip_scalar(geo, in_c, w_c, out, ih0, iw0, rn, unroll),
-        // As in the dense kernel, the 28/16-accumulator AVX2 strips spilled
-        // the 16-register YMM file and are gone; 12 is the widest resident
-        // strip once the pipelined temps are counted.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => match rn {
-            12 => dw_strip_avx2::<12>(geo, in_c, w_c, out, ih0, iw0, unroll),
-            8 => dw_strip_avx2::<8>(geo, in_c, w_c, out, ih0, iw0, unroll),
-            4 => dw_strip_avx2::<4>(geo, in_c, w_c, out, ih0, iw0, unroll),
-            2 => dw_strip_avx2::<2>(geo, in_c, w_c, out, ih0, iw0, unroll),
-            1 => dw_strip_avx2::<1>(geo, in_c, w_c, out, ih0, iw0, unroll),
-            _ => dw_strip_scalar(geo, in_c, w_c, out, ih0, iw0, rn, unroll),
-        },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => match rn {
-            28 => dw_strip_avx512::<28>(geo, in_c, w_c, out, ih0, iw0, unroll),
-            16 => dw_strip_avx512::<16>(geo, in_c, w_c, out, ih0, iw0, unroll),
-            8 => dw_strip_avx512::<8>(geo, in_c, w_c, out, ih0, iw0, unroll),
-            4 => dw_strip_avx512::<4>(geo, in_c, w_c, out, ih0, iw0, unroll),
-            2 => dw_strip_avx512::<2>(geo, in_c, w_c, out, ih0, iw0, unroll),
-            1 => dw_strip_avx512::<1>(geo, in_c, w_c, out, ih0, iw0, unroll),
-            _ => dw_strip_scalar(geo, in_c, w_c, out, ih0, iw0, rn, unroll),
-        },
-    }
-}
-
-/// Shift-reuse depthwise strip dispatch (`sw == 1`).
-unsafe fn run_dw_strip_sr(
-    isa: Isa,
-    geo: &Geo,
-    in_c: *const f32,
-    w_c: *const f32,
-    out: *mut f32,
-    ih0: usize,
-    iw0: usize,
-    rn: usize,
-) {
-    debug_assert_eq!(geo.sw, 1, "shift-reuse requires stride_w == 1");
-    match isa {
-        Isa::Scalar => dw_strip_sr_scalar(geo, in_c, w_c, out, ih0, iw0, rn),
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => avx2_rn_kw!(
-            dw_strip_sr_avx2,
-            rn,
-            geo.kw,
-            (geo, in_c, w_c, out, ih0, iw0),
-            dw_strip_sr_scalar(geo, in_c, w_c, out, ih0, iw0, rn)
-        ),
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => avx512_rn_kw!(
-            dw_strip_sr_avx512,
-            rn,
-            geo.kw,
-            (geo, in_c, w_c, out, ih0, iw0),
-            dw_strip_sr_scalar(geo, in_c, w_c, out, ih0, iw0, rn)
-        ),
+        });
     }
 }
 
@@ -899,276 +370,95 @@ unsafe fn run_dw_strip_sr(
 ///
 /// # Safety
 ///
-/// See [`run_dw_strip`].
-unsafe fn dw_strip_scalar(
-    geo: &Geo,
-    in_c: *const f32,
-    w_c: *const f32,
-    out: *mut f32,
-    ih0: usize,
-    iw0: usize,
-    rn: usize,
-    unroll: bool,
-) {
-    let Geo { ic_bn: c_bn, pw, kh, kw, sw, .. } = *geo;
+/// See [`run_strip`].
+#[inline(never)]
+unsafe fn dw_strip_scalar(geo: &Geo, strip: &Strip<f32, f32>) {
+    let Geo { ic_bn: c_bn, pw, kh, kw, sw, unroll, .. } = *geo;
+    let Strip { input: in_c, weights: w_c, rn, out, ih0, iw0 } = *strip;
     for i in 0..rn * c_bn {
         // SAFETY: `out` is valid for `rn * c_bn` elements per contract.
         unsafe { *out.add(i) = 0.0 };
     }
-    let khw = kh * kw;
-    let tap = |e: usize| {
-        let (r, s) = (e / kw, e % kw);
-        let in_rs = unsafe { in_c.add(((ih0 + r) * pw + iw0 + s) * c_bn) };
-        let w_rs = unsafe { w_c.add(e * c_bn) };
+    for_each_tap!(kh, kw, unroll, |e, r, s| {
+        let in_rs = in_c.add(((ih0 + r) * pw + iw0 + s) * c_bn);
+        let w_rs = w_c.add(e * c_bn);
         for i in 0..rn {
-            let px = unsafe { in_rs.add(i * sw * c_bn) };
-            let o = unsafe { out.add(i * c_bn) };
+            let px = in_rs.add(i * sw * c_bn);
+            let o = out.add(i * c_bn);
             for ci in 0..c_bn {
-                // SAFETY: pointer extents per the run_dw_strip contract.
+                // SAFETY: pointer extents per the run_strip contract.
                 unsafe { *o.add(ci) += *px.add(ci) * *w_rs.add(ci) };
             }
         }
-    };
-    // `unroll` mirrors the dense template's flattened kernel loop.
-    if unroll {
-        for e in 0..khw {
-            tap(e);
-        }
-    } else {
-        for r in 0..kh {
-            for s in 0..kw {
-                tap(r * kw + s);
-            }
-        }
-    }
+    });
 }
 
-/// AVX2 depthwise strip for `c_bn == 8`: `RN` YMM accumulators, one
-/// element-wise FMA per kernel tap per pixel.
+/// Portable int8 dense strip: exact i32 accumulation per (pixel, oc), f32
+/// store.
 ///
 /// # Safety
 ///
-/// Caller must ensure AVX2+FMA are available and the pointer contract of
-/// [`run_dw_strip`]; `geo.oc_bn` must be 8.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn dw_strip_avx2<const RN: usize>(
-    geo: &Geo,
-    in_c: *const f32,
-    w_c: *const f32,
-    out: *mut f32,
-    ih0: usize,
-    iw0: usize,
-    unroll: bool,
-) {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(geo.oc_bn, 8);
-    let Geo { pw, kh, kw, sw, .. } = *geo;
-    let khw = kh * kw;
-    let mut acc = [_mm256_setzero_ps(); RN];
-    if unroll {
-        for e in 0..khw {
-            let (r, s) = (e / kw, e % kw);
-            let in_rs = in_c.add(((ih0 + r) * pw + iw0 + s) * 8);
-            let wv = _mm256_loadu_ps(w_c.add(e * 8));
-            for i in 0..RN {
-                let xv = _mm256_loadu_ps(in_rs.add(i * sw * 8));
-                acc[i] = _mm256_fmadd_ps(xv, wv, acc[i]);
-            }
-        }
-    } else {
-        for r in 0..kh {
-            for s in 0..kw {
-                let in_rs = in_c.add(((ih0 + r) * pw + iw0 + s) * 8);
-                let wv = _mm256_loadu_ps(w_c.add((r * kw + s) * 8));
-                for i in 0..RN {
-                    let xv = _mm256_loadu_ps(in_rs.add(i * sw * 8));
-                    acc[i] = _mm256_fmadd_ps(xv, wv, acc[i]);
-                }
-            }
-        }
-    }
-    for i in 0..RN {
-        _mm256_storeu_ps(out.add(i * 8), acc[i]);
-    }
-}
-
-/// AVX-512 depthwise strip for `c_bn == 16`.
-///
-/// # Safety
-///
-/// Caller must ensure AVX-512F is available and the pointer contract of
-/// [`run_dw_strip`]; `geo.oc_bn` must be 16.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn dw_strip_avx512<const RN: usize>(
-    geo: &Geo,
-    in_c: *const f32,
-    w_c: *const f32,
-    out: *mut f32,
-    ih0: usize,
-    iw0: usize,
-    unroll: bool,
-) {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(geo.oc_bn, 16);
-    let Geo { pw, kh, kw, sw, .. } = *geo;
-    let khw = kh * kw;
-    let mut acc = [_mm512_setzero_ps(); RN];
-    if unroll {
-        for e in 0..khw {
-            let (r, s) = (e / kw, e % kw);
-            let in_rs = in_c.add(((ih0 + r) * pw + iw0 + s) * 16);
-            let wv = _mm512_loadu_ps(w_c.add(e * 16));
-            for i in 0..RN {
-                let xv = _mm512_loadu_ps(in_rs.add(i * sw * 16));
-                acc[i] = _mm512_fmadd_ps(xv, wv, acc[i]);
-            }
-        }
-    } else {
-        for r in 0..kh {
-            for s in 0..kw {
-                let in_rs = in_c.add(((ih0 + r) * pw + iw0 + s) * 16);
-                let wv = _mm512_loadu_ps(w_c.add((r * kw + s) * 16));
-                for i in 0..RN {
-                    let xv = _mm512_loadu_ps(in_rs.add(i * sw * 16));
-                    acc[i] = _mm512_fmadd_ps(xv, wv, acc[i]);
-                }
-            }
-        }
-    }
-    for i in 0..RN {
-        _mm512_storeu_ps(out.add(i * 16), acc[i]);
-    }
-}
-
-/// Portable shift-reuse depthwise strip (`sw == 1`): each of the
-/// `rn + kw - 1` overlapping input columns of a kernel row is loaded once
-/// and applied to every tap it participates in.
-///
-/// # Safety
-///
-/// See [`run_dw_strip`]; additionally `geo.sw` must be 1.
-unsafe fn dw_strip_sr_scalar(
-    geo: &Geo,
-    in_c: *const f32,
-    w_c: *const f32,
-    out: *mut f32,
-    ih0: usize,
-    iw0: usize,
-    rn: usize,
-) {
-    let Geo { ic_bn: c_bn, pw, kh, kw, .. } = *geo;
-    for i in 0..rn * c_bn {
-        // SAFETY: `out` is valid for `rn * c_bn` elements per contract.
-        unsafe { *out.add(i) = 0.0 };
-    }
-    for r in 0..kh {
-        // SAFETY: row r of the receptive field, within the padded input.
-        let in_r = unsafe { in_c.add(((ih0 + r) * pw + iw0) * c_bn) };
-        let w_r = unsafe { w_c.add(r * kw * c_bn) };
-        for col in 0..rn + kw - 1 {
-            // Pixel i and tap s touch column `i + s`; solve for the taps
-            // this column feeds.
-            let s_lo = (col + 1).saturating_sub(rn);
-            let s_hi = col.min(kw - 1);
-            for ci in 0..c_bn {
-                // SAFETY: pointer extents per the run_dw_strip contract.
-                let x = unsafe { *in_r.add(col * c_bn + ci) };
-                for s in s_lo..=s_hi {
-                    unsafe {
-                        *out.add((col - s) * c_bn + ci) += x * *w_r.add(s * c_bn + ci);
+/// See [`run_strip_i8`].
+#[inline(never)]
+unsafe fn strip_i8_scalar(geo: &Geo, strip: &Strip<u8, i8>, mult: *const f32) {
+    let Geo { ic_chunks, ic_bn, oc_bn, ph, pw, kh, kw, sw, .. } = *geo;
+    let Strip { input: in_n, weights: w_oc, rn, out, ih0, iw0 } = *strip;
+    let quads = ic_bn / 4;
+    for i in 0..rn {
+        for oci in 0..oc_bn {
+            let mut acc: i32 = 0;
+            for icc in 0..ic_chunks {
+                let in_c = in_n.add(icc * ph * pw * ic_bn);
+                let w_c = w_oc.add(icc * kh * kw * ic_bn * oc_bn);
+                for r in 0..kh {
+                    for s in 0..kw {
+                        let in_rs = in_c.add(((ih0 + r) * pw + iw0 + s + i * sw) * ic_bn);
+                        let w_rs = w_c.add((r * kw + s) * ic_bn * oc_bn);
+                        for q in 0..quads {
+                            for lane in 0..4 {
+                                // SAFETY: offsets stay inside the operand
+                                // extents per the contract; quad-packed
+                                // weight index [q][oci][lane].
+                                let a = unsafe { *in_rs.add(q * 4 + lane) };
+                                let w =
+                                    unsafe { *w_rs.add((q * oc_bn + oci) * 4 + lane) };
+                                acc += i32::from(a) * i32::from(w);
+                            }
+                        }
                     }
                 }
             }
+            // SAFETY: `out` holds `rn * oc_bn` f32; `mult` holds `oc_bn`.
+            unsafe { *out.add(i * oc_bn + oci) = *mult.add(oci) * acc as f32 };
         }
     }
 }
 
-/// AVX2 shift-reuse depthwise strip for `c_bn == 8`, `sw == 1`: the `KW`
-/// kernel vectors of a row stay resident and each overlapping input column
-/// is loaded exactly once.
+/// Portable int8 depthwise strip. Unlike the other scalar strips it is left
+/// to the inliner: forced out of line, the same body measured 1.2× slower as
+/// the tail handler behind the SIMD strips.
 ///
 /// # Safety
 ///
-/// Caller must ensure AVX2+FMA are available and the pointer contract of
-/// [`run_dw_strip`]; `geo.oc_bn` must be 8 and `geo.sw` must be 1.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn dw_strip_sr_avx2<const RN: usize, const KW: usize>(
-    geo: &Geo,
-    in_c: *const f32,
-    w_c: *const f32,
-    out: *mut f32,
-    ih0: usize,
-    iw0: usize,
-) {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(geo.oc_bn, 8);
-    debug_assert_eq!(geo.kw, KW);
-    let Geo { pw, kh, .. } = *geo;
-    let mut acc = [_mm256_setzero_ps(); RN];
-    for r in 0..kh {
-        let in_r = in_c.add(((ih0 + r) * pw + iw0) * 8);
-        let mut wv = [_mm256_setzero_ps(); KW];
-        for (s, w) in wv.iter_mut().enumerate() {
-            *w = _mm256_loadu_ps(w_c.add((r * KW + s) * 8));
-        }
-        for col in 0..RN + KW - 1 {
-            let xv = _mm256_loadu_ps(in_r.add(col * 8));
-            // Constant-bound tap loop with guards (see the dense strips):
-            // keeps the accumulator array in registers.
-            for s in 0..KW {
-                if s <= col && col - s < RN {
-                    acc[col - s] = _mm256_fmadd_ps(xv, wv[s], acc[col - s]);
+/// See [`run_strip_i8`].
+unsafe fn dw_strip_i8_scalar(geo: &Geo, strip: &Strip<u8, i8>, mult: *const f32) {
+    let Geo { ic_bn: c_bn, pw, kh, kw, sw, .. } = *geo;
+    let Strip { input: in_c, weights: w_c, rn, out, ih0, iw0 } = *strip;
+    for i in 0..rn {
+        for ci in 0..c_bn {
+            let mut acc: i32 = 0;
+            for r in 0..kh {
+                for s in 0..kw {
+                    // SAFETY: offsets inside operand extents per contract.
+                    let a = unsafe {
+                        *in_c.add(((ih0 + r) * pw + iw0 + s + i * sw) * c_bn + ci)
+                    };
+                    let w = unsafe { *w_c.add((r * kw + s) * c_bn + ci) };
+                    acc += i32::from(a) * i32::from(w);
                 }
             }
+            // SAFETY: `out` holds `rn * c_bn` f32; `mult` holds `c_bn`.
+            unsafe { *out.add(i * c_bn + ci) = *mult.add(ci) * acc as f32 };
         }
-    }
-    for i in 0..RN {
-        _mm256_storeu_ps(out.add(i * 8), acc[i]);
-    }
-}
-
-/// AVX-512 shift-reuse depthwise strip for `c_bn == 16`, `sw == 1`.
-///
-/// # Safety
-///
-/// Caller must ensure AVX-512F is available and the pointer contract of
-/// [`run_dw_strip`]; `geo.oc_bn` must be 16 and `geo.sw` must be 1.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn dw_strip_sr_avx512<const RN: usize, const KW: usize>(
-    geo: &Geo,
-    in_c: *const f32,
-    w_c: *const f32,
-    out: *mut f32,
-    ih0: usize,
-    iw0: usize,
-) {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(geo.oc_bn, 16);
-    debug_assert_eq!(geo.kw, KW);
-    let Geo { pw, kh, .. } = *geo;
-    let mut acc = [_mm512_setzero_ps(); RN];
-    for r in 0..kh {
-        let in_r = in_c.add(((ih0 + r) * pw + iw0) * 16);
-        let mut wv = [_mm512_setzero_ps(); KW];
-        for (s, w) in wv.iter_mut().enumerate() {
-            *w = _mm512_loadu_ps(w_c.add((r * KW + s) * 16));
-        }
-        for col in 0..RN + KW - 1 {
-            let xv = _mm512_loadu_ps(in_r.add(col * 16));
-            // Constant-bound tap loop with guards (see the dense strips):
-            // keeps the accumulator array in registers.
-            for s in 0..KW {
-                if s <= col && col - s < RN {
-                    acc[col - s] = _mm512_fmadd_ps(xv, wv[s], acc[col - s]);
-                }
-            }
-        }
-    }
-    for i in 0..RN {
-        _mm512_storeu_ps(out.add(i * 16), acc[i]);
     }
 }

@@ -6,6 +6,8 @@ mod depthwise;
 mod int8;
 mod microkernel;
 mod reference;
+#[cfg(target_arch = "x86_64")]
+mod simd;
 
 pub use blocked::{conv2d_nchwc, padded_input_len};
 pub use depthwise::depthwise_conv2d_nchwc;
@@ -133,106 +135,63 @@ pub enum Dataflow {
     /// kernel vector and one broadcast input scalar stream through.
     #[default]
     OutputStationary,
-    /// The `kw` kernel vectors of one kernel row stay resident across the
-    /// whole strip; inputs stream through as broadcasts.
-    WeightStationary,
-    /// Stride-1 variant of weight-stationary that also reuses each input
-    /// column across the `kw` overlapping kernel taps, loading
-    /// `reg_n + kw - 1` broadcasts per kernel row instead of
-    /// `reg_n × kw`.
+    /// Stride-1 only: the `kw` kernel vectors of one kernel row stay
+    /// resident as well, and each input column is reused across the `kw`
+    /// overlapping kernel taps, loading `reg_n + kw - 1` broadcasts per
+    /// kernel row instead of `reg_n × kw`.
     ShiftReuse,
 }
 
 impl Dataflow {
     /// All dataflows, in the order the candidate generator emits them.
-    pub const ALL: [Dataflow; 3] =
-        [Dataflow::OutputStationary, Dataflow::WeightStationary, Dataflow::ShiftReuse];
+    pub const ALL: [Dataflow; 2] = [Dataflow::OutputStationary, Dataflow::ShiftReuse];
 
     /// Short on-disk token (scheme-DB v3 sixth field).
     pub fn token(&self) -> &'static str {
         match self {
             Self::OutputStationary => "os",
-            Self::WeightStationary => "ws",
             Self::ShiftReuse => "sr",
         }
     }
 
     /// Inverse of [`Dataflow::token`].
     pub fn from_token(s: &str) -> Option<Self> {
-        match s {
-            "os" => Some(Self::OutputStationary),
-            "ws" => Some(Self::WeightStationary),
-            "sr" => Some(Self::ShiftReuse),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|d| d.token() == s)
     }
 
     /// Vector registers the strip keeps live *besides* the `reg_n`
     /// accumulators: output-stationary cycles one kernel vector plus one
-    /// broadcast; the row-resident dataflows pin the `kw` kernel vectors of
-    /// a row plus the in-flight input.
+    /// broadcast; shift-reuse pins the `kw` kernel vectors of a row plus
+    /// the in-flight input.
     pub fn resident_regs(&self, kernel_w: usize) -> usize {
         match self {
             Self::OutputStationary => 2,
-            Self::WeightStationary | Self::ShiftReuse => kernel_w + 1,
-        }
-    }
-
-    /// Whether a dedicated SIMD strip kernel is monomorphized for this
-    /// dataflow at kernel width `kw` (other widths run the scalar
-    /// fallback, so the candidate generator skips them).
-    pub fn simd_kernel_exists(&self, kw: usize) -> bool {
-        match self {
-            Self::OutputStationary => true,
-            Self::WeightStationary | Self::ShiftReuse => matches!(kw, 3 | 5 | 7),
+            Self::ShiftReuse => kernel_w + 1,
         }
     }
 }
 
-/// SIMD register file implied by a channel block, mirroring the microkernel
-/// dispatch: `oc_bn == 16` maps to AVX-512 ZMM (32 registers), `oc_bn == 8`
-/// to AVX2 YMM (16 registers); every other block runs the scalar kernel and
-/// carries no architectural register constraint.
-pub fn register_file_for_block(oc_bn: usize) -> Option<usize> {
-    match oc_bn {
-        16 => Some(32),
-        8 => Some(16),
-        _ => None,
-    }
+/// Whether the strip dispatch table holds a SIMD strip of `reg_n` pixels
+/// for channel block `oc_bn` under `dataflow` at kernel width `kernel_w`.
+/// Everything else (other blocks, output-width tails) runs the scalar
+/// strip.
+pub fn simd_strip_exists(oc_bn: usize, dataflow: Dataflow, reg_n: usize, kernel_w: usize) -> bool {
+    microkernel::strip_lengths(oc_bn, dataflow, kernel_w).is_some_and(|l| l.contains(&reg_n))
 }
 
-/// Strip lengths with a monomorphized SIMD kernel, largest first. Lengths
-/// outside this list (and output-width tails) run the scalar fallback, so
-/// the candidate generator only proposes these.
-pub const STRIP_LENGTHS: [usize; 10] = [28, 24, 16, 14, 12, 10, 8, 4, 2, 1];
-
-/// `reg_n` candidates for one `(oc_bn, dataflow)` pair: the classic
-/// `[28, 16, 8, 4, 2]` ladder, capped so the accumulators plus the
-/// dataflow's resident vectors fit the register file the block dispatches
-/// to, topped up with the largest monomorphized strip that still fits
-/// (e.g. 12 on the 16-register AVX2 file under output-stationary).
+/// `reg_n` candidates for one `(oc_bn, dataflow)` pair. For a block a SIMD
+/// tier serves these are the strip lengths the dispatch table holds (each
+/// sized so the accumulators plus the dataflow's resident vectors fit the
+/// tier's register file), minus the single-pixel strip that only tails use;
+/// none when the tier has no strip for the dataflow at this kernel width.
+/// Scalar blocks accumulate in memory, so they take the classic ladder and
+/// no dataflow but output-stationary.
 pub fn reg_n_candidates(oc_bn: usize, dataflow: Dataflow, kernel_w: usize) -> Vec<usize> {
-    let max_rn = match register_file_for_block(oc_bn) {
-        Some(file) => {
-            // The output-stationary strip re-broadcasts the input scalar
-            // per accumulator in its innermost loop; the compiler pipelines
-            // those broadcasts, so it needs ~2 scratch vectors beyond
-            // acc + weight (reg_n 14 on AVX2 measurably spills even though
-            // 14 + 2 = 16 nominally fits). Row-resident dataflows broadcast
-            // once per column and run a full file without spilling.
-            let headroom =
-                if dataflow == Dataflow::OutputStationary { 2 } else { 0 };
-            file.saturating_sub(dataflow.resident_regs(kernel_w) + headroom).max(1)
-        }
-        None => 28,
-    };
-    let mut v: Vec<usize> = [28usize, 16, 8, 4, 2].into_iter().filter(|&r| r <= max_rn).collect();
-    if let Some(&top) = STRIP_LENGTHS.iter().find(|&&r| r <= max_rn) {
-        if !v.contains(&top) {
-            v.insert(0, top);
-        }
+    match microkernel::strip_lengths(oc_bn, dataflow, kernel_w) {
+        Some(lengths) => lengths.iter().copied().filter(|&r| r > 1).collect(),
+        None if dataflow == Dataflow::OutputStationary => vec![28, 16, 8, 4, 2],
+        None => Vec::new(),
     }
-    v
 }
 
 /// The paper's convolution schedule tuple `(ic_bn, oc_bn, reg_n,
@@ -303,13 +262,6 @@ impl ConvSchedule {
                 p.stride_w
             )));
         }
-        if p.groups > 1 && self.dataflow == Dataflow::WeightStationary {
-            return Err(KernelError::BadSchedule(
-                "depthwise conv has one kernel vector per tap already; the \
-                 weight-stationary dataflow is not defined for it"
-                    .into(),
-            ));
-        }
         if p.groups > 1 {
             if !p.is_depthwise() {
                 return Err(KernelError::BadSchedule(format!(
@@ -332,15 +284,15 @@ impl ConvSchedule {
     /// all channel factors for `ic_bn`/`oc_bn`, every applicable
     /// [`Dataflow`], `reg_n` from the per-dataflow register-file-capped
     /// ladder (further capped by the output width), and both unroll
-    /// settings for the output-stationary kernel (the row-resident
-    /// dataflows fix their kernel-loop structure, so only one unroll
-    /// variant is emitted for them).
+    /// settings for the output-stationary kernel (shift-reuse fixes its
+    /// kernel-loop structure, so only one unroll variant is emitted for it).
     ///
     /// Depthwise workloads constrain the space to `ic_bn == oc_bn` (the
     /// channel block is convolved element-wise with its own filters, so
-    /// input and output blocking must agree) and skip weight-stationary
-    /// (each tap is one kernel vector already). Shift-reuse requires
-    /// `stride_w == 1` and a kernel width with a monomorphized strip.
+    /// input and output blocking must agree). Shift-reuse requires
+    /// `stride_w == 1` and a SIMD strip in the dispatch table for the block
+    /// and kernel width (elsewhere it would only duplicate the
+    /// output-stationary candidates).
     /// The result is never empty: irregular shapes (prime channel counts,
     /// `out_w == 1`) still yield the 1×1-blocked fallback.
     pub fn candidates(p: &Conv2dParams, max_block: usize) -> Vec<ConvSchedule> {
@@ -353,22 +305,8 @@ impl ConvSchedule {
                     continue;
                 }
                 for dataflow in Dataflow::ALL {
-                    match dataflow {
-                        Dataflow::OutputStationary => {}
-                        // Row-resident dataflows only pay off when a kernel
-                        // row has several taps *and* a SIMD strip exists for
-                        // the width; elsewhere they duplicate the
-                        // output-stationary candidates.
-                        Dataflow::WeightStationary => {
-                            if p.groups > 1 || !dataflow.simd_kernel_exists(p.kernel_w) {
-                                continue;
-                            }
-                        }
-                        Dataflow::ShiftReuse => {
-                            if p.stride_w != 1 || !dataflow.simd_kernel_exists(p.kernel_w) {
-                                continue;
-                            }
-                        }
+                    if dataflow == Dataflow::ShiftReuse && p.stride_w != 1 {
+                        continue;
                     }
                     let unrolls: &[bool] = if dataflow == Dataflow::OutputStationary {
                         &[true, false]
@@ -465,6 +403,46 @@ impl<'a> Epilogue<'a> {
     }
 }
 
+/// The fused epilogue as the templates apply it: to one finished output
+/// row (`out_w` pixels of one channel chunk), while the row is hot in cache.
+#[derive(Clone, Copy)]
+pub(super) struct RowEpilogue<'a> {
+    bias: Option<&'a [f32]>,
+    relu: bool,
+    residual: Option<&'a [f32]>,
+}
+
+impl<'a> RowEpilogue<'a> {
+    pub(super) fn new(e: &Epilogue<'a>) -> Self {
+        Self { bias: e.bias, relu: e.relu, residual: e.residual.map(Tensor::data) }
+    }
+
+    /// Applies bias, residual and ReLU (in that order) to `row`, whose
+    /// pixels hold the `bn` channels starting at channel `chunk * bn` and
+    /// which starts `row_off` elements into the output tensor.
+    pub(super) fn apply(&self, row: &mut [f32], chunk: usize, bn: usize, row_off: usize) {
+        if let Some(bias) = self.bias {
+            let bias = &bias[chunk * bn..(chunk + 1) * bn];
+            for px in row.chunks_exact_mut(bn) {
+                for (v, b) in px.iter_mut().zip(bias) {
+                    *v += b;
+                }
+            }
+        }
+        if let Some(res) = self.residual {
+            let res = &res[row_off..row_off + row.len()];
+            for (v, r) in row.iter_mut().zip(res) {
+                *v += r;
+            }
+        }
+        if self.relu {
+            for v in row.iter_mut() {
+                *v = v.max(0.0);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -513,19 +491,24 @@ mod tests {
         let cands = ConvSchedule::candidates(&p, 64);
         assert!(!cands.is_empty());
         // ic/oc candidates are each ≤ 7; per pair: output-stationary emits
-        // ≤ 5 reg_n × 2 unroll, weight-stationary and shift-reuse ≤ 5 reg_n
-        // each at one unroll setting → ≤ 20.
-        assert!(cands.len() <= 7 * 7 * 20);
+        // ≤ 5 reg_n × 2 unroll, shift-reuse ≤ 5 reg_n at one unroll
+        // setting → ≤ 15.
+        assert!(cands.len() <= 7 * 7 * 15);
         for c in &cands {
             c.validate(&p).unwrap();
             assert!(c.reg_n <= 56);
         }
-        // A stride-1 3×3 workload explores all three dataflows.
+        // A stride-1 3×3 workload explores both dataflows — on the blocks
+        // a SIMD tier serves. A scalar block has no register file to
+        // schedule, so it only ever gets output-stationary candidates.
         for df in Dataflow::ALL {
             assert!(cands.iter().any(|c| c.dataflow == df), "missing {df:?}");
         }
-        // Strided workloads drop shift-reuse; 1×1 kernels drop both
-        // row-resident dataflows (no SIMD strip is monomorphized for them).
+        assert!(cands
+            .iter()
+            .all(|c| c.dataflow == Dataflow::OutputStationary || matches!(c.oc_bn, 8 | 16)));
+        // Strided workloads and 1×1 kernels drop shift-reuse (no SIMD strip
+        // is monomorphized for a single-tap kernel row).
         let strided = Conv2dParams::square(64, 64, 56, 3, 2, 1);
         assert!(ConvSchedule::candidates(&strided, 64)
             .iter()
@@ -543,20 +526,22 @@ mod tests {
         // accumulators max; the old 28/16 candidates spilled the file and
         // must be gone (and so does 14, empirically).
         assert_eq!(reg_n_candidates(8, Dataflow::OutputStationary, 3), vec![12, 8, 4, 2]);
-        // Row-resident dataflows pin kw + 1 vectors, shrinking the cap.
-        assert_eq!(reg_n_candidates(8, Dataflow::WeightStationary, 3), vec![12, 8, 4, 2]);
+        // Shift-reuse pins kw + 1 vectors, shrinking the cap.
+        assert_eq!(reg_n_candidates(8, Dataflow::ShiftReuse, 3), vec![12, 8, 4, 2]);
         assert_eq!(reg_n_candidates(8, Dataflow::ShiftReuse, 5), vec![10, 8, 4, 2]);
         assert_eq!(reg_n_candidates(8, Dataflow::ShiftReuse, 7), vec![8, 4, 2]);
         // AVX-512 (oc_bn 16, 32 ZMM registers) keeps the full ladder for
         // output-stationary and 3-wide kernels.
         assert_eq!(reg_n_candidates(16, Dataflow::OutputStationary, 3), vec![28, 16, 8, 4, 2]);
-        assert_eq!(reg_n_candidates(16, Dataflow::WeightStationary, 3), vec![28, 16, 8, 4, 2]);
+        assert_eq!(reg_n_candidates(16, Dataflow::ShiftReuse, 3), vec![28, 16, 8, 4, 2]);
         assert_eq!(reg_n_candidates(16, Dataflow::ShiftReuse, 5), vec![24, 16, 8, 4, 2]);
-        // Scalar-path blocks carry no architectural constraint.
+        // Scalar-path blocks carry no architectural constraint — and no
+        // dataflow to choose.
         assert_eq!(reg_n_candidates(4, Dataflow::OutputStationary, 3), vec![28, 16, 8, 4, 2]);
-        // Every candidate fits its register file.
-        for oc_bn in [8, 16] {
-            let file = register_file_for_block(oc_bn).unwrap();
+        assert!(reg_n_candidates(4, Dataflow::ShiftReuse, 3).is_empty());
+        assert!(reg_n_candidates(16, Dataflow::ShiftReuse, 1).is_empty());
+        // Every candidate fits its register file (16 YMM / 32 ZMM).
+        for (oc_bn, file) in [(8, 16), (16, 32)] {
             for df in Dataflow::ALL {
                 for kw in [3, 5, 7] {
                     for rn in reg_n_candidates(oc_bn, df, kw) {
@@ -593,18 +578,9 @@ mod tests {
         assert!(sr.validate(&strided).is_err());
         let unit = Conv2dParams::square(64, 64, 28, 3, 1, 1);
         assert!(sr.validate(&unit).is_ok());
-        // Weight-stationary is undefined for depthwise workloads.
+        // Depthwise workloads take it too.
         let dw = Conv2dParams::depthwise(32, 28, 3, 1, 1);
-        let ws = ConvSchedule {
-            ic_bn: 8,
-            oc_bn: 8,
-            reg_n: 8,
-            unroll_ker: true,
-            dataflow: Dataflow::WeightStationary,
-        };
-        assert!(ws.validate(&dw).is_err());
-        let sr_dw = ConvSchedule { dataflow: Dataflow::ShiftReuse, ..ws };
-        assert!(sr_dw.validate(&dw).is_ok());
+        assert!(ConvSchedule { ic_bn: 8, oc_bn: 8, ..sr }.validate(&dw).is_ok());
     }
 
     #[test]

@@ -101,8 +101,8 @@ impl AnalyticalModel {
         // The output-stationary strip re-broadcasts the input scalar per
         // accumulator, and the compiler pipelines those broadcasts: ~2
         // scratch vectors beyond the nominal residency (reg_n 14 on AVX2
-        // measurably spills). Row-resident dataflows broadcast once per
-        // column and run a full file.
+        // measurably spills). Shift-reuse broadcasts once per column and
+        // runs a full file.
         let headroom =
             if s.dataflow == Dataflow::OutputStationary { 2 } else { 0 };
         let resident = s.dataflow.resident_regs(p.kernel_w) + headroom;
@@ -111,17 +111,15 @@ impl AnalyticalModel {
         if spilled {
             pipe_util *= 0.25;
         }
-        // Issue-port pressure: loads per FMA in the inner loop. Output- and
-        // weight-stationary both load `kw` kernel vectors plus `rn*kw`
-        // input broadcasts per (row, ic) step; shift-reuse broadcasts each
-        // of the `rn + kw - 1` overlapping input columns once and shifts it
-        // across taps, so stride-1 wide-kernel strips issue measurably
-        // fewer loads for the same `rn*kw` FMAs.
+        // Issue-port pressure: loads per FMA in the inner loop.
+        // Output-stationary loads `kw` kernel vectors plus `rn*kw` input
+        // broadcasts per (row, ic) step; shift-reuse broadcasts each of the
+        // `rn + kw - 1` overlapping input columns once and shifts it across
+        // taps, so stride-1 wide-kernel strips issue measurably fewer loads
+        // for the same `rn*kw` FMAs.
         let (kwf, rnf) = (p.kernel_w as f32, rn);
         let loads_per_fma = match s.dataflow {
-            Dataflow::OutputStationary | Dataflow::WeightStationary => {
-                (kwf + rnf * kwf) / (rnf * kwf)
-            }
+            Dataflow::OutputStationary => (kwf + rnf * kwf) / (rnf * kwf),
             Dataflow::ShiftReuse => (kwf + rnf + kwf - 1.0) / (rnf * kwf),
         };
         let issue_util = (1.0 / loads_per_fma).min(1.0);
@@ -409,11 +407,6 @@ mod tests {
         let os = ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 28, unroll_ker: true, ..Default::default() };
         let sr = ConvSchedule { dataflow: Dataflow::ShiftReuse, ..os };
         assert!(m.conv_time(&wl(), &sr) < m.conv_time(&wl(), &os));
-        // Weight-stationary issues the same loads as output-stationary and
-        // must never model *better* (ties break toward the simpler kernel
-        // in the search's stable sort).
-        let ws = ConvSchedule { dataflow: Dataflow::WeightStationary, ..os };
-        assert!(m.conv_time(&wl(), &ws) >= m.conv_time(&wl(), &os));
     }
 
     #[test]

@@ -393,7 +393,7 @@ fn parse_line(line: &str) -> Result<(WorkloadKey, RankedScheme), String> {
     };
     let dataflow = if nums.len() == 6 {
         Dataflow::from_token(nums[4]).ok_or_else(|| {
-            format!("dataflow token '{}' is not one of os/ws/sr", nums[4])
+            format!("dataflow token '{}' is not one of os/sr", nums[4])
         })?
     } else {
         Dataflow::OutputStationary
@@ -647,12 +647,11 @@ mod tests {
     #[test]
     fn v3_rows_parse_all_tokens_and_reject_junk() {
         let text = "neocpu-scheme-db v3\n\
-            host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 ws 1e-4\n\
             host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 sr 2e-4\n\
             host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 os 3e-4\n";
         let db = SchemeDatabase::from_text(text).unwrap();
         let p = Conv2dParams::square(64, 128, 28, 3, 1, 1);
-        assert_eq!(db.get("host", &p).unwrap().len(), 3);
+        assert_eq!(db.get("host", &p).unwrap().len(), 2);
         let bad = "neocpu-scheme-db v3\nhost 64x128x28x28k3x3s1x1p1x1 16 16 8 1 xx 1e-4\n";
         let err = SchemeDatabase::from_text(bad).unwrap_err();
         match err {
@@ -661,6 +660,31 @@ mod tests {
             }
             other => panic!("expected line-2 dataflow error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn weight_stationary_rows_of_older_files_are_rejected_by_name() {
+        // A v3 file written before the weight-stationary dataflow was
+        // removed: the strict parser names the line and the token, the
+        // lenient one drops exactly that row and keeps its neighbours.
+        let text = "neocpu-scheme-db v3\n\
+            host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 sr 2e-4\n\
+            host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 ws 1e-4\n\
+            host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 os 3e-4\n";
+        match SchemeDatabase::from_text(text).unwrap_err() {
+            DbError::Line { line: 3, reason } => {
+                assert!(reason.contains("dataflow token 'ws'"), "reason was: {reason}")
+            }
+            other => panic!("expected a line-3 dataflow error, got {other:?}"),
+        }
+        let (db, skipped) = SchemeDatabase::from_text_lenient(text);
+        assert_eq!(skipped.len(), 1);
+        assert!(matches!(skipped[0], DbError::Line { line: 3, .. }), "got {:?}", skipped[0]);
+        let p = Conv2dParams::square(64, 128, 28, 3, 1, 1);
+        let kept = db.get("host", &p).unwrap();
+        assert_eq!(kept.len(), 2);
+        assert_eq!(kept[0].schedule.dataflow, Dataflow::ShiftReuse);
+        assert_eq!(kept[1].schedule.dataflow, Dataflow::OutputStationary);
     }
 
     #[test]

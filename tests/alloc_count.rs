@@ -8,7 +8,15 @@
 //! output-tensor allocations and nothing more.
 //!
 //! The test is its own integration-test binary so the `#[global_allocator]`
-//! hook cannot interfere with (or be perturbed by) other tests.
+//! hook cannot interfere with (or be perturbed by) other tests, and it is
+//! built with `harness = false` (see the root `Cargo.toml`): the counter is
+//! process-global, so nothing else may allocate inside a measured window.
+//! Under libtest a neighbouring test's set-up does — and so does libtest's
+//! own main thread, which spawns the next queued test thread (ten
+//! allocations) whenever a test finishes, even when the tests serialize
+//! themselves on a lock. [`main`] below runs the tests one after another on
+//! the main thread instead. Counting per thread would not do: the serve,
+//! shard and net tests allocate on worker threads they do not own.
 
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,6 +57,43 @@ fn allocation_count() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
+/// Every test of this file, in the order [`main`] runs them.
+const TESTS: &[(&str, fn())] = &[
+    ("warm_run_with_performs_zero_allocations", warm_run_with_performs_zero_allocations),
+    ("warm_depthwise_run_performs_zero_allocations", warm_depthwise_run_performs_zero_allocations),
+    ("warm_quantized_run_performs_zero_allocations", warm_quantized_run_performs_zero_allocations),
+    ("warm_serve_cycle_performs_zero_allocations", warm_serve_cycle_performs_zero_allocations),
+    ("latency_ring_wrap_never_reallocates", latency_ring_wrap_never_reallocates),
+    (
+        "warm_sharded_serve_cycle_performs_zero_allocations",
+        warm_sharded_serve_cycle_performs_zero_allocations,
+    ),
+    ("warm_net_serve_path_performs_zero_allocations", warm_net_serve_path_performs_zero_allocations),
+    (
+        "pooled_run_allocates_only_the_returned_outputs",
+        pooled_run_allocates_only_the_returned_outputs,
+    ),
+];
+
+/// A sequential stand-in for the libtest harness: runs the tests whose name
+/// contains the first non-flag argument (all of them without one), reports
+/// each like libtest does and exits non-zero if any panicked. Flags such as
+/// `--test-threads` are accepted and ignored.
+fn main() {
+    let filter = std::env::args().skip(1).find(|a| !a.starts_with('-')).unwrap_or_default();
+    let selected: Vec<_> = TESTS.iter().filter(|(name, _)| name.contains(&filter)).collect();
+    println!("\nrunning {} tests (sequentially)", selected.len());
+    let mut failed = 0;
+    for (name, test) in &selected {
+        let ok = std::panic::catch_unwind(test).is_ok();
+        println!("test {name} ... {}", if ok { "ok" } else { "FAILED" });
+        failed += usize::from(!ok);
+    }
+    let verdict = if failed == 0 { "ok" } else { "FAILED" };
+    println!("\ntest result: {verdict}. {} passed; {failed} failed\n", selected.len() - failed);
+    std::process::exit(i32::from(failed != 0));
+}
+
 /// A ResNet-style tower exercising every steady-state op kind the planner
 /// handles in place or via the arena: padded scheduled convs (planned
 /// scratch), batch-norm folding, in-place Relu, residual Add, pooling,
@@ -68,7 +113,6 @@ fn residual_net() -> neocpu_graph::Graph {
     b.finish(vec![s])
 }
 
-#[test]
 fn warm_run_with_performs_zero_allocations() {
     let g = residual_net();
     // Single-threaded: worker pools hand out work through their own
@@ -96,7 +140,6 @@ fn warm_run_with_performs_zero_allocations() {
     assert!(out.data().iter().all(|v| v.is_finite()));
 }
 
-#[test]
 fn warm_depthwise_run_performs_zero_allocations() {
     // A MobileNet-style separable tower: the depthwise template must take
     // its padded-input scratch from the planned arena, not the heap.
@@ -134,7 +177,6 @@ fn warm_depthwise_run_performs_zero_allocations() {
     assert!(out.data().iter().all(|v| v.is_finite()));
 }
 
-#[test]
 fn warm_quantized_run_performs_zero_allocations() {
     use neocpu::{compile_quantized, QuantizeOptions};
 
@@ -166,7 +208,6 @@ fn warm_quantized_run_performs_zero_allocations() {
     assert!(out.data().iter().all(|v| v.is_finite()));
 }
 
-#[test]
 fn warm_serve_cycle_performs_zero_allocations() {
     use std::sync::Arc;
     use neocpu::{ServeEngine, ServeOptions};
@@ -236,7 +277,6 @@ fn warm_serve_cycle_performs_zero_allocations() {
     engine.shutdown();
 }
 
-#[test]
 fn latency_ring_wrap_never_reallocates() {
     use std::sync::Arc;
     use neocpu::{ServeEngine, ServeOptions};
@@ -285,7 +325,6 @@ fn latency_ring_wrap_never_reallocates() {
     engine.shutdown();
 }
 
-#[test]
 fn warm_sharded_serve_cycle_performs_zero_allocations() {
     use std::sync::Arc;
     use neocpu::{ServeOptions, ShardedEngine};
@@ -342,7 +381,6 @@ fn warm_sharded_serve_cycle_performs_zero_allocations() {
     shard.shutdown();
 }
 
-#[test]
 fn warm_net_serve_path_performs_zero_allocations() {
     use std::io::{Read, Write};
     use std::sync::Arc;
@@ -439,7 +477,6 @@ fn warm_net_serve_path_performs_zero_allocations() {
     server.shutdown_within(std::time::Duration::from_secs(10));
 }
 
-#[test]
 fn pooled_run_allocates_only_the_returned_outputs() {
     let g = residual_net();
     let opts = CompileOptions::level(OptLevel::O2).with_pool(PoolChoice::Sequential);

@@ -1,8 +1,8 @@
 //! Cross-crate property-based tests on the stack's core invariants.
 
 use neocpu_kernels::conv::{
-    conv2d_nchw_direct, conv2d_nchwc, depthwise_conv2d_nchwc, padded_input_len, reg_n_candidates,
-    Conv2dParams, ConvSchedule, Dataflow, Epilogue,
+    conv2d_nchw_direct, conv2d_nchwc, depthwise_conv2d_nchwc, padded_input_len, Conv2dParams,
+    ConvSchedule, Epilogue,
 };
 use neocpu_tensor::{transform::to_layout, Layout, Tensor};
 use neocpu_threadpool::{split_even, Sequential};
@@ -159,77 +159,6 @@ proptest! {
             "diff {}",
             reference.max_abs_diff(&out)
         );
-    }
-
-    /// Every `Dataflow × Isa` combination of the strip microkernels agrees
-    /// with the NCHW reference. The padded-input scratch and the output are
-    /// both NaN-poisoned, so a strip that reads outside the written halo or
-    /// skips an output pixel surfaces as a mismatch instead of silently
-    /// reading zeros.
-    #[test]
-    fn dataflow_kernels_match_reference(
-        size in 5usize..11,
-        kernel_sel in 0usize..3,
-        bn_sel in 0usize..2,
-        reg_sel in 0usize..5,
-        unroll in any::<bool>(),
-        depthwise in any::<bool>(),
-        seed in 0u64..500,
-    ) {
-        let kernel = [3, 5, 7][kernel_sel];
-        let pad = kernel / 2;
-        // Blocks 8 and 16 dispatch the AVX2 / AVX-512 strips on this host;
-        // the lane caps below add the narrower ISAs and the scalar path.
-        let bn = [8, 16][bn_sel];
-        let p = if depthwise {
-            Conv2dParams::depthwise(bn, size, kernel, 1, pad)
-        } else {
-            Conv2dParams::square(bn, bn, size, kernel, 1, pad)
-        };
-        prop_assume!(p.out_h() > 0 && p.out_w() > 0);
-        let input = Tensor::random([1, bn, size, size], Layout::Nchw, seed, 1.0).unwrap();
-        let wdims = if depthwise { [bn, 1, kernel, kernel] } else { [bn, bn, kernel, kernel] };
-        let weights = Tensor::random(wdims, Layout::Oihw, seed + 1, 1.0).unwrap();
-        let mut reference =
-            Tensor::zeros([1, bn, p.out_h(), p.out_w()], Layout::Nchw).unwrap();
-        conv2d_nchw_direct(&input, &weights, &mut reference, &p, &Epilogue::none(), &Sequential)
-            .unwrap();
-        let bi = to_layout(&input, Layout::NchwC(bn)).unwrap();
-        let wi = if depthwise { 1 } else { bn };
-        let bw = to_layout(&weights, Layout::OihwIo { i: wi, o: bn }).unwrap();
-        for dataflow in Dataflow::ALL {
-            if depthwise && dataflow == Dataflow::WeightStationary {
-                continue; // rejected by validate: one kernel vector per tap
-            }
-            let regs = reg_n_candidates(bn, dataflow, kernel);
-            let reg_n = regs[reg_sel % regs.len()];
-            let s = ConvSchedule { ic_bn: bn, oc_bn: bn, reg_n, unroll_ker: unroll, dataflow };
-            for max_lanes in [usize::MAX, 8, 1] {
-                let mut out =
-                    Tensor::zeros([1, bn, p.out_h(), p.out_w()], Layout::NchwC(bn)).unwrap();
-                out.data_mut().fill(f32::NAN);
-                let mut scratch = vec![f32::NAN; padded_input_len(&p, bn, 1)];
-                let scratch_arg = (!scratch.is_empty()).then_some(scratch.as_mut_slice());
-                if depthwise {
-                    depthwise_conv2d_nchwc(
-                        &bi, &bw, &mut out, &p, &s, &Epilogue::none(), &Sequential, max_lanes,
-                        scratch_arg,
-                    )
-                    .unwrap();
-                } else {
-                    conv2d_nchwc(
-                        &bi, &bw, &mut out, &p, &s, &Epilogue::none(), &Sequential, max_lanes,
-                        scratch_arg,
-                    )
-                    .unwrap();
-                }
-                prop_assert!(
-                    reference.approx_eq(&out, 1e-3),
-                    "{dataflow:?} lanes {max_lanes} reg_n {reg_n} bn {bn} diff {}",
-                    reference.max_abs_diff(&out)
-                );
-            }
-        }
     }
 
     /// The candidate generator never returns an empty set, and everything
