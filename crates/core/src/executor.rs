@@ -31,8 +31,7 @@ use std::sync::{Arc, Mutex};
 
 use neocpu_graph::{Graph, Op};
 use neocpu_kernels::conv::{
-    conv2d_nchw_direct, conv2d_nchwc, conv2d_nchwc_u8, depthwise_conv2d_nchwc,
-    depthwise_conv2d_nchwc_u8, ConvQuant, Epilogue,
+    conv2d_nchw_direct, conv2d_nchwc, conv2d_nchwc_u8, ConvQuant, Epilogue,
 };
 use neocpu_kernels::elementwise::{
     add, add_assign, batchnorm_fold, concat_channels, relu_inplace, scale_shift,
@@ -478,33 +477,18 @@ impl Module {
                             mult: g.params[q.mult].data(),
                             zero_point: q.in_zp,
                         };
-                        if params.groups > 1 {
-                            depthwise_conv2d_nchwc_u8(
-                                x,
-                                &g.params[*weight],
-                                out,
-                                params,
-                                s,
-                                &cq,
-                                &epi,
-                                par,
-                                self.max_lanes,
-                                scratch,
-                            )?;
-                        } else {
-                            conv2d_nchwc_u8(
-                                x,
-                                &g.params[*weight],
-                                out,
-                                params,
-                                s,
-                                &cq,
-                                &epi,
-                                par,
-                                self.max_lanes,
-                                scratch,
-                            )?;
-                        }
+                        conv2d_nchwc_u8(
+                            x,
+                            &g.params[*weight],
+                            out,
+                            params,
+                            s,
+                            &cq,
+                            &epi,
+                            par,
+                            self.max_lanes,
+                            scratch,
+                        )?;
                     }
                     (None, Some(_)) => {
                         return Err(NeoError::Internal(
@@ -517,31 +501,17 @@ impl Module {
                         // (planner invariant, verified at compile time).
                         let scratch = self.plan.scratch[id]
                             .map(|(off, len)| unsafe { arena.slice_mut(off, len) });
-                        if params.groups > 1 {
-                            depthwise_conv2d_nchwc(
-                                x,
-                                &g.params[*weight],
-                                out,
-                                params,
-                                s,
-                                &epi,
-                                par,
-                                self.max_lanes,
-                                scratch,
-                            )?;
-                        } else {
-                            conv2d_nchwc(
-                                x,
-                                &g.params[*weight],
-                                out,
-                                params,
-                                s,
-                                &epi,
-                                par,
-                                self.max_lanes,
-                                scratch,
-                            )?;
-                        }
+                        conv2d_nchwc(
+                            x,
+                            &g.params[*weight],
+                            out,
+                            params,
+                            s,
+                            &epi,
+                            par,
+                            self.max_lanes,
+                            scratch,
+                        )?;
                     }
                     (None, None) => {
                         conv2d_nchw_direct(x, &g.params[*weight], out, params, &epi, par)?;
@@ -777,51 +747,23 @@ impl Module {
                             mult: g.params[q.mult].data(),
                             zero_point: q.in_zp,
                         };
-                        if params.groups > 1 {
-                            depthwise_conv2d_nchwc_u8(
-                                x,
-                                &g.params[*weight],
-                                &mut out,
-                                params,
-                                s,
-                                &cq,
-                                &epi,
-                                par,
-                                self.max_lanes,
-                                None,
-                            )?;
-                        } else {
-                            conv2d_nchwc_u8(
-                                x,
-                                &g.params[*weight],
-                                &mut out,
-                                params,
-                                s,
-                                &cq,
-                                &epi,
-                                par,
-                                self.max_lanes,
-                                None,
-                            )?;
-                        }
-                    }
-                    (None, Some(_)) => {
-                        return Err(NeoError::Internal(
-                            "quantized conv without a schedule".into(),
-                        ));
-                    }
-                    (Some(s), None) if params.groups > 1 => {
-                        depthwise_conv2d_nchwc(
+                        conv2d_nchwc_u8(
                             x,
                             &g.params[*weight],
                             &mut out,
                             params,
                             s,
+                            &cq,
                             &epi,
                             par,
                             self.max_lanes,
                             None,
                         )?;
+                    }
+                    (None, Some(_)) => {
+                        return Err(NeoError::Internal(
+                            "quantized conv without a schedule".into(),
+                        ));
                     }
                     (Some(s), None) => {
                         conv2d_nchwc(

@@ -1,4 +1,4 @@
-//! The blocked `NCHW[x]c` convolution template (Algorithm 1).
+//! The blocked `NCHW[x]c` convolution template (Algorithm 1), written once.
 //!
 //! Loop structure, following the paper:
 //!
@@ -12,11 +12,24 @@
 //!   apply the fused epilogue to the finished row
 //! ```
 //!
+//! [`drive`] is that loop nest — operand validation, padding, the
+//! `(n, chunk, oh)` job loop, the strips of one row, the row epilogue —
+//! generic over the activation and weight element types, with the strip
+//! microkernel as a monomorphized parameter. Dense and depthwise workloads
+//! (§3.1.1's "other CONV workloads such as … depth-wise CONV") share it:
+//! a depthwise convolution has no input-channel reduction, so input and
+//! output blocking agree (`ic_bn == oc_bn`), the weights carry one
+//! `kh×kw` filter per channel (`OIHW1i[x]o`), and the only things the
+//! driver does differently are the two chunk strides it computes up front.
+//! The public entry points are thin instantiations: [`conv2d_nchwc`] here
+//! (`f32 × f32`) and [`conv2d_nchwc_u8`](super::conv2d_nchwc_u8)
+//! (`u8 × i8`).
+//!
 //! Zero padding is materialized once per call into a padded copy of the
 //! input (the standard direct-convolution arrangement, also what TVM's x86
 //! schedule does), so the hot loops are entirely branch-free.
 
-use neocpu_tensor::{AlignedBuf, Layout, Tensor};
+use neocpu_tensor::{AlignedBuf, DType, Layout, Tensor};
 use neocpu_threadpool::Parallelism;
 
 use super::microkernel::{self, Geo, Strip};
@@ -24,7 +37,7 @@ use super::{Conv2dParams, ConvSchedule, Epilogue, RowEpilogue};
 use crate::util::SendPtr;
 use crate::{KernelError, Result};
 
-/// Number of `f32` elements of padded-input scratch [`conv2d_nchwc`] needs
+/// Number of elements of padded-input scratch the blocked templates need
 /// for a workload at batch `batch` under input blocking `ic_bn`, or 0 when
 /// the workload is unpadded (no scratch is touched then).
 ///
@@ -37,8 +50,43 @@ pub fn padded_input_len(p: &Conv2dParams, ic_bn: usize, batch: usize) -> usize {
     batch * (p.in_channels / ic_bn.max(1)) * (p.in_h + 2 * p.pad_h) * (p.in_w + 2 * p.pad_w) * ic_bn
 }
 
+/// An element type the template is instantiated over: where a tensor of it
+/// keeps its data, and the [`DType`] such a tensor must declare.
+///
+/// # Safety
+///
+/// Implementors are primitive numeric types no wider than `f32`: every bit
+/// pattern is a value and `f32`-slot storage is aligned for them, which is
+/// what lets [`drive`] view an [`AlignedBuf`] as `[Self]`.
+pub(super) unsafe trait Elem: Copy + Send + Sync {
+    const DTYPE: DType;
+    fn data(t: &Tensor) -> &[Self];
+}
+
+// SAFETY (all three): a primitive numeric type of at most four bytes.
+unsafe impl Elem for f32 {
+    const DTYPE: DType = DType::F32;
+    fn data(t: &Tensor) -> &[Self] {
+        t.data()
+    }
+}
+unsafe impl Elem for u8 {
+    const DTYPE: DType = DType::U8;
+    fn data(t: &Tensor) -> &[Self] {
+        t.data_u8()
+    }
+}
+unsafe impl Elem for i8 {
+    const DTYPE: DType = DType::I8;
+    fn data(t: &Tensor) -> &[Self] {
+        t.data_i8()
+    }
+}
+
 /// Direct convolution on blocked layouts: `NCHW[ic_bn]c` input,
-/// `OIHW[ic_bn]i[oc_bn]o` weights, `NCHW[oc_bn]c` output.
+/// `OIHW[ic_bn]i[oc_bn]o` weights, `NCHW[oc_bn]c` output — or, for a
+/// depthwise workload (`p.is_depthwise()`, `ic_bn == oc_bn == c`),
+/// `OIHW1i[c]o` weights of logical shape `[C, 1, kh, kw]`.
 ///
 /// `max_lanes` caps the SIMD width the microkernel may use, so a
 /// `CpuTarget` descriptor can model a narrower machine than the host; pass
@@ -53,8 +101,10 @@ pub fn padded_input_len(p: &Conv2dParams, ic_bn: usize, batch: usize) -> usize {
 ///
 /// # Errors
 ///
-/// Returns an error if the schedule does not divide the workload, any
-/// operand has the wrong layout/shape, or `scratch` has the wrong length.
+/// Returns an error if the schedule does not divide the workload (or
+/// blocks a depthwise workload's input and output channels differently),
+/// the workload is grouped but not depthwise, any operand has the wrong
+/// dtype/layout/shape, or `scratch` has the wrong length.
 pub fn conv2d_nchwc(
     input: &Tensor,
     weights: &Tensor,
@@ -66,179 +116,212 @@ pub fn conv2d_nchwc(
     max_lanes: usize,
     scratch: Option<&mut [f32]>,
 ) -> Result<()> {
+    let dense_weights = Layout::OihwIo { i: schedule.ic_bn, o: schedule.oc_bn };
+    drive::<f32, f32>(
+        input,
+        weights,
+        output,
+        p,
+        schedule,
+        epilogue,
+        par,
+        max_lanes,
+        dense_weights,
+        0.0,
+        scratch,
+        // SAFETY: `drive` only hands out strips that are valid under `geo`.
+        |geo, strip, _| unsafe { microkernel::run_strip(geo, strip) },
+    )
+}
+
+/// Errors unless `t` is exactly the operand the template expects.
+fn check_operand(
+    what: &str,
+    t: &Tensor,
+    dtype: DType,
+    layout: Layout,
+    dims: [usize; 4],
+) -> Result<()> {
+    if t.dtype() == dtype && t.layout() == layout && t.shape().dims() == dims {
+        return Ok(());
+    }
+    Err(KernelError::BadOperand(format!(
+        "{what} must be {dtype} {layout} {dims:?}, got {} {} {:?}",
+        t.dtype(),
+        t.layout(),
+        t.shape().dims()
+    )))
+}
+
+/// Algorithm 1 for activations of type `A` and weights of type `W`.
+///
+/// `dense_weights` is the weight layout of a dense workload (a depthwise
+/// one is `OIHW1i[x]o` for every element type), `fill` the padding halo
+/// value, `scratch` the optional caller-planned padded-input buffer, and
+/// `strip` the microkernel. It is called with the call's [`Geo`], one strip
+/// of an output row — always valid for the extents [`Strip`] documents
+/// under that `Geo` — and the row's output-channel chunk, and must fully
+/// overwrite the strip.
+///
+/// # Errors
+///
+/// See [`conv2d_nchwc`].
+pub(super) fn drive<A: Elem, W: Elem>(
+    input: &Tensor,
+    weights: &Tensor,
+    output: &mut Tensor,
+    p: &Conv2dParams,
+    schedule: &ConvSchedule,
+    epilogue: &Epilogue<'_>,
+    par: &dyn Parallelism,
+    max_lanes: usize,
+    dense_weights: Layout,
+    fill: A,
+    scratch: Option<&mut [A]>,
+    strip: impl Fn(&Geo, &Strip<A, W>, usize) + Sync,
+) -> Result<()> {
+    // Rejects grouped-but-not-depthwise workloads and unequal depthwise
+    // blocks, so from here on `depthwise` alone selects the shape.
     schedule.validate(p)?;
     let (ic_bn, oc_bn) = (schedule.ic_bn, schedule.oc_bn);
-    if input.layout() != Layout::NchwC(ic_bn) {
-        return Err(KernelError::BadOperand(format!(
-            "input must be NCHW{ic_bn}c, got {}",
-            input.layout()
-        )));
-    }
-    if weights.layout() != (Layout::OihwIo { i: ic_bn, o: oc_bn }) {
-        return Err(KernelError::BadOperand(format!(
-            "weights must be OIHW{ic_bn}i{oc_bn}o, got {}",
-            weights.layout()
-        )));
-    }
-    if output.layout() != Layout::NchwC(oc_bn) {
-        return Err(KernelError::BadOperand(format!(
-            "output must be NCHW{oc_bn}c, got {}",
-            output.layout()
-        )));
-    }
-    let id = input.shape().dims();
-    let od = output.shape().dims();
-    let wd = weights.shape().dims();
-    let n = id[0];
-    if id[1] != p.in_channels || id[2] != p.in_h || id[3] != p.in_w {
-        return Err(KernelError::BadOperand("input shape mismatch".into()));
-    }
-    if wd != [p.out_channels, p.in_channels, p.kernel_h, p.kernel_w] {
-        return Err(KernelError::BadOperand("weight shape mismatch".into()));
-    }
-    if od != [n, p.out_channels, p.out_h(), p.out_w()] {
-        return Err(KernelError::BadOperand("output shape mismatch".into()));
-    }
+    let depthwise = p.is_depthwise();
+    let n = input.shape().dims().first().copied().unwrap_or(0);
+    let (oh, ow) = (p.out_h(), p.out_w());
+    let w_layout = if depthwise { Layout::OihwIo { i: 1, o: oc_bn } } else { dense_weights };
+    let w_dims = [p.out_channels, p.in_channels_per_group(), p.kernel_h, p.kernel_w];
+    let in_dims = [n, p.in_channels, p.in_h, p.in_w];
+    check_operand("input", input, A::DTYPE, Layout::NchwC(ic_bn), in_dims)?;
+    check_operand("weights", weights, W::DTYPE, w_layout, w_dims)?;
+    let out_dims = [n, p.out_channels, oh, ow];
+    check_operand("output", output, DType::F32, Layout::NchwC(oc_bn), out_dims)?;
     epilogue.validate(output, p.out_channels)?;
 
-    let owned_pad;
-    let in_data: &[f32] = if p.pad_h == 0 && p.pad_w == 0 {
-        input.data()
+    let mut owned_pad;
+    let in_data: &[A] = if p.pad_h == 0 && p.pad_w == 0 {
+        A::data(input)
     } else {
         let need = padded_input_len(p, ic_bn, n);
-        match scratch {
+        let buf = match scratch {
+            Some(buf) if buf.len() == need => buf,
             Some(buf) => {
-                if buf.len() != need {
-                    return Err(KernelError::BadOperand(format!(
-                        "conv scratch length {} != required {need}",
-                        buf.len()
-                    )));
-                }
-                pad_nchwc_into(input, p, ic_bn, par, &mut *buf);
-                buf
+                return Err(KernelError::BadOperand(format!(
+                    "scratch must be {need} {} elements, got {}",
+                    A::DTYPE,
+                    buf.len()
+                )));
             }
             None => {
-                // Fallback path: every element of the padded buffer is
-                // written by `pad_nchwc_into` (interior copy + halo zero),
-                // so an uninitialized allocation is sound.
-                let mut b = AlignedBuf::uninit(need);
-                pad_nchwc_into(input, p, ic_bn, par, &mut b);
-                owned_pad = b;
-                &owned_pad
+                owned_pad = AlignedBuf::uninit(A::DTYPE.slots(need));
+                // SAFETY: the buffer holds `need` elements of `A` and is
+                // aligned for them (`Elem` contract); it is exclusively
+                // ours, and `pad_into` writes every element before any is
+                // read, so starting from uninitialized memory is sound.
+                unsafe {
+                    std::slice::from_raw_parts_mut(owned_pad.as_mut_ptr().cast::<A>(), need)
+                }
             }
-        }
+        };
+        pad_into(A::data(input), buf, n * p.in_channels / ic_bn, ic_bn, p, fill, par);
+        buf
     };
 
-    let geo = Geo::new(p, schedule, max_lanes, false);
-    let (oh, ow) = (p.out_h(), p.out_w());
-    let oc_chunks = p.out_channels / oc_bn;
-    let reg_n = schedule.reg_n;
-    let sh = p.stride_h;
-
-    let w_data = weights.data();
+    let geo = Geo::new(p, schedule, max_lanes, A::DTYPE != DType::F32);
+    let chunks = p.out_channels / oc_bn;
+    let in_batch_stride = geo.ic_chunks * geo.ph * geo.pw * ic_bn;
+    // A dense strip reads the batch item's whole padded input and its
+    // output chunk's `[ic_chunks, kh, kw, ic_bn, oc_bn]` weight block; a
+    // depthwise strip reads its own channel chunk of both.
+    let (in_chunk_stride, w_chunk_stride) = if depthwise {
+        (geo.ph * geo.pw * oc_bn, geo.kh * geo.kw * oc_bn)
+    } else {
+        (0, geo.ic_chunks * geo.kh * geo.kw * ic_bn * oc_bn)
+    };
+    let (reg_n, sh) = (schedule.reg_n, p.stride_h);
+    let w_data = W::data(weights);
     let epilogue = RowEpilogue::new(epilogue);
     let out_ptr = SendPtr(output.data_mut().as_mut_ptr());
 
-    let in_batch_stride = geo.ic_chunks * geo.ph * geo.pw * ic_bn;
-    let w_oc_stride = geo.ic_chunks * geo.kh * geo.kw * ic_bn * oc_bn;
-    let jobs = n * oc_chunks * oh;
-
-    par.run(jobs, &|_, range| {
-        let out_ptr = out_ptr;
+    par.run(n * chunks * oh, &|_, range| {
         for job in range {
-            let b = job / (oc_chunks * oh);
-            let rest = job % (oc_chunks * oh);
-            let (occ, y) = (rest / oh, rest % oh);
-            let in_n = in_data[b * in_batch_stride..].as_ptr();
-            let w_oc = w_data[occ * w_oc_stride..].as_ptr();
-            let row_off = ((b * oc_chunks + occ) * oh + y) * ow * oc_bn;
-            // SAFETY: jobs are disjoint (n, occ, y) triples → disjoint rows.
-            let out_row = unsafe { out_ptr.0.add(row_off) };
-            let ih0 = y * sh;
+            let b = job / (chunks * oh);
+            let rest = job % (chunks * oh);
+            let (chunk, y) = (rest / oh, rest % oh);
+            let row_off = job * ow * oc_bn;
+            // SAFETY: jobs are disjoint (n, chunk, y) triples → disjoint rows.
+            let out_row = unsafe { out_ptr.add(row_off) };
+            let mut s = Strip {
+                input: in_data[b * in_batch_stride + chunk * in_chunk_stride..].as_ptr(),
+                weights: w_data[chunk * w_chunk_stride..].as_ptr(),
+                rn: 0,
+                out: out_row,
+                ih0: y * sh,
+                iw0: 0,
+            };
             let mut x0 = 0usize;
             while x0 < ow {
-                let rn = reg_n.min(ow - x0);
-                // SAFETY: the strip lies inside the row; padded input covers
-                // the receptive field `(rn-1)*sw + kw` columns from `iw0`.
-                unsafe {
-                    let strip = Strip {
-                        input: in_n,
-                        weights: w_oc,
-                        rn,
-                        out: out_row.add(x0 * oc_bn),
-                        ih0,
-                        iw0: x0 * geo.sw,
-                    };
-                    microkernel::run_strip(&geo, &strip);
-                }
-                x0 += rn;
+                s.rn = reg_n.min(ow - x0);
+                s.iw0 = x0 * geo.sw;
+                // SAFETY: the strip lies inside the row.
+                s.out = unsafe { out_row.add(x0 * oc_bn) };
+                // The padded input covers the strip's receptive field,
+                // `(rn-1)*sw + kw` columns from `iw0`.
+                strip(&geo, &s, chunk);
+                x0 += s.rn;
             }
             // SAFETY: same disjoint-row argument as above.
             let row = unsafe { std::slice::from_raw_parts_mut(out_row, ow * oc_bn) };
-            epilogue.apply(row, occ, oc_bn, row_off);
+            epilogue.apply(row, chunk, oc_bn, row_off);
         }
     });
     Ok(())
 }
 
-/// Writes a blocked input into `dst` as a zero-padded blocked buffer
-/// (`[N, C, H+2ph, W+2pw]` logical, same `NCHW[x]c` layout).
+/// Writes the `planes` blocked image planes of `src` (`N · C/bn` of them,
+/// `in_h × in_w × bn` each) into `dst` with a halo of `pad_h`/`pad_w`
+/// pixels of `fill` around every plane.
 ///
 /// Every element of `dst` is written exactly once: halo rows/columns are
-/// zero-filled and interior rows are copied from `input` — no full-buffer
-/// memset followed by an interior overwrite (the double-write the naive
-/// `Tensor::zeros` + copy arrangement paid). `dst`'s prior contents are
+/// filled and interior rows are copied from `src` — no full-buffer memset
+/// followed by an interior overwrite. `dst`'s prior contents are
 /// irrelevant, so it may be uninitialized memory or reused arena scratch.
+/// The int8 template fills with the activation **zero point** (not zero): a
+/// padded tap then contributes exactly `zp·w_q`, which the compile-time
+/// bias correction `−m·zp·Σw_q` cancels, making padding exact.
 ///
 /// # Panics
 ///
-/// Panics if `dst.len()` differs from [`padded_input_len`] for the
-/// workload; callers ([`conv2d_nchwc`] and the depthwise template)
-/// validate first.
-pub(super) fn pad_nchwc_into(
-    input: &Tensor,
+/// Panics if `dst` has the wrong length for `planes` padded planes or
+/// `src` is too short; [`drive`] validates first.
+fn pad_into<T: Copy + Send + Sync>(
+    src: &[T],
+    dst: &mut [T],
+    planes: usize,
+    bn: usize,
     p: &Conv2dParams,
-    ic_bn: usize,
+    fill: T,
     par: &dyn Parallelism,
-    dst: &mut [f32],
 ) {
-    let d = input.shape().dims();
-    let (n, c) = (d[0], d[1]);
     let (ph, pw) = (p.in_h + 2 * p.pad_h, p.in_w + 2 * p.pad_w);
-    let chunks = c / ic_bn;
-    assert_eq!(dst.len(), n * chunks * ph * pw * ic_bn, "padded scratch length mismatch");
-    let src = input.data();
+    let (row_elems, pad_row, edge) = (p.in_w * bn, pw * bn, p.pad_w * bn);
+    assert_eq!(dst.len(), planes * ph * pad_row, "padded scratch length mismatch");
     let dst_ptr = SendPtr(dst.as_mut_ptr());
-    let row_elems = p.in_w * ic_bn;
-    let pad_row = pw * ic_bn;
-    let edge = p.pad_w * ic_bn;
     // One job per *padded* row, so halo rows parallelize like interior rows.
-    par.run(n * chunks * ph, &|_, range| {
-        let dst_ptr = dst_ptr;
+    par.run(planes * ph, &|_, range| {
         for job in range {
-            let b = job / (chunks * ph);
-            let rest = job % (chunks * ph);
-            let (cc, y) = (rest / ph, rest % ph);
-            let row_base = ((b * chunks + cc) * ph + y) * pad_row;
-            // SAFETY: jobs are disjoint (b, cc, y) rows; every offset below
-            // stays inside the row, which lies inside `dst` per the assert.
-            unsafe {
-                if y < p.pad_h || y >= p.pad_h + p.in_h {
-                    // Full halo row above or below the image.
-                    std::ptr::write_bytes(dst_ptr.0.add(row_base), 0, pad_row);
-                } else {
-                    // Interior row: zero left edge, copy image row, zero
-                    // right edge.
-                    let sy = y - p.pad_h;
-                    let src_off = ((b * chunks + cc) * p.in_h + sy) * row_elems;
-                    std::ptr::write_bytes(dst_ptr.0.add(row_base), 0, edge);
-                    std::ptr::copy_nonoverlapping(
-                        src[src_off..].as_ptr(),
-                        dst_ptr.0.add(row_base + edge),
-                        row_elems,
-                    );
-                    std::ptr::write_bytes(dst_ptr.0.add(row_base + edge + row_elems), 0, edge);
-                }
+            let (plane, y) = (job / ph, job % ph);
+            // SAFETY: jobs are disjoint padded rows, each inside `dst` per
+            // the assert.
+            let row =
+                unsafe { std::slice::from_raw_parts_mut(dst_ptr.add(job * pad_row), pad_row) };
+            if y < p.pad_h || y >= p.pad_h + p.in_h {
+                // Full halo row above or below the image.
+                row.fill(fill);
+            } else {
+                // Interior row: left edge, image row, right edge.
+                let src_off = (plane * p.in_h + y - p.pad_h) * row_elems;
+                row[..edge].fill(fill);
+                row[edge..edge + row_elems].copy_from_slice(&src[src_off..src_off + row_elems]);
+                row[edge + row_elems..].fill(fill);
             }
         }
     });
@@ -251,216 +334,206 @@ mod tests {
     use neocpu_tensor::transform::to_layout;
     use neocpu_threadpool::{Sequential, ThreadPool};
 
-    /// Runs the same workload through the reference NCHW kernel and the
-    /// blocked template, returning both outputs in NCHW.
-    fn run_both(p: &Conv2dParams, s: &ConvSchedule, batch: usize, seed: u64) -> (Tensor, Tensor) {
+    fn sched(ic_bn: usize, oc_bn: usize, reg_n: usize, unroll_ker: bool) -> ConvSchedule {
+        ConvSchedule { ic_bn, oc_bn, reg_n, unroll_ker, ..Default::default() }
+    }
+
+    fn weight_dims(p: &Conv2dParams) -> [usize; 4] {
+        [p.out_channels, p.in_channels_per_group(), p.kernel_h, p.kernel_w]
+    }
+
+    fn weight_layout(p: &Conv2dParams, s: &ConvSchedule) -> Layout {
+        Layout::OihwIo { i: if p.is_depthwise() { 1 } else { s.ic_bn }, o: s.oc_bn }
+    }
+
+    fn out_dims(p: &Conv2dParams, batch: usize) -> [usize; 4] {
+        [batch, p.out_channels, p.out_h(), p.out_w()]
+    }
+
+    /// Random input and weights, already in the blocked layouts of `s`.
+    fn blocked_operands(p: &Conv2dParams, s: &ConvSchedule, batch: usize, seed: u64) -> (Tensor, Tensor) {
+        let dims = [batch, p.in_channels, p.in_h, p.in_w];
+        (
+            Tensor::random(dims, Layout::NchwC(s.ic_bn), seed, 1.0).unwrap(),
+            Tensor::random(weight_dims(p), weight_layout(p, s), seed + 1, 1.0).unwrap(),
+        )
+    }
+
+    /// One template call (no epilogue) into a fresh output.
+    fn run(
+        input: &Tensor,
+        weights: &Tensor,
+        p: &Conv2dParams,
+        s: &ConvSchedule,
+        par: &dyn Parallelism,
+        max_lanes: usize,
+        scratch: Option<&mut [f32]>,
+    ) -> Result<Tensor> {
+        let batch = input.shape().dims()[0];
+        let mut out = Tensor::zeros(out_dims(p, batch), Layout::NchwC(s.oc_bn)).unwrap();
+        conv2d_nchwc(input, weights, &mut out, p, s, &Epilogue::none(), par, max_lanes, scratch)
+            .map(|()| out)
+    }
+
+    /// Runs the same workload (dense or depthwise) through the reference
+    /// NCHW kernel and the blocked template and compares them in NCHW.
+    fn assert_matches_reference(p: &Conv2dParams, s: &ConvSchedule, batch: usize, seed: u64, tol: f32) {
         let input = Tensor::random([batch, p.in_channels, p.in_h, p.in_w], Layout::Nchw, seed, 1.0)
             .unwrap();
-        let weights = Tensor::random(
-            [p.out_channels, p.in_channels, p.kernel_h, p.kernel_w],
-            Layout::Oihw,
-            seed + 1,
-            1.0,
-        )
-        .unwrap();
-        let mut ref_out =
-            Tensor::zeros([batch, p.out_channels, p.out_h(), p.out_w()], Layout::Nchw).unwrap();
+        let weights = Tensor::random(weight_dims(p), Layout::Oihw, seed + 1, 1.0).unwrap();
+        let mut ref_out = Tensor::zeros(out_dims(p, batch), Layout::Nchw).unwrap();
         conv2d_nchw_direct(&input, &weights, &mut ref_out, p, &Epilogue::none(), &Sequential)
             .unwrap();
 
         let in_b = to_layout(&input, Layout::NchwC(s.ic_bn)).unwrap();
-        let w_b = to_layout(&weights, Layout::OihwIo { i: s.ic_bn, o: s.oc_bn }).unwrap();
-        let mut out_b =
-            Tensor::zeros([batch, p.out_channels, p.out_h(), p.out_w()], Layout::NchwC(s.oc_bn))
-                .unwrap();
-        conv2d_nchwc(&in_b, &w_b, &mut out_b, p, s, &Epilogue::none(), &Sequential, usize::MAX, None)
-            .unwrap();
-        let out = to_layout(&out_b, Layout::Nchw).unwrap();
-        (ref_out, out)
+        let w_b = to_layout(&weights, weight_layout(p, s)).unwrap();
+        let out = run(&in_b, &w_b, p, s, &Sequential, usize::MAX, None).unwrap();
+        assert!(ref_out.approx_eq(&out, tol), "{p:?} {s:?}: diff {}", ref_out.max_abs_diff(&out));
     }
 
     #[test]
     fn matches_reference_scalar_blocks() {
-        let p = Conv2dParams::square(6, 10, 9, 3, 1, 1);
-        let s = ConvSchedule { ic_bn: 3, oc_bn: 5, reg_n: 4, unroll_ker: false, ..Default::default() };
-        let (a, b) = run_both(&p, &s, 1, 21);
-        assert!(a.approx_eq(&b, 1e-4), "diff {}", a.max_abs_diff(&b));
+        assert_matches_reference(&Conv2dParams::square(6, 10, 9, 3, 1, 1), &sched(3, 5, 4, false), 1, 21, 1e-4);
+        assert_matches_reference(&Conv2dParams::depthwise(6, 9, 3, 1, 1), &sched(3, 3, 4, false), 1, 71, 1e-4);
     }
 
     #[test]
     fn matches_reference_avx2_blocks() {
         // oc_bn = 8 exercises the AVX2 path where available.
-        let p = Conv2dParams::square(16, 16, 14, 3, 1, 1);
-        let s = ConvSchedule { ic_bn: 8, oc_bn: 8, reg_n: 8, unroll_ker: true, ..Default::default() };
-        let (a, b) = run_both(&p, &s, 1, 22);
-        assert!(a.approx_eq(&b, 1e-3), "diff {}", a.max_abs_diff(&b));
+        assert_matches_reference(&Conv2dParams::square(16, 16, 14, 3, 1, 1), &sched(8, 8, 8, true), 1, 22, 1e-3);
+        assert_matches_reference(&Conv2dParams::depthwise(16, 14, 3, 1, 1), &sched(8, 8, 8, true), 1, 72, 1e-3);
     }
 
     #[test]
     fn matches_reference_avx512_blocks() {
         // oc_bn = 16 exercises the AVX-512 path where available.
-        let p = Conv2dParams::square(32, 32, 14, 3, 1, 1);
-        let s = ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 16, unroll_ker: false, ..Default::default() };
-        let (a, b) = run_both(&p, &s, 1, 23);
-        assert!(a.approx_eq(&b, 1e-3), "diff {}", a.max_abs_diff(&b));
+        assert_matches_reference(&Conv2dParams::square(32, 32, 14, 3, 1, 1), &sched(16, 16, 16, false), 1, 23, 1e-3);
+        assert_matches_reference(&Conv2dParams::depthwise(32, 14, 3, 1, 1), &sched(16, 16, 16, false), 1, 73, 1e-3);
     }
 
     #[test]
     fn matches_reference_with_stride_and_tail() {
-        // out_w = 7 with reg_n = 4 forces a 3-wide tail strip.
+        // out_w = 7 with reg_n = 4 forces a 3-wide tail strip; the depthwise
+        // one is the MobileNet downsampling shape.
         let p = Conv2dParams::square(8, 8, 14, 3, 2, 1);
         assert_eq!(p.out_w(), 7);
-        let s = ConvSchedule { ic_bn: 4, oc_bn: 8, reg_n: 4, unroll_ker: false, ..Default::default() };
-        let (a, b) = run_both(&p, &s, 1, 24);
-        assert!(a.approx_eq(&b, 1e-3), "diff {}", a.max_abs_diff(&b));
+        assert_matches_reference(&p, &sched(4, 8, 4, false), 1, 24, 1e-3);
+        assert_matches_reference(&Conv2dParams::depthwise(8, 14, 3, 2, 1), &sched(8, 8, 4, false), 1, 74, 1e-3);
     }
 
     #[test]
     fn matches_reference_1x1_and_7x7() {
-        let p1 = Conv2dParams::square(12, 8, 8, 1, 1, 0);
-        let s1 = ConvSchedule { ic_bn: 4, oc_bn: 4, reg_n: 2, unroll_ker: true, ..Default::default() };
-        let (a, b) = run_both(&p1, &s1, 1, 25);
-        assert!(a.approx_eq(&b, 1e-3));
-
-        let p7 = Conv2dParams::square(3, 8, 17, 7, 2, 3);
-        let s7 = ConvSchedule { ic_bn: 3, oc_bn: 8, reg_n: 8, unroll_ker: false, ..Default::default() };
-        let (a, b) = run_both(&p7, &s7, 1, 26);
-        assert!(a.approx_eq(&b, 1e-3), "diff {}", a.max_abs_diff(&b));
+        assert_matches_reference(&Conv2dParams::square(12, 8, 8, 1, 1, 0), &sched(4, 4, 2, true), 1, 25, 1e-3);
+        assert_matches_reference(&Conv2dParams::square(3, 8, 17, 7, 2, 3), &sched(3, 8, 8, false), 1, 26, 1e-3);
     }
 
     #[test]
     fn batch_greater_than_one() {
-        let p = Conv2dParams::square(4, 4, 6, 3, 1, 1);
-        let s = ConvSchedule { ic_bn: 2, oc_bn: 2, reg_n: 2, unroll_ker: false, ..Default::default() };
-        let (a, b) = run_both(&p, &s, 3, 27);
-        assert!(a.approx_eq(&b, 1e-4));
+        assert_matches_reference(&Conv2dParams::square(4, 4, 6, 3, 1, 1), &sched(2, 2, 2, false), 3, 27, 1e-4);
+        assert_matches_reference(&Conv2dParams::depthwise(4, 6, 3, 1, 1), &sched(2, 2, 2, true), 3, 75, 1e-4);
     }
 
     #[test]
     fn parallel_matches_sequential() {
-        let p = Conv2dParams::square(8, 16, 12, 3, 1, 1);
-        let s = ConvSchedule { ic_bn: 8, oc_bn: 16, reg_n: 8, unroll_ker: true, ..Default::default() };
-        let input = Tensor::random([1, 8, 12, 12], Layout::NchwC(8), 31, 1.0).unwrap();
-        let weights =
-            Tensor::random([16, 8, 3, 3], Layout::OihwIo { i: 8, o: 16 }, 32, 1.0).unwrap();
-        let mut seq = Tensor::zeros([1, 16, 12, 12], Layout::NchwC(16)).unwrap();
-        let mut par = Tensor::zeros([1, 16, 12, 12], Layout::NchwC(16)).unwrap();
-        conv2d_nchwc(&input, &weights, &mut seq, &p, &s, &Epilogue::none(), &Sequential, usize::MAX, None)
-            .unwrap();
         let pool = ThreadPool::new(4);
-        conv2d_nchwc(&input, &weights, &mut par, &p, &s, &Epilogue::none(), &pool, usize::MAX, None)
-            .unwrap();
-        assert_eq!(seq.data(), par.data());
+        for (p, s) in [
+            (Conv2dParams::square(8, 16, 12, 3, 1, 1), sched(8, 16, 8, true)),
+            (Conv2dParams::depthwise(16, 12, 3, 1, 1), sched(8, 8, 8, false)),
+        ] {
+            let (input, weights) = blocked_operands(&p, &s, 1, 31);
+            let seq = run(&input, &weights, &p, &s, &Sequential, usize::MAX, None).unwrap();
+            let par = run(&input, &weights, &p, &s, &pool, usize::MAX, None).unwrap();
+            assert_eq!(seq.data(), par.data());
+        }
     }
 
     #[test]
     fn fused_epilogue_matches_reference_epilogue() {
-        let p = Conv2dParams::square(8, 8, 6, 3, 1, 1);
-        let s = ConvSchedule { ic_bn: 8, oc_bn: 8, reg_n: 4, unroll_ker: false, ..Default::default() };
-        let input = Tensor::random([1, 8, 6, 6], Layout::Nchw, 41, 1.0).unwrap();
-        let weights = Tensor::random([8, 8, 3, 3], Layout::Oihw, 42, 1.0).unwrap();
-        let residual = Tensor::random([1, 8, 6, 6], Layout::Nchw, 43, 1.0).unwrap();
-        let bias: Vec<f32> = (0..8).map(|i| i as f32 * 0.1).collect();
+        for (p, s) in [
+            (Conv2dParams::square(8, 8, 6, 3, 1, 1), sched(8, 8, 4, false)),
+            (Conv2dParams::depthwise(8, 6, 3, 1, 1), sched(8, 8, 4, false)),
+        ] {
+            let input = Tensor::random([1, 8, 6, 6], Layout::Nchw, 41, 1.0).unwrap();
+            let weights = Tensor::random(weight_dims(&p), Layout::Oihw, 42, 1.0).unwrap();
+            let residual = Tensor::random([1, 8, 6, 6], Layout::Nchw, 43, 1.0).unwrap();
+            let bias: Vec<f32> = (0..8).map(|i| i as f32 * 0.1 - 0.3).collect();
 
-        let mut ref_out = Tensor::zeros([1, 8, 6, 6], Layout::Nchw).unwrap();
-        let epi = Epilogue { bias: Some(&bias), relu: true, residual: Some(&residual) };
-        conv2d_nchw_direct(&input, &weights, &mut ref_out, &p, &epi, &Sequential).unwrap();
+            let mut ref_out = Tensor::zeros([1, 8, 6, 6], Layout::Nchw).unwrap();
+            let epi = Epilogue { bias: Some(&bias), relu: true, residual: Some(&residual) };
+            conv2d_nchw_direct(&input, &weights, &mut ref_out, &p, &epi, &Sequential).unwrap();
 
-        let in_b = to_layout(&input, Layout::NchwC(8)).unwrap();
-        let w_b = to_layout(&weights, Layout::OihwIo { i: 8, o: 8 }).unwrap();
-        let res_b = to_layout(&residual, Layout::NchwC(8)).unwrap();
-        let mut out_b = Tensor::zeros([1, 8, 6, 6], Layout::NchwC(8)).unwrap();
-        let epi_b = Epilogue { bias: Some(&bias), relu: true, residual: Some(&res_b) };
-        conv2d_nchwc(&in_b, &w_b, &mut out_b, &p, &s, &epi_b, &Sequential, usize::MAX, None).unwrap();
-        assert!(ref_out.approx_eq(&out_b, 1e-4));
+            let in_b = to_layout(&input, Layout::NchwC(8)).unwrap();
+            let w_b = to_layout(&weights, weight_layout(&p, &s)).unwrap();
+            let res_b = to_layout(&residual, Layout::NchwC(8)).unwrap();
+            let mut out_b = Tensor::zeros([1, 8, 6, 6], Layout::NchwC(8)).unwrap();
+            let epi_b = Epilogue { bias: Some(&bias), relu: true, residual: Some(&res_b) };
+            conv2d_nchwc(&in_b, &w_b, &mut out_b, &p, &s, &epi_b, &Sequential, usize::MAX, None)
+                .unwrap();
+            assert!(ref_out.approx_eq(&out_b, 1e-4));
+        }
     }
 
     #[test]
-    fn rejects_mismatched_layouts() {
+    fn rejects_mismatched_operands() {
         let p = Conv2dParams::square(8, 8, 6, 3, 1, 1);
-        let s = ConvSchedule { ic_bn: 4, oc_bn: 4, reg_n: 4, unroll_ker: false, ..Default::default() };
-        let input = Tensor::zeros([1, 8, 6, 6], Layout::NchwC(8)).unwrap(); // wrong block
-        let weights = Tensor::zeros([8, 8, 3, 3], Layout::OihwIo { i: 4, o: 4 }).unwrap();
-        let mut out = Tensor::zeros([1, 8, 6, 6], Layout::NchwC(4)).unwrap();
-        assert!(conv2d_nchwc(
-            &input,
-            &weights,
-            &mut out,
-            &p,
-            &s,
-            &Epilogue::none(),
-            &Sequential,
-            usize::MAX,
-            None
-        )
-        .is_err());
+        let s = sched(4, 4, 4, false);
+        let (input, weights) = blocked_operands(&p, &s, 1, 1);
+        let run = |input, weights, p, s| run(input, weights, p, s, &Sequential, usize::MAX, None);
+        run(&input, &weights, &p, &s).unwrap();
+        // Wrong input block.
+        let wide = Tensor::zeros([1, 8, 6, 6], Layout::NchwC(8)).unwrap();
+        assert!(run(&wide, &weights, &p, &s).is_err());
+        // The f32 template reads f32: a u8 tensor of the right layout and
+        // shape is refused, not misread.
+        let bytes = Tensor::zeros_dtyped([1, 8, 6, 6], Layout::NchwC(4), DType::U8).unwrap();
+        assert!(run(&bytes, &weights, &p, &s).is_err());
+        // One filter per channel is a depthwise weight block: a dense
+        // workload does not take it, nor a depthwise workload the dense one.
+        let dw = Conv2dParams::depthwise(8, 6, 3, 1, 1);
+        let (_, dw_weights) = blocked_operands(&dw, &s, 1, 1);
+        assert!(run(&input, &dw_weights, &p, &s).is_err());
+        assert!(run(&input, &weights, &dw, &s).is_err());
+        run(&input, &dw_weights, &dw, &s).unwrap();
+        // Depthwise blocks input and output channels alike.
+        assert!(run(&input, &dw_weights, &dw, &sched(4, 8, 4, false)).is_err());
     }
 
     #[test]
     fn caller_scratch_matches_internal_padding() {
-        let p = Conv2dParams::square(8, 8, 10, 3, 1, 1);
-        let s = ConvSchedule { ic_bn: 4, oc_bn: 8, reg_n: 4, unroll_ker: false, ..Default::default() };
-        let input = Tensor::random([2, 8, 10, 10], Layout::NchwC(4), 61, 1.0).unwrap();
-        let weights =
-            Tensor::random([8, 8, 3, 3], Layout::OihwIo { i: 4, o: 8 }, 62, 1.0).unwrap();
-        let mut auto = Tensor::zeros([2, 8, 10, 10], Layout::NchwC(8)).unwrap();
-        let mut planned = Tensor::zeros([2, 8, 10, 10], Layout::NchwC(8)).unwrap();
-        conv2d_nchwc(&input, &weights, &mut auto, &p, &s, &Epilogue::none(), &Sequential, usize::MAX, None)
-            .unwrap();
-        // Poisoned scratch must be fully overwritten by the halo writer.
-        let mut scratch = vec![f32::NAN; super::padded_input_len(&p, s.ic_bn, 2)];
-        conv2d_nchwc(
-            &input,
-            &weights,
-            &mut planned,
-            &p,
-            &s,
-            &Epilogue::none(),
-            &Sequential,
-            usize::MAX,
-            Some(&mut scratch),
-        )
-        .unwrap();
-        assert_eq!(auto.data(), planned.data());
+        for (p, s) in [
+            (Conv2dParams::square(8, 8, 10, 3, 1, 1), sched(4, 8, 4, false)),
+            (Conv2dParams::depthwise(8, 10, 3, 1, 1), sched(4, 4, 4, false)),
+        ] {
+            let (input, weights) = blocked_operands(&p, &s, 2, 61);
+            let auto = run(&input, &weights, &p, &s, &Sequential, usize::MAX, None).unwrap();
+            // Poisoned scratch must be fully overwritten by the halo writer.
+            let mut scratch = vec![f32::NAN; padded_input_len(&p, s.ic_bn, 2)];
+            let planned =
+                run(&input, &weights, &p, &s, &Sequential, usize::MAX, Some(&mut scratch)).unwrap();
+            assert_eq!(auto.data(), planned.data());
 
-        // Wrong-length scratch is rejected, not silently resized.
-        let mut short = vec![0.0f32; 8];
-        assert!(conv2d_nchwc(
-            &input,
-            &weights,
-            &mut planned,
-            &p,
-            &s,
-            &Epilogue::none(),
-            &Sequential,
-            usize::MAX,
-            Some(&mut short),
-        )
-        .is_err());
+            // Wrong-length scratch is rejected, not silently resized.
+            let mut short = vec![0.0f32; 8];
+            assert!(run(&input, &weights, &p, &s, &Sequential, usize::MAX, Some(&mut short)).is_err());
+        }
     }
 
     #[test]
     fn padded_len_is_zero_only_without_padding() {
         let padded = Conv2dParams::square(8, 8, 10, 3, 1, 1);
-        assert_eq!(super::padded_input_len(&padded, 4, 2), 2 * 2 * 12 * 12 * 4);
+        assert_eq!(padded_input_len(&padded, 4, 2), 2 * 2 * 12 * 12 * 4);
         let unpadded = Conv2dParams::square(8, 8, 10, 1, 1, 0);
-        assert_eq!(super::padded_input_len(&unpadded, 4, 2), 0);
+        assert_eq!(padded_input_len(&unpadded, 4, 2), 0);
     }
 
     #[test]
     fn scalar_isa_cap_matches_simd_result() {
         // Forcing max_lanes = 1 must still give identical results.
         let p = Conv2dParams::square(16, 16, 8, 3, 1, 1);
-        let s = ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 8, unroll_ker: false, ..Default::default() };
-        let input = Tensor::random([1, 16, 8, 8], Layout::NchwC(16), 51, 1.0).unwrap();
-        let weights =
-            Tensor::random([16, 16, 3, 3], Layout::OihwIo { i: 16, o: 16 }, 52, 1.0).unwrap();
-        let mut simd = Tensor::zeros([1, 16, 8, 8], Layout::NchwC(16)).unwrap();
-        let mut scalar = Tensor::zeros([1, 16, 8, 8], Layout::NchwC(16)).unwrap();
-        conv2d_nchwc(&input, &weights, &mut simd, &p, &s, &Epilogue::none(), &Sequential, usize::MAX, None)
-            .unwrap();
-        conv2d_nchwc(&input, &weights, &mut scalar, &p, &s, &Epilogue::none(), &Sequential, 1, None)
-            .unwrap();
+        let s = sched(16, 16, 8, false);
+        let (input, weights) = blocked_operands(&p, &s, 1, 51);
+        let simd = run(&input, &weights, &p, &s, &Sequential, usize::MAX, None).unwrap();
+        let scalar = run(&input, &weights, &p, &s, &Sequential, 1, None).unwrap();
         assert!(simd.approx_eq(&scalar, 1e-4));
     }
 }

@@ -1,10 +1,11 @@
 //! The blocked `NCHW[x]c` convolution template, int8 edition.
 //!
-//! Same loop structure as the f32 template ([`super::conv2d_nchwc`]):
-//! parallel `(n, oc_chunk, oh)` rows, register-blocked strips of `reg_n`
-//! output pixels, padding materialized once into (optionally planned)
-//! scratch, fused bias/ReLU/residual epilogue per finished row. What
-//! changes is the arithmetic:
+//! The same row driver as the f32 template ([`super::conv2d_nchwc`]),
+//! instantiated for `u8` activations and `i8` weights: parallel
+//! `(n, oc_chunk, oh)` rows, register-blocked strips of `reg_n` output
+//! pixels, padding materialized once into (optionally planned) scratch,
+//! fused bias/ReLU/residual epilogue per finished row. What changes is the
+//! arithmetic:
 //!
 //! * activations are `u8` (asymmetric per-tensor quantization), weights
 //!   `i8` (symmetric per output channel, `|w_q| ≤ 63` — see
@@ -29,13 +30,12 @@
 //! downstream of the conv (pooling, residual adds, the next conv's
 //! quantize node) is unchanged.
 
-use neocpu_tensor::{AlignedBuf, DType, Layout, Tensor};
+use neocpu_tensor::{Layout, Tensor};
 use neocpu_threadpool::Parallelism;
 
-use super::blocked::padded_input_len;
-use super::microkernel::{self, Geo, Strip};
-use super::{Conv2dParams, ConvSchedule, Dataflow, Epilogue, RowEpilogue};
-use crate::util::SendPtr;
+use super::blocked::drive;
+use super::microkernel;
+use super::{Conv2dParams, ConvSchedule, Dataflow, Epilogue};
 use crate::{KernelError, Result};
 
 /// Quantization parameters of one int8 convolution call.
@@ -48,18 +48,22 @@ pub struct ConvQuant<'a> {
 }
 
 /// Int8 direct convolution on blocked layouts: `u8 NCHW[ic_bn]c` input,
-/// `i8 OIHW[ic_bn]i[oc_bn]oq4` weights, **f32** `NCHW[oc_bn]c` output.
+/// `i8 OIHW[ic_bn]i[oc_bn]oq4` weights, **f32** `NCHW[oc_bn]c` output. A
+/// depthwise workload takes `i8 OIHW1i[c]o` weights instead (full ±127
+/// range — no `maddubs` headroom needed, the microkernel widens to i32
+/// before multiplying).
 ///
-/// `ic_bn` must be divisible by 4 (the quad-packing requirement — the
-/// compile pipeline keeps such convs f32). `scratch`, when given, must hold
-/// exactly [`padded_input_len`] bytes; the executor carves it out of the
-/// arena so the warm path never allocates.
+/// A dense workload's `ic_bn` must be divisible by 4 (the quad-packing
+/// requirement — the compile pipeline keeps such convs f32). `scratch`,
+/// when given, must hold exactly
+/// [`padded_input_len`](super::padded_input_len) bytes; the executor carves
+/// it out of the arena so the warm path never allocates.
 ///
 /// # Errors
 ///
-/// Returns an error if the schedule does not divide the workload, any
-/// operand has the wrong dtype/layout/shape, `quant.mult` has the wrong
-/// length, or `scratch` has the wrong length.
+/// As [`conv2d_nchwc`](super::conv2d_nchwc), plus an error if the schedule
+/// is not output-stationary or not quad-packable, or `quant.mult` has the
+/// wrong length.
 pub fn conv2d_nchwc_u8(
     input: &Tensor,
     weights: &Tensor,
@@ -72,7 +76,6 @@ pub fn conv2d_nchwc_u8(
     max_lanes: usize,
     scratch: Option<&mut [u8]>,
 ) -> Result<()> {
-    schedule.validate(p)?;
     if schedule.dataflow != Dataflow::OutputStationary {
         return Err(KernelError::BadSchedule(format!(
             "int8 conv only implements the output-stationary dataflow, got {:?}",
@@ -80,368 +83,46 @@ pub fn conv2d_nchwc_u8(
         )));
     }
     let (ic_bn, oc_bn) = (schedule.ic_bn, schedule.oc_bn);
-    if !ic_bn.is_multiple_of(4) {
+    if !p.is_depthwise() && !ic_bn.is_multiple_of(4) {
         return Err(KernelError::BadSchedule(format!(
             "int8 conv requires ic_bn divisible by 4, got {ic_bn}"
         )));
     }
-    if input.dtype() != DType::U8 || input.layout() != Layout::NchwC(ic_bn) {
-        return Err(KernelError::BadOperand(format!(
-            "input must be u8 NCHW{ic_bn}c, got {} {}",
-            input.dtype(),
-            input.layout()
-        )));
-    }
-    if weights.dtype() != DType::I8
-        || weights.layout() != (Layout::OihwIo4 { i: ic_bn, o: oc_bn })
-    {
-        return Err(KernelError::BadOperand(format!(
-            "weights must be i8 OIHW{ic_bn}i{oc_bn}oq4, got {} {}",
-            weights.dtype(),
-            weights.layout()
-        )));
-    }
-    if output.dtype() != DType::F32 || output.layout() != Layout::NchwC(oc_bn) {
-        return Err(KernelError::BadOperand(format!(
-            "output must be f32 NCHW{oc_bn}c, got {} {}",
-            output.dtype(),
-            output.layout()
-        )));
-    }
-    let id = input.shape().dims();
-    let od = output.shape().dims();
-    let wd = weights.shape().dims();
-    let n = id[0];
-    if id[1] != p.in_channels || id[2] != p.in_h || id[3] != p.in_w {
-        return Err(KernelError::BadOperand("input shape mismatch".into()));
-    }
-    if wd != [p.out_channels, p.in_channels, p.kernel_h, p.kernel_w] {
-        return Err(KernelError::BadOperand("weight shape mismatch".into()));
-    }
-    if od != [n, p.out_channels, p.out_h(), p.out_w()] {
-        return Err(KernelError::BadOperand("output shape mismatch".into()));
-    }
-    if quant.mult.len() != p.out_channels {
+    let mult = quant.mult;
+    if mult.len() != p.out_channels {
         return Err(KernelError::BadOperand(format!(
             "quant multiplier length {} != out_channels {}",
-            quant.mult.len(),
+            mult.len(),
             p.out_channels
         )));
     }
-    epilogue.validate(output, p.out_channels)?;
-
-    let owned_pad;
-    let in_data: &[u8] = if p.pad_h == 0 && p.pad_w == 0 {
-        input.data_u8()
-    } else {
-        let need = padded_input_len(p, ic_bn, n);
-        match scratch {
-            Some(buf) => {
-                if buf.len() != need {
-                    return Err(KernelError::BadOperand(format!(
-                        "int8 conv scratch length {} != required {need}",
-                        buf.len()
-                    )));
-                }
-                pad_nchwc_u8_into(input, p, ic_bn, par, &mut *buf, quant.zero_point);
-                buf
-            }
-            None => {
-                // Byte scratch rides in an f32 aligned buffer (slot
-                // storage); every byte of the prefix is written by the halo
-                // writer.
-                let mut b = AlignedBuf::uninit(DType::U8.slots(need));
-                let bytes = &mut crate::quantize::f32_slice_as_u8_mut(&mut b)[..need];
-                pad_nchwc_u8_into(input, p, ic_bn, par, bytes, quant.zero_point);
-                owned_pad = b;
-                &crate::quantize::f32_slice_as_u8(&owned_pad)[..need]
-            }
-        }
-    };
-
-    let geo = Geo::new(p, schedule, max_lanes, true);
-    let (oh, ow) = (p.out_h(), p.out_w());
-    let oc_chunks = p.out_channels / oc_bn;
-    let reg_n = schedule.reg_n;
-    let sh = p.stride_h;
-
-    let w_data = weights.data_i8();
-    let mult = quant.mult;
-    let epilogue = RowEpilogue::new(epilogue);
-    let out_ptr = SendPtr(output.data_mut().as_mut_ptr());
-
-    let in_batch_stride = geo.ic_chunks * geo.ph * geo.pw * ic_bn;
-    let w_oc_stride = geo.ic_chunks * geo.kh * geo.kw * ic_bn * oc_bn;
-    let jobs = n * oc_chunks * oh;
-
-    par.run(jobs, &|_, range| {
-        let out_ptr = out_ptr;
-        for job in range {
-            let b = job / (oc_chunks * oh);
-            let rest = job % (oc_chunks * oh);
-            let (occ, y) = (rest / oh, rest % oh);
-            let in_n = in_data[b * in_batch_stride..].as_ptr();
-            let w_oc = w_data[occ * w_oc_stride..].as_ptr();
-            let mult_oc = mult[occ * oc_bn..].as_ptr();
-            let row_off = ((b * oc_chunks + occ) * oh + y) * ow * oc_bn;
-            // SAFETY: jobs are disjoint (n, occ, y) triples → disjoint rows.
-            let out_row = unsafe { out_ptr.0.add(row_off) };
-            let ih0 = y * sh;
-            let mut x0 = 0usize;
-            while x0 < ow {
-                let rn = reg_n.min(ow - x0);
-                // SAFETY: the strip lies inside the row; padded input covers
-                // the receptive field `(rn-1)*sw + kw` columns from `iw0`.
-                unsafe {
-                    let strip = Strip {
-                        input: in_n,
-                        weights: w_oc,
-                        rn,
-                        out: out_row.add(x0 * oc_bn),
-                        ih0,
-                        iw0: x0 * geo.sw,
-                    };
-                    microkernel::run_strip_i8(&geo, &strip, mult_oc);
-                }
-                x0 += rn;
-            }
-            // SAFETY: same disjoint-row argument as above.
-            let row = unsafe { std::slice::from_raw_parts_mut(out_row, ow * oc_bn) };
-            epilogue.apply(row, occ, oc_bn, row_off);
-        }
-    });
-    Ok(())
+    drive::<u8, i8>(
+        input,
+        weights,
+        output,
+        p,
+        schedule,
+        epilogue,
+        par,
+        max_lanes,
+        Layout::OihwIo4 { i: ic_bn, o: oc_bn },
+        quant.zero_point,
+        scratch,
+        // SAFETY: `drive` only hands out strips that are valid under `geo`;
+        // `mult` holds `oc_bn` multipliers for each chunk and dense input
+        // blocks are whole quads, both checked above.
+        |geo, strip, chunk| unsafe {
+            microkernel::run_strip_i8(geo, strip, mult[chunk * oc_bn..].as_ptr())
+        },
+    )
 }
-
-/// Int8 depthwise convolution on blocked layouts: `u8 NCHW[c]c` input,
-/// `i8 OIHW1i[c]o` weights (full ±127 range — no `maddubs` headroom needed,
-/// the microkernel widens to i32 before multiplying), **f32** `NCHW[c]c`
-/// output.
-///
-/// # Errors
-///
-/// As [`conv2d_nchwc_u8`], plus an error if `p` is not depthwise.
-pub fn depthwise_conv2d_nchwc_u8(
-    input: &Tensor,
-    weights: &Tensor,
-    output: &mut Tensor,
-    p: &Conv2dParams,
-    schedule: &ConvSchedule,
-    quant: &ConvQuant<'_>,
-    epilogue: &Epilogue<'_>,
-    par: &dyn Parallelism,
-    max_lanes: usize,
-    scratch: Option<&mut [u8]>,
-) -> Result<()> {
-    if !p.is_depthwise() {
-        return Err(KernelError::BadOperand(format!(
-            "depthwise template requires groups == in_channels == out_channels, \
-             got groups {} for {} -> {} channels",
-            p.groups, p.in_channels, p.out_channels
-        )));
-    }
-    schedule.validate(p)?;
-    if schedule.dataflow != Dataflow::OutputStationary {
-        return Err(KernelError::BadSchedule(format!(
-            "int8 depthwise conv only implements the output-stationary dataflow, got {:?}",
-            schedule.dataflow
-        )));
-    }
-    let c_bn = schedule.oc_bn;
-    if input.dtype() != DType::U8 || input.layout() != Layout::NchwC(c_bn) {
-        return Err(KernelError::BadOperand(format!(
-            "input must be u8 NCHW{c_bn}c, got {} {}",
-            input.dtype(),
-            input.layout()
-        )));
-    }
-    if weights.dtype() != DType::I8 || weights.layout() != (Layout::OihwIo { i: 1, o: c_bn }) {
-        return Err(KernelError::BadOperand(format!(
-            "depthwise weights must be i8 OIHW1i{c_bn}o, got {} {}",
-            weights.dtype(),
-            weights.layout()
-        )));
-    }
-    if output.dtype() != DType::F32 || output.layout() != Layout::NchwC(c_bn) {
-        return Err(KernelError::BadOperand(format!(
-            "output must be f32 NCHW{c_bn}c, got {} {}",
-            output.dtype(),
-            output.layout()
-        )));
-    }
-    let id = input.shape().dims();
-    let od = output.shape().dims();
-    let wd = weights.shape().dims();
-    let n = id[0];
-    if id[1] != p.in_channels || id[2] != p.in_h || id[3] != p.in_w {
-        return Err(KernelError::BadOperand("input shape mismatch".into()));
-    }
-    if wd != [p.out_channels, 1, p.kernel_h, p.kernel_w] {
-        return Err(KernelError::BadOperand("depthwise weight shape mismatch".into()));
-    }
-    if od != [n, p.out_channels, p.out_h(), p.out_w()] {
-        return Err(KernelError::BadOperand("output shape mismatch".into()));
-    }
-    if quant.mult.len() != p.out_channels {
-        return Err(KernelError::BadOperand(format!(
-            "quant multiplier length {} != out_channels {}",
-            quant.mult.len(),
-            p.out_channels
-        )));
-    }
-    epilogue.validate(output, p.out_channels)?;
-
-    let owned_pad;
-    let in_data: &[u8] = if p.pad_h == 0 && p.pad_w == 0 {
-        input.data_u8()
-    } else {
-        let need = padded_input_len(p, c_bn, n);
-        match scratch {
-            Some(buf) => {
-                if buf.len() != need {
-                    return Err(KernelError::BadOperand(format!(
-                        "int8 depthwise scratch length {} != required {need}",
-                        buf.len()
-                    )));
-                }
-                pad_nchwc_u8_into(input, p, c_bn, par, &mut *buf, quant.zero_point);
-                buf
-            }
-            None => {
-                let mut b = AlignedBuf::uninit(DType::U8.slots(need));
-                let bytes = &mut crate::quantize::f32_slice_as_u8_mut(&mut b)[..need];
-                pad_nchwc_u8_into(input, p, c_bn, par, bytes, quant.zero_point);
-                owned_pad = b;
-                &crate::quantize::f32_slice_as_u8(&owned_pad)[..need]
-            }
-        }
-    };
-
-    let geo = Geo::new(p, schedule, max_lanes, true);
-    let (oh, ow) = (p.out_h(), p.out_w());
-    let c_chunks = p.out_channels / c_bn;
-    let reg_n = schedule.reg_n;
-    let sh = p.stride_h;
-
-    let w_data = weights.data_i8();
-    let mult = quant.mult;
-    let epilogue = RowEpilogue::new(epilogue);
-    let out_ptr = SendPtr(output.data_mut().as_mut_ptr());
-
-    let in_batch_stride = c_chunks * geo.ph * geo.pw * c_bn;
-    let in_chunk_stride = geo.ph * geo.pw * c_bn;
-    let w_chunk_stride = geo.kh * geo.kw * c_bn;
-    let jobs = n * c_chunks * oh;
-
-    par.run(jobs, &|_, range| {
-        let out_ptr = out_ptr;
-        for job in range {
-            let b = job / (c_chunks * oh);
-            let rest = job % (c_chunks * oh);
-            let (cc, y) = (rest / oh, rest % oh);
-            let in_cc = in_data[b * in_batch_stride + cc * in_chunk_stride..].as_ptr();
-            let w_cc = w_data[cc * w_chunk_stride..].as_ptr();
-            let mult_cc = mult[cc * c_bn..].as_ptr();
-            let row_off = ((b * c_chunks + cc) * oh + y) * ow * c_bn;
-            // SAFETY: jobs are disjoint (n, cc, y) triples → disjoint rows.
-            let out_row = unsafe { out_ptr.0.add(row_off) };
-            let ih0 = y * sh;
-            let mut x0 = 0usize;
-            while x0 < ow {
-                let rn = reg_n.min(ow - x0);
-                // SAFETY: strip inside the row; padded input covers the
-                // receptive field.
-                unsafe {
-                    let strip = Strip {
-                        input: in_cc,
-                        weights: w_cc,
-                        rn,
-                        out: out_row.add(x0 * c_bn),
-                        ih0,
-                        iw0: x0 * geo.sw,
-                    };
-                    microkernel::run_strip_i8(&geo, &strip, mult_cc);
-                }
-                x0 += rn;
-            }
-            // SAFETY: same disjoint-row argument as above.
-            let row = unsafe { std::slice::from_raw_parts_mut(out_row, ow * c_bn) };
-            epilogue.apply(row, cc, c_bn, row_off);
-        }
-    });
-    Ok(())
-}
-
-/// Writes a blocked u8 input into `dst` as a padded blocked buffer with the
-/// halo filled with the activation **zero point** (not zero): a padded tap
-/// then contributes exactly `zp·w_q`, which the compile-time bias
-/// correction `−m·zp·Σw_q` cancels, making padding exact.
-///
-/// # Panics
-///
-/// Panics if `dst.len()` differs from [`padded_input_len`] for the
-/// workload.
-pub(super) fn pad_nchwc_u8_into(
-    input: &Tensor,
-    p: &Conv2dParams,
-    ic_bn: usize,
-    par: &dyn Parallelism,
-    dst: &mut [u8],
-    fill: u8,
-) {
-    let d = input.shape().dims();
-    let (n, c) = (d[0], d[1]);
-    let (ph, pw) = (p.in_h + 2 * p.pad_h, p.in_w + 2 * p.pad_w);
-    let chunks = c / ic_bn;
-    assert_eq!(dst.len(), n * chunks * ph * pw * ic_bn, "padded scratch length mismatch");
-    let src = input.data_u8();
-    let dst_ptr = SendPtrU8(dst.as_mut_ptr());
-    let row_elems = p.in_w * ic_bn;
-    let pad_row = pw * ic_bn;
-    let edge = p.pad_w * ic_bn;
-    par.run(n * chunks * ph, &|_, range| {
-        let dst_ptr = dst_ptr;
-        for job in range {
-            let b = job / (chunks * ph);
-            let rest = job % (chunks * ph);
-            let (cc, y) = (rest / ph, rest % ph);
-            let row_base = ((b * chunks + cc) * ph + y) * pad_row;
-            // SAFETY: jobs are disjoint (b, cc, y) rows; every offset below
-            // stays inside the row, which lies inside `dst` per the assert.
-            unsafe {
-                if y < p.pad_h || y >= p.pad_h + p.in_h {
-                    std::ptr::write_bytes(dst_ptr.0.add(row_base), fill, pad_row);
-                } else {
-                    let sy = y - p.pad_h;
-                    let src_off = ((b * chunks + cc) * p.in_h + sy) * row_elems;
-                    std::ptr::write_bytes(dst_ptr.0.add(row_base), fill, edge);
-                    std::ptr::copy_nonoverlapping(
-                        src[src_off..].as_ptr(),
-                        dst_ptr.0.add(row_base + edge),
-                        row_elems,
-                    );
-                    std::ptr::write_bytes(dst_ptr.0.add(row_base + edge + row_elems), fill, edge);
-                }
-            }
-        }
-    });
-}
-
-/// Byte flavor of [`crate::util::SendPtr`] for the u8 padding writer.
-#[derive(Clone, Copy)]
-struct SendPtrU8(*mut u8);
-// SAFETY: writers partition by the disjoint ranges `Parallelism::run` hands
-// out and the buffer outlives the join, as with `SendPtr`.
-unsafe impl Send for SendPtrU8 {}
-// SAFETY: as above.
-unsafe impl Sync for SendPtrU8 {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conv::conv2d_nchw_direct;
+    use crate::conv::{conv2d_nchw_direct, padded_input_len};
     use crate::quantize::{self, quantize_dense_weights, quantize_dw_weights};
-    use neocpu_tensor::transform::to_layout;
+    use neocpu_tensor::{transform::to_layout, DType};
     use neocpu_threadpool::Sequential;
 
     /// Builds a quantized workload: random f32 input/weights, calibrated
@@ -525,19 +206,11 @@ mod tests {
                 .unwrap();
         let quant = ConvQuant { mult: &case.mult, zero_point: case.zp };
         let epi = Epilogue { bias: Some(&case.bias_corr), relu: false, residual: None };
-        if p.is_depthwise() {
-            depthwise_conv2d_nchwc_u8(
-                &case.input_q, &case.wq.tensor, &mut out, p, s, &quant, &epi, &Sequential,
-                max_lanes, None,
-            )
-            .unwrap();
-        } else {
-            conv2d_nchwc_u8(
-                &case.input_q, &case.wq.tensor, &mut out, p, s, &quant, &epi, &Sequential,
-                max_lanes, None,
-            )
-            .unwrap();
-        }
+        conv2d_nchwc_u8(
+            &case.input_q, &case.wq.tensor, &mut out, p, s, &quant, &epi, &Sequential, max_lanes,
+            None,
+        )
+        .unwrap();
         out
     }
 

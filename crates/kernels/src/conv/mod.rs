@@ -2,7 +2,6 @@
 //! kernels, and the blocked `NCHW[x]c` template of Algorithm 1.
 
 mod blocked;
-mod depthwise;
 mod int8;
 mod microkernel;
 mod reference;
@@ -10,8 +9,7 @@ mod reference;
 mod simd;
 
 pub use blocked::{conv2d_nchwc, padded_input_len};
-pub use depthwise::depthwise_conv2d_nchwc;
-pub use int8::{conv2d_nchwc_u8, depthwise_conv2d_nchwc_u8, ConvQuant};
+pub use int8::{conv2d_nchwc_u8, ConvQuant};
 pub use reference::{conv2d_nchw_direct, conv2d_nhwc_direct};
 
 use neocpu_tensor::Tensor;

@@ -9,9 +9,7 @@
 
 use std::time::Instant;
 
-use neocpu_kernels::conv::{
-    conv2d_nchwc, depthwise_conv2d_nchwc, Conv2dParams, ConvSchedule, Dataflow, Epilogue,
-};
+use neocpu_kernels::conv::{conv2d_nchwc, Conv2dParams, ConvSchedule, Dataflow, Epilogue};
 use neocpu_tensor::{Layout, Tensor};
 use neocpu_threadpool::Sequential;
 
@@ -263,7 +261,6 @@ impl Default for TimedMeasurer {
 impl CostModel for TimedMeasurer {
     fn conv_time(&self, params: &Conv2dParams, schedule: &ConvSchedule) -> f32 {
         let p = *params;
-        let depthwise = p.is_depthwise();
         let input = Tensor::random(
             [1, p.in_channels, p.in_h, p.in_w],
             Layout::NchwC(schedule.ic_bn),
@@ -274,7 +271,7 @@ impl CostModel for TimedMeasurer {
         let weights = Tensor::random(
             [p.out_channels, p.in_channels_per_group(), p.kernel_h, p.kernel_w],
             Layout::OihwIo {
-                i: if depthwise { 1 } else { schedule.ic_bn },
+                i: if p.is_depthwise() { 1 } else { schedule.ic_bn },
                 o: schedule.oc_bn,
             },
             2,
@@ -289,33 +286,18 @@ impl CostModel for TimedMeasurer {
         let mut best = f32::INFINITY;
         for i in 0..self.warmup + self.repeats {
             let t0 = Instant::now();
-            if depthwise {
-                depthwise_conv2d_nchwc(
-                    &input,
-                    &weights,
-                    &mut out,
-                    &p,
-                    schedule,
-                    &Epilogue::none(),
-                    &Sequential,
-                    self.max_lanes,
-                    None,
-                )
-                .expect("workload/schedule validated");
-            } else {
-                conv2d_nchwc(
-                    &input,
-                    &weights,
-                    &mut out,
-                    &p,
-                    schedule,
-                    &Epilogue::none(),
-                    &Sequential,
-                    self.max_lanes,
-                    None,
-                )
-                .expect("workload/schedule validated");
-            }
+            conv2d_nchwc(
+                &input,
+                &weights,
+                &mut out,
+                &p,
+                schedule,
+                &Epilogue::none(),
+                &Sequential,
+                self.max_lanes,
+                None,
+            )
+            .expect("workload/schedule validated");
             let dt = t0.elapsed().as_secs_f32();
             if i >= self.warmup {
                 best = best.min(dt);

@@ -37,8 +37,7 @@ pub struct WorkloadKey {
     /// The convolution workload.
     pub params: Conv2dParams,
     /// Activation element type the schemes were tuned for. `F32` keys
-    /// serialize without a suffix, so pre-quantization databases round-trip
-    /// byte-for-byte.
+    /// serialize without a suffix, as pre-quantization databases wrote them.
     pub dtype: DType,
 }
 
@@ -207,28 +206,11 @@ impl SchemeDatabase {
             .or_insert_with(compute)
     }
 
-    /// Serializes to the text format.
-    ///
-    /// A database holding only f32 workloads writes the v1 header and the
-    /// v1 key format, byte-identical to what earlier releases produced; the
-    /// v2 header appears only once a non-f32 entry (whose key needs the
-    /// `d{dtype}` suffix) exists, and the v3 header only once some scheme
-    /// carries a non-output-stationary dataflow (whose row needs the sixth
-    /// field). Output-stationary rows never write the dataflow token, so
-    /// pre-dataflow databases still round-trip byte-for-byte.
+    /// Serializes to the text format: the `v3` header, then one row per
+    /// scheme with its dataflow token spelled out. (The reader also takes
+    /// the older headers and token-less rows; the writer has one shape.)
     pub fn to_text(&self) -> String {
-        let v3 = self
-            .entries
-            .values()
-            .any(|l| l.iter().any(|r| r.schedule.dataflow != Dataflow::OutputStationary));
-        let v2 = self.entries.keys().any(|k| k.dtype != DType::F32);
-        let mut s = String::from(if v3 {
-            "neocpu-scheme-db v3\n"
-        } else if v2 {
-            "neocpu-scheme-db v2\n"
-        } else {
-            "neocpu-scheme-db v1\n"
-        });
+        let mut s = String::from("neocpu-scheme-db v3\n");
         let mut keys: Vec<&WorkloadKey> = self.entries.keys().collect();
         keys.sort_by(|a, b| {
             (&a.target, fmt_workload(&a.params, a.dtype))
@@ -237,21 +219,16 @@ impl SchemeDatabase {
         for k in keys {
             for r in &self.entries[k] {
                 let sch = r.schedule;
-                let df = if sch.dataflow != Dataflow::OutputStationary {
-                    format!(" {}", sch.dataflow.token())
-                } else {
-                    String::new()
-                };
                 writeln!(
                     s,
-                    "{} {} {} {} {} {}{} {:e}",
+                    "{} {} {} {} {} {} {} {:e}",
                     k.target,
                     fmt_workload(&k.params, k.dtype),
                     sch.ic_bn,
                     sch.oc_bn,
                     sch.reg_n,
                     u8::from(sch.unroll_ker),
-                    df,
+                    sch.dataflow.token(),
                     r.time,
                 )
                 .expect("writing to String cannot fail");
@@ -425,8 +402,8 @@ fn parse_line(line: &str) -> Result<(WorkloadKey, RankedScheme), String> {
 /// This is the single definition of the key grammar — [`parse_workload`] is
 /// its exact inverse, and both `put` and `get` key through the same
 /// [`WorkloadKey`] it round-trips. Both optional suffixes are omitted at
-/// their defaults (`groups == 1`, `dtype == f32`), keeping dense-f32 keys
-/// byte-identical to the v1 format on disk.
+/// their defaults (`groups == 1`, `dtype == f32`), which is also how the
+/// oldest files on disk spell dense-f32 keys.
 fn fmt_workload(p: &Conv2dParams, dtype: DType) -> String {
     let groups = if p.groups > 1 { format!("g{}", p.groups) } else { String::new() };
     let dt = if dtype != DType::F32 { format!("d{dtype}") } else { String::new() };
@@ -535,8 +512,7 @@ mod tests {
         // dimensions are distinct keys.
         let dense = Conv2dParams::square(64, 64, 28, 3, 1, 1);
         assert!(back.get("host", &dense).is_none());
-        // Dense keys keep the v1 format (no `g` suffix) so existing
-        // databases stay readable and re-serializable byte-for-byte.
+        // Dense keys carry no `g` suffix, as in the oldest files.
         let (pd, sd) = sample();
         let mut db2 = SchemeDatabase::new();
         db2.put("host", &pd, sd);
@@ -549,7 +525,6 @@ mod tests {
         let mut db = SchemeDatabase::new();
         db.put_dtyped("host", &p, DType::U8, schemes.clone());
         let text = db.to_text();
-        assert!(text.starts_with("neocpu-scheme-db v2\n"), "int8 db must be v2: {text}");
         assert!(text.contains("du8"), "int8 key missing dtype suffix: {text}");
         let back = SchemeDatabase::from_text(&text).unwrap();
         let got = back.get_dtyped("host", &p, DType::U8).unwrap();
@@ -575,20 +550,6 @@ mod tests {
     }
 
     #[test]
-    fn f32_only_db_keeps_v1_format() {
-        let (p, schemes) = sample();
-        let mut db = SchemeDatabase::new();
-        db.put("host", &p, schemes);
-        let text = db.to_text();
-        assert!(text.starts_with("neocpu-scheme-db v1\n"));
-        // 'd' appears in the header's "db"; only data lines must be clean.
-        assert!(
-            text.lines().skip(1).all(|l| !l.contains('d')),
-            "f32 keys must stay suffix-free: {text}"
-        );
-    }
-
-    #[test]
     fn loads_v1_and_pr4_era_files() {
         // A v1 file predating both the groups and dtype suffixes, plus a
         // PR-4-era row carrying only the `g{groups}` suffix: both must load
@@ -605,8 +566,16 @@ mod tests {
             db.get_dtyped("host", &dense, DType::F32).unwrap()[0].schedule
         );
         assert!(db.get("host", &dw).is_some());
-        // Round-tripping a file with no non-f32 entries keeps the v1 header.
-        assert_eq!(db.to_text(), text);
+        // Re-serializing upgrades the file to the one format the writer
+        // emits, and that loads back to the same schemes.
+        let upgraded = db.to_text();
+        assert_eq!(
+            upgraded,
+            "neocpu-scheme-db v3\n\
+             host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 os 1.25e-4\n\
+             host 64x64x28x28k3x3s1x1p1x1g64 16 16 8 0 os 3e-5\n"
+        );
+        assert_eq!(SchemeDatabase::from_text(&upgraded).unwrap().to_text(), upgraded);
     }
 
     #[test]
@@ -635,8 +604,8 @@ mod tests {
         assert_eq!(got.len(), 2, "dataflow must be part of the dedup identity");
         assert_eq!(got[0].schedule.dataflow, Dataflow::ShiftReuse);
         let text = db.to_text();
-        assert!(text.starts_with("neocpu-scheme-db v3\n"), "non-OS db must be v3: {text}");
-        assert!(text.contains(" sr "), "shift-reuse row missing token: {text}");
+        assert!(text.starts_with("neocpu-scheme-db v3\n"), "{text}");
+        assert!(text.contains(" sr ") && text.contains(" os "), "row missing its token: {text}");
         let back = SchemeDatabase::from_text(&text).unwrap();
         let got = back.get("host", &p).unwrap();
         assert_eq!(got.len(), 2);
@@ -685,21 +654,6 @@ mod tests {
         assert_eq!(kept.len(), 2);
         assert_eq!(kept[0].schedule.dataflow, Dataflow::ShiftReuse);
         assert_eq!(kept[1].schedule.dataflow, Dataflow::OutputStationary);
-    }
-
-    #[test]
-    fn os_only_db_never_writes_v3() {
-        // A database whose schemes are all output-stationary — even one
-        // built after the dataflow dimension existed — keeps the old header
-        // and 5-field rows so older readers stay compatible.
-        let (p, schemes) = sample();
-        let mut db = SchemeDatabase::new();
-        db.put("host", &p, schemes);
-        let text = db.to_text();
-        assert!(text.starts_with("neocpu-scheme-db v1\n"));
-        for line in text.lines().skip(1) {
-            assert_eq!(line.split_whitespace().count(), 7, "unexpected field count: {line}");
-        }
     }
 
     #[test]

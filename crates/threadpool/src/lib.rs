@@ -5,8 +5,8 @@
 //! size 1, where each model inference runs *many short* parallel regions.
 //! The paper's answer is a purpose-built fork-join pool:
 //!
-//! * the outermost operator loop is **statically split into N disjoint
-//!   pieces**, one per physical core;
+//! * the outermost operator loop is **split into disjoint pieces** across
+//!   one executor per physical core;
 //! * a **single-producer single-consumer lock-free queue** connects the
 //!   scheduler to every worker, so task hand-off is one atomic store;
 //! * fork-join coordination uses plain **atomics** (no mutex on the hot
@@ -16,7 +16,11 @@
 //! * workers are **bound to disjoint physical cores** and hyper-threading
 //!   is not used.
 //!
-//! [`ThreadPool`] implements exactly that. [`OmpLikePool`] implements the
+//! [`ThreadPool`] implements that, with one departure: the paper hands each
+//! core one equal piece, which makes every region as slow as the slowest
+//! core, so here the loop is cut into a few blocks per executor and the
+//! executors claim them from an atomic cursor (see `pool.rs`). [`OmpLikePool`]
+//! keeps the equal pieces (OpenMP's static schedule) and implements the
 //! comparison point: a central mutex-protected chunk queue with condvar
 //! broadcast per region, the structural overhead OpenMP-style runtimes pay.
 //! Both implement [`Parallelism`], so every kernel in `neocpu-kernels` can
@@ -40,13 +44,16 @@ pub use pool::ThreadPool;
 /// `run(total, body)` partitions `0..total` into disjoint ranges and invokes
 /// `body(worker_index, range)` for each, possibly concurrently. It returns
 /// only after every range has been processed, so `body` may borrow from the
-/// caller's stack.
+/// caller's stack. How many ranges there are, and which executor gets which,
+/// is the implementation's business: an executor may be handed several
+/// ranges in one region, or none, so `body` must not keep anything per
+/// range under its worker index alone.
 pub trait Parallelism: Send + Sync {
     /// Number of executors that participate in a region (including the
     /// calling thread).
     fn num_threads(&self) -> usize;
 
-    /// Executes `body` over a static, even partition of `0..total`.
+    /// Executes `body` over a partition of `0..total`.
     fn run(&self, total: usize, body: &(dyn Fn(usize, Range<usize>) + Sync));
 }
 
@@ -89,20 +96,18 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// The first `total % parts` ranges are one element longer, so range sizes
 /// differ by at most one.
 pub fn split_even(total: usize, parts: usize) -> Vec<Range<usize>> {
-    if total == 0 || parts == 0 {
-        return Vec::new();
-    }
     let parts = parts.min(total);
-    let base = total / parts;
-    let extra = total % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for p in 0..parts {
-        let len = base + usize::from(p < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    out
+    (0..parts).map(|i| even_part(total, parts, i)).collect()
+}
+
+/// Range `i` of [`split_even`]`(total, parts)`, computed in place, so that
+/// [`OmpLikePool`] fills its chunk queue without allocating. Requires
+/// `i < parts <= total`.
+pub(crate) fn even_part(total: usize, parts: usize, i: usize) -> Range<usize> {
+    debug_assert!(i < parts && parts <= total);
+    let (base, extra) = (total / parts, total % parts);
+    let start = i * base + i.min(extra);
+    start..start + base + usize::from(i < extra)
 }
 
 #[cfg(test)]
@@ -121,6 +126,8 @@ mod tests {
                     next = r.end;
                 }
                 assert_eq!(next, total);
+                // The longer ranges come first.
+                assert!(ranges.windows(2).all(|w| w[0].len() >= w[1].len()));
                 if total > 0 {
                     let max = ranges.iter().map(|r| r.len()).max().unwrap();
                     let min = ranges.iter().map(|r| r.len()).min().unwrap();

@@ -17,7 +17,7 @@ use std::thread::JoinHandle;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::{panic_message, split_even, Parallelism};
+use crate::{even_part, panic_message, Parallelism};
 
 type Body<'a> = dyn Fn(usize, Range<usize>) + Sync + 'a;
 
@@ -71,7 +71,8 @@ impl OmpLikePool {
             state: Mutex::new(RegionState {
                 epoch: 0,
                 body: None,
-                chunks: Vec::new(),
+                // Room for one chunk per executor: regions never reallocate it.
+                chunks: Vec::with_capacity(threads),
                 in_flight: 0,
                 shutdown: false,
             }),
@@ -158,9 +159,9 @@ impl Parallelism for OmpLikePool {
         if total == 0 {
             return;
         }
-        let ranges = split_even(total, self.threads);
-        if ranges.len() == 1 {
-            body(0, ranges[0].clone());
+        let parts = self.threads.min(total);
+        if parts == 1 {
+            body(0, 0..total);
             return;
         }
         let _serialize = self.scheduler.lock();
@@ -172,7 +173,7 @@ impl Parallelism for OmpLikePool {
         let mut state = self.shared.state.lock();
         state.epoch += 1;
         state.body = Some(body_ptr);
-        state.chunks = ranges.into_iter().enumerate().collect();
+        state.chunks.extend((0..parts).map(|i| (i, even_part(total, parts, i))));
         // Broadcast wake-up: every region pays a full team wake, the
         // OpenMP-style cost.
         self.shared.work_ready.notify_all();

@@ -1,12 +1,19 @@
 //! The NeoCPU fork-join thread pool (§3.1.2).
 //!
-//! One scheduler (the calling thread) statically splits a loop into N
-//! disjoint ranges; N−1 are handed to persistent workers through per-worker
-//! SPSC queues, the scheduler executes the first range itself, and the join
-//! is a cache-line-padded atomic countdown. No locks are taken on the hot
-//! path; a mutex serializes *schedulers* only (one lock per region, so that
-//! the single-producer discipline of each queue holds even if two threads
-//! share the pool).
+//! One scheduler (the calling thread) wakes N−1 persistent workers through
+//! per-worker SPSC queues and works alongside them; the join is a
+//! cache-line-padded atomic countdown. No locks are taken on the hot path; a
+//! mutex serializes *schedulers* only (one lock per region, so that the
+//! single-producer discipline of each queue holds even if two threads share
+//! the pool).
+//!
+//! The loop is cut into [`BLOCKS_PER_EXECUTOR`] blocks per executor and each
+//! executor claims the next unclaimed block from one atomic cursor until
+//! none is left. With N equal shares a region ends when the *slowest* core
+//! finishes its share: on a shared host, where one core at a time runs slow
+//! for seconds, every region then runs at that core's pace while the others
+//! idle at the join (EXPERIMENTS.md E15, "Steadiness"). Claiming blocks lets
+//! the faster core take more of them, for one `fetch_add` per block.
 
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
@@ -18,7 +25,7 @@ use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
 
 use crate::spsc::{self, Consumer, Producer};
-use crate::{affinity, panic_message, split_even, Parallelism};
+use crate::{affinity, panic_message, Parallelism};
 
 /// Tasks queued per worker; regions enqueue at most one task per worker and
 /// join before the next region, so this only needs headroom for `Stop`.
@@ -27,10 +34,21 @@ const QUEUE_CAP: usize = 8;
 /// Spins a worker performs on an empty queue before parking.
 const IDLE_SPINS: u32 = 1024;
 
+/// Blocks a region is cut into per executor. Executors end within one block
+/// of each other, so N of them idle for at most 1/(8·N) of the loop at the
+/// join, and a block of conv rows is still thousands of times its claim.
+const BLOCKS_PER_EXECUTOR: usize = 8;
+
 type Body<'a> = dyn Fn(usize, Range<usize>) + Sync + 'a;
 
-/// Join state of one parallel region, owned by the scheduler's stack frame.
+/// Claim and join state of one parallel region, owned by the scheduler's
+/// stack frame.
 struct RegionStatus {
+    /// First job no executor has claimed. Padded: every executor bumps it.
+    next: CachePadded<AtomicUsize>,
+    /// Jobs in the region, and how many one claim takes.
+    total: usize,
+    block: usize,
     /// Worker tasks not yet completed. Padded: the scheduler spins on it
     /// while workers decrement it.
     remaining: CachePadded<AtomicUsize>,
@@ -42,7 +60,22 @@ struct RegionStatus {
     panic_msg: Mutex<Option<String>>,
 }
 
-/// A unit of work sent to a worker.
+impl RegionStatus {
+    /// Runs `body` on blocks of jobs claimed from the region until every job
+    /// has been claimed. `Relaxed` suffices: a claim only has to be unique,
+    /// and what the bodies write is published by the join.
+    fn work(&self, body: &Body<'_>, worker: usize) {
+        loop {
+            let start = self.next.fetch_add(self.block, Ordering::Relaxed);
+            if start >= self.total {
+                return;
+            }
+            body(worker, start..(start + self.block).min(self.total));
+        }
+    }
+}
+
+/// A region to join, sent to a worker.
 struct WorkItem {
     /// Type-erased pointer to the region body.
     ///
@@ -51,7 +84,6 @@ struct WorkItem {
     body: *const Body<'static>,
     /// Worker index passed through to the body (scheduler is 0).
     worker: usize,
-    range: Range<usize>,
     /// Points into the scheduler's stack frame; same lifetime invariant.
     status: *const RegionStatus,
 }
@@ -185,14 +217,17 @@ impl Parallelism for ThreadPool {
             return;
         }
         self.regions.fetch_add(1, Ordering::Relaxed);
-        let ranges = split_even(total, self.threads);
-        if ranges.len() == 1 {
-            body(0, ranges[0].clone());
+        let parts = self.threads.min(total);
+        if parts == 1 {
+            body(0, 0..total);
             return;
         }
 
         let status = RegionStatus {
-            remaining: CachePadded::new(AtomicUsize::new(ranges.len() - 1)),
+            next: CachePadded::new(AtomicUsize::new(0)),
+            total,
+            block: total.div_ceil(parts * BLOCKS_PER_EXECUTOR),
+            remaining: CachePadded::new(AtomicUsize::new(parts - 1)),
             panicked: AtomicBool::new(false),
             panic_msg: Mutex::new(None),
         };
@@ -203,15 +238,14 @@ impl Parallelism for ThreadPool {
             unsafe { std::mem::transmute::<*const Body<'_>, *const Body<'static>>(body) };
 
         let mut workers = self.scheduler.lock();
-        for (i, range) in ranges[1..].iter().enumerate() {
+        for (handle, worker) in workers.iter_mut().zip(1..parts) {
             let mut item = Msg::Work(WorkItem {
                 body: body_ptr,
-                worker: i + 1,
-                range: range.clone(),
+                worker,
                 status: &status,
             });
             loop {
-                match workers[i].queue.push(item) {
+                match handle.queue.push(item) {
                     Ok(()) => break,
                     Err(back) => {
                         // Only possible if a previous `Stop` is still queued
@@ -221,13 +255,13 @@ impl Parallelism for ThreadPool {
                     }
                 }
             }
-            workers[i].thread.unpark();
+            handle.thread.unpark();
         }
 
         // The scheduler participates as worker 0. Catch a local panic so we
         // still join the region before unwinding: workers hold pointers into
         // this stack frame.
-        let local = panic::catch_unwind(AssertUnwindSafe(|| body(0, ranges[0].clone())));
+        let local = panic::catch_unwind(AssertUnwindSafe(|| status.work(body, 0)));
 
         let mut spins = 0u32;
         while status.remaining.load(Ordering::Acquire) != 0 {
@@ -293,8 +327,7 @@ fn worker_loop(mut rx: Consumer<Msg>, core: Option<usize>, panics: &AtomicU64) {
                 // until we decrement `remaining` below (it spins on it
                 // before returning), and `body` is `Sync`.
                 let (body, status) = unsafe { (&*item.body, &*item.status) };
-                let result =
-                    panic::catch_unwind(AssertUnwindSafe(|| body(item.worker, item.range.clone())));
+                let result = panic::catch_unwind(AssertUnwindSafe(|| status.work(body, item.worker)));
                 if let Err(payload) = result {
                     panics.fetch_add(1, Ordering::Relaxed);
                     let mut slot = status.panic_msg.lock();
@@ -385,11 +418,43 @@ mod tests {
         assert_eq!(total, 4);
     }
 
+    /// Jobs are claimed first come, first served, so a quick executor may
+    /// take them all. A region of `n` jobs on `n` executors whose body
+    /// starts with `everyone.wait()` holds each executor in its first job
+    /// until all have one: every executor then runs the body exactly once.
+    fn all_hands(n: usize) -> std::sync::Barrier {
+        std::sync::Barrier::new(n)
+    }
+
+    #[test]
+    fn a_stalled_executor_keeps_only_the_block_it_claimed() {
+        let pool = ThreadPool::new(2);
+        let done = AtomicUsize::new(0);
+        let blocks = 2 * BLOCKS_PER_EXECUTOR;
+        pool.run(4 * blocks, &|_, range| {
+            if range.start == 0 {
+                // Whoever claimed the first block stays in it until the
+                // other executor has finished every other block. Equal
+                // halves would leave half of them waiting behind this one.
+                let t0 = std::time::Instant::now();
+                while done.load(Ordering::Acquire) < blocks - 1 {
+                    assert!(t0.elapsed().as_secs() < 10, "the other blocks waited for this one");
+                    thread::yield_now();
+                }
+            }
+            assert_eq!(range.len(), 4);
+            done.fetch_add(1, Ordering::Release);
+        });
+        assert_eq!(done.load(Ordering::Relaxed), blocks);
+    }
+
     #[test]
     fn worker_panic_propagates_without_deadlock() {
         let pool = ThreadPool::new(4);
+        let everyone = all_hands(4);
         let result = panic::catch_unwind(AssertUnwindSafe(|| {
             pool.run(4, &|worker, _| {
+                everyone.wait();
                 if worker == 2 {
                     panic!("injected failure");
                 }
@@ -409,8 +474,10 @@ mod tests {
     #[test]
     fn worker_panic_message_is_captured() {
         let pool = ThreadPool::new(4);
+        let everyone = all_hands(4);
         let result = panic::catch_unwind(AssertUnwindSafe(|| {
             pool.run(4, &|worker, _| {
+                everyone.wait();
                 if worker != 0 {
                     panic!("boom from worker {worker}");
                 }
@@ -427,8 +494,10 @@ mod tests {
     #[test]
     fn scheduler_panic_still_joins_region() {
         let pool = ThreadPool::new(2);
+        let everyone = all_hands(2);
         let result = panic::catch_unwind(AssertUnwindSafe(|| {
             pool.run(2, &|worker, _| {
+                everyone.wait();
                 if worker == 0 {
                     panic!("scheduler-side failure");
                 }

@@ -62,6 +62,7 @@ const TESTS: &[(&str, fn())] = &[
     ("warm_run_with_performs_zero_allocations", warm_run_with_performs_zero_allocations),
     ("warm_depthwise_run_performs_zero_allocations", warm_depthwise_run_performs_zero_allocations),
     ("warm_quantized_run_performs_zero_allocations", warm_quantized_run_performs_zero_allocations),
+    ("warm_pooled_run_performs_zero_allocations", warm_pooled_run_performs_zero_allocations),
     ("warm_serve_cycle_performs_zero_allocations", warm_serve_cycle_performs_zero_allocations),
     ("latency_ring_wrap_never_reallocates", latency_ring_wrap_never_reallocates),
     (
@@ -113,6 +114,21 @@ fn residual_net() -> neocpu_graph::Graph {
     b.finish(vec![s])
 }
 
+/// Allocations over ten `run_with` calls on a context three calls warm
+/// (first runs may lazily initialize allocator internals). The context is
+/// handed back so the caller can look at the last result.
+fn warm_run_allocations(m: &neocpu::Module, input: &Tensor) -> (u64, neocpu::RunContext) {
+    let mut ctx = m.make_context();
+    for _ in 0..3 {
+        m.run_with(&mut ctx, std::slice::from_ref(input)).unwrap();
+    }
+    let before = allocation_count();
+    for _ in 0..10 {
+        m.run_with(&mut ctx, std::slice::from_ref(input)).unwrap();
+    }
+    (allocation_count() - before, ctx)
+}
+
 fn warm_run_with_performs_zero_allocations() {
     let g = residual_net();
     // Single-threaded: worker pools hand out work through their own
@@ -121,17 +137,7 @@ fn warm_run_with_performs_zero_allocations() {
     let m = compile(&g, &CpuTarget::host(), &opts).unwrap();
     let input = Tensor::random([1, 8, 16, 16], Layout::Nchw, 3, 1.0).unwrap();
 
-    let mut ctx = m.make_context();
-    // Warm-up: first runs may lazily initialize allocator internals.
-    for _ in 0..3 {
-        m.run_with(&mut ctx, std::slice::from_ref(&input)).unwrap();
-    }
-
-    let before = allocation_count();
-    for _ in 0..10 {
-        m.run_with(&mut ctx, std::slice::from_ref(&input)).unwrap();
-    }
-    let delta = allocation_count() - before;
+    let (delta, ctx) = warm_run_allocations(&m, &input);
     assert_eq!(delta, 0, "warm run_with allocated {delta} time(s); expected zero");
 
     // The context still holds a valid result after the measured loop.
@@ -143,6 +149,23 @@ fn warm_run_with_performs_zero_allocations() {
 fn warm_depthwise_run_performs_zero_allocations() {
     // A MobileNet-style separable tower: the depthwise template must take
     // its padded-input scratch from the planned arena, not the heap.
+    let g = separable_net();
+    let opts = CompileOptions::level(OptLevel::O2).with_pool(PoolChoice::Sequential);
+    let m = compile(&g, &CpuTarget::host(), &opts).unwrap();
+    assert!(m.memory_report().scratch_bytes > 0, "depthwise convs must reserve scratch");
+    let input = Tensor::random([1, 8, 16, 16], Layout::Nchw, 31, 1.0).unwrap();
+
+    let (delta, ctx) = warm_run_allocations(&m, &input);
+    assert_eq!(delta, 0, "warm depthwise run allocated {delta} time(s); expected zero");
+
+    let out = ctx.output(0).unwrap();
+    assert_eq!(out.shape().dims(), &[1, 10]);
+    assert!(out.data().iter().all(|v| v.is_finite()));
+}
+
+/// The separable tower of [`warm_depthwise_run_performs_zero_allocations`]:
+/// padded depthwise convs between pointwise ones.
+fn separable_net() -> neocpu_graph::Graph {
     let mut b = GraphBuilder::new(23);
     let x = b.input([1, 8, 16, 16]);
     let d1 = b.dw_conv_bn_relu(x, 3, 1, 1);
@@ -153,28 +176,45 @@ fn warm_depthwise_run_performs_zero_allocations() {
     let f = b.flatten(gap);
     let d = b.dense(f, 10);
     let s = b.softmax(d);
-    let g = b.finish(vec![s]);
+    b.finish(vec![s])
+}
 
-    let opts = CompileOptions::level(OptLevel::O2).with_pool(PoolChoice::Sequential);
-    let m = compile(&g, &CpuTarget::host(), &opts).unwrap();
-    assert!(m.memory_report().scratch_bytes > 0, "depthwise convs must reserve scratch");
+fn warm_pooled_run_performs_zero_allocations() {
+    use std::sync::atomic::AtomicUsize;
+    use neocpu_threadpool::{OmpLikePool, Parallelism};
+
+    // The same property with real parallel regions: the pool hands each
+    // worker its range of the operator loop without building the list of
+    // ranges on the heap, so a conv + depthwise model on two threads is as
+    // clean as on one.
+    let opts = CompileOptions::level(OptLevel::O2).with_pool(PoolChoice::Custom).with_threads(2);
+    let m = compile(&separable_net(), &CpuTarget::host(), &opts).unwrap();
     let input = Tensor::random([1, 8, 16, 16], Layout::Nchw, 31, 1.0).unwrap();
 
-    let mut ctx = m.make_context();
-    for _ in 0..3 {
-        m.run_with(&mut ctx, std::slice::from_ref(&input)).unwrap();
-    }
+    let (delta, ctx) = warm_run_allocations(&m, &input);
+    assert_eq!(delta, 0, "warm run on a 2-thread pool allocated {delta} time(s)");
+    assert!(ctx.output(0).unwrap().data().iter().all(|v| v.is_finite()));
 
+    // The omp-like baseline pool makes the same promise. Its caller can
+    // drain whole regions before a freshly spawned worker has finished
+    // starting up — which allocates, on the worker, whenever it gets to run
+    // — so meet the worker inside one region before counting.
+    let pool = OmpLikePool::new(2);
+    let arrived = AtomicUsize::new(0);
+    pool.run(2, &|_, _| {
+        arrived.fetch_add(1, Ordering::SeqCst);
+        while arrived.load(Ordering::SeqCst) < 2 {
+            std::hint::spin_loop();
+        }
+    });
     let before = allocation_count();
-    for _ in 0..10 {
-        m.run_with(&mut ctx, std::slice::from_ref(&input)).unwrap();
+    for _ in 0..100 {
+        pool.run(64, &|_, range| {
+            std::hint::black_box(range);
+        });
     }
     let delta = allocation_count() - before;
-    assert_eq!(delta, 0, "warm depthwise run allocated {delta} time(s); expected zero");
-
-    let out = ctx.output(0).unwrap();
-    assert_eq!(out.shape().dims(), &[1, 10]);
-    assert!(out.data().iter().all(|v| v.is_finite()));
+    assert_eq!(delta, 0, "100 omp-like regions allocated {delta} time(s)");
 }
 
 fn warm_quantized_run_performs_zero_allocations() {
@@ -191,16 +231,7 @@ fn warm_quantized_run_performs_zero_allocations() {
     assert!(!report.fell_back, "accuracy gate rejected the int8 module: {report:?}");
     let input = Tensor::random([1, 8, 16, 16], Layout::Nchw, 13, 1.0).unwrap();
 
-    let mut ctx = m.make_context();
-    for _ in 0..3 {
-        m.run_with(&mut ctx, std::slice::from_ref(&input)).unwrap();
-    }
-
-    let before = allocation_count();
-    for _ in 0..10 {
-        m.run_with(&mut ctx, std::slice::from_ref(&input)).unwrap();
-    }
-    let delta = allocation_count() - before;
+    let (delta, ctx) = warm_run_allocations(&m, &input);
     assert_eq!(delta, 0, "warm quantized run allocated {delta} time(s); expected zero");
 
     let out = ctx.output(0).unwrap();

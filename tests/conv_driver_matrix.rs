@@ -1,0 +1,429 @@
+//! Differential test of the conv *row driver* — the loop nest around the
+//! strips that `tests/strip_matrix.rs` covers.
+//!
+//! {dense, depthwise} × {f32, u8} × batch {1, 3} × `par` {`Sequential`,
+//! 2-thread `ThreadPool`} × scratch {`None`, poisoned `Some`} × epilogue
+//! {none, bias + residual + ReLU} × pad {0, 1} × stride {1, 2}, with the
+//! output poisoned too. Every workload has two channel chunks on each side
+//! and a non-square image, so a wrong batch/chunk stride or a swapped
+//! height/width cannot pass by luck. f32 results are held against the NCHW
+//! reference; int8 results are bit-identical across `par` and scratch
+//! (integer accumulation is exact) and within the dequantized-reference
+//! budget — which is what catches a halo filled with anything but the zero
+//! point. The last test pins the error paths every instantiation keeps.
+
+use neocpu_kernels::conv::{
+    conv2d_nchw_direct, conv2d_nchwc, conv2d_nchwc_u8, padded_input_len, Conv2dParams, ConvQuant,
+    ConvSchedule, Dataflow, Epilogue,
+};
+use neocpu_kernels::quantize::{
+    dequantize_tensor, quantize_dense_weights, quantize_dw_weights, quantize_tensor,
+    QuantizedWeights,
+};
+use neocpu_tensor::{transform::to_layout, DType, Layout, Tensor};
+use neocpu_threadpool::{Parallelism, Sequential, ThreadPool};
+
+const BN: usize = 8;
+const TOL: f32 = 1e-3;
+
+#[derive(Debug, Clone, Copy)]
+struct Case {
+    depthwise: bool,
+    batch: usize,
+    pad: usize,
+    stride: usize,
+    full_epilogue: bool,
+}
+
+impl Case {
+    /// 7×10 image, 3×3 kernel: output widths {8, 10, 4, 5} against `reg_n`
+    /// 4, so half the cases end their rows on a tail strip.
+    fn params(&self) -> Conv2dParams {
+        let base = if self.depthwise {
+            Conv2dParams::depthwise(2 * BN, 1, 3, self.stride, self.pad)
+        } else {
+            Conv2dParams::square(BN, 2 * BN, 1, 3, self.stride, self.pad)
+        };
+        Conv2dParams { in_h: 7, in_w: 10, ..base }
+    }
+
+    /// Dense: two input chunks of 4 (quad-packable) into two output chunks
+    /// of 8. Depthwise: two chunks of 8.
+    fn schedule(&self) -> ConvSchedule {
+        let ic_bn = if self.depthwise { BN } else { BN / 2 };
+        ConvSchedule { ic_bn, oc_bn: BN, reg_n: 4, unroll_ker: false, ..Default::default() }
+    }
+
+    fn seed(&self) -> u64 {
+        (usize::from(self.depthwise) * 1000 + self.batch * 100 + self.pad * 10 + self.stride) as u64
+    }
+}
+
+fn for_each_case(mut f: impl FnMut(Case)) {
+    for depthwise in [false, true] {
+        for batch in [1, 3] {
+            for pad in [0, 1] {
+                for stride in [1, 2] {
+                    for full_epilogue in [false, true] {
+                        f(Case { depthwise, batch, pad, stride, full_epilogue });
+                    }
+                }
+            }
+        }
+    }
+}
+
+fn in_dims(p: &Conv2dParams, batch: usize) -> [usize; 4] {
+    [batch, p.in_channels, p.in_h, p.in_w]
+}
+
+fn weight_dims(p: &Conv2dParams) -> [usize; 4] {
+    [p.out_channels, p.in_channels_per_group(), p.kernel_h, p.kernel_w]
+}
+
+fn out_dims(p: &Conv2dParams, batch: usize) -> [usize; 4] {
+    [batch, p.out_channels, p.out_h(), p.out_w()]
+}
+
+fn f32_weight_layout(p: &Conv2dParams, s: &ConvSchedule) -> Layout {
+    Layout::OihwIo { i: if p.is_depthwise() { 1 } else { s.ic_bn }, o: s.oc_bn }
+}
+
+/// The bias / residual / ReLU operands of the full epilogue, in NCHW.
+struct EpilogueData {
+    bias: Vec<f32>,
+    residual: Tensor,
+}
+
+impl EpilogueData {
+    fn new(p: &Conv2dParams, batch: usize, seed: u64) -> Self {
+        Self {
+            bias: (0..p.out_channels).map(|c| c as f32 * 0.1 - 0.4).collect(),
+            residual: Tensor::random(out_dims(p, batch), Layout::Nchw, seed + 9, 1.0).unwrap(),
+        }
+    }
+}
+
+/// Runs `conv` under every `par` × scratch combination with the output (and
+/// the scratch, when given) poisoned, and returns the four outputs:
+/// `[seq/None, seq/Some, pool/None, pool/Some]`.
+fn run_variants<T: Copy>(
+    p: &Conv2dParams,
+    s: &ConvSchedule,
+    batch: usize,
+    poison: T,
+    conv: impl Fn(&mut Tensor, &dyn Parallelism, Option<&mut [T]>),
+) -> Vec<Tensor> {
+    let pool = ThreadPool::new(2);
+    let pars: [&dyn Parallelism; 2] = [&Sequential, &pool];
+    let mut outs = Vec::new();
+    for par in pars {
+        for planned in [false, true] {
+            let mut out = Tensor::zeros(out_dims(p, batch), Layout::NchwC(s.oc_bn)).unwrap();
+            out.data_mut().fill(f32::NAN);
+            let mut scratch = vec![poison; padded_input_len(p, s.ic_bn, batch)];
+            conv(&mut out, par, planned.then_some(scratch.as_mut_slice()));
+            assert!(out.data().iter().all(|v| v.is_finite()), "{p:?}: poison survived");
+            outs.push(out);
+        }
+    }
+    outs
+}
+
+#[test]
+fn f32_driver_matches_the_nchw_reference() {
+    let mut runs = 0usize;
+    for_each_case(|case| {
+        let (p, s, seed) = (case.params(), case.schedule(), case.seed());
+        let input = Tensor::random(in_dims(&p, case.batch), Layout::Nchw, seed, 1.0).unwrap();
+        let weights = Tensor::random(weight_dims(&p), Layout::Oihw, seed + 1, 1.0).unwrap();
+        let epi_data = EpilogueData::new(&p, case.batch, seed);
+        let epilogue = |residual| {
+            if case.full_epilogue {
+                Epilogue { bias: Some(&epi_data.bias), relu: true, residual: Some(residual) }
+            } else {
+                Epilogue::none()
+            }
+        };
+        let mut reference = Tensor::zeros(out_dims(&p, case.batch), Layout::Nchw).unwrap();
+        conv2d_nchw_direct(
+            &input,
+            &weights,
+            &mut reference,
+            &p,
+            &epilogue(&epi_data.residual),
+            &Sequential,
+        )
+        .unwrap();
+
+        let bi = to_layout(&input, Layout::NchwC(s.ic_bn)).unwrap();
+        let bw = to_layout(&weights, f32_weight_layout(&p, &s)).unwrap();
+        let res_b = to_layout(&epi_data.residual, Layout::NchwC(s.oc_bn)).unwrap();
+        let outs = run_variants(&p, &s, case.batch, f32::NAN, |out, par, scratch| {
+            conv2d_nchwc(&bi, &bw, out, &p, &s, &epilogue(&res_b), par, usize::MAX, scratch)
+                .unwrap();
+        });
+        assert!(
+            reference.approx_eq(&outs[0], TOL),
+            "{case:?}: diff {}",
+            reference.max_abs_diff(&outs[0])
+        );
+        for (i, out) in outs.iter().enumerate().skip(1) {
+            assert_eq!(outs[0].data(), out.data(), "{case:?}: variant {i} differs");
+            runs += 1;
+        }
+    });
+    assert_eq!(runs, 32 * 3, "32 cases, three variants each held to the first");
+}
+
+/// A quantized workload and everything the int8 template and its f32
+/// reference need: calibrated `[-1, 1)` activations, quantized weights, the
+/// folded multiplier and the zero-point bias correction.
+struct QuantCase {
+    input_q: Tensor,
+    wq: QuantizedWeights,
+    mult: Vec<f32>,
+    bias_corr: Vec<f32>,
+    scale: f32,
+    zp: u8,
+}
+
+impl QuantCase {
+    fn new(p: &Conv2dParams, s: &ConvSchedule, batch: usize, seed: u64) -> Self {
+        let scale = 2.0f32 / 255.0;
+        let zp = (1.0 / scale).round() as u8;
+        let input =
+            Tensor::random(in_dims(p, batch), Layout::NchwC(s.ic_bn), seed, 1.0).unwrap();
+        let mut input_q =
+            Tensor::zeros_dtyped(in_dims(p, batch), Layout::NchwC(s.ic_bn), DType::U8).unwrap();
+        quantize_tensor(&input, &mut input_q, scale, zp).unwrap();
+        let weights = Tensor::random(weight_dims(p), Layout::Oihw, seed + 1, 0.5).unwrap();
+        let wq = if p.is_depthwise() {
+            quantize_dw_weights(&weights, s.oc_bn).unwrap()
+        } else {
+            quantize_dense_weights(&weights, s.ic_bn, s.oc_bn).unwrap()
+        };
+        let mult: Vec<f32> = wq.scales.iter().map(|&sw| sw * scale).collect();
+        let bias_corr =
+            mult.iter().zip(&wq.tap_sums).map(|(&m, &ts)| -m * f32::from(zp) * ts as f32).collect();
+        Self { input_q, wq, mult, bias_corr, scale, zp }
+    }
+
+    /// The f32 convolution of the *dequantized* operands — what the int8
+    /// template computes exactly, modulo f32 summation order.
+    fn dequantized_reference(&self, p: &Conv2dParams, epilogue: &Epilogue<'_>) -> Tensor {
+        let dims = self.input_q.shape().dims().to_vec();
+        let mut deq = Tensor::zeros(dims.clone(), self.input_q.layout()).unwrap();
+        dequantize_tensor(&self.input_q, &mut deq, self.scale, self.zp).unwrap();
+        let deq = to_layout(&deq, Layout::Nchw).unwrap();
+        let wt = &self.wq.tensor;
+        let mut wdeq = Tensor::zeros(weight_dims(p), Layout::Oihw).unwrap();
+        let wd = weight_dims(p);
+        for o in 0..wd[0] {
+            for i in 0..wd[1] {
+                for r in 0..wd[2] {
+                    for c in 0..wd[3] {
+                        let off = wt.layout().offset(wt.shape(), &[o, i, r, c]);
+                        let v = f32::from(wt.data_i8()[off]) * self.wq.scales[o];
+                        wdeq.set(&[o, i, r, c], v);
+                    }
+                }
+            }
+        }
+        let mut out = Tensor::zeros(out_dims(p, dims[0]), Layout::Nchw).unwrap();
+        conv2d_nchw_direct(&deq, &wdeq, &mut out, p, epilogue, &Sequential).unwrap();
+        out
+    }
+}
+
+#[test]
+fn int8_driver_is_deterministic_and_matches_the_dequantized_reference() {
+    let mut runs = 0usize;
+    for_each_case(|case| {
+        let (p, s, seed) = (case.params(), case.schedule(), case.seed());
+        let q = QuantCase::new(&p, &s, case.batch, seed);
+        let epi_data = EpilogueData::new(&p, case.batch, seed);
+        let reference = q.dequantized_reference(
+            &p,
+            &if case.full_epilogue {
+                Epilogue {
+                    bias: Some(&epi_data.bias),
+                    relu: true,
+                    residual: Some(&epi_data.residual),
+                }
+            } else {
+                Epilogue::none()
+            },
+        );
+
+        // The zero-point correction always rides in the bias.
+        let bias: Vec<f32> = q
+            .bias_corr
+            .iter()
+            .zip(&epi_data.bias)
+            .map(|(&corr, &b)| if case.full_epilogue { corr + b } else { corr })
+            .collect();
+        let res_b = to_layout(&epi_data.residual, Layout::NchwC(s.oc_bn)).unwrap();
+        let epilogue = Epilogue {
+            bias: Some(&bias),
+            relu: case.full_epilogue,
+            residual: case.full_epilogue.then_some(&res_b),
+        };
+        let quant = ConvQuant { mult: &q.mult, zero_point: q.zp };
+        let outs = run_variants(&p, &s, case.batch, 0xAAu8, |out, par, scratch| {
+            conv2d_nchwc_u8(
+                &q.input_q,
+                &q.wq.tensor,
+                out,
+                &p,
+                &s,
+                &quant,
+                &epilogue,
+                par,
+                usize::MAX,
+                scratch,
+            )
+            .unwrap();
+        });
+        assert!(
+            reference.approx_eq(&outs[0], TOL),
+            "{case:?}: diff {}",
+            reference.max_abs_diff(&outs[0])
+        );
+        for (i, out) in outs.iter().enumerate().skip(1) {
+            assert_eq!(outs[0].data(), out.data(), "{case:?}: variant {i} differs");
+            runs += 1;
+        }
+    });
+    assert_eq!(runs, 32 * 3, "32 cases, three variants each held to the first");
+}
+
+/// Every way a caller can hand the template the wrong thing is an `Err`
+/// (never a panic, never a silent misread) — for both shapes and both
+/// element types.
+#[test]
+fn every_instantiation_keeps_its_error_paths() {
+    for depthwise in [false, true] {
+        let case = Case { depthwise, batch: 1, pad: 1, stride: 1, full_epilogue: false };
+        let (p, s) = (case.params(), case.schedule());
+        let other = Layout::NchwC(2);
+
+        // ---- f32 ----
+        let input = Tensor::zeros(in_dims(&p, 1), Layout::NchwC(s.ic_bn)).unwrap();
+        let weights = Tensor::zeros(weight_dims(&p), f32_weight_layout(&p, &s)).unwrap();
+        let run = |input: &Tensor,
+                   weights: &Tensor,
+                   out_layout: Layout,
+                   p: &Conv2dParams,
+                   scratch: Option<&mut [f32]>| {
+            let mut out = Tensor::zeros(out_dims(p, 1), out_layout).unwrap();
+            conv2d_nchwc(
+                input,
+                weights,
+                &mut out,
+                p,
+                &s,
+                &Epilogue::none(),
+                &Sequential,
+                usize::MAX,
+                scratch,
+            )
+        };
+        let good_out = Layout::NchwC(s.oc_bn);
+        run(&input, &weights, good_out, &p, None).expect("the well-formed call");
+        let bad_input = Tensor::zeros(in_dims(&p, 1), other).unwrap();
+        assert!(run(&bad_input, &weights, good_out, &p, None).is_err(), "input layout");
+        let bad_weights = Tensor::zeros(weight_dims(&p), Layout::Oihw).unwrap();
+        assert!(run(&input, &bad_weights, good_out, &p, None).is_err(), "weight layout");
+        assert!(run(&input, &weights, other, &p, None).is_err(), "output layout");
+        let mut short = vec![0.0f32; 8];
+        assert!(run(&input, &weights, good_out, &p, Some(&mut short)).is_err(), "scratch length");
+        let grouped = Conv2dParams { groups: 2, ..p };
+        assert!(run(&input, &weights, good_out, &grouped, None).is_err(), "grouped non-depthwise");
+
+        // ---- u8 ----
+        let input_q =
+            Tensor::zeros_dtyped(in_dims(&p, 1), Layout::NchwC(s.ic_bn), DType::U8).unwrap();
+        let wq_layout = if depthwise {
+            Layout::OihwIo { i: 1, o: s.oc_bn }
+        } else {
+            Layout::OihwIo4 { i: s.ic_bn, o: s.oc_bn }
+        };
+        let weights_q = Tensor::zeros_dtyped(weight_dims(&p), wq_layout, DType::I8).unwrap();
+        let mult = vec![1.0f32; p.out_channels];
+        let run_q = |input: &Tensor,
+                     weights: &Tensor,
+                     out_layout: Layout,
+                     p: &Conv2dParams,
+                     s: &ConvSchedule,
+                     mult: &[f32],
+                     scratch: Option<&mut [u8]>| {
+            let mut out = Tensor::zeros(out_dims(p, 1), out_layout).unwrap();
+            conv2d_nchwc_u8(
+                input,
+                weights,
+                &mut out,
+                p,
+                s,
+                &ConvQuant { mult, zero_point: 3 },
+                &Epilogue::none(),
+                &Sequential,
+                usize::MAX,
+                scratch,
+            )
+        };
+        run_q(&input_q, &weights_q, good_out, &p, &s, &mult, None).expect("the well-formed call");
+        let bad_input = Tensor::zeros_dtyped(in_dims(&p, 1), other, DType::U8).unwrap();
+        assert!(
+            run_q(&bad_input, &weights_q, good_out, &p, &s, &mult, None).is_err(),
+            "input layout"
+        );
+        let bad_weights = Tensor::zeros_dtyped(weight_dims(&p), Layout::Oihw, DType::I8).unwrap();
+        assert!(
+            run_q(&input_q, &bad_weights, good_out, &p, &s, &mult, None).is_err(),
+            "weight layout"
+        );
+        assert!(run_q(&input_q, &weights_q, other, &p, &s, &mult, None).is_err(), "output layout");
+        // f32 operands in the right layouts: the dtype check fires.
+        assert!(run_q(&input, &weights_q, good_out, &p, &s, &mult, None).is_err(), "input dtype");
+        let f32_weights = Tensor::zeros(weight_dims(&p), wq_layout).unwrap();
+        assert!(
+            run_q(&input_q, &f32_weights, good_out, &p, &s, &mult, None).is_err(),
+            "weight dtype"
+        );
+        let mut short = vec![0u8; 8];
+        assert!(
+            run_q(&input_q, &weights_q, good_out, &p, &s, &mult, Some(&mut short)).is_err(),
+            "scratch length"
+        );
+        assert!(
+            run_q(&input_q, &weights_q, good_out, &p, &s, &mult[1..], None).is_err(),
+            "mult length"
+        );
+        let sr = ConvSchedule { dataflow: Dataflow::ShiftReuse, ..s };
+        assert!(
+            run_q(&input_q, &weights_q, good_out, &p, &sr, &mult, None).is_err(),
+            "non-os dataflow"
+        );
+        let grouped = Conv2dParams { groups: 2, ..p };
+        assert!(
+            run_q(&input_q, &weights_q, good_out, &grouped, &s, &mult, None).is_err(),
+            "grouped non-depthwise"
+        );
+        if !depthwise {
+            // Dense int8 needs quad-packable input blocks.
+            let odd = ConvSchedule { ic_bn: 2, ..s };
+            let input_q = Tensor::zeros_dtyped(in_dims(&p, 1), other, DType::U8).unwrap();
+            let weights_q = Tensor::zeros_dtyped(
+                weight_dims(&p),
+                Layout::OihwIo { i: 2, o: s.oc_bn },
+                DType::I8,
+            )
+            .unwrap();
+            assert!(
+                run_q(&input_q, &weights_q, good_out, &p, &odd, &mult, None).is_err(),
+                "ic_bn % 4"
+            );
+        }
+    }
+}

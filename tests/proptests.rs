@@ -1,8 +1,7 @@
 //! Cross-crate property-based tests on the stack's core invariants.
 
 use neocpu_kernels::conv::{
-    conv2d_nchw_direct, conv2d_nchwc, depthwise_conv2d_nchwc, padded_input_len, Conv2dParams,
-    ConvSchedule, Epilogue,
+    conv2d_nchw_direct, conv2d_nchwc, padded_input_len, Conv2dParams, ConvSchedule, Epilogue,
 };
 use neocpu_tensor::{transform::to_layout, Layout, Tensor};
 use neocpu_threadpool::{split_even, Sequential};
@@ -150,7 +149,7 @@ proptest! {
             Tensor::zeros([batch, c, p.out_h(), p.out_w()], Layout::NchwC(bn)).unwrap();
         let mut scratch = vec![f32::NAN; padded_input_len(&p, bn, batch)];
         let scratch_arg = (!scratch.is_empty()).then_some(scratch.as_mut_slice());
-        depthwise_conv2d_nchwc(
+        conv2d_nchwc(
             &bi, &bw, &mut out, &p, &s, &Epilogue::none(), &Sequential, usize::MAX, scratch_arg,
         )
         .unwrap();

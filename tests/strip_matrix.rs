@@ -14,9 +14,8 @@
 //! the scalar fallback and only show up as a slow layer.
 
 use neocpu_kernels::conv::{
-    conv2d_nchw_direct, conv2d_nchwc, conv2d_nchwc_u8, depthwise_conv2d_nchwc,
-    depthwise_conv2d_nchwc_u8, padded_input_len, reg_n_candidates, simd_strip_exists,
-    Conv2dParams, ConvQuant, ConvSchedule, Dataflow, Epilogue,
+    conv2d_nchw_direct, conv2d_nchwc, conv2d_nchwc_u8, padded_input_len, reg_n_candidates,
+    simd_strip_exists, Conv2dParams, ConvQuant, ConvSchedule, Dataflow, Epilogue,
 };
 use neocpu_kernels::quantize::{quantize_dense_weights, quantize_dw_weights};
 use neocpu_tensor::{transform::to_layout, DType, Layout, Tensor};
@@ -105,9 +104,10 @@ fn f32_strips_match_the_nchw_reference() {
                 out.data_mut().fill(f32::NAN);
                 let mut scratch = vec![f32::NAN; padded_input_len(p, bn, 1)];
                 let scratch = (!scratch.is_empty()).then_some(scratch.as_mut_slice());
-                let conv = if p.is_depthwise() { depthwise_conv2d_nchwc } else { conv2d_nchwc };
-                conv(&bi, &bw, &mut out, p, &s, &Epilogue::none(), &Sequential, max_lanes, scratch)
-                    .unwrap();
+                conv2d_nchwc(
+                    &bi, &bw, &mut out, p, &s, &Epilogue::none(), &Sequential, max_lanes, scratch,
+                )
+                .unwrap();
                 // `max_abs_diff` skips NaN (it compares false), so the
                 // poison needs its own check.
                 assert!(
@@ -158,9 +158,7 @@ fn int8_simd_strips_are_bit_identical_to_the_scalar_strip() {
             out.data_mut().fill(f32::NAN);
             let mut scratch = vec![0xAAu8; padded_input_len(p, bn, 1)];
             let scratch = (!scratch.is_empty()).then_some(scratch.as_mut_slice());
-            let conv =
-                if p.is_depthwise() { depthwise_conv2d_nchwc_u8 } else { conv2d_nchwc_u8 };
-            conv(
+            conv2d_nchwc_u8(
                 &input, &wq.tensor, &mut out, p, s, &quant, &Epilogue::none(), &Sequential,
                 max_lanes, scratch,
             )
