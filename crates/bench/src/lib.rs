@@ -539,7 +539,7 @@ pub fn dataflow_sweep(cfg: &HarnessCfg) -> Vec<DataflowSweepRow> {
             // The per-tier model mirrors what the lane cap does at runtime
             // (cost.rs `efficiency` keys vector width off oc_bn).
             let model = match lanes {
-                8 => AnalyticalModel { vec_lanes: 8, vector_registers: 16, ..Default::default() },
+                8 => AnalyticalModel { vec_lanes: 8, ..Default::default() },
                 1 => AnalyticalModel { vec_lanes: 1, ..Default::default() },
                 _ => AnalyticalModel::default(),
             };

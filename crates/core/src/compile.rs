@@ -25,7 +25,7 @@ use neocpu_graph::passes::{
     wrap_convs_with_transforms, UniformPlanCfg,
 };
 use neocpu_graph::{infer_layouts, infer_shapes, Graph, NodeId, Op};
-use neocpu_kernels::conv::{factors_descending, Conv2dParams, ConvSchedule};
+use neocpu_kernels::conv::{factors_descending, fitting_reg_n, Conv2dParams, ConvSchedule};
 use neocpu_search::{
     extract_problem, local_search, solve, CostModel, GlobalCfg, LocalSearchCfg, RankedScheme,
     SchemeDatabase, TimedMeasurer,
@@ -386,6 +386,7 @@ fn global_search(
         }
         SearchStrategy::Hybrid { preselect, .. } => LocalSearchCfg {
             preselect: Some(preselect),
+            preselect_model: analytical,
             keep: opts.keep_candidates,
             ..Default::default()
         },
@@ -484,8 +485,8 @@ fn global_search(
 }
 
 /// A conservative schedule for `params` that always verifies on `target`:
-/// the largest channel factors within the preferred block, the target's
-/// default register blocking capped by the output width.
+/// the largest channel factors within the preferred block, and the longest
+/// strip the template runs within the target's default register blocking.
 fn default_schedule(params: &Conv2dParams, target: &CpuTarget) -> ConvSchedule {
     let block = target.preferred_block();
     let oc_bn = factors_descending(params.out_channels, block).first().copied().unwrap_or(1);
@@ -497,7 +498,7 @@ fn default_schedule(params: &Conv2dParams, target: &CpuTarget) -> ConvSchedule {
     } else {
         factors_descending(params.in_channels, block).first().copied().unwrap_or(1)
     };
-    let reg_n = default_reg_n(target).min(params.out_w().max(1)).clamp(1, 28);
+    let reg_n = fitting_reg_n(params, oc_bn, target.max_lanes(), default_reg_n(target));
     ConvSchedule { ic_bn, oc_bn, reg_n, unroll_ker: true, ..Default::default() }
 }
 

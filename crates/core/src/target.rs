@@ -144,7 +144,6 @@ impl CpuTarget {
             macs_per_sec: self.macs_per_sec,
             mem_bytes_per_sec: self.mem_bytes_per_sec,
             l1_bytes: self.l1d,
-            vector_registers: self.isa.vector_registers(),
         }
     }
 }

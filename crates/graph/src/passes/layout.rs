@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 
-use neocpu_kernels::conv::ConvSchedule;
+use neocpu_kernels::conv::{fitting_reg_n, ConvSchedule};
 use neocpu_tensor::Layout;
 
 use crate::infer::infer_shapes;
@@ -31,7 +31,8 @@ use crate::{GraphError, Result};
 pub struct UniformPlanCfg {
     /// The constant channel-block factor `x` (16 in Figure 2).
     pub block: usize,
-    /// Register-blocking factor for every CONV (clamped to its width).
+    /// Register-blocking factor for every CONV: each takes the longest strip
+    /// its template runs that is no longer than this.
     pub reg_n: usize,
     /// Kernel-loop unrolling flag for every CONV.
     pub unroll: bool,
@@ -51,10 +52,11 @@ fn best_factor(n: usize, cap: usize) -> usize {
 
 /// Builds the uniform schedule for one conv workload.
 fn uniform_schedule(p: &neocpu_kernels::Conv2dParams, cfg: &UniformPlanCfg) -> ConvSchedule {
+    let oc_bn = best_factor(p.out_channels, cfg.block);
     ConvSchedule {
         ic_bn: best_factor(p.in_channels, cfg.block),
-        oc_bn: best_factor(p.out_channels, cfg.block),
-        reg_n: cfg.reg_n.min(p.out_w().max(1)).min(28),
+        oc_bn,
+        reg_n: fitting_reg_n(p, oc_bn, usize::MAX, cfg.reg_n),
         unroll_ker: cfg.unroll,
         ..Default::default()
     }

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! parallel for each disjoint chunk of OFMAP          // (n, oc_chunk, oh)
-//!   for ow_outer in 0 .. out_width / reg_n           //  + explicit tail
+//!   for ow_outer in 0 .. out_width / reg_n           //  + the remainder
 //!     init V_REG[1..=reg_n] = 0
 //!     for ic_outer, (kernel entries, opt. unrolled), ic_inner:
 //!       vload kernel vector, vfmadd into the reg_n accumulators
@@ -13,14 +13,17 @@
 //! ```
 //!
 //! [`drive`] is that loop nest — operand validation, padding, the
-//! `(n, chunk, oh)` job loop, the strips of one row, the row epilogue —
-//! generic over the activation and weight element types, with the strip
-//! microkernel as a monomorphized parameter. Dense and depthwise workloads
-//! (§3.1.1's "other CONV workloads such as … depth-wise CONV") share it:
-//! a depthwise convolution has no input-channel reduction, so input and
-//! output blocking agree (`ic_bn == oc_bn`), the weights carry one
-//! `kh×kw` filter per channel (`OIHW1i[x]o`), and the only things the
-//! driver does differently are the two chunk strides it computes up front.
+//! `(n, chunk, oh)` job loop, the strips of one row as its [`StripPlan`]
+//! cuts them, the row epilogue — generic over the activation and weight
+//! element types, with the strip microkernel as a monomorphized parameter.
+//! A pointwise workload's plane is one strip row
+//! ([`Conv2dParams::strip_row`]), cut into row-sized jobs. Dense and
+//! depthwise workloads (§3.1.1's "other CONV workloads such as … depth-wise
+//! CONV") share the nest: a depthwise convolution has no input-channel
+//! reduction, so input and output blocking agree (`ic_bn == oc_bn`), the
+//! weights carry one `kh×kw` filter per channel (`OIHW1i[x]o`), and the only
+//! things the driver does differently are the two chunk strides it computes
+//! up front.
 //! The public entry points are thin instantiations: [`conv2d_nchwc`] here
 //! (`f32 × f32`) and [`conv2d_nchwc_u8`](super::conv2d_nchwc_u8)
 //! (`u8 × i8`).
@@ -32,7 +35,7 @@
 use neocpu_tensor::{AlignedBuf, DType, Layout, Tensor};
 use neocpu_threadpool::Parallelism;
 
-use super::microkernel::{self, Geo, Strip};
+use super::microkernel::{self, Geo, Strip, StripPlan};
 use super::{Conv2dParams, ConvSchedule, Epilogue, RowEpilogue};
 use crate::util::SendPtr;
 use crate::{KernelError, Result};
@@ -237,40 +240,48 @@ pub(super) fn drive<A: Elem, W: Elem>(
         (0, geo.ic_chunks * geo.kh * geo.kw * ic_bn * oc_bn)
     };
     let (reg_n, sh) = (schedule.reg_n, p.stride_h);
+    // A job is a block of one strip row: a whole image row — or, on a
+    // pointwise plane (one `oh·ow`-pixel row), whole `reg_n` strips about an
+    // image row long, so the job count and with it the pool's balance are
+    // what row jobs give.
+    let (rows, row_w) = p.strip_row();
+    let block = ow.div_ceil(reg_n) * reg_n;
+    let blocks = row_w.div_ceil(block);
     let w_data = W::data(weights);
     let epilogue = RowEpilogue::new(epilogue);
     let out_ptr = SendPtr(output.data_mut().as_mut_ptr());
 
-    par.run(n * chunks * oh, &|_, range| {
+    par.run(n * chunks * rows * blocks, &|_, range| {
         for job in range {
-            let b = job / (chunks * oh);
-            let rest = job % (chunks * oh);
-            let (chunk, y) = (rest / oh, rest % oh);
-            let row_off = job * ow * oc_bn;
-            // SAFETY: jobs are disjoint (n, chunk, y) triples → disjoint rows.
-            let out_row = unsafe { out_ptr.add(row_off) };
+            let (plane, rest) = (job / (rows * blocks), job % (rows * blocks));
+            let (b, chunk) = (plane / chunks, plane % chunks);
+            let (y, x0) = (rest / blocks, rest % blocks * block);
+            let width = block.min(row_w - x0);
+            let off = ((plane * rows + y) * row_w + x0) * oc_bn;
+            // SAFETY: jobs are disjoint (n, chunk, y, block) tuples →
+            // disjoint pixel ranges of the output.
+            let out_blk = unsafe { out_ptr.add(off) };
             let mut s = Strip {
                 input: in_data[b * in_batch_stride + chunk * in_chunk_stride..].as_ptr(),
                 weights: w_data[chunk * w_chunk_stride..].as_ptr(),
                 rn: 0,
-                out: out_row,
+                out: out_blk,
                 ih0: y * sh,
-                iw0: 0,
+                iw0: x0 * geo.sw,
             };
-            let mut x0 = 0usize;
-            while x0 < ow {
-                s.rn = reg_n.min(ow - x0);
-                s.iw0 = x0 * geo.sw;
-                // SAFETY: the strip lies inside the row.
-                s.out = unsafe { out_row.add(x0 * oc_bn) };
+            for rn in StripPlan::new(geo.strips, reg_n, width) {
+                s.rn = rn;
                 // The padded input covers the strip's receptive field,
                 // `(rn-1)*sw + kw` columns from `iw0`.
                 strip(&geo, &s, chunk);
-                x0 += s.rn;
+                s.iw0 += rn * geo.sw;
+                // SAFETY: the plan's lengths sum to `width`, so this is at
+                // most one past the block's last pixel.
+                s.out = unsafe { s.out.add(rn * oc_bn) };
             }
-            // SAFETY: same disjoint-row argument as above.
-            let row = unsafe { std::slice::from_raw_parts_mut(out_row, ow * oc_bn) };
-            epilogue.apply(row, chunk, oc_bn, row_off);
+            // SAFETY: same disjoint-range argument as above.
+            let px = unsafe { std::slice::from_raw_parts_mut(out_blk, width * oc_bn) };
+            epilogue.apply(px, chunk, oc_bn, off);
         }
     });
     Ok(())

@@ -16,11 +16,13 @@
 //! by the one dispatch table below ([`simd_tiers!`]): a tier per vector
 //! width, and per tier the strip lengths (and, for shift-reuse, kernel
 //! widths) that are monomorphized so the accumulators actually live in
-//! registers. Everything else — blocks no tier serves, output-width tails,
-//! kernel widths without an entry — runs the runtime-`rn` scalar strips in
-//! this file, which accumulate in memory and double as the portable tier
-//! (any `oc_bn`, NEON-class targets included) and as the reference the SIMD
-//! strips are tested against.
+//! registers. A row is cut into those lengths by its [`StripPlan`] —
+//! `reg_n`-long strips, then the remainder greedily in the tier's own
+//! lengths — so on a block a tier serves every pixel runs a SIMD strip.
+//! Blocks no tier serves and kernel widths without an entry run the
+//! runtime-`rn` scalar strips in this file, which accumulate in memory and
+//! double as the portable tier (any `oc_bn`, NEON-class targets included) and
+//! as the reference the SIMD strips are tested against.
 
 use super::{Conv2dParams, ConvSchedule, Dataflow};
 
@@ -35,9 +37,10 @@ pub(super) struct Geo {
     pub ic_bn: usize,
     /// Output-channel block size (`y`); equals `ic_bn` when depthwise.
     pub oc_bn: usize,
-    /// Padded input height.
+    /// Padded input height — 1 for a pointwise workload, whose whole plane
+    /// is one strip row ([`Conv2dParams::strip_row`]).
     pub ph: usize,
-    /// Padded input width.
+    /// Padded input width (the plane's pixel count when pointwise).
     pub pw: usize,
     /// Kernel height.
     pub kh: usize,
@@ -58,6 +61,9 @@ pub(super) struct Geo {
     /// The SIMD tier serving `oc_bn` on this host, if any.
     #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     isa: Isa,
+    /// The strip lengths that tier holds for this call, largest first; empty
+    /// when the scalar strips run.
+    pub strips: &'static [usize],
 }
 
 impl Geo {
@@ -66,19 +72,28 @@ impl Geo {
     /// host); `int8` says the call runs the int8 strips, which some tiers
     /// need extra CPU features for.
     pub(super) fn new(p: &Conv2dParams, s: &ConvSchedule, max_lanes: usize, int8: bool) -> Self {
+        let isa = select_isa(s.oc_bn, max_lanes, int8);
+        let (ph, pw) = (p.in_h + 2 * p.pad_h, p.in_w + 2 * p.pad_w);
+        // Input and output pixels of a pointwise workload are contiguous
+        // across rows, so the strips see one `ph·pw`-pixel row.
+        let (ph, pw) = if p.is_pointwise() { (1, ph * pw) } else { (ph, pw) };
         Self {
             ic_chunks: p.in_channels / s.ic_bn,
             ic_bn: s.ic_bn,
             oc_bn: s.oc_bn,
-            ph: p.in_h + 2 * p.pad_h,
-            pw: p.in_w + 2 * p.pad_w,
+            ph,
+            pw,
             kh: p.kernel_h,
             kw: p.kernel_w,
             sw: p.stride_w,
             depthwise: p.is_depthwise(),
             dataflow: s.dataflow,
             unroll: s.unroll_ker,
-            isa: select_isa(s.oc_bn, max_lanes, int8),
+            isa,
+            strips: match isa {
+                Isa::Scalar => &[],
+                _ => strip_lengths(s.oc_bn, s.dataflow, p.kernel_w).unwrap_or(&[]),
+            },
         }
     }
 }
@@ -124,6 +139,48 @@ pub(super) fn strip_lengths(oc_bn: usize, df: Dataflow, kw: usize) -> Option<&'s
         Dataflow::OutputStationary => tier.os,
         Dataflow::ShiftReuse => tier.sr.iter().find(|(k, _)| *k == kw).map_or(&[], |(_, l)| l),
     })
+}
+
+/// The strips one strip row is cut into: an allocation-free iterator over
+/// their lengths, which sum to the row's width.
+///
+/// Strips of `reg_n` pixels first, then the remainder greedily in the
+/// lengths of `table` (a tier's strip lengths for the call, largest first).
+/// Every table ends in 1, so with a non-empty table the plan holds table
+/// lengths only — no pixel is left to a scalar strip; a `reg_n` the table
+/// lacks is itself replaced by the longest length below it. With an empty
+/// table (the runtime-`rn` scalar strips take any length) the remainder is
+/// one strip.
+#[derive(Debug, Clone)]
+pub struct StripPlan {
+    table: &'static [usize],
+    full: usize,
+    left: usize,
+}
+
+impl StripPlan {
+    pub(super) fn new(table: &'static [usize], reg_n: usize, width: usize) -> Self {
+        Self { table, full: longest(table, reg_n.max(1)), left: width }
+    }
+}
+
+/// The longest strip of at most `cap` pixels: from `table` (largest first),
+/// or `cap` itself where there is none.
+fn longest(table: &[usize], cap: usize) -> usize {
+    table.iter().copied().find(|&l| l <= cap).unwrap_or(cap)
+}
+
+impl Iterator for StripPlan {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.left == 0 {
+            return None;
+        }
+        let rn = if self.left >= self.full { self.full } else { longest(self.table, self.left) };
+        self.left -= rn;
+        Some(rn)
+    }
 }
 
 /// Runs `$body` for every kernel tap — `$e` its row-major index, `($r, $s)`
@@ -272,13 +329,18 @@ macro_rules! simd_tiers {
 // multiplicand), 28 in the 32 ZMM registers as §3.1.1 describes. A
 // shift-reuse strip keeps `reg_n` accumulators plus `kw + 1` resident
 // vectors and runs a full file without spilling.
+//
+// 14 and 7 are the ImageNet divisors: the paper's schedules pick a `reg_n`
+// that divides `out_width`, and the 14- and 7-wide maps (where ResNet-50 and
+// MobileNet keep most of their layers) are no sum of few powers of two — a
+// padded 3×3 row there runs as one strip instead of 8+4+2 or 4+2+1.
 simd_tiers! {
     Avx2 = avx2: __m256, lanes 8, features ["avx2", "fma"] + int8 [],
-        os [12, 8, 4, 2, 1],
-        sr [3: [12, 8, 4, 2, 1], 5: [10, 8, 4, 2, 1], 7: [8, 4, 2, 1]];
+        os [12, 8, 7, 4, 2, 1],
+        sr [3: [12, 8, 7, 4, 2, 1], 5: [10, 8, 4, 2, 1], 7: [8, 4, 2, 1]];
     Avx512 = avx512: __m512, lanes 16, features ["avx512f"] + int8 ["avx512bw"],
-        os [28, 16, 8, 4, 2, 1],
-        sr [3: [28, 16, 8, 4, 2, 1], 5: [24, 16, 8, 4, 2, 1], 7: [24, 16, 8, 4, 2, 1]];
+        os [28, 16, 14, 8, 7, 4, 2, 1],
+        sr [3: [28, 16, 14, 8, 7, 4, 2, 1], 5: [24, 16, 8, 4, 2, 1], 7: [24, 16, 8, 4, 2, 1]];
 }
 
 /// Runs one f32 output strip, dense or depthwise per `geo.depthwise`.

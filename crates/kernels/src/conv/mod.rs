@@ -10,6 +10,7 @@ mod simd;
 
 pub use blocked::{conv2d_nchwc, padded_input_len};
 pub use int8::{conv2d_nchwc_u8, ConvQuant};
+pub use microkernel::StripPlan;
 pub use reference::{conv2d_nchw_direct, conv2d_nhwc_direct};
 
 use neocpu_tensor::Tensor;
@@ -103,6 +104,28 @@ impl Conv2dParams {
         (self.in_w + 2 * self.pad_w).saturating_sub(self.kernel_w) / self.stride_w + 1
     }
 
+    /// Whether every output pixel reads exactly the input pixel at its own
+    /// position: a single-tap kernel at unit stride without padding.
+    pub fn is_pointwise(&self) -> bool {
+        (self.kernel_h, self.kernel_w, self.stride_h, self.stride_w, self.pad_h, self.pad_w)
+            == (1, 1, 1, 1, 0, 0)
+    }
+
+    /// `(rows, pixels per row)` of the output as the blocked template cuts
+    /// it into strips. A pointwise workload's pixels are contiguous across
+    /// image rows on the input and the output side alike, so its whole
+    /// plane is one row (§3.1.1 tiles `oh × ow` together for 1×1 kernels);
+    /// everything else is cut row by row. The template, the candidate
+    /// generator, the analytical model and the uniform plan all take the
+    /// strip row from here.
+    pub fn strip_row(&self) -> (usize, usize) {
+        if self.is_pointwise() {
+            (1, self.out_h() * self.out_w())
+        } else {
+            (self.out_h(), self.out_w())
+        }
+    }
+
     /// Multiply-accumulate count for one inference at batch 1.
     pub fn macs(&self) -> u64 {
         self.out_channels as u64
@@ -171,17 +194,46 @@ impl Dataflow {
 
 /// Whether the strip dispatch table holds a SIMD strip of `reg_n` pixels
 /// for channel block `oc_bn` under `dataflow` at kernel width `kernel_w`.
-/// Everything else (other blocks, output-width tails) runs the scalar
-/// strip.
+/// Blocks without a tier run the scalar strip; on a block with one,
+/// [`strip_plan`] cuts every row into lengths this holds for.
 pub fn simd_strip_exists(oc_bn: usize, dataflow: Dataflow, reg_n: usize, kernel_w: usize) -> bool {
     microkernel::strip_lengths(oc_bn, dataflow, kernel_w).is_some_and(|l| l.contains(&reg_n))
+}
+
+/// How the blocked template cuts a strip row of `width` pixels under
+/// `reg_n`: the lengths of its strips, in order. `max_lanes` caps the SIMD
+/// width like the templates' parameter of that name — a block wider than it
+/// runs the scalar strips, which take any length. Pure data from the
+/// dispatch table: what the host's CPU features add is whether the SIMD or
+/// the scalar strip of each length runs, not the cut.
+pub fn strip_plan(
+    oc_bn: usize,
+    max_lanes: usize,
+    dataflow: Dataflow,
+    kernel_w: usize,
+    reg_n: usize,
+    width: usize,
+) -> StripPlan {
+    let table = microkernel::strip_lengths(oc_bn, dataflow, kernel_w).filter(|_| oc_bn <= max_lanes);
+    StripPlan::new(table.unwrap_or(&[]), reg_n, width)
+}
+
+/// The `reg_n` a schedule that is not searched should name for `p` at block
+/// `oc_bn`: the longest output-stationary strip of at most `want` pixels
+/// that the template runs on `p`'s strip row — so the schedule a module
+/// reports is the strip that executes.
+pub fn fitting_reg_n(p: &Conv2dParams, oc_bn: usize, max_lanes: usize, want: usize) -> usize {
+    let (_, width) = p.strip_row();
+    strip_plan(oc_bn, max_lanes, Dataflow::OutputStationary, p.kernel_w, want.clamp(1, 28), width)
+        .next()
+        .unwrap_or(1)
 }
 
 /// `reg_n` candidates for one `(oc_bn, dataflow)` pair. For a block a SIMD
 /// tier serves these are the strip lengths the dispatch table holds (each
 /// sized so the accumulators plus the dataflow's resident vectors fit the
-/// tier's register file), minus the single-pixel strip that only tails use;
-/// none when the tier has no strip for the dataflow at this kernel width.
+/// tier's register file), minus the single-pixel strip that only remainders
+/// use; none when the tier has no strip for the dataflow at this kernel width.
 /// Scalar blocks accumulate in memory, so they take the classic ladder and
 /// no dataflow but output-stationary.
 pub fn reg_n_candidates(oc_bn: usize, dataflow: Dataflow, kernel_w: usize) -> Vec<usize> {
@@ -281,9 +333,11 @@ impl ConvSchedule {
     /// Enumerates the candidate schedule space of §3.3.1 for a workload:
     /// all channel factors for `ic_bn`/`oc_bn`, every applicable
     /// [`Dataflow`], `reg_n` from the per-dataflow register-file-capped
-    /// ladder (further capped by the output width), and both unroll
-    /// settings for the output-stationary kernel (shift-reuse fixes its
-    /// kernel-loop structure, so only one unroll variant is emitted for it).
+    /// ladder (further capped by the width of the strip row,
+    /// [`Conv2dParams::strip_row`]), and both unroll settings for the
+    /// output-stationary kernel — one where they are the same code:
+    /// shift-reuse fixes its kernel-loop structure, and a single-tap kernel
+    /// has no kernel loop to flatten.
     ///
     /// Depthwise workloads constrain the space to `ic_bn == oc_bn` (the
     /// channel block is convolved element-wise with its own filters, so
@@ -296,6 +350,8 @@ impl ConvSchedule {
     pub fn candidates(p: &Conv2dParams, max_block: usize) -> Vec<ConvSchedule> {
         let ic: Vec<usize> = factors_descending(p.in_channels, max_block);
         let oc: Vec<usize> = factors_descending(p.out_channels, max_block);
+        let (_, width) = p.strip_row();
+        let single_tap = p.kernel_h * p.kernel_w == 1;
         let mut out = Vec::new();
         for &ic_bn in &ic {
             for &oc_bn in &oc {
@@ -306,14 +362,15 @@ impl ConvSchedule {
                     if dataflow == Dataflow::ShiftReuse && p.stride_w != 1 {
                         continue;
                     }
-                    let unrolls: &[bool] = if dataflow == Dataflow::OutputStationary {
-                        &[true, false]
-                    } else {
-                        &[true]
-                    };
+                    let unrolls: &[bool] =
+                        if dataflow == Dataflow::OutputStationary && !single_tap {
+                            &[true, false]
+                        } else {
+                            &[true]
+                        };
                     let mut pushed = false;
                     for reg_n in reg_n_candidates(oc_bn, dataflow, p.kernel_w) {
-                        if reg_n > p.out_w().max(1) {
+                        if reg_n > width {
                             continue;
                         }
                         for &unroll_ker in unrolls {
@@ -322,8 +379,9 @@ impl ConvSchedule {
                         pushed = true;
                     }
                     if !pushed && dataflow == Dataflow::OutputStationary {
-                        // out_w too small for every listed reg_n (e.g. 1×1
-                        // spatial output): a single-register strip still works.
+                        // Strip row too short for every listed reg_n (e.g.
+                        // 1×1 spatial output): a single-register strip still
+                        // works.
                         for &unroll_ker in unrolls {
                             out.push(ConvSchedule { ic_bn, oc_bn, reg_n: 1, unroll_ker, dataflow });
                         }
@@ -489,9 +547,9 @@ mod tests {
         let cands = ConvSchedule::candidates(&p, 64);
         assert!(!cands.is_empty());
         // ic/oc candidates are each ≤ 7; per pair: output-stationary emits
-        // ≤ 5 reg_n × 2 unroll, shift-reuse ≤ 5 reg_n at one unroll
-        // setting → ≤ 15.
-        assert!(cands.len() <= 7 * 7 * 15);
+        // ≤ 7 reg_n × 2 unroll, shift-reuse ≤ 7 reg_n at one unroll
+        // setting → ≤ 21.
+        assert!(cands.len() <= 7 * 7 * 21);
         for c in &cands {
             c.validate(&p).unwrap();
             assert!(c.reg_n <= 56);
@@ -518,20 +576,74 @@ mod tests {
     }
 
     #[test]
+    fn pointwise_candidates_span_the_plane_and_unroll_once() {
+        // A 7×7 pointwise plane is one 49-pixel strip row: `reg_n` may
+        // exceed the image width, and a single tap leaves `unroll_ker`
+        // nothing to toggle, so each (blocks, reg_n) appears once.
+        let p = Conv2dParams::square(64, 64, 7, 1, 1, 0);
+        assert_eq!(p.strip_row(), (1, 49));
+        let cands = ConvSchedule::candidates(&p, 64);
+        assert!(cands.iter().any(|c| c.oc_bn == 16 && c.reg_n == 28));
+        assert!(cands.iter().all(|c| c.unroll_ker));
+        let mut keys: Vec<_> = cands.iter().map(|c| (c.ic_bn, c.oc_bn, c.reg_n)).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), cands.len(), "duplicate pointwise candidates");
+        // Padding, a stride or a second tap keeps the row-by-row cut.
+        for q in [
+            Conv2dParams::square(64, 64, 7, 1, 2, 0),
+            Conv2dParams::square(64, 64, 7, 1, 1, 1),
+            Conv2dParams::square(64, 64, 7, 3, 1, 1),
+        ] {
+            assert_eq!(q.strip_row(), (q.out_h(), q.out_w()), "{q:?}");
+            assert!(ConvSchedule::candidates(&q, 64).iter().all(|c| c.reg_n <= q.out_w()));
+        }
+    }
+
+    #[test]
+    fn strip_plan_tiles_the_row_in_table_lengths() {
+        let os = Dataflow::OutputStationary;
+        let plan = |oc_bn, lanes, rn, w| strip_plan(oc_bn, lanes, os, 3, rn, w).collect::<Vec<_>>();
+        // `reg_n` strips, then the remainder greedily in the tier's lengths.
+        assert_eq!(plan(16, 16, 8, 14), [8, 4, 2]);
+        assert_eq!(plan(16, 16, 14, 14), [14]);
+        assert_eq!(plan(16, 16, 4, 7), [4, 2, 1]);
+        assert_eq!(plan(8, 16, 8, 29), [8, 8, 8, 4, 1]);
+        assert_eq!(plan(16, 16, 16, 196), [[16; 12].as_slice(), &[4]].concat());
+        // A `reg_n` the tier lacks runs as the longest strip below it.
+        assert_eq!(plan(8, 8, 14, 14), [12, 2]);
+        assert_eq!(plan(16, 16, 13, 13), [8, 4, 1]);
+        // No tier (or one the lane cap excludes): the scalar strips take
+        // any length, so the remainder is one strip.
+        assert_eq!(plan(4, 16, 4, 7), [4, 3]);
+        assert_eq!(plan(16, 8, 8, 14), [8, 6]);
+        assert_eq!(plan(16, 16, 8, 0), [0usize; 0]);
+        // The reg_n a non-searched schedule names is the first strip.
+        let p14 = Conv2dParams::square(256, 256, 14, 3, 1, 1);
+        assert_eq!(fitting_reg_n(&p14, 16, 16, 16), 14);
+        assert_eq!(fitting_reg_n(&p14, 8, 8, 16), 12);
+        assert_eq!(fitting_reg_n(&p14, 4, 16, 16), 14);
+        let pw7 = Conv2dParams::square(512, 2048, 7, 1, 1, 0);
+        assert_eq!(fitting_reg_n(&pw7, 16, 16, 16), 16);
+    }
+
+    #[test]
     fn reg_n_candidates_respect_the_register_file() {
         // AVX2 (oc_bn 8, 16 YMM registers): output-stationary keeps 2
         // resident vectors plus 2 pipelined broadcast temps → 12
         // accumulators max; the old 28/16 candidates spilled the file and
-        // must be gone (and so does 14, empirically).
-        assert_eq!(reg_n_candidates(8, Dataflow::OutputStationary, 3), vec![12, 8, 4, 2]);
+        // must be gone (and so does 14, empirically). 7 is the ImageNet
+        // divisor that fits.
+        assert_eq!(reg_n_candidates(8, Dataflow::OutputStationary, 3), vec![12, 8, 7, 4, 2]);
         // Shift-reuse pins kw + 1 vectors, shrinking the cap.
-        assert_eq!(reg_n_candidates(8, Dataflow::ShiftReuse, 3), vec![12, 8, 4, 2]);
+        assert_eq!(reg_n_candidates(8, Dataflow::ShiftReuse, 3), vec![12, 8, 7, 4, 2]);
         assert_eq!(reg_n_candidates(8, Dataflow::ShiftReuse, 5), vec![10, 8, 4, 2]);
         assert_eq!(reg_n_candidates(8, Dataflow::ShiftReuse, 7), vec![8, 4, 2]);
         // AVX-512 (oc_bn 16, 32 ZMM registers) keeps the full ladder for
-        // output-stationary and 3-wide kernels.
-        assert_eq!(reg_n_candidates(16, Dataflow::OutputStationary, 3), vec![28, 16, 8, 4, 2]);
-        assert_eq!(reg_n_candidates(16, Dataflow::ShiftReuse, 3), vec![28, 16, 8, 4, 2]);
+        // output-stationary and 3-wide kernels, with both divisors.
+        let zmm = vec![28, 16, 14, 8, 7, 4, 2];
+        assert_eq!(reg_n_candidates(16, Dataflow::OutputStationary, 3), zmm);
+        assert_eq!(reg_n_candidates(16, Dataflow::ShiftReuse, 3), zmm);
         assert_eq!(reg_n_candidates(16, Dataflow::ShiftReuse, 5), vec![24, 16, 8, 4, 2]);
         // Scalar-path blocks carry no architectural constraint — and no
         // dataflow to choose.

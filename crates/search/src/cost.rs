@@ -9,7 +9,9 @@
 
 use std::time::Instant;
 
-use neocpu_kernels::conv::{conv2d_nchwc, Conv2dParams, ConvSchedule, Dataflow, Epilogue};
+use neocpu_kernels::conv::{
+    conv2d_nchwc, strip_plan, Conv2dParams, ConvSchedule, Dataflow, Epilogue,
+};
 use neocpu_tensor::{Layout, Tensor};
 use neocpu_threadpool::Sequential;
 
@@ -49,12 +51,6 @@ pub struct AnalyticalModel {
     pub mem_bytes_per_sec: f32,
     /// L1 data-cache size in bytes (register/cache blocking sweet spot).
     pub l1_bytes: usize,
-    /// Architectural vector registers (32 for AVX-512/NEON, 16 for AVX2).
-    ///
-    /// A strip whose accumulators plus the dataflow's resident vectors
-    /// exceed this file spills to the stack every iteration; the model
-    /// must never prefer such a schedule over a fitting one.
-    pub vector_registers: usize,
 }
 
 impl Default for AnalyticalModel {
@@ -64,12 +60,41 @@ impl Default for AnalyticalModel {
             macs_per_sec: 8.0e10,
             mem_bytes_per_sec: 2.0e10,
             l1_bytes: 32 * 1024,
-            vector_registers: 32,
         }
     }
 }
 
+/// The larger of a layer's compute and memory time, with a hundredth of
+/// the smaller as tie-break: most schedules of a memory-bound layer would
+/// otherwise cost exactly `mem`, and a preselect over them would keep
+/// whichever the candidate generator happened to emit first.
+fn roofline(compute: f32, mem: f32) -> f32 {
+    compute.max(mem) + 0.01 * compute.min(mem)
+}
+
+/// How well `rn` independent accumulators cover the FMA latency.
+fn latency_util(rn: f32) -> f32 {
+    (rn / 8.0).min(1.0) * 0.5 + 0.5 * (rn / 28.0).clamp(0.5, 1.0)
+}
+
 impl AnalyticalModel {
+    /// Pipeline utilization of one strip row of `p` under `s`, given that of
+    /// a strip of `rn` pixels: the row costs the sum of the strips the
+    /// template cuts it into, so `reg_n` 8 on a 14-pixel row is priced as
+    /// 8 + 4 + 2, not as a perfect 8.
+    fn row_pipe_util(
+        &self,
+        p: &Conv2dParams,
+        s: &ConvSchedule,
+        strip_util: impl Fn(usize) -> f32,
+    ) -> f32 {
+        let (_, width) = p.strip_row();
+        let cost: f32 = strip_plan(s.oc_bn, self.vec_lanes, s.dataflow, p.kernel_w, s.reg_n, width)
+            .map(|rn| rn as f32 / strip_util(rn))
+            .sum();
+        width as f32 / cost
+    }
+
     /// Relative efficiency (0, 1] of a schedule on this machine: how much
     /// of peak FMA throughput the blocked loop nest sustains.
     fn efficiency(&self, p: &Conv2dParams, s: &ConvSchedule) -> f32 {
@@ -80,48 +105,36 @@ impl AnalyticalModel {
         // roughly a quarter of the wide-SIMD throughput (measured on the
         // reproduction host).
         let lanes = self.vec_lanes as f32;
-        let (effective, simd) = if s.oc_bn == 16 && self.vec_lanes >= 16 {
-            (16.0, true)
+        let effective = if s.oc_bn == 16 && self.vec_lanes >= 16 {
+            16.0
         } else if s.oc_bn == 8 && self.vec_lanes >= 8 {
-            (8.0, true)
+            8.0
         } else if s.oc_bn == self.vec_lanes {
-            (lanes, false)
+            lanes
         } else {
-            ((lanes / 4.0).max(1.0).min(s.oc_bn as f32), false)
+            (lanes / 4.0).max(1.0).min(s.oc_bn as f32)
         };
         let vec_util = effective / lanes;
         // Register blocking: FMA latency (~4 cycles) needs ~8 independent
-        // accumulators to saturate both FMA ports; diminishing above — but
-        // a SIMD strip whose accumulators plus the dataflow's resident
-        // vectors overflow the register file spills to the stack every
-        // iteration, which costs far more than any latency win.
-        let rn = s.reg_n as f32;
-        // The output-stationary strip re-broadcasts the input scalar per
-        // accumulator, and the compiler pipelines those broadcasts: ~2
-        // scratch vectors beyond the nominal residency (reg_n 14 on AVX2
-        // measurably spills). Shift-reuse broadcasts once per column and
-        // runs a full file.
-        let headroom =
-            if s.dataflow == Dataflow::OutputStationary { 2 } else { 0 };
-        let resident = s.dataflow.resident_regs(p.kernel_w) + headroom;
-        let spilled = simd && s.reg_n + resident > self.vector_registers;
-        let mut pipe_util = (rn / 8.0).min(1.0) * 0.5 + 0.5 * (rn / 28.0).clamp(0.5, 1.0);
-        if spilled {
-            pipe_util *= 0.25;
-        }
-        // Issue-port pressure: loads per FMA in the inner loop.
-        // Output-stationary loads `kw` kernel vectors plus `rn*kw` input
-        // broadcasts per (row, ic) step; shift-reuse broadcasts each of the
-        // `rn + kw - 1` overlapping input columns once and shifts it across
-        // taps, so stride-1 wide-kernel strips issue measurably fewer loads
-        // for the same `rn*kw` FMAs.
-        let (kwf, rnf) = (p.kernel_w as f32, rn);
-        let loads_per_fma = match s.dataflow {
-            Dataflow::OutputStationary => (kwf + rnf * kwf) / (rnf * kwf),
-            Dataflow::ShiftReuse => (kwf + rnf + kwf - 1.0) / (rnf * kwf),
-        };
-        let issue_util = (1.0 / loads_per_fma).min(1.0);
-        let pipe_util = pipe_util * (0.75 + 0.25 * issue_util);
+        // accumulators to saturate both FMA ports; diminishing above. No
+        // spill term: a row only ever runs strips the dispatch table holds,
+        // and those are sized to their tier's register file.
+        let kwf = p.kernel_w as f32;
+        let pipe_util = self.row_pipe_util(p, s, |rn| {
+            let rnf = rn as f32;
+            // Issue-port pressure: loads per FMA in the inner loop.
+            // Output-stationary loads `kw` kernel vectors plus `rn*kw` input
+            // broadcasts per (row, ic) step; shift-reuse broadcasts each of
+            // the `rn + kw - 1` overlapping input columns once and shifts it
+            // across taps, so stride-1 wide-kernel strips issue measurably
+            // fewer loads for the same `rn*kw` FMAs.
+            let loads_per_fma = match s.dataflow {
+                Dataflow::OutputStationary => (kwf + rnf * kwf) / (rnf * kwf),
+                Dataflow::ShiftReuse => (kwf + rnf + kwf - 1.0) / (rnf * kwf),
+            };
+            let issue_util = (1.0 / loads_per_fma).min(1.0);
+            latency_util(rnf) * (0.75 + 0.25 * issue_util)
+        });
         // Cache pressure: the inner working set (one weight block plus the
         // input rows it touches) should fit L1; penalize overflow.
         let ws = (s.ic_bn * s.oc_bn * p.kernel_h * p.kernel_w
@@ -156,16 +169,7 @@ impl AnalyticalModel {
             ((lanes / 4.0).max(1.0).min(s.oc_bn as f32), false)
         };
         let vec_util = (effective / lanes) * if simd { 2.0 } else { 1.0 };
-        let rn = s.reg_n as f32;
-        // The int8 strip keeps one more vector resident than the f32 one
-        // (the `ones` multiplicand for the madd pairing), so it spills one
-        // accumulator earlier.
-        let resident = s.dataflow.resident_regs(p.kernel_w) + 1;
-        let spilled = simd && s.reg_n + resident > self.vector_registers;
-        let mut pipe_util = (rn / 8.0).min(1.0) * 0.5 + 0.5 * (rn / 28.0).clamp(0.5, 1.0);
-        if spilled {
-            pipe_util *= 0.25;
-        }
+        let pipe_util = self.row_pipe_util(p, s, |rn| latency_util(rn as f32));
         let ws = s.ic_bn * s.oc_bn * p.kernel_h * p.kernel_w
             + s.reg_n * s.ic_bn * p.kernel_h
             + s.reg_n * s.oc_bn;
@@ -195,7 +199,7 @@ impl CostModel for AnalyticalModel {
                     * params.kernel_h
                     * params.kernel_w;
             let mem = (elems * 4) as f32 / self.mem_bytes_per_sec;
-            compute.max(mem)
+            roofline(compute, mem)
         } else {
             compute
         }
@@ -225,7 +229,7 @@ impl CostModel for AnalyticalModel {
                     * params.kernel_h
                     * params.kernel_w;
             let mem = elems as f32 / self.mem_bytes_per_sec;
-            compute.max(mem)
+            roofline(compute, mem)
         } else {
             compute
         }
@@ -354,29 +358,26 @@ mod tests {
     }
 
     #[test]
-    fn analytical_penalizes_register_spills() {
-        // On a 16-register AVX2 file, 28- and even 14-accumulator
-        // output-stationary strips spill every iteration (the pipelined
-        // broadcast temps count); the model must prefer the widest fitting
-        // strip (12) even though wider wins on pure pipeline arithmetic.
-        let avx2 =
-            AnalyticalModel { vec_lanes: 8, vector_registers: 16, ..AnalyticalModel::default() };
-        let fits = ConvSchedule { ic_bn: 8, oc_bn: 8, reg_n: 12, unroll_ker: true, ..Default::default() };
-        for spill_rn in [14usize, 28] {
-            let spills =
-                ConvSchedule { ic_bn: 8, oc_bn: 8, reg_n: spill_rn, unroll_ker: true, ..Default::default() };
-            assert!(avx2.conv_time(&wl(), &fits) < avx2.conv_time(&wl(), &spills));
-        }
-        // The scalar path holds no vectors in registers, so no penalty: a
-        // wider strip stays at least as good.
-        let s14 = ConvSchedule { ic_bn: 4, oc_bn: 4, reg_n: 14, unroll_ker: true, ..Default::default() };
-        let s28 = ConvSchedule { ic_bn: 4, oc_bn: 4, reg_n: 28, unroll_ker: true, ..Default::default() };
-        assert!(avx2.conv_time(&wl(), &s28) <= avx2.conv_time(&wl(), &s14));
-        // On the 32-register AVX-512 file, 28 accumulators + 2 resident fit.
+    fn analytical_prices_a_row_as_the_strips_that_run() {
         let m = AnalyticalModel::default();
-        let zmm28 = ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 28, unroll_ker: true, ..Default::default() };
-        let zmm14 = ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 14, unroll_ker: true, ..Default::default() };
-        assert!(m.conv_time(&wl(), &zmm28) < m.conv_time(&wl(), &zmm14));
+        let s = |reg_n| ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n, unroll_ker: true, ..Default::default() };
+        // 14 pixels under reg_n 8 are 8 + 4 + 2, not a perfect 8: the one
+        // strip that covers the row must model faster, and so must 16 on a
+        // 28-pixel row (16 + 8 + 4) against 14 + 14.
+        let p14 = Conv2dParams::square(64, 64, 14, 3, 1, 1);
+        assert!(m.conv_time(&p14, &s(14)) < m.conv_time(&p14, &s(8)));
+        assert!(m.conv_time(&wl(), &s(14)) < m.conv_time(&wl(), &s(16)));
+        assert!(m.conv_time_i8(&p14, &s(14)) < m.conv_time_i8(&p14, &s(8)));
+        // A pointwise plane is one row: 14×14 pixels are seven strips of 28.
+        let pw = Conv2dParams::square(64, 64, 14, 1, 1, 0);
+        assert!(m.conv_time(&pw, &s(28)) < m.conv_time(&pw, &s(14)));
+        // A reg_n its tier has no strip for costs what runs in its place:
+        // on AVX2, 14 is 12 + the remainder — there is nothing to spill.
+        let avx2 = AnalyticalModel { vec_lanes: 8, ..AnalyticalModel::default() };
+        let s8 = |reg_n| ConvSchedule { ic_bn: 8, oc_bn: 8, ..s(reg_n) };
+        assert_eq!(avx2.conv_time(&p14, &s8(14)), avx2.conv_time(&p14, &s8(12)));
+        // The 32-register AVX-512 file holds 28 accumulators + 2 resident.
+        assert!(m.conv_time(&wl(), &s(28)) < m.conv_time(&wl(), &s(14)));
     }
 
     #[test]
@@ -433,8 +434,7 @@ mod tests {
         let s = ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 8, unroll_ker: true, ..Default::default() };
         assert!(m.conv_time_i8(&wl(), &s) < m.conv_time(&wl(), &s));
         // A narrow AVX2-style model still credits the oc_bn == 8 strip.
-        let avx2 =
-            AnalyticalModel { vec_lanes: 8, vector_registers: 16, ..AnalyticalModel::default() };
+        let avx2 = AnalyticalModel { vec_lanes: 8, ..AnalyticalModel::default() };
         let s8 = ConvSchedule { ic_bn: 8, oc_bn: 8, reg_n: 8, unroll_ker: true, ..Default::default() };
         assert!(avx2.conv_time_i8(&wl(), &s8) < avx2.conv_time(&wl(), &s8));
     }

@@ -25,6 +25,11 @@ pub struct LocalSearchCfg {
     /// model — the hybrid mode the harness uses to keep full-model searches
     /// inside a benchmarking time budget.
     pub preselect: Option<usize>,
+    /// The model that ranks the preselection. It must describe the machine
+    /// the schedules will run on — a 16-lane model preselects only `oc_bn`
+    /// 16 schedules, which an 8-lane target runs as scalar code — so a
+    /// compile sets it to its target's model.
+    pub preselect_model: AnalyticalModel,
     /// Keep at most this many results (the global search only needs the
     /// head of the list; the paper bounds per-CONV pairs at ~100).
     pub keep: usize,
@@ -32,7 +37,12 @@ pub struct LocalSearchCfg {
 
 impl Default for LocalSearchCfg {
     fn default() -> Self {
-        Self { max_block: 64, preselect: None, keep: 16 }
+        Self {
+            max_block: 64,
+            preselect: None,
+            preselect_model: AnalyticalModel::default(),
+            keep: 16,
+        }
     }
 }
 
@@ -45,13 +55,17 @@ pub fn local_search(
 ) -> Vec<RankedScheme> {
     let mut candidates = ConvSchedule::candidates(params, cfg.max_block);
     if let Some(n) = cfg.preselect {
-        let pre = AnalyticalModel::default();
-        // `total_cmp` instead of `partial_cmp(..).expect(..)`: a panic here
-        // would sit between a cost model and a compile result.
-        candidates.sort_by(|a, b| {
-            pre.conv_time(params, a).total_cmp(&pre.conv_time(params, b))
-        });
-        candidates.truncate(n);
+        // Each candidate is priced once (a row-aware price walks the row's
+        // strips), then ranked. `total_cmp` instead of
+        // `partial_cmp(..).expect(..)`: a panic here would sit between a
+        // cost model and a compile result.
+        let mut priced: Vec<(f32, ConvSchedule)> = candidates
+            .into_iter()
+            .map(|s| (cfg.preselect_model.conv_time(params, &s), s))
+            .collect();
+        priced.sort_by(|a, b| a.0.total_cmp(&b.0));
+        priced.truncate(n);
+        candidates = priced.into_iter().map(|(_, s)| s).collect();
     }
     let mut ranked: Vec<RankedScheme> = candidates
         .into_iter()
@@ -116,6 +130,42 @@ mod tests {
         let r = local_search(&p, &model, &cfg);
         assert_eq!(model.0.get(), 10);
         assert!(r.len() <= 10);
+    }
+
+    #[test]
+    fn preselect_ranks_with_the_configured_target_model() {
+        // The measured model only ever sees what the preselect hands it. On
+        // an 8-lane (AVX2-class) target those must be the `oc_bn` 8
+        // schedules its SIMD tier serves: the default 16-lane model would
+        // hand over `oc_bn` 16 ones, which such a target runs as scalar
+        // code.
+        use neocpu_kernels::conv::simd_strip_exists;
+        use std::cell::RefCell;
+        struct Recording(RefCell<Vec<ConvSchedule>>);
+        impl CostModel for Recording {
+            fn conv_time(&self, _: &Conv2dParams, s: &ConvSchedule) -> f32 {
+                self.0.borrow_mut().push(*s);
+                1.0
+            }
+            fn transform_time(&self, _: usize, _: usize, _: usize, _: usize, _: usize) -> f32 {
+                0.0
+            }
+        }
+        let p = Conv2dParams::square(64, 64, 28, 3, 1, 1);
+        let avx2 = AnalyticalModel { vec_lanes: 8, ..AnalyticalModel::default() };
+        let seen = |preselect_model| {
+            let model = Recording(RefCell::new(Vec::new()));
+            let cfg = LocalSearchCfg { preselect: Some(8), preselect_model, ..Default::default() };
+            local_search(&p, &model, &cfg);
+            model.0.into_inner()
+        };
+        let narrow = seen(avx2);
+        assert_eq!(narrow.len(), 8);
+        for s in &narrow {
+            assert_eq!(s.oc_bn, 8, "{s:?}");
+            assert!(simd_strip_exists(8, s.dataflow, s.reg_n, p.kernel_w), "{s:?}");
+        }
+        assert!(seen(AnalyticalModel::default()).iter().all(|s| s.oc_bn == 16));
     }
 
     #[test]

@@ -144,6 +144,20 @@ fn warm_run_with_performs_zero_allocations() {
     let out = ctx.output(0).unwrap();
     assert_eq!(out.shape().dims(), &[1, 10]);
     assert!(out.data().iter().all(|v| v.is_finite()));
+
+    // The strip plan every conv job above walked is an iterator over the
+    // dispatch table, not a list: cutting rows allocates nothing either.
+    use neocpu_kernels::conv::{strip_plan, Dataflow};
+    let before = allocation_count();
+    let mut pixels = 0usize;
+    for (oc_bn, reg_n) in [(16, 8), (8, 12), (4, 4)] {
+        for width in 1..=64 {
+            pixels += strip_plan(oc_bn, 16, Dataflow::OutputStationary, 3, reg_n, width)
+                .sum::<usize>();
+        }
+    }
+    assert_eq!(allocation_count() - before, 0, "planning a row allocated");
+    assert_eq!(pixels, 3 * (1..=64).sum::<usize>());
 }
 
 fn warm_depthwise_run_performs_zero_allocations() {

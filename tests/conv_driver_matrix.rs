@@ -2,15 +2,21 @@
 //! strips that `tests/strip_matrix.rs` covers.
 //!
 //! {dense, depthwise} × {f32, u8} × batch {1, 3} × `par` {`Sequential`,
-//! 2-thread `ThreadPool`} × scratch {`None`, poisoned `Some`} × epilogue
-//! {none, bias + residual + ReLU} × pad {0, 1} × stride {1, 2}, with the
-//! output poisoned too. Every workload has two channel chunks on each side
-//! and a non-square image, so a wrong batch/chunk stride or a swapped
-//! height/width cannot pass by luck. f32 results are held against the NCHW
-//! reference; int8 results are bit-identical across `par` and scratch
-//! (integer accumulation is exact) and within the dequantized-reference
-//! budget — which is what catches a halo filled with anything but the zero
-//! point. The last test pins the error paths every instantiation keeps.
+//! 2-thread `ThreadPool`} × scratch {`None`, poisoned `Some`} × lane cap
+//! {host, 1} × epilogue {none, bias + residual + ReLU} × pad {0, 1} × stride
+//! {1, 2}, with the output poisoned too — and then the same over the row
+//! shapes the strip plan and the pointwise strip row exist for: output
+//! widths {7, 13, 14, 29} (one strip, 8+4+1, 8+4+2, 8·3+4+1 under `reg_n`
+//! 8) and pointwise planes of 7×7, 14×14 and 3×29 pixels, which the driver
+//! cuts into pixel blocks that cross image rows. Every workload has two
+//! channel chunks on each side and a non-square image, so a wrong
+//! batch/chunk stride or a swapped height/width cannot pass by luck; the
+//! residual of the full epilogue is what a wrong block offset misreads.
+//! f32 results are held against the NCHW reference; int8 results are
+//! bit-identical across `par`, scratch and tier (integer accumulation is
+//! exact) and within the dequantized-reference budget — which is what
+//! catches a halo filled with anything but the zero point. The last test
+//! pins the error paths every instantiation keeps.
 
 use neocpu_kernels::conv::{
     conv2d_nchw_direct, conv2d_nchwc, conv2d_nchwc_u8, padded_input_len, Conv2dParams, ConvQuant,
@@ -30,43 +36,74 @@ const TOL: f32 = 1e-3;
 struct Case {
     depthwise: bool,
     batch: usize,
+    kernel: usize,
     pad: usize,
     stride: usize,
+    /// Input `(height, width)`.
+    image: (usize, usize),
+    reg_n: usize,
     full_epilogue: bool,
 }
 
 impl Case {
-    /// 7×10 image, 3×3 kernel: output widths {8, 10, 4, 5} against `reg_n`
-    /// 4, so half the cases end their rows on a tail strip.
     fn params(&self) -> Conv2dParams {
         let base = if self.depthwise {
-            Conv2dParams::depthwise(2 * BN, 1, 3, self.stride, self.pad)
+            Conv2dParams::depthwise(2 * BN, 1, self.kernel, self.stride, self.pad)
         } else {
-            Conv2dParams::square(BN, 2 * BN, 1, 3, self.stride, self.pad)
+            Conv2dParams::square(BN, 2 * BN, 1, self.kernel, self.stride, self.pad)
         };
-        Conv2dParams { in_h: 7, in_w: 10, ..base }
+        Conv2dParams { in_h: self.image.0, in_w: self.image.1, ..base }
     }
 
     /// Dense: two input chunks of 4 (quad-packable) into two output chunks
     /// of 8. Depthwise: two chunks of 8.
     fn schedule(&self) -> ConvSchedule {
         let ic_bn = if self.depthwise { BN } else { BN / 2 };
-        ConvSchedule { ic_bn, oc_bn: BN, reg_n: 4, unroll_ker: false, ..Default::default() }
+        ConvSchedule {
+            ic_bn,
+            oc_bn: BN,
+            reg_n: self.reg_n,
+            unroll_ker: false,
+            ..Default::default()
+        }
     }
 
     fn seed(&self) -> u64 {
-        (usize::from(self.depthwise) * 1000 + self.batch * 100 + self.pad * 10 + self.stride) as u64
+        let shape = self.image.1 * 10_000 + self.kernel * 1000;
+        (shape + usize::from(self.depthwise) * 500 + self.batch * 100 + self.pad * 10 + self.stride)
+            as u64
     }
 }
 
+/// 7×10 image, 3×3 kernel: output widths {8, 10, 4, 5} against `reg_n` 4,
+/// so half the cases end their rows on a remainder strip.
 fn for_each_case(mut f: impl FnMut(Case)) {
     for depthwise in [false, true] {
         for batch in [1, 3] {
             for pad in [0, 1] {
                 for stride in [1, 2] {
                     for full_epilogue in [false, true] {
-                        f(Case { depthwise, batch, pad, stride, full_epilogue });
+                        let (kernel, image, reg_n) = (3, (7, 10), 4);
+                        f(Case { depthwise, batch, kernel, pad, stride, image, reg_n, full_epilogue });
                     }
+                }
+            }
+        }
+    }
+}
+
+/// The row shapes, all at `reg_n` 8: padded 3×3 rows of the four widths,
+/// and the three pointwise planes (49, 196 and 87 pixels in blocks of 8, 16
+/// and 32 — the last block of each is a remainder).
+fn for_each_row_case(mut f: impl FnMut(Case)) {
+    let rows = [7, 13, 14, 29].map(|w| (3, 1, (3, w)));
+    let planes = [(7, 7), (14, 14), (3, 29)].map(|image| (1, 0, image));
+    for (kernel, pad, image) in rows.into_iter().chain(planes) {
+        for depthwise in [false, true] {
+            for batch in [1, 3] {
+                for full_epilogue in [false, true] {
+                    let (stride, reg_n) = (1, 8);
+                    f(Case { depthwise, batch, kernel, pad, stride, image, reg_n, full_epilogue });
                 }
             }
         }
@@ -104,76 +141,98 @@ impl EpilogueData {
     }
 }
 
-/// Runs `conv` under every `par` × scratch combination with the output (and
-/// the scratch, when given) poisoned, and returns the four outputs:
-/// `[seq/None, seq/Some, pool/None, pool/Some]`.
+/// The lane caps every case runs under: the host's tier and the scalar one.
+const LANE_CAPS: [usize; 2] = [usize::MAX, 1];
+
+/// Runs `conv` under every lane cap × `par` × scratch combination with the
+/// output (and the scratch, when given) poisoned, and returns the outputs,
+/// four per lane cap: `[seq/None, seq/Some, pool/None, pool/Some]`.
 fn run_variants<T: Copy>(
     p: &Conv2dParams,
     s: &ConvSchedule,
     batch: usize,
     poison: T,
-    conv: impl Fn(&mut Tensor, &dyn Parallelism, Option<&mut [T]>),
+    conv: impl Fn(&mut Tensor, &dyn Parallelism, usize, Option<&mut [T]>),
 ) -> Vec<Tensor> {
     let pool = ThreadPool::new(2);
     let pars: [&dyn Parallelism; 2] = [&Sequential, &pool];
     let mut outs = Vec::new();
-    for par in pars {
-        for planned in [false, true] {
-            let mut out = Tensor::zeros(out_dims(p, batch), Layout::NchwC(s.oc_bn)).unwrap();
-            out.data_mut().fill(f32::NAN);
-            let mut scratch = vec![poison; padded_input_len(p, s.ic_bn, batch)];
-            conv(&mut out, par, planned.then_some(scratch.as_mut_slice()));
-            assert!(out.data().iter().all(|v| v.is_finite()), "{p:?}: poison survived");
-            outs.push(out);
+    for max_lanes in LANE_CAPS {
+        for par in pars {
+            for planned in [false, true] {
+                let mut out = Tensor::zeros(out_dims(p, batch), Layout::NchwC(s.oc_bn)).unwrap();
+                out.data_mut().fill(f32::NAN);
+                let mut scratch = vec![poison; padded_input_len(p, s.ic_bn, batch)];
+                conv(&mut out, par, max_lanes, planned.then_some(scratch.as_mut_slice()));
+                assert!(out.data().iter().all(|v| v.is_finite()), "{p:?}: poison survived");
+                outs.push(out);
+            }
         }
     }
     outs
 }
 
+/// One f32 case: every variant against the NCHW reference, and bit-identical
+/// within a lane cap (the tiers differ by FMA rounding, nothing else does).
+fn check_f32(case: Case) {
+    let (p, s, seed) = (case.params(), case.schedule(), case.seed());
+    let input = Tensor::random(in_dims(&p, case.batch), Layout::Nchw, seed, 1.0).unwrap();
+    let weights = Tensor::random(weight_dims(&p), Layout::Oihw, seed + 1, 1.0).unwrap();
+    let epi_data = EpilogueData::new(&p, case.batch, seed);
+    let epilogue = |residual| {
+        if case.full_epilogue {
+            Epilogue { bias: Some(&epi_data.bias), relu: true, residual: Some(residual) }
+        } else {
+            Epilogue::none()
+        }
+    };
+    let mut reference = Tensor::zeros(out_dims(&p, case.batch), Layout::Nchw).unwrap();
+    conv2d_nchw_direct(
+        &input,
+        &weights,
+        &mut reference,
+        &p,
+        &epilogue(&epi_data.residual),
+        &Sequential,
+    )
+    .unwrap();
+
+    let bi = to_layout(&input, Layout::NchwC(s.ic_bn)).unwrap();
+    let bw = to_layout(&weights, f32_weight_layout(&p, &s)).unwrap();
+    let res_b = to_layout(&epi_data.residual, Layout::NchwC(s.oc_bn)).unwrap();
+    let outs = run_variants(&p, &s, case.batch, f32::NAN, |out, par, max_lanes, scratch| {
+        conv2d_nchwc(&bi, &bw, out, &p, &s, &epilogue(&res_b), par, max_lanes, scratch).unwrap();
+    });
+    for tier in outs.chunks(4) {
+        assert!(
+            reference.approx_eq(&tier[0], TOL),
+            "{case:?}: diff {}",
+            reference.max_abs_diff(&tier[0])
+        );
+        for (i, out) in tier.iter().enumerate().skip(1) {
+            assert_eq!(tier[0].data(), out.data(), "{case:?}: variant {i} differs");
+        }
+    }
+}
+
 #[test]
 fn f32_driver_matches_the_nchw_reference() {
-    let mut runs = 0usize;
+    let mut cases = 0usize;
     for_each_case(|case| {
-        let (p, s, seed) = (case.params(), case.schedule(), case.seed());
-        let input = Tensor::random(in_dims(&p, case.batch), Layout::Nchw, seed, 1.0).unwrap();
-        let weights = Tensor::random(weight_dims(&p), Layout::Oihw, seed + 1, 1.0).unwrap();
-        let epi_data = EpilogueData::new(&p, case.batch, seed);
-        let epilogue = |residual| {
-            if case.full_epilogue {
-                Epilogue { bias: Some(&epi_data.bias), relu: true, residual: Some(residual) }
-            } else {
-                Epilogue::none()
-            }
-        };
-        let mut reference = Tensor::zeros(out_dims(&p, case.batch), Layout::Nchw).unwrap();
-        conv2d_nchw_direct(
-            &input,
-            &weights,
-            &mut reference,
-            &p,
-            &epilogue(&epi_data.residual),
-            &Sequential,
-        )
-        .unwrap();
-
-        let bi = to_layout(&input, Layout::NchwC(s.ic_bn)).unwrap();
-        let bw = to_layout(&weights, f32_weight_layout(&p, &s)).unwrap();
-        let res_b = to_layout(&epi_data.residual, Layout::NchwC(s.oc_bn)).unwrap();
-        let outs = run_variants(&p, &s, case.batch, f32::NAN, |out, par, scratch| {
-            conv2d_nchwc(&bi, &bw, out, &p, &s, &epilogue(&res_b), par, usize::MAX, scratch)
-                .unwrap();
-        });
-        assert!(
-            reference.approx_eq(&outs[0], TOL),
-            "{case:?}: diff {}",
-            reference.max_abs_diff(&outs[0])
-        );
-        for (i, out) in outs.iter().enumerate().skip(1) {
-            assert_eq!(outs[0].data(), out.data(), "{case:?}: variant {i} differs");
-            runs += 1;
-        }
+        check_f32(case);
+        cases += 1;
     });
-    assert_eq!(runs, 32 * 3, "32 cases, three variants each held to the first");
+    assert_eq!(cases, 32);
+}
+
+#[test]
+fn f32_rows_and_pointwise_planes_match_the_nchw_reference() {
+    let mut cases = 0usize;
+    for_each_row_case(|case| {
+        check_f32(case);
+        cases += 1;
+    });
+    assert_eq!(cases, 7 * 8, "four row widths and three planes, eight cases each");
 }
 
 /// A quantized workload and everything the int8 template and its f32
@@ -236,66 +295,78 @@ impl QuantCase {
     }
 }
 
+/// One u8 case: within the dequantized-reference budget, and bit-identical
+/// across every variant — lane caps included.
+fn check_int8(case: Case) {
+    let (p, s, seed) = (case.params(), case.schedule(), case.seed());
+    let q = QuantCase::new(&p, &s, case.batch, seed);
+    let epi_data = EpilogueData::new(&p, case.batch, seed);
+    let reference = q.dequantized_reference(
+        &p,
+        &if case.full_epilogue {
+            Epilogue { bias: Some(&epi_data.bias), relu: true, residual: Some(&epi_data.residual) }
+        } else {
+            Epilogue::none()
+        },
+    );
+
+    // The zero-point correction always rides in the bias.
+    let bias: Vec<f32> = q
+        .bias_corr
+        .iter()
+        .zip(&epi_data.bias)
+        .map(|(&corr, &b)| if case.full_epilogue { corr + b } else { corr })
+        .collect();
+    let res_b = to_layout(&epi_data.residual, Layout::NchwC(s.oc_bn)).unwrap();
+    let epilogue = Epilogue {
+        bias: Some(&bias),
+        relu: case.full_epilogue,
+        residual: case.full_epilogue.then_some(&res_b),
+    };
+    let quant = ConvQuant { mult: &q.mult, zero_point: q.zp };
+    let outs = run_variants(&p, &s, case.batch, 0xAAu8, |out, par, max_lanes, scratch| {
+        conv2d_nchwc_u8(
+            &q.input_q,
+            &q.wq.tensor,
+            out,
+            &p,
+            &s,
+            &quant,
+            &epilogue,
+            par,
+            max_lanes,
+            scratch,
+        )
+        .unwrap();
+    });
+    assert!(
+        reference.approx_eq(&outs[0], TOL),
+        "{case:?}: diff {}",
+        reference.max_abs_diff(&outs[0])
+    );
+    for (i, out) in outs.iter().enumerate().skip(1) {
+        assert_eq!(outs[0].data(), out.data(), "{case:?}: variant {i} differs");
+    }
+}
+
 #[test]
 fn int8_driver_is_deterministic_and_matches_the_dequantized_reference() {
-    let mut runs = 0usize;
+    let mut cases = 0usize;
     for_each_case(|case| {
-        let (p, s, seed) = (case.params(), case.schedule(), case.seed());
-        let q = QuantCase::new(&p, &s, case.batch, seed);
-        let epi_data = EpilogueData::new(&p, case.batch, seed);
-        let reference = q.dequantized_reference(
-            &p,
-            &if case.full_epilogue {
-                Epilogue {
-                    bias: Some(&epi_data.bias),
-                    relu: true,
-                    residual: Some(&epi_data.residual),
-                }
-            } else {
-                Epilogue::none()
-            },
-        );
-
-        // The zero-point correction always rides in the bias.
-        let bias: Vec<f32> = q
-            .bias_corr
-            .iter()
-            .zip(&epi_data.bias)
-            .map(|(&corr, &b)| if case.full_epilogue { corr + b } else { corr })
-            .collect();
-        let res_b = to_layout(&epi_data.residual, Layout::NchwC(s.oc_bn)).unwrap();
-        let epilogue = Epilogue {
-            bias: Some(&bias),
-            relu: case.full_epilogue,
-            residual: case.full_epilogue.then_some(&res_b),
-        };
-        let quant = ConvQuant { mult: &q.mult, zero_point: q.zp };
-        let outs = run_variants(&p, &s, case.batch, 0xAAu8, |out, par, scratch| {
-            conv2d_nchwc_u8(
-                &q.input_q,
-                &q.wq.tensor,
-                out,
-                &p,
-                &s,
-                &quant,
-                &epilogue,
-                par,
-                usize::MAX,
-                scratch,
-            )
-            .unwrap();
-        });
-        assert!(
-            reference.approx_eq(&outs[0], TOL),
-            "{case:?}: diff {}",
-            reference.max_abs_diff(&outs[0])
-        );
-        for (i, out) in outs.iter().enumerate().skip(1) {
-            assert_eq!(outs[0].data(), out.data(), "{case:?}: variant {i} differs");
-            runs += 1;
-        }
+        check_int8(case);
+        cases += 1;
     });
-    assert_eq!(runs, 32 * 3, "32 cases, three variants each held to the first");
+    assert_eq!(cases, 32);
+}
+
+#[test]
+fn int8_rows_and_pointwise_planes_are_deterministic_and_match_the_reference() {
+    let mut cases = 0usize;
+    for_each_row_case(|case| {
+        check_int8(case);
+        cases += 1;
+    });
+    assert_eq!(cases, 7 * 8, "four row widths and three planes, eight cases each");
 }
 
 /// Every way a caller can hand the template the wrong thing is an `Err`
@@ -304,7 +375,16 @@ fn int8_driver_is_deterministic_and_matches_the_dequantized_reference() {
 #[test]
 fn every_instantiation_keeps_its_error_paths() {
     for depthwise in [false, true] {
-        let case = Case { depthwise, batch: 1, pad: 1, stride: 1, full_epilogue: false };
+        let case = Case {
+            depthwise,
+            batch: 1,
+            kernel: 3,
+            pad: 1,
+            stride: 1,
+            image: (7, 10),
+            reg_n: 4,
+            full_epilogue: false,
+        };
         let (p, s) = (case.params(), case.schedule());
         let other = Layout::NchwC(2);
 

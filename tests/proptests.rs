@@ -1,7 +1,8 @@
 //! Cross-crate property-based tests on the stack's core invariants.
 
 use neocpu_kernels::conv::{
-    conv2d_nchw_direct, conv2d_nchwc, padded_input_len, Conv2dParams, ConvSchedule, Epilogue,
+    conv2d_nchw_direct, conv2d_nchwc, padded_input_len, simd_strip_exists, strip_plan,
+    Conv2dParams, ConvSchedule, Dataflow, Epilogue,
 };
 use neocpu_tensor::{transform::to_layout, Layout, Tensor};
 use neocpu_threadpool::{split_even, Sequential};
@@ -187,6 +188,33 @@ proptest! {
         for s in &cands {
             prop_assert!(s.validate(&p).is_ok(), "invalid candidate {s:?} for {p:?}");
         }
+    }
+
+    /// Whatever the block, lane cap, dataflow, kernel width and `reg_n` —
+    /// candidates or not — a strip plan tiles its row exactly with non-empty
+    /// strips no longer than `reg_n`, and where a tier serves the block it
+    /// uses that tier's strips only.
+    #[test]
+    fn strip_plan_tiles_any_row(
+        oc_sel in 0usize..5,
+        lanes_sel in 0usize..3,
+        shift_reuse in any::<bool>(),
+        kw_sel in 0usize..5,
+        reg_n in 1usize..29,
+        width in 0usize..5000,
+    ) {
+        let oc_bn = [1, 4, 8, 16, 32][oc_sel];
+        let max_lanes = [1, 8, 16][lanes_sel];
+        let kw = [1, 2, 3, 5, 7][kw_sel];
+        let df = if shift_reuse { Dataflow::ShiftReuse } else { Dataflow::OutputStationary };
+        let served = oc_bn <= max_lanes && simd_strip_exists(oc_bn, df, 1, kw);
+        let mut covered = 0usize;
+        for len in strip_plan(oc_bn, max_lanes, df, kw, reg_n, width) {
+            prop_assert!(len >= 1 && len <= reg_n, "strip of {len} under reg_n {reg_n}");
+            prop_assert!(!served || simd_strip_exists(oc_bn, df, len, kw), "{len} not in the table");
+            covered += len;
+        }
+        prop_assert_eq!(covered, width);
     }
 
     /// An arbitrary *invalid* schedule must surface as `Err` from the

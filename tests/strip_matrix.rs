@@ -2,8 +2,7 @@
 //!
 //! Every strip the dispatcher can reach is run — {dense, depthwise} ×
 //! {f32, int8} × every [`Dataflow`] × lane cap {1, 8, 16} × every `reg_n`
-//! the candidate generator proposes (plus a width only the tail handler
-//! sees) × `unroll_ker` × stride {1, 2} × kernel width {1, 3, 5, 7} — with
+//! the candidate generator proposes (plus one no tier holds) × `unroll_ker` × stride {1, 2} × kernel width {1, 3, 5, 7} — with
 //! the output and the padded-input scratch poisoned, so a strip that skips a
 //! pixel or reads outside the written halo cannot pass by luck. f32 results
 //! are held against the NCHW reference; int8 SIMD results must be
@@ -22,11 +21,12 @@ use neocpu_tensor::{transform::to_layout, DType, Layout, Tensor};
 use neocpu_threadpool::Sequential;
 
 /// Output width of every workload: each ladder width gets at least one
-/// full strip, and `31 mod reg_n` leaves a tail for every `reg_n > 1`.
+/// full strip, and `31 mod reg_n` leaves a remainder for every `reg_n > 1`
+/// — 31 = 16+8+4+2+1 = 14+14+2+1 = 7·4+2+1, so every short strip runs too.
 const OUT_W: usize = 31;
 const OUT_H: usize = 2;
-/// A strip length no tier monomorphizes: as `reg_n` it drives the scalar
-/// strip through the main loop, the way output-width tails do.
+/// A `reg_n` no tier monomorphizes: a SIMD tier runs it as its longest
+/// strip below (2), the scalar tier (lane cap 1) as the runtime length 3.
 const TAIL_WIDTH: usize = 3;
 const LANE_CAPS: [usize; 3] = [1, 8, 16];
 const KERNEL_WIDTHS: [usize; 4] = [1, 3, 5, 7];
@@ -191,12 +191,12 @@ fn int8_simd_strips_are_bit_identical_to_the_scalar_strip() {
 /// purpose: dropping or adding a dispatch-table entry must be a deliberate
 /// edit here too. `(lanes, dataflow, kernel widths, strip lengths)`.
 const EXPECTED_TABLE: [(usize, Dataflow, &[usize], &[usize]); 8] = [
-    (8, Dataflow::OutputStationary, &[1, 3, 5, 7], &[12, 8, 4, 2, 1]),
-    (8, Dataflow::ShiftReuse, &[3], &[12, 8, 4, 2, 1]),
+    (8, Dataflow::OutputStationary, &[1, 3, 5, 7], &[12, 8, 7, 4, 2, 1]),
+    (8, Dataflow::ShiftReuse, &[3], &[12, 8, 7, 4, 2, 1]),
     (8, Dataflow::ShiftReuse, &[5], &[10, 8, 4, 2, 1]),
     (8, Dataflow::ShiftReuse, &[7], &[8, 4, 2, 1]),
-    (16, Dataflow::OutputStationary, &[1, 3, 5, 7], &[28, 16, 8, 4, 2, 1]),
-    (16, Dataflow::ShiftReuse, &[3], &[28, 16, 8, 4, 2, 1]),
+    (16, Dataflow::OutputStationary, &[1, 3, 5, 7], &[28, 16, 14, 8, 7, 4, 2, 1]),
+    (16, Dataflow::ShiftReuse, &[3], &[28, 16, 14, 8, 7, 4, 2, 1]),
     (16, Dataflow::ShiftReuse, &[5], &[24, 16, 8, 4, 2, 1]),
     (16, Dataflow::ShiftReuse, &[7], &[24, 16, 8, 4, 2, 1]),
 ];
