@@ -479,7 +479,17 @@ fn global_search(
         }
         kept
     };
-    let problem = extract_problem(g, &mut ranked, &analytical)?;
+    // A search that measured its convolutions measures its transforms too:
+    // seconds from the clock and seconds from `mem_bytes_per_sec` do not
+    // add up. The model's transform is several times cheaper than the real
+    // one; against measured conv times it buys a re-blocking for a few
+    // percent of one layer, less than two timings of that layer differ by,
+    // so two compiles of one model would re-block in different places.
+    let edge_model: &dyn CostModel = match &timed {
+        Some(t) => t,
+        None => &analytical,
+    };
+    let problem = extract_problem(g, &mut ranked, edge_model)?;
     let (assignment, _obj) = solve(&problem, &GlobalCfg::default());
     Ok(problem.assignment_to_schedules(&assignment))
 }

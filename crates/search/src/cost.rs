@@ -314,8 +314,13 @@ impl CostModel for TimedMeasurer {
         if from == to {
             return 0.0;
         }
-        use neocpu_tensor::transform::to_layout;
+        use neocpu_tensor::transform::to_layout_into;
         let src = Tensor::random([1, c, h, w], Layout::NchwC(from), 3, 1.0)
+            .expect("divisibility checked by caller");
+        // Into a destination that exists already, as the executor does into
+        // its arena: allocating one per run adds a fifth to the price of a
+        // small tensor's transform.
+        let mut dst = Tensor::zeros([1, c, h, w], Layout::NchwC(to))
             .expect("divisibility checked by caller");
         // Same warmup + best-of-repeats discipline as conv_time: a one-shot
         // sample is noisy enough to flip DP/PBQP layout decisions.
@@ -323,7 +328,7 @@ impl CostModel for TimedMeasurer {
         let mut best = f32::INFINITY;
         for i in 0..self.warmup + repeats {
             let t0 = Instant::now();
-            let _ = to_layout(&src, Layout::NchwC(to)).expect("divisibility checked by caller");
+            to_layout_into(&src, &mut dst).expect("same logical shape");
             let dt = t0.elapsed().as_secs_f32();
             if i >= self.warmup {
                 best = best.min(dt);

@@ -19,6 +19,7 @@ mod pbqp;
 pub use dp::solve_dp;
 pub use pbqp::solve_pbqp;
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 use neocpu_graph::{infer_shapes, Graph, NodeId, Op};
@@ -218,6 +219,16 @@ pub fn extract_problem(
     ranked: &mut dyn FnMut(NodeId, &Conv2dParams) -> Vec<RankedScheme>,
     model: &dyn CostModel,
 ) -> neocpu_graph::Result<SearchProblem> {
+    // Each distinct transform is priced once: an edge asks for every pair of
+    // its two candidate lists, a model repeats a few tensor shapes many
+    // times, and a measuring model runs the transform it prices.
+    let seen = RefCell::new(HashMap::new());
+    let price = |c: usize, h: usize, w: usize, from: usize, to: usize| -> f32 {
+        *seen
+            .borrow_mut()
+            .entry([c, h, w, from, to])
+            .or_insert_with(|| model.transform_time(c, h, w, from, to))
+    };
     let shapes = infer_shapes(g)?;
     let conv_ids = g.conv_ids();
     let mut index: HashMap<NodeId, usize> = HashMap::new();
@@ -284,7 +295,7 @@ pub fn extract_problem(
             let d = shapes[inp].dims();
             let (c, h, w) = (d[1], d[2], d[3]);
             for &ai in &sources[inp] {
-                let m = cost_matrix(&nodes[ai], &nodes[bi], c, h, w, model, slot == 1);
+                let m = cost_matrix(&nodes[ai], &nodes[bi], c, h, w, &price, slot == 1);
                 add_edge(ai, bi, m);
             }
         }
@@ -301,7 +312,7 @@ pub fn extract_problem(
         let srcs = &sources[id];
         for pair in srcs.windows(2) {
             let (ai, bi) = (pair[0], pair[1]);
-            let m = oc_oc_matrix(&nodes[ai], &nodes[bi], c, h, w, model);
+            let m = oc_oc_matrix(&nodes[ai], &nodes[bi], c, h, w, &price);
             add_edge(ai, bi, m);
         }
     }
@@ -321,14 +332,14 @@ fn cost_matrix(
     c: usize,
     h: usize,
     w: usize,
-    model: &dyn CostModel,
+    price: &dyn Fn(usize, usize, usize, usize, usize) -> f32,
     residual_slot: bool,
 ) -> Vec<f32> {
     let mut m = Vec::with_capacity(a.candidates.len() * b.candidates.len());
     for ka in &a.candidates {
         for kb in &b.candidates {
             let want = if residual_slot { kb.oc_bn } else { kb.ic_bn };
-            m.push(model.transform_time(c, h, w, ka.oc_bn, want));
+            m.push(price(c, h, w, ka.oc_bn, want));
         }
     }
     m
@@ -341,12 +352,12 @@ fn oc_oc_matrix(
     c: usize,
     h: usize,
     w: usize,
-    model: &dyn CostModel,
+    price: &dyn Fn(usize, usize, usize, usize, usize) -> f32,
 ) -> Vec<f32> {
     let mut m = Vec::with_capacity(a.candidates.len() * b.candidates.len());
     for ka in &a.candidates {
         for kb in &b.candidates {
-            m.push(model.transform_time(c, h, w, ka.oc_bn, kb.oc_bn));
+            m.push(price(c, h, w, ka.oc_bn, kb.oc_bn));
         }
     }
     m
@@ -423,6 +434,29 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn each_distinct_transform_is_priced_once() {
+        struct Counting(RefCell<Vec<[usize; 5]>>);
+        impl CostModel for Counting {
+            fn conv_time(&self, _: &Conv2dParams, _: &ConvSchedule) -> f32 {
+                1.0
+            }
+            fn transform_time(&self, c: usize, h: usize, w: usize, from: usize, to: usize) -> f32 {
+                self.0.borrow_mut().push([c, h, w, from, to]);
+                if from == to { 0.0 } else { 1.0 }
+            }
+        }
+        let m = Counting(RefCell::new(Vec::new()));
+        let prob = extract_problem(&chain(), &mut ranked_fn(6), &m).unwrap();
+        let asked: usize = prob.edges.iter().map(|e| e.matrix.len()).sum();
+        let mut priced = m.0.into_inner();
+        let calls = priced.len();
+        priced.sort_unstable();
+        priced.dedup();
+        assert_eq!(calls, priced.len(), "a transform was priced twice");
+        assert!(calls < asked, "{calls} calls for {asked} matrix entries");
     }
 
     #[test]
