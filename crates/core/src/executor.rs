@@ -37,7 +37,7 @@ use neocpu_kernels::elementwise::{
     add, add_assign, batchnorm_fold, concat_channels, relu_inplace, scale_shift,
 };
 use neocpu_kernels::pool2d::{global_avg_pool, pool2d};
-use neocpu_kernels::quantize::{dequantize_slice, f32_slice_as_u8_mut, quantize_slice};
+use neocpu_kernels::quantize::{dequantize_slice_par, f32_slice_as_u8_mut, quantize_slice_par};
 use neocpu_kernels::{dense, softmax};
 use neocpu_tensor::{
     transform::{to_layout, to_layout_into},
@@ -458,11 +458,12 @@ impl Module {
                 }
                 out.data_mut().copy_from_slice(t.data());
             }
-            Op::Conv2d { params, weight, bias, schedule, relu, residual, quant } => {
+            Op::Conv2d { params, weight, bias, schedule, relu, residual, quant, requant } => {
                 let x = &before[node.inputs[0]];
                 let res = residual.then(|| &before[node.inputs[1]]);
                 let bias_data = bias.map(|b| g.params[b].data());
-                let epi = Epilogue { bias: bias_data, relu: *relu, residual: res };
+                let epi =
+                    Epilogue { bias: bias_data, relu: *relu, residual: res, requant: *requant };
                 match (schedule, quant) {
                     (Some(s), Some(q)) => {
                         // SAFETY: as below; the planner reserved the region
@@ -520,11 +521,12 @@ impl Module {
             }
             Op::Quantize { scale, zero_point } => {
                 let x = &before[node.inputs[0]];
-                quantize_slice(x.data(), out.data_u8_mut(), *scale, *zero_point);
+                let (src, dst) = (x.data(), out.data_u8_mut());
+                quantize_slice_par(src, dst, *scale, *zero_point, par, self.max_lanes);
             }
             Op::Dequantize { scale, zero_point } => {
                 let x = &before[node.inputs[0]];
-                dequantize_slice(x.data_u8(), out.data_mut(), *scale, *zero_point);
+                dequantize_slice_par(x.data_u8(), out.data_mut(), *scale, *zero_point, par);
             }
             Op::ScaleShift { scale, shift } => {
                 let x = &before[node.inputs[0]];
@@ -735,11 +737,12 @@ impl Module {
                 }
                 t.clone()
             }
-            Op::Conv2d { params, weight, bias, schedule, relu, residual, quant } => {
+            Op::Conv2d { params, weight, bias, schedule, relu, residual, quant, requant } => {
                 let x = value(node.inputs[0])?;
                 let res = if *residual { Some(value(node.inputs[1])?) } else { None };
                 let bias_data = bias.map(|b| g.params[b].data());
-                let epi = Epilogue { bias: bias_data, relu: *relu, residual: res };
+                let epi =
+                    Epilogue { bias: bias_data, relu: *relu, residual: res, requant: *requant };
                 let mut out = self.alloc(id)?;
                 match (schedule, quant) {
                     (Some(s), Some(q)) => {
@@ -787,13 +790,14 @@ impl Module {
             Op::Quantize { scale, zero_point } => {
                 let x = value(node.inputs[0])?;
                 let mut out = self.alloc(id)?;
-                quantize_slice(x.data(), out.data_u8_mut(), *scale, *zero_point);
+                let (src, dst) = (x.data(), out.data_u8_mut());
+                quantize_slice_par(src, dst, *scale, *zero_point, par, self.max_lanes);
                 out
             }
             Op::Dequantize { scale, zero_point } => {
                 let x = value(node.inputs[0])?;
                 let mut out = self.alloc(id)?;
-                dequantize_slice(x.data_u8(), out.data_mut(), *scale, *zero_point);
+                dequantize_slice_par(x.data_u8(), out.data_mut(), *scale, *zero_point, par);
                 out
             }
             Op::ScaleShift { scale, shift } => {

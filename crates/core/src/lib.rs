@@ -56,6 +56,7 @@ pub use error::NeoError;
 pub use executor::{Module, OpProfile, RunContext};
 pub use quantize::{
     compile_quantized, compile_quantized_with_db, QuantizeOptions, QuantizeReport,
+    StandaloneQuantize,
     DEFAULT_INT8_ERROR_BUDGET,
 };
 pub use memory::MemoryReport;

@@ -16,7 +16,14 @@
 //!    [`QuantInfo`]. Eligibility is the kernel's quad-packing rule plus an
 //!    analytical profit test, so 3-channel stems and other
 //!    vectorization-hostile workloads stay f32 per layer.
-//! 3. **Accuracy gate** — the quantized module's outputs are compared to
+//! 3. **Fold** — a `Quantize` node whose producer is a scheduled conv with
+//!    no other consumer disappears into that conv's epilogue
+//!    (`requant`): the conv stores the `u8` the next conv reads, and the f32
+//!    tensor between them is never written. The fused byte is
+//!    `quantize_value` of the very f32 the pair would have stored, so the
+//!    fold moves no output bit; [`QuantizeReport`] carries the census of
+//!    folded and standalone boundaries with the reason for each one left.
+//! 4. **Accuracy gate** — the quantized module's outputs are compared to
 //!    the f32 module's on the calibration set; if the max abs error
 //!    exceeds the budget, compilation *falls back to the f32 module* and
 //!    reports it, instead of shipping a module that fails accuracy.
@@ -27,7 +34,7 @@
 
 use std::collections::HashMap;
 
-use neocpu_graph::{Graph, Node, NodeId, Op, QuantInfo};
+use neocpu_graph::{infer_shapes, Graph, Node, NodeId, Op, QuantInfo};
 use neocpu_kernels::quantize::{quantize_dense_weights, quantize_dw_weights, QuantizedWeights};
 use neocpu_search::{CostModel, SchemeDatabase};
 use neocpu_tensor::{Layout, Tensor};
@@ -85,9 +92,28 @@ pub struct QuantizeReport {
     /// Whether the accuracy gate rejected the quantized module and the
     /// returned module is the f32 one.
     pub fell_back: bool,
+    /// `Quantize` nodes folded into their producer's requantizing epilogue.
+    pub folded: usize,
+    /// Elements (at the compiled batch) those folded boundaries carry — f32
+    /// values no longer stored and re-read.
+    pub folded_elements: usize,
+    /// The `Quantize` nodes left standalone, in graph order.
+    pub standalone: Vec<StandaloneQuantize>,
     /// The underlying compile diagnostics (dropped schemes, fallbacks,
     /// memory plan of the returned module).
     pub compile: CompileReport,
+}
+
+/// A `Quantize` node the fold left in the graph.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StandaloneQuantize {
+    /// Its id in the quantized graph.
+    pub node: NodeId,
+    /// Why it could not fold: `producer has f32 consumers`, `graph output`,
+    /// `behind a layout transform` or `producer is not a scheduled conv`.
+    pub reason: &'static str,
+    /// Elements it converts per run (at the compiled batch).
+    pub elements: usize,
 }
 
 /// Compiles `graph` with the int8 quantization pass, using a throwaway
@@ -138,10 +164,8 @@ pub fn compile_quantized_with_db(
 
     let stats = calibrate(&f32_module, &planned, &calib)?;
     let analytical = target.analytical_model();
-    let (qgraph, quantized, skipped) = quantize_planned(&planned, &stats, &analytical)?;
-    let mut qreport =
-        QuantizeReport { quantized, skipped, ..Default::default() };
-    if quantized == 0 {
+    let (qgraph, mut qreport) = quantize_planned(&planned, &stats, &analytical)?;
+    if qreport.quantized == 0 {
         qreport.compile = report;
         return Ok((f32_module, qreport));
     }
@@ -256,15 +280,30 @@ fn activation_qparams(min: f32, max: f32) -> (f32, u8) {
     (scale, zp)
 }
 
-/// Rewrites a planned graph onto the int8 path: splices `Quantize` nodes,
-/// re-packs weights, folds biases, attaches [`QuantInfo`]. Returns the new
-/// graph plus (quantized, skipped) conv counts.
+/// Rewrites a planned graph onto the int8 path ([`rewrite_planned`]) and
+/// folds every `Quantize` node it can into its producer
+/// ([`fold_quantizes`]). The report carries the conv counts and the
+/// boundary census.
+fn quantize_planned(
+    planned: &Graph,
+    stats: &HashMap<NodeId, (f32, f32)>,
+    model: &impl CostModel,
+) -> Result<(Graph, QuantizeReport)> {
+    let (unfolded, quantized, skipped) = rewrite_planned(planned, stats, model)?;
+    let mut report = QuantizeReport { quantized, skipped, ..Default::default() };
+    let folded = fold_quantizes(unfolded, &mut report)?;
+    Ok((folded, report))
+}
+
+/// Splices `Quantize` nodes, re-packs weights, folds biases, attaches
+/// [`QuantInfo`]. Returns the new graph — every int8 conv still storing f32
+/// — plus (quantized, skipped) conv counts.
 ///
 /// Only scheduled convs with calibration stats are considered; each must
 /// pass the analytical profit test (`conv_time_i8 < conv_time`, infinite
 /// for un-quad-packable dense workloads) and its weights must re-pack
 /// cleanly. Everything else is carried over untouched.
-fn quantize_planned(
+fn rewrite_planned(
     planned: &Graph,
     stats: &HashMap<NodeId, (f32, f32)>,
     model: &impl CostModel,
@@ -302,6 +341,48 @@ fn quantize_planned(
     Ok((out, quantized, skipped))
 }
 
+/// Folds `conv → Quantize{s, zp}` into `conv{requant (s, zp)}` wherever the
+/// `Quantize` is the conv's only consumer (graph outputs count as
+/// consumers) and the conv is scheduled: the node disappears and its
+/// readers — both branch convs of a shared, memoized `Quantize` — read the
+/// conv's `u8` output. Every other `Quantize` stays, and `report` says why.
+fn fold_quantizes(g: Graph, report: &mut QuantizeReport) -> Result<Graph> {
+    let shapes = infer_shapes(&g)?;
+    let fanout = g.fanout();
+    let mut nodes: Vec<Node> = Vec::with_capacity(g.len());
+    let mut map: Vec<NodeId> = Vec::with_capacity(g.len());
+    for (id, node) in g.nodes.iter().enumerate() {
+        let inputs: Vec<NodeId> = node.inputs.iter().map(|&i| map[i]).collect();
+        if let Op::Quantize { scale, zero_point } = node.op {
+            let (producer, elements) = (node.inputs[0], shapes[id].num_elements());
+            let reason = match &g.nodes[producer].op {
+                Op::Conv2d { schedule: Some(_), requant: None, .. } if fanout[producer] == 1 => {
+                    let Op::Conv2d { requant, .. } = &mut nodes[inputs[0]].op else {
+                        unreachable!("the map sends a conv to its own copy");
+                    };
+                    *requant = Some((scale, zero_point));
+                    report.folded += 1;
+                    report.folded_elements += elements;
+                    map.push(inputs[0]);
+                    continue;
+                }
+                Op::Conv2d { schedule: Some(_), .. } if g.outputs.contains(&producer) => {
+                    "graph output"
+                }
+                Op::Conv2d { schedule: Some(_), .. } => "producer has f32 consumers",
+                Op::LayoutTransform { .. } => "behind a layout transform",
+                _ => "producer is not a scheduled conv",
+            };
+            report.standalone.push(StandaloneQuantize { node: nodes.len(), reason, elements });
+        }
+        map.push(nodes.len());
+        nodes.push(Node { op: node.op.clone(), inputs });
+    }
+    let outputs = g.outputs.iter().map(|&o| map[o]).collect();
+    // The parameters move: the weights are not copied a second time.
+    Ok(Graph { nodes, params: g.params, outputs })
+}
+
 /// Attempts the int8 rewrite of one conv node; `None` keeps it f32.
 fn try_quantize_conv(
     planned: &Graph,
@@ -312,8 +393,9 @@ fn try_quantize_conv(
     out: &mut Graph,
     memo: &mut HashMap<NodeId, NodeId>,
 ) -> Option<NodeId> {
-    let Op::Conv2d { params, weight, bias, schedule: Some(s), relu, residual, quant: None } =
-        &node.op
+    let Op::Conv2d {
+        params, weight, bias, schedule: Some(s), relu, residual, quant: None, requant: None,
+    } = &node.op
     else {
         return None;
     };
@@ -364,6 +446,7 @@ fn try_quantize_conv(
         relu: *relu,
         residual: *residual,
         quant: Some(QuantInfo { in_scale, in_zp, mult: qmult }),
+        requant: None,
     };
     Some(out.push(op, inputs))
 }
@@ -456,8 +539,12 @@ mod tests {
         assert_eq!(a[0].data(), b[0].data());
     }
 
+    fn quantize_nodes(g: &Graph) -> usize {
+        g.nodes.iter().filter(|n| matches!(n.op, Op::Quantize { .. })).count()
+    }
+
     #[test]
-    fn shared_input_convs_share_one_quantize_node() {
+    fn shared_input_convs_share_one_folded_u8_tensor() {
         let mut b = GraphBuilder::new(17);
         let x = b.input([1, 8, 10, 10]);
         let stem = b.conv_bn_relu(x, 8, 3, 1, 1);
@@ -473,20 +560,159 @@ mod tests {
             &QuantizeOptions::default(),
         )
         .unwrap();
-        assert!(report.quantized >= 2, "{report:?}");
-        let quantize_nodes = m
-            .graph()
+        assert_eq!(report.quantized, 3, "{report:?}");
+        // The branch convs' memoized Quantize folded once, into the stem;
+        // the stem's own sits behind the input's blocking transform.
+        assert_eq!(report.folded, 1, "{report:?}");
+        assert_eq!(report.folded_elements, 8 * 10 * 10);
+        let reasons: Vec<_> = report.standalone.iter().map(|s| s.reason).collect();
+        assert_eq!(reasons, ["behind a layout transform"], "{report:?}");
+        let graph = m.graph();
+        assert_eq!(quantize_nodes(graph), 1);
+        let requantizing: Vec<NodeId> = (0..graph.len())
+            .filter(|&id| matches!(graph.nodes[id].op, Op::Conv2d { requant: Some(_), .. }))
+            .collect();
+        assert_eq!(requantizing.len(), 1);
+        let readers = graph
             .nodes
             .iter()
-            .filter(|n| matches!(n.op, Op::Quantize { .. }))
+            .filter(|n| matches!(n.op, Op::Conv2d { quant: Some(_), .. }))
+            .filter(|n| n.inputs[0] == requantizing[0])
             .count();
-        assert_eq!(
-            quantize_nodes,
-            report.quantized - 1,
-            "branch convs must share their input's Quantize node"
-        );
+        assert_eq!(readers, 2, "both branch convs read the stem's u8 output");
         let input = Tensor::random([1, 8, 10, 10], Layout::Nchw, 3, 1.0).unwrap();
         m.run(&[input]).unwrap();
+    }
+
+    #[test]
+    fn a_conv_with_another_reader_keeps_its_standalone_quantize() {
+        // `c0` feeds `c1` (through a Quantize) and the residual of the fused
+        // `c2 + add + relu`, which the output transform and `c3` both read.
+        let mut b = GraphBuilder::new(29);
+        let x = b.input([1, 8, 10, 10]);
+        let c0 = b.conv_bn_relu(x, 8, 3, 1, 1);
+        let c1 = b.conv_bn_relu(c0, 8, 3, 1, 1);
+        let c2 = b.conv2d_opts(c1, 8, 3, 1, 1, false);
+        let a = b.add(c2, c0);
+        let r = b.relu(a);
+        let c3 = b.conv_bn_relu(r, 8, 3, 1, 1);
+        let g = b.finish(vec![r, c3]);
+        let target = CpuTarget::host();
+        let opts = CompileOptions::level(OptLevel::O2);
+        let planned = plan(&g, &target, &opts);
+        let (mut unfolded, quantized, _) =
+            rewrite_planned(&planned, &any_range(&planned), &target.analytical_model()).unwrap();
+        assert_eq!(quantized, 4);
+        let reasons = |census: &QuantizeReport| -> Vec<_> {
+            census.standalone.iter().map(|s| s.reason).collect()
+        };
+
+        // Only `c1 → c2` is a conv whose sole reader is a Quantize.
+        let mut census = QuantizeReport::default();
+        let folded = fold_quantizes(unfolded.clone(), &mut census).unwrap();
+        assert_eq!((census.folded, census.folded_elements), (1, 800), "{census:?}");
+        assert_eq!(
+            reasons(&census),
+            ["behind a layout transform", "producer has f32 consumers", "producer has f32 consumers"]
+        );
+        for s in &census.standalone {
+            assert!(matches!(folded.nodes[s.node].op, Op::Quantize { .. }), "{s:?}");
+            assert_eq!(s.elements, 800);
+        }
+        assert_eq!(quantize_nodes(&folded), 3);
+        let module =
+            finish_module(&folded, &target, &opts, &mut CompileReport::default()).unwrap();
+        let input = Tensor::random([1, 8, 10, 10], Layout::Nchw, 3, 1.0).unwrap();
+        module.run(&[input]).unwrap();
+
+        // The same conv as a graph output: its f32 value is asked for.
+        let c1 = (0..folded.len())
+            .find(|&id| matches!(folded.nodes[id].op, Op::Conv2d { requant: Some(_), .. }))
+            .unwrap();
+        // Nothing was deleted before it, so the id holds in `unfolded` too.
+        unfolded.outputs.push(c1);
+        let mut census = QuantizeReport::default();
+        fold_quantizes(unfolded, &mut census).unwrap();
+        assert_eq!(census.folded, 0);
+        assert!(reasons(&census).contains(&"graph output"), "{census:?}");
+    }
+
+    /// Some range for every conv input: which convs go int8 depends on their
+    /// workloads and schedules, not on the calibrated values.
+    fn any_range(planned: &Graph) -> HashMap<NodeId, (f32, f32)> {
+        planned.conv_ids().iter().map(|&c| (planned.nodes[c].inputs[0], (-1.0, 1.0))).collect()
+    }
+
+    /// The planned graph the int8 pass starts from.
+    fn plan(g: &Graph, target: &CpuTarget, opts: &CompileOptions) -> Graph {
+        let mut report = CompileReport::default();
+        plan_stage(g, target, opts, &mut SchemeDatabase::new(), &mut report, true).unwrap()
+    }
+
+    #[test]
+    fn fold_moves_no_output_bit_on_the_quantized_zoo() {
+        use neocpu_models::{build, quantized_zoo, ModelScale};
+        let target = CpuTarget::host();
+        let opts = CompileOptions::level(OptLevel::O3).with_threads(2);
+        for kind in quantized_zoo() {
+            let scale = ModelScale::tiny(kind);
+            let g = build(kind, scale, 42);
+            let mut report = CompileReport::default();
+            let planned = plan(&g, &target, &opts);
+            let f32_module = finish_module(&planned, &target, &opts, &mut report).unwrap();
+            let calib = auto_calibration(&g, &QuantizeOptions::default()).unwrap();
+            let stats = calibrate(&f32_module, &planned, &calib).unwrap();
+            let (unfolded, quantized, _) =
+                rewrite_planned(&planned, &stats, &target.analytical_model()).unwrap();
+            let mut census = QuantizeReport::default();
+            let folded = fold_quantizes(unfolded.clone(), &mut census).unwrap();
+            assert!(quantized >= 2 && census.folded >= 2, "{}: {census:?}", kind.name());
+            assert_eq!(
+                quantize_nodes(&unfolded),
+                census.folded + census.standalone.len(),
+                "{}: every Quantize node is in the census",
+                kind.name()
+            );
+            assert_eq!(quantize_nodes(&folded), census.standalone.len());
+
+            let before = finish_module(&unfolded, &target, &opts, &mut report).unwrap();
+            let after = finish_module(&folded, &target, &opts, &mut report).unwrap();
+            let dims = [scale.batch, 3, scale.input, scale.input];
+            let input = Tensor::random(dims, Layout::Nchw, 777, 1.0).unwrap();
+            let want = before.run(std::slice::from_ref(&input)).unwrap();
+            let got = after.run(std::slice::from_ref(&input)).unwrap();
+            let reference = after.run_reference(std::slice::from_ref(&input)).unwrap();
+            for ((w, g), r) in want.iter().zip(&got).zip(&reference) {
+                assert_eq!(w.data(), g.data(), "{}: the fold moved an output", kind.name());
+                assert_eq!(g.data(), r.data(), "{}: arena run != reference run", kind.name());
+            }
+            // u8 intermediates replace f32 ones.
+            assert!(
+                after.memory_report().planned_peak_bytes <= before.memory_report().planned_peak_bytes
+            );
+        }
+    }
+
+    #[test]
+    fn boundary_census_of_the_paper_scale_zoo() {
+        use neocpu_models::{build, ModelKind, ModelScale};
+        let target = CpuTarget::host();
+        let opts = CompileOptions::level(OptLevel::O3);
+        for (kind, convs, folded, standalone) in
+            [(ModelKind::MobileNet, 26, 26, 0), (ModelKind::ResNet50, 52, 35, 13)]
+        {
+            let g = build(kind, ModelScale::full(kind), 42);
+            let planned = plan(&g, &target, &opts);
+            let (_, report) =
+                quantize_planned(&planned, &any_range(&planned), &target.analytical_model())
+                    .unwrap();
+            assert_eq!(
+                (report.quantized, report.folded, report.standalone.len()),
+                (convs, folded, standalone),
+                "{}: {report:?}",
+                kind.name()
+            );
+        }
     }
 
     #[test]

@@ -109,7 +109,7 @@ impl GraphBuilder {
         });
         let shape = Shape::from([d[0], out_c, params.out_h(), params.out_w()]);
         self.push(
-            Op::Conv2d { params, weight, bias, schedule: None, relu: false, residual: false, quant: None },
+            Op::Conv2d { params, weight, bias, schedule: None, relu: false, residual: false, quant: None, requant: None },
             vec![x],
             shape,
         )
@@ -161,7 +161,7 @@ impl GraphBuilder {
         });
         let shape = Shape::from([d[0], out_c, params.out_h(), params.out_w()]);
         self.push(
-            Op::Conv2d { params, weight, bias, schedule: None, relu: false, residual: false, quant: None },
+            Op::Conv2d { params, weight, bias, schedule: None, relu: false, residual: false, quant: None, requant: None },
             vec![x],
             shape,
         )
@@ -202,7 +202,7 @@ impl GraphBuilder {
         });
         let shape = Shape::from([d[0], c, params.out_h(), params.out_w()]);
         self.push(
-            Op::Conv2d { params, weight, bias, schedule: None, relu: false, residual: false, quant: None },
+            Op::Conv2d { params, weight, bias, schedule: None, relu: false, residual: false, quant: None, requant: None },
             vec![x],
             shape,
         )

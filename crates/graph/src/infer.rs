@@ -320,12 +320,13 @@ pub fn infer_layouts(g: &Graph, shapes: &[Shape]) -> Result<Vec<Layout>> {
 /// Computes the element type every node produces, validating that each
 /// operator receives the dtype it requires.
 ///
-/// The dtype discipline is narrow by design: only `Quantize` produces a
-/// non-f32 edge (`u8`), and the only op that accepts one is a *quantized*
-/// conv (`quant: Some(_)`) or `Dequantize`. Every other operator both
-/// requires and produces f32 — a quantized conv's output is already f32
-/// (the microkernel applies the multiplier on store), so nothing downstream
-/// changes.
+/// The dtype discipline is narrow by design: a `u8` edge is produced by
+/// `Quantize` or by a scheduled conv whose epilogue requantizes
+/// (`requant: Some(_)`, a `Quantize` folded into its producer), and the only
+/// ops that accept one are a *quantized* conv (`quant: Some(_)`) and
+/// `Dequantize`. Every other operator both requires and produces f32 — a
+/// quantized conv without `requant` stores f32 (the microkernel applies the
+/// multiplier on store), and a conv's residual is always f32.
 ///
 /// # Errors
 ///
@@ -355,7 +356,7 @@ pub fn infer_dtypes(g: &Graph) -> Result<Vec<DType>> {
                 }
                 DType::F32
             }
-            Op::Conv2d { quant, residual, .. } => {
+            Op::Conv2d { quant, residual, requant, schedule, .. } => {
                 match quant {
                     Some(_) => {
                         if ins[0] != DType::U8 {
@@ -370,7 +371,13 @@ pub fn infer_dtypes(g: &Graph) -> Result<Vec<DType>> {
                 if *residual {
                     require_f32(1)?;
                 }
-                DType::F32
+                match (requant, schedule) {
+                    (None, _) => DType::F32,
+                    (Some(_), Some(_)) => DType::U8,
+                    (Some(_), None) => {
+                        return Err(lerr(id, "only a scheduled conv can requantize its output"));
+                    }
+                }
             }
             _ => {
                 for i in 0..ins.len() {
@@ -499,6 +506,39 @@ mod tests {
             *quant = None;
         }
         assert!(infer_dtypes(&g).is_err());
+    }
+
+    #[test]
+    fn requantizing_conv_feeds_quantized_convs_only() {
+        // Input → conv{requant} → quantized conv: the edge between them is u8.
+        let mut b = GraphBuilder::new(9);
+        let x = b.input([1, 8, 8, 8]);
+        let c0 = b.conv2d(x, 8, 3, 1, 1);
+        let c1 = b.conv2d(c0, 8, 3, 1, 1);
+        let mut g = b.finish(vec![c1]);
+        let mult =
+            g.push_param(neocpu_tensor::Tensor::random([8], Layout::Flat, 1, 0.1).unwrap());
+        let sched = ConvSchedule { ic_bn: 8, oc_bn: 8, ..Default::default() };
+        if let Op::Conv2d { schedule, requant, .. } = &mut g.nodes[c0].op {
+            (*schedule, *requant) = (Some(sched), Some((0.05, 128)));
+        }
+        if let Op::Conv2d { schedule, quant, .. } = &mut g.nodes[c1].op {
+            *schedule = Some(sched);
+            *quant = Some(crate::QuantInfo { in_scale: 0.05, in_zp: 128, mult });
+        }
+        assert_eq!(infer_dtypes(&g).unwrap(), vec![DType::F32, DType::U8, DType::F32]);
+
+        // An f32 op cannot read the requantized output…
+        let mut pooled = g.clone();
+        pooled.nodes[c1].op = Op::GlobalAvgPool;
+        let err = infer_dtypes(&pooled).unwrap_err().to_string();
+        assert!(err.contains("requires f32 input, got u8"), "unexpected error: {err}");
+        // …and the NCHW reference path has no requantizing store.
+        if let Op::Conv2d { schedule, .. } = &mut g.nodes[c0].op {
+            *schedule = None;
+        }
+        let err = infer_dtypes(&g).unwrap_err().to_string();
+        assert!(err.contains("scheduled"), "unexpected error: {err}");
     }
 
     #[test]

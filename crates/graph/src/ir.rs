@@ -24,8 +24,9 @@ pub type ParamId = usize;
 /// an `i8` quad-packed tensor, the bias by the folded
 /// `bias − m·zp·Σw_q` correction, and `mult` points at the per-output-
 /// channel multiplier `m[oc] = in_scale · s_w[oc]` that maps the integer
-/// accumulator back to f32. The node then requires a `u8` input (produced
-/// by a `Quantize` node) and still produces f32 output.
+/// accumulator back to f32. The node then requires a `u8` input (a
+/// `Quantize` node's, or a requantizing conv's) and produces f32 unless its
+/// own `requant` is set.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantInfo {
     /// Activation quantization scale (from calibration).
@@ -67,6 +68,11 @@ pub enum Op {
         /// Int8 quantization state; `None` is the f32 path. See
         /// [`QuantInfo`].
         quant: Option<QuantInfo>,
+        /// Output quantization `(scale, zero_point)`: the last stage of the
+        /// fused epilogue stores `u8` — a `Quantize` node folded into its
+        /// producer. Independent of `quant` (an f32 stem may requantize)
+        /// and only valid on a scheduled conv.
+        requant: Option<(f32, u8)>,
     },
     /// Affine f32 → u8 quantization (`q = clamp(round(x/scale) + zp, 0,
     /// 255)`; NaN maps to `zp`). Shape- and layout-preserving.

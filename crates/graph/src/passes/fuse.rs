@@ -109,7 +109,7 @@ pub fn fuse_ops(g: &Graph) -> Result<Graph> {
             let root = &g.nodes[gr.root];
             let mut inputs: Vec<usize> = root.inputs.iter().map(|&i| remap[i]).collect();
             let op = match &root.op {
-                Op::Conv2d { params, weight, bias, schedule, quant, .. } => {
+                Op::Conv2d { params, weight, bias, schedule, quant, requant, .. } => {
                     if let Some((_, other)) = gr.add {
                         inputs.push(remap[other]);
                     }
@@ -121,6 +121,7 @@ pub fn fuse_ops(g: &Graph) -> Result<Graph> {
                         relu: gr.relu.is_some(),
                         residual: gr.add.is_some(),
                         quant: *quant,
+                        requant: *requant,
                     }
                 }
                 Op::Dense { weight, bias, .. } => {

@@ -183,6 +183,7 @@ pub fn wrap_convs_with_transforms(g: &Graph, cfg: &UniformPlanCfg) -> Result<Gra
                         relu: *relu,
                         residual: *residual,
                         quant: None,
+                        requant: None,
                     },
                     conv_inputs,
                 );

@@ -12,6 +12,11 @@
 //!   apply the fused epilogue to the finished row
 //! ```
 //!
+//! With a requantizing epilogue ([`Epilogue::requant`]) the output is `u8`:
+//! each strip lands in an f32 staging tile on the job's stack instead, gets
+//! the epilogue there, and leaves as `rn·oc_bn` bytes — the f32 the next
+//! convolution's `Quantize` node would have re-read is never stored.
+//!
 //! [`drive`] is that loop nest — operand validation, padding, the
 //! `(n, chunk, oh)` job loop, the strips of one row as its [`StripPlan`]
 //! cuts them, the row epilogue — generic over the activation and weight
@@ -37,8 +42,13 @@ use neocpu_threadpool::Parallelism;
 
 use super::microkernel::{self, Geo, Strip, StripPlan};
 use super::{Conv2dParams, ConvSchedule, Epilogue, RowEpilogue};
+use crate::quantize::QuantIsa;
 use crate::util::SendPtr;
 use crate::{KernelError, Result};
+
+/// Floats of the requantizing store's staging tile: a 28-pixel strip of the
+/// widest block the search emits. Wider schedules stage shorter strips.
+const STAGE: usize = 28 * 64;
 
 /// Number of elements of padded-input scratch the blocked templates need
 /// for a workload at batch `batch` under input blocking `ic_bn`, or 0 when
@@ -89,7 +99,8 @@ unsafe impl Elem for i8 {
 /// Direct convolution on blocked layouts: `NCHW[ic_bn]c` input,
 /// `OIHW[ic_bn]i[oc_bn]o` weights, `NCHW[oc_bn]c` output — or, for a
 /// depthwise workload (`p.is_depthwise()`, `ic_bn == oc_bn == c`),
-/// `OIHW1i[c]o` weights of logical shape `[C, 1, kh, kw]`.
+/// `OIHW1i[c]o` weights of logical shape `[C, 1, kh, kw]`. The output is
+/// f32, or `u8` exactly when `epilogue.requant` is set.
 ///
 /// `max_lanes` caps the SIMD width the microkernel may use, so a
 /// `CpuTarget` descriptor can model a narrower machine than the host; pass
@@ -164,7 +175,7 @@ fn check_operand(
 /// `strip` the microkernel. It is called with the call's [`Geo`], one strip
 /// of an output row — always valid for the extents [`Strip`] documents
 /// under that `Geo` — and the row's output-channel chunk, and must fully
-/// overwrite the strip.
+/// overwrite the strip. The output is `u8` iff `epilogue.requant` is set.
 ///
 /// # Errors
 ///
@@ -196,8 +207,18 @@ pub(super) fn drive<A: Elem, W: Elem>(
     check_operand("input", input, A::DTYPE, Layout::NchwC(ic_bn), in_dims)?;
     check_operand("weights", weights, W::DTYPE, w_layout, w_dims)?;
     let out_dims = [n, p.out_channels, oh, ow];
-    check_operand("output", output, DType::F32, Layout::NchwC(oc_bn), out_dims)?;
+    let requant = epilogue.requant.map(|(scale, zp)| (QuantIsa::select(max_lanes), scale, zp));
+    let out_dtype = if requant.is_some() { DType::U8 } else { DType::F32 };
+    check_operand("output", output, out_dtype, Layout::NchwC(oc_bn), out_dims)?;
     epilogue.validate(output, p.out_channels)?;
+    // A staged strip has to fit the tile.
+    let tile_n = if requant.is_some() { STAGE / oc_bn } else { usize::MAX };
+    let strip_n = schedule.reg_n.min(tile_n);
+    if strip_n == 0 {
+        return Err(KernelError::BadSchedule(format!(
+            "oc_bn {oc_bn} exceeds the {STAGE}-float requantizing tile"
+        )));
+    }
 
     let mut owned_pad;
     let in_data: &[A] = if p.pad_h == 0 && p.pad_w == 0 {
@@ -249,9 +270,14 @@ pub(super) fn drive<A: Elem, W: Elem>(
     let blocks = row_w.div_ceil(block);
     let w_data = W::data(weights);
     let epilogue = RowEpilogue::new(epilogue);
+    // The storage of either dtype as its f32 slots, and as the bytes a u8
+    // output keeps its elements in.
     let out_ptr = SendPtr(output.data_mut().as_mut_ptr());
+    let out_bytes = SendPtr(out_ptr.0.cast::<u8>());
 
     par.run(n * chunks * rows * blocks, &|_, range| {
+        let mut tile = std::mem::MaybeUninit::<[f32; STAGE]>::uninit();
+        let tile = tile.as_mut_ptr().cast::<f32>();
         for job in range {
             let (plane, rest) = (job / (rows * blocks), job % (rows * blocks));
             let (b, chunk) = (plane / chunks, plane % chunks);
@@ -259,8 +285,8 @@ pub(super) fn drive<A: Elem, W: Elem>(
             let width = block.min(row_w - x0);
             let off = ((plane * rows + y) * row_w + x0) * oc_bn;
             // SAFETY: jobs are disjoint (n, chunk, y, block) tuples →
-            // disjoint pixel ranges of the output.
-            let out_blk = unsafe { out_ptr.add(off) };
+            // disjoint pixel ranges of the output, here of an f32 one.
+            let out_blk = if requant.is_some() { tile } else { unsafe { out_ptr.add(off) } };
             let mut s = Strip {
                 input: in_data[b * in_batch_stride + chunk * in_chunk_stride..].as_ptr(),
                 weights: w_data[chunk * w_chunk_stride..].as_ptr(),
@@ -269,19 +295,36 @@ pub(super) fn drive<A: Elem, W: Elem>(
                 ih0: y * sh,
                 iw0: x0 * geo.sw,
             };
-            for rn in StripPlan::new(geo.strips, reg_n, width) {
+            let mut done = off;
+            for rn in StripPlan::new(geo.strips, strip_n, width) {
                 s.rn = rn;
                 // The padded input covers the strip's receptive field,
                 // `(rn-1)*sw + kw` columns from `iw0`.
                 strip(&geo, &s, chunk);
                 s.iw0 += rn * geo.sw;
-                // SAFETY: the plan's lengths sum to `width`, so this is at
-                // most one past the block's last pixel.
-                s.out = unsafe { s.out.add(rn * oc_bn) };
+                let len = rn * oc_bn;
+                match requant {
+                    // SAFETY: the plan's lengths sum to `width`, so this is
+                    // at most one past the block's last pixel.
+                    None => s.out = unsafe { s.out.add(len) },
+                    Some((isa, scale, zp)) => {
+                        // SAFETY: the strip just wrote the tile's first
+                        // `len ≤ STAGE` floats; the bytes are this job's
+                        // elements `done..done + len` of the u8 output.
+                        let px = unsafe { std::slice::from_raw_parts_mut(tile, len) };
+                        let bytes =
+                            unsafe { std::slice::from_raw_parts_mut(out_bytes.add(done), len) };
+                        epilogue.apply(px, chunk, oc_bn, done);
+                        isa.quantize(px, bytes, scale, zp);
+                        done += len;
+                    }
+                }
             }
-            // SAFETY: same disjoint-range argument as above.
-            let px = unsafe { std::slice::from_raw_parts_mut(out_blk, width * oc_bn) };
-            epilogue.apply(px, chunk, oc_bn, off);
+            if requant.is_none() {
+                // SAFETY: same disjoint-range argument as above.
+                let px = unsafe { std::slice::from_raw_parts_mut(out_blk, width * oc_bn) };
+                epilogue.apply(px, chunk, oc_bn, off);
+            }
         }
     });
     Ok(())
@@ -470,14 +513,14 @@ mod tests {
             let bias: Vec<f32> = (0..8).map(|i| i as f32 * 0.1 - 0.3).collect();
 
             let mut ref_out = Tensor::zeros([1, 8, 6, 6], Layout::Nchw).unwrap();
-            let epi = Epilogue { bias: Some(&bias), relu: true, residual: Some(&residual) };
+            let epi = Epilogue { bias: Some(&bias), relu: true, residual: Some(&residual), requant: None };
             conv2d_nchw_direct(&input, &weights, &mut ref_out, &p, &epi, &Sequential).unwrap();
 
             let in_b = to_layout(&input, Layout::NchwC(8)).unwrap();
             let w_b = to_layout(&weights, weight_layout(&p, &s)).unwrap();
             let res_b = to_layout(&residual, Layout::NchwC(8)).unwrap();
             let mut out_b = Tensor::zeros([1, 8, 6, 6], Layout::NchwC(8)).unwrap();
-            let epi_b = Epilogue { bias: Some(&bias), relu: true, residual: Some(&res_b) };
+            let epi_b = Epilogue { bias: Some(&bias), relu: true, residual: Some(&res_b), requant: None };
             conv2d_nchwc(&in_b, &w_b, &mut out_b, &p, &s, &epi_b, &Sequential, usize::MAX, None)
                 .unwrap();
             assert!(ref_out.approx_eq(&out_b, 1e-4));

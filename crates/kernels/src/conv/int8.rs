@@ -26,9 +26,10 @@
 //!   filled with `zp` (not zero) so that correction is exact for padded
 //!   taps too.
 //!
-//! The output is therefore a plain f32 `NCHW[y]c` tensor and everything
-//! downstream of the conv (pooling, residual adds, the next conv's
-//! quantize node) is unchanged.
+//! Without [`Epilogue::requant`] the output is a plain f32 `NCHW[y]c`
+//! tensor for pooling, residual adds or a standalone `Quantize` node to
+//! read. With it — the next reader is an int8 conv and no one else — the
+//! epilogue's last stage narrows that f32 to the `u8` the reader takes.
 
 use neocpu_tensor::{Layout, Tensor};
 use neocpu_threadpool::Parallelism;
@@ -48,10 +49,10 @@ pub struct ConvQuant<'a> {
 }
 
 /// Int8 direct convolution on blocked layouts: `u8 NCHW[ic_bn]c` input,
-/// `i8 OIHW[ic_bn]i[oc_bn]oq4` weights, **f32** `NCHW[oc_bn]c` output. A
-/// depthwise workload takes `i8 OIHW1i[c]o` weights instead (full ±127
-/// range — no `maddubs` headroom needed, the microkernel widens to i32
-/// before multiplying).
+/// `i8 OIHW[ic_bn]i[oc_bn]oq4` weights, **f32** `NCHW[oc_bn]c` output — `u8`
+/// exactly when `epilogue.requant` is set. A depthwise workload takes
+/// `i8 OIHW1i[c]o` weights instead (full ±127 range — no `maddubs` headroom
+/// needed, the microkernel widens to i32 before multiplying).
 ///
 /// A dense workload's `ic_bn` must be divisible by 4 (the quad-packing
 /// requirement — the compile pipeline keeps such convs f32). `scratch`,
@@ -205,7 +206,7 @@ mod tests {
             Tensor::zeros([1, p.out_channels, p.out_h(), p.out_w()], Layout::NchwC(s.oc_bn))
                 .unwrap();
         let quant = ConvQuant { mult: &case.mult, zero_point: case.zp };
-        let epi = Epilogue { bias: Some(&case.bias_corr), relu: false, residual: None };
+        let epi = Epilogue { bias: Some(&case.bias_corr), relu: false, residual: None, requant: None };
         conv2d_nchwc_u8(
             &case.input_q, &case.wq.tensor, &mut out, p, s, &quant, &epi, &Sequential, max_lanes,
             None,
@@ -288,7 +289,7 @@ mod tests {
         let mut planned =
             Tensor::zeros([1, 8, 10, 10], Layout::NchwC(8)).unwrap();
         let quant = ConvQuant { mult: &case.mult, zero_point: case.zp };
-        let epi = Epilogue { bias: Some(&case.bias_corr), relu: false, residual: None };
+        let epi = Epilogue { bias: Some(&case.bias_corr), relu: false, residual: None, requant: None };
         // Poisoned scratch must be fully overwritten by the halo writer.
         let mut scratch = vec![0xAAu8; padded_input_len(&p, s.ic_bn, 1)];
         conv2d_nchwc_u8(
@@ -350,7 +351,7 @@ mod tests {
         let residual = Tensor::random([1, 8, 6, 6], Layout::NchwC(8), 808, 0.5).unwrap();
         let mut out = Tensor::zeros([1, 8, 6, 6], Layout::NchwC(8)).unwrap();
         let quant = ConvQuant { mult: &case.mult, zero_point: case.zp };
-        let epi = Epilogue { bias: Some(&bias), relu: true, residual: Some(&residual) };
+        let epi = Epilogue { bias: Some(&bias), relu: true, residual: Some(&residual), requant: None };
         conv2d_nchwc_u8(
             &case.input_q, &case.wq.tensor, &mut out, &p, &s, &quant, &epi, &Sequential,
             usize::MAX, None,

@@ -13,7 +13,7 @@ pub use int8::{conv2d_nchwc_u8, ConvQuant};
 pub use microkernel::StripPlan;
 pub use reference::{conv2d_nchw_direct, conv2d_nhwc_direct};
 
-use neocpu_tensor::Tensor;
+use neocpu_tensor::{DType, Tensor};
 
 use crate::{KernelError, Result};
 
@@ -420,16 +420,23 @@ pub fn factors_descending(n: usize, cap: usize) -> Vec<usize> {
 }
 
 /// Fused post-operations applied in-register before the convolution result
-/// is stored (the payoff of graph-level operation fusion, §2.2).
+/// is stored (the payoff of graph-level operation fusion, §2.2), in field
+/// order: bias, residual, ReLU, requantize.
 #[derive(Default)]
 pub struct Epilogue<'a> {
     /// Per-output-channel bias (also carries folded BatchNorm shift).
     pub bias: Option<&'a [f32]>,
     /// Clamp negatives to zero (fused ReLU).
     pub relu: bool,
-    /// Element-wise residual addend in the *same layout* as the output
+    /// Element-wise f32 residual addend in the *same layout* as the output
     /// (fused `Elementwise_Add` for ResNet-style skip connections).
     pub residual: Option<&'a Tensor>,
+    /// Requantize the finished value to `u8` with this `(scale, zero_point)`
+    /// — a fused `Quantize`, byte-identical to
+    /// [`quantize_value`](crate::quantize::quantize_value) of the f32 the
+    /// template would have stored. Set exactly when the output tensor is
+    /// `u8`; only the blocked templates implement it.
+    pub requant: Option<(f32, u8)>,
 }
 
 impl<'a> Epilogue<'a> {
@@ -449,11 +456,20 @@ impl<'a> Epilogue<'a> {
             }
         }
         if let Some(r) = self.residual {
-            if r.shape() != output.shape() || r.layout() != output.layout() {
+            if r.dtype() != DType::F32 || r.shape() != output.shape() || r.layout() != output.layout()
+            {
                 return Err(KernelError::BadOperand(
-                    "residual must match output shape and layout".into(),
+                    "residual must be f32 and match output shape and layout".into(),
                 ));
             }
+        }
+        let stored = if self.requant.is_some() { DType::U8 } else { DType::F32 };
+        if output.dtype() != stored {
+            return Err(KernelError::BadOperand(format!(
+                "an epilogue {} requant stores {stored}, the output is {}",
+                if self.requant.is_some() { "with" } else { "without" },
+                output.dtype()
+            )));
         }
         Ok(())
     }
@@ -742,10 +758,16 @@ mod tests {
         use neocpu_tensor::Layout;
         let out = Tensor::zeros([1, 8, 4, 4], Layout::NchwC(8)).unwrap();
         let bias = vec![0.0f32; 4];
-        let e = Epilogue { bias: Some(&bias), relu: false, residual: None };
+        let e = Epilogue { bias: Some(&bias), ..Epilogue::none() };
         assert!(e.validate(&out, 8).is_err());
         let wrong_layout = Tensor::zeros([1, 8, 4, 4], Layout::Nchw).unwrap();
-        let e = Epilogue { bias: None, relu: false, residual: Some(&wrong_layout) };
+        let e = Epilogue { residual: Some(&wrong_layout), ..Epilogue::none() };
         assert!(e.validate(&out, 8).is_err());
+        // The output's dtype and `requant` go together.
+        let bytes = Tensor::zeros_dtyped([1, 8, 4, 4], Layout::NchwC(8), DType::U8).unwrap();
+        let requant = Epilogue { requant: Some((0.1, 3)), ..Epilogue::none() };
+        assert!(requant.validate(&bytes, 8).is_ok());
+        assert!(requant.validate(&out, 8).is_err());
+        assert!(Epilogue::none().validate(&bytes, 8).is_err());
     }
 }

@@ -270,7 +270,7 @@ mod tests {
         .unwrap();
         let bias = [1.0f32, -1.0];
         let mut out = Tensor::zeros([1, 2, 2, 2], Layout::Nchw).unwrap();
-        let epi = Epilogue { bias: Some(&bias), relu: true, residual: Some(&residual) };
+        let epi = Epilogue { bias: Some(&bias), relu: true, residual: Some(&residual), requant: None };
         conv2d_nchw_direct(&input, &weights, &mut out, &p, &epi, &Sequential).unwrap();
         // Channel 0: x*1 + 1 + 0.5 then relu.
         assert_eq!(out.at(&[0, 0, 0, 0]), 2.5);

@@ -18,9 +18,18 @@
 //! All float→int conversions saturate deterministically: `NaN` maps to the
 //! zero point, `±inf` and out-of-range values clamp to the representable
 //! edge. No undefined-behavior casts anywhere.
+//!
+//! [`quantize_value`] is the one definition of the activation mapping. The
+//! AVX2 and AVX-512 bodies below compute the same function bit for bit, and
+//! every bulk quantize goes through them: [`quantize_slice`], the
+//! pool-parallel [`quantize_slice_par`] the executors run standalone
+//! `Quantize` nodes with, and the requantizing store of the convolution
+//! template (`Epilogue::requant`).
 
 use neocpu_tensor::{DType, Layout, Tensor};
+use neocpu_threadpool::{Parallelism, Sequential};
 
+use crate::util::SendPtr;
 use crate::{KernelError, Result};
 
 /// Largest quantized magnitude for dense conv weights. Chosen so a
@@ -54,16 +63,181 @@ pub fn dequantize_value(q: u8, scale: f32, zero_point: u8) -> f32 {
     (i32::from(q) - i32::from(zero_point)) as f32 * scale
 }
 
-/// Quantizes a slice (`dst[i] = quantize_value(src[i])`).
+/// Which body of the quantize arithmetic a call runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum QuantIsa {
+    Scalar,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl QuantIsa {
+    /// The widest body the host runs within `max_lanes` f32 lanes (the cap
+    /// the convolution templates take, so a `CpuTarget` narrower than the
+    /// host narrows this too).
+    pub(crate) fn select(max_lanes: usize) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if max_lanes >= 16 && std::arch::is_x86_feature_detected!("avx512f") {
+                return Self::Avx512;
+            }
+            if max_lanes >= 8 && std::arch::is_x86_feature_detected!("avx2") {
+                return Self::Avx2;
+            }
+        }
+        let _ = max_lanes;
+        Self::Scalar
+    }
+
+    /// `dst[i] = quantize_value(src[i], scale, zero_point)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if slice lengths differ.
+    pub(crate) fn quantize(self, src: &[f32], dst: &mut [u8], scale: f32, zero_point: u8) {
+        assert_eq!(src.len(), dst.len(), "quantize length mismatch");
+        match self {
+            Self::Scalar => {
+                for (d, &s) in dst.iter_mut().zip(src) {
+                    *d = quantize_value(s, scale, zero_point);
+                }
+            }
+            // SAFETY (both): `select` returns a SIMD body only when the host
+            // has its CPU features, and the slices are equally long (above).
+            #[cfg(target_arch = "x86_64")]
+            Self::Avx2 => unsafe { simd::quantize_avx2(src, dst, scale, zero_point) },
+            #[cfg(target_arch = "x86_64")]
+            Self::Avx512 => unsafe { simd::quantize_avx512(src, dst, scale, zero_point) },
+        }
+    }
+}
+
+/// The SIMD bodies of [`quantize_value`]. Both keep its arithmetic exactly —
+/// the tests hold them to it on arbitrary bit patterns:
+///
+/// * a true division `x / scale` (multiplying by `1/scale` rounds twice and
+///   moves values that sit on a tie);
+/// * half-away-from-zero as `trunc(q + copysign(pred(0.5), q))`: adding the
+///   largest float below one half carries `q` past the next integer exactly
+///   when its fraction is at least one half (at `|q| ≥ 2²³`, where `q` is
+///   already integral, the addend is below half an ulp and vanishes);
+/// * `max` then `min` with the value as *first* operand, so a NaN quotient
+///   (`0/0`, `inf/inf`) becomes 0 like the scalar's saturating cast;
+/// * lanes whose *input* is NaN take the zero point.
+#[cfg(target_arch = "x86_64")]
+mod simd {
+    use std::arch::x86_64::*;
+
+    /// `pred(0.5)`, the largest f32 below one half.
+    const HALF_PRED: f32 = f32::from_bits(0.5f32.to_bits() - 1);
+    const TRUNC: i32 = _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC;
+
+    /// # Safety
+    ///
+    /// The host has AVX2; `src` and `dst` are equally long.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn quantize_avx2(src: &[f32], dst: &mut [u8], scale: f32, zp: u8) {
+        let (scale_v, zp_v) = (_mm256_set1_ps(scale), _mm256_set1_ps(f32::from(zp)));
+        let (sign, half) = (_mm256_set1_ps(-0.0), _mm256_set1_ps(HALF_PRED));
+        let (lo, hi) = (_mm256_setzero_ps(), _mm256_set1_ps(255.0));
+        let full = src.len() / 8 * 8;
+        for i in (0..full).step_by(8) {
+            let x = _mm256_loadu_ps(src.as_ptr().add(i));
+            let q = _mm256_div_ps(x, scale_v);
+            let away = _mm256_or_ps(_mm256_and_ps(q, sign), half);
+            let r = _mm256_round_ps::<TRUNC>(_mm256_add_ps(q, away));
+            let v = _mm256_min_ps(_mm256_max_ps(_mm256_add_ps(r, zp_v), lo), hi);
+            let v = _mm256_blendv_ps(v, zp_v, _mm256_cmp_ps::<_CMP_UNORD_Q>(x, x));
+            let w = _mm256_cvttps_epi32(v);
+            let w = _mm_packs_epi32(_mm256_castsi256_si128(w), _mm256_extracti128_si256::<1>(w));
+            _mm_storel_epi64(dst.as_mut_ptr().add(i).cast(), _mm_packus_epi16(w, w));
+        }
+        for (d, &s) in dst[full..].iter_mut().zip(&src[full..]) {
+            *d = super::quantize_value(s, scale, zp);
+        }
+    }
+
+    /// # Safety
+    ///
+    /// The host has AVX-512F; `src` and `dst` are equally long.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn quantize_avx512(src: &[f32], dst: &mut [u8], scale: f32, zp: u8) {
+        let (scale_v, zp_v) = (_mm512_set1_ps(scale), _mm512_set1_ps(f32::from(zp)));
+        let sign = _mm512_set1_epi32(i32::MIN);
+        let half = _mm512_set1_epi32(HALF_PRED.to_bits() as i32);
+        let (lo, hi) = (_mm512_setzero_ps(), _mm512_set1_ps(255.0));
+        // One masked step takes the tail: its dead lanes load zero and store
+        // nothing.
+        for i in (0..src.len()).step_by(16) {
+            let live: __mmask16 = if src.len() - i >= 16 { !0 } else { (1 << (src.len() - i)) - 1 };
+            let x = _mm512_maskz_loadu_ps(live, src.as_ptr().add(i));
+            let q = _mm512_div_ps(x, scale_v);
+            let away = _mm512_or_si512(_mm512_and_si512(_mm512_castps_si512(q), sign), half);
+            let r = _mm512_roundscale_ps::<TRUNC>(_mm512_add_ps(q, _mm512_castsi512_ps(away)));
+            let v = _mm512_min_ps(_mm512_max_ps(_mm512_add_ps(r, zp_v), lo), hi);
+            let v = _mm512_mask_blend_ps(_mm512_cmp_ps_mask::<_CMP_UNORD_Q>(x, x), v, zp_v);
+            let bytes = dst.as_mut_ptr().add(i).cast();
+            _mm512_mask_cvtepi32_storeu_epi8(bytes, live, _mm512_cvttps_epi32(v));
+        }
+    }
+}
+
+/// Elements per pool job of the parallel quantize and dequantize: 64 KiB of
+/// f32, a few microseconds of work, so a region's fixed cost stays small
+/// against it and a tensor below one block runs on the caller.
+const PAR_BLOCK: usize = 16 * 1024;
+
+/// Runs `f` over `PAR_BLOCK`-element blocks of `src` and the matching blocks
+/// of `dst` as jobs of `par`.
+fn par_blocks<S: Sync, D: Copy + Send>(
+    src: &[S],
+    dst: &mut [D],
+    par: &dyn Parallelism,
+    f: impl Fn(&[S], &mut [D]) + Sync,
+) {
+    let n = src.len();
+    assert_eq!(n, dst.len(), "length mismatch");
+    let out = SendPtr(dst.as_mut_ptr());
+    par.run(n.div_ceil(PAR_BLOCK), &|_, blocks| {
+        for b in blocks {
+            let (lo, hi) = (b * PAR_BLOCK, ((b + 1) * PAR_BLOCK).min(n));
+            // SAFETY: blocks are disjoint element ranges inside `dst`.
+            let d = unsafe { std::slice::from_raw_parts_mut(out.add(lo), hi - lo) };
+            f(&src[lo..hi], d);
+        }
+    });
+}
+
+/// Quantizes a slice (`dst[i] = quantize_value(src[i])`) with the host's
+/// widest SIMD body.
 ///
 /// # Panics
 ///
 /// Panics if slice lengths differ.
 pub fn quantize_slice(src: &[f32], dst: &mut [u8], scale: f32, zero_point: u8) {
-    assert_eq!(src.len(), dst.len(), "quantize length mismatch");
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = quantize_value(s, scale, zero_point);
-    }
+    quantize_slice_par(src, dst, scale, zero_point, &Sequential, usize::MAX);
+}
+
+/// [`quantize_slice`] as fixed-size element blocks on `par`, with the SIMD
+/// width capped at `max_lanes` f32 lanes (1 runs the scalar loop). Every
+/// element is a function of its own input alone, so the result is
+/// byte-identical for any `par` and any cap.
+///
+/// # Panics
+///
+/// Panics if slice lengths differ.
+pub fn quantize_slice_par(
+    src: &[f32],
+    dst: &mut [u8],
+    scale: f32,
+    zero_point: u8,
+    par: &dyn Parallelism,
+    max_lanes: usize,
+) {
+    let isa = QuantIsa::select(max_lanes);
+    par_blocks(src, dst, par, |s, d| isa.quantize(s, d, scale, zero_point));
 }
 
 /// Dequantizes a slice (`dst[i] = dequantize_value(src[i])`).
@@ -72,10 +246,26 @@ pub fn quantize_slice(src: &[f32], dst: &mut [u8], scale: f32, zero_point: u8) {
 ///
 /// Panics if slice lengths differ.
 pub fn dequantize_slice(src: &[u8], dst: &mut [f32], scale: f32, zero_point: u8) {
-    assert_eq!(src.len(), dst.len(), "dequantize length mismatch");
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = dequantize_value(s, scale, zero_point);
-    }
+    dequantize_slice_par(src, dst, scale, zero_point, &Sequential);
+}
+
+/// [`dequantize_slice`] as fixed-size element blocks on `par`.
+///
+/// # Panics
+///
+/// Panics if slice lengths differ.
+pub fn dequantize_slice_par(
+    src: &[u8],
+    dst: &mut [f32],
+    scale: f32,
+    zero_point: u8,
+    par: &dyn Parallelism,
+) {
+    par_blocks(src, dst, par, |s, d| {
+        for (d, &s) in d.iter_mut().zip(s) {
+            *d = dequantize_value(s, scale, zero_point);
+        }
+    });
 }
 
 /// Quantizes an `f32` tensor into a `u8` tensor of the same shape and
@@ -274,6 +464,27 @@ mod tests {
             let back = dequantize_value(q, scale, zp);
             assert!((x - back).abs() <= scale / 2.0 + 1e-6, "x={x} back={back}");
         }
+    }
+
+    #[test]
+    fn pool_blocks_cover_every_element_once() {
+        // Three blocks and a ragged fourth on three threads: every element
+        // is converted by exactly one job, whichever executor claims it.
+        let n = 3 * PAR_BLOCK + 5;
+        let src: Vec<f32> = (0..n).map(|i| (i % 509) as f32 * 0.37 - 90.0).collect();
+        let pool = neocpu_threadpool::ThreadPool::new(3);
+        let (scale, zp) = (0.7, 131u8);
+        let mut seq = vec![0xAAu8; n];
+        let mut par = vec![0x55u8; n];
+        quantize_slice(&src, &mut seq, scale, zp);
+        quantize_slice_par(&src, &mut par, scale, zp, &pool, usize::MAX);
+        assert!(seq == par);
+        assert!(seq.iter().zip(&src).all(|(&q, &x)| q == quantize_value(x, scale, zp)));
+        let mut back_seq = vec![f32::NAN; n];
+        let mut back_par = vec![f32::NAN; n];
+        dequantize_slice(&seq, &mut back_seq, scale, zp);
+        dequantize_slice_par(&seq, &mut back_par, scale, zp, &pool);
+        assert!(back_seq == back_par && back_par.iter().all(|v| v.is_finite()));
     }
 
     #[test]

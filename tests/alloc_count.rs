@@ -234,14 +234,17 @@ fn warm_pooled_run_performs_zero_allocations() {
 fn warm_quantized_run_performs_zero_allocations() {
     use neocpu::{compile_quantized, QuantizeOptions};
 
-    // A residual tower on the int8 path: quantized convs reinterpret their
-    // planned f32 scratch as the u8 padded-input buffer and the spliced
-    // Quantize nodes write arena views — none of it may touch the heap.
+    // A residual tower on the int8 path, on two threads: quantized convs
+    // reinterpret their planned f32 scratch as the u8 padded-input buffer,
+    // a conv with a folded Quantize stages its strips on the job's stack,
+    // and the Quantize nodes left standalone convert arena views in pool
+    // regions — none of it may touch the heap.
     let g = residual_net();
-    let opts = CompileOptions::level(OptLevel::O2).with_pool(PoolChoice::Sequential);
+    let opts = CompileOptions::level(OptLevel::O2).with_pool(PoolChoice::Custom).with_threads(2);
     let (m, report) =
         compile_quantized(&g, &CpuTarget::host(), &opts, &QuantizeOptions::default()).unwrap();
     assert!(report.quantized >= 1, "no conv took the int8 path: {report:?}");
+    assert!(report.folded >= 1 && !report.standalone.is_empty(), "{report:?}");
     assert!(!report.fell_back, "accuracy gate rejected the int8 module: {report:?}");
     let input = Tensor::random([1, 8, 16, 16], Layout::Nchw, 13, 1.0).unwrap();
 

@@ -15,16 +15,20 @@
 //! f32 results are held against the NCHW reference; int8 results are
 //! bit-identical across `par`, scratch and tier (integer accumulation is
 //! exact) and within the dequantized-reference budget — which is what
-//! catches a halo filled with anything but the zero point. The last test
-//! pins the error paths every instantiation keeps.
+//! catches a halo filled with anything but the zero point. Every case also
+//! runs with a requantizing epilogue into a u8 tensor, per lane cap and
+//! `par`, and must equal `quantize_slice` of its own f32 output byte for
+//! byte — the property that lets the graph fold a `Quantize` node into its
+//! producer without moving a single output bit. The last test pins the
+//! error paths every instantiation keeps.
 
 use neocpu_kernels::conv::{
     conv2d_nchw_direct, conv2d_nchwc, conv2d_nchwc_u8, padded_input_len, Conv2dParams, ConvQuant,
     ConvSchedule, Dataflow, Epilogue,
 };
 use neocpu_kernels::quantize::{
-    dequantize_tensor, quantize_dense_weights, quantize_dw_weights, quantize_tensor,
-    QuantizedWeights,
+    dequantize_tensor, quantize_dense_weights, quantize_dw_weights, quantize_slice,
+    quantize_tensor, QuantizedWeights,
 };
 use neocpu_tensor::{transform::to_layout, DType, Layout, Tensor};
 use neocpu_threadpool::{Parallelism, Sequential, ThreadPool};
@@ -172,6 +176,37 @@ fn run_variants<T: Copy>(
     outs
 }
 
+/// The fused store against the pair it replaces: `conv` with a requantizing
+/// epilogue into a poisoned u8 tensor, per lane cap × `par`, equals
+/// `quantize_slice` of that lane cap's f32 output (`outs`, as
+/// [`run_variants`] returns them). The qparams cover the middle half of the
+/// outputs' range, so saturation at both ends is part of every case.
+fn check_requant(
+    p: &Conv2dParams,
+    s: &ConvSchedule,
+    batch: usize,
+    outs: &[Tensor],
+    conv: impl Fn(&mut Tensor, &dyn Parallelism, usize, (f32, u8)),
+) {
+    let (lo, hi) = outs[0].data().iter().fold((f32::MAX, f32::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+    let scale = (hi - lo) / 2.0 / 255.0;
+    let requant = (scale, (128.0 - (lo + hi) / 2.0 / scale).clamp(0.0, 255.0) as u8);
+    let pool = ThreadPool::new(2);
+    let pars: [&dyn Parallelism; 2] = [&Sequential, &pool];
+    for (tier, max_lanes) in outs.chunks(4).zip(LANE_CAPS) {
+        let mut want = vec![0u8; tier[0].num_elements()];
+        quantize_slice(tier[0].data(), &mut want, requant.0, requant.1);
+        assert!(want.contains(&0) && want.contains(&255), "{p:?}: nothing saturates");
+        for (i, par) in pars.into_iter().enumerate() {
+            let mut out =
+                Tensor::zeros_dtyped(out_dims(p, batch), Layout::NchwC(s.oc_bn), DType::U8).unwrap();
+            out.data_u8_mut().fill(0xAA);
+            conv(&mut out, par, max_lanes, requant);
+            assert!(out.data_u8() == want, "{p:?}: lanes {max_lanes} par {i}: fused bytes differ");
+        }
+    }
+}
+
 /// One f32 case: every variant against the NCHW reference, and bit-identical
 /// within a lane cap (the tiers differ by FMA rounding, nothing else does).
 fn check_f32(case: Case) {
@@ -181,7 +216,7 @@ fn check_f32(case: Case) {
     let epi_data = EpilogueData::new(&p, case.batch, seed);
     let epilogue = |residual| {
         if case.full_epilogue {
-            Epilogue { bias: Some(&epi_data.bias), relu: true, residual: Some(residual) }
+            Epilogue { bias: Some(&epi_data.bias), relu: true, residual: Some(residual), requant: None }
         } else {
             Epilogue::none()
         }
@@ -213,6 +248,10 @@ fn check_f32(case: Case) {
             assert_eq!(tier[0].data(), out.data(), "{case:?}: variant {i} differs");
         }
     }
+    check_requant(&p, &s, case.batch, &outs, |out, par, max_lanes, requant| {
+        let epilogue = Epilogue { requant: Some(requant), ..epilogue(&res_b) };
+        conv2d_nchwc(&bi, &bw, out, &p, &s, &epilogue, par, max_lanes, None).unwrap();
+    });
 }
 
 #[test]
@@ -304,7 +343,12 @@ fn check_int8(case: Case) {
     let reference = q.dequantized_reference(
         &p,
         &if case.full_epilogue {
-            Epilogue { bias: Some(&epi_data.bias), relu: true, residual: Some(&epi_data.residual) }
+            Epilogue {
+                bias: Some(&epi_data.bias),
+                relu: true,
+                residual: Some(&epi_data.residual),
+                requant: None,
+            }
         } else {
             Epilogue::none()
         },
@@ -318,10 +362,11 @@ fn check_int8(case: Case) {
         .map(|(&corr, &b)| if case.full_epilogue { corr + b } else { corr })
         .collect();
     let res_b = to_layout(&epi_data.residual, Layout::NchwC(s.oc_bn)).unwrap();
-    let epilogue = Epilogue {
+    let epilogue = |requant| Epilogue {
         bias: Some(&bias),
         relu: case.full_epilogue,
         residual: case.full_epilogue.then_some(&res_b),
+        requant,
     };
     let quant = ConvQuant { mult: &q.mult, zero_point: q.zp };
     let outs = run_variants(&p, &s, case.batch, 0xAAu8, |out, par, max_lanes, scratch| {
@@ -332,7 +377,7 @@ fn check_int8(case: Case) {
             &p,
             &s,
             &quant,
-            &epilogue,
+            &epilogue(None),
             par,
             max_lanes,
             scratch,
@@ -347,6 +392,11 @@ fn check_int8(case: Case) {
     for (i, out) in outs.iter().enumerate().skip(1) {
         assert_eq!(outs[0].data(), out.data(), "{case:?}: variant {i} differs");
     }
+    check_requant(&p, &s, case.batch, &outs, |out, par, max_lanes, requant| {
+        let (input, weights, epilogue) = (&q.input_q, &q.wq.tensor, epilogue(Some(requant)));
+        conv2d_nchwc_u8(input, weights, out, &p, &s, &quant, &epilogue, par, max_lanes, None)
+            .unwrap();
+    });
 }
 
 #[test]
@@ -490,6 +540,31 @@ fn every_instantiation_keeps_its_error_paths() {
             run_q(&input_q, &weights_q, good_out, &grouped, &s, &mult, None).is_err(),
             "grouped non-depthwise"
         );
+        // ---- requantizing store, both element types ----
+        // The output is u8 exactly when the epilogue requantizes, and a
+        // residual stays an f32 tensor of the output's shape.
+        let requant = |residual| Epilogue { residual, requant: Some((0.1, 7)), ..Epilogue::none() };
+        let res_ok = Tensor::zeros(out_dims(&p, 1), good_out).unwrap();
+        let res_short = Tensor::zeros([1, p.out_channels, 1, 1], good_out).unwrap();
+        let res_u8 = Tensor::zeros_dtyped(out_dims(&p, 1), good_out, DType::U8).unwrap();
+        let quant = ConvQuant { mult: &mult, zero_point: 3 };
+        let run = |u8_input: bool, out_dtype: DType, epi: &Epilogue<'_>| {
+            let mut out = Tensor::zeros_dtyped(out_dims(&p, 1), good_out, out_dtype).unwrap();
+            let (par, lanes) = (&Sequential, usize::MAX);
+            if u8_input {
+                conv2d_nchwc_u8(&input_q, &weights_q, &mut out, &p, &s, &quant, epi, par, lanes, None)
+            } else {
+                conv2d_nchwc(&input, &weights, &mut out, &p, &s, epi, par, lanes, None)
+            }
+        };
+        for u8_input in [false, true] {
+            run(u8_input, DType::U8, &requant(None)).expect("the well-formed requantizing call");
+            run(u8_input, DType::U8, &requant(Some(&res_ok))).expect("with an f32 residual");
+            assert!(run(u8_input, DType::U8, &Epilogue::none()).is_err(), "u8 output, no requant");
+            assert!(run(u8_input, DType::F32, &requant(None)).is_err(), "requant, f32 output");
+            assert!(run(u8_input, DType::U8, &requant(Some(&res_short))).is_err(), "residual shape");
+            assert!(run(u8_input, DType::U8, &requant(Some(&res_u8))).is_err(), "residual dtype");
+        }
         if !depthwise {
             // Dense int8 needs quad-packable input blocks.
             let odd = ConvSchedule { ic_bn: 2, ..s };

@@ -12,8 +12,11 @@
 //!    peak stays strictly below the naive sum of all intermediate outputs,
 //!    and liveness reuse actually fires.
 
-use neocpu::{compile, compile_with_report, CompileOptions, CpuTarget, OptLevel};
-use neocpu_models::{build, zoo, ModelKind, ModelScale};
+use neocpu::{
+    compile, compile_quantized, compile_with_report, CompileOptions, CpuTarget, OptLevel,
+    QuantizeOptions,
+};
+use neocpu_models::{build, quantized_zoo, zoo, ModelKind, ModelScale};
 use neocpu_search::SchemeDatabase;
 use neocpu_tensor::{Layout, Tensor};
 
@@ -73,6 +76,27 @@ fn densenet121_arena_matches_reference_bit_exact() {
 #[test]
 fn mobilenet_arena_matches_reference_bit_exact() {
     assert_bit_exact(ModelKind::MobileNet, &[OptLevel::O0, OptLevel::O2, OptLevel::O3]);
+}
+
+/// Int8 modules plan u8 values — the outputs of convs with a folded
+/// `Quantize` among them — at a quarter of the slots and pad u8 scratch:
+/// the arena run still equals the reference run bit for bit, also with the
+/// standalone `Quantize` nodes on a 2-thread pool.
+#[test]
+fn folded_int8_arena_matches_reference_bit_exact() {
+    for kind in quantized_zoo() {
+        let g = build(kind, ModelScale::tiny(kind), 4242);
+        let opts = CompileOptions::level(OptLevel::O3).with_threads(2);
+        let (m, report) =
+            compile_quantized(&g, &CpuTarget::host(), &opts, &QuantizeOptions::default()).unwrap();
+        assert!(!report.fell_back && report.folded >= 2, "{}: {report:?}", kind.name());
+        let input = tiny_input(kind, 42);
+        let planned = m.run(std::slice::from_ref(&input)).unwrap();
+        let reference = m.run_reference(std::slice::from_ref(&input)).unwrap();
+        for (p, r) in planned.iter().zip(&reference) {
+            assert_eq!(p.data(), r.data(), "{}: int8 arena run != reference run", kind.name());
+        }
+    }
 }
 
 /// Across the whole zoo the planner must beat the naive allocator: the

@@ -452,7 +452,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
     /// u8 affine quantization round-trips within half a quantization step:
     /// any representable grid point perturbed by less than `scale/2` comes
@@ -497,34 +497,65 @@ proptest! {
         prop_assert_eq!(quantize_value(lo - mag * scale, scale, zp), 0);
     }
 
-    /// The slice kernels agree element-wise with the scalar mapping even
-    /// when the input is laced with non-finite poison, and the dequantized
-    /// result is always finite.
+    /// Every body of the quantize primitive is `quantize_value`, bit for
+    /// bit: the scalar loop, AVX2 and AVX-512 (lane caps 1, 8, 16 reach each
+    /// on one host) over arbitrary bit patterns — NaN payloads, ±inf,
+    /// denormals — exact `.5` ties on both sides of zero (a power-of-two
+    /// scale makes the quotient exact), the values one ulp around every tie,
+    /// and quotients out to ±1e30; at every length 0..=67 (all tail lengths
+    /// of both vector widths) and unaligned offsets into both buffers, with
+    /// guard bytes that a store past the slice would clobber. The dequantized
+    /// codes are always finite.
     #[test]
-    fn quantize_slice_matches_scalar_under_poison(
-        n in 1usize..64,
+    fn quantize_bodies_are_quantize_value_bit_for_bit(
+        len in 0usize..68,
+        src_off in 0usize..5,
+        dst_off in 0usize..9,
+        scale_sel in 0usize..4,
         scale_mil in 1u32..5000,
         zp in any::<u8>(),
-        poison_stride in 1usize..7,
-        seed in 0u64..1000,
+        seed in any::<u64>(),
     ) {
         use neocpu_kernels::quantize::{
-            dequantize_slice, dequantize_value, quantize_slice, quantize_value,
+            dequantize_slice, dequantize_value, quantize_slice, quantize_slice_par, quantize_value,
         };
-        let scale = scale_mil as f32 / 1000.0;
-        let t = Tensor::random([n], Layout::Flat, seed, 100.0).unwrap();
-        let mut src = t.data()[..n].to_vec();
-        for (i, v) in src.iter_mut().enumerate() {
-            if i.is_multiple_of(poison_stride) {
-                *v = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][i % 3];
-            }
+        let scale = [0.25, 1.0 / 128.0, 3.0, scale_mil as f32 / 1000.0][scale_sel];
+        let mut state = seed;
+        let mut next = move || {
+            // SplitMix64.
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut src = vec![0f32; src_off + len];
+        for v in &mut src[src_off..] {
+            let r = next();
+            let tie = ((r >> 8) % 601) as f32 - 300.0 + 0.5;
+            *v = match r % 8 {
+                0 | 1 => f32::from_bits((r >> 32) as u32),
+                2 => tie * scale,
+                3 => f32::from_bits((tie * scale).to_bits() + 1),
+                4 => f32::from_bits((tie * scale).to_bits() - 1),
+                5 => ((r >> 11) as f32 / (1u64 << 53) as f32 * 2.0 - 1.0) * 1e30 * scale,
+                6 => f32::from_bits((r >> 40) as u32 & 0x807f_ffff),
+                _ => [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0]
+                    [(r >> 8) as usize % 6],
+            };
         }
-        let mut q = vec![0u8; n];
-        quantize_slice(&src, &mut q, scale, zp);
-        for (&x, &c) in src.iter().zip(&q) {
-            prop_assert_eq!(c, quantize_value(x, scale, zp));
+        let src = &src[src_off..];
+        let want: Vec<u8> = src.iter().map(|&x| quantize_value(x, scale, zp)).collect();
+        const GUARD: u8 = 0xa5;
+        for cap in [1usize, 8, 16] {
+            let mut out = vec![GUARD; dst_off + len + 16];
+            quantize_slice_par(src, &mut out[dst_off..dst_off + len], scale, zp, &Sequential, cap);
+            prop_assert_eq!(&out[dst_off..dst_off + len], &want[..], "lane cap {}", cap);
+            prop_assert!(out[..dst_off].iter().chain(&out[dst_off + len..]).all(|&b| b == GUARD));
         }
-        let mut back = vec![0f32; n];
+        let mut q = vec![0u8; len];
+        quantize_slice(src, &mut q, scale, zp);
+        prop_assert_eq!(&q, &want);
+        let mut back = vec![0f32; len];
         dequantize_slice(&q, &mut back, scale, zp);
         for (&c, &b) in q.iter().zip(&back) {
             prop_assert!(b.is_finite());
