@@ -508,7 +508,8 @@ fn default_schedule(params: &Conv2dParams, target: &CpuTarget) -> ConvSchedule {
     } else {
         factors_descending(params.in_channels, block).first().copied().unwrap_or(1)
     };
-    let reg_n = fitting_reg_n(params, oc_bn, target.max_lanes(), default_reg_n(target));
+    let reg_n =
+        fitting_reg_n(params, oc_bn, target.max_lanes(), default_reg_n(target), DType::F32);
     ConvSchedule { ic_bn, oc_bn, reg_n, unroll_ker: true, ..Default::default() }
 }
 

@@ -35,9 +35,10 @@
 use std::collections::HashMap;
 
 use neocpu_graph::{infer_shapes, Graph, Node, NodeId, Op, QuantInfo};
+use neocpu_kernels::conv::fitting_reg_n;
 use neocpu_kernels::quantize::{quantize_dense_weights, quantize_dw_weights, QuantizedWeights};
 use neocpu_search::{CostModel, SchemeDatabase};
-use neocpu_tensor::{Layout, Tensor};
+use neocpu_tensor::{DType, Layout, Tensor};
 
 use crate::compile::{finish_module, plan_stage, CompileOptions, CompileReport};
 use crate::executor::Module;
@@ -164,7 +165,8 @@ pub fn compile_quantized_with_db(
 
     let stats = calibrate(&f32_module, &planned, &calib)?;
     let analytical = target.analytical_model();
-    let (qgraph, mut qreport) = quantize_planned(&planned, &stats, &analytical)?;
+    let (qgraph, mut qreport) =
+        quantize_planned(&planned, &stats, &analytical, target.max_lanes())?;
     if qreport.quantized == 0 {
         qreport.compile = report;
         return Ok((f32_module, qreport));
@@ -288,16 +290,19 @@ fn quantize_planned(
     planned: &Graph,
     stats: &HashMap<NodeId, (f32, f32)>,
     model: &impl CostModel,
+    max_lanes: usize,
 ) -> Result<(Graph, QuantizeReport)> {
-    let (unfolded, quantized, skipped) = rewrite_planned(planned, stats, model)?;
+    let (unfolded, quantized, skipped) = rewrite_planned(planned, stats, model, max_lanes)?;
     let mut report = QuantizeReport { quantized, skipped, ..Default::default() };
     let folded = fold_quantizes(unfolded, &mut report)?;
     Ok((folded, report))
 }
 
 /// Splices `Quantize` nodes, re-packs weights, folds biases, attaches
-/// [`QuantInfo`]. Returns the new graph — every int8 conv still storing f32
-/// — plus (quantized, skipped) conv counts.
+/// [`QuantInfo`] and re-fits each rewritten conv's `reg_n` to the int8 strips
+/// of its block under `max_lanes` (the planner's schedules name f32 strip
+/// lengths). Returns the new graph — every int8 conv still storing f32 —
+/// plus (quantized, skipped) conv counts.
 ///
 /// Only scheduled convs with calibration stats are considered; each must
 /// pass the analytical profit test (`conv_time_i8 < conv_time`, infinite
@@ -307,6 +312,7 @@ fn rewrite_planned(
     planned: &Graph,
     stats: &HashMap<NodeId, (f32, f32)>,
     model: &impl CostModel,
+    max_lanes: usize,
 ) -> Result<(Graph, usize, usize)> {
     let mut out = Graph {
         nodes: Vec::with_capacity(planned.len()),
@@ -324,9 +330,13 @@ fn rewrite_planned(
         let new_inputs: Vec<NodeId> = node.inputs.iter().map(|&i| map[i]).collect();
         let id = match try_quantize_conv(planned, node, &new_inputs, stats, model, &mut out, &mut memo)
         {
-            Some(op) => {
+            Some(id) => {
                 quantized += 1;
-                op
+                // The module records the strip the u8 template runs.
+                if let Op::Conv2d { params, schedule: Some(s), .. } = &mut out.nodes[id].op {
+                    s.reg_n = fitting_reg_n(params, s.oc_bn, max_lanes, s.reg_n, DType::U8);
+                }
+                id
             }
             None => {
                 if matches!(&node.op, Op::Conv2d { schedule: Some(_), quant: None, .. }) {
@@ -601,7 +611,7 @@ mod tests {
         let opts = CompileOptions::level(OptLevel::O2);
         let planned = plan(&g, &target, &opts);
         let (mut unfolded, quantized, _) =
-            rewrite_planned(&planned, &any_range(&planned), &target.analytical_model()).unwrap();
+            rewrite_planned(&planned, &any_range(&planned), &target.analytical_model(), target.max_lanes()).unwrap();
         assert_eq!(quantized, 4);
         let reasons = |census: &QuantizeReport| -> Vec<_> {
             census.standalone.iter().map(|s| s.reason).collect()
@@ -663,7 +673,8 @@ mod tests {
             let calib = auto_calibration(&g, &QuantizeOptions::default()).unwrap();
             let stats = calibrate(&f32_module, &planned, &calib).unwrap();
             let (unfolded, quantized, _) =
-                rewrite_planned(&planned, &stats, &target.analytical_model()).unwrap();
+                rewrite_planned(&planned, &stats, &target.analytical_model(), target.max_lanes())
+                    .unwrap();
             let mut census = QuantizeReport::default();
             let folded = fold_quantizes(unfolded.clone(), &mut census).unwrap();
             assert!(quantized >= 2 && census.folded >= 2, "{}: {census:?}", kind.name());
@@ -704,7 +715,7 @@ mod tests {
             let g = build(kind, ModelScale::full(kind), 42);
             let planned = plan(&g, &target, &opts);
             let (_, report) =
-                quantize_planned(&planned, &any_range(&planned), &target.analytical_model())
+                quantize_planned(&planned, &any_range(&planned), &target.analytical_model(), target.max_lanes())
                     .unwrap();
             assert_eq!(
                 (report.quantized, report.folded, report.standalone.len()),
@@ -717,7 +728,6 @@ mod tests {
 
     #[test]
     fn int8_schemes_land_in_db_under_dtype_key() {
-        use neocpu_tensor::DType;
         let g = conv_net(8);
         let target = CpuTarget::host();
         let mut db = SchemeDatabase::new();

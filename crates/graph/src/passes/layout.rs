@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 
 use neocpu_kernels::conv::{fitting_reg_n, ConvSchedule};
-use neocpu_tensor::Layout;
+use neocpu_tensor::{DType, Layout};
 
 use crate::infer::infer_shapes;
 use crate::ir::{Graph, NodeId, Op};
@@ -56,7 +56,7 @@ fn uniform_schedule(p: &neocpu_kernels::Conv2dParams, cfg: &UniformPlanCfg) -> C
     ConvSchedule {
         ic_bn: best_factor(p.in_channels, cfg.block),
         oc_bn,
-        reg_n: fitting_reg_n(p, oc_bn, usize::MAX, cfg.reg_n),
+        reg_n: fitting_reg_n(p, oc_bn, usize::MAX, cfg.reg_n, DType::F32),
         unroll_ker: cfg.unroll,
         ..Default::default()
     }

@@ -9,12 +9,12 @@
 //!     for ic_outer, (kernel entries, opt. unrolled), ic_inner:
 //!       vload kernel vector, vfmadd into the reg_n accumulators
 //!     vstore the accumulators
-//!   apply the fused epilogue to the finished row
+//!     apply the fused epilogue to the strip, in one pass
 //! ```
 //!
 //! With a requantizing epilogue ([`Epilogue::requant`]) the output is `u8`:
-//! each strip lands in an f32 staging tile on the job's stack instead, gets
-//! the epilogue there, and leaves as `rn·oc_bn` bytes — the f32 the next
+//! each strip lands in an f32 staging tile on the job's stack instead, and
+//! the epilogue's pass stores it as `rn·oc_bn` bytes — the f32 the next
 //! convolution's `Quantize` node would have re-read is never stored.
 //!
 //! [`drive`] is that loop nest — operand validation, padding, the
@@ -41,8 +41,8 @@ use neocpu_tensor::{AlignedBuf, DType, Layout, Tensor};
 use neocpu_threadpool::Parallelism;
 
 use super::microkernel::{self, Geo, Strip, StripPlan};
-use super::{Conv2dParams, ConvSchedule, Epilogue, RowEpilogue};
-use crate::quantize::QuantIsa;
+use super::{Conv2dParams, ConvSchedule, Epilogue};
+use crate::epilogue::RowEpilogue;
 use crate::util::SendPtr;
 use crate::{KernelError, Result};
 
@@ -207,12 +207,12 @@ pub(super) fn drive<A: Elem, W: Elem>(
     check_operand("input", input, A::DTYPE, Layout::NchwC(ic_bn), in_dims)?;
     check_operand("weights", weights, W::DTYPE, w_layout, w_dims)?;
     let out_dims = [n, p.out_channels, oh, ow];
-    let requant = epilogue.requant.map(|(scale, zp)| (QuantIsa::select(max_lanes), scale, zp));
-    let out_dtype = if requant.is_some() { DType::U8 } else { DType::F32 };
+    let requant = epilogue.requant.is_some();
+    let out_dtype = if requant { DType::U8 } else { DType::F32 };
     check_operand("output", output, out_dtype, Layout::NchwC(oc_bn), out_dims)?;
     epilogue.validate(output, p.out_channels)?;
     // A staged strip has to fit the tile.
-    let tile_n = if requant.is_some() { STAGE / oc_bn } else { usize::MAX };
+    let tile_n = if requant { STAGE / oc_bn } else { usize::MAX };
     let strip_n = schedule.reg_n.min(tile_n);
     if strip_n == 0 {
         return Err(KernelError::BadSchedule(format!(
@@ -284,14 +284,13 @@ pub(super) fn drive<A: Elem, W: Elem>(
             let (y, x0) = (rest / blocks, rest % blocks * block);
             let width = block.min(row_w - x0);
             let off = ((plane * rows + y) * row_w + x0) * oc_bn;
-            // SAFETY: jobs are disjoint (n, chunk, y, block) tuples →
-            // disjoint pixel ranges of the output, here of an f32 one.
-            let out_blk = if requant.is_some() { tile } else { unsafe { out_ptr.add(off) } };
             let mut s = Strip {
                 input: in_data[b * in_batch_stride + chunk * in_chunk_stride..].as_ptr(),
                 weights: w_data[chunk * w_chunk_stride..].as_ptr(),
                 rn: 0,
-                out: out_blk,
+                // SAFETY: jobs are disjoint (n, chunk, y, block) tuples →
+                // disjoint pixel ranges of the output, here of an f32 one.
+                out: if requant { tile } else { unsafe { out_ptr.add(off) } },
                 ih0: y * sh,
                 iw0: x0 * geo.sw,
             };
@@ -303,27 +302,20 @@ pub(super) fn drive<A: Elem, W: Elem>(
                 strip(&geo, &s, chunk);
                 s.iw0 += rn * geo.sw;
                 let len = rn * oc_bn;
-                match requant {
-                    // SAFETY: the plan's lengths sum to `width`, so this is
-                    // at most one past the block's last pixel.
-                    None => s.out = unsafe { s.out.add(len) },
-                    Some((isa, scale, zp)) => {
-                        // SAFETY: the strip just wrote the tile's first
-                        // `len ≤ STAGE` floats; the bytes are this job's
-                        // elements `done..done + len` of the u8 output.
-                        let px = unsafe { std::slice::from_raw_parts_mut(tile, len) };
-                        let bytes =
-                            unsafe { std::slice::from_raw_parts_mut(out_bytes.add(done), len) };
-                        epilogue.apply(px, chunk, oc_bn, done);
-                        isa.quantize(px, bytes, scale, zp);
-                        done += len;
-                    }
-                }
-            }
-            if requant.is_none() {
-                // SAFETY: same disjoint-range argument as above.
-                let px = unsafe { std::slice::from_raw_parts_mut(out_blk, width * oc_bn) };
-                epilogue.apply(px, chunk, oc_bn, off);
+                // SAFETY: the strip just wrote the `len` floats at `s.out` —
+                // the tile's first `len ≤ STAGE`, or this job's elements
+                // `done..done + len` of an f32 output (the plan's lengths sum
+                // to `width`); of a u8 output those elements are the bytes.
+                let px = unsafe { std::slice::from_raw_parts_mut(s.out, len) };
+                let bytes: &mut [u8] = if requant {
+                    unsafe { std::slice::from_raw_parts_mut(out_bytes.add(done), len) }
+                } else {
+                    // SAFETY: at most one past the block's last pixel.
+                    s.out = unsafe { s.out.add(len) };
+                    &mut []
+                };
+                microkernel::run_epilogue(&geo, &epilogue, px, bytes, chunk, done);
+                done += len;
             }
         }
     });

@@ -193,19 +193,28 @@ impl Dataflow {
 }
 
 /// Whether the strip dispatch table holds a SIMD strip of `reg_n` pixels
-/// for channel block `oc_bn` under `dataflow` at kernel width `kernel_w`.
-/// Blocks without a tier run the scalar strip; on a block with one,
-/// [`strip_plan`] cuts every row into lengths this holds for.
-pub fn simd_strip_exists(oc_bn: usize, dataflow: Dataflow, reg_n: usize, kernel_w: usize) -> bool {
-    microkernel::strip_lengths(oc_bn, dataflow, kernel_w).is_some_and(|l| l.contains(&reg_n))
+/// for channel block `oc_bn` under `dataflow` at kernel width `kernel_w`, for
+/// activations of type `act` (the f32 and the int8 strips have their own
+/// lengths). Blocks without a tier run the scalar strip; on a block with
+/// one, [`strip_plan`] cuts every row into lengths this holds for.
+pub fn simd_strip_exists(
+    oc_bn: usize,
+    dataflow: Dataflow,
+    reg_n: usize,
+    kernel_w: usize,
+    act: DType,
+) -> bool {
+    microkernel::strip_lengths(oc_bn, dataflow, kernel_w, act != DType::F32)
+        .is_some_and(|l| l.contains(&reg_n))
 }
 
-/// How the blocked template cuts a strip row of `width` pixels under
-/// `reg_n`: the lengths of its strips, in order. `max_lanes` caps the SIMD
-/// width like the templates' parameter of that name — a block wider than it
-/// runs the scalar strips, which take any length. Pure data from the
-/// dispatch table: what the host's CPU features add is whether the SIMD or
-/// the scalar strip of each length runs, not the cut.
+/// How the blocked template cuts a strip row of `width` pixels of `act`
+/// activations under `reg_n`: the lengths of its strips, in order.
+/// `max_lanes` caps the SIMD width like the templates' parameter of that
+/// name — a block wider than it runs the scalar strips, which take any
+/// length. Pure data from the dispatch table: what the host's CPU features
+/// add is whether the SIMD or the scalar strip of each length runs, not the
+/// cut.
 pub fn strip_plan(
     oc_bn: usize,
     max_lanes: usize,
@@ -213,31 +222,38 @@ pub fn strip_plan(
     kernel_w: usize,
     reg_n: usize,
     width: usize,
+    act: DType,
 ) -> StripPlan {
-    let table = microkernel::strip_lengths(oc_bn, dataflow, kernel_w).filter(|_| oc_bn <= max_lanes);
+    let table = microkernel::strip_lengths(oc_bn, dataflow, kernel_w, act != DType::F32)
+        .filter(|_| oc_bn <= max_lanes);
     StripPlan::new(table.unwrap_or(&[]), reg_n, width)
 }
 
 /// The `reg_n` a schedule that is not searched should name for `p` at block
-/// `oc_bn`: the longest output-stationary strip of at most `want` pixels
-/// that the template runs on `p`'s strip row — so the schedule a module
-/// reports is the strip that executes.
-pub fn fitting_reg_n(p: &Conv2dParams, oc_bn: usize, max_lanes: usize, want: usize) -> usize {
+/// `oc_bn` and activation type `act`: the longest output-stationary strip of
+/// at most `want` pixels that the template runs on `p`'s strip row — so the
+/// schedule a module reports is the strip that executes.
+pub fn fitting_reg_n(
+    p: &Conv2dParams,
+    oc_bn: usize,
+    max_lanes: usize,
+    want: usize,
+    act: DType,
+) -> usize {
     let (_, width) = p.strip_row();
-    strip_plan(oc_bn, max_lanes, Dataflow::OutputStationary, p.kernel_w, want.clamp(1, 28), width)
-        .next()
-        .unwrap_or(1)
+    let os = Dataflow::OutputStationary;
+    strip_plan(oc_bn, max_lanes, os, p.kernel_w, want.clamp(1, 28), width, act).next().unwrap_or(1)
 }
 
-/// `reg_n` candidates for one `(oc_bn, dataflow)` pair. For a block a SIMD
-/// tier serves these are the strip lengths the dispatch table holds (each
-/// sized so the accumulators plus the dataflow's resident vectors fit the
-/// tier's register file), minus the single-pixel strip that only remainders
-/// use; none when the tier has no strip for the dataflow at this kernel width.
-/// Scalar blocks accumulate in memory, so they take the classic ladder and
-/// no dataflow but output-stationary.
-pub fn reg_n_candidates(oc_bn: usize, dataflow: Dataflow, kernel_w: usize) -> Vec<usize> {
-    match microkernel::strip_lengths(oc_bn, dataflow, kernel_w) {
+/// `reg_n` candidates for one `(oc_bn, dataflow)` pair and activation type.
+/// For a block a SIMD tier serves these are the strip lengths the dispatch
+/// table holds (each sized so the accumulators plus what else the strip
+/// keeps live fit the tier's register file), minus the single-pixel strip
+/// that only remainders use; none when the tier has no strip for the
+/// dataflow at this kernel width. Scalar blocks accumulate in memory, so they
+/// take the classic ladder and no dataflow but output-stationary.
+pub fn reg_n_candidates(oc_bn: usize, dataflow: Dataflow, kernel_w: usize, act: DType) -> Vec<usize> {
+    match microkernel::strip_lengths(oc_bn, dataflow, kernel_w, act != DType::F32) {
         Some(lengths) => lengths.iter().copied().filter(|&r| r > 1).collect(),
         None if dataflow == Dataflow::OutputStationary => vec![28, 16, 8, 4, 2],
         None => Vec::new(),
@@ -369,7 +385,7 @@ impl ConvSchedule {
                             &[true]
                         };
                     let mut pushed = false;
-                    for reg_n in reg_n_candidates(oc_bn, dataflow, p.kernel_w) {
+                    for reg_n in reg_n_candidates(oc_bn, dataflow, p.kernel_w, DType::F32) {
                         if reg_n > width {
                             continue;
                         }
@@ -472,46 +488,6 @@ impl<'a> Epilogue<'a> {
             )));
         }
         Ok(())
-    }
-}
-
-/// The fused epilogue as the templates apply it: to one finished output
-/// row (`out_w` pixels of one channel chunk), while the row is hot in cache.
-#[derive(Clone, Copy)]
-pub(super) struct RowEpilogue<'a> {
-    bias: Option<&'a [f32]>,
-    relu: bool,
-    residual: Option<&'a [f32]>,
-}
-
-impl<'a> RowEpilogue<'a> {
-    pub(super) fn new(e: &Epilogue<'a>) -> Self {
-        Self { bias: e.bias, relu: e.relu, residual: e.residual.map(Tensor::data) }
-    }
-
-    /// Applies bias, residual and ReLU (in that order) to `row`, whose
-    /// pixels hold the `bn` channels starting at channel `chunk * bn` and
-    /// which starts `row_off` elements into the output tensor.
-    pub(super) fn apply(&self, row: &mut [f32], chunk: usize, bn: usize, row_off: usize) {
-        if let Some(bias) = self.bias {
-            let bias = &bias[chunk * bn..(chunk + 1) * bn];
-            for px in row.chunks_exact_mut(bn) {
-                for (v, b) in px.iter_mut().zip(bias) {
-                    *v += b;
-                }
-            }
-        }
-        if let Some(res) = self.residual {
-            let res = &res[row_off..row_off + row.len()];
-            for (v, r) in row.iter_mut().zip(res) {
-                *v += r;
-            }
-        }
-        if self.relu {
-            for v in row.iter_mut() {
-                *v = v.max(0.0);
-            }
-        }
     }
 }
 
@@ -619,7 +595,8 @@ mod tests {
     #[test]
     fn strip_plan_tiles_the_row_in_table_lengths() {
         let os = Dataflow::OutputStationary;
-        let plan = |oc_bn, lanes, rn, w| strip_plan(oc_bn, lanes, os, 3, rn, w).collect::<Vec<_>>();
+        let f32_plan = |oc_bn, lanes, rn, w| strip_plan(oc_bn, lanes, os, 3, rn, w, DType::F32);
+        let plan = |oc_bn, lanes, rn, w| f32_plan(oc_bn, lanes, rn, w).collect::<Vec<_>>();
         // `reg_n` strips, then the remainder greedily in the tier's lengths.
         assert_eq!(plan(16, 16, 8, 14), [8, 4, 2]);
         assert_eq!(plan(16, 16, 14, 14), [14]);
@@ -636,11 +613,16 @@ mod tests {
         assert_eq!(plan(16, 16, 8, 0), [0usize; 0]);
         // The reg_n a non-searched schedule names is the first strip.
         let p14 = Conv2dParams::square(256, 256, 14, 3, 1, 1);
-        assert_eq!(fitting_reg_n(&p14, 16, 16, 16), 14);
-        assert_eq!(fitting_reg_n(&p14, 8, 8, 16), 12);
-        assert_eq!(fitting_reg_n(&p14, 4, 16, 16), 14);
+        assert_eq!(fitting_reg_n(&p14, 16, 16, 16, DType::F32), 14);
+        assert_eq!(fitting_reg_n(&p14, 8, 8, 16, DType::F32), 12);
+        assert_eq!(fitting_reg_n(&p14, 4, 16, 16, DType::F32), 14);
         let pw7 = Conv2dParams::square(512, 2048, 7, 1, 1, 0);
-        assert_eq!(fitting_reg_n(&pw7, 16, 16, 16), 16);
+        assert_eq!(fitting_reg_n(&pw7, 16, 16, 16, DType::F32), 16);
+        // A u8 call is cut in its tier's int8 lengths: 28 names a strip only
+        // the f32 template holds, so it re-fits to 16.
+        assert_eq!(fitting_reg_n(&pw7, 16, 16, 28, DType::F32), 28);
+        assert_eq!(fitting_reg_n(&pw7, 16, 16, 28, DType::U8), 16);
+        assert_eq!(strip_plan(16, 16, os, 1, 28, 49, DType::U8).collect::<Vec<_>>(), [16, 16, 16, 1]);
     }
 
     #[test]
@@ -650,27 +632,27 @@ mod tests {
         // accumulators max; the old 28/16 candidates spilled the file and
         // must be gone (and so does 14, empirically). 7 is the ImageNet
         // divisor that fits.
-        assert_eq!(reg_n_candidates(8, Dataflow::OutputStationary, 3), vec![12, 8, 7, 4, 2]);
+        assert_eq!(reg_n_candidates(8, Dataflow::OutputStationary, 3, DType::F32), vec![12, 8, 7, 4, 2]);
         // Shift-reuse pins kw + 1 vectors, shrinking the cap.
-        assert_eq!(reg_n_candidates(8, Dataflow::ShiftReuse, 3), vec![12, 8, 7, 4, 2]);
-        assert_eq!(reg_n_candidates(8, Dataflow::ShiftReuse, 5), vec![10, 8, 4, 2]);
-        assert_eq!(reg_n_candidates(8, Dataflow::ShiftReuse, 7), vec![8, 4, 2]);
+        assert_eq!(reg_n_candidates(8, Dataflow::ShiftReuse, 3, DType::F32), vec![12, 8, 7, 4, 2]);
+        assert_eq!(reg_n_candidates(8, Dataflow::ShiftReuse, 5, DType::F32), vec![10, 8, 4, 2]);
+        assert_eq!(reg_n_candidates(8, Dataflow::ShiftReuse, 7, DType::F32), vec![8, 4, 2]);
         // AVX-512 (oc_bn 16, 32 ZMM registers) keeps the full ladder for
         // output-stationary and 3-wide kernels, with both divisors.
         let zmm = vec![28, 16, 14, 8, 7, 4, 2];
-        assert_eq!(reg_n_candidates(16, Dataflow::OutputStationary, 3), zmm);
-        assert_eq!(reg_n_candidates(16, Dataflow::ShiftReuse, 3), zmm);
-        assert_eq!(reg_n_candidates(16, Dataflow::ShiftReuse, 5), vec![24, 16, 8, 4, 2]);
+        assert_eq!(reg_n_candidates(16, Dataflow::OutputStationary, 3, DType::F32), zmm);
+        assert_eq!(reg_n_candidates(16, Dataflow::ShiftReuse, 3, DType::F32), zmm);
+        assert_eq!(reg_n_candidates(16, Dataflow::ShiftReuse, 5, DType::F32), vec![24, 16, 8, 4, 2]);
         // Scalar-path blocks carry no architectural constraint — and no
         // dataflow to choose.
-        assert_eq!(reg_n_candidates(4, Dataflow::OutputStationary, 3), vec![28, 16, 8, 4, 2]);
-        assert!(reg_n_candidates(4, Dataflow::ShiftReuse, 3).is_empty());
-        assert!(reg_n_candidates(16, Dataflow::ShiftReuse, 1).is_empty());
+        assert_eq!(reg_n_candidates(4, Dataflow::OutputStationary, 3, DType::F32), vec![28, 16, 8, 4, 2]);
+        assert!(reg_n_candidates(4, Dataflow::ShiftReuse, 3, DType::F32).is_empty());
+        assert!(reg_n_candidates(16, Dataflow::ShiftReuse, 1, DType::F32).is_empty());
         // Every candidate fits its register file (16 YMM / 32 ZMM).
         for (oc_bn, file) in [(8, 16), (16, 32)] {
             for df in Dataflow::ALL {
                 for kw in [3, 5, 7] {
-                    for rn in reg_n_candidates(oc_bn, df, kw) {
+                    for rn in reg_n_candidates(oc_bn, df, kw, DType::F32) {
                         assert!(
                             rn + df.resident_regs(kw) <= file,
                             "{df:?} kw={kw} rn={rn} overflows the {file}-register file"

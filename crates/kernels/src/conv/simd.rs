@@ -23,21 +23,17 @@
 use std::arch::x86_64::*;
 
 use super::microkernel::{for_each_tap, Geo, Strip};
+use crate::quantize::Lanes;
 
-/// A SIMD register of `LANES` f32 lanes, with the handful of operations the
-/// strip bodies need. Adding an ISA is one impl of this trait plus one row
-/// of the dispatch table.
-pub(super) trait Simd: Copy {
-    /// f32 lanes per vector: the `oc_bn` this register type serves.
-    const LANES: usize;
+/// A SIMD register — [`Lanes`] (`LANES` f32 lanes, the `oc_bn` the register
+/// type serves; load, store and the fused store's element-wise operations)
+/// plus the handful of operations the strip bodies need. Adding an ISA is one
+/// impl of each trait plus one row of the dispatch table.
+pub(super) trait Simd: Lanes {
     /// The same register viewed as `LANES` i32 accumulators (int8 strips).
     type I32: Copy;
 
     unsafe fn splat(x: f32) -> Self;
-    /// Unaligned load of `LANES` f32.
-    unsafe fn load(p: *const f32) -> Self;
-    /// Unaligned store of `LANES` f32.
-    unsafe fn store(self, p: *mut f32);
     /// `self * b + acc`, fused.
     unsafe fn fma(self, b: Self, acc: Self) -> Self;
 
@@ -46,8 +42,11 @@ pub(super) trait Simd: Copy {
     unsafe fn load_quads(p: *const i8) -> Self::I32;
     /// `acc[l] += Σ_{j<4} quad.byte(j) · w[l].byte(j)` — u8 activations
     /// against i8 weights through `maddubs` + `madd`; exact while the
-    /// weights stay within ±63 (pair sums below `i16::MAX`).
-    unsafe fn dot_quads(acc: Self::I32, quad: u32, w: Self::I32) -> Self::I32;
+    /// weights stay within ±63 (pair sums below `i16::MAX`). With `VNNI`
+    /// (AVX-512 only, and only where the caller has enabled `avx512vnni`) it
+    /// is the one instruction `vpdpbusd`, which sums the four products in 32
+    /// bits and so agrees under the same cap; both wrap on i32 overflow.
+    unsafe fn dot_quads<const VNNI: bool>(acc: Self::I32, quad: u32, w: Self::I32) -> Self::I32;
     /// Loads `LANES` i8 and sign-extends each to an i32 lane.
     unsafe fn widen_i8(p: *const i8) -> Self::I32;
     /// `acc + x * w`, with `x` `LANES` u8 loaded and zero-extended to i32
@@ -59,20 +58,11 @@ pub(super) trait Simd: Copy {
 
 /// AVX2 + FMA: 8 lanes, 16 YMM registers.
 impl Simd for __m256 {
-    const LANES: usize = 8;
     type I32 = __m256i;
 
     #[inline(always)]
     unsafe fn splat(x: f32) -> Self {
         _mm256_set1_ps(x)
-    }
-    #[inline(always)]
-    unsafe fn load(p: *const f32) -> Self {
-        _mm256_loadu_ps(p)
-    }
-    #[inline(always)]
-    unsafe fn store(self, p: *mut f32) {
-        _mm256_storeu_ps(p, self)
     }
     #[inline(always)]
     unsafe fn fma(self, b: Self, acc: Self) -> Self {
@@ -87,7 +77,8 @@ impl Simd for __m256 {
         _mm256_loadu_si256(p.cast())
     }
     #[inline(always)]
-    unsafe fn dot_quads(acc: __m256i, quad: u32, w: __m256i) -> __m256i {
+    unsafe fn dot_quads<const VNNI: bool>(acc: __m256i, quad: u32, w: __m256i) -> __m256i {
+        debug_assert!(!VNNI, "the AVX2 row of the dispatch table has no VNNI variant");
         let pairs = _mm256_maddubs_epi16(_mm256_set1_epi32(quad as i32), w);
         _mm256_add_epi32(acc, _mm256_madd_epi16(pairs, _mm256_set1_epi16(1)))
     }
@@ -107,23 +98,15 @@ impl Simd for __m256 {
 }
 
 /// AVX-512: 16 lanes, 32 ZMM registers. The f32 operations need only F; the
-/// 512-bit `maddubs`/`madd` of the int8 dot need BW, which the dispatch
-/// table therefore asks for on the int8 entry points alone.
+/// 512-bit `maddubs`/`madd` of the int8 dot need BW and its one-instruction
+/// form VNNI, which the dispatch table therefore asks for on the int8 entry
+/// points alone.
 impl Simd for __m512 {
-    const LANES: usize = 16;
     type I32 = __m512i;
 
     #[inline(always)]
     unsafe fn splat(x: f32) -> Self {
         _mm512_set1_ps(x)
-    }
-    #[inline(always)]
-    unsafe fn load(p: *const f32) -> Self {
-        _mm512_loadu_ps(p)
-    }
-    #[inline(always)]
-    unsafe fn store(self, p: *mut f32) {
-        _mm512_storeu_ps(p, self)
     }
     #[inline(always)]
     unsafe fn fma(self, b: Self, acc: Self) -> Self {
@@ -138,8 +121,12 @@ impl Simd for __m512 {
         _mm512_loadu_si512(p.cast())
     }
     #[inline(always)]
-    unsafe fn dot_quads(acc: __m512i, quad: u32, w: __m512i) -> __m512i {
-        let pairs = _mm512_maddubs_epi16(_mm512_set1_epi32(quad as i32), w);
+    unsafe fn dot_quads<const VNNI: bool>(acc: __m512i, quad: u32, w: __m512i) -> __m512i {
+        let quad = _mm512_set1_epi32(quad as i32);
+        if VNNI {
+            return _mm512_dpbusd_epi32(acc, quad, w);
+        }
+        let pairs = _mm512_maddubs_epi16(quad, w);
         _mm512_add_epi32(acc, _mm512_madd_epi16(pairs, _mm512_set1_epi16(1)))
     }
     #[inline(always)]
@@ -268,12 +255,13 @@ pub(super) unsafe fn sr<V: Simd, const RN: usize, const KW: usize, const DW: boo
 
 /// Int8 dense strip: `RN` i32 accumulators. Per (tap, quad, pixel) the four
 /// adjacent activation bytes are broadcast and dotted against
-/// `4 * LANES` contiguous quad-packed weight bytes — 4 instructions and a
-/// broadcast for `4 * LANES` MACs, against 2 instructions for `LANES` MACs
-/// in the f32 strip, which is where the int8 throughput comes from.
-/// Output-stationary only. `geo.ic_bn` must be divisible by 4.
+/// `4 * LANES` contiguous quad-packed weight bytes — `maddubs`, `madd`, `add`
+/// and a broadcast (with `VNNI` one `vpdpbusd` and a broadcast, see
+/// [`Simd::dot_quads`]) for `4 * LANES` MACs, against an FMA and a broadcast
+/// for `LANES` MACs in the f32 strip, which is where the int8 throughput
+/// comes from. Output-stationary only. `geo.ic_bn` must be divisible by 4.
 #[inline(always)]
-pub(super) unsafe fn i8_dense<V: Simd, const RN: usize>(
+pub(super) unsafe fn i8_dense<V: Simd, const RN: usize, const VNNI: bool>(
     geo: &Geo,
     strip: &Strip<u8, i8>,
     mult: *const f32,
@@ -293,7 +281,7 @@ pub(super) unsafe fn i8_dense<V: Simd, const RN: usize>(
                 let wv = V::load_quads(w_rs.add(q * 4 * V::LANES));
                 for i in 0..RN {
                     let quad = in_rs.add(i * sw * ic_bn + q * 4).cast::<u32>().read_unaligned();
-                    acc[i] = V::dot_quads(acc[i], quad, wv);
+                    acc[i] = V::dot_quads::<VNNI>(acc[i], quad, wv);
                 }
             }
         });

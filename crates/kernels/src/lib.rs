@@ -34,6 +34,7 @@ pub mod pool2d;
 pub mod quantize;
 pub mod softmax;
 
+mod epilogue;
 mod error;
 mod util;
 

@@ -63,6 +63,64 @@ pub fn dequantize_value(q: u8, scale: f32, zero_point: u8) -> f32 {
     (i32::from(q) - i32::from(zero_point)) as f32 * scale
 }
 
+/// A register of `LANES` f32 lanes — the base of the convolution strips'
+/// `Simd` trait — with the element-wise operations of the templates' fused
+/// store (`crate::epilogue`) and the one per-register step of
+/// [`quantize_value`] that store and the bulk quantize share. `f32` itself is
+/// the one-lane body.
+///
+/// # Safety
+///
+/// Callers run with the implementing type's CPU features enabled; pointers
+/// are valid for `LANES` elements.
+pub(crate) trait Lanes: Copy {
+    /// f32 lanes per register.
+    const LANES: usize;
+    /// `(scale, zero_point)` in the form the body consumes them.
+    type QParams: Copy;
+
+    unsafe fn qparams(scale: f32, zero_point: u8) -> Self::QParams;
+    /// Unaligned load of `LANES` f32.
+    unsafe fn load(p: *const f32) -> Self;
+    /// Unaligned store of `LANES` f32.
+    unsafe fn store(self, p: *mut f32);
+    unsafe fn add(self, other: Self) -> Self;
+    /// `max(self, 0)` per lane; a NaN lane becomes 0, as `f32::max` has it.
+    unsafe fn relu(self) -> Self;
+    /// `dst[l] = quantize_value(self[l], scale, zero_point)`.
+    unsafe fn quantize_to(self, q: &Self::QParams, dst: *mut u8);
+}
+
+impl Lanes for f32 {
+    const LANES: usize = 1;
+    type QParams = (f32, u8);
+
+    #[inline(always)]
+    unsafe fn qparams(scale: f32, zero_point: u8) -> (f32, u8) {
+        (scale, zero_point)
+    }
+    #[inline(always)]
+    unsafe fn load(p: *const f32) -> f32 {
+        *p
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f32) {
+        *p = self;
+    }
+    #[inline(always)]
+    unsafe fn add(self, other: f32) -> f32 {
+        self + other
+    }
+    #[inline(always)]
+    unsafe fn relu(self) -> f32 {
+        self.max(0.0)
+    }
+    #[inline(always)]
+    unsafe fn quantize_to(self, q: &(f32, u8), dst: *mut u8) {
+        *dst = quantize_value(self, q.0, q.1);
+    }
+}
+
 /// Which body of the quantize arithmetic a call runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum QuantIsa {
@@ -114,7 +172,8 @@ impl QuantIsa {
     }
 }
 
-/// The SIMD bodies of [`quantize_value`]. Both keep its arithmetic exactly —
+/// The SIMD bodies of [`quantize_value`], as the `quantize_to` step of
+/// [`Lanes`] for `__m256` and `__m512`. Both keep its arithmetic exactly —
 /// the tests hold them to it on arbitrary bit patterns:
 ///
 /// * a true division `x / scale` (multiplying by `1/scale` rounds twice and
@@ -130,29 +189,108 @@ impl QuantIsa {
 mod simd {
     use std::arch::x86_64::*;
 
+    use super::Lanes;
+
     /// `pred(0.5)`, the largest f32 below one half.
     const HALF_PRED: f32 = f32::from_bits(0.5f32.to_bits() - 1);
     const TRUNC: i32 = _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC;
+
+    /// AVX2: `(scale, zero point)` broadcast.
+    impl Lanes for __m256 {
+        const LANES: usize = 8;
+        type QParams = (__m256, __m256);
+
+        #[inline(always)]
+        unsafe fn qparams(scale: f32, zp: u8) -> Self::QParams {
+            (_mm256_set1_ps(scale), _mm256_set1_ps(f32::from(zp)))
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            _mm256_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            _mm256_storeu_ps(p, self)
+        }
+        #[inline(always)]
+        unsafe fn add(self, other: Self) -> Self {
+            _mm256_add_ps(self, other)
+        }
+        #[inline(always)]
+        unsafe fn relu(self) -> Self {
+            _mm256_max_ps(self, _mm256_setzero_ps())
+        }
+        #[inline(always)]
+        unsafe fn quantize_to(self, &(scale, zp): &Self::QParams, dst: *mut u8) {
+            let q = _mm256_div_ps(self, scale);
+            let away = _mm256_or_ps(_mm256_and_ps(q, _mm256_set1_ps(-0.0)), _mm256_set1_ps(HALF_PRED));
+            let r = _mm256_round_ps::<TRUNC>(_mm256_add_ps(q, away));
+            let v = _mm256_min_ps(
+                _mm256_max_ps(_mm256_add_ps(r, zp), _mm256_setzero_ps()),
+                _mm256_set1_ps(255.0),
+            );
+            let v = _mm256_blendv_ps(v, zp, _mm256_cmp_ps::<_CMP_UNORD_Q>(self, self));
+            let w = _mm256_cvttps_epi32(v);
+            let w = _mm_packs_epi32(_mm256_castsi256_si128(w), _mm256_extracti128_si256::<1>(w));
+            _mm_storel_epi64(dst.cast(), _mm_packus_epi16(w, w));
+        }
+    }
+
+    /// The quantized lanes of `x` as i32 in `0..=255`.
+    #[inline(always)]
+    unsafe fn quantized_avx512(x: __m512, (scale, zp): (__m512, __m512)) -> __m512i {
+        let q = _mm512_div_ps(x, scale);
+        let sign = _mm512_and_si512(_mm512_castps_si512(q), _mm512_set1_epi32(i32::MIN));
+        let away = _mm512_or_si512(sign, _mm512_set1_epi32(HALF_PRED.to_bits() as i32));
+        let r = _mm512_roundscale_ps::<TRUNC>(_mm512_add_ps(q, _mm512_castsi512_ps(away)));
+        let v = _mm512_min_ps(
+            _mm512_max_ps(_mm512_add_ps(r, zp), _mm512_setzero_ps()),
+            _mm512_set1_ps(255.0),
+        );
+        let v = _mm512_mask_blend_ps(_mm512_cmp_ps_mask::<_CMP_UNORD_Q>(x, x), v, zp);
+        _mm512_cvttps_epi32(v)
+    }
+
+    /// AVX-512: `(scale, zero point)` broadcast.
+    impl Lanes for __m512 {
+        const LANES: usize = 16;
+        type QParams = (__m512, __m512);
+
+        #[inline(always)]
+        unsafe fn qparams(scale: f32, zp: u8) -> Self::QParams {
+            (_mm512_set1_ps(scale), _mm512_set1_ps(f32::from(zp)))
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            _mm512_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            _mm512_storeu_ps(p, self)
+        }
+        #[inline(always)]
+        unsafe fn add(self, other: Self) -> Self {
+            _mm512_add_ps(self, other)
+        }
+        #[inline(always)]
+        unsafe fn relu(self) -> Self {
+            _mm512_max_ps(self, _mm512_setzero_ps())
+        }
+        #[inline(always)]
+        unsafe fn quantize_to(self, q: &Self::QParams, dst: *mut u8) {
+            _mm_storeu_si128(dst.cast(), _mm512_cvtepi32_epi8(quantized_avx512(self, *q)));
+        }
+    }
 
     /// # Safety
     ///
     /// The host has AVX2; `src` and `dst` are equally long.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn quantize_avx2(src: &[f32], dst: &mut [u8], scale: f32, zp: u8) {
-        let (scale_v, zp_v) = (_mm256_set1_ps(scale), _mm256_set1_ps(f32::from(zp)));
-        let (sign, half) = (_mm256_set1_ps(-0.0), _mm256_set1_ps(HALF_PRED));
-        let (lo, hi) = (_mm256_setzero_ps(), _mm256_set1_ps(255.0));
+        let q = __m256::qparams(scale, zp);
         let full = src.len() / 8 * 8;
         for i in (0..full).step_by(8) {
-            let x = _mm256_loadu_ps(src.as_ptr().add(i));
-            let q = _mm256_div_ps(x, scale_v);
-            let away = _mm256_or_ps(_mm256_and_ps(q, sign), half);
-            let r = _mm256_round_ps::<TRUNC>(_mm256_add_ps(q, away));
-            let v = _mm256_min_ps(_mm256_max_ps(_mm256_add_ps(r, zp_v), lo), hi);
-            let v = _mm256_blendv_ps(v, zp_v, _mm256_cmp_ps::<_CMP_UNORD_Q>(x, x));
-            let w = _mm256_cvttps_epi32(v);
-            let w = _mm_packs_epi32(_mm256_castsi256_si128(w), _mm256_extracti128_si256::<1>(w));
-            _mm_storel_epi64(dst.as_mut_ptr().add(i).cast(), _mm_packus_epi16(w, w));
+            __m256::load(src.as_ptr().add(i)).quantize_to(&q, dst.as_mut_ptr().add(i));
         }
         for (d, &s) in dst[full..].iter_mut().zip(&src[full..]) {
             *d = super::quantize_value(s, scale, zp);
@@ -164,22 +302,14 @@ mod simd {
     /// The host has AVX-512F; `src` and `dst` are equally long.
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn quantize_avx512(src: &[f32], dst: &mut [u8], scale: f32, zp: u8) {
-        let (scale_v, zp_v) = (_mm512_set1_ps(scale), _mm512_set1_ps(f32::from(zp)));
-        let sign = _mm512_set1_epi32(i32::MIN);
-        let half = _mm512_set1_epi32(HALF_PRED.to_bits() as i32);
-        let (lo, hi) = (_mm512_setzero_ps(), _mm512_set1_ps(255.0));
+        let q = __m512::qparams(scale, zp);
         // One masked step takes the tail: its dead lanes load zero and store
         // nothing.
         for i in (0..src.len()).step_by(16) {
             let live: __mmask16 = if src.len() - i >= 16 { !0 } else { (1 << (src.len() - i)) - 1 };
             let x = _mm512_maskz_loadu_ps(live, src.as_ptr().add(i));
-            let q = _mm512_div_ps(x, scale_v);
-            let away = _mm512_or_si512(_mm512_and_si512(_mm512_castps_si512(q), sign), half);
-            let r = _mm512_roundscale_ps::<TRUNC>(_mm512_add_ps(q, _mm512_castsi512_ps(away)));
-            let v = _mm512_min_ps(_mm512_max_ps(_mm512_add_ps(r, zp_v), lo), hi);
-            let v = _mm512_mask_blend_ps(_mm512_cmp_ps_mask::<_CMP_UNORD_Q>(x, x), v, zp_v);
             let bytes = dst.as_mut_ptr().add(i).cast();
-            _mm512_mask_cvtepi32_storeu_epi8(bytes, live, _mm512_cvttps_epi32(v));
+            _mm512_mask_cvtepi32_storeu_epi8(bytes, live, quantized_avx512(x, q));
         }
     }
 }

@@ -10,9 +10,9 @@
 use std::time::Instant;
 
 use neocpu_kernels::conv::{
-    conv2d_nchwc, strip_plan, Conv2dParams, ConvSchedule, Dataflow, Epilogue,
+    conv2d_nchwc, fitting_reg_n, strip_plan, Conv2dParams, ConvSchedule, Dataflow, Epilogue,
 };
-use neocpu_tensor::{Layout, Tensor};
+use neocpu_tensor::{DType, Layout, Tensor};
 use neocpu_threadpool::Sequential;
 
 /// Estimates or measures the execution time (in seconds) of a convolution
@@ -80,18 +80,21 @@ fn latency_util(rn: f32) -> f32 {
 impl AnalyticalModel {
     /// Pipeline utilization of one strip row of `p` under `s`, given that of
     /// a strip of `rn` pixels: the row costs the sum of the strips the
-    /// template cuts it into, so `reg_n` 8 on a 14-pixel row is priced as
-    /// 8 + 4 + 2, not as a perfect 8.
+    /// template cuts it into for activations of type `act`, so `reg_n` 8 on
+    /// a 14-pixel row is priced as 8 + 4 + 2, not as a perfect 8, and a
+    /// `reg_n` only the f32 strips hold as what a u8 call runs in its place.
     fn row_pipe_util(
         &self,
         p: &Conv2dParams,
         s: &ConvSchedule,
+        act: DType,
         strip_util: impl Fn(usize) -> f32,
     ) -> f32 {
         let (_, width) = p.strip_row();
-        let cost: f32 = strip_plan(s.oc_bn, self.vec_lanes, s.dataflow, p.kernel_w, s.reg_n, width)
-            .map(|rn| rn as f32 / strip_util(rn))
-            .sum();
+        let cost: f32 =
+            strip_plan(s.oc_bn, self.vec_lanes, s.dataflow, p.kernel_w, s.reg_n, width, act)
+                .map(|rn| rn as f32 / strip_util(rn))
+                .sum();
         width as f32 / cost
     }
 
@@ -120,7 +123,7 @@ impl AnalyticalModel {
         // spill term: a row only ever runs strips the dispatch table holds,
         // and those are sized to their tier's register file.
         let kwf = p.kernel_w as f32;
-        let pipe_util = self.row_pipe_util(p, s, |rn| {
+        let pipe_util = self.row_pipe_util(p, s, DType::F32, |rn| {
             let rnf = rn as f32;
             // Issue-port pressure: loads per FMA in the inner loop.
             // Output-stationary loads `kw` kernel vectors plus `rn*kw` input
@@ -158,7 +161,9 @@ impl AnalyticalModel {
     /// lane through a 3-instruction sequence — net ~2× the f32 FMA rate
     /// when a SIMD strip exists for `oc_bn` — and 1-byte elements shrink
     /// the L1 working set 4×, easing the penalty on big blocks. The exact
-    /// scalar fallback earns no credit.
+    /// scalar fallback earns no credit. A row is priced as the int8 strips
+    /// it is cut into, so a `reg_n` only the f32 table holds ranks as the
+    /// shorter strip that runs in its place, not as a long one.
     fn efficiency_i8(&self, p: &Conv2dParams, s: &ConvSchedule) -> f32 {
         let lanes = self.vec_lanes as f32;
         let (effective, simd) = if s.oc_bn == 16 && self.vec_lanes >= 16 {
@@ -169,10 +174,11 @@ impl AnalyticalModel {
             ((lanes / 4.0).max(1.0).min(s.oc_bn as f32), false)
         };
         let vec_util = (effective / lanes) * if simd { 2.0 } else { 1.0 };
-        let pipe_util = self.row_pipe_util(p, s, |rn| latency_util(rn as f32));
-        let ws = s.ic_bn * s.oc_bn * p.kernel_h * p.kernel_w
-            + s.reg_n * s.ic_bn * p.kernel_h
-            + s.reg_n * s.oc_bn;
+        let pipe_util = self.row_pipe_util(p, s, DType::U8, |rn| latency_util(rn as f32));
+        // The working set is that of the strip the row starts with, too.
+        let rn = fitting_reg_n(p, s.oc_bn, self.vec_lanes, s.reg_n, DType::U8);
+        let ws =
+            s.ic_bn * s.oc_bn * p.kernel_h * p.kernel_w + rn * s.ic_bn * p.kernel_h + rn * s.oc_bn;
         let cache_util = if ws <= self.l1_bytes {
             1.0
         } else {
@@ -376,6 +382,15 @@ mod tests {
         // A pointwise plane is one row: 14×14 pixels are seven strips of 28.
         let pw = Conv2dParams::square(64, 64, 14, 1, 1, 0);
         assert!(m.conv_time(&pw, &s(28)) < m.conv_time(&pw, &s(14)));
+        // The u8 template holds no 28-pixel strip (it spills): the plane
+        // runs as strips of 16 there, and is priced as them.
+        assert_eq!(m.conv_time_i8(&pw, &s(28)), m.conv_time_i8(&pw, &s(16)));
+        // Also where the working set has left L1 (a 7×7 weight block of 64
+        // input channels is 50 KB) and its strip term counts.
+        let big = Conv2dParams::square(64, 64, 32, 7, 1, 3);
+        let s64 = |reg_n| ConvSchedule { ic_bn: 64, ..s(reg_n) };
+        assert_eq!(m.conv_time_i8(&big, &s64(28)), m.conv_time_i8(&big, &s64(16)));
+        assert!(m.conv_time_i8(&big, &s64(16)) > m.conv_time_i8(&big, &s64(8)));
         // A reg_n its tier has no strip for costs what runs in its place:
         // on AVX2, 14 is 12 + the remainder — there is nothing to spill.
         let avx2 = AnalyticalModel { vec_lanes: 8, ..AnalyticalModel::default() };

@@ -140,6 +140,7 @@ mod tests {
         // hand over `oc_bn` 16 ones, which such a target runs as scalar
         // code.
         use neocpu_kernels::conv::simd_strip_exists;
+        use neocpu_tensor::DType;
         use std::cell::RefCell;
         struct Recording(RefCell<Vec<ConvSchedule>>);
         impl CostModel for Recording {
@@ -163,7 +164,7 @@ mod tests {
         assert_eq!(narrow.len(), 8);
         for s in &narrow {
             assert_eq!(s.oc_bn, 8, "{s:?}");
-            assert!(simd_strip_exists(8, s.dataflow, s.reg_n, p.kernel_w), "{s:?}");
+            assert!(simd_strip_exists(8, s.dataflow, s.reg_n, p.kernel_w, DType::F32), "{s:?}");
         }
         assert!(seen(AnalyticalModel::default()).iter().all(|s| s.oc_bn == 16));
     }

@@ -1,18 +1,24 @@
 //! Per-layer conv rates: for each distinct convolution workload of
 //! ResNet-50 and MobileNet, f32 and u8, the schedule the hybrid search
 //! chooses (analytical preselect 8, timed), the strips its rows are cut
-//! into, and the single-thread time and rate of that schedule — for a u8
-//! row also the time with a requantizing epilogue into a u8 output, the
-//! form a conv with a folded `Quantize` runs in. A closing `quantize`
-//! section gives the rate of the quantize primitive on one and two threads
-//! and, per model, how many `Quantize` boundaries of the int8 module fold
-//! and why the others stay.
+//! into, and the single-thread time and rate of that schedule. A u8 row
+//! times the form a conv with a folded `Quantize` runs in — bias, ReLU and a
+//! requantizing epilogue into a u8 output — and shows, beside the measured
+//! best, the int8 analytical model's first pick and what that measures: the
+//! model alone picks int8 schedules in a compile, so the ratio of the two
+//! columns is that layer's regret. Then the `reg_n` sweep the int8 strip
+//! table rests on: `i8_dense` and `i8_dw` at every length their tier holds,
+//! per tier (to trial a longer one, add it to the row's `i8 […]` list in
+//! `conv/microkernel.rs` and rerun — a length that spills shows as a jump).
+//! A closing `quantize` section gives the rate of the quantize primitive on
+//! one and two threads and, per model, how many `Quantize` boundaries of the
+//! int8 module fold and why the others stay.
 //!
 //! ```text
 //! cargo run --release --example layer_rates
 //! ```
 //!
-//! This is the table EXPERIMENTS.md E16 and E17 are made from and the first
+//! This is the table EXPERIMENTS.md E16–E18 are made from and the first
 //! thing to run after touching a strip or the row driver. It prints and
 //! asserts nothing: the numbers are one host's.
 
@@ -22,7 +28,8 @@ use neocpu::{compile_quantized, CompileOptions, CpuTarget, OptLevel, QuantizeOpt
 use neocpu_graph::passes::{fuse_ops, simplify_inference};
 use neocpu_graph::Op;
 use neocpu_kernels::conv::{
-    conv2d_nchwc_u8, strip_plan, Conv2dParams, ConvQuant, ConvSchedule, Epilogue,
+    conv2d_nchwc_u8, fitting_reg_n, reg_n_candidates, strip_plan, Conv2dParams, ConvQuant,
+    ConvSchedule, Dataflow, Epilogue,
 };
 use neocpu_kernels::quantize::{
     quantize_dense_weights, quantize_dw_weights, quantize_slice_par, QuantizedWeights,
@@ -51,9 +58,10 @@ fn workloads(kind: ModelKind) -> Vec<Conv2dParams> {
 }
 
 /// `16×12+4`: the strips of one strip row, runs of equal length folded.
-fn plan_text(p: &Conv2dParams, s: &ConvSchedule, max_lanes: usize) -> String {
+fn plan_text(p: &Conv2dParams, s: &ConvSchedule, max_lanes: usize, act: DType) -> String {
     let mut runs: Vec<(usize, usize)> = Vec::new();
-    for rn in strip_plan(s.oc_bn, max_lanes, s.dataflow, p.kernel_w, s.reg_n, p.strip_row().1) {
+    let width = p.strip_row().1;
+    for rn in strip_plan(s.oc_bn, max_lanes, s.dataflow, p.kernel_w, s.reg_n, width, act) {
         match runs.last_mut() {
             Some((len, count)) if *len == rn => *count += 1,
             _ => runs.push((rn, 1)),
@@ -64,6 +72,17 @@ fn plan_text(p: &Conv2dParams, s: &ConvSchedule, max_lanes: usize) -> String {
         .map(|&(len, count)| if count == 1 { len.to_string() } else { format!("{len}×{count}") })
         .collect();
     parts.join("+")
+}
+
+fn schedule_text(s: &ConvSchedule) -> String {
+    format!(
+        "ic{} oc{} rn{} {}{}",
+        s.ic_bn,
+        s.oc_bn,
+        s.reg_n,
+        s.dataflow.token(),
+        if s.unroll_ker { " unroll" } else { "" },
+    )
 }
 
 /// Best schedule and seconds of the hybrid f32 search.
@@ -78,28 +97,36 @@ fn f32_best(p: &Conv2dParams, target: &CpuTarget) -> Option<(ConvSchedule, f64)>
     local_search(p, &measurer, &cfg).first().map(|r| (r.schedule, f64::from(r.time)))
 }
 
-/// Best-of-`REPEATS` seconds of the u8×i8 template under `s`, storing f32 or
-/// — with a requantizing epilogue — u8.
-fn u8_secs(
-    p: &Conv2dParams,
-    s: &ConvSchedule,
-    input: &Tensor,
-    qw: &QuantizedWeights,
-    u8_out: bool,
-    max_lanes: usize,
-) -> f64 {
+/// Best-of-`REPEATS` seconds of the u8×i8 template under `s` in the form a
+/// folded conv runs: bias, ReLU, requantized into a u8 output.
+fn u8_secs(p: &Conv2dParams, s: &ConvSchedule, max_lanes: usize) -> f64 {
+    let in_dims = [1, p.in_channels, p.in_h, p.in_w];
+    let mut input = Tensor::zeros_dtyped(in_dims, Layout::NchwC(s.ic_bn), DType::U8)
+        .expect("candidate blocks divide the workload");
+    for (i, b) in input.data_u8_mut().iter_mut().enumerate() {
+        *b = (i * 37 % 251) as u8;
+    }
+    let w_dims = [p.out_channels, p.in_channels_per_group(), p.kernel_h, p.kernel_w];
+    let weights = Tensor::random(w_dims, Layout::Oihw, 2, 1.0).expect("weight shape");
+    let qw: QuantizedWeights = if p.is_depthwise() {
+        quantize_dw_weights(&weights, s.oc_bn)
+    } else {
+        quantize_dense_weights(&weights, s.ic_bn, s.oc_bn)
+    }
+    .expect("candidate blocks divide the workload");
     let mult: Vec<f32> = qw.scales.iter().map(|w| w / 127.0).collect();
+    let bias = vec![0.25f32; p.out_channels];
     let out_dims = [1, p.out_channels, p.out_h(), p.out_w()];
-    let dtype = if u8_out { DType::U8 } else { DType::F32 };
-    let mut out =
-        Tensor::zeros_dtyped(out_dims, Layout::NchwC(s.oc_bn), dtype).expect("output shape");
+    let mut out = Tensor::zeros_dtyped(out_dims, Layout::NchwC(s.oc_bn), DType::U8)
+        .expect("output shape");
     let quant = ConvQuant { mult: &mult, zero_point: 128 };
-    let epilogue = Epilogue { requant: u8_out.then_some((0.05, 128)), ..Epilogue::none() };
+    let epilogue =
+        Epilogue { bias: Some(&bias), relu: true, residual: None, requant: Some((0.05, 128)) };
     let mut secs = f64::INFINITY;
     for i in 0..=REPEATS {
         let t = Instant::now();
         conv2d_nchwc_u8(
-            input, &qw.tensor, &mut out, p, s, &quant, &epilogue, &Sequential, max_lanes, None,
+            &input, &qw.tensor, &mut out, p, s, &quant, &epilogue, &Sequential, max_lanes, None,
         )
         .expect("candidate validated against the workload");
         if i > 0 {
@@ -109,40 +136,61 @@ fn u8_secs(
     secs
 }
 
-/// Best schedule of the same search over the u8×i8 template — the int8
-/// analytical model preselects, the real kernel is timed storing f32 — with
-/// its seconds storing f32 and storing u8. `None` for a workload no int8
-/// schedule serves (the 3-channel stem).
-fn u8_best(p: &Conv2dParams, target: &CpuTarget) -> Option<(ConvSchedule, f64, f64)> {
-    let model = target.analytical_model();
-    let mut candidates: Vec<ConvSchedule> = ConvSchedule::candidates(p, 64)
-        .into_iter()
-        .filter(|s| model.conv_time_i8(p, s).is_finite())
-        .collect();
-    candidates.sort_by(|a, b| model.conv_time_i8(p, a).total_cmp(&model.conv_time_i8(p, b)));
-    candidates.truncate(PRESELECT);
-    let w_dims = [p.out_channels, p.in_channels_per_group(), p.kernel_h, p.kernel_w];
-    let weights = Tensor::random(w_dims, Layout::Oihw, 2, 1.0).expect("weight shape");
-    let mut best: Option<(ConvSchedule, f64, f64)> = None;
-    for s in candidates {
-        let in_dims = [1, p.in_channels, p.in_h, p.in_w];
-        let mut input = Tensor::zeros_dtyped(in_dims, Layout::NchwC(s.ic_bn), DType::U8)
-            .expect("candidate blocks divide the workload");
-        for (i, b) in input.data_u8_mut().iter_mut().enumerate() {
-            *b = (i * 37 % 251) as u8;
-        }
-        let qw = if p.is_depthwise() {
-            quantize_dw_weights(&weights, s.oc_bn)
-        } else {
-            quantize_dense_weights(&weights, s.ic_bn, s.oc_bn)
-        }
-        .expect("candidate blocks divide the workload");
-        let secs = u8_secs(p, &s, &input, &qw, false, target.max_lanes());
-        if best.is_none_or(|(_, b, _)| secs < b) {
-            best = Some((s, secs, u8_secs(p, &s, &input, &qw, true, target.max_lanes())));
+/// The int8 side of a compile's search over the u8×i8 template: the int8
+/// analytical model ranks the candidates, each named by the strip a u8 call
+/// runs. Returns the model's first pick with its measured seconds, and the
+/// measured best of its first `PRESELECT` with its seconds. `None` for a
+/// workload no int8 schedule serves (the 3-channel stem).
+fn u8_best(p: &Conv2dParams, target: &CpuTarget) -> Option<[(ConvSchedule, f64); 2]> {
+    let (model, max_lanes) = (target.analytical_model(), target.max_lanes());
+    let mut candidates: Vec<ConvSchedule> = Vec::new();
+    for s in ConvSchedule::candidates(p, 64) {
+        let reg_n = fitting_reg_n(p, s.oc_bn, max_lanes, s.reg_n, DType::U8);
+        let s = ConvSchedule { reg_n, ..s };
+        if model.conv_time_i8(p, &s).is_finite() && !candidates.contains(&s) {
+            candidates.push(s);
         }
     }
-    best
+    candidates.sort_by(|a, b| model.conv_time_i8(p, a).total_cmp(&model.conv_time_i8(p, b)));
+    candidates.truncate(PRESELECT);
+    let timed: Vec<(ConvSchedule, f64)> =
+        candidates.into_iter().map(|s| (s, u8_secs(p, &s, max_lanes))).collect();
+    let pick = *timed.first()?;
+    let best = *timed.iter().min_by(|a, b| a.1.total_cmp(&b.1))?;
+    Some([pick, best])
+}
+
+/// The `reg_n` sweep of one tier: each workload at every int8 strip length
+/// the tier holds, in the folded form, with the channel blocks fixed.
+fn sweep(name: &str, lanes: usize) {
+    let workloads = [
+        ("i8_dense", Conv2dParams::square(512, 512, 14, 1, 1, 0)),
+        ("i8_dense", Conv2dParams::square(128, 128, 28, 3, 1, 1)),
+        ("i8_dw", Conv2dParams::depthwise(512, 14, 3, 1, 1)),
+        ("i8_dw", Conv2dParams::depthwise(128, 56, 3, 1, 1)),
+    ];
+    for (body, p) in workloads {
+        let ic_bn = if p.is_depthwise() { lanes } else { 64 };
+        let mut line = format!("sweep      {name:<7} {body:<9} {:<22}", shape_text(&p));
+        for reg_n in reg_n_candidates(lanes, Dataflow::OutputStationary, p.kernel_w, DType::U8) {
+            let s = ConvSchedule { ic_bn, oc_bn: lanes, reg_n, unroll_ker: true, ..Default::default() };
+            line += &format!(" rn{reg_n} {:.1}", u8_secs(&p, &s, lanes) * 1e6);
+        }
+        println!("{line} µs");
+    }
+}
+
+fn shape_text(p: &Conv2dParams) -> String {
+    format!(
+        "{}{}x{} {}→{}@{}²{}",
+        if p.is_depthwise() { "dw " } else { "" },
+        p.kernel_h,
+        p.kernel_w,
+        p.in_channels,
+        p.out_channels,
+        p.out_w(),
+        if p.stride_w > 1 { format!(" s{}", p.stride_w) } else { String::new() },
+    )
 }
 
 /// GB/s (4 bytes read + 1 written per element, as `kernels.quantize_gbps`
@@ -164,45 +212,43 @@ fn main() {
     let target = CpuTarget::host();
     println!("target {} (max_lanes {}), one thread", target.name, target.max_lanes());
     println!(
-        "{:<10} {:<22} {:<4} {:<28} {:<14} {:>9} {:>7} {:>9}",
-        "model", "workload", "type", "schedule", "strip row", "µs", "GMAC/s", "→u8 µs"
+        "{:<10} {:<22} {:<4} {:<28} {:<14} {:>9} {:>7}  model's pick: µs",
+        "model", "workload", "type", "schedule", "strip row", "µs", "GMAC/s"
     );
+    let mut regret = [0.0f64; 2];
     for kind in [ModelKind::ResNet50, ModelKind::MobileNet] {
         for p in workloads(kind) {
-            let shape = format!(
-                "{}{}x{} {}→{}@{}²{}",
-                if p.is_depthwise() { "dw " } else { "" },
-                p.kernel_h,
-                p.kernel_w,
-                p.in_channels,
-                p.out_channels,
-                p.out_w(),
-                if p.stride_w > 1 { format!(" s{}", p.stride_w) } else { String::new() },
-            );
-            let f32_row = f32_best(&p, &target).map(|(s, secs)| (s, secs, None));
-            let u8_row = u8_best(&p, &target).map(|(s, secs, to_u8)| (s, secs, Some(to_u8)));
-            for (dtype, best) in [("f32", f32_row), ("u8", u8_row)] {
-                let Some((s, secs, to_u8)) = best else { continue };
-                let schedule = format!(
-                    "ic{} oc{} rn{} {}{}",
-                    s.ic_bn,
-                    s.oc_bn,
-                    s.reg_n,
-                    s.dataflow.token(),
-                    if s.unroll_ker { " unroll" } else { "" },
-                );
+            let row = |act: DType, s: &ConvSchedule, secs: f64, pick: String| {
                 println!(
-                    "{:<10} {:<22} {:<4} {:<28} {:<14} {:>9.1} {:>7.1} {:>9}",
+                    "{:<10} {:<22} {:<4} {:<28} {:<14} {:>9.1} {:>7.1}  {pick}",
                     kind.name(),
-                    shape,
-                    dtype,
-                    schedule,
-                    plan_text(&p, &s, target.max_lanes()),
+                    shape_text(&p),
+                    act.to_string(),
+                    schedule_text(s),
+                    plan_text(&p, s, target.max_lanes(), act),
                     secs * 1e6,
                     p.macs() as f64 / secs / 1e9,
-                    to_u8.map_or(String::new(), |t| format!("{:.1}", t * 1e6)),
                 );
+            };
+            if let Some((s, secs)) = f32_best(&p, &target) {
+                row(DType::F32, &s, secs, String::new());
             }
+            if let Some([(pick, pick_secs), (best, secs)]) = u8_best(&p, &target) {
+                row(DType::U8, &best, secs, format!("{}: {:.1}", schedule_text(&pick), pick_secs * 1e6));
+                regret[0] += pick_secs;
+                regret[1] += secs;
+            }
+        }
+    }
+    println!(
+        "u8 layers  model's picks {:.2} ms, measured bests {:.2} ms: regret {:.2}×",
+        regret[0] * 1e3,
+        regret[1] * 1e3,
+        regret[0] / regret[1]
+    );
+    for (name, lanes) in [("avx2", 8), ("avx512", 16)] {
+        if target.max_lanes() >= lanes {
+            sweep(name, lanes);
         }
     }
 

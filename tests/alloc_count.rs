@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use neocpu::{compile, CompileOptions, CpuTarget, OptLevel, PoolChoice};
 use neocpu_graph::GraphBuilder;
-use neocpu_tensor::{Layout, Tensor};
+use neocpu_tensor::{DType, Layout, Tensor};
 
 struct CountingAllocator;
 
@@ -152,7 +152,7 @@ fn warm_run_with_performs_zero_allocations() {
     let mut pixels = 0usize;
     for (oc_bn, reg_n) in [(16, 8), (8, 12), (4, 4)] {
         for width in 1..=64 {
-            pixels += strip_plan(oc_bn, 16, Dataflow::OutputStationary, 3, reg_n, width)
+            pixels += strip_plan(oc_bn, 16, Dataflow::OutputStationary, 3, reg_n, width, DType::F32)
                 .sum::<usize>();
         }
     }

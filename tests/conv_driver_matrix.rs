@@ -28,7 +28,7 @@ use neocpu_kernels::conv::{
 };
 use neocpu_kernels::quantize::{
     dequantize_tensor, quantize_dense_weights, quantize_dw_weights, quantize_slice,
-    quantize_tensor, QuantizedWeights,
+    quantize_tensor, quantize_value, QuantizedWeights,
 };
 use neocpu_tensor::{transform::to_layout, DType, Layout, Tensor};
 use neocpu_threadpool::{Parallelism, Sequential, ThreadPool};
@@ -176,11 +176,24 @@ fn run_variants<T: Copy>(
     outs
 }
 
+/// Qparams that cover the middle half of the finite `values`' range, so a
+/// quantize of them saturates at both ends.
+fn middle_half_qparams(values: &[f32]) -> (f32, u8) {
+    let finite = values.iter().filter(|v| v.is_finite());
+    let (lo, hi) = finite.fold((f32::MAX, f32::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+    let scale = (hi - lo) / 2.0 / 255.0;
+    (scale, (128.0 - (lo + hi) / 2.0 / scale).clamp(0.0, 255.0) as u8)
+}
+
+/// The channel of element `i` of a blocked `[n, C/bn, oh, ow, bn]` output of `p`.
+fn blocked_channel(i: usize, p: &Conv2dParams, bn: usize) -> usize {
+    i / (p.out_h() * p.out_w() * bn) % (p.out_channels / bn) * bn + i % bn
+}
+
 /// The fused store against the pair it replaces: `conv` with a requantizing
 /// epilogue into a poisoned u8 tensor, per lane cap × `par`, equals
 /// `quantize_slice` of that lane cap's f32 output (`outs`, as
-/// [`run_variants`] returns them). The qparams cover the middle half of the
-/// outputs' range, so saturation at both ends is part of every case.
+/// [`run_variants`] returns them), saturation at both ends included.
 fn check_requant(
     p: &Conv2dParams,
     s: &ConvSchedule,
@@ -188,9 +201,7 @@ fn check_requant(
     outs: &[Tensor],
     conv: impl Fn(&mut Tensor, &dyn Parallelism, usize, (f32, u8)),
 ) {
-    let (lo, hi) = outs[0].data().iter().fold((f32::MAX, f32::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
-    let scale = (hi - lo) / 2.0 / 255.0;
-    let requant = (scale, (128.0 - (lo + hi) / 2.0 / scale).clamp(0.0, 255.0) as u8);
+    let requant = middle_half_qparams(outs[0].data());
     let pool = ThreadPool::new(2);
     let pars: [&dyn Parallelism; 2] = [&Sequential, &pool];
     for (tier, max_lanes) in outs.chunks(4).zip(LANE_CAPS) {
@@ -417,6 +428,148 @@ fn int8_rows_and_pointwise_planes_are_deterministic_and_match_the_reference() {
         cases += 1;
     });
     assert_eq!(cases, 7 * 8, "four row widths and three planes, eight cases each");
+}
+
+/// What the fused store replaced, written out as it was: a bias pass, a
+/// residual pass and a ReLU pass over the staged f32 values of a blocked
+/// `[n, C/bn, oh, ow, bn]` tensor, then `quantize_value` of each.
+fn three_pass(
+    staged: &Tensor,
+    p: &Conv2dParams,
+    bn: usize,
+    bias: Option<&[f32]>,
+    residual: Option<&Tensor>,
+    relu: bool,
+    requant: Option<(f32, u8)>,
+) -> Vec<u32> {
+    let mut v = staged.data()[..staged.num_elements()].to_vec();
+    if let Some(bias) = bias {
+        for (i, x) in v.iter_mut().enumerate() {
+            *x += bias[blocked_channel(i, p, bn)];
+        }
+    }
+    if let Some(residual) = residual {
+        for (x, r) in v.iter_mut().zip(residual.data()) {
+            *x += r;
+        }
+    }
+    if relu {
+        for x in v.iter_mut() {
+            *x = x.max(0.0);
+        }
+    }
+    match requant {
+        Some((scale, zp)) => v.iter().map(|&x| u32::from(quantize_value(x, scale, zp))).collect(),
+        None => v.iter().map(|x| x.to_bits()).collect(),
+    }
+}
+
+/// One case of the one-pass epilogue check: `conv(epilogue, out, max_lanes)`
+/// runs the template under test into a poisoned `out`. The staged values are
+/// its output under `Epilogue::none()`; every bias × residual × ReLU ×
+/// requant combination of the fused store must then equal [`three_pass`] of
+/// them bit for bit, at the host's tier and on the scalar one.
+fn check_one_pass(
+    what: &str,
+    p: &Conv2dParams,
+    s: &ConvSchedule,
+    batch: usize,
+    seed: u64,
+    conv: impl Fn(&Epilogue<'_>, &mut Tensor, usize),
+) {
+    let layout = Layout::NchwC(s.oc_bn);
+    let epi = EpilogueData::new(p, batch, seed);
+    let residual = to_layout(&epi.residual, layout).unwrap();
+    for max_lanes in LANE_CAPS {
+        let mut staged = Tensor::zeros(out_dims(p, batch), layout).unwrap();
+        staged.data_mut().fill(f32::NAN);
+        conv(&Epilogue::none(), &mut staged, max_lanes);
+        let data = &staged.data()[..staged.num_elements()];
+        assert!(
+            data.iter().any(|v| v.is_nan()) && data.contains(&f32::INFINITY) && data.contains(&f32::NEG_INFINITY),
+            "{what}: the staged values hold no NaN / +inf / -inf"
+        );
+        let qparams = middle_half_qparams(data);
+        for combo in 0..16 {
+            let bias = (combo & 1 != 0).then_some(epi.bias.as_slice());
+            let res = (combo & 2 != 0).then_some(&residual);
+            let (relu, requant) = (combo & 4 != 0, (combo & 8 != 0).then_some(qparams));
+            let want = three_pass(&staged, p, s.oc_bn, bias, res, relu, requant);
+            let dtype = if requant.is_some() { DType::U8 } else { DType::F32 };
+            let mut out = Tensor::zeros_dtyped(out_dims(p, batch), layout, dtype).unwrap();
+            let got: Vec<u32> = if requant.is_some() {
+                out.data_u8_mut().fill(0xAA);
+                conv(&Epilogue { bias, relu, residual: res, requant }, &mut out, max_lanes);
+                out.data_u8().iter().map(|&b| u32::from(b)).collect()
+            } else {
+                out.data_mut().fill(f32::NAN);
+                conv(&Epilogue { bias, relu, residual: res, requant }, &mut out, max_lanes);
+                out.data()[..out.num_elements()].iter().map(|v| v.to_bits()).collect()
+            };
+            let diff = want.iter().zip(&got).position(|(w, g)| w != g);
+            assert_eq!(
+                diff, None,
+                "{what} lanes {max_lanes} bias {} residual {} relu {relu} requant {}: element {diff:?}",
+                bias.is_some(), res.is_some(), requant.is_some()
+            );
+        }
+    }
+}
+
+/// Every case of both matrices, f32 and u8, through [`check_one_pass`] — as
+/// the matrix blocks it (two 8-wide output chunks: the AVX2 body) and with
+/// one 16-wide chunk (the AVX-512 body); lane cap 1 runs the scalar body.
+/// The f32 template gets its NaN and infinities from poisoned input pixels,
+/// the u8 template from per-channel multipliers.
+#[test]
+fn one_pass_epilogue_equals_the_three_passes_it_replaced() {
+    let mut cases = Vec::new();
+    for_each_case(|case| cases.push(case));
+    for_each_row_case(|case| cases.push(case));
+    for case in cases.into_iter().filter(|c| !c.full_epilogue) {
+        let (p, seed) = (case.params(), case.seed());
+        let wide = 2 * BN;
+        let dw_or = |dense: usize| if case.depthwise { wide } else { dense };
+        let wide = ConvSchedule { ic_bn: dw_or(BN / 2), oc_bn: wide, ..case.schedule() };
+        for s in [case.schedule(), wide] {
+            let what = format!("{case:?} oc_bn {}", s.oc_bn);
+            let mut input =
+                Tensor::random(in_dims(&p, case.batch), Layout::NchwC(s.ic_bn), seed, 1.0).unwrap();
+            let weights = Tensor::random(weight_dims(&p), Layout::Oihw, seed + 1, 1.0).unwrap();
+            let bw = to_layout(&weights, f32_weight_layout(&p, &s)).unwrap();
+            // Of batch item 0, chunk 0: a NaN pixel, and sub-channel 1 of two
+            // pixels no kernel window spans both of — whatever the weights'
+            // signs, the same tap sees +inf in one window and -inf in another.
+            for (h, w, c, v) in [(0, 0, 0, f32::NAN), (2, 2, 1, f32::INFINITY), (2, 6, 1, f32::NEG_INFINITY)] {
+                input.data_mut()[(h * p.in_w + w) * s.ic_bn + c] = v;
+            }
+            check_one_pass(&format!("f32 {what}"), &p, &s, case.batch, seed, |epilogue, out, lanes| {
+                conv2d_nchwc(&input, &bw, out, &p, &s, epilogue, &Sequential, lanes, None).unwrap();
+            });
+
+            let q = QuantCase::new(&p, &s, case.batch, seed);
+            // An infinite multiplier on a channel whose first accumulator is
+            // positive and on one where it is negative, a NaN one elsewhere.
+            let mut probe = Tensor::zeros(out_dims(&p, case.batch), Layout::NchwC(s.oc_bn)).unwrap();
+            let quant = ConvQuant { mult: &q.mult, zero_point: q.zp };
+            let (input, weights) = (&q.input_q, &q.wq.tensor);
+            let none = Epilogue::none();
+            conv2d_nchwc_u8(input, weights, &mut probe, &p, &s, &quant, &none, &Sequential, 1, None)
+                .unwrap();
+            let channel = |i: usize| blocked_channel(i, &p, s.oc_bn);
+            let staged = &probe.data()[..probe.num_elements()];
+            let up = channel(staged.iter().position(|&v| v > 0.0).expect("a positive accumulator"));
+            let down = channel(staged.iter().position(|&v| v < 0.0).expect("a negative one"));
+            let mut mult = q.mult.clone();
+            (mult[up], mult[down]) = (f32::INFINITY, f32::INFINITY);
+            mult[(0..p.out_channels).find(|c| ![up, down].contains(c)).unwrap()] = f32::NAN;
+            let quant = ConvQuant { mult: &mult, zero_point: q.zp };
+            check_one_pass(&format!("u8 {what}"), &p, &s, case.batch, seed, |epilogue, out, lanes| {
+                conv2d_nchwc_u8(input, weights, out, &p, &s, &quant, epilogue, &Sequential, lanes, None)
+                    .unwrap();
+            });
+        }
+    }
 }
 
 /// Every way a caller can hand the template the wrong thing is an `Err`

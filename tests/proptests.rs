@@ -4,7 +4,7 @@ use neocpu_kernels::conv::{
     conv2d_nchw_direct, conv2d_nchwc, padded_input_len, simd_strip_exists, strip_plan,
     Conv2dParams, ConvSchedule, Dataflow, Epilogue,
 };
-use neocpu_tensor::{transform::to_layout, Layout, Tensor};
+use neocpu_tensor::{transform::to_layout, DType, Layout, Tensor};
 use neocpu_threadpool::{split_even, Sequential};
 use proptest::prelude::*;
 
@@ -190,8 +190,8 @@ proptest! {
         }
     }
 
-    /// Whatever the block, lane cap, dataflow, kernel width and `reg_n` —
-    /// candidates or not — a strip plan tiles its row exactly with non-empty
+    /// Whatever the block, lane cap, dataflow, kernel width, element type and
+    /// `reg_n` — candidates or not — a strip plan tiles its row exactly with non-empty
     /// strips no longer than `reg_n`, and where a tier serves the block it
     /// uses that tier's strips only.
     #[test]
@@ -202,16 +202,18 @@ proptest! {
         kw_sel in 0usize..5,
         reg_n in 1usize..29,
         width in 0usize..5000,
+        int8 in any::<bool>(),
     ) {
+        let act = if int8 { DType::U8 } else { DType::F32 };
         let oc_bn = [1, 4, 8, 16, 32][oc_sel];
         let max_lanes = [1, 8, 16][lanes_sel];
         let kw = [1, 2, 3, 5, 7][kw_sel];
         let df = if shift_reuse { Dataflow::ShiftReuse } else { Dataflow::OutputStationary };
-        let served = oc_bn <= max_lanes && simd_strip_exists(oc_bn, df, 1, kw);
+        let served = oc_bn <= max_lanes && simd_strip_exists(oc_bn, df, 1, kw, act);
         let mut covered = 0usize;
-        for len in strip_plan(oc_bn, max_lanes, df, kw, reg_n, width) {
+        for len in strip_plan(oc_bn, max_lanes, df, kw, reg_n, width, act) {
             prop_assert!(len >= 1 && len <= reg_n, "strip of {len} under reg_n {reg_n}");
-            prop_assert!(!served || simd_strip_exists(oc_bn, df, len, kw), "{len} not in the table");
+            prop_assert!(!served || simd_strip_exists(oc_bn, df, len, kw, act), "{len} not in the table");
             covered += len;
         }
         prop_assert_eq!(covered, width);

@@ -2,11 +2,13 @@
 //!
 //! Every strip the dispatcher can reach is run — {dense, depthwise} ×
 //! {f32, int8} × every [`Dataflow`] × lane cap {1, 8, 16} × every `reg_n`
-//! the candidate generator proposes (plus one no tier holds) × `unroll_ker` × stride {1, 2} × kernel width {1, 3, 5, 7} — with
+//! the candidate generator proposes for the element type (plus one no tier
+//! holds; the int8 strips also under every f32 length) × `unroll_ker` × stride {1, 2} × kernel width {1, 3, 5, 7} — with
 //! the output and the padded-input scratch poisoned, so a strip that skips a
 //! pixel or reads outside the written halo cannot pass by luck. f32 results
 //! are held against the NCHW reference; int8 SIMD results must be
-//! bit-identical to the scalar strip (integer accumulation is exact).
+//! bit-identical to the scalar strip, and every strip length and
+//! `unroll_ker` variant to every other (integer accumulation is exact).
 //!
 //! The second half pins the strip dispatch table: a schedule the candidate
 //! generator emits for a SIMD block but the table lacks would silently run
@@ -45,11 +47,12 @@ fn workload(depthwise: bool, bn: usize, kernel: usize, stride: usize) -> Conv2dP
     p
 }
 
-/// Every schedule of the matrix for one workload and channel block.
-fn schedules(p: &Conv2dParams, bn: usize) -> Vec<ConvSchedule> {
+/// Every schedule of the matrix for one workload, channel block and
+/// activation type.
+fn schedules(p: &Conv2dParams, bn: usize, act: DType) -> Vec<ConvSchedule> {
     let mut out = Vec::new();
     for dataflow in Dataflow::ALL {
-        let mut widths = reg_n_candidates(bn, dataflow, p.kernel_w);
+        let mut widths = reg_n_candidates(bn, dataflow, p.kernel_w, act);
         widths.push(TAIL_WIDTH);
         for reg_n in widths {
             for unroll_ker in [true, false] {
@@ -98,7 +101,7 @@ fn f32_strips_match_the_nchw_reference() {
         let bi = to_layout(&input, Layout::NchwC(bn)).unwrap();
         let wi = if p.is_depthwise() { 1 } else { bn };
         let bw = to_layout(&weights, Layout::OihwIo { i: wi, o: bn }).unwrap();
-        for s in schedules(p, bn) {
+        for s in schedules(p, bn, DType::F32) {
             for max_lanes in LANE_CAPS {
                 let mut out = Tensor::zeros(out_dims(p), Layout::NchwC(bn)).unwrap();
                 out.data_mut().fill(f32::NAN);
@@ -164,7 +167,20 @@ fn int8_simd_strips_are_bit_identical_to_the_scalar_strip() {
             )
             .map(|()| out)
         };
-        for s in schedules(p, bn) {
+        // The int8 strip lengths, and — the 28 only the f32 table holds among
+        // them — every f32 one: a u8 call handed such a `reg_n` runs the
+        // longest int8 strip below it.
+        let mut all = schedules(p, bn, DType::U8);
+        for s in schedules(p, bn, DType::F32) {
+            if !all.contains(&s) {
+                all.push(s);
+            }
+        }
+        // Exact accumulation also makes the result independent of how a row
+        // is cut and of `unroll_ker` (which the scalar strip branches on like
+        // the SIMD ones): every schedule's output is the first one's.
+        let mut first: Option<(ConvSchedule, Tensor)> = None;
+        for s in all {
             if s.dataflow != Dataflow::OutputStationary {
                 // The int8 templates implement one dataflow; anything else
                 // must be refused, not silently run as output-stationary.
@@ -173,6 +189,8 @@ fn int8_simd_strips_are_bit_identical_to_the_scalar_strip() {
             }
             let scalar = run(&s, 1).unwrap();
             assert!(scalar.data().iter().all(|v| v.is_finite()), "{p:?} {s:?}: poison survived");
+            let (s0, want) = first.get_or_insert_with(|| (s, scalar.clone()));
+            assert_eq!(want.data(), scalar.data(), "{p:?}: {s:?} differs from {s0:?}");
             for max_lanes in [8, 16] {
                 let simd = run(&s, max_lanes).unwrap();
                 assert_eq!(
@@ -187,34 +205,44 @@ fn int8_simd_strips_are_bit_identical_to_the_scalar_strip() {
     assert!(runs >= 32 * 16, "only {runs} strip runs");
 }
 
-/// The strip lengths each tier monomorphizes, written out a second time on
-/// purpose: dropping or adding a dispatch-table entry must be a deliberate
-/// edit here too. `(lanes, dataflow, kernel widths, strip lengths)`.
-const EXPECTED_TABLE: [(usize, Dataflow, &[usize], &[usize]); 8] = [
-    (8, Dataflow::OutputStationary, &[1, 3, 5, 7], &[12, 8, 7, 4, 2, 1]),
-    (8, Dataflow::ShiftReuse, &[3], &[12, 8, 7, 4, 2, 1]),
-    (8, Dataflow::ShiftReuse, &[5], &[10, 8, 4, 2, 1]),
-    (8, Dataflow::ShiftReuse, &[7], &[8, 4, 2, 1]),
-    (16, Dataflow::OutputStationary, &[1, 3, 5, 7], &[28, 16, 14, 8, 7, 4, 2, 1]),
-    (16, Dataflow::ShiftReuse, &[3], &[28, 16, 14, 8, 7, 4, 2, 1]),
-    (16, Dataflow::ShiftReuse, &[5], &[24, 16, 8, 4, 2, 1]),
-    (16, Dataflow::ShiftReuse, &[7], &[24, 16, 8, 4, 2, 1]),
+/// The strip lengths each tier monomorphizes per activation type, written
+/// out a second time on purpose: dropping or adding a dispatch-table entry
+/// must be a deliberate edit here too — an int8 length above 16 on the
+/// AVX-512 row in particular needs a recorded `reg_n` sweep (`layer_rates`)
+/// that shows it does not spill. `(lanes, type, dataflow, kernel widths,
+/// strip lengths)`.
+type TableRow = (usize, DType, Dataflow, &'static [usize], &'static [usize]);
+const EXPECTED_TABLE: [TableRow; 10] = [
+    (8, DType::F32, Dataflow::OutputStationary, &[1, 3, 5, 7], &[12, 8, 7, 4, 2, 1]),
+    (8, DType::F32, Dataflow::ShiftReuse, &[3], &[12, 8, 7, 4, 2, 1]),
+    (8, DType::F32, Dataflow::ShiftReuse, &[5], &[10, 8, 4, 2, 1]),
+    (8, DType::F32, Dataflow::ShiftReuse, &[7], &[8, 4, 2, 1]),
+    (16, DType::F32, Dataflow::OutputStationary, &[1, 3, 5, 7], &[28, 16, 14, 8, 7, 4, 2, 1]),
+    (16, DType::F32, Dataflow::ShiftReuse, &[3], &[28, 16, 14, 8, 7, 4, 2, 1]),
+    (16, DType::F32, Dataflow::ShiftReuse, &[5], &[24, 16, 8, 4, 2, 1]),
+    (16, DType::F32, Dataflow::ShiftReuse, &[7], &[24, 16, 8, 4, 2, 1]),
+    (8, DType::U8, Dataflow::OutputStationary, &[1, 3, 5, 7], &[12, 8, 7, 4, 2, 1]),
+    (16, DType::U8, Dataflow::OutputStationary, &[1, 3, 5, 7], &[16, 14, 8, 7, 4, 2, 1]),
 ];
 
 #[test]
 fn dispatch_table_is_pinned_and_covers_every_emitted_candidate() {
-    for (lanes, dataflow, kernel_widths, lengths) in EXPECTED_TABLE {
+    for (lanes, act, dataflow, kernel_widths, lengths) in EXPECTED_TABLE {
         for &kw in kernel_widths {
             let have: Vec<usize> = (1..=28)
                 .rev()
-                .filter(|&rn| simd_strip_exists(lanes, dataflow, rn, kw))
+                .filter(|&rn| simd_strip_exists(lanes, dataflow, rn, kw, act))
                 .collect();
-            assert_eq!(have, lengths, "lanes {lanes} {dataflow:?} kw {kw}");
+            assert_eq!(have, lengths, "lanes {lanes} {act} {dataflow:?} kw {kw}");
         }
     }
+    // The int8 strips are output-stationary only.
+    for lanes in [8, 16] {
+        assert!(reg_n_candidates(lanes, Dataflow::ShiftReuse, 3, DType::U8).is_empty());
+    }
     // Shift-reuse needs overlapping taps; scalar blocks have no table.
-    assert!(!simd_strip_exists(16, Dataflow::ShiftReuse, 8, 1));
-    assert!(!simd_strip_exists(4, Dataflow::OutputStationary, 4, 3));
+    assert!(!simd_strip_exists(16, Dataflow::ShiftReuse, 8, 1, DType::F32));
+    assert!(!simd_strip_exists(4, Dataflow::OutputStationary, 4, 3, DType::F32));
 
     // Everything the candidate generator emits for a SIMD block — over the
     // matrix workloads and a few real layer shapes — has a table entry.
@@ -223,7 +251,7 @@ fn dispatch_table_is_pinned_and_covers_every_emitted_candidate() {
         for s in ConvSchedule::candidates(p, 64) {
             if s.oc_bn == 8 || s.oc_bn == 16 {
                 assert!(
-                    simd_strip_exists(s.oc_bn, s.dataflow, s.reg_n, p.kernel_w),
+                    simd_strip_exists(s.oc_bn, s.dataflow, s.reg_n, p.kernel_w, DType::F32),
                     "{s:?} emitted for {p:?} has no SIMD strip"
                 );
                 checked += 1;
