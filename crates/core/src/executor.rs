@@ -15,6 +15,16 @@
 //! contexts behind a mutex; latency-critical callers create their own via
 //! [`Module::make_context`] and drive [`Module::run_with`] directly.
 //!
+//! **A module planned at batch B runs any n ∈ 1..=B rows.** Every value of
+//! an `NCHW[x]c`/`NC` module puts the batch dimension outermost, so an
+//! n-row run reads and writes only the first n rows' prefix of each planned
+//! region, and no kernel's arithmetic on a row depends on N (conv jobs are
+//! `(n, chunk, row)`; padded-input scratch is linear in N). A context holds
+//! one view table per row count, built once, so an n-row run is as
+//! allocation-free as a full one and its rows are bit-identical to the same
+//! rows of a B-row run. The serving engine runs a formed batch of n
+//! requests this way instead of padding it to B.
+//!
 //! Every node executes inside a **panic boundary**: an unwind out of kernel
 //! or thread-pool code is caught and converted into
 //! [`NeoError::Panicked`] with the node's identity, leaving the module and
@@ -38,7 +48,7 @@ use neocpu_kernels::elementwise::{
 };
 use neocpu_kernels::pool2d::{global_avg_pool, pool2d};
 use neocpu_kernels::quantize::{dequantize_slice_par, f32_slice_as_u8_mut, quantize_slice_par};
-use neocpu_kernels::{dense, softmax};
+use neocpu_kernels::{dense, padded_input_len, softmax};
 use neocpu_tensor::{
     transform::{to_layout, to_layout_into},
     Arena, DType, Layout, Shape, Tensor,
@@ -63,19 +73,23 @@ pub struct OpProfile {
     pub total_ms: f64,
 }
 
-/// Reusable per-inference execution state: the planned arena and one tensor
-/// view per node at its planned offset.
+/// Reusable per-inference execution state: the planned arena and, per row
+/// count, one tensor view per node at its planned offset.
 ///
 /// Create with [`Module::make_context`], drive with [`Module::run_with`].
-/// Creation allocates (the arena and the view table); every run afterwards
+/// Creation allocates (the arena and the view tables); every run afterwards
 /// allocates nothing. A context is bound to the module that made it.
 pub struct RunContext {
     module_uid: u64,
     arena: Arc<Arena>,
-    /// One view per node, at the node's planned offset with its inferred
-    /// shape/layout. Aliased views (Flatten/Dropout/in-place ops) share
-    /// offsets by plan; the executor only ever *accesses* disjoint ones.
-    values: Vec<Tensor>,
+    /// `values[n - 1]` holds one view per node for an n-row run, at the
+    /// node's planned offset with its inferred shape/layout, leading dim n.
+    /// Aliased views (Flatten/Dropout/in-place ops) share offsets by plan;
+    /// the executor only ever *accesses* disjoint ones.
+    values: Vec<Vec<Tensor>>,
+    /// Row count of the most recent run: the table [`RunContext::outputs`]
+    /// reads.
+    rows: usize,
     output_ids: Vec<usize>,
     /// Reusable fan-in pointer buffer for `Concat` nodes, sized at context
     /// creation to the widest concat so warm runs never reallocate it.
@@ -93,17 +107,17 @@ unsafe impl Send for RunContext {}
 
 impl RunContext {
     /// Views of the graph outputs from the most recent successful
-    /// [`Module::run_with`] on this context.
+    /// [`Module::run_with`] on this context, with that run's row count.
     ///
     /// The views borrow the context's arena: they are valid until the next
     /// run reuses the storage. Clone a view to detach a snapshot.
     pub fn outputs(&self) -> Vec<&Tensor> {
-        self.output_ids.iter().map(|&o| &self.values[o]).collect()
+        self.output_ids.iter().map(|&o| &self.values[self.rows - 1][o]).collect()
     }
 
     /// View of output `i`, if it exists (see [`RunContext::outputs`]).
     pub fn output(&self, i: usize) -> Option<&Tensor> {
-        self.output_ids.get(i).map(|&o| &self.values[o])
+        self.output_ids.get(i).map(|&o| &self.values[self.rows - 1][o])
     }
 
     /// Size of the planned arena in bytes (the module's peak intermediate
@@ -117,7 +131,8 @@ impl std::fmt::Debug for RunContext {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RunContext")
             .field("arena_bytes", &self.arena_bytes())
-            .field("values", &self.values.len())
+            .field("values", &self.values[0].len())
+            .field("row_counts", &self.values.len())
             .finish()
     }
 }
@@ -236,21 +251,28 @@ impl Module {
     /// exactly that internally with a pooled context.)
     pub fn make_context(&self) -> RunContext {
         let arena = Arena::new(self.plan.arena_len);
-        let values: Vec<Tensor> = (0..self.graph.len())
-            .map(|id| {
-                // SAFETY: the planner guarantees that views which are ever
-                // accessed simultaneously occupy disjoint arena ranges
-                // (verified at plan time); in-bounds is re-checked here.
-                unsafe {
-                    Tensor::arena_view_dtyped(
-                        arena.clone(),
-                        self.plan.offsets[id],
-                        self.shapes[id].clone(),
-                        self.layouts[id],
-                        self.dtypes[id],
-                    )
-                }
-                .expect("planned arena view was validated at compile time")
+        let batch = self.plan.report.batch;
+        let values: Vec<Vec<Tensor>> = (1..=batch)
+            .map(|rows| {
+                (0..self.graph.len())
+                    .map(|id| {
+                        // SAFETY: the planner guarantees that views which
+                        // are ever accessed simultaneously occupy disjoint
+                        // arena ranges (verified at plan time); an n-row
+                        // view is a prefix of its region, and in-bounds is
+                        // re-checked here.
+                        unsafe {
+                            Tensor::arena_view_dtyped(
+                                arena.clone(),
+                                self.plan.offsets[id],
+                                with_rows(&self.shapes[id], batch, rows),
+                                self.layouts[id],
+                                self.dtypes[id],
+                            )
+                        }
+                        .expect("planned arena view was validated at compile time")
+                    })
+                    .collect()
             })
             .collect();
         let max_fanin = self
@@ -265,6 +287,7 @@ impl Module {
             module_uid: self.uid,
             arena,
             values,
+            rows: batch,
             output_ids: self.graph.outputs.clone(),
             fanin: Vec::with_capacity(max_fanin),
         }
@@ -299,7 +322,10 @@ impl Module {
     ///
     /// `inputs` are matched to the graph's `Input` nodes in id order and
     /// must be `NCHW` (rank 4) or `NC` (rank 2) tensors of the declared
-    /// shapes; surplus tensors are rejected.
+    /// shapes, except that the leading (batch) dim may be any n in `1..=B`
+    /// for a module planned at batch B: the run then computes exactly n
+    /// rows, each bit-identical to the same row of a B-row run. All inputs
+    /// must share n; surplus tensors are rejected.
     ///
     /// Internally borrows a pooled [`RunContext`], so intermediates cost
     /// zero allocations on warm runs; only the returned output tensors are
@@ -350,6 +376,17 @@ impl Module {
                 "RunContext was created by a different Module".into(),
             ));
         }
+        // The first input picks the row count; every `Input` node then
+        // holds its tensor to that count's view shape, so inputs that
+        // disagree on n are rejected there.
+        let batch = ctx.values.len();
+        let rows = inputs.first().map_or(batch, |t| t.shape().dims().first().copied().unwrap_or(0));
+        if rows == 0 || rows > batch {
+            return Err(NeoError::BadInput(format!(
+                "input #0 has {rows} rows; this module runs 1..={batch} rows"
+            )));
+        }
+        ctx.rows = rows;
         let g = &self.graph;
         let mut next_input = 0usize;
         #[cfg(feature = "fault-injection")]
@@ -432,7 +469,7 @@ impl Module {
         // Split so earlier values stay readable while this node's view is
         // written: planner disjointness makes the aliased cases (in-place,
         // Flatten/Dropout) never touch both sides at once.
-        let (before, rest) = ctx.values.split_at_mut(id);
+        let (before, rest) = ctx.values[ctx.rows - 1].split_at_mut(id);
         let out = &mut rest[0];
         match &node.op {
             Op::Input { shape } => {
@@ -440,11 +477,13 @@ impl Module {
                     .get(*next_input)
                     .ok_or_else(|| NeoError::BadInput(format!("missing input #{next_input}")))?;
                 *next_input += 1;
-                if t.shape().dims() != &shape[..] {
+                // `out` is this run's view: the declared shape at n rows.
+                if t.shape() != out.shape() {
                     return Err(NeoError::BadInput(format!(
-                        "input #{} has shape {}, expected {:?}",
+                        "input #{} has shape {}, expected {} (declared {:?})",
                         *next_input - 1,
                         t.shape(),
+                        out.shape(),
                         shape
                     )));
                 }
@@ -464,12 +503,16 @@ impl Module {
                 let bias_data = bias.map(|b| g.params[b].data());
                 let epi =
                     Epilogue { bias: bias_data, relu: *relu, residual: res, requant: *requant };
+                // The planned scratch holds B rows of padded input; this
+                // run pads the prefix its own rows need.
+                let pad_len = |ic_bn| padded_input_len(params, ic_bn, x.shape().dims()[0]);
                 match (schedule, quant) {
                     (Some(s), Some(q)) => {
                         // SAFETY: as below; the planner reserved the region
                         // in u8 elements for a quantized conv's input, so
                         // reinterpret the f32 slots and trim to exact size.
-                        let scratch = self.plan.scratch[id].map(|(off, len)| {
+                        let scratch = self.plan.scratch[id].map(|off| {
+                            let len = pad_len(s.ic_bn);
                             let slots = DType::U8.slots(len);
                             let raw = unsafe { arena.slice_mut(off, slots) };
                             &mut f32_slice_as_u8_mut(raw)[..len]
@@ -501,7 +544,7 @@ impl Module {
                         // node, so it overlaps no value view accessed here
                         // (planner invariant, verified at compile time).
                         let scratch = self.plan.scratch[id]
-                            .map(|(off, len)| unsafe { arena.slice_mut(off, len) });
+                            .map(|off| unsafe { arena.slice_mut(off, pad_len(s.ic_bn)) });
                         conv2d_nchwc(
                             x,
                             &g.params[*weight],
@@ -617,7 +660,8 @@ impl Module {
     /// This is the oracle the static memory plan is validated against: for
     /// any module and inputs, [`Module::run`] must produce **bit-identical**
     /// outputs to this method (same kernels, same order — only the storage
-    /// strategy differs).
+    /// strategy differs). It takes the declared shapes only: the n-row runs
+    /// of [`Module::run`] are held to the B-row run instead.
     ///
     /// # Errors
     ///
@@ -876,6 +920,17 @@ impl Module {
         };
         Ok(out)
     }
+}
+
+/// `shape` with its leading dim set to `rows`, when that dim is the plan's
+/// batch `batch` (every value of a one-batch graph); other shapes as they
+/// are.
+pub(crate) fn with_rows(shape: &Shape, batch: usize, rows: usize) -> Shape {
+    let mut dims = shape.dims().to_vec();
+    if dims.first() == Some(&batch) {
+        dims[0] = rows;
+    }
+    Shape::new(dims)
 }
 
 /// Wraps an execution error with the failing node's identity. User-facing

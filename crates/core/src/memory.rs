@@ -97,9 +97,10 @@ impl MemoryReport {
 pub(crate) struct MemoryPlan {
     /// Arena element offset of each node's output value.
     pub offsets: Vec<usize>,
-    /// Per-node padded-input scratch `(offset, len)`, for scheduled convs
-    /// with nonzero padding.
-    pub scratch: Vec<Option<(usize, usize)>>,
+    /// Per-node padded-input scratch offset, for scheduled convs with
+    /// nonzero padding. The region holds `padded_input_len` at the planned
+    /// batch; an n-row run pads a prefix of it (the length is linear in N).
+    pub scratch: Vec<Option<usize>>,
     /// For nodes whose output shares its input's storage: the position in
     /// `node.inputs` of the aliased input.
     pub inplace: Vec<Option<usize>>,
@@ -333,15 +334,9 @@ pub(crate) fn plan_memory(
         let root = slots.find(id);
         *off = range_offsets[request_of_root[&root]];
     }
-    let mut scratch: Vec<Option<(usize, usize)>> = vec![None; n];
+    let mut scratch: Vec<Option<usize>> = vec![None; n];
     for &(id, req) in &scratch_reqs {
-        let Op::Conv2d { params, schedule: Some(s), .. } = &g.nodes[id].op else {
-            unreachable!("scratch request on non-conv node");
-        };
-        let batch = shapes[g.nodes[id].inputs[0]].dims().first().copied().unwrap_or(1);
-        // The kernel wants the exact (unaligned) length; alignment padding
-        // only widens the reservation.
-        scratch[id] = Some((range_offsets[req], padded_input_len(params, s.ic_bn, batch)));
+        scratch[id] = Some(range_offsets[req]);
     }
 
     // Hard self-check: simultaneously-live requests must occupy disjoint

@@ -14,18 +14,24 @@
 //!   instead of block)                      skips expired)      watchdog-kept)
 //! ```
 //!
-//! * Every worker owns a pre-built [`RunContext`] plus a staging input
-//!   tensor, both allocated once at engine start — a warm request costs
-//!   **zero heap allocations** end to end: submit pushes an `Arc` clone
-//!   into a pre-reserved `VecDeque`, the worker memcpys request rows into
-//!   its staging tensor, runs [`Module::run_with`] (allocation-free by the
-//!   executor's contract), and memcpys each output row back into the
+//! * Every worker owns a pre-built [`RunContext`] plus a B-row staging
+//!   input buffer, both allocated once at engine start — a warm request
+//!   costs **zero heap allocations** end to end: submit pushes an `Arc`
+//!   clone into a pre-reserved `VecDeque`, the worker memcpys request rows
+//!   into its staging buffer, runs [`Module::run_with`] (allocation-free by
+//!   the executor's contract), and memcpys each output row back into the
 //!   request's pre-allocated buffers.
+//! * A formed batch of n requests runs **n rows** of the batch-B plan (the
+//!   staging buffer has one prefix view per row count; see the executor's
+//!   n-row runs), so a lone request costs a one-row run, not a B-row run
+//!   that is mostly padding.
 //! * The **dynamic batcher** coalesces queued requests into one batched
 //!   run: a worker takes the first request, then waits up to
 //!   [`ServeOptions::batch_timeout`] for more, up to the module's batch
-//!   size. Under load batches fill instantly; at low load the timeout
-//!   bounds added latency.
+//!   size — but only while no other worker of the engine is idle waiting
+//!   for work (an idle sibling takes the next arrival at once, so holding
+//!   the partial batch would only add latency). Under load batches fill
+//!   instantly; at low load the partial batch runs now.
 //! * **Deadlines**: a request filled via [`Request::fill_with_deadline`]
 //!   (or an engine-wide [`ServeOptions::default_deadline`]) expires at
 //!   submit time + budget. The batcher never executes an expired request —
@@ -77,10 +83,10 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, TryLockE
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use neocpu_tensor::{Layout, Shape, Tensor};
+use neocpu_tensor::{Arena, Layout, Shape, Tensor};
 use neocpu_threadpool::affinity::{self, CoreSet};
 
-use crate::executor::{Module, RunContext};
+use crate::executor::{with_rows, Module, RunContext};
 use crate::{NeoError, Result};
 
 /// What [`ServeEngine::try_submit`] does when the submission queue is full.
@@ -103,13 +109,16 @@ pub enum ShedPolicy {
 /// The class changes *dispatch order*, not execution: interactive requests
 /// jump ahead of bulk work in the submission queue, and a batch containing
 /// one never waits out [`ServeOptions::batch_timeout`] for more rows — it
-/// runs with whatever is already queued. Bulk requests get the full
-/// coalescing treatment (larger batches, better throughput).
+/// runs with whatever is already queued. Bulk requests get the coalescing
+/// treatment: a partial bulk batch waits up to the timeout for more rows,
+/// but only while every other worker of the engine is busy (an idle
+/// sibling would take the next arrival anyway, so the batch runs at once).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LatencyClass {
     /// Latency-sensitive: dequeued first, caps batch-formation waits.
     Interactive,
-    /// Throughput-oriented (default): coalesced up to the batch timeout.
+    /// Throughput-oriented (default): coalesced up to the batch timeout
+    /// while no sibling worker is idle.
     #[default]
     Bulk,
 }
@@ -186,8 +195,12 @@ pub struct ServeOptions {
     /// Upper bound on requests coalesced into one batched run. Clamped to
     /// the module's compiled batch size; `0` means "the module's batch".
     pub max_batch: usize,
-    /// How long a worker holding a partial batch waits for more requests
-    /// before running it anyway.
+    /// How long a worker holding a partial bulk batch waits for more
+    /// requests before running it anyway. The wait only lasts while no
+    /// other worker of this engine is idle waiting for work: the moment
+    /// one is (or becomes) idle, the partial batch runs with the rows it
+    /// has, because the idle sibling would take the next arrival anyway.
+    /// With `workers: 1`, or every sibling busy, the full timeout applies.
     pub batch_timeout: Duration,
     /// Bounded submission-queue capacity; a full queue blocks `submit`
     /// (backpressure) until a worker drains it, and makes `try_submit`
@@ -572,6 +585,13 @@ struct QueueInner {
     bulk: VecDeque<(Arc<Request>, u64)>,
     stopping: bool,
     depth_hwm: usize,
+    /// Workers of this engine blocked waiting for a first request. A
+    /// worker holding a partial batch stops waiting for more while this is
+    /// non-zero.
+    idle: usize,
+    /// Workers waiting out the batch timeout with a partial batch; a worker
+    /// that goes idle wakes them so they can run what they hold.
+    forming: usize,
 }
 
 impl QueueInner {
@@ -896,6 +916,8 @@ impl ServeEngine {
                 bulk: VecDeque::with_capacity(opts.queue_cap),
                 stopping: false,
                 depth_hwm: 0,
+                idle: 0,
+                forming: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -1598,8 +1620,7 @@ fn worker_main(cfg: &WorkerCfg) {
         }
     }
     let mut ctx: RunContext = cfg.template.module.make_context();
-    let mut staging = Tensor::zeros(cfg.template.input_shape.clone(), cfg.template.input_layout)
-        .expect("module input shape is constructible");
+    let mut staging = staging_views(&cfg.template.input_shape, cfg.template.input_layout);
     // Reused per round: holds at most `max_batch` items, so warm rounds
     // never grow it.
     let mut batch: Vec<(Arc<Request>, u64)> = Vec::with_capacity(cfg.template.max_batch.max(1));
@@ -1628,7 +1649,7 @@ fn worker_main(cfg: &WorkerCfg) {
         }
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| -> Result<()> {
             crate::faults::fire(crate::faults::BATCHER_WAKEUP)?;
-            run_batch(cfg, &mut ctx, &mut staging, &batch);
+            run_batch(cfg, &mut ctx, &mut staging[batch.len() - 1], &batch);
             Ok(())
         }));
         let abandoned = clear_batch(cfg);
@@ -1687,7 +1708,7 @@ const STEAL_POLL_FLOOR: Duration = Duration::from_micros(200);
 /// within `batch_timeout`. Returns `false` when the engine is stopping and
 /// the queue is drained (the worker should exit).
 ///
-/// Two scheduling rules live here:
+/// Three scheduling rules live here:
 /// * **Work stealing** — when this replica's queue is empty and it has
 ///   linked siblings, the worker sweeps their queues before sleeping and
 ///   runs whatever it claims immediately. The sleep between sweeps is
@@ -1696,6 +1717,10 @@ const STEAL_POLL_FLOOR: Duration = Duration::from_micros(200);
 ///   (one popped from the high-priority lane) is capped at what is
 ///   already queued: the worker never waits out the batch timeout while
 ///   holding latency-sensitive work.
+/// * **Idle siblings** — a partial bulk batch waits for more rows only
+///   while no other worker of this engine is idle (`QueueInner::idle`,
+///   counted under the queue lock). A worker that goes idle wakes any
+///   worker forming a batch, which then runs the rows it holds.
 fn form_batch(cfg: &WorkerCfg, batch: &mut Vec<(Arc<Request>, u64)>) -> bool {
     let tpl = &cfg.template;
     let can_steal = tpl.shared.siblings.get().is_some_and(|s| !s.is_empty());
@@ -1711,27 +1736,37 @@ fn form_batch(cfg: &WorkerCfg, batch: &mut Vec<(Arc<Request>, u64)>) -> bool {
         if q.stopping {
             return false;
         }
+        q.idle += 1;
+        if q.forming > 0 {
+            // A sibling holds a partial batch for rows this worker could
+            // take itself: let it run what it has.
+            tpl.shared.not_empty.notify_all();
+        }
         if can_steal {
             // Sweep siblings without holding our own queue lock (at most
             // one queue lock is ever held, so replicas cannot deadlock
             // stealing from each other).
+            // The sweep runs unlocked, but this worker still has no work,
+            // so it stays counted idle.
             drop(q);
-            if steal_batch(cfg, batch) {
+            let stole = steal_batch(cfg, batch);
+            q = lock(&tpl.shared.queue);
+            if stole {
+                q.idle -= 1;
                 return true; // stolen work runs immediately
             }
-            q = lock(&tpl.shared.queue);
-            if q.len() > 0 || q.stopping {
-                continue;
+            if q.len() == 0 && !q.stopping {
+                let (guard, _) = tpl
+                    .shared
+                    .not_empty
+                    .wait_timeout(q, steal_poll)
+                    .unwrap_or_else(PoisonError::into_inner);
+                q = guard;
             }
-            let (guard, _) = tpl
-                .shared
-                .not_empty
-                .wait_timeout(q, steal_poll)
-                .unwrap_or_else(PoisonError::into_inner);
-            q = guard;
         } else {
             q = tpl.shared.not_empty.wait(q).unwrap_or_else(PoisonError::into_inner);
         }
+        q.idle -= 1;
     }
     if tpl.max_batch > 1 {
         let deadline = Instant::now() + tpl.batch_timeout;
@@ -1741,19 +1776,21 @@ fn form_batch(cfg: &WorkerCfg, batch: &mut Vec<(Arc<Request>, u64)>) -> bool {
                 batch.push((req, seq));
                 continue;
             }
-            if q.stopping || interactive {
+            if q.stopping || interactive || q.idle > 0 {
                 break;
             }
             let now = Instant::now();
             if now >= deadline {
                 break;
             }
+            q.forming += 1;
             let (guard, timeout) = tpl
                 .shared
                 .not_empty
                 .wait_timeout(q, deadline - now)
                 .unwrap_or_else(PoisonError::into_inner);
             q = guard;
+            q.forming -= 1;
             if timeout.timed_out() && q.len() == 0 {
                 break;
             }
@@ -1865,9 +1902,9 @@ fn run_batch(
         }
     }
 
-    // Stage request rows into the batched input. Rows past `batch.len()`
-    // keep stale (deterministically initialized) data; their results are
-    // computed and discarded — the price of a fixed-batch plan.
+    // Stage request rows into the `batch.len()`-row view of the staging
+    // buffer: the executor runs exactly those rows of the batch-B plan, so
+    // a partial batch computes no padding rows.
     for (row, (req, _)) in batch.iter().enumerate() {
         let inner = lock(&req.inner);
         let row_len = inner.input.data().len();
@@ -1905,6 +1942,24 @@ fn run_batch(
             fail_batch(shared, batch, &e);
         }
     }
+}
+
+/// A worker's staging input: one buffer of B rows seen through B prefix
+/// views, `views[n - 1]` shaped for an n-row run — the memory of one
+/// B-row tensor, allocated once per worker.
+fn staging_views(input_shape: &Shape, layout: Layout) -> Vec<Tensor> {
+    let batch = input_shape.dims()[0];
+    let arena = Arena::new(input_shape.num_elements());
+    (1..=batch)
+        .map(|rows| {
+            // SAFETY: every view starts at offset 0 of a buffer only this
+            // worker touches, and it accesses one view at a time.
+            unsafe {
+                Tensor::arena_view(arena.clone(), 0, with_rows(input_shape, batch, rows), layout)
+            }
+            .expect("module input shape is constructible")
+        })
+        .collect()
 }
 
 /// Records one completed request's latency in the ring (allocation-free

@@ -71,6 +71,10 @@ const TESTS: &[(&str, fn())] = &[
     ),
     ("warm_net_serve_path_performs_zero_allocations", warm_net_serve_path_performs_zero_allocations),
     (
+        "warm_partial_batches_perform_zero_allocations",
+        warm_partial_batches_perform_zero_allocations,
+    ),
+    (
         "pooled_run_allocates_only_the_returned_outputs",
         pooled_run_allocates_only_the_returned_outputs,
     ),
@@ -262,18 +266,7 @@ fn warm_serve_cycle_performs_zero_allocations() {
 
     // The same tower compiled at batch 4 — the serving engine slices
     // per-request rows out of the batched plan.
-    let mut b = GraphBuilder::new(5);
-    let x = b.input([4, 8, 16, 16]);
-    let c0 = b.conv2d(x, 8, 1, 1, 0);
-    let c1 = b.conv_bn_relu(c0, 8, 3, 1, 1);
-    let c2 = b.conv2d_opts(c1, 8, 3, 1, 1, false);
-    let a = b.add(c2, c0);
-    let r = b.relu(a);
-    let p = b.max_pool(r, 2, 2, 0);
-    let f = b.flatten(p);
-    let d = b.dense(f, 10);
-    let s = b.softmax(d);
-    let g = b.finish(vec![s]);
+    let g = batch4_tower();
 
     let opts = CompileOptions::level(OptLevel::O2).with_pool(PoolChoice::Sequential);
     let m = Arc::new(compile(&g, &CpuTarget::host(), &opts).unwrap());
@@ -380,18 +373,7 @@ fn warm_sharded_serve_cycle_performs_zero_allocations() {
     // The batch-4 residual tower behind TWO core-partitioned replicas:
     // the fill → dispatch → steal-eligible execute → wait cycle must be
     // as allocation-free as the single-engine path.
-    let mut b = GraphBuilder::new(5);
-    let x = b.input([4, 8, 16, 16]);
-    let c0 = b.conv2d(x, 8, 1, 1, 0);
-    let c1 = b.conv_bn_relu(c0, 8, 3, 1, 1);
-    let c2 = b.conv2d_opts(c1, 8, 3, 1, 1, false);
-    let a = b.add(c2, c0);
-    let r = b.relu(a);
-    let p = b.max_pool(r, 2, 2, 0);
-    let f = b.flatten(p);
-    let d = b.dense(f, 10);
-    let s = b.softmax(d);
-    let g = b.finish(vec![s]);
+    let g = batch4_tower();
 
     let opts = CompileOptions::level(OptLevel::O2).with_pool(PoolChoice::Sequential);
     let m = Arc::new(compile(&g, &CpuTarget::host(), &opts).unwrap());
@@ -442,18 +424,7 @@ fn warm_net_serve_path_performs_zero_allocations() {
     // The batch-4 residual tower again, registered as the MobileNet/f32
     // route (the spec is routing metadata only — `from_modules` takes the
     // module as-is), so the whole wire loop stays millisecond-cheap.
-    let mut b = GraphBuilder::new(5);
-    let x = b.input([4, 8, 16, 16]);
-    let c0 = b.conv2d(x, 8, 1, 1, 0);
-    let c1 = b.conv_bn_relu(c0, 8, 3, 1, 1);
-    let c2 = b.conv2d_opts(c1, 8, 3, 1, 1, false);
-    let a = b.add(c2, c0);
-    let r = b.relu(a);
-    let p = b.max_pool(r, 2, 2, 0);
-    let f = b.flatten(p);
-    let d = b.dense(f, 10);
-    let s = b.softmax(d);
-    let g = b.finish(vec![s]);
+    let g = batch4_tower();
 
     let opts = CompileOptions::level(OptLevel::O2).with_pool(PoolChoice::Sequential);
     let m = Arc::new(compile(&g, &CpuTarget::host(), &opts).unwrap());
@@ -523,6 +494,87 @@ fn warm_net_serve_path_performs_zero_allocations() {
     );
 
     server.shutdown_within(std::time::Duration::from_secs(10));
+}
+
+/// The batch-4 residual tower of the serve tests.
+fn batch4_tower() -> neocpu_graph::Graph {
+    let mut b = GraphBuilder::new(5);
+    let x = b.input([4, 8, 16, 16]);
+    let c0 = b.conv2d(x, 8, 1, 1, 0);
+    let c1 = b.conv_bn_relu(c0, 8, 3, 1, 1);
+    let c2 = b.conv2d_opts(c1, 8, 3, 1, 1, false);
+    let a = b.add(c2, c0);
+    let r = b.relu(a);
+    let p = b.max_pool(r, 2, 2, 0);
+    let f = b.flatten(p);
+    let d = b.dense(f, 10);
+    let s = b.softmax(d);
+    b.finish(vec![s])
+}
+
+fn warm_partial_batches_perform_zero_allocations() {
+    use std::sync::Arc;
+    use std::time::Duration;
+    use neocpu::{Request, ServeEngine, ServeOptions, ShardedEngine};
+
+    // A formed batch of k < B requests runs k rows of the batch-4 plan,
+    // through the k-row view tables of the worker's context and staging
+    // buffer. With one worker, `max_batch: k` and a batch timeout far
+    // above the run time, every batch is exactly the k requests submitted
+    // together, so each k in 1..=4 is measured on its own — behind a
+    // single engine and behind a 1-replica sharded engine (the serving
+    // workloads' configuration).
+    let opts = CompileOptions::level(OptLevel::O2).with_pool(PoolChoice::Sequential);
+    let m = Arc::new(compile(&batch4_tower(), &CpuTarget::host(), &opts).unwrap());
+    let img = Tensor::random([1, 8, 16, 16], Layout::Nchw, 9, 1.0).unwrap();
+
+    let cycles = |k: usize, what: &str, submit: &dyn Fn(&Arc<Request>), slots: &[Arc<Request>]| {
+        let cycle = || {
+            for req in slots {
+                submit(req);
+            }
+            for req in slots {
+                req.wait().unwrap();
+            }
+        };
+        for _ in 0..3 {
+            cycle();
+        }
+        let before = allocation_count();
+        for _ in 0..10 {
+            cycle();
+        }
+        let delta = allocation_count() - before;
+        assert_eq!(delta, 0, "{what}: warm {k}-request batches allocated {delta} time(s)");
+    };
+    for k in 1..=4 {
+        let serve_opts = ServeOptions {
+            workers: 1,
+            max_batch: k,
+            batch_timeout: Duration::from_secs(10),
+            ..Default::default()
+        };
+
+        let engine = ServeEngine::new(Arc::clone(&m), &serve_opts).unwrap();
+        let slots: Vec<Arc<Request>> = (0..k).map(|_| engine.make_request()).collect();
+        for req in &slots {
+            req.fill(&img).unwrap();
+        }
+        cycles(k, "engine", &|req| engine.submit(req).unwrap(), &slots);
+        let r = engine.report();
+        assert_eq!((r.batches, r.max_batch_formed), (13, k), "every batch holds k rows: {r}");
+        engine.shutdown();
+
+        let shard = ShardedEngine::new(Arc::clone(&m), 1, &serve_opts).unwrap();
+        let slots: Vec<Arc<Request>> = (0..k).map(|_| shard.make_request()).collect();
+        for req in &slots {
+            req.fill(&img).unwrap();
+        }
+        cycles(k, "sharded engine", &|req| shard.submit(req).unwrap(), &slots);
+        let r = shard.report().fleet;
+        assert_eq!((r.batches, r.max_batch_formed), (13, k), "every batch holds k rows: {r}");
+        shard.shutdown();
+    }
 }
 
 fn pooled_run_allocates_only_the_returned_outputs() {

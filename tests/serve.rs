@@ -79,12 +79,17 @@ fn served_rows_match_batch1_module() {
 }
 
 /// Concurrent clients must all complete, and the dynamic batcher must
-/// actually coalesce (multi-request batches form under load).
+/// coalesce them. One worker and a batch timeout far above the run time
+/// make that deterministic: four clients with one request in flight each
+/// can only ever form batches of four, so every batch is full.
 #[test]
 fn concurrent_clients_complete_and_batches_coalesce() {
     let m = module(&tower(4));
-    let engine =
-        ServeEngine::new(m, &ServeOptions { workers: 2, ..Default::default() }).unwrap();
+    let engine = ServeEngine::new(
+        m,
+        &ServeOptions { workers: 1, batch_timeout: Duration::from_secs(10), ..Default::default() },
+    )
+    .unwrap();
 
     let clients = 4usize;
     let per_client = 25usize;
@@ -111,13 +116,36 @@ fn concurrent_clients_complete_and_batches_coalesce() {
     let r = engine.report();
     assert_eq!(r.completed, (clients * per_client) as u64);
     assert_eq!(r.failed, 0);
-    assert!(
-        r.multi_batches > 0,
-        "no multi-request batch formed under {clients} concurrent clients: {r}"
-    );
-    assert!(r.max_batch_formed <= engine.module_batch());
+    assert_eq!(r.batches, per_client as u64, "every batch must be full: {r}");
+    assert_eq!(r.multi_batches, r.batches, "{r}");
+    assert_eq!(r.max_batch_formed, engine.module_batch());
     assert!(r.p50_ms > 0.0 && r.p99_ms >= r.p50_ms);
     engine.shutdown();
+}
+
+/// A lone request is not held for company while a sibling worker idles:
+/// with a 10 s batch timeout it still resolves at once, as a one-row batch.
+#[test]
+fn lone_request_skips_the_batch_timeout_while_a_sibling_idles() {
+    with_timeout(30, "lone request", || {
+        let engine = ServeEngine::new(
+            module(&tower(4)),
+            &ServeOptions {
+                workers: 2,
+                batch_timeout: Duration::from_secs(10),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let img = Tensor::random([1, 4, 12, 12], Layout::Nchw, 5, 1.0).unwrap();
+        let t0 = std::time::Instant::now();
+        engine.infer(&img).unwrap();
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(1), "lone request took {took:?}");
+        let r = engine.report();
+        assert_eq!((r.batches, r.max_batch_formed), (1, 1), "{r}");
+        engine.shutdown();
+    });
 }
 
 /// A tiny bounded queue must apply backpressure (submit blocks instead of
