@@ -62,15 +62,6 @@ fn main() {
                 "--requests", "16",
             ],
         ),
-        // E12: replica scaling — the same model behind 1 vs 2
-        // core-partitioned replicas with work stealing.
-        (
-            "serve_replicas",
-            vec![
-                "--json", "--replica-table", "--replicas", "2", "--models", "mobilenet",
-                "--requests", "24",
-            ],
-        ),
         // E11: the wire-level serving path — in-process TCP server, real
         // sockets, every registry route including int8.
         (

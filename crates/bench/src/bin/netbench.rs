@@ -14,12 +14,10 @@
 //!   (every request `Ok`, health `Ready` → drain → `Stopped`), the mode
 //!   the `bench` orchestrator records as the E11 trajectory row.
 //!
-//! Shared flags: `--int8`, `--full`, `--batch N`, `--workers N`,
-//! `--replicas N` (core-partitioned engine replicas per route, with
-//! work stealing between them), `--requests N`, `--clients N`,
-//! `--deadline-us N`, `--json`. Client flags `--int8`/`--full` must match
-//! the server's so both sides derive the same route list and payload
-//! sizes.
+//! Shared flags: `--int8`, `--full`, `--batch N`, `--workers N` (per
+//! route), `--requests N`, `--clients N`, `--deadline-us N`, `--json`.
+//! Client flags `--int8`/`--full` must match the server's so both sides
+//! derive the same route list and payload sizes.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -43,7 +41,6 @@ struct Cfg {
     full: bool,
     batch: usize,
     workers: usize,
-    replicas: usize,
     clients: usize,
     requests: usize,
     deadline_us: u32,
@@ -61,7 +58,6 @@ impl Default for Cfg {
             full: false,
             batch: 4,
             workers: 2,
-            replicas: 1,
             clients: 4,
             requests: 16,
             deadline_us: 0,
@@ -97,10 +93,6 @@ fn parse_args() -> Cfg {
                 cfg.workers = args[i + 1].parse().unwrap_or(cfg.workers);
                 i += 1;
             }
-            "--replicas" if i + 1 < args.len() => {
-                cfg.replicas = args[i + 1].parse().unwrap_or(cfg.replicas);
-                i += 1;
-            }
             "--clients" if i + 1 < args.len() => {
                 cfg.clients = args[i + 1].parse().unwrap_or(cfg.clients);
                 i += 1;
@@ -127,9 +119,8 @@ fn serve_options(cfg: &Cfg) -> ServeOptions {
 fn compile_registry(cfg: &Cfg) -> Arc<ModelRegistry> {
     let specs = default_specs(cfg.int8, cfg.full, cfg.batch);
     let t0 = Instant::now();
-    let registry =
-        ModelRegistry::compile_replicated(&specs, &serve_options(cfg), cfg.replicas.max(1))
-            .unwrap_or_else(|e| panic!("netbench: registry compile failed: {e}"));
+    let registry = ModelRegistry::compile(&specs, &serve_options(cfg))
+        .unwrap_or_else(|e| panic!("netbench: registry compile failed: {e}"));
     for e in registry.entries() {
         eprintln!(
             "netbench: route {} {} ready (input {} B, output {} B{})",

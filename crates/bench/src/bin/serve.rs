@@ -5,10 +5,7 @@
 //! installed here so the check is real).
 //! Flags: `--smoke`, `--int8` (serve a quantized module through the same
 //! engine — batching, deadlines and the zero-alloc warm path must hold on
-//! the int8 plan), `--workers N`, `--replicas N` (core-partitioned engine
-//! replicas behind the work-stealing dispatcher; `--smoke --replicas 2`
-//! also runs the replica-kill drill), `--replica-table` (the E12 replica
-//! scaling table instead of E8), `--clients a,b`, `--requests N`,
+//! the int8 plan), `--workers N`, `--clients a,b`, `--requests N`,
 //! `--batch N`, `--models a,b`, `--full`, `--deadline-ms N` (engine-wide
 //! request deadline), `--shed newest|oldest` (full-queue policy),
 //! `--json` (single-line machine-readable summary).

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use neocpu::{
     compile, compile_quantized, compile_with_pool, CompileOptions, CpuTarget, EngineHealth,
-    Module, OptLevel, PoolChoice, QuantizeOptions, SearchStrategy, ServeOptions, ShardedEngine,
+    Module, OptLevel, PoolChoice, QuantizeOptions, SearchStrategy, ServeEngine, ServeOptions,
     ShedPolicy,
 };
 use neocpu_kernels::conv::{conv2d_nchwc, conv2d_nchwc_u8, Conv2dParams, ConvQuant, Epilogue};
@@ -52,13 +52,7 @@ pub struct HarnessCfg {
     /// `serve` only: CI smoke mode (small model, hard assertions).
     pub smoke: bool,
     /// `serve` only: engine worker threads (each owns one `RunContext`).
-    /// With `--replicas`, this is the worker count *per replica*.
     pub workers: usize,
-    /// `serve` only: core-partitioned engine replicas behind the
-    /// work-stealing dispatcher (1 = classic single engine).
-    pub replicas: usize,
-    /// `serve` only: print the E12 replica-scaling table instead of E8.
-    pub replica_table: bool,
     /// `serve` only: client-thread counts to sweep (empty = 1,2,4,8).
     pub clients: Vec<usize>,
     /// `serve` only: requests each client sends.
@@ -89,8 +83,6 @@ impl Default for HarnessCfg {
             models: Vec::new(),
             smoke: false,
             workers: 2,
-            replicas: 1,
-            replica_table: false,
             clients: Vec::new(),
             requests: 32,
             batch: 4,
@@ -105,9 +97,8 @@ impl Default for HarnessCfg {
 impl HarnessCfg {
     /// Parses `--full`, `--reps N`, `--warmup N`, `--threads N`,
     /// `--models a,b`, `--json`, and the `serve` flags `--smoke`, `--int8`,
-    /// `--workers N`, `--replicas N`, `--replica-table`, `--clients a,b`,
-    /// `--requests N`, `--batch N`, `--deadline-ms N`,
-    /// `--shed newest|oldest` from `std::env::args`.
+    /// `--workers N`, `--clients a,b`, `--requests N`, `--batch N`,
+    /// `--deadline-ms N`, `--shed newest|oldest` from `std::env::args`.
     pub fn from_args() -> Self {
         let mut cfg = Self::default();
         let args: Vec<String> = std::env::args().skip(1).collect();
@@ -138,11 +129,6 @@ impl HarnessCfg {
                     cfg.workers = args[i + 1].parse().unwrap_or(cfg.workers);
                     i += 1;
                 }
-                "--replicas" if i + 1 < args.len() => {
-                    cfg.replicas = args[i + 1].parse().unwrap_or(cfg.replicas);
-                    i += 1;
-                }
-                "--replica-table" => cfg.replica_table = true,
                 "--clients" if i + 1 < args.len() => {
                     cfg.clients =
                         args[i + 1].split(',').filter_map(|n| n.parse().ok()).collect();
@@ -1097,7 +1083,7 @@ fn serve_options(cfg: &HarnessCfg, min_workers: usize) -> ServeOptions {
 /// looping `per_client` requests on its own pre-allocated slot. Returns
 /// (completed, failed) as counted by the clients themselves.
 fn drive_clients(
-    engine: &ShardedEngine,
+    engine: &ServeEngine,
     clients: usize,
     per_client: usize,
     input: usize,
@@ -1143,9 +1129,8 @@ fn serve_smoke(cfg: &HarnessCfg, alloc_count: &dyn Fn() -> u64) -> bool {
         // degrade to an all-f32 plan.
         assert!(quantized >= 1, "{}: --int8 smoke quantized no convs", kind.name());
     }
-    let replicas = cfg.replicas.max(1);
-    let engine = ShardedEngine::new(Arc::clone(&module), replicas, &serve_options(cfg, 2))
-        .expect("engine starts");
+    let engine =
+        ServeEngine::new(Arc::clone(&module), &serve_options(cfg, 2)).expect("engine starts");
     println!(
         "serve --smoke: {} batch {}{} | {:?}",
         kind.name(),
@@ -1167,7 +1152,7 @@ fn serve_smoke(cfg: &HarnessCfg, alloc_count: &dyn Fn() -> u64) -> bool {
         println!("FAIL: {ok}/{want} requests completed, {failed} failed");
         pass = false;
     }
-    let report = engine.report().fleet;
+    let report = engine.report();
     println!("{report}");
     if report.multi_batches == 0 {
         println!(
@@ -1204,25 +1189,6 @@ fn serve_smoke(cfg: &HarnessCfg, alloc_count: &dyn Fn() -> u64) -> bool {
         println!("allocs over {reps} warm serve cycles: - (no counting allocator)");
     }
 
-    // Replica-kill drill: with ≥ 2 replicas, stop one outright and prove
-    // the rest of the fleet keeps serving (the CI `shard-smoke` job runs
-    // this with `--replicas 2`).
-    if replicas >= 2 {
-        engine.replica(0).shutdown();
-        if engine.health() != EngineHealth::Ready {
-            println!("FAIL: fleet not Ready after one replica stopped ({})", engine.health());
-            pass = false;
-        }
-        let (ok, failed) = drive_clients(&engine, 2, per_client, scale.input);
-        let survived = ok == (2 * per_client) as u64 && failed == 0;
-        println!(
-            "replica-kill drill: replica 0 stopped, {ok} requests completed, {failed} failed \
-             -> {}",
-            if survived { "fleet kept serving" } else { "FAIL" }
-        );
-        pass &= survived;
-    }
-
     engine.shutdown();
     if engine.health() != EngineHealth::Stopped {
         println!("FAIL: engine not Stopped after shutdown ({})", engine.health());
@@ -1231,7 +1197,7 @@ fn serve_smoke(cfg: &HarnessCfg, alloc_count: &dyn Fn() -> u64) -> bool {
     println!("serve --smoke: {}", if pass { "PASS" } else { "FAIL" });
     if cfg.json {
         println!(
-            "{{\"bench\":\"serve_smoke\",\"model\":\"{}\",\"int8\":{},\"replicas\":{replicas},\"quantized_convs\":{quantized},\"pass\":{pass}}}",
+            "{{\"bench\":\"serve_smoke\",\"model\":\"{}\",\"int8\":{},\"quantized_convs\":{quantized},\"pass\":{pass}}}",
             kind.name(),
             cfg.int8,
         );
@@ -1253,14 +1219,12 @@ fn serve_table(cfg: &HarnessCfg) {
     let client_counts: Vec<usize> =
         if cfg.clients.is_empty() { vec![1, 2, 4, 8] } else { cfg.clients.clone() };
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let replicas = cfg.replicas.max(1);
     println!(
         "E8 — serving throughput vs concurrency ({} scale, batch {}, {} workers, \
-         {} replicas, {} reqs/client, {} hardware threads{})",
+         {} reqs/client, {} hardware threads{})",
         if cfg.full { "FULL" } else { "reduced" },
         cfg.batch.max(1),
         cfg.workers.max(1),
-        replicas,
         cfg.requests.max(1),
         host_cores,
         if cfg.int8 { ", int8 modules" } else { "" },
@@ -1273,11 +1237,10 @@ fn serve_table(cfg: &HarnessCfg) {
     for kind in models {
         let (module, scale, quantized) = compile_for_serving(kind, cfg);
         for &n in &client_counts {
-            let engine =
-                ShardedEngine::new(Arc::clone(&module), replicas, &serve_options(cfg, 1))
-                    .expect("engine starts");
+            let engine = ServeEngine::new(Arc::clone(&module), &serve_options(cfg, 1))
+                .expect("engine starts");
             let (ok, failed) = drive_clients(&engine, n, cfg.requests.max(1), scale.input);
-            let r = engine.report().fleet;
+            let r = engine.report();
             engine.shutdown();
             println!(
                 "{:<16} {:>8} {:>6} {:>6} {:>10.2} {:>10.2} {:>9.2} {:>9.2} {:>9.2} {:>10}",
@@ -1310,90 +1273,9 @@ fn serve_table(cfg: &HarnessCfg) {
     );
     if cfg.json {
         println!(
-            "{{\"bench\":\"serve\",\"scale\":\"{}\",\"int8\":{},\"batch\":{},\"workers\":{},\"replicas\":{replicas},\"requests\":{},\"rows\":[{}]}}",
+            "{{\"bench\":\"serve\",\"scale\":\"{}\",\"int8\":{},\"batch\":{},\"workers\":{},\"requests\":{},\"rows\":[{}]}}",
             if cfg.full { "full" } else { "reduced" },
             cfg.int8,
-            cfg.batch.max(1),
-            cfg.workers.max(1),
-            cfg.requests.max(1),
-            json_rows.join(","),
-        );
-    }
-}
-
-/// Replica-scaling table (EXPERIMENTS.md E12): the same model at the same
-/// saturating client count, served by 1, 2, … core-partitioned replicas.
-/// Aggregate img/s comes from the fleet-merged report; `stolen` counts
-/// requests an idle replica claimed from a busy sibling's queue.
-fn serve_replica_table(cfg: &HarnessCfg) {
-    let kind = cfg.models.first().copied().unwrap_or(ModelKind::MobileNet);
-    let (module, scale, _) = compile_for_serving(kind, cfg);
-    // Sweep 1 → N where N is `--replicas` (default: the 1-vs-2 contrast).
-    let replica_counts: Vec<usize> =
-        if cfg.replicas > 1 { vec![1, cfg.replicas] } else { vec![1, 2] };
-    // Saturating concurrency: enough clients that every replica always has
-    // queued work (2 clients per replica worker at the largest fleet).
-    let max_replicas = replica_counts.iter().copied().max().unwrap_or(1).max(1);
-    let clients = (2 * max_replicas * cfg.workers.max(1)).max(4);
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "E12 — replica scaling: {} ({} scale, batch {}, {} workers/replica, {} clients, \
-         {} reqs/client, {} hardware threads)",
-        kind.name(),
-        if cfg.full { "FULL" } else { "reduced" },
-        cfg.batch.max(1),
-        cfg.workers.max(1),
-        clients,
-        cfg.requests.max(1),
-        host_cores,
-    );
-    println!(
-        "{:<9} {:>6} {:>6} {:>10} {:>9} {:>9} {:>9} {:>8} {:>8}",
-        "replicas", "ok", "fail", "img/s", "p50 (ms)", "p95 (ms)", "p99 (ms)", "stolen", "speedup"
-    );
-    let mut json_rows = Vec::new();
-    let mut base_ips = None;
-    for &n in &replica_counts {
-        let engine = ShardedEngine::new(Arc::clone(&module), n.max(1), &serve_options(cfg, 1))
-            .expect("fleet starts");
-        let (ok, failed) = drive_clients(&engine, clients, cfg.requests.max(1), scale.input);
-        let r = engine.report().fleet;
-        engine.shutdown();
-        let ips = r.images_per_sec();
-        let base = *base_ips.get_or_insert(ips);
-        let speedup = if base > 0.0 { ips / base } else { f64::NAN };
-        println!(
-            "{:<9} {:>6} {:>6} {:>10.2} {:>9.2} {:>9.2} {:>9.2} {:>8} {:>7.2}x",
-            n.max(1),
-            ok,
-            failed,
-            ips,
-            r.p50_ms,
-            r.p95_ms,
-            r.p99_ms,
-            r.stolen,
-            speedup,
-        );
-        json_rows.push(format!(
-            "{{\"replicas\":{},\"ok\":{ok},\"failed\":{failed},\"img_per_s\":{},\"p50_ms\":{},\"p95_ms\":{},\"p99_ms\":{},\"stolen\":{},\"speedup\":{}}}",
-            n.max(1),
-            jnum(ips),
-            jnum(r.p50_ms),
-            jnum(r.p95_ms),
-            jnum(r.p99_ms),
-            r.stolen,
-            jnum(speedup),
-        ));
-    }
-    println!(
-        "\n(each row is a fresh fleet over one shared compile; replicas partition the cpuset \
-         via CoreSet::partition and steal from each other's queues when idle)"
-    );
-    if cfg.json {
-        println!(
-            "{{\"bench\":\"serve_replicas\",\"model\":\"{}\",\"scale\":\"{}\",\"batch\":{},\"workers\":{},\"clients\":{clients},\"requests\":{},\"rows\":[{}]}}",
-            kind.name(),
-            if cfg.full { "full" } else { "reduced" },
             cfg.batch.max(1),
             cfg.workers.max(1),
             cfg.requests.max(1),
@@ -1412,9 +1294,6 @@ fn serve_replica_table(cfg: &HarnessCfg) {
 pub fn run_serve(cfg: &HarnessCfg, alloc_count: &dyn Fn() -> u64) -> bool {
     if cfg.smoke {
         serve_smoke(cfg, alloc_count)
-    } else if cfg.replica_table {
-        serve_replica_table(cfg);
-        true
     } else {
         serve_table(cfg);
         true

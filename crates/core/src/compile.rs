@@ -1033,7 +1033,7 @@ mod tests {
         let missing = dir.join("does-not-exist.tsv");
         assert!(matches!(load_scheme_db(&missing), Err(NeoError::Database(_))));
         let corrupt = dir.join("corrupt.tsv");
-        std::fs::write(&corrupt, "neocpu-scheme-db v1\nnot a valid line\n").unwrap();
+        std::fs::write(&corrupt, "neocpu-scheme-db v3\nnot a valid line\n").unwrap();
         assert!(matches!(load_scheme_db(&corrupt), Err(NeoError::Database(_))));
         let (db, problems) = load_scheme_db_lenient(&corrupt).unwrap();
         assert_eq!(db.len(), 0);

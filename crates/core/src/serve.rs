@@ -65,10 +65,10 @@
 //!   is queued ahead of bulk work and caps batch formation at what is
 //!   already queued — it never waits out the batch timeout behind a large
 //!   coalescing batch.
-//! * **Work stealing**: engines linked as replicas of one
-//!   [`crate::shard::ShardedEngine`] let an idle worker claim queued
-//!   requests from a busy sibling replica, so one hot queue cannot
-//!   starve while other partitions idle.
+//!
+//! An engine has exactly one queue. More parallelism for a model is more
+//! [`ServeOptions::workers`] on that queue — each worker already owns its
+//! context and its core — not a second engine beside it.
 //!
 //! The module executed by the engine should usually be compiled
 //! single-threaded (`PoolChoice::Sequential`): the engine's workers are
@@ -79,7 +79,7 @@
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -300,9 +300,9 @@ struct SlotInner {
     class: Option<LatencyClass>,
     /// The engine that admitted the current submission, for deadline
     /// cancellation from `wait` (weak: a request must not keep a dropped
-    /// engine's threads alive). Set per submit, because a sharded
-    /// dispatcher may route each submission of one slot to a different
-    /// replica.
+    /// engine's threads alive). Set per submit, because any engine serving
+    /// the slot's module accepts it, so successive submissions of one slot
+    /// may land in different engines.
     engine: Weak<Shared>,
 }
 
@@ -623,9 +623,6 @@ struct ServeStats {
     batched_requests: u64,
     multi_batches: u64,
     max_batch_formed: usize,
-    /// Requests this engine's workers claimed from sibling replicas'
-    /// queues (counted on the stealing engine).
-    stolen: u64,
 }
 
 /// One worker's supervision record in the watchdog's table.
@@ -670,12 +667,6 @@ struct Shared {
     /// Watchdog parking: `true` tells the watchdog to exit.
     watchdog_stop: Mutex<bool>,
     watchdog_cv: Condvar,
-    /// Sibling replicas' shared state, set once by
-    /// [`link_replicas`] when this engine serves inside a
-    /// [`crate::shard::ShardedEngine`]. Idle workers steal queued
-    /// requests from these queues (weak: a replica must not keep a
-    /// dropped sibling's state alive).
-    siblings: OnceLock<Vec<Weak<Shared>>>,
 }
 
 impl Shared {
@@ -710,10 +701,8 @@ pub struct ServeReport {
     /// Stalled workers abandoned by the watchdog (a subset of the events
     /// behind `respawns`).
     pub stalls: u64,
-    /// Requests this engine's workers claimed from sibling replicas'
-    /// queues (non-zero only inside a [`crate::shard::ShardedEngine`];
-    /// the stolen requests' completions are also counted here, on the
-    /// engine that executed them).
+    /// Always 0: an engine has one queue, so no worker ever takes work
+    /// from another queue. Kept because the benchmark reads it.
     pub stolen: u64,
     /// Batched runs executed.
     pub batches: u64,
@@ -768,7 +757,7 @@ impl std::fmt::Display for ServeReport {
             f,
             "{} ok / {} failed in {:.2}s ({:.1} img/s) | {} batches (mean {:.2}, max {}, >1: {}) \
              | queue hwm {} | p50 {:.2} ms p95 {:.2} ms p99 {:.2} ms ({} samples) \
-             | {} workers × {} KiB arena | {} expired, {} shed, {} cancelled, {} stolen \
+             | {} workers × {} KiB arena | {} expired, {} shed, {} cancelled \
              | {} respawns ({} stalls) | {}",
             self.completed,
             self.failed,
@@ -788,7 +777,6 @@ impl std::fmt::Display for ServeReport {
             self.deadline_exceeded,
             self.shed,
             self.cancelled,
-            self.stolen,
             self.respawns,
             self.stalls,
             self.health,
@@ -936,14 +924,12 @@ impl ServeEngine {
                 batched_requests: 0,
                 multi_batches: 0,
                 max_batch_formed: 0,
-                stolen: 0,
             }),
             workers: Mutex::new(Vec::with_capacity(opts.workers)),
             worker_exited: Condvar::new(),
             health: AtomicU8::new(EngineHealth::Starting as u8),
             watchdog_stop: Mutex::new(false),
             watchdog_cv: Condvar::new(),
-            siblings: OnceLock::new(),
         });
 
         let template = WorkerTemplate {
@@ -1207,17 +1193,55 @@ impl ServeEngine {
         req.with_outputs(|outs| outs.to_vec())
     }
 
-    /// Snapshot of the engine's serving statistics.
+    /// Snapshot of the engine's serving statistics. Percentiles use the
+    /// nearest-rank method (`ceil(p/100 · n)`-th smallest sample): exact
+    /// for any non-empty set (p50 of one sample is that sample; tiny sets
+    /// collapse high percentiles to the max) and NaN when empty.
     pub fn report(&self) -> ServeReport {
-        let mut raw = raw_stats(&self.shared);
-        raw.workers = self.worker_count;
-        build_report(
-            raw,
-            self.batch,
-            self.module.memory_report().planned_peak_bytes,
-            self.started.elapsed().as_secs_f64(),
-            self.shared.health(),
-        )
+        let queue_depth_hwm = lock(&self.shared.queue).depth_hwm;
+        let st = lock(&self.shared.stats);
+        let mut lat = st.latencies_us.clone();
+        let mut report = ServeReport {
+            completed: st.completed,
+            failed: st.failed,
+            deadline_exceeded: st.deadline_exceeded,
+            shed: st.shed,
+            cancelled: st.cancelled,
+            respawns: st.respawns,
+            stalls: st.stalls,
+            stolen: 0,
+            batches: st.batches,
+            multi_batches: st.multi_batches,
+            mean_batch: if st.batches > 0 {
+                st.batched_requests as f64 / st.batches as f64
+            } else {
+                0.0
+            },
+            max_batch_formed: st.max_batch_formed,
+            queue_depth_hwm,
+            latency_samples: lat.len(),
+            p50_ms: f64::NAN,
+            p95_ms: f64::NAN,
+            p99_ms: f64::NAN,
+            workers: self.worker_count,
+            module_batch: self.batch,
+            arena_bytes_per_context: self.module.memory_report().planned_peak_bytes,
+            elapsed_s: self.started.elapsed().as_secs_f64(),
+            health: self.shared.health(),
+        };
+        // Sort outside the stats lock: workers take it once per request.
+        drop(st);
+        if !lat.is_empty() {
+            lat.sort_by(f64::total_cmp);
+            let pct = |p: f64| {
+                let rank = ((p / 100.0) * lat.len() as f64).ceil() as usize;
+                lat[rank.clamp(1, lat.len()) - 1] / 1e3
+            };
+            report.p50_ms = pct(50.0);
+            report.p95_ms = pct(95.0);
+            report.p99_ms = pct(99.0);
+        }
+        report
     }
 
     /// Stops the engine gracefully, drain bounded by `budget`: admissions
@@ -1324,177 +1348,6 @@ impl ServeEngine {
             let _ = h.join();
         }
         self.shared.set_health(EngineHealth::Stopped);
-    }
-}
-
-/// Raw, unsorted statistics pulled from one engine's shared state —
-/// the mergeable form of a [`ServeReport`]. Fleet-wide percentiles need
-/// the raw latency samples (percentiles of percentiles are meaningless),
-/// so replicas are merged at this level.
-pub(crate) struct RawStats {
-    lat: Vec<f64>,
-    completed: u64,
-    failed: u64,
-    deadline_exceeded: u64,
-    shed: u64,
-    cancelled: u64,
-    respawns: u64,
-    stalls: u64,
-    stolen: u64,
-    batches: u64,
-    batched_requests: u64,
-    multi_batches: u64,
-    max_batch_formed: usize,
-    depth_hwm: usize,
-    workers: usize,
-}
-
-fn raw_stats(shared: &Shared) -> RawStats {
-    let depth_hwm = lock(&shared.queue).depth_hwm;
-    let st = lock(&shared.stats);
-    RawStats {
-        lat: st.latencies_us.clone(),
-        completed: st.completed,
-        failed: st.failed,
-        deadline_exceeded: st.deadline_exceeded,
-        shed: st.shed,
-        cancelled: st.cancelled,
-        respawns: st.respawns,
-        stalls: st.stalls,
-        stolen: st.stolen,
-        batches: st.batches,
-        batched_requests: st.batched_requests,
-        multi_batches: st.multi_batches,
-        max_batch_formed: st.max_batch_formed,
-        depth_hwm,
-        workers: 0,
-    }
-}
-
-/// Builds a [`ServeReport`] from raw stats. Percentiles use the
-/// nearest-rank method (`ceil(p/100 · n)`-th smallest sample): exact for
-/// any non-empty set (p50 of one sample is that sample; tiny sets
-/// collapse high percentiles to the max) and NaN when empty — merged
-/// sharded reports with no completions stay NaN, not a bogus 0 ms.
-fn build_report(
-    raw: RawStats,
-    module_batch: usize,
-    arena_bytes_per_context: usize,
-    elapsed_s: f64,
-    health: EngineHealth,
-) -> ServeReport {
-    let mut lat = raw.lat;
-    lat.sort_by(f64::total_cmp);
-    let pct = |p: f64| -> f64 {
-        if lat.is_empty() {
-            return f64::NAN;
-        }
-        let rank = ((p / 100.0) * lat.len() as f64).ceil() as usize;
-        lat[rank.clamp(1, lat.len()) - 1] / 1e3
-    };
-    ServeReport {
-        completed: raw.completed,
-        failed: raw.failed,
-        deadline_exceeded: raw.deadline_exceeded,
-        shed: raw.shed,
-        cancelled: raw.cancelled,
-        respawns: raw.respawns,
-        stalls: raw.stalls,
-        stolen: raw.stolen,
-        batches: raw.batches,
-        multi_batches: raw.multi_batches,
-        mean_batch: if raw.batches > 0 {
-            raw.batched_requests as f64 / raw.batches as f64
-        } else {
-            0.0
-        },
-        max_batch_formed: raw.max_batch_formed,
-        queue_depth_hwm: raw.depth_hwm,
-        latency_samples: lat.len(),
-        p50_ms: pct(50.0),
-        p95_ms: pct(95.0),
-        p99_ms: pct(99.0),
-        workers: raw.workers,
-        module_batch,
-        arena_bytes_per_context,
-        elapsed_s,
-        health,
-    }
-}
-
-/// Fleet-wide report over replica engines of one module: counters sum,
-/// latency rings concatenate (percentiles are recomputed over the union,
-/// NaN when every replica is empty), `max_batch_formed` is the largest
-/// anywhere, and `queue_depth_hwm` is the deepest any single replica
-/// queue ever got (per-queue high-water marks peak at different times,
-/// so summing them would overstate fleet backlog).
-pub(crate) fn merged_report(engines: &[ServeEngine], elapsed_s: f64) -> ServeReport {
-    let mut merged: Option<RawStats> = None;
-    for e in engines {
-        let mut raw = raw_stats(&e.shared);
-        raw.workers = e.worker_count;
-        merged = Some(match merged {
-            None => raw,
-            Some(mut acc) => {
-                acc.lat.append(&mut raw.lat);
-                acc.completed += raw.completed;
-                acc.failed += raw.failed;
-                acc.deadline_exceeded += raw.deadline_exceeded;
-                acc.shed += raw.shed;
-                acc.cancelled += raw.cancelled;
-                acc.respawns += raw.respawns;
-                acc.stalls += raw.stalls;
-                acc.stolen += raw.stolen;
-                acc.batches += raw.batches;
-                acc.batched_requests += raw.batched_requests;
-                acc.multi_batches += raw.multi_batches;
-                acc.max_batch_formed = acc.max_batch_formed.max(raw.max_batch_formed);
-                acc.depth_hwm = acc.depth_hwm.max(raw.depth_hwm);
-                acc.workers += raw.workers;
-                acc
-            }
-        });
-    }
-    let raw = merged.expect("merged_report requires at least one replica");
-    let health = aggregate_health(engines.iter().map(ServeEngine::health));
-    let (module_batch, arena) = engines
-        .first()
-        .map(|e| (e.batch, e.module.memory_report().planned_peak_bytes))
-        .unwrap_or((0, 0));
-    build_report(raw, module_batch, arena, elapsed_s, health)
-}
-
-/// Fleet health: the fleet serves as long as *any* replica serves.
-/// `Ready` if any replica is ready, else `Draining` if any is draining,
-/// else `Starting` if any is starting, else `Stopped`.
-pub(crate) fn aggregate_health(states: impl IntoIterator<Item = EngineHealth>) -> EngineHealth {
-    let mut agg = EngineHealth::Stopped;
-    for h in states {
-        match h {
-            EngineHealth::Ready => return EngineHealth::Ready,
-            EngineHealth::Draining => agg = EngineHealth::Draining,
-            EngineHealth::Starting if agg == EngineHealth::Stopped => {
-                agg = EngineHealth::Starting;
-            }
-            _ => {}
-        }
-    }
-    agg
-}
-
-/// Wires `engines` together as replicas of one sharded fleet: each
-/// engine learns the others' queues so its idle workers can steal queued
-/// requests. Call once, right after constructing the replicas (linking
-/// is sticky; a second call is a no-op).
-pub(crate) fn link_replicas(engines: &[ServeEngine]) {
-    for (i, e) in engines.iter().enumerate() {
-        let sibs: Vec<Weak<Shared>> = engines
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| *j != i)
-            .map(|(_, o)| Arc::downgrade(&o.shared))
-            .collect();
-        let _ = e.shared.siblings.set(sibs);
     }
 }
 
@@ -1698,21 +1551,11 @@ fn pop_live(shared: &Shared, q: &mut QueueInner) -> Option<(Arc<Request>, u64, b
     }
 }
 
-/// How long an idle worker with an empty queue sleeps between steal
-/// sweeps over its sibling replicas. Floor for engines whose batch
-/// timeout is shorter: sweeping is two try-locks per sibling, but a hot
-/// spin here would burn the cores the replicas were partitioned to save.
-const STEAL_POLL_FLOOR: Duration = Duration::from_micros(200);
-
 /// Blocks for the first live request, then coalesces up to `max_batch`
 /// within `batch_timeout`. Returns `false` when the engine is stopping and
 /// the queue is drained (the worker should exit).
 ///
-/// Three scheduling rules live here:
-/// * **Work stealing** — when this replica's queue is empty and it has
-///   linked siblings, the worker sweeps their queues before sleeping and
-///   runs whatever it claims immediately. The sleep between sweeps is
-///   bounded so a busy sibling is never ignored for long.
+/// Two scheduling rules live here:
 /// * **Latency classes** — a batch that contains an interactive request
 ///   (one popped from the high-priority lane) is capped at what is
 ///   already queued: the worker never waits out the batch timeout while
@@ -1723,8 +1566,6 @@ const STEAL_POLL_FLOOR: Duration = Duration::from_micros(200);
 ///   worker forming a batch, which then runs the rows it holds.
 fn form_batch(cfg: &WorkerCfg, batch: &mut Vec<(Arc<Request>, u64)>) -> bool {
     let tpl = &cfg.template;
-    let can_steal = tpl.shared.siblings.get().is_some_and(|s| !s.is_empty());
-    let steal_poll = tpl.batch_timeout.max(STEAL_POLL_FLOOR);
     let mut interactive = false;
     let mut q = lock(&tpl.shared.queue);
     loop {
@@ -1742,30 +1583,7 @@ fn form_batch(cfg: &WorkerCfg, batch: &mut Vec<(Arc<Request>, u64)>) -> bool {
             // take itself: let it run what it has.
             tpl.shared.not_empty.notify_all();
         }
-        if can_steal {
-            // Sweep siblings without holding our own queue lock (at most
-            // one queue lock is ever held, so replicas cannot deadlock
-            // stealing from each other).
-            // The sweep runs unlocked, but this worker still has no work,
-            // so it stays counted idle.
-            drop(q);
-            let stole = steal_batch(cfg, batch);
-            q = lock(&tpl.shared.queue);
-            if stole {
-                q.idle -= 1;
-                return true; // stolen work runs immediately
-            }
-            if q.len() == 0 && !q.stopping {
-                let (guard, _) = tpl
-                    .shared
-                    .not_empty
-                    .wait_timeout(q, steal_poll)
-                    .unwrap_or_else(PoisonError::into_inner);
-                q = guard;
-            }
-        } else {
-            q = tpl.shared.not_empty.wait(q).unwrap_or_else(PoisonError::into_inner);
-        }
+        q = tpl.shared.not_empty.wait(q).unwrap_or_else(PoisonError::into_inner);
         q.idle -= 1;
     }
     if tpl.max_batch > 1 {
@@ -1797,43 +1615,6 @@ fn form_batch(cfg: &WorkerCfg, batch: &mut Vec<(Arc<Request>, u64)>) -> bool {
         }
     }
     true
-}
-
-/// Sweeps sibling replicas' queues, claiming up to `max_batch` live
-/// requests into `batch`. Returns whether anything was stolen. Sibling
-/// queues are only try-locked: a contended sibling is being served
-/// already, so there is nothing worth blocking for.
-fn steal_batch(cfg: &WorkerCfg, batch: &mut Vec<(Arc<Request>, u64)>) -> bool {
-    let Some(sibs) = cfg.template.shared.siblings.get() else {
-        return false;
-    };
-    for sib in sibs {
-        let Some(sib) = sib.upgrade() else { continue };
-        let mut sq = match sib.queue.try_lock() {
-            Ok(guard) => guard,
-            Err(TryLockError::Poisoned(p)) => p.into_inner(),
-            Err(TryLockError::WouldBlock) => continue,
-        };
-        // A draining sibling keeps its own queue: its drain protocol owns
-        // (and accounts for) every remaining item.
-        if sq.stopping {
-            continue;
-        }
-        while batch.len() < cfg.template.max_batch {
-            // Expiries found while sweeping resolve against the *owning*
-            // replica's stats, which is where the request was admitted.
-            match pop_live(&sib, &mut sq) {
-                Some((req, seq, _)) => batch.push((req, seq)),
-                None => break,
-            }
-        }
-        drop(sq);
-        if !batch.is_empty() {
-            lock(&cfg.template.shared.stats).stolen += batch.len() as u64;
-            return true;
-        }
-    }
-    false
 }
 
 /// Publishes the formed batch in this worker's supervision entry so the
@@ -2222,5 +2003,138 @@ mod tests {
         engine.submit(&req).unwrap();
         req.wait().unwrap();
         engine.shutdown();
+    }
+
+    #[test]
+    fn interactive_request_caps_batch_formation() {
+        // With a batch-4 module and a long batch timeout, a lone *bulk*
+        // request makes the worker wait out the timeout hoping to
+        // coalesce; a lone *interactive* request must be dispatched
+        // immediately instead. The contrast is deterministic: only the
+        // latency class changes between the two submissions.
+        let m = batched_module(4);
+        let timeout = Duration::from_millis(600);
+        let opts = ServeOptions { workers: 1, batch_timeout: timeout, ..Default::default() };
+        let engine = ServeEngine::new(m, &opts).unwrap();
+        let img = Tensor::random([1, 4, 8, 8], Layout::Nchw, 6, 1.0).unwrap();
+
+        let bulk = engine.make_request();
+        bulk.fill(&img).unwrap();
+        let t0 = Instant::now();
+        engine.submit(&bulk).unwrap();
+        bulk.wait().unwrap();
+        let bulk_elapsed = t0.elapsed();
+
+        let hot = engine.make_request();
+        hot.set_latency_class(LatencyClass::Interactive).unwrap();
+        hot.fill(&img).unwrap();
+        let t0 = Instant::now();
+        engine.submit(&hot).unwrap();
+        hot.wait().unwrap();
+        let hot_elapsed = t0.elapsed();
+
+        assert!(
+            bulk_elapsed >= timeout,
+            "a lone bulk request should wait out the batch timeout ({bulk_elapsed:?})"
+        );
+        assert!(
+            hot_elapsed < timeout / 2,
+            "an interactive request must not wait for batch coalescing \
+             (took {hot_elapsed:?}, timeout {timeout:?})"
+        );
+        engine.shutdown();
+    }
+
+    #[test]
+    fn interactive_class_overtakes_queued_bulk_work() {
+        // Heavier module so the single worker holds a real backlog, then
+        // an interactive request submitted last must overtake the queued
+        // bulk requests via the high-priority lane.
+        let mut b = GraphBuilder::new(31);
+        let x = b.input([1, 16, 32, 32]);
+        let c1 = b.conv_bn_relu(x, 32, 3, 1, 1);
+        let c2 = b.conv_bn_relu(c1, 32, 3, 1, 1);
+        let g = b.finish(vec![c2]);
+        let opts = CompileOptions::level(OptLevel::O2).with_pool(PoolChoice::Sequential);
+        let m = Arc::new(compile(&g, &CpuTarget::host(), &opts).unwrap());
+
+        let engine =
+            ServeEngine::new(m, &ServeOptions { workers: 1, ..Default::default() }).unwrap();
+        let img = Tensor::random([1, 16, 32, 32], Layout::Nchw, 6, 1.0).unwrap();
+        let bulk: Vec<Arc<Request>> = (0..24)
+            .map(|_| {
+                let r = engine.make_request();
+                r.fill(&img).unwrap();
+                engine.submit(&r).unwrap();
+                r
+            })
+            .collect();
+        let hot = engine.make_request();
+        hot.set_latency_class(LatencyClass::Interactive).unwrap();
+        hot.fill(&img).unwrap();
+        engine.submit(&hot).unwrap();
+        hot.wait().unwrap();
+        // The interactive request finished while bulk work was still
+        // queued — it did not wait for the tail of the bulk backlog.
+        let depth_at_hot_completion = engine.queue_depth();
+        for r in &bulk {
+            r.wait().unwrap();
+        }
+        assert!(
+            depth_at_hot_completion > 0,
+            "interactive request should complete while bulk work is still queued"
+        );
+        engine.shutdown();
+    }
+
+    #[test]
+    fn two_engines_bind_disjoint_cores_by_default() {
+        // The cross-engine pile-up regression: two engines constructed
+        // independently must not pin their workers to the same cores when
+        // the cpuset has room for both.
+        let m = batched_module(2);
+        let opts = ServeOptions { workers: 1, ..Default::default() };
+        let e1 = ServeEngine::new(Arc::clone(&m), &opts).unwrap();
+        let e2 = ServeEngine::new(Arc::clone(&m), &opts).unwrap();
+        // Engines must have claimed *some* core set wherever binding is
+        // supported at all.
+        let (Some(s1), Some(s2)) = (e1.core_set(), e2.core_set()) else {
+            // No affinity support on this host; nothing to assert.
+            return;
+        };
+        let total = s1.len() + s2.len();
+        if affinity::allowed_cores().len() >= total {
+            assert!(
+                s1.is_disjoint(s2),
+                "two engines reserved overlapping cores {:?} / {:?} on a cpuset with room",
+                s1.cores(),
+                s2.cores()
+            );
+        }
+        // Wherever the kernel accepted the binding, the observed masks
+        // must lie inside each engine's own set — and therefore be
+        // disjoint across engines when the sets are.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let observed = |e: &ServeEngine| -> Vec<usize> {
+            e.bound_cores().into_iter().flatten().collect()
+        };
+        // Workers record their mask right after spawn; give them a beat.
+        while (observed(&e1).is_empty() || observed(&e2).is_empty())
+            && Instant::now() < deadline
+            && cfg!(all(target_os = "linux", target_arch = "x86_64"))
+        {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        for (e, set) in [(&e1, s1), (&e2, s2)] {
+            for core in observed(e) {
+                assert!(
+                    set.contains(core),
+                    "worker bound to core {core}, outside its engine's set {:?}",
+                    set.cores()
+                );
+            }
+        }
+        e1.shutdown();
+        e2.shutdown();
     }
 }

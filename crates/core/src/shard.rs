@@ -1,317 +1,82 @@
-//! Replica sharding: N core-partitioned [`ServeEngine`]s behind one
-//! dispatching front end.
+//! [`ShardedEngine`]: `r` replicas of `w` workers, served as one
+//! [`ServeEngine`] with `r · w` workers on `r · w` reserved cores.
 //!
-//! One engine's submission queue serializes on a single mutex, all of its
-//! workers share one cache-coherence neighborhood, and a full drain stalls
-//! the whole model. A [`ShardedEngine`] instead carves the process cpuset
-//! into per-replica partitions ([`CoreSet::partition`]) and runs one
-//! complete `ServeEngine` per partition — own workers, own arena-backed
-//! contexts, own queue, own watchdog:
+//! A replica is a slice of the engine's workers, not an engine of its own:
+//! every worker already owns its `RunContext` and binds to its own core, so
+//! the workers of all replicas share one queue, one batcher, one watchdog
+//! and one report. There is nothing to dispatch between, steal from or
+//! merge.
 //!
-//! ```text
-//!             submit / try_submit
-//!                      │
-//!             least-loaded dispatch            (skips non-Ready replicas,
-//!                      │                        round-robin tiebreak)
-//!        ┌─────────────┼─────────────┐
-//!        ▼             ▼             ▼
-//!   replica 0      replica 1     replica 2
-//!   queue+workers  queue+workers queue+workers
-//!   cores {0,1}    cores {2,3}   cores {4,5}
-//!        ▲─────steal────▲─────steal────▲
-//! ```
-//!
-//! * **Dispatch** routes each submission to the Ready replica with the
-//!   shallowest queue (ties rotate). The scan is allocation-free, so the
-//!   warm fill → submit → wait cycle stays zero-alloc through the shard.
-//! * **Work stealing** (wired by `serve::link_replicas`) lets an idle
-//!   replica's worker claim requests queued on a busy sibling, so a load
-//!   spike on one partition spills over instead of queueing behind it.
-//! * **Failure isolation**: a replica whose workers die (or that is shut
-//!   down outright) stops being picked by dispatch, and whatever is stuck
-//!   in its queue is stolen by live siblings — the fleet keeps serving.
-//! * **Reporting** merges per-replica stats at the raw-sample level:
-//!   fleet percentiles are computed over the union of latency rings
-//!   (never over per-replica percentiles), and stay NaN when no replica
-//!   has completed anything.
-//!
-//! With fewer cores than replicas the partitioning degrades to
-//! round-robin single-core (overlapping) partitions — replicas time-share
-//! cores rather than fail, which also keeps single-core CI honest.
+//! This type exists only for the benchmark's contract: `crates/e2e` (its
+//! README lists the API it calls) uses `ShardedEngine::{new, make_request,
+//! submit, report}` and reads [`ShardReport::fleet`]. Other callers use
+//! [`ServeEngine`] directly and set [`ServeOptions::workers`].
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-use neocpu_tensor::Tensor;
-use neocpu_threadpool::affinity::{self, CoreSet};
 
 use crate::executor::Module;
-use crate::serve::{
-    self, EngineHealth, Request, ServeEngine, ServeOptions, ServeReport,
-};
+use crate::serve::{Request, ServeEngine, ServeOptions, ServeReport};
 use crate::{NeoError, Result};
 
-/// Dispatch bookkeeping uses a fixed-width bitmask so the warm path never
-/// allocates; more replicas than machine cores is pathological anyway.
-const MAX_REPLICAS: usize = 64;
-
-/// Fleet-wide serving statistics: the merged view plus each replica's own
-/// report (see [`ShardedEngine::report`]).
+/// Serving statistics of a [`ShardedEngine`] (see [`ShardedEngine::report`]).
 #[derive(Debug, Clone)]
 pub struct ShardReport {
-    /// Merged fleet view: counters summed, percentiles recomputed over
-    /// the union of all replicas' latency samples (NaN when empty).
+    /// The engine's report; `workers` counts the workers of every replica.
     pub fleet: ServeReport,
-    /// Per-replica reports, indexed by replica.
-    pub replicas: Vec<ServeReport>,
 }
 
-impl std::fmt::Display for ShardReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "fleet ({} replicas): {}", self.replicas.len(), self.fleet)?;
-        for (i, r) in self.replicas.iter().enumerate() {
-            writeln!(f, "  replica {i}: {r}")?;
-        }
-        Ok(())
-    }
-}
-
-/// N core-partitioned [`ServeEngine`] replicas behind a least-loaded,
-/// work-stealing dispatcher. API-compatible with a single engine
-/// (`make_request` / `submit` / `try_submit` / `infer` / `health` /
-/// `shutdown*`), so front ends treat `replicas: 1` and `replicas: N`
-/// identically.
-pub struct ShardedEngine {
-    replicas: Vec<ServeEngine>,
-    /// Round-robin cursor breaking dispatch ties between equally loaded
-    /// replicas.
-    rr: AtomicUsize,
-    started: Instant,
-}
+/// `replicas × opts.workers` workers behind one [`ServeEngine`] queue.
+/// Dropping it shuts the engine down.
+#[derive(Debug)]
+pub struct ShardedEngine(ServeEngine);
 
 impl ShardedEngine {
-    /// Starts `replicas` engines over `module`, each confined to its own
-    /// partition of the engine's core set.
-    ///
-    /// The partition source is [`ServeOptions::core_set`] when given;
-    /// otherwise `replicas × workers` slots are reserved from the
-    /// process-global cursor (see `affinity::reserve_cores`), keeping
-    /// this fleet off cores other engines already claimed. Every other
-    /// option applies to each replica as-is — `workers` is *per replica*.
+    /// Starts one engine over `module` with `replicas × opts.workers`
+    /// workers; every other option applies as given.
     ///
     /// # Errors
     ///
-    /// Returns [`NeoError::Config`] for zero (or more than 64) replicas
-    /// or invalid engine options; propagates replica construction
-    /// failures.
+    /// Returns [`NeoError::Config`] for zero replicas or a worker count
+    /// that overflows, and whatever [`ServeEngine::new`] returns.
     pub fn new(module: Arc<Module>, replicas: usize, opts: &ServeOptions) -> Result<Self> {
         if replicas == 0 {
             return Err(NeoError::Config("a sharded engine needs at least one replica".into()));
         }
-        if replicas > MAX_REPLICAS {
-            return Err(NeoError::Config(format!(
-                "at most {MAX_REPLICAS} replicas are supported, got {replicas}"
-            )));
-        }
-        let partitions: Vec<Option<CoreSet>> = if opts.bind_workers {
-            let whole = match &opts.core_set {
-                Some(set) => set.clone(),
-                None => affinity::reserve_cores(replicas * opts.workers.max(1)),
-            };
-            if whole.is_empty() {
-                // No affinity API on this host: run every replica unbound.
-                vec![None; replicas]
-            } else {
-                whole.partition(replicas).into_iter().map(Some).collect()
-            }
-        } else {
-            vec![None; replicas]
-        };
-        let engines = partitions
-            .into_iter()
-            .map(|core_set| {
-                ServeEngine::new(Arc::clone(&module), &ServeOptions { core_set, ..opts.clone() })
-            })
-            .collect::<Result<Vec<_>>>()?;
-        serve::link_replicas(&engines);
-        Ok(Self { replicas: engines, rr: AtomicUsize::new(0), started: Instant::now() })
+        let workers = opts.workers.checked_mul(replicas).ok_or_else(|| {
+            NeoError::Config(format!(
+                "{replicas} replicas × {} workers overflows the worker count",
+                opts.workers
+            ))
+        })?;
+        ServeEngine::new(module, &ServeOptions { workers, ..opts.clone() }).map(Self)
     }
 
-    /// Number of replicas in the fleet.
-    pub fn replicas(&self) -> usize {
-        self.replicas.len()
-    }
-
-    /// Direct access to one replica (tests, drills, and per-replica
-    /// introspection; serving traffic should go through the dispatcher).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i` is out of range.
-    pub fn replica(&self, i: usize) -> &ServeEngine {
-        &self.replicas[i]
-    }
-
-    /// The module's compiled batch size B (identical on every replica).
-    pub fn module_batch(&self) -> usize {
-        self.replicas[0].module_batch()
-    }
-
-    /// Fleet lifecycle state: `Ready` while *any* replica is ready (the
-    /// fleet serves as long as one partition serves).
-    pub fn health(&self) -> EngineHealth {
-        serve::aggregate_health(self.replicas.iter().map(ServeEngine::health))
-    }
-
-    /// Total queued requests across all replicas.
-    pub fn queue_depth(&self) -> usize {
-        self.replicas.iter().map(ServeEngine::queue_depth).sum()
-    }
-
-    /// Creates a request slot usable with any replica (the dispatcher
-    /// binds it to a replica per submission). Same allocation contract as
-    /// [`ServeEngine::make_request`].
+    /// As [`ServeEngine::make_request`].
     pub fn make_request(&self) -> Arc<Request> {
-        self.replicas[0].make_request()
+        self.0.make_request()
     }
 
-    /// Picks the Ready replica with the shallowest queue among those not
-    /// in `tried` (a bitmask of replica indices), rotating the tiebreak
-    /// cursor so equally loaded replicas share arrivals. Allocation-free.
-    fn pick(&self, tried: u64) -> Option<usize> {
-        let n = self.replicas.len();
-        let offset = self.rr.fetch_add(1, Ordering::Relaxed);
-        let mut best: Option<(usize, usize)> = None;
-        for k in 0..n {
-            let i = (offset + k) % n;
-            if tried & (1u64 << i) != 0 || self.replicas[i].health() != EngineHealth::Ready {
-                continue;
-            }
-            let depth = self.replicas[i].queue_depth();
-            if best.is_none_or(|(_, d)| depth < d) {
-                best = Some((i, depth));
-            }
-        }
-        best.map(|(i, _)| i)
-    }
-
-    /// Dispatches a filled request to the least-loaded Ready replica,
-    /// blocking on that replica's queue if full. Falls over to the next
-    /// replica if the chosen one starts draining mid-submit.
+    /// As [`ServeEngine::submit`].
     ///
     /// # Errors
     ///
-    /// As [`ServeEngine::submit`]; [`NeoError::Shutdown`] when no replica
-    /// is ready.
+    /// As [`ServeEngine::submit`].
     pub fn submit(&self, req: &Arc<Request>) -> Result<()> {
-        let mut tried = 0u64;
-        loop {
-            let Some(i) = self.pick(tried) else {
-                return Err(NeoError::Shutdown);
-            };
-            match self.replicas[i].submit(req) {
-                Err(NeoError::Shutdown) => tried |= 1u64 << i,
-                other => return other,
-            }
-        }
+        self.0.submit(req)
     }
 
-    /// Non-blocking dispatch: tries Ready replicas from least loaded
-    /// upward; a replica that sheds by rejecting ([`NeoError::Busy`])
-    /// makes the dispatcher move on to the next — admission fails only
-    /// when every replica is saturated. This is admission-side work
-    /// spreading; queue-side imbalance is handled by stealing.
-    ///
-    /// # Errors
-    ///
-    /// As [`ServeEngine::try_submit`]; the final [`NeoError::Busy`]
-    /// carries the fleet-wide queue depth.
-    pub fn try_submit(&self, req: &Arc<Request>) -> Result<()> {
-        let mut tried = 0u64;
-        let mut saturated = false;
-        loop {
-            let Some(i) = self.pick(tried) else {
-                return if saturated {
-                    Err(NeoError::Busy { queue_depth: self.queue_depth() })
-                } else {
-                    Err(NeoError::Shutdown)
-                };
-            };
-            match self.replicas[i].try_submit(req) {
-                Err(NeoError::Busy { .. }) => {
-                    saturated = true;
-                    tried |= 1u64 << i;
-                }
-                Err(NeoError::Shutdown) => tried |= 1u64 << i,
-                other => return other,
-            }
-        }
-    }
-
-    /// One-shot convenience mirroring [`ServeEngine::infer`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates submit/execution failures.
-    pub fn infer(&self, input: &Tensor) -> Result<Vec<Tensor>> {
-        let req = self.make_request();
-        req.fill(input)?;
-        self.submit(&req)?;
-        req.wait()?;
-        req.with_outputs(|outs| outs.to_vec())
-    }
-
-    /// Fleet + per-replica statistics snapshot.
+    /// The engine's statistics snapshot.
     pub fn report(&self) -> ShardReport {
-        ShardReport {
-            fleet: serve::merged_report(&self.replicas, self.started.elapsed().as_secs_f64()),
-            replicas: self.replicas.iter().map(ServeEngine::report).collect(),
-        }
-    }
-
-    /// Drains every replica **concurrently**, each against the full
-    /// `budget` — a fleet of K replicas stops within one budget, not K
-    /// budgets, and no replica inherits a predecessor's leftovers.
-    pub fn shutdown_within(&self, budget: Duration) {
-        std::thread::scope(|s| {
-            for e in &self.replicas {
-                s.spawn(move || e.shutdown_within(budget));
-            }
-        });
-    }
-
-    /// Unbounded concurrent drain of every replica (also runs on drop).
-    pub fn shutdown(&self) {
-        std::thread::scope(|s| {
-            for e in &self.replicas {
-                s.spawn(move || e.shutdown());
-            }
-        });
-    }
-}
-
-impl Drop for ShardedEngine {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-impl std::fmt::Debug for ShardedEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedEngine")
-            .field("replicas", &self.replicas.len())
-            .field("health", &self.health())
-            .finish()
+        ShardReport { fleet: self.0.report() }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{compile, CompileOptions, CpuTarget, LatencyClass, OptLevel, PoolChoice};
+    use crate::{compile, CompileOptions, CpuTarget, OptLevel, PoolChoice};
     use neocpu_graph::GraphBuilder;
-    use neocpu_tensor::Layout;
+    use neocpu_tensor::{Layout, Tensor};
 
     fn batched_module(batch: usize) -> Arc<Module> {
         let mut b = GraphBuilder::new(23);
@@ -326,18 +91,16 @@ mod tests {
         Arc::new(compile(&g, &CpuTarget::host(), &opts).unwrap())
     }
 
-    fn shard_opts() -> ServeOptions {
-        ServeOptions { workers: 1, ..Default::default() }
-    }
-
     #[test]
-    fn sharded_results_match_direct_run() {
+    fn replicas_are_workers_of_one_engine() {
         let m = batched_module(2);
-        let shard = ShardedEngine::new(Arc::clone(&m), 2, &shard_opts()).unwrap();
-        assert_eq!(shard.replicas(), 2);
-        assert_eq!(shard.health(), EngineHealth::Ready);
+        let opts = ServeOptions { workers: 1, ..Default::default() };
+        let shard = ShardedEngine::new(Arc::clone(&m), 2, &opts).unwrap();
         let img = Tensor::random([1, 4, 8, 8], Layout::Nchw, 9, 1.0).unwrap();
-        let outs = shard.infer(&img).unwrap();
+        let req = shard.make_request();
+        req.fill(&img).unwrap();
+        shard.submit(&req).unwrap();
+        req.wait().unwrap();
 
         let mut stacked = Tensor::zeros([2, 4, 8, 8], Layout::Nchw).unwrap();
         let n = img.data().len();
@@ -345,238 +108,23 @@ mod tests {
         let img2 = img.data().to_vec();
         stacked.data_mut()[n..].copy_from_slice(&img2);
         let direct = m.run(std::slice::from_ref(&stacked)).unwrap();
-        assert_eq!(outs[0].data(), &direct[0].data()[..outs[0].data().len()]);
-        shard.shutdown();
-        assert_eq!(shard.health(), EngineHealth::Stopped);
+        req.with_outputs(|outs| {
+            assert_eq!(outs[0].data(), &direct[0].data()[..outs[0].data().len()]);
+        })
+        .unwrap();
+
+        let rep = shard.report().fleet;
+        assert_eq!(rep.workers, 2, "2 replicas × 1 worker is one 2-worker engine: {rep}");
+        assert_eq!((rep.completed, rep.stolen), (1, 0), "{rep}");
     }
 
     #[test]
     fn invalid_replica_counts_are_config_errors() {
         let m = batched_module(2);
-        for n in [0, MAX_REPLICAS + 1] {
-            let err = ShardedEngine::new(Arc::clone(&m), n, &shard_opts()).unwrap_err();
+        let opts = ServeOptions { workers: 2, ..Default::default() };
+        for n in [0, usize::MAX] {
+            let err = ShardedEngine::new(Arc::clone(&m), n, &opts).unwrap_err();
             assert!(matches!(err, NeoError::Config(_)), "unexpected: {err}");
         }
-    }
-
-    #[test]
-    fn merged_percentiles_stay_nan_on_empty_and_merge_counters() {
-        let shard = ShardedEngine::new(batched_module(2), 2, &shard_opts()).unwrap();
-        let rep = shard.report();
-        assert_eq!(rep.replicas.len(), 2);
-        assert_eq!(rep.fleet.completed, 0);
-        assert_eq!(rep.fleet.latency_samples, 0);
-        assert!(
-            rep.fleet.p50_ms.is_nan() && rep.fleet.p95_ms.is_nan() && rep.fleet.p99_ms.is_nan(),
-            "merged percentiles over zero samples must be NaN: {}",
-            rep.fleet
-        );
-        assert_eq!(rep.fleet.workers, 2, "fleet workers are summed across replicas");
-
-        let img = Tensor::random([1, 4, 8, 8], Layout::Nchw, 2, 1.0).unwrap();
-        for _ in 0..4 {
-            shard.infer(&img).unwrap();
-        }
-        let rep = shard.report();
-        assert_eq!(rep.fleet.completed, 4);
-        assert_eq!(
-            rep.fleet.completed,
-            rep.replicas.iter().map(|r| r.completed).sum::<u64>(),
-            "fleet counters are the sum of replica counters"
-        );
-        assert_eq!(
-            rep.fleet.latency_samples,
-            rep.replicas.iter().map(|r| r.latency_samples).sum::<usize>(),
-            "fleet percentiles pool every replica's raw samples"
-        );
-        assert!(rep.fleet.p50_ms > 0.0);
-        shard.shutdown();
-    }
-
-    #[test]
-    fn idle_replica_steals_from_a_busy_sibling() {
-        // Build the fleet, then submit a pile of requests *directly* to
-        // replica 0, bypassing the dispatcher. Replica 0's single worker
-        // cannot keep its queue empty while running batches, so replica
-        // 1's idle worker must claim some of the backlog via stealing.
-        let m = batched_module(1); // B = 1: every request is its own batch
-        let shard = ShardedEngine::new(m, 2, &shard_opts()).unwrap();
-        const N: usize = 96;
-        let img = Tensor::random([1, 4, 8, 8], Layout::Nchw, 7, 1.0).unwrap();
-        let reqs: Vec<Arc<Request>> = (0..N)
-            .map(|_| {
-                let r = shard.make_request();
-                r.fill(&img).unwrap();
-                shard.replica(0).submit(&r).unwrap();
-                r
-            })
-            .collect();
-        for r in &reqs {
-            r.wait().unwrap();
-        }
-        let rep = shard.report();
-        assert_eq!(rep.fleet.completed, N as u64, "{}", rep.fleet);
-        assert!(
-            rep.replicas[1].stolen > 0,
-            "replica 1 never stole from replica 0's backlog: {}",
-            rep.fleet
-        );
-        assert!(
-            rep.replicas[1].completed > 0,
-            "stolen requests must complete on the stealing replica"
-        );
-        shard.shutdown();
-    }
-
-    #[test]
-    fn fleet_survives_a_stopped_replica() {
-        // Kill replica 0 outright; dispatch must route around it and the
-        // fleet keeps serving on replica 1.
-        let shard = ShardedEngine::new(batched_module(2), 2, &shard_opts()).unwrap();
-        shard.replica(0).shutdown();
-        assert_eq!(shard.replica(0).health(), EngineHealth::Stopped);
-        assert_eq!(shard.health(), EngineHealth::Ready, "fleet serves while any replica serves");
-        let img = Tensor::random([1, 4, 8, 8], Layout::Nchw, 4, 1.0).unwrap();
-        for _ in 0..6 {
-            shard.infer(&img).unwrap();
-        }
-        let rep = shard.report();
-        assert_eq!(rep.fleet.completed, 6);
-        assert_eq!(rep.replicas[0].completed, 0, "a stopped replica must not be dispatched to");
-        assert_eq!(rep.replicas[1].completed, 6);
-        shard.shutdown();
-        assert_eq!(shard.health(), EngineHealth::Stopped);
-    }
-
-    #[test]
-    fn interactive_request_caps_batch_formation() {
-        // With a batch-4 module and a long batch timeout, a lone *bulk*
-        // request makes the worker wait out the timeout hoping to
-        // coalesce; a lone *interactive* request must be dispatched
-        // immediately instead. The contrast is deterministic: only the
-        // latency class changes between the two submissions.
-        let m = batched_module(4);
-        let timeout = Duration::from_millis(600);
-        let opts = ServeOptions { batch_timeout: timeout, ..shard_opts() };
-        let shard = ShardedEngine::new(m, 1, &opts).unwrap();
-        let img = Tensor::random([1, 4, 8, 8], Layout::Nchw, 6, 1.0).unwrap();
-
-        let bulk = shard.make_request();
-        bulk.fill(&img).unwrap();
-        let t0 = Instant::now();
-        shard.submit(&bulk).unwrap();
-        bulk.wait().unwrap();
-        let bulk_elapsed = t0.elapsed();
-
-        let hot = shard.make_request();
-        hot.set_latency_class(LatencyClass::Interactive).unwrap();
-        hot.fill(&img).unwrap();
-        let t0 = Instant::now();
-        shard.submit(&hot).unwrap();
-        hot.wait().unwrap();
-        let hot_elapsed = t0.elapsed();
-
-        assert!(
-            bulk_elapsed >= timeout,
-            "a lone bulk request should wait out the batch timeout ({bulk_elapsed:?})"
-        );
-        assert!(
-            hot_elapsed < timeout / 2,
-            "an interactive request must not wait for batch coalescing \
-             (took {hot_elapsed:?}, timeout {timeout:?})"
-        );
-        shard.shutdown();
-    }
-
-    #[test]
-    fn interactive_class_overtakes_queued_bulk_work() {
-        // Heavier module so the single worker holds a real backlog, then
-        // an interactive request submitted last must overtake the queued
-        // bulk requests via the high-priority lane.
-        let mut b = GraphBuilder::new(31);
-        let x = b.input([1, 16, 32, 32]);
-        let c1 = b.conv_bn_relu(x, 32, 3, 1, 1);
-        let c2 = b.conv_bn_relu(c1, 32, 3, 1, 1);
-        let g = b.finish(vec![c2]);
-        let opts = CompileOptions::level(OptLevel::O2).with_pool(PoolChoice::Sequential);
-        let m = Arc::new(compile(&g, &CpuTarget::host(), &opts).unwrap());
-
-        let shard = ShardedEngine::new(m, 1, &shard_opts()).unwrap();
-        let img = Tensor::random([1, 16, 32, 32], Layout::Nchw, 6, 1.0).unwrap();
-        let bulk: Vec<Arc<Request>> = (0..24)
-            .map(|_| {
-                let r = shard.make_request();
-                r.fill(&img).unwrap();
-                shard.submit(&r).unwrap();
-                r
-            })
-            .collect();
-        let hot = shard.make_request();
-        hot.set_latency_class(LatencyClass::Interactive).unwrap();
-        hot.fill(&img).unwrap();
-        shard.submit(&hot).unwrap();
-        hot.wait().unwrap();
-        // The interactive request finished while bulk work was still
-        // queued — it did not wait for the tail of the bulk backlog.
-        let depth_at_hot_completion = shard.queue_depth();
-        for r in &bulk {
-            r.wait().unwrap();
-        }
-        assert!(
-            depth_at_hot_completion > 0,
-            "interactive request should complete while bulk work is still queued"
-        );
-        shard.shutdown();
-    }
-
-    #[test]
-    fn two_engines_bind_disjoint_cores_by_default() {
-        // The cross-engine pile-up regression: two engines constructed
-        // independently must not pin their workers to the same cores when
-        // the cpuset has room for both.
-        let m = batched_module(2);
-        let opts = ServeOptions { workers: 1, ..Default::default() };
-        let e1 = ServeEngine::new(Arc::clone(&m), &opts).unwrap();
-        let e2 = ServeEngine::new(Arc::clone(&m), &opts).unwrap();
-        // Engines must have claimed *some* core set wherever binding is
-        // supported at all.
-        let (Some(s1), Some(s2)) = (e1.core_set(), e2.core_set()) else {
-            // No affinity support on this host; nothing to assert.
-            return;
-        };
-        let total = s1.len() + s2.len();
-        if affinity::allowed_cores().len() >= total {
-            assert!(
-                s1.is_disjoint(s2),
-                "two engines reserved overlapping cores {:?} / {:?} on a cpuset with room",
-                s1.cores(),
-                s2.cores()
-            );
-        }
-        // Wherever the kernel accepted the binding, the observed masks
-        // must lie inside each engine's own set — and therefore be
-        // disjoint across engines when the sets are.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let observed = |e: &ServeEngine| -> Vec<usize> {
-            e.bound_cores().into_iter().flatten().collect()
-        };
-        // Workers record their mask right after spawn; give them a beat.
-        while (observed(&e1).is_empty() || observed(&e2).is_empty())
-            && Instant::now() < deadline
-            && cfg!(all(target_os = "linux", target_arch = "x86_64"))
-        {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        for (e, set) in [(&e1, s1), (&e2, s2)] {
-            for core in observed(e) {
-                assert!(
-                    set.contains(core),
-                    "worker bound to core {core}, outside its engine's set {:?}",
-                    set.cores()
-                );
-            }
-        }
-        e1.shutdown();
-        e2.shutdown();
     }
 }

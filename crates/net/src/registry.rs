@@ -1,10 +1,10 @@
 //! The multi-model registry: compiles a set of `(model, dtype)` routes,
-//! owns one [`ShardedEngine`] per route, and answers routing queries for
+//! owns one [`ServeEngine`] per route, and answers routing queries for
 //! the TCP server. One process serves ResNet-50, Inception-v3, and
 //! MobileNet (plus int8 variants of the quantized zoo) from independent
-//! engine fleets — each with its own batch memory plan and worker pool
-//! partitioned onto its own cores, so a slow model cannot head-of-line
-//! block a fast one and two routes never contend for the same core.
+//! engines — each with its own batch memory plan and worker pool on its
+//! own reserved cores, so a slow model cannot head-of-line block a fast
+//! one and two routes never contend for the same core.
 //!
 //! Routes whose planned working set is small next to the heaviest route
 //! are classed [`LatencyClass::Interactive`]: their requests jump the
@@ -16,8 +16,8 @@ use std::time::Duration;
 
 use neocpu::{
     compile, compile_quantized, CompileOptions, CpuTarget, EngineHealth, LatencyClass, Module,
-    NeoError, OptLevel, PoolChoice, QuantizeOptions, Result, ServeOptions, ServeReport,
-    ShardReport, ShardedEngine,
+    NeoError, OptLevel, PoolChoice, QuantizeOptions, Result, ServeEngine, ServeOptions,
+    ServeReport,
 };
 use neocpu_models::{build, quantized_zoo, ModelKind, ModelScale};
 
@@ -92,9 +92,8 @@ pub struct RegistryEntry {
     /// The compiled module the engine executes — kept so callers (tests,
     /// benches) can run reference inferences without recompiling.
     pub module: Arc<Module>,
-    /// The replicated engine fleet executing this route (`replicas: 1`
-    /// behaves exactly like a single `ServeEngine`).
-    pub engine: ShardedEngine,
+    /// The engine executing this route.
+    pub engine: ServeEngine,
     /// The latency class this route's requests default to.
     pub latency_class: LatencyClass,
     /// Exact per-request input payload size: one image as LE `f32` bytes.
@@ -139,26 +138,12 @@ impl ModelRegistry {
     /// Fails on a compile error, a duplicate `(model, dtype)` route, or an
     /// empty spec list.
     pub fn compile(specs: &[ModelSpec], opts: &ServeOptions) -> Result<Self> {
-        Self::compile_replicated(specs, opts, 1)
-    }
-
-    /// Compiles every spec and starts a fleet of `replicas` engines per
-    /// route, each replica core-partitioned (see [`ShardedEngine::new`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`ModelRegistry::compile`], plus invalid replica counts.
-    pub fn compile_replicated(
-        specs: &[ModelSpec],
-        opts: &ServeOptions,
-        replicas: usize,
-    ) -> Result<Self> {
         let mut modules = Vec::with_capacity(specs.len());
         for spec in specs {
             let (module, quantized) = spec.compile()?;
             modules.push((*spec, module, quantized));
         }
-        Self::from_compiled(modules, opts, replicas)
+        Self::from_compiled(modules, opts)
     }
 
     /// Builds a registry from already-compiled modules — the test suites
@@ -171,31 +156,12 @@ impl ModelRegistry {
         modules: Vec<(ModelSpec, Arc<Module>)>,
         opts: &ServeOptions,
     ) -> Result<Self> {
-        Self::from_modules_replicated(modules, opts, 1)
-    }
-
-    /// [`ModelRegistry::from_modules`] with `replicas` engines per route.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ModelRegistry::from_modules`], plus invalid
-    /// replica counts.
-    pub fn from_modules_replicated(
-        modules: Vec<(ModelSpec, Arc<Module>)>,
-        opts: &ServeOptions,
-        replicas: usize,
-    ) -> Result<Self> {
-        Self::from_compiled(
-            modules.into_iter().map(|(spec, m)| (spec, m, 0)).collect(),
-            opts,
-            replicas,
-        )
+        Self::from_compiled(modules.into_iter().map(|(spec, m)| (spec, m, 0)).collect(), opts)
     }
 
     fn from_compiled(
         modules: Vec<(ModelSpec, Arc<Module>, usize)>,
         opts: &ServeOptions,
-        replicas: usize,
     ) -> Result<Self> {
         if modules.is_empty() {
             return Err(NeoError::Config("registry needs at least one route".into()));
@@ -241,11 +207,8 @@ impl ModelRegistry {
             } else {
                 opts.latency_class
             };
-            let engine = ShardedEngine::new(
-                Arc::clone(&module),
-                replicas,
-                &ServeOptions { latency_class, ..opts.clone() },
-            )?;
+            let route_opts = ServeOptions { latency_class, ..opts.clone() };
+            let engine = ServeEngine::new(Arc::clone(&module), &route_opts)?;
             entries.push(RegistryEntry {
                 spec,
                 module,
@@ -344,15 +307,8 @@ impl ModelRegistry {
         });
     }
 
-    /// Per-route fleet-level serve reports, parallel to
-    /// [`ModelRegistry::entries`] (counters summed and percentiles pooled
-    /// across each route's replicas).
+    /// Per-route serve reports, parallel to [`ModelRegistry::entries`].
     pub fn reports(&self) -> Vec<(ModelSpec, ServeReport)> {
-        self.entries.iter().map(|e| (e.spec, e.engine.report().fleet)).collect()
-    }
-
-    /// Per-route sharded reports (fleet plus per-replica breakdown).
-    pub fn shard_reports(&self) -> Vec<(ModelSpec, ShardReport)> {
         self.entries.iter().map(|e| (e.spec, e.engine.report())).collect()
     }
 }

@@ -37,7 +37,7 @@ pub struct WorkloadKey {
     /// The convolution workload.
     pub params: Conv2dParams,
     /// Activation element type the schemes were tuned for. `F32` keys
-    /// serialize without a suffix, as pre-quantization databases wrote them.
+    /// serialize without a suffix.
     pub dtype: DType,
 }
 
@@ -65,11 +65,7 @@ impl fmt::Display for DbError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::BadHeader { found } => {
-                write!(
-                    f,
-                    "bad scheme-db header: expected 'neocpu-scheme-db v1', 'v2' or 'v3', \
-                     found '{found}'"
-                )
+                write!(f, "bad scheme-db header: expected '{HEADER}', found '{found}'")
             }
             Self::Line { line, reason } => write!(f, "scheme-db line {line}: {reason}"),
             Self::Io(e) => write!(f, "scheme-db i/o error: {e}"),
@@ -84,6 +80,9 @@ impl From<io::Error> for DbError {
         Self::Io(e)
     }
 }
+
+/// The one header line the text format carries.
+const HEADER: &str = "neocpu-scheme-db v3";
 
 /// In-memory scheme cache with text-file persistence.
 #[derive(Debug, Default, Clone)]
@@ -206,11 +205,10 @@ impl SchemeDatabase {
             .or_insert_with(compute)
     }
 
-    /// Serializes to the text format: the `v3` header, then one row per
-    /// scheme with its dataflow token spelled out. (The reader also takes
-    /// the older headers and token-less rows; the writer has one shape.)
+    /// Serializes to the text format: the header, then one row per scheme
+    /// with its dataflow token spelled out.
     pub fn to_text(&self) -> String {
-        let mut s = String::from("neocpu-scheme-db v3\n");
+        let mut s = format!("{HEADER}\n");
         let mut keys: Vec<&WorkloadKey> = self.entries.keys().collect();
         keys.sort_by(|a, b| {
             (&a.target, fmt_workload(&a.params, a.dtype))
@@ -322,10 +320,7 @@ fn parse_into(
 ) -> Result<(), DbError> {
     let mut lines = text.lines();
     let header = lines.next().unwrap_or("");
-    if header != "neocpu-scheme-db v1"
-        && header != "neocpu-scheme-db v2"
-        && header != "neocpu-scheme-db v3"
-    {
+    if header != HEADER {
         on_err(DbError::BadHeader { found: header.to_string() })?;
     }
     for (no, line) in lines.enumerate() {
@@ -359,35 +354,25 @@ fn parse_line(line: &str) -> Result<(WorkloadKey, RankedScheme), String> {
     let (params, dtype) =
         parse_workload(params_field).ok_or_else(|| format!("bad workload '{params_field}'"))?;
     let nums: Vec<&str> = f.collect();
-    // v1/v2 rows carry 5 scheme fields; v3 rows insert a dataflow token
-    // before the time. An absent token means output-stationary, so old
-    // files parse unchanged.
-    if nums.len() != 5 && nums.len() != 6 {
-        return Err(format!("expected 5 scheme fields (v1/v2) or 6 (v3), found {}", nums.len()));
-    }
+    let [ic_bn, oc_bn, reg_n, unroll, dataflow, time_field] = nums[..] else {
+        return Err(format!("expected 6 scheme fields, found {}", nums.len()));
+    };
     let int = |s: &str, what: &str| -> Result<usize, String> {
         s.parse().map_err(|_| format!("{what} '{s}' is not an unsigned integer"))
     };
-    let dataflow = if nums.len() == 6 {
-        Dataflow::from_token(nums[4]).ok_or_else(|| {
-            format!("dataflow token '{}' is not one of os/sr", nums[4])
-        })?
-    } else {
-        Dataflow::OutputStationary
-    };
     let schedule = ConvSchedule {
-        ic_bn: int(nums[0], "ic_bn")?,
-        oc_bn: int(nums[1], "oc_bn")?,
-        reg_n: int(nums[2], "reg_n")?,
-        unroll_ker: match nums[3] {
+        ic_bn: int(ic_bn, "ic_bn")?,
+        oc_bn: int(oc_bn, "oc_bn")?,
+        reg_n: int(reg_n, "reg_n")?,
+        unroll_ker: match unroll {
             "0" => false,
             "1" => true,
             other => return Err(format!("unroll flag '{other}' is not 0 or 1")),
         },
-        dataflow,
+        dataflow: Dataflow::from_token(dataflow)
+            .ok_or_else(|| format!("dataflow token '{dataflow}' is not one of os/sr"))?,
     };
     schedule.validate(&params).map_err(|e| format!("invalid scheme for its workload: {e}"))?;
-    let time_field = nums[nums.len() - 1];
     let time: f32 =
         time_field.parse().map_err(|_| format!("time '{time_field}' is not a number"))?;
     if !time.is_finite() || time < 0.0 {
@@ -402,8 +387,7 @@ fn parse_line(line: &str) -> Result<(WorkloadKey, RankedScheme), String> {
 /// This is the single definition of the key grammar — [`parse_workload`] is
 /// its exact inverse, and both `put` and `get` key through the same
 /// [`WorkloadKey`] it round-trips. Both optional suffixes are omitted at
-/// their defaults (`groups == 1`, `dtype == f32`), which is also how the
-/// oldest files on disk spell dense-f32 keys.
+/// their defaults (`groups == 1`, `dtype == f32`).
 fn fmt_workload(p: &Conv2dParams, dtype: DType) -> String {
     let groups = if p.groups > 1 { format!("g{}", p.groups) } else { String::new() };
     let dt = if dtype != DType::F32 { format!("d{dtype}") } else { String::new() };
@@ -425,8 +409,7 @@ fn fmt_workload(p: &Conv2dParams, dtype: DType) -> String {
 }
 
 /// Inverse of [`fmt_workload`]. Both suffixes are optional (absent means
-/// `groups == 1` / f32), so v1 files and PR-4-era `g{groups}` files parse
-/// unchanged.
+/// `groups == 1` / f32).
 fn parse_workload(s: &str) -> Option<(Conv2dParams, DType)> {
     let (chans, rest) = s.split_once('k')?;
     let (kern, rest) = rest.split_once('s')?;
@@ -550,35 +533,6 @@ mod tests {
     }
 
     #[test]
-    fn loads_v1_and_pr4_era_files() {
-        // A v1 file predating both the groups and dtype suffixes, plus a
-        // PR-4-era row carrying only the `g{groups}` suffix: both must load
-        // and answer f32 lookups through old and new entry points alike.
-        let text = "neocpu-scheme-db v1\n\
-            host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 1.25e-4\n\
-            host 64x64x28x28k3x3s1x1p1x1g64 16 16 8 0 3e-5\n";
-        let db = SchemeDatabase::from_text(text).unwrap();
-        let dense = Conv2dParams::square(64, 128, 28, 3, 1, 1);
-        let dw = Conv2dParams::depthwise(64, 28, 3, 1, 1);
-        assert!(db.get("host", &dense).is_some());
-        assert_eq!(
-            db.get("host", &dense).unwrap()[0].schedule,
-            db.get_dtyped("host", &dense, DType::F32).unwrap()[0].schedule
-        );
-        assert!(db.get("host", &dw).is_some());
-        // Re-serializing upgrades the file to the one format the writer
-        // emits, and that loads back to the same schemes.
-        let upgraded = db.to_text();
-        assert_eq!(
-            upgraded,
-            "neocpu-scheme-db v3\n\
-             host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 os 1.25e-4\n\
-             host 64x64x28x28k3x3s1x1p1x1g64 16 16 8 0 os 3e-5\n"
-        );
-        assert_eq!(SchemeDatabase::from_text(&upgraded).unwrap().to_text(), upgraded);
-    }
-
-    #[test]
     fn v3_dataflow_keys_survive_put_get_merge_and_text() {
         let p = Conv2dParams::square(64, 128, 28, 3, 1, 1);
         let os = RankedScheme {
@@ -657,16 +611,8 @@ mod tests {
     }
 
     #[test]
-    fn v2_header_without_int8_rows_still_parses() {
-        let text = "neocpu-scheme-db v2\nhost 64x128x28x28k3x3s1x1p1x1 16 16 8 1 1e-4\n";
-        let db = SchemeDatabase::from_text(text).unwrap();
-        let p = Conv2dParams::square(64, 128, 28, 3, 1, 1);
-        assert!(db.get("host", &p).is_some());
-    }
-
-    #[test]
     fn rejects_bad_dtype_suffix() {
-        let text = "neocpu-scheme-db v2\nhost 64x128x28x28k3x3s1x1p1x1df16 16 16 8 1 1e-4\n";
+        let text = "neocpu-scheme-db v3\nhost 64x128x28x28k3x3s1x1p1x1df16 16 16 8 1 os 1e-4\n";
         let err = SchemeDatabase::from_text(text).unwrap_err();
         assert!(matches!(err, DbError::Line { line: 2, .. }), "got {err:?}");
     }
@@ -746,11 +692,29 @@ mod tests {
             SchemeDatabase::from_text("nope\n"),
             Err(DbError::BadHeader { .. })
         ));
-        let bad = "neocpu-scheme-db v1\nfoo bar\n";
+        let bad = "neocpu-scheme-db v3\nfoo bar\n";
         assert!(matches!(
             SchemeDatabase::from_text(bad),
             Err(DbError::Line { line: 2, .. })
         ));
+    }
+
+    #[test]
+    fn only_the_v3_header_and_six_field_rows_parse() {
+        let v1 = "neocpu-scheme-db v1\nhost 64x128x28x28k3x3s1x1p1x1 16 16 8 1 1e-4\n";
+        match SchemeDatabase::from_text(v1) {
+            Err(e @ DbError::BadHeader { .. }) => {
+                assert!(e.to_string().contains("'neocpu-scheme-db v3'"), "message was: {e}")
+            }
+            other => panic!("expected a bad header, got {other:?}"),
+        }
+        let five = "neocpu-scheme-db v3\nhost 64x128x28x28k3x3s1x1p1x1 16 16 8 1 1e-4\n";
+        match SchemeDatabase::from_text(five) {
+            Err(DbError::Line { line: 2, reason }) => {
+                assert!(reason.contains("6 scheme fields"), "reason was: {reason}")
+            }
+            other => panic!("expected a line-2 error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -772,13 +736,13 @@ mod tests {
     #[test]
     fn rejects_truncated_last_line() {
         // The second row was cut off mid-write, losing its trailing fields.
-        let text = "neocpu-scheme-db v1\n\
-            host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 1e-4\n\
+        let text = "neocpu-scheme-db v3\n\
+            host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 os 1e-4\n\
             host 64x128x28x28k3x3s1x1p1x1 8 32\n";
         let err = SchemeDatabase::from_text(text).unwrap_err();
         match err {
             DbError::Line { line: 3, reason } => {
-                assert!(reason.contains("5 scheme fields"), "reason was: {reason}")
+                assert!(reason.contains("6 scheme fields"), "reason was: {reason}")
             }
             other => panic!("expected line-3 error, got {other:?}"),
         }
@@ -787,7 +751,7 @@ mod tests {
     #[test]
     fn rejects_non_finite_and_negative_times() {
         for bad_time in ["NaN", "inf", "-1.0"] {
-            let text = format!("neocpu-scheme-db v1\nhost 64x128x28x28k3x3s1x1p1x1 16 16 8 1 {bad_time}\n");
+            let text = format!("neocpu-scheme-db v3\nhost 64x128x28x28k3x3s1x1p1x1 16 16 8 1 os {bad_time}\n");
             let err = SchemeDatabase::from_text(&text).unwrap_err();
             assert!(matches!(err, DbError::Line { line: 2, .. }), "{bad_time}: got {err:?}");
         }
@@ -797,10 +761,10 @@ mod tests {
     fn rejects_schemes_invalid_for_their_workload() {
         // ic_bn 48 does not divide 64; reg_n 0 is out of range.
         for bad in [
-            "host 64x128x28x28k3x3s1x1p1x1 48 16 8 1 1e-4",
-            "host 64x128x28x28k3x3s1x1p1x1 16 16 0 1 1e-4",
+            "host 64x128x28x28k3x3s1x1p1x1 48 16 8 1 os 1e-4",
+            "host 64x128x28x28k3x3s1x1p1x1 16 16 0 1 os 1e-4",
         ] {
-            let text = format!("neocpu-scheme-db v1\n{bad}\n");
+            let text = format!("neocpu-scheme-db v3\n{bad}\n");
             let err = SchemeDatabase::from_text(&text).unwrap_err();
             match err {
                 DbError::Line { line: 2, reason } => {
@@ -813,8 +777,8 @@ mod tests {
 
     #[test]
     fn rejects_duplicate_rows() {
-        let row = "host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 1e-4";
-        let text = format!("neocpu-scheme-db v1\n{row}\n{row}\n");
+        let row = "host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 os 1e-4";
+        let text = format!("neocpu-scheme-db v3\n{row}\n{row}\n");
         let err = SchemeDatabase::from_text(&text).unwrap_err();
         match err {
             DbError::Line { line: 3, reason } => {
@@ -826,9 +790,9 @@ mod tests {
 
     #[test]
     fn lenient_parse_skips_and_reports() {
-        let good = "host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 1e-4";
+        let good = "host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 os 1e-4";
         let text = format!(
-            "neocpu-scheme-db v1\n{good}\ntotal garbage\n{good}\nhost 64x128x28x28k3x3s1x1p1x1 48 16 8 1 1e-4\n"
+            "neocpu-scheme-db v3\n{good}\ntotal garbage\n{good}\nhost 64x128x28x28k3x3s1x1p1x1 48 16 8 1 os 1e-4\n"
         );
         let (db, skipped) = SchemeDatabase::from_text_lenient(&text);
         // The good row survives; the duplicate, the garbage line, and the
@@ -848,16 +812,16 @@ mod tests {
     #[test]
     fn lenient_parse_distrusts_file_with_bad_header() {
         let (db, skipped) =
-            SchemeDatabase::from_text_lenient("who knows\nhost 64x128x28x28k3x3s1x1p1x1 16 16 8 1 1e-4\n");
+            SchemeDatabase::from_text_lenient("who knows\nhost 64x128x28x28k3x3s1x1p1x1 16 16 8 1 os 1e-4\n");
         assert!(db.is_empty());
         assert!(matches!(skipped[0], DbError::BadHeader { .. }));
     }
 
     #[test]
     fn lenient_sorts_surviving_schemes_by_time() {
-        let text = "neocpu-scheme-db v1\n\
-            host 64x128x28x28k3x3s1x1p1x1 8 32 4 0 2.5e-4\n\
-            host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 1.25e-4\n";
+        let text = "neocpu-scheme-db v3\n\
+            host 64x128x28x28k3x3s1x1p1x1 8 32 4 0 os 2.5e-4\n\
+            host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 os 1.25e-4\n";
         let (db, skipped) = SchemeDatabase::from_text_lenient(text);
         assert!(skipped.is_empty());
         let p = Conv2dParams::square(64, 128, 28, 3, 1, 1);

@@ -1,5 +1,5 @@
 //! Best-effort thread-to-core binding, cpuset enumeration, and core
-//! partitioning.
+//! reservation.
 //!
 //! The paper binds each worker to a disjoint physical core "to minimize the
 //! hardware contention". On Linux this is `sched_setaffinity(2)`; to stay
@@ -22,9 +22,7 @@
 //!    out slots from a process-global cursor so independent engines land
 //!    on disjoint cores by default (when enough cores exist).
 //!
-//! [`CoreSet`] is the currency: an ordered set of usable core indices that
-//! can be carved into per-replica partitions ([`CoreSet::partition`]) for
-//! sharded serving.
+//! [`CoreSet`] is the currency: an ordered set of usable core indices.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -36,8 +34,7 @@ pub const MAX_CPUS: usize = 1024;
 ///
 /// Construction sorts, dedups, and drops indices `>= MAX_CPUS`. The set is
 /// the unit of core accounting everywhere above this module: engines carry
-/// a `CoreSet` describing where their workers may pin, and
-/// [`CoreSet::partition`] carves one set into per-replica slices.
+/// a `CoreSet` describing where their workers may pin.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CoreSet {
     cores: Vec<usize>,
@@ -81,38 +78,6 @@ impl CoreSet {
             return None;
         }
         Some(self.cores[slot % self.cores.len()])
-    }
-
-    /// Carves the set into `n` per-replica partitions.
-    ///
-    /// With `len >= n` the partitions are contiguous, disjoint, cover the
-    /// whole set, and differ in size by at most one (earlier partitions get
-    /// the remainder). With fewer cores than partitions, true disjointness
-    /// is impossible; each partition degrades to a single core assigned
-    /// round-robin (partitions overlap but are never empty), so replicas
-    /// time-share rather than fail to start.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero or the set is empty.
-    pub fn partition(&self, n: usize) -> Vec<CoreSet> {
-        assert!(n > 0, "cannot carve a core set into zero partitions");
-        assert!(!self.is_empty(), "cannot partition an empty core set");
-        if self.cores.len() < n {
-            return (0..n)
-                .map(|i| CoreSet { cores: vec![self.cores[i % self.cores.len()]] })
-                .collect();
-        }
-        let base = self.cores.len() / n;
-        let extra = self.cores.len() % n;
-        let mut out = Vec::with_capacity(n);
-        let mut at = 0;
-        for i in 0..n {
-            let take = base + usize::from(i < extra);
-            out.push(CoreSet { cores: self.cores[at..at + take].to_vec() });
-            at += take;
-        }
-        out
     }
 
     /// Whether `self` and `other` share no cores.
@@ -343,33 +308,6 @@ mod tests {
         assert_eq!(set.core_at(0), Some(1));
         assert_eq!(set.core_at(4), Some(3), "core_at wraps modulo len");
         assert_eq!(CoreSet::from_cores([]).core_at(0), None);
-    }
-
-    #[test]
-    fn partition_is_disjoint_and_covering_when_cores_suffice() {
-        let set = CoreSet::from_cores(0..7);
-        let parts = set.partition(3);
-        assert_eq!(parts.len(), 3);
-        // Sizes differ by at most one, earlier partitions get the extra.
-        assert_eq!(parts.iter().map(CoreSet::len).collect::<Vec<_>>(), vec![3, 2, 2]);
-        for i in 0..parts.len() {
-            for j in i + 1..parts.len() {
-                assert!(parts[i].is_disjoint(&parts[j]), "partitions {i}/{j} overlap");
-            }
-        }
-        let mut union: Vec<usize> = parts.iter().flat_map(|p| p.cores().iter().copied()).collect();
-        union.sort_unstable();
-        assert_eq!(union, set.cores(), "partitions must cover the set");
-    }
-
-    #[test]
-    fn partition_degrades_round_robin_when_cores_are_scarce() {
-        let set = CoreSet::from_cores([4, 5]);
-        let parts = set.partition(5);
-        assert_eq!(parts.len(), 5);
-        assert!(parts.iter().all(|p| p.len() == 1), "scarce partitions are single-core");
-        let picked: Vec<usize> = parts.iter().map(|p| p.cores()[0]).collect();
-        assert_eq!(picked, vec![4, 5, 4, 5, 4], "round-robin assignment");
     }
 
     #[test]
