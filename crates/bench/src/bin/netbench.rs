@@ -1,7 +1,7 @@
-//! Wire-level serving driver (EXPERIMENTS.md E11) — the TCP counterpart of
-//! `bin/serve`, speaking the `neocpu-net` binary protocol end to end.
+//! Wire-level serving driver (EXPERIMENTS.md E11), speaking the
+//! `neocpu-net` binary protocol end to end across two processes.
 //!
-//! Three modes:
+//! Two modes:
 //!
 //! - `--serve [--port N]`: compile the default registry (ResNet-50,
 //!   Inception-v3, MobileNet; `--int8` adds the quantized-zoo routes),
@@ -9,13 +9,10 @@
 //!   `net-serve-smoke` job asserts the exit code proves a clean drain.
 //! - `--addr HOST:PORT`: drive `--clients` concurrent client threads,
 //!   `--requests` frames each, round-robin across every route, printing
-//!   the E11 latency/outcome table (and a `--json` summary line).
-//! - `--smoke`: in-process server + wire clients + hard assertions
-//!   (every request `Ok`, health `Ready` → drain → `Stopped`), the mode
-//!   the `bench` orchestrator records as the E11 trajectory row.
+//!   the E11 latency/outcome table.
 //!
 //! Shared flags: `--int8`, `--full`, `--batch N`, `--workers N` (per
-//! route), `--requests N`, `--clients N`, `--deadline-us N`, `--json`.
+//! route), `--requests N`, `--clients N`, `--deadline-us N`.
 //! Client flags `--int8`/`--full` must match the server's so both sides
 //! derive the same route list and payload sizes.
 
@@ -34,7 +31,6 @@ use neocpu_net::{
 #[derive(Debug, Clone)]
 struct Cfg {
     serve: bool,
-    smoke: bool,
     port: u16,
     addr: Option<String>,
     int8: bool,
@@ -44,14 +40,12 @@ struct Cfg {
     clients: usize,
     requests: usize,
     deadline_us: u32,
-    json: bool,
 }
 
 impl Default for Cfg {
     fn default() -> Self {
         Self {
             serve: false,
-            smoke: false,
             port: 7740,
             addr: None,
             int8: false,
@@ -61,7 +55,6 @@ impl Default for Cfg {
             clients: 4,
             requests: 16,
             deadline_us: 0,
-            json: false,
         }
     }
 }
@@ -73,10 +66,8 @@ fn parse_args() -> Cfg {
     while i < args.len() {
         match args[i].as_str() {
             "--serve" => cfg.serve = true,
-            "--smoke" => cfg.smoke = true,
             "--int8" => cfg.int8 = true,
             "--full" => cfg.full = true,
-            "--json" => cfg.json = true,
             "--port" if i + 1 < args.len() => {
                 cfg.port = args[i + 1].parse().unwrap_or(cfg.port);
                 i += 1;
@@ -384,13 +375,9 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-fn jnum(v: f64) -> String {
-    if v.is_finite() { format!("{v:.6}") } else { "null".to_string() }
-}
-
-/// Drives `cfg.clients` threads against `addr` and prints the E11 table.
-/// Returns the merged tally and the wall time of the drive.
-fn drive(addr: &str, specs: &[ModelSpec], cfg: &Cfg) -> (Tally, f64) {
+/// Drives `cfg.clients` threads against `addr`, prints the E11 table and
+/// returns the merged tally.
+fn drive(addr: &str, specs: &[ModelSpec], cfg: &Cfg) -> Tally {
     let t0 = Instant::now();
     let mut merged = Tally::default();
     std::thread::scope(|s| {
@@ -432,28 +419,7 @@ fn drive(addr: &str, specs: &[ModelSpec], cfg: &Cfg) -> (Tally, f64) {
     if let Some(fault) = &merged.fault {
         println!("first protocol fault: {fault}");
     }
-    (merged, wall)
-}
-
-fn emit_json(cfg: &Cfg, merged: &Tally, wall: f64, pass: Option<bool>) {
-    let mut sorted = merged.latencies_ms.clone();
-    sorted.sort_by(f64::total_cmp);
-    println!(
-        "{{\"bench\":\"netbench\",\"mode\":\"{}\",\"int8\":{},\"clients\":{},\"requests\":{},\"ok\":{},\"busy\":{},\"deadline\":{},\"shutdown\":{},\"error\":{},\"p50_ms\":{},\"p95_ms\":{},\"req_per_s\":{}{}}}",
-        if cfg.smoke { "smoke" } else { "client" },
-        cfg.int8,
-        cfg.clients,
-        cfg.requests,
-        merged.ok,
-        merged.busy,
-        merged.deadline,
-        merged.shutdown,
-        merged.error,
-        jnum(percentile(&sorted, 0.50)),
-        jnum(percentile(&sorted, 0.95)),
-        jnum(merged.total() as f64 / wall.max(1e-9)),
-        pass.map_or(String::new(), |p| format!(",\"pass\":{p}")),
-    );
+    merged
 }
 
 /// `--serve`: run the registry behind a TCP listener until SIGTERM, then
@@ -493,71 +459,13 @@ fn serve_mode(cfg: &Cfg) -> i32 {
     }
 }
 
-/// `--smoke`: in-process server, wire clients, hard assertions; the E11
-/// trajectory row.
-fn smoke_mode(cfg: &Cfg) -> i32 {
-    let specs = default_specs(cfg.int8, cfg.full, cfg.batch);
-    let registry = compile_registry(cfg);
-    let server = NetServer::bind(Arc::clone(&registry), ("127.0.0.1", 0))
-        .expect("bind an ephemeral port");
-    let addr = server.local_addr().to_string();
-    let mut pass = true;
-
-    if server.health() != EngineHealth::Ready {
-        println!("FAIL: server not Ready after bind ({})", server.health());
-        pass = false;
-    }
-    match query_health(&addr, &specs[0]) {
-        Ok(EngineHealth::Ready) => {}
-        other => {
-            println!("FAIL: wire health probe returned {other:?} (want Ready)");
-            pass = false;
-        }
-    }
-
-    let (merged, wall) = drive(&addr, &specs, cfg);
-    let want = (cfg.clients * cfg.requests) as u64;
-    if merged.ok != want {
-        println!("FAIL: {}/{want} requests returned Ok", merged.ok);
-        pass = false;
-    }
-    if let Some(fault) = &merged.fault {
-        println!("FAIL: protocol fault: {fault}");
-        pass = false;
-    }
-
-    server.shutdown_within(Duration::from_secs(10));
-    if server.health() != EngineHealth::Stopped {
-        println!("FAIL: server not Stopped after drain ({})", server.health());
-        pass = false;
-    }
-    for (spec, report) in registry.reports() {
-        if report.completed == 0 {
-            println!(
-                "FAIL: route {} {} served nothing",
-                spec.kind.name(),
-                spec.dtype
-            );
-            pass = false;
-        }
-    }
-    println!("netbench --smoke: {}", if pass { "PASS" } else { "FAIL" });
-    if cfg.json {
-        emit_json(cfg, &merged, wall, Some(pass));
-    }
-    i32::from(!pass)
-}
-
 /// `--addr`: pure client mode against an already-running server.
 fn client_mode(cfg: &Cfg, addr: &str) -> i32 {
     let specs = default_specs(cfg.int8, cfg.full, cfg.batch);
-    let (merged, wall) = drive(addr, &specs, cfg);
+    let merged = drive(addr, &specs, cfg);
     match query_health(addr, &specs[0]) {
         Ok(h) => println!("server health: {h}"),
         Err(e) => println!("health probe failed: {e}"),
-    }
-    if cfg.json {
-        emit_json(cfg, &merged, wall, None);
     }
     // Client mode fails only on protocol faults or zero completions —
     // Busy/Deadline are legitimate backpressure outcomes.
@@ -568,12 +476,10 @@ fn main() {
     let cfg = parse_args();
     let code = if cfg.serve {
         serve_mode(&cfg)
-    } else if cfg.smoke {
-        smoke_mode(&cfg)
     } else if let Some(addr) = cfg.addr.clone() {
         client_mode(&cfg, &addr)
     } else {
-        eprintln!("netbench: pick a mode: --serve, --smoke, or --addr HOST:PORT");
+        eprintln!("netbench: pick a mode: --serve or --addr HOST:PORT");
         2
     };
     std::process::exit(code);

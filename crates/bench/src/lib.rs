@@ -10,8 +10,6 @@
 //! | Figure 4 — thread-pool strong scaling | [`run_fig4`] | `fig4` |
 //! | §3.3.2 — PBQP vs DP quality | [`run_pbqp_quality`] | `pbqp_quality` |
 //! | §3.3.1 — local-search behaviour per workload | [`run_local_search`] | `local_search` |
-//! | Memory planner — arena peak + allocation counts | [`run_memplan`] | `memplan` |
-//! | Serving engine — throughput vs concurrency (E8) | [`run_serve`] | `serve` |
 //!
 //! Microbenchmarks (Criterion) for the conv template, thread pools, layout
 //! transforms, and the solvers live in `benches/`.
@@ -19,16 +17,10 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use neocpu::{
-    compile, compile_quantized, compile_with_pool, CompileOptions, CpuTarget, EngineHealth,
-    Module, OptLevel, PoolChoice, QuantizeOptions, SearchStrategy, ServeEngine, ServeOptions,
-    ShedPolicy,
-};
+use neocpu::{compile_with_pool, CompileOptions, CpuTarget, Module, OptLevel, SearchStrategy};
 use neocpu_kernels::conv::{conv2d_nchwc, conv2d_nchwc_u8, Conv2dParams, ConvQuant, Epilogue};
 use neocpu_kernels::quantize::quantize_dense_weights;
 use neocpu_models::{build, ModelKind, ModelScale};
@@ -49,28 +41,6 @@ pub struct HarnessCfg {
     pub threads: usize,
     /// Model subset (empty = experiment default).
     pub models: Vec<ModelKind>,
-    /// `serve` only: CI smoke mode (small model, hard assertions).
-    pub smoke: bool,
-    /// `serve` only: engine worker threads (each owns one `RunContext`).
-    pub workers: usize,
-    /// `serve` only: client-thread counts to sweep (empty = 1,2,4,8).
-    pub clients: Vec<usize>,
-    /// `serve` only: requests each client sends.
-    pub requests: usize,
-    /// `serve` only: batch size B the module is compiled at (the
-    /// batcher's ceiling).
-    pub batch: usize,
-    /// `serve` only: per-request deadline applied engine-wide (`None` =
-    /// no deadline; expired requests are shed before execution).
-    pub deadline_ms: Option<u64>,
-    /// `serve` only: admission policy when the bounded queue is full.
-    pub shed: ShedPolicy,
-    /// Emit a machine-readable single-line JSON summary as the last line
-    /// of stdout (consumed by the `bench` orchestrator).
-    pub json: bool,
-    /// `serve` only: compile the served model through the int8 quantized
-    /// pipeline (`compile_quantized`) instead of plain f32.
-    pub int8: bool,
 }
 
 impl Default for HarnessCfg {
@@ -81,24 +51,13 @@ impl Default for HarnessCfg {
             warmup: 1,
             threads: 1,
             models: Vec::new(),
-            smoke: false,
-            workers: 2,
-            clients: Vec::new(),
-            requests: 32,
-            batch: 4,
-            deadline_ms: None,
-            shed: ShedPolicy::RejectNewest,
-            json: false,
-            int8: false,
         }
     }
 }
 
 impl HarnessCfg {
-    /// Parses `--full`, `--reps N`, `--warmup N`, `--threads N`,
-    /// `--models a,b`, `--json`, and the `serve` flags `--smoke`, `--int8`,
-    /// `--workers N`, `--clients a,b`, `--requests N`, `--batch N`,
-    /// `--deadline-ms N`, `--shed newest|oldest` from `std::env::args`.
+    /// Parses `--full`, `--reps N`, `--warmup N`, `--threads N` and
+    /// `--models a,b` from `std::env::args`.
     pub fn from_args() -> Self {
         let mut cfg = Self::default();
         let args: Vec<String> = std::env::args().skip(1).collect();
@@ -120,41 +79,6 @@ impl HarnessCfg {
                 }
                 "--models" if i + 1 < args.len() => {
                     cfg.models = args[i + 1].split(',').filter_map(ModelKind::parse).collect();
-                    i += 1;
-                }
-                "--smoke" => cfg.smoke = true,
-                "--json" => cfg.json = true,
-                "--int8" => cfg.int8 = true,
-                "--workers" if i + 1 < args.len() => {
-                    cfg.workers = args[i + 1].parse().unwrap_or(cfg.workers);
-                    i += 1;
-                }
-                "--clients" if i + 1 < args.len() => {
-                    cfg.clients =
-                        args[i + 1].split(',').filter_map(|n| n.parse().ok()).collect();
-                    i += 1;
-                }
-                "--requests" if i + 1 < args.len() => {
-                    cfg.requests = args[i + 1].parse().unwrap_or(cfg.requests);
-                    i += 1;
-                }
-                "--batch" if i + 1 < args.len() => {
-                    cfg.batch = args[i + 1].parse().unwrap_or(cfg.batch);
-                    i += 1;
-                }
-                "--deadline-ms" if i + 1 < args.len() => {
-                    cfg.deadline_ms = args[i + 1].parse().ok();
-                    i += 1;
-                }
-                "--shed" if i + 1 < args.len() => {
-                    cfg.shed = match args[i + 1].as_str() {
-                        "oldest" => ShedPolicy::ShedOldest,
-                        "newest" => ShedPolicy::RejectNewest,
-                        other => {
-                            eprintln!("ignoring unknown --shed policy {other}");
-                            cfg.shed
-                        }
-                    };
                     i += 1;
                 }
                 other => eprintln!("ignoring unknown flag {other}"),
@@ -183,10 +107,6 @@ pub struct Stats {
     pub mean_ms: f64,
     /// Standard error of the mean (ms).
     pub std_err_ms: f64,
-    /// Median latency (ms).
-    pub p50_ms: f64,
-    /// 95th-percentile latency (ms).
-    pub p95_ms: f64,
 }
 
 impl std::fmt::Display for Stats {
@@ -209,32 +129,7 @@ pub fn measure(module: &Module, input: &Tensor, warmup: usize, reps: usize) -> S
     let mean = samples.iter().sum::<f64>() / samples.len() as f64;
     let var = samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>()
         / samples.len().max(2).saturating_sub(1) as f64;
-    let mut sorted = samples.clone();
-    sorted.sort_by(f64::total_cmp);
-    Stats {
-        mean_ms: mean,
-        std_err_ms: (var / samples.len() as f64).sqrt(),
-        p50_ms: percentile(&sorted, 0.50),
-        p95_ms: percentile(&sorted, 0.95),
-    }
-}
-
-/// Nearest-rank percentile of an ascending-sorted sample set.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let idx = (q * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-/// Formats an f64 for JSON: finite values as-is, everything else `null`.
-fn jnum(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
+    Stats { mean_ms: mean, std_err_ms: (var / samples.len() as f64).sqrt() }
 }
 
 /// The three software stacks Table 2 compares, mapped onto this
@@ -584,7 +479,6 @@ pub fn run_table2(cfg: &HarnessCfg) {
     );
     let mut neo_wins = 0usize;
     let mut total = 0usize;
-    let mut json_rows = Vec::new();
     for kind in models {
         let lib = bench_stack(kind, Stack::LibraryStyle, cfg, &mut db);
         let tf = bench_stack(kind, Stack::TfLike, cfg, &mut db);
@@ -605,15 +499,6 @@ pub fn run_table2(cfg: &HarnessCfg) {
             tf.to_string(),
             neo.to_string()
         );
-        json_rows.push(format!(
-            "{{\"model\":\"{}\",\"library_ms\":{},\"tf_ms\":{},\"neo_ms\":{},\"neo_p50_ms\":{},\"neo_p95_ms\":{},\"best\":\"{best}\"}}",
-            kind.name(),
-            jnum(lib.mean_ms),
-            jnum(tf.mean_ms),
-            jnum(neo.mean_ms),
-            jnum(neo.p50_ms),
-            jnum(neo.p95_ms),
-        ));
     }
     println!("\nNeoCPU best on {neo_wins}/{total} models (paper: 13/15 Intel, 14/15 AMD, 15/15 ARM)");
 
@@ -642,44 +527,6 @@ pub fn run_table2(cfg: &HarnessCfg) {
         println!(
             "{:<34} {:>10.1} {:>12.1} {:>9} {:>8.2}x",
             r.name, r.os_us, r.best_us, r.best_dataflow, r.speedup
-        );
-    }
-
-    if cfg.json {
-        let micro_rows: Vec<String> = micro
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"workload\":\"{}\",\"f32_us\":{},\"int8_us\":{},\"speedup\":{}}}",
-                    r.name,
-                    jnum(r.f32_us),
-                    jnum(r.int8_us),
-                    jnum(r.speedup),
-                )
-            })
-            .collect();
-        let df_rows: Vec<String> = dfs
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"workload\":\"{}\",\"os_us\":{},\"best_us\":{},\"best_dataflow\":\"{}\",\"speedup\":{}}}",
-                    r.name,
-                    jnum(r.os_us),
-                    jnum(r.best_us),
-                    r.best_dataflow,
-                    jnum(r.speedup),
-                )
-            })
-            .collect();
-        println!(
-            "{{\"bench\":\"table2\",\"scale\":\"{}\",\"reps\":{},\"threads\":{},\"neo_wins\":{neo_wins},\"total\":{total},\"models\":[{}],\"int8_micro\":{{\"max_lanes\":{INT8_MICRO_MAX_LANES},\"rows\":[{}],\"geomean_speedup\":{}}},\"dataflow_sweep\":[{}]}}",
-            if cfg.full { "full" } else { "reduced" },
-            cfg.reps,
-            cfg.threads,
-            json_rows.join(","),
-            micro_rows.join(","),
-            jnum(geomean),
-            df_rows.join(","),
         );
     }
 }
@@ -733,66 +580,9 @@ pub fn run_table3(cfg: &HarnessCfg) {
     println!("\n(paper at full scale: Layout Opt. 4.08–8.33×, Transform Elim. 5.51–9.33×, Global Search 6.89–12.49×)");
 }
 
-/// A [`Parallelism`] wrapper counting parallel regions per inference, used
-/// to calibrate the Figure 4 strong-scaling projection.
-pub struct CountingPool {
-    inner: Sequential,
-    regions: AtomicU64,
-}
-
-impl CountingPool {
-    /// Creates a fresh counter.
-    pub fn new() -> Self {
-        Self { inner: Sequential, regions: AtomicU64::new(0) }
-    }
-
-    /// Regions observed so far.
-    pub fn regions(&self) -> u64 {
-        self.regions.load(Ordering::Relaxed)
-    }
-}
-
-impl Default for CountingPool {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Parallelism for CountingPool {
-    fn num_threads(&self) -> usize {
-        1
-    }
-
-    fn run(&self, total: usize, body: &(dyn Fn(usize, Range<usize>) + Sync)) {
-        self.regions.fetch_add(1, Ordering::Relaxed);
-        self.inner.run(total, body);
-    }
-}
-
-/// Measures the per-region fork-join overhead of a pool (µs).
-pub fn region_overhead_us(pool: &dyn Parallelism, regions: usize) -> f64 {
-    let sink = AtomicU64::new(0);
-    // Warm the pool (threads parked/woken at least once).
-    pool.run(pool.num_threads(), &|_, r| {
-        sink.fetch_add(r.len() as u64, Ordering::Relaxed);
-    });
-    let t0 = Instant::now();
-    for _ in 0..regions {
-        pool.run(pool.num_threads(), &|_, r| {
-            sink.fetch_add(r.len() as u64, Ordering::Relaxed);
-        });
-    }
-    t0.elapsed().as_secs_f64() / regions as f64 * 1e6
-}
-
 /// Figure 4: images/sec as a function of thread count for the custom pool
-/// vs the OpenMP-like pool.
-///
-/// Two tables are printed: *measured* throughput on this host (meaningful
-/// up to the host's physical core count) and a *projection* for the
-/// paper's core counts, computed from the measured single-thread work and
-/// the measured per-region overhead of each pool:
-/// `T(n) = T₁/n + regions · overhead(n)`.
+/// vs the OpenMP-like pool, measured at every thread count the host can
+/// run in parallel (up to 8).
 pub fn run_fig4(cfg: &HarnessCfg) {
     use ModelKind::*;
     let models = if cfg.models.is_empty() {
@@ -810,32 +600,7 @@ pub fn run_fig4(cfg: &HarnessCfg) {
         let input = Tensor::random([1, 3, scale.input, scale.input], Layout::Nchw, 7, 1.0)
             .expect("valid input");
         let opts = CompileOptions::level(OptLevel::O2);
-
-        // Calibration: serial time and region count per inference.
-        let counter = Arc::new(CountingPool::new());
-        let module = compile_with_pool(
-            &graph,
-            &target,
-            &opts,
-            Arc::clone(&counter) as Arc<dyn Parallelism>,
-            &mut db,
-        )
-        .expect("compilation succeeds");
-        let serial = measure(&module, &input, cfg.warmup, cfg.reps);
-        let before = counter.regions();
-        module.run(std::slice::from_ref(&input)).expect("inference");
-        let regions = (counter.regions() - before) as f64;
-
-        println!(
-            "\nFigure 4 — {} (batch 1): serial {:.2} ms, {} parallel regions/inference",
-            kind.name(),
-            serial.mean_ms,
-            regions as u64
-        );
-
-        // Measured on-host throughput (only thread counts the host can
-        // genuinely run in parallel are meaningful).
-        println!("measured on this host ({host_cores} hardware threads):");
+        println!("\nFigure 4 — {} (batch 1), {host_cores} hardware threads:", kind.name());
         println!("{:>8} {:>16} {:>16}", "threads", "custom (img/s)", "omp-like (img/s)");
         for n in 1..=host_cores.min(8) {
             let mut row = Vec::new();
@@ -848,45 +613,8 @@ pub fn run_fig4(cfg: &HarnessCfg) {
             }
             println!("{n:>8} {:>16.2} {:>16.2}", row[0], row[1]);
         }
-
-        // Projection for the paper's core counts. Per-region overheads are
-        // *measured* where the host has enough cores to run the pool
-        // un-oversubscribed; beyond that they fall back to calibration
-        // constants representative of multicore hardware (custom pool: one
-        // SPSC push + unpark per worker; OMP-like: broadcast wake plus a
-        // contended mutex per worker) — DESIGN.md's Figure 4 substitution.
-        println!(
-            "projection (T(n) = T1/n + R*ovh(n)); overheads measured up to {host_cores} threads, modelled beyond:"
-        );
-        println!("{:>8} {:>16} {:>16}", "threads", "custom (img/s)", "omp-like (img/s)");
-        for &n in &[1usize, 2, 4, 8, 12, 16, 18] {
-            let (o_custom, o_omp) = overheads_us(n, host_cores);
-            let t_custom = serial.mean_ms / n as f64 + regions * o_custom / 1e3;
-            let t_omp = serial.mean_ms / n as f64 + regions * o_omp / 1e3;
-            println!("{n:>8} {:>16.2} {:>16.2}", 1e3 / t_custom, 1e3 / t_omp);
-        }
     }
     println!("\n(paper: the custom pool scales further than every OpenMP-backed stack in Figures 4a-4c)");
-}
-
-
-/// Per-region overheads (µs) for the custom and OMP-like pools at `n`
-/// threads: measured when the host can run `n` threads on distinct cores,
-/// modelled otherwise (see `run_fig4`).
-fn overheads_us(n: usize, host_cores: usize) -> (f64, f64) {
-    if n == 1 {
-        return (0.0, 0.0);
-    }
-    if n <= host_cores {
-        (
-            region_overhead_us(&ThreadPool::new(n), 300),
-            region_overhead_us(&OmpLikePool::new(n), 300),
-        )
-    } else {
-        // Calibration constants representative of multicore x86 servers:
-        // SPSC push + unpark per worker vs broadcast wake + contended lock.
-        (0.8 + 0.15 * (n as f64 - 1.0), 4.0 + 1.2 * (n as f64 - 1.0))
-    }
 }
 
 /// §3.3.2 validation: PBQP quality vs DP across the model zoo, with solve
@@ -934,370 +662,6 @@ pub fn run_pbqp_quality(cfg: &HarnessCfg) {
         "\n(paper: PBQP achieves at least 88% of the best available result; >100% here means\n\
          PBQP beat the Algorithm 2 DP, which is itself approximate on non-forest graphs)"
     );
-}
-
-/// Memory-planner report across the zoo: planned arena peak vs. the naive
-/// sum of intermediate outputs, reuse decisions, planned conv scratch, and
-/// *measured* heap allocations per inference on the warm paths.
-///
-/// `alloc_count` reads the caller's counting global allocator (the
-/// `memplan` binary installs one); allocation columns report `-` when the
-/// counter never moves between probes (no counting allocator installed).
-pub fn run_memplan(cfg: &HarnessCfg, alloc_count: &dyn Fn() -> u64) {
-    let models = if cfg.models.is_empty() { neocpu_models::zoo() } else { cfg.models.clone() };
-    let target = CpuTarget::host();
-    println!(
-        "Memory planner — arena peak and steady-state allocations (O2, {} scale, {} thread(s))",
-        if cfg.full { "FULL" } else { "reduced" },
-        cfg.threads,
-    );
-    println!(
-        "{:<16} {:>6} {:>11} {:>11} {:>7} {:>6} {:>12} {:>11} {:>11}",
-        "model",
-        "nodes",
-        "naive (MB)",
-        "arena (MB)",
-        "saved",
-        "reuse",
-        "scratch (KB)",
-        "allocs/ctx",
-        "allocs/run"
-    );
-    let mb = |bytes: usize| bytes as f64 / (1024.0 * 1024.0);
-    let mut json_rows = Vec::new();
-    for kind in models {
-        let scale = cfg.scale(kind);
-        let graph = build(kind, scale, 42);
-        let opts = CompileOptions::level(OptLevel::O2).with_threads(cfg.threads);
-        let module = compile(&graph, &target, &opts).expect("compilation succeeds");
-        let mem = *module.memory_report();
-        let input = Tensor::random([1, 3, scale.input, scale.input], Layout::Nchw, 7, 1.0)
-            .expect("valid input");
-        let reps = cfg.reps.max(1) as u64;
-
-        // Warm explicit-context path: the zero-allocation contract.
-        let mut ctx = module.make_context();
-        for _ in 0..cfg.warmup.max(1) {
-            module.run_with(&mut ctx, std::slice::from_ref(&input)).expect("warm-up");
-        }
-        let before = alloc_count();
-        for _ in 0..reps {
-            module.run_with(&mut ctx, std::slice::from_ref(&input)).expect("inference");
-        }
-        let ctx_allocs = (alloc_count() - before) as f64 / reps as f64;
-
-        // Pooled `run` path: allowed exactly the detached output tensors.
-        for _ in 0..cfg.warmup.max(1) {
-            module.run(std::slice::from_ref(&input)).expect("warm-up");
-        }
-        let before = alloc_count();
-        for _ in 0..reps {
-            module.run(std::slice::from_ref(&input)).expect("inference");
-        }
-        let run_allocs = (alloc_count() - before) as f64 / reps as f64;
-
-        let counting = alloc_count() > 0;
-        let fmt_allocs =
-            |v: f64| if counting { format!("{v:.1}") } else { "-".to_string() };
-        println!(
-            "{:<16} {:>6} {:>11.2} {:>11.2} {:>6.1}% {:>6} {:>12.1} {:>11} {:>11}",
-            kind.name(),
-            module.graph().len(),
-            mb(mem.naive_bytes),
-            mb(mem.planned_peak_bytes),
-            100.0 * (1.0 - mem.planned_peak_bytes as f64 / mem.naive_bytes.max(1) as f64),
-            mem.reused,
-            mem.scratch_bytes as f64 / 1024.0,
-            fmt_allocs(ctx_allocs),
-            fmt_allocs(run_allocs),
-        );
-        json_rows.push(format!(
-            "{{\"model\":\"{}\",\"nodes\":{},\"naive_mb\":{},\"arena_mb\":{},\"saved_pct\":{},\"reuse\":{},\"scratch_kb\":{},\"allocs_ctx\":{},\"allocs_run\":{}}}",
-            kind.name(),
-            module.graph().len(),
-            jnum(mb(mem.naive_bytes)),
-            jnum(mb(mem.planned_peak_bytes)),
-            jnum(100.0 * (1.0 - mem.planned_peak_bytes as f64 / mem.naive_bytes.max(1) as f64)),
-            mem.reused,
-            jnum(mem.scratch_bytes as f64 / 1024.0),
-            if counting { jnum(ctx_allocs) } else { "null".to_string() },
-            if counting { jnum(run_allocs) } else { "null".to_string() },
-        ));
-    }
-    println!(
-        "\n(allocs/ctx: heap allocations per warm inference on a caller-owned RunContext — \
-         the executor's contract is 0;\n allocs/run: per pooled Module::run, which clones \
-         only the output tensors out of the arena)"
-    );
-    if cfg.json {
-        println!(
-            "{{\"bench\":\"memplan\",\"scale\":\"{}\",\"threads\":{},\"rows\":[{}]}}",
-            if cfg.full { "full" } else { "reduced" },
-            cfg.threads,
-            json_rows.join(","),
-        );
-    }
-}
-
-/// Compiles `kind` at batch `cfg.batch` for the serving engine: O2 with a
-/// sequential in-module pool — the engine's workers are the parallelism,
-/// one inference per core (module §-level rationale in `neocpu::serve`).
-///
-/// With `--int8` the module goes through the quantized pipeline instead:
-/// auto-calibrated per-layer int8 with the f32 accuracy gate. Returns the
-/// number of convs that took the int8 path (0 without `--int8`).
-fn compile_for_serving(kind: ModelKind, cfg: &HarnessCfg) -> (Arc<Module>, ModelScale, usize) {
-    let scale = cfg.scale(kind).with_batch(cfg.batch.max(1));
-    let graph = build(kind, scale, 42);
-    let opts = CompileOptions::level(OptLevel::O2).with_pool(PoolChoice::Sequential);
-    if cfg.int8 {
-        let (module, report) =
-            compile_quantized(&graph, &CpuTarget::host(), &opts, &QuantizeOptions::default())
-                .expect("quantized compilation succeeds");
-        assert!(
-            !report.fell_back,
-            "{}: int8 accuracy gate rejected the quantized module (err {})",
-            kind.name(),
-            report.max_abs_error
-        );
-        (Arc::new(module), scale, report.quantized)
-    } else {
-        let module =
-            Arc::new(compile(&graph, &CpuTarget::host(), &opts).expect("compilation succeeds"));
-        (module, scale, 0)
-    }
-}
-
-/// Serving-engine options derived from the harness flags: `workers`
-/// (floored at `min_workers`), `--deadline-ms`, and `--shed`.
-fn serve_options(cfg: &HarnessCfg, min_workers: usize) -> ServeOptions {
-    ServeOptions {
-        workers: cfg.workers.max(min_workers),
-        default_deadline: cfg.deadline_ms.map(Duration::from_millis),
-        shed_policy: cfg.shed,
-        ..Default::default()
-    }
-}
-
-/// Drives `clients` concurrent client threads against `engine`, each
-/// looping `per_client` requests on its own pre-allocated slot. Returns
-/// (completed, failed) as counted by the clients themselves.
-fn drive_clients(
-    engine: &ServeEngine,
-    clients: usize,
-    per_client: usize,
-    input: usize,
-) -> (u64, u64) {
-    let ok = AtomicU64::new(0);
-    let failed = AtomicU64::new(0);
-    std::thread::scope(|s| {
-        for c in 0..clients {
-            let (ok, failed) = (&ok, &failed);
-            s.spawn(move || {
-                let req = engine.make_request();
-                let img =
-                    Tensor::random([1, 3, input, input], Layout::Nchw, c as u64 + 1, 1.0)
-                        .expect("valid client input");
-                req.fill(&img).expect("fill pre-allocated slot");
-                for _ in 0..per_client {
-                    if engine.submit(&req).is_err() {
-                        failed.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    match req.wait() {
-                        Ok(()) => ok.fetch_add(1, Ordering::Relaxed),
-                        Err(_) => failed.fetch_add(1, Ordering::Relaxed),
-                    };
-                }
-            });
-        }
-    });
-    (ok.load(Ordering::Relaxed), failed.load(Ordering::Relaxed))
-}
-
-/// CI smoke: a small model served by ≥ 2 workers under concurrent clients,
-/// asserting every request completes, batches actually coalesce, and the
-/// warm fill → submit → wait cycle performs zero heap allocations.
-fn serve_smoke(cfg: &HarnessCfg, alloc_count: &dyn Fn() -> u64) -> bool {
-    // MobileNet by default: the smoke run then covers the depthwise
-    // template (blocked kernel, scratch padding, fused epilogue) end to
-    // end on the serving path.
-    let kind = cfg.models.first().copied().unwrap_or(ModelKind::MobileNet);
-    let (module, scale, quantized) = compile_for_serving(kind, cfg);
-    if cfg.int8 {
-        // The smoke must genuinely exercise the int8 kernels, not silently
-        // degrade to an all-f32 plan.
-        assert!(quantized >= 1, "{}: --int8 smoke quantized no convs", kind.name());
-    }
-    let engine =
-        ServeEngine::new(Arc::clone(&module), &serve_options(cfg, 2)).expect("engine starts");
-    println!(
-        "serve --smoke: {} batch {}{} | {:?}",
-        kind.name(),
-        engine.module_batch(),
-        if cfg.int8 { format!(" ({quantized} int8 convs)") } else { String::new() },
-        engine
-    );
-
-    let mut pass = true;
-    if engine.health() != EngineHealth::Ready {
-        println!("FAIL: engine not Ready after construction ({})", engine.health());
-        pass = false;
-    }
-    let clients = 4usize;
-    let per_client = cfg.requests.clamp(8, 64);
-    let want = (clients * per_client) as u64;
-    let (ok, failed) = drive_clients(&engine, clients, per_client, scale.input);
-    if ok != want || failed != 0 {
-        println!("FAIL: {ok}/{want} requests completed, {failed} failed");
-        pass = false;
-    }
-    let report = engine.report();
-    println!("{report}");
-    if report.multi_batches == 0 {
-        println!(
-            "FAIL: no multi-request batch formed under {clients} concurrent clients \
-             (batcher never coalesced)"
-        );
-        pass = false;
-    }
-
-    // Zero-alloc contract on the serve path: one warm slot, measured loop.
-    let req = engine.make_request();
-    let img = Tensor::random([1, 3, scale.input, scale.input], Layout::Nchw, 7, 1.0)
-        .expect("valid input");
-    req.fill(&img).expect("fill");
-    for _ in 0..3 {
-        engine.submit(&req).expect("warm submit");
-        req.wait().expect("warm wait");
-    }
-    let reps = 10u64;
-    let before = alloc_count();
-    for _ in 0..reps {
-        engine.submit(&req).expect("measured submit");
-        req.wait().expect("measured wait");
-    }
-    let delta = alloc_count() - before;
-    let counting = alloc_count() > 0;
-    if counting {
-        println!("allocs over {reps} warm serve cycles: {delta}");
-        if delta != 0 {
-            println!("FAIL: warm serve path allocated (contract is 0)");
-            pass = false;
-        }
-    } else {
-        println!("allocs over {reps} warm serve cycles: - (no counting allocator)");
-    }
-
-    engine.shutdown();
-    if engine.health() != EngineHealth::Stopped {
-        println!("FAIL: engine not Stopped after shutdown ({})", engine.health());
-        pass = false;
-    }
-    println!("serve --smoke: {}", if pass { "PASS" } else { "FAIL" });
-    if cfg.json {
-        println!(
-            "{{\"bench\":\"serve_smoke\",\"model\":\"{}\",\"int8\":{},\"quantized_convs\":{quantized},\"pass\":{pass}}}",
-            kind.name(),
-            cfg.int8,
-        );
-    }
-    pass
-}
-
-/// Throughput-vs-concurrency table (EXPERIMENTS.md E8): each model is
-/// compiled once at batch B and served by a fresh engine per client count;
-/// one memory plan backs every pooled context. MobileNet is the
-/// memory-bound depthwise workload of the trio.
-fn serve_table(cfg: &HarnessCfg) {
-    use ModelKind::*;
-    let models = if cfg.models.is_empty() {
-        vec![ResNet50, MobileNet, InceptionV3]
-    } else {
-        cfg.models.clone()
-    };
-    let client_counts: Vec<usize> =
-        if cfg.clients.is_empty() { vec![1, 2, 4, 8] } else { cfg.clients.clone() };
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "E8 — serving throughput vs concurrency ({} scale, batch {}, {} workers, \
-         {} reqs/client, {} hardware threads{})",
-        if cfg.full { "FULL" } else { "reduced" },
-        cfg.batch.max(1),
-        cfg.workers.max(1),
-        cfg.requests.max(1),
-        host_cores,
-        if cfg.int8 { ", int8 modules" } else { "" },
-    );
-    println!(
-        "{:<16} {:>8} {:>6} {:>6} {:>10} {:>10} {:>9} {:>9} {:>9} {:>10}",
-        "model", "clients", "ok", "fail", "img/s", "mean B", "p50 (ms)", "p95 (ms)", "p99 (ms)", "queue hwm"
-    );
-    let mut json_rows = Vec::new();
-    for kind in models {
-        let (module, scale, quantized) = compile_for_serving(kind, cfg);
-        for &n in &client_counts {
-            let engine = ServeEngine::new(Arc::clone(&module), &serve_options(cfg, 1))
-                .expect("engine starts");
-            let (ok, failed) = drive_clients(&engine, n, cfg.requests.max(1), scale.input);
-            let r = engine.report();
-            engine.shutdown();
-            println!(
-                "{:<16} {:>8} {:>6} {:>6} {:>10.2} {:>10.2} {:>9.2} {:>9.2} {:>9.2} {:>10}",
-                kind.name(),
-                n,
-                ok,
-                failed,
-                r.images_per_sec(),
-                r.mean_batch,
-                r.p50_ms,
-                r.p95_ms,
-                r.p99_ms,
-                r.queue_depth_hwm,
-            );
-            json_rows.push(format!(
-                "{{\"model\":\"{}\",\"clients\":{n},\"ok\":{ok},\"failed\":{failed},\"img_per_s\":{},\"mean_batch\":{},\"p50_ms\":{},\"p95_ms\":{},\"p99_ms\":{},\"queue_hwm\":{},\"quantized_convs\":{quantized}}}",
-                kind.name(),
-                jnum(r.images_per_sec()),
-                jnum(r.mean_batch),
-                jnum(r.p50_ms),
-                jnum(r.p95_ms),
-                jnum(r.p99_ms),
-                r.queue_depth_hwm,
-            ));
-        }
-    }
-    println!(
-        "\n(one compile + one memory plan per model, shared by every worker's context; \
-         mean B > 1 shows the dynamic batcher coalescing under load)"
-    );
-    if cfg.json {
-        println!(
-            "{{\"bench\":\"serve\",\"scale\":\"{}\",\"int8\":{},\"batch\":{},\"workers\":{},\"requests\":{},\"rows\":[{}]}}",
-            if cfg.full { "full" } else { "reduced" },
-            cfg.int8,
-            cfg.batch.max(1),
-            cfg.workers.max(1),
-            cfg.requests.max(1),
-            json_rows.join(","),
-        );
-    }
-}
-
-/// Serving-engine harness (`bin/serve`): `--smoke` runs the CI assertions
-/// and returns whether they passed; otherwise prints the E8
-/// throughput-vs-concurrency table and returns `true`.
-///
-/// `alloc_count` reads the caller's counting global allocator exactly as
-/// in [`run_memplan`]; without one the smoke mode skips (and reports `-`
-/// for) the zero-allocation check.
-pub fn run_serve(cfg: &HarnessCfg, alloc_count: &dyn Fn() -> u64) -> bool {
-    if cfg.smoke {
-        serve_smoke(cfg, alloc_count)
-    } else {
-        serve_table(cfg);
-        true
-    }
 }
 
 /// §3.3.1: local-search report for ResNet-50's distinct conv workloads.

@@ -33,10 +33,10 @@
 //!   the partial batch would only add latency). Under load batches fill
 //!   instantly; at low load the partial batch runs now.
 //! * **Deadlines**: a request filled via [`Request::fill_with_deadline`]
-//!   (or an engine-wide [`ServeOptions::default_deadline`]) expires at
-//!   submit time + budget. The batcher never executes an expired request —
-//!   it resolves it with [`NeoError::DeadlineExceeded`] — and
-//!   [`Request::wait`] cancels a request that expires while still queued.
+//!   expires at submit time + budget. The batcher never executes an
+//!   expired request — it resolves it with [`NeoError::DeadlineExceeded`]
+//!   — and [`Request::wait`] cancels a request that expires while still
+//!   queued.
 //! * **Load shedding**: [`ServeEngine::try_submit`] never blocks. On a
 //!   full queue it either rejects the new request with a typed
 //!   [`NeoError::Busy`] ([`ShedPolicy::RejectNewest`]) or sheds the oldest
@@ -56,10 +56,9 @@
 //!   admissions, drains what fits the budget, and fails the remainder with
 //!   [`NeoError::Shutdown`]; [`ServeEngine::shutdown`] drains everything.
 //! * Workers bind to distinct cores inside the engine's [`CoreSet`]
-//!   (best effort; see [`ServeOptions::bind_workers`] /
-//!   [`ServeOptions::core_set`]). Engines that do not pass an explicit
-//!   set reserve slots from a process-global cursor, so two engines in
-//!   one process land on disjoint cores by default.
+//!   (best effort, Linux only; see [`ServeEngine::core_set`]). Every
+//!   engine reserves its `workers` slots from a process-global cursor over
+//!   the cpuset, so two engines in one process land on disjoint cores.
 //! * **Latency classes**: a request (or a whole engine, via
 //!   [`ServeOptions::latency_class`]) marked [`LatencyClass::Interactive`]
 //!   is queued ahead of bulk work and caps batch formation at what is
@@ -131,8 +130,8 @@ pub enum LatencyClass {
 ///
 /// `Starting` exists only inside [`ServeEngine::new`]; a handle you can
 /// call is already `Ready`. `Draining` means admissions are closed but
-/// queued work may still complete. The future TCP frontend's readiness
-/// endpoint maps directly onto this state.
+/// queued work may still complete. The TCP frontend's health frames
+/// (`neocpu-net`) carry this state verbatim.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum EngineHealth {
@@ -186,8 +185,8 @@ impl std::fmt::Display for EngineHealth {
 /// Configuration of a [`ServeEngine`].
 ///
 /// Validated by [`ServeEngine::new`]: zero `workers`, `queue_cap`,
-/// `latency_capacity`, or `watchdog_interval` (and zero `stall_budget` /
-/// `default_deadline` when set) are rejected with [`NeoError::Config`].
+/// `latency_capacity`, or `watchdog_interval` (and a zero `stall_budget`
+/// when set) are rejected with [`NeoError::Config`].
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Worker threads, each owning one [`RunContext`] (≥ 1).
@@ -206,18 +205,6 @@ pub struct ServeOptions {
     /// (backpressure) until a worker drains it, and makes `try_submit`
     /// shed per [`ServeOptions::shed_policy`].
     pub queue_cap: usize,
-    /// Pin each worker to one core of the engine's [`CoreSet`] (best
-    /// effort, Linux only). With [`ServeOptions::core_set`] unset the
-    /// engine reserves `workers` slots from a process-global cursor over
-    /// the cpuset, so concurrently constructed engines land on disjoint
-    /// cores instead of all stacking onto `0..workers`.
-    pub bind_workers: bool,
-    /// Explicit cores for this engine's workers: worker `w` binds to the
-    /// `w`-th core of the set, wrapping when the set is smaller than the
-    /// worker count. `None` (default) reserves cores from the
-    /// process-global cursor. Ignored unless `bind_workers` is set; an
-    /// explicitly empty set is a configuration error.
-    pub core_set: Option<CoreSet>,
     /// Default [`LatencyClass`] for requests that did not set their own
     /// via [`Request::set_latency_class`]. A registry fronting several
     /// models marks small-model routes `Interactive` so their requests
@@ -226,10 +213,6 @@ pub struct ServeOptions {
     /// Latency samples retained for percentile reporting; older samples
     /// are overwritten ring-style so the warm path never reallocates.
     pub latency_capacity: usize,
-    /// Deadline budget applied to every request that did not set its own
-    /// via [`Request::fill_with_deadline`]. `None` (default) means
-    /// requests never expire.
-    pub default_deadline: Option<Duration>,
     /// What [`ServeEngine::try_submit`] does when the queue is full.
     pub shed_policy: ShedPolicy,
     /// If a worker stays busy on one batch longer than this, the watchdog
@@ -250,11 +233,8 @@ impl Default for ServeOptions {
             max_batch: 0,
             batch_timeout: Duration::from_millis(1),
             queue_cap: 256,
-            bind_workers: true,
-            core_set: None,
             latency_class: LatencyClass::Bulk,
             latency_capacity: 65_536,
-            default_deadline: None,
             shed_policy: ShedPolicy::RejectNewest,
             stall_budget: None,
             watchdog_interval: Duration::from_millis(10),
@@ -292,8 +272,8 @@ struct SlotInner {
     submitted: Instant,
     /// Per-request deadline budget set by [`Request::fill_with_deadline`].
     budget: Option<Duration>,
-    /// Absolute deadline, fixed at submit time (budget or the engine
-    /// default, added to the submission instant).
+    /// Absolute deadline, fixed at submit time (the budget added to the
+    /// submission instant).
     deadline: Option<Instant>,
     /// Scheduling class override; `None` falls back to the admitting
     /// engine's [`ServeOptions::latency_class`]. Persists across fills.
@@ -357,8 +337,7 @@ fn resolve_failure(req: &Request, seq: u64, err: &NeoError) -> bool {
 
 impl Request {
     /// Copies `data` into the slot's input buffer, resetting the slot for
-    /// (re-)submission with no per-request deadline (the engine's
-    /// [`ServeOptions::default_deadline`] still applies, if set).
+    /// (re-)submission with no deadline.
     ///
     /// # Errors
     ///
@@ -384,9 +363,9 @@ impl Request {
     /// Fills the slot's input straight from a little-endian `f32` byte
     /// stream (the wire protocol's payload encoding), avoiding the staging
     /// tensor a [`Request::fill`] caller would need. `budget` arms a
-    /// deadline exactly like [`Request::fill_with_deadline`]; `None` leaves
-    /// the engine default in force. Performs no heap allocations — this is
-    /// the networked frontend's warm decode path.
+    /// deadline exactly like [`Request::fill_with_deadline`]; `None` arms
+    /// none. Performs no heap allocations — this is the networked
+    /// frontend's warm decode path.
     ///
     /// # Errors
     ///
@@ -798,7 +777,6 @@ pub struct ServeEngine {
     input_layout: Layout,
     out_row_shapes: Vec<Shape>,
     out_layouts: Vec<Layout>,
-    default_deadline: Option<Duration>,
     shed_policy: ShedPolicy,
     latency_class: LatencyClass,
     cores: Option<CoreSet>,
@@ -821,16 +799,6 @@ fn validate(opts: &ServeOptions) -> Result<()> {
     if opts.stall_budget.is_some_and(|d| d.is_zero()) {
         return Err(NeoError::Config(
             "ServeOptions::stall_budget must be non-zero when set".into(),
-        ));
-    }
-    if opts.default_deadline.is_some_and(|d| d.is_zero()) {
-        return Err(NeoError::Config(
-            "ServeOptions::default_deadline must be non-zero when set".into(),
-        ));
-    }
-    if opts.core_set.as_ref().is_some_and(CoreSet::is_empty) {
-        return Err(NeoError::Config(
-            "ServeOptions::core_set must be non-empty when set".into(),
         ));
     }
     Ok(())
@@ -882,22 +850,12 @@ impl ServeEngine {
             .collect();
 
         let max_batch = if opts.max_batch == 0 { batch } else { opts.max_batch.min(batch) };
-        // Resolve where this engine's workers may pin: an explicit set
-        // wins; otherwise reserve slots from the process-global cursor so
+        // Reserve this engine's cores from the process-global cursor so
         // concurrently constructed engines do not stack onto the same
         // cores. A reservation that comes back empty (no affinity API)
         // degrades to unbound.
-        let cores = if opts.bind_workers {
-            match &opts.core_set {
-                Some(set) => Some(set.clone()),
-                None => {
-                    let reserved = affinity::reserve_cores(opts.workers);
-                    (!reserved.is_empty()).then_some(reserved)
-                }
-            }
-        } else {
-            None
-        };
+        let reserved = affinity::reserve_cores(opts.workers);
+        let cores = (!reserved.is_empty()).then_some(reserved);
         let shared = Arc::new(Shared {
             queue: Mutex::new(QueueInner {
                 hi: VecDeque::with_capacity(opts.queue_cap),
@@ -998,7 +956,6 @@ impl ServeEngine {
             input_layout,
             out_row_shapes,
             out_layouts,
-            default_deadline: opts.default_deadline,
             shed_policy: opts.shed_policy,
             latency_class: opts.latency_class,
             cores,
@@ -1006,8 +963,8 @@ impl ServeEngine {
         })
     }
 
-    /// The cores this engine's workers bind inside (`None` when binding
-    /// is disabled or unavailable).
+    /// The cores this engine's workers bind inside (`None` when the host
+    /// has no affinity API).
     pub fn core_set(&self) -> Option<&CoreSet> {
         self.cores.as_ref()
     }
@@ -1026,8 +983,8 @@ impl ServeEngine {
         self.batch
     }
 
-    /// Current engine lifecycle state (cheap: one atomic load). The future
-    /// networked frontend's readiness endpoint reads this.
+    /// Current engine lifecycle state (cheap: one atomic load). The
+    /// networked frontend answers health frames from this.
     pub fn health(&self) -> EngineHealth {
         self.shared.health()
     }
@@ -1112,8 +1069,7 @@ impl ServeEngine {
             inner.seq = inner.seq.wrapping_add(1);
             inner.state = SlotState::Queued;
             inner.submitted = now;
-            inner.deadline =
-                inner.budget.or(self.default_deadline).and_then(|b| now.checked_add(b));
+            inner.deadline = inner.budget.and_then(|b| now.checked_add(b));
             inner.engine = Arc::downgrade(&self.shared);
             (inner.seq, inner.deadline, inner.class.unwrap_or(self.latency_class))
         };
@@ -1942,7 +1898,6 @@ mod tests {
             ServeOptions { latency_capacity: 0, ..Default::default() },
             ServeOptions { watchdog_interval: Duration::ZERO, ..Default::default() },
             ServeOptions { stall_budget: Some(Duration::ZERO), ..Default::default() },
-            ServeOptions { default_deadline: Some(Duration::ZERO), ..Default::default() },
         ] {
             let err = ServeEngine::new(Arc::clone(&m), &opts).unwrap_err();
             assert!(matches!(err, NeoError::Config(_)), "expected Config error, got {err}");

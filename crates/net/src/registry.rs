@@ -32,7 +32,8 @@ pub struct ModelSpec {
     pub dtype: WireDtype,
     /// Workload scale (including the serving batch size).
     pub scale: ModelScale,
-    /// Weight seed (42 everywhere in serving, matching `bin/serve`).
+    /// Weight seed (42 everywhere in serving, so a route's weights are the
+    /// same in every process that builds it).
     pub seed: u64,
 }
 
@@ -105,8 +106,8 @@ pub struct RegistryEntry {
 }
 
 /// The default serving trio (f32), plus int8 variants of the quantized zoo
-/// when `int8` is set — exactly the models `bin/netbench` and the CI smoke
-/// serve from one process.
+/// when `int8` is set — the routes `netbench --serve` serves from one
+/// process and `netbench --addr` drives.
 pub fn default_specs(int8: bool, full: bool, batch: usize) -> Vec<ModelSpec> {
     let mut specs: Vec<ModelSpec> =
         [ModelKind::ResNet50, ModelKind::InceptionV3, ModelKind::MobileNet]

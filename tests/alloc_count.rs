@@ -262,60 +262,69 @@ fn warm_quantized_run_performs_zero_allocations() {
 
 fn warm_serve_cycle_performs_zero_allocations() {
     use std::sync::Arc;
-    use neocpu::{ServeEngine, ServeOptions};
+    use neocpu::{compile_quantized, QuantizeOptions, ServeEngine, ServeOptions};
 
     // The same tower compiled at batch 4 — the serving engine slices
-    // per-request rows out of the batched plan.
+    // per-request rows out of the batched plan — once in f32 and once
+    // through the int8 pipeline (u8 activations, requantizing epilogues).
     let g = batch4_tower();
-
     let opts = CompileOptions::level(OptLevel::O2).with_pool(PoolChoice::Sequential);
-    let m = Arc::new(compile(&g, &CpuTarget::host(), &opts).unwrap());
-    let engine =
-        ServeEngine::new(m, &ServeOptions { workers: 1, ..Default::default() }).unwrap();
+    let f32_module = compile(&g, &CpuTarget::host(), &opts).unwrap();
+    let (int8_module, report) =
+        compile_quantized(&g, &CpuTarget::host(), &opts, &QuantizeOptions::default()).unwrap();
+    assert!(report.quantized >= 1, "no conv took the int8 path: {report:?}");
+    assert!(!report.fell_back, "accuracy gate rejected the int8 module: {report:?}");
 
-    // Steady state: one pre-allocated slot, filled once, cycled forever.
-    let req = engine.make_request();
-    let img = Tensor::random([1, 8, 16, 16], Layout::Nchw, 9, 1.0).unwrap();
-    req.fill(&img).unwrap();
-    for _ in 0..3 {
-        engine.submit(&req).unwrap();
-        req.wait().unwrap();
+    for (label, m) in [("f32", f32_module), ("int8", int8_module)] {
+        let engine =
+            ServeEngine::new(Arc::new(m), &ServeOptions { workers: 1, ..Default::default() })
+                .unwrap();
+
+        // Steady state: one pre-allocated slot, filled once, cycled forever.
+        let req = engine.make_request();
+        let img = Tensor::random([1, 8, 16, 16], Layout::Nchw, 9, 1.0).unwrap();
+        req.fill(&img).unwrap();
+        for _ in 0..3 {
+            engine.submit(&req).unwrap();
+            req.wait().unwrap();
+        }
+
+        let before = allocation_count();
+        for _ in 0..10 {
+            engine.submit(&req).unwrap();
+            req.wait().unwrap();
+        }
+        let delta = allocation_count() - before;
+        assert_eq!(
+            delta, 0,
+            "{label}: warm serve cycle allocated {delta} time(s); the fill → submit → wait \
+             path must preserve the executor's zero-allocation contract"
+        );
+
+        // The lifecycle-hardened path must be just as clean: arming a
+        // deadline and admitting through `try_submit` adds bookkeeping
+        // (deadline compute, admission check, watchdog scan in the
+        // background) but no heap traffic.
+        let before = allocation_count();
+        for _ in 0..10 {
+            req.fill_with_deadline(&img, std::time::Duration::from_secs(60)).unwrap();
+            engine.try_submit(&req).unwrap();
+            req.wait().unwrap();
+        }
+        let delta = allocation_count() - before;
+        assert_eq!(
+            delta, 0,
+            "{label}: warm deadline/try_submit cycle allocated {delta} time(s); the \
+             hardened request lifecycle must preserve the zero-allocation contract"
+        );
+
+        req.with_outputs(|outs| {
+            assert_eq!(outs[0].shape().dims(), &[1, 10]);
+            assert!(outs[0].data().iter().all(|v| v.is_finite()));
+        })
+        .unwrap();
+        engine.shutdown();
     }
-
-    let before = allocation_count();
-    for _ in 0..10 {
-        engine.submit(&req).unwrap();
-        req.wait().unwrap();
-    }
-    let delta = allocation_count() - before;
-    assert_eq!(
-        delta, 0,
-        "warm serve cycle allocated {delta} time(s); the fill → submit → wait path \
-         must preserve the executor's zero-allocation contract"
-    );
-
-    // The lifecycle-hardened path must be just as clean: arming a deadline
-    // and admitting through `try_submit` adds bookkeeping (deadline compute,
-    // admission check, watchdog scan in the background) but no heap traffic.
-    let before = allocation_count();
-    for _ in 0..10 {
-        req.fill_with_deadline(&img, std::time::Duration::from_secs(60)).unwrap();
-        engine.try_submit(&req).unwrap();
-        req.wait().unwrap();
-    }
-    let delta = allocation_count() - before;
-    assert_eq!(
-        delta, 0,
-        "warm deadline/try_submit cycle allocated {delta} time(s); the hardened \
-         request lifecycle must preserve the zero-allocation contract"
-    );
-
-    req.with_outputs(|outs| {
-        assert_eq!(outs[0].shape().dims(), &[1, 10]);
-        assert!(outs[0].data().iter().all(|v| v.is_finite()));
-    })
-    .unwrap();
-    engine.shutdown();
 }
 
 fn latency_ring_wrap_never_reallocates() {

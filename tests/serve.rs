@@ -348,29 +348,6 @@ fn queued_deadline_requests_expire_with_typed_error() {
     engine.shutdown();
 }
 
-/// An engine-wide `default_deadline` applies to requests filled without
-/// their own budget.
-#[test]
-fn default_deadline_applies_to_plain_fills() {
-    let m = module(&tower(2));
-    let engine = ServeEngine::new(
-        m,
-        &ServeOptions {
-            workers: 1,
-            default_deadline: Some(Duration::from_nanos(1)),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let img = Tensor::random([1, 4, 12, 12], Layout::Nchw, 10, 1.0).unwrap();
-    let req = engine.make_request();
-    req.fill(&img).unwrap();
-    engine.submit(&req).unwrap();
-    assert!(matches!(req.wait(), Err(NeoError::DeadlineExceeded)));
-    assert_eq!(engine.report().completed, 0);
-    engine.shutdown();
-}
-
 /// `shutdown_within(0)` closes admissions immediately: in-flight work may
 /// finish, everything still queued fails with a typed `Shutdown`, and the
 /// report's `cancelled` counter matches what clients observed.
