@@ -17,16 +17,17 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use neocpu::{compile_with_pool, CompileOptions, CpuTarget, Module, OptLevel, SearchStrategy};
+use neocpu::{
+    compile_with_db, CompileOptions, CpuTarget, Module, OptLevel, PoolChoice, SearchStrategy,
+};
 use neocpu_kernels::conv::{conv2d_nchwc, conv2d_nchwc_u8, Conv2dParams, ConvQuant, Epilogue};
 use neocpu_kernels::quantize::quantize_dense_weights;
 use neocpu_models::{build, ModelKind, ModelScale};
 use neocpu_search::{AnalyticalModel, CostModel, SchemeDatabase};
 use neocpu_tensor::{DType, Layout, Tensor};
-use neocpu_threadpool::{OmpLikePool, Parallelism, Sequential, ThreadPool};
+use neocpu_threadpool::Sequential;
 
 /// Common harness configuration parsed from CLI flags.
 #[derive(Debug, Clone)]
@@ -157,39 +158,34 @@ impl Stack {
         }
     }
 
-    fn options(&self, threads: usize, full: bool) -> (CompileOptions, bool) {
-        // Returns (options, use_custom_pool).
+    fn options(&self, threads: usize, full: bool) -> CompileOptions {
         match self {
             Self::LibraryStyle => {
-                let mut o = CompileOptions::level(OptLevel::O1).with_threads(threads);
+                let mut o = CompileOptions::level(OptLevel::O1)
+                    .with_threads(threads)
+                    .with_pool(PoolChoice::OmpLike);
                 o.fuse = true;
-                (o, false)
+                o
             }
             Self::TfLike => {
-                let mut o = CompileOptions::level(OptLevel::O1).with_threads(threads);
+                let mut o = CompileOptions::level(OptLevel::O1)
+                    .with_threads(threads)
+                    .with_pool(PoolChoice::OmpLike);
                 o.fuse = false;
-                (o, false)
+                o
             }
             Self::NeoCpu => {
-                let mut o = CompileOptions::level(OptLevel::O3).with_threads(threads);
+                let mut o = CompileOptions::level(OptLevel::O3)
+                    .with_threads(threads)
+                    .with_pool(PoolChoice::Custom);
                 o.search = if full {
                     SearchStrategy::Hybrid { preselect: 8, repeats: 1 }
                 } else {
                     SearchStrategy::Hybrid { preselect: 6, repeats: 1 }
                 };
-                (o, true)
+                o
             }
         }
-    }
-}
-
-fn make_pool(threads: usize, custom: bool) -> Arc<dyn Parallelism> {
-    if threads <= 1 {
-        Arc::new(Sequential)
-    } else if custom {
-        Arc::new(ThreadPool::new(threads))
-    } else {
-        Arc::new(OmpLikePool::new(threads))
     }
 }
 
@@ -203,10 +199,8 @@ pub fn bench_stack(
     let scale = cfg.scale(kind);
     let graph = build(kind, scale, 42);
     let target = CpuTarget::host();
-    let (opts, custom) = stack.options(cfg.threads, cfg.full);
-    let pool = make_pool(cfg.threads, custom);
-    let module =
-        compile_with_pool(&graph, &target, &opts, pool, db).expect("compilation succeeds");
+    let opts = stack.options(cfg.threads, cfg.full);
+    let module = compile_with_db(&graph, &target, &opts, db).expect("compilation succeeds");
     let input = Tensor::random([1, 3, scale.input, scale.input], Layout::Nchw, 7, 1.0)
         .expect("valid input");
     measure(&module, &input, cfg.warmup, cfg.reps)
@@ -557,13 +551,14 @@ pub fn run_table3(cfg: &HarnessCfg) {
             .expect("valid input");
         let mut row = Vec::new();
         for level in [OptLevel::O0, OptLevel::O1, OptLevel::O2, OptLevel::O3] {
-            let mut opts = CompileOptions::level(level).with_threads(cfg.threads);
+            let mut opts = CompileOptions::level(level)
+                .with_threads(cfg.threads)
+                .with_pool(PoolChoice::Custom);
             if level == OptLevel::O3 {
                 opts.search = SearchStrategy::Hybrid { preselect: 6, repeats: 1 };
             }
-            let pool = make_pool(cfg.threads, true);
-            let module = compile_with_pool(&graph, &target, &opts, pool, &mut db)
-                .expect("compilation succeeds");
+            let module =
+                compile_with_db(&graph, &target, &opts, &mut db).expect("compilation succeeds");
             // The O0 baseline is expensive; fewer reps suffice for a ratio.
             let reps = if level == OptLevel::O0 { cfg.reps.clamp(1, 3) } else { cfg.reps };
             row.push(measure(&module, &input, cfg.warmup.min(1), reps).mean_ms);
@@ -599,15 +594,14 @@ pub fn run_fig4(cfg: &HarnessCfg) {
         let graph = build(kind, scale, 42);
         let input = Tensor::random([1, 3, scale.input, scale.input], Layout::Nchw, 7, 1.0)
             .expect("valid input");
-        let opts = CompileOptions::level(OptLevel::O2);
         println!("\nFigure 4 — {} (batch 1), {host_cores} hardware threads:", kind.name());
         println!("{:>8} {:>16} {:>16}", "threads", "custom (img/s)", "omp-like (img/s)");
         for n in 1..=host_cores.min(8) {
             let mut row = Vec::new();
-            for custom in [true, false] {
-                let pool = make_pool(n, custom);
-                let m = compile_with_pool(&graph, &target, &opts, pool, &mut db)
-                    .expect("compilation succeeds");
+            for pool in [PoolChoice::Custom, PoolChoice::OmpLike] {
+                let opts = CompileOptions::level(OptLevel::O2).with_threads(n).with_pool(pool);
+                let m =
+                    compile_with_db(&graph, &target, &opts, &mut db).expect("compilation succeeds");
                 let s = measure(&m, &input, cfg.warmup, cfg.reps);
                 row.push(1e3 / s.mean_ms);
             }

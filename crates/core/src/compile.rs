@@ -67,11 +67,6 @@ pub enum PoolChoice {
 pub enum SearchStrategy {
     /// Deterministic analytical model only (fast, used in tests).
     Analytical,
-    /// Full timed sweep (the paper's hours-long method, scaled by repeats).
-    Timed {
-        /// Timed repetitions per candidate.
-        repeats: usize,
-    },
     /// Analytical pre-selection of `preselect` candidates, then timed
     /// measurement of those (the harness default).
     Hybrid {
@@ -290,24 +285,6 @@ pub(crate) fn finish_module(
     Ok(module)
 }
 
-/// Compiles `graph` with a caller-supplied thread pool (used by the
-/// benchmark harness to instrument parallel regions); `opts.pool` and
-/// `opts.threads` are ignored.
-///
-/// # Errors
-///
-/// Returns an error if the graph is invalid or a pass fails.
-pub fn compile_with_pool(
-    graph: &Graph,
-    target: &CpuTarget,
-    opts: &CompileOptions,
-    pool: Arc<dyn Parallelism>,
-    db: &mut SchemeDatabase,
-) -> Result<Module> {
-    let module = compile_with_db(graph, target, opts, db)?;
-    Ok(module.with_pool(pool))
-}
-
 /// Loads a scheme database, converting I/O and parse failures into typed
 /// [`NeoError::Database`] errors (strict: the first bad line fails the
 /// load).
@@ -381,9 +358,6 @@ fn global_search(
         SearchStrategy::Analytical => {
             LocalSearchCfg { preselect: None, keep: opts.keep_candidates, ..Default::default() }
         }
-        SearchStrategy::Timed { .. } => {
-            LocalSearchCfg { preselect: None, keep: opts.keep_candidates, ..Default::default() }
-        }
         SearchStrategy::Hybrid { preselect, .. } => LocalSearchCfg {
             preselect: Some(preselect),
             preselect_model: analytical,
@@ -393,7 +367,7 @@ fn global_search(
     };
     let timed = match opts.search {
         SearchStrategy::Analytical => None,
-        SearchStrategy::Timed { repeats } | SearchStrategy::Hybrid { repeats, .. } => {
+        SearchStrategy::Hybrid { repeats, .. } => {
             Some(TimedMeasurer { repeats, warmup: 1, max_lanes: target.max_lanes() })
         }
     };

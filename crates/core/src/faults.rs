@@ -5,7 +5,7 @@
 //! serving process realistically fails: kernel entry, output-tensor
 //! allocation, layout transformation, scheme-database loading, and the body
 //! executed by thread-pool workers. A test (or a chaos harness) *arms* a
-//! failpoint with a deterministic [`Trigger`] and a [`FaultMode`]; the next
+//! failpoint with a deterministic `Trigger` and a `FaultMode`; the next
 //! time execution reaches it, the failpoint either returns a typed
 //! [`crate::NeoError::Fault`] or panics — proving that `Module::run`
 //! surfaces an `Err`, the thread pool stays usable, and a subsequent clean
@@ -25,7 +25,7 @@ pub const LAYOUT_TRANSFORM: &str = "layout-transform";
 /// Failpoint at scheme-database loading ([`crate::load_scheme_db`]).
 pub const DB_LOAD: &str = "db-load";
 /// Failpoint inside the body every thread-pool worker executes. Fires as a
-/// panic regardless of [`FaultMode`] (a worker body cannot return an
+/// panic regardless of `FaultMode` (a worker body cannot return an
 /// error), exercising the pool's unwind containment.
 pub const POOL_WORKER: &str = "pool-worker";
 /// Failpoint at every serve-engine batcher wake-up, fired after a batch is

@@ -48,7 +48,7 @@ pub mod shard;
 mod target;
 
 pub use compile::{
-    compile, compile_with_db, compile_with_pool, compile_with_report, load_scheme_db,
+    compile, compile_with_db, compile_with_report, load_scheme_db,
     load_scheme_db_lenient, CompileOptions, CompileReport, DroppedScheme, OptLevel, PoolChoice,
     ScheduleFallback, SearchStrategy,
 };
@@ -60,9 +60,7 @@ pub use quantize::{
     DEFAULT_INT8_ERROR_BUDGET,
 };
 pub use memory::MemoryReport;
-pub use serve::{
-    EngineHealth, LatencyClass, Request, ServeEngine, ServeOptions, ServeReport, ShedPolicy,
-};
+pub use serve::{EngineHealth, LatencyClass, Request, ServeEngine, ServeOptions, ServeReport};
 pub use shard::{ShardReport, ShardedEngine};
 pub use target::{CpuTarget, IsaKind};
 

@@ -17,7 +17,7 @@
 //!    largest first, each taking the smallest already-freed gap that fits
 //!    among the regions whose live intervals overlap its own.
 //!
-//! The resulting [`MemoryPlan`] is what makes steady-state inference
+//! The resulting `MemoryPlan` is what makes steady-state inference
 //! allocation-free: every intermediate tensor is a view of the arena at its
 //! planned offset, and the plan's disjointness invariant (verified
 //! post-packing, `O(n²)`, at compile time) is exactly the soundness

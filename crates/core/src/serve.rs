@@ -1,6 +1,6 @@
 //! Throughput-serving engine: concurrent, batched inference over pooled
-//! [`RunContext`]s, with a full request-lifecycle layer — deadlines, load
-//! shedding, a worker watchdog, and budgeted graceful drain.
+//! [`RunContext`]s, with a full request-lifecycle layer — deadlines,
+//! non-blocking admission, a worker watchdog, and budgeted graceful drain.
 //!
 //! [`Module::run`] serves one request at a time; nothing in the stack
 //! drives the zero-allocation context machinery concurrently or at
@@ -8,10 +8,10 @@
 //! layered on the arena executor:
 //!
 //! ```text
-//!  clients ──submit──▶ bounded queue ──▶ dynamic batcher ──▶ workers
+//!  clients ──submit──▶ bounded FIFO ───▶ dynamic batcher ──▶ workers
 //!  (N threads)         (Mutex+Condvar,    (coalesce up to     (1 RunContext
-//!   try_submit sheds    backpressure)      B or timeout,       each, affine,
-//!   instead of block)                      skips expired)      watchdog-kept)
+//!   try_submit answers  backpressure)      B or timeout,       each, affine,
+//!   Busy, never blocks)                    skips expired)      watchdog-kept)
 //! ```
 //!
 //! * Every worker owns a pre-built [`RunContext`] plus a B-row staging
@@ -37,10 +37,9 @@
 //!   expired request — it resolves it with [`NeoError::DeadlineExceeded`]
 //!   — and [`Request::wait`] cancels a request that expires while still
 //!   queued.
-//! * **Load shedding**: [`ServeEngine::try_submit`] never blocks. On a
-//!   full queue it either rejects the new request with a typed
-//!   [`NeoError::Busy`] ([`ShedPolicy::RejectNewest`]) or sheds the oldest
-//!   queued request to make room ([`ShedPolicy::ShedOldest`]) —
+//! * **Admission**: [`ServeEngine::try_submit`] never blocks. On a full
+//!   queue it refuses the new request with a typed [`NeoError::Busy`]
+//!   (counted as [`ServeReport::shed`]); queued requests keep their place —
 //!   backpressure becomes an answer instead of a stall.
 //! * **Fault containment** comes in two rings. The executor's per-node
 //!   panic boundary turns kernel failures into a typed [`NeoError`] that
@@ -59,11 +58,10 @@
 //!   (best effort, Linux only; see [`ServeEngine::core_set`]). Every
 //!   engine reserves its `workers` slots from a process-global cursor over
 //!   the cpuset, so two engines in one process land on disjoint cores.
-//! * **Latency classes**: a request (or a whole engine, via
-//!   [`ServeOptions::latency_class`]) marked [`LatencyClass::Interactive`]
-//!   is queued ahead of bulk work and caps batch formation at what is
-//!   already queued — it never waits out the batch timeout behind a large
-//!   coalescing batch.
+//! * **Latency class** is an engine setting
+//!   ([`ServeOptions::latency_class`]): an [`LatencyClass::Interactive`]
+//!   engine caps batch formation at what is already queued, so it never
+//!   waits out the batch timeout; requests pop in FIFO order either way.
 //!
 //! An engine has exactly one queue. More parallelism for a model is more
 //! [`ServeOptions::workers`] on that queue — each worker already owns its
@@ -88,36 +86,16 @@ use neocpu_threadpool::affinity::{self, CoreSet};
 use crate::executor::{with_rows, Module, RunContext};
 use crate::{NeoError, Result};
 
-/// What [`ServeEngine::try_submit`] does when the submission queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShedPolicy {
-    /// Reject the incoming request with [`NeoError::Busy`]; queued
-    /// requests keep their place (FIFO fairness for admitted work).
-    #[default]
-    RejectNewest,
-    /// Shed the *oldest* queued request (it resolves with
-    /// [`NeoError::Busy`]) and admit the incoming one — prefers fresh
-    /// work when queued requests are likely to miss their deadlines
-    /// anyway.
-    ShedOldest,
-}
-
-/// Scheduling class of a request (see [`ServeOptions::latency_class`] and
-/// [`Request::set_latency_class`]).
-///
-/// The class changes *dispatch order*, not execution: interactive requests
-/// jump ahead of bulk work in the submission queue, and a batch containing
-/// one never waits out [`ServeOptions::batch_timeout`] for more rows — it
-/// runs with whatever is already queued. Bulk requests get the coalescing
-/// treatment: a partial bulk batch waits up to the timeout for more rows,
-/// but only while every other worker of the engine is busy (an idle
-/// sibling would take the next arrival anyway, so the batch runs at once).
+/// How an engine forms batches (see [`ServeOptions::latency_class`]). It
+/// changes batch formation, not dispatch order: every engine's queue is
+/// FIFO.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LatencyClass {
-    /// Latency-sensitive: dequeued first, caps batch-formation waits.
+    /// Latency-sensitive: a batch runs with whatever is already queued,
+    /// never waiting out [`ServeOptions::batch_timeout`] for more rows.
     Interactive,
-    /// Throughput-oriented (default): coalesced up to the batch timeout
-    /// while no sibling worker is idle.
+    /// Throughput-oriented (default): a partial batch waits up to the
+    /// batch timeout for more rows while no sibling worker is idle.
     #[default]
     Bulk,
 }
@@ -147,10 +125,6 @@ pub enum EngineHealth {
 }
 
 impl EngineHealth {
-    fn from_u8(v: u8) -> Self {
-        Self::from_code(v).unwrap_or(Self::Stopped)
-    }
-
     /// The state's stable one-byte code (`Starting = 0` … `Stopped = 3`),
     /// used verbatim by the wire protocol's health responses.
     pub fn code(self) -> u8 {
@@ -184,9 +158,9 @@ impl std::fmt::Display for EngineHealth {
 
 /// Configuration of a [`ServeEngine`].
 ///
-/// Validated by [`ServeEngine::new`]: zero `workers`, `queue_cap`,
-/// `latency_capacity`, or `watchdog_interval` (and a zero `stall_budget`
-/// when set) are rejected with [`NeoError::Config`].
+/// Validated by [`ServeEngine::new`]: zero `workers`, `queue_cap` or
+/// `watchdog_interval` (and a zero `stall_budget` when set) are rejected
+/// with [`NeoError::Config`].
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Worker threads, each owning one [`RunContext`] (≥ 1).
@@ -194,27 +168,18 @@ pub struct ServeOptions {
     /// Upper bound on requests coalesced into one batched run. Clamped to
     /// the module's compiled batch size; `0` means "the module's batch".
     pub max_batch: usize,
-    /// How long a worker holding a partial bulk batch waits for more
-    /// requests before running it anyway. The wait only lasts while no
-    /// other worker of this engine is idle waiting for work: the moment
-    /// one is (or becomes) idle, the partial batch runs with the rows it
-    /// has, because the idle sibling would take the next arrival anyway.
-    /// With `workers: 1`, or every sibling busy, the full timeout applies.
+    /// How long a worker holding a partial batch on a bulk engine waits
+    /// for more requests, while no sibling worker is idle (see
+    /// [`LatencyClass::Bulk`]); with `workers: 1` the full timeout applies.
     pub batch_timeout: Duration,
     /// Bounded submission-queue capacity; a full queue blocks `submit`
     /// (backpressure) until a worker drains it, and makes `try_submit`
-    /// shed per [`ServeOptions::shed_policy`].
+    /// answer [`NeoError::Busy`].
     pub queue_cap: usize,
-    /// Default [`LatencyClass`] for requests that did not set their own
-    /// via [`Request::set_latency_class`]. A registry fronting several
-    /// models marks small-model routes `Interactive` so their requests
-    /// never dally in batch formation behind bulk traffic.
+    /// How this engine forms batches (see [`LatencyClass`]). A registry
+    /// fronting several models marks small-model routes `Interactive` so
+    /// their requests never dally in batch formation.
     pub latency_class: LatencyClass,
-    /// Latency samples retained for percentile reporting; older samples
-    /// are overwritten ring-style so the warm path never reallocates.
-    pub latency_capacity: usize,
-    /// What [`ServeEngine::try_submit`] does when the queue is full.
-    pub shed_policy: ShedPolicy,
     /// If a worker stays busy on one batch longer than this, the watchdog
     /// declares it hung: its in-flight slots fail with
     /// [`NeoError::WorkerLost`], the thread is abandoned, and a fresh
@@ -234,8 +199,6 @@ impl Default for ServeOptions {
             batch_timeout: Duration::from_millis(1),
             queue_cap: 256,
             latency_class: LatencyClass::Bulk,
-            latency_capacity: 65_536,
-            shed_policy: ShedPolicy::RejectNewest,
             stall_budget: None,
             watchdog_interval: Duration::from_millis(10),
         }
@@ -250,8 +213,8 @@ enum SlotState {
     Queued,
     /// Completed; outputs are valid.
     Done,
-    /// Resolved with this error (batch failure, deadline, shed, worker
-    /// loss, or shutdown).
+    /// Resolved with this error (batch failure, deadline, worker loss, or
+    /// shutdown).
     Failed(NeoError),
 }
 
@@ -275,9 +238,6 @@ struct SlotInner {
     /// Absolute deadline, fixed at submit time (the budget added to the
     /// submission instant).
     deadline: Option<Instant>,
-    /// Scheduling class override; `None` falls back to the admitting
-    /// engine's [`ServeOptions::latency_class`]. Persists across fills.
-    class: Option<LatencyClass>,
     /// The engine that admitted the current submission, for deadline
     /// cancellation from `wait` (weak: a request must not keep a dropped
     /// engine's threads alive). Set per submit, because any engine serving
@@ -296,10 +256,10 @@ struct SlotInner {
 /// A slot may be reused (fill again after `wait` returns) but not aliased:
 /// submitting a slot that is already in flight is an error.
 ///
-/// Every submitted request resolves to exactly one outcome: `Ok` from
+/// Every admitted request resolves to exactly one outcome: `Ok` from
 /// [`Request::wait`], or one typed error — execution failure,
-/// [`NeoError::DeadlineExceeded`], [`NeoError::Busy`] (shed),
-/// [`NeoError::WorkerLost`], or [`NeoError::Shutdown`].
+/// [`NeoError::DeadlineExceeded`], [`NeoError::WorkerLost`], or
+/// [`NeoError::Shutdown`].
 pub struct Request {
     module_uid: u64,
     inner: Mutex<SlotInner>,
@@ -471,23 +431,6 @@ impl Request {
         }
     }
 
-    /// Pins the slot's scheduling class (see [`LatencyClass`]); the class
-    /// persists across fills and resubmissions until set again. Without a
-    /// pinned class, requests inherit the admitting engine's
-    /// [`ServeOptions::latency_class`].
-    ///
-    /// # Errors
-    ///
-    /// Rejects a slot that is currently in flight.
-    pub fn set_latency_class(&self, class: LatencyClass) -> Result<()> {
-        let mut inner = lock(&self.inner);
-        if matches!(inner.state, SlotState::Queued) {
-            return Err(NeoError::Serve("cannot reclass a request that is in flight".into()));
-        }
-        inner.class = Some(class);
-        Ok(())
-    }
-
     /// Removes this request from the admitting engine's queue (if still
     /// there) and resolves it as expired. Returns whether this call
     /// resolved it.
@@ -509,13 +452,10 @@ impl Request {
         let me = |(r, s): &(Arc<Request>, u64)| {
             std::ptr::eq(Arc::as_ptr(r), self as *const Request) && *s == seq
         };
-        if let Some(pos) = q.hi.iter().position(me) {
-            q.hi.remove(pos);
-        } else if let Some(pos) = q.bulk.iter().position(me) {
-            q.bulk.remove(pos);
-        } else {
+        let Some(pos) = q.fifo.iter().position(me) else {
             return false;
-        }
+        };
+        q.fifo.remove(pos);
         drop(q);
         shared.not_full.notify_one();
         if resolve_failure(self, seq, &NeoError::DeadlineExceeded) {
@@ -555,13 +495,9 @@ impl Request {
     }
 }
 
-/// The bounded submission queue plus its synchronization: two priority
-/// lanes (interactive ahead of bulk) that share one capacity.
+/// The bounded FIFO submission queue plus its synchronization state.
 struct QueueInner {
-    /// Interactive lane, always drained before `bulk`.
-    hi: VecDeque<(Arc<Request>, u64)>,
-    /// Bulk lane (the common case).
-    bulk: VecDeque<(Arc<Request>, u64)>,
+    fifo: VecDeque<(Arc<Request>, u64)>,
     stopping: bool,
     depth_hwm: usize,
     /// Workers of this engine blocked waiting for a first request. A
@@ -573,24 +509,69 @@ struct QueueInner {
     forming: usize,
 }
 
-impl QueueInner {
-    fn len(&self) -> usize {
-        self.hi.len() + self.bulk.len()
+/// Buckets per power of two, and exact 1 µs buckets below 16 µs.
+const LAT_SUB: usize = 16;
+/// 16 exact buckets, then 16 per power of two from 2^4 to 2^31 µs.
+const LAT_BUCKETS: usize = LAT_SUB * 29;
+
+/// Queue-to-completion latencies in fixed log-scale microsecond buckets:
+/// bucket `i < 16` holds `[i, i + 1)` µs, and above that every power of two
+/// is cut into 16 equal buckets, so a bucket is at most 1/16 of its lower
+/// edge wide. Recording never allocates and the record never grows
+/// (≈ 3.7 KB per engine).
+struct LatencyHistogram {
+    counts: [u64; LAT_BUCKETS],
+    /// Longest latency recorded: percentiles never report past it.
+    max: Duration,
+}
+
+impl LatencyHistogram {
+    fn bucket(us: u64) -> usize {
+        if us < LAT_SUB as u64 {
+            return us as usize;
+        }
+        let octave = 63 - us.leading_zeros() as usize; // ≥ 4
+        let sub = (us >> (octave - 4)) as usize & (LAT_SUB - 1);
+        (LAT_SUB * (octave - 3) + sub).min(LAT_BUCKETS - 1)
     }
 
-    /// Oldest queued item regardless of lane, for shed-oldest and drain
-    /// cancellation (bulk first: shedding prefers to sacrifice bulk work).
-    fn pop_oldest_any(&mut self) -> Option<(Arc<Request>, u64)> {
-        self.bulk.pop_front().or_else(|| self.hi.pop_front())
+    /// Exclusive upper edge of bucket `i`, µs (the saturating top bucket
+    /// has none).
+    fn upper_edge_us(i: usize) -> f64 {
+        if i + 1 == LAT_BUCKETS {
+            f64::INFINITY
+        } else if i < LAT_SUB {
+            (i + 1) as f64
+        } else {
+            ((LAT_SUB + i % LAT_SUB + 1) << (i / LAT_SUB - 1)) as f64
+        }
+    }
+
+    fn record(&mut self, latency: Duration) {
+        let us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
+        self.counts[Self::bucket(us)] += 1;
+        self.max = self.max.max(latency);
+    }
+
+    /// The `p`-th percentile, ms, as [`ServeReport::p50_ms`] defines it.
+    fn percentile_ms(&self, p: f64) -> f64 {
+        let n: u64 = self.counts.iter().sum();
+        let rank = ((p / 100.0) * n as f64).ceil().max(1.0) as u64;
+        let mut seen = 0;
+        for (i, &c) in self.counts.iter().enumerate() {
+            seen += c;
+            if seen >= rank {
+                return Self::upper_edge_us(i).min(self.max.as_secs_f64() * 1e6) / 1e3;
+            }
+        }
+        f64::NAN
     }
 }
 
-/// Aggregate counters and the latency ring, under one lock (touched once
-/// per request/batch — cheap next to an inference).
+/// Aggregate counters and the latency histogram, under one lock (touched
+/// once per request/batch — cheap next to an inference).
 struct ServeStats {
-    /// Queue-to-completion latencies, µs; ring-overwritten past capacity.
-    latencies_us: Vec<f64>,
-    ring_next: usize,
+    latency: LatencyHistogram,
     completed: u64,
     failed: u64,
     deadline_exceeded: u64,
@@ -650,7 +631,8 @@ struct Shared {
 
 impl Shared {
     fn health(&self) -> EngineHealth {
-        EngineHealth::from_u8(self.health.load(Ordering::Acquire))
+        let code = self.health.load(Ordering::Acquire);
+        EngineHealth::from_code(code).unwrap_or(EngineHealth::Stopped)
     }
 
     fn set_health(&self, h: EngineHealth) {
@@ -668,9 +650,9 @@ pub struct ServeReport {
     /// Requests resolved as expired ([`NeoError::DeadlineExceeded`])
     /// without ever executing.
     pub deadline_exceeded: u64,
-    /// Requests shed by admission control ([`NeoError::Busy`] under
-    /// [`ShedPolicy::ShedOldest`]; rejected-newest requests were never
-    /// admitted and are not counted here).
+    /// [`ServeEngine::try_submit`] calls refused with [`NeoError::Busy`]
+    /// because the queue was full (never admitted, so not in any other
+    /// count).
     pub shed: u64,
     /// Requests failed with [`NeoError::Shutdown`] because the drain
     /// budget ran out before they could execute.
@@ -693,15 +675,11 @@ pub struct ServeReport {
     pub max_batch_formed: usize,
     /// Submission-queue depth high-water mark.
     pub queue_depth_hwm: usize,
-    /// Latency samples currently retained (≤
-    /// [`ServeOptions::latency_capacity`]); percentiles below are computed
-    /// over exactly these samples.
-    pub latency_samples: usize,
-    /// Median queue-to-completion latency, ms. Percentiles use the
-    /// nearest-rank method (`ceil(p/100 · n)`-th smallest sample): exact
-    /// for any non-empty sample set — on tiny sets high percentiles
-    /// collapse to the observed maximum instead of extrapolating — and
-    /// `NaN` when no samples exist (no data is not "0 ms").
+    /// Median queue-to-completion latency over every completed request, ms:
+    /// the log-scale bucket (≤ 1/16 wide) of the nearest-rank
+    /// (`ceil(p/100 · n)`-th smallest) latency, reported at its upper edge
+    /// clamped to the longest latency seen — one sample reports exactly —
+    /// and `NaN` before any completion (no data is not "0 ms").
     pub p50_ms: f64,
     /// 95th-percentile latency, ms (see `p50_ms` for the method).
     pub p95_ms: f64,
@@ -735,7 +713,7 @@ impl std::fmt::Display for ServeReport {
         write!(
             f,
             "{} ok / {} failed in {:.2}s ({:.1} img/s) | {} batches (mean {:.2}, max {}, >1: {}) \
-             | queue hwm {} | p50 {:.2} ms p95 {:.2} ms p99 {:.2} ms ({} samples) \
+             | queue hwm {} | p50 {:.2} ms p95 {:.2} ms p99 {:.2} ms \
              | {} workers × {} KiB arena | {} expired, {} shed, {} cancelled \
              | {} respawns ({} stalls) | {}",
             self.completed,
@@ -750,7 +728,6 @@ impl std::fmt::Display for ServeReport {
             self.p50_ms,
             self.p95_ms,
             self.p99_ms,
-            self.latency_samples,
             self.workers,
             self.arena_bytes_per_context / 1024,
             self.deadline_exceeded,
@@ -777,8 +754,6 @@ pub struct ServeEngine {
     input_layout: Layout,
     out_row_shapes: Vec<Shape>,
     out_layouts: Vec<Layout>,
-    shed_policy: ShedPolicy,
-    latency_class: LatencyClass,
     cores: Option<CoreSet>,
     started: Instant,
 }
@@ -789,9 +764,6 @@ fn validate(opts: &ServeOptions) -> Result<()> {
     }
     if opts.queue_cap == 0 {
         return Err(NeoError::Config("ServeOptions::queue_cap must be at least 1".into()));
-    }
-    if opts.latency_capacity == 0 {
-        return Err(NeoError::Config("ServeOptions::latency_capacity must be at least 1".into()));
     }
     if opts.watchdog_interval.is_zero() {
         return Err(NeoError::Config("ServeOptions::watchdog_interval must be non-zero".into()));
@@ -858,8 +830,7 @@ impl ServeEngine {
         let cores = (!reserved.is_empty()).then_some(reserved);
         let shared = Arc::new(Shared {
             queue: Mutex::new(QueueInner {
-                hi: VecDeque::with_capacity(opts.queue_cap),
-                bulk: VecDeque::with_capacity(opts.queue_cap),
+                fifo: VecDeque::with_capacity(opts.queue_cap),
                 stopping: false,
                 depth_hwm: 0,
                 idle: 0,
@@ -869,8 +840,7 @@ impl ServeEngine {
             not_full: Condvar::new(),
             queue_cap: opts.queue_cap,
             stats: Mutex::new(ServeStats {
-                latencies_us: Vec::with_capacity(opts.latency_capacity),
-                ring_next: 0,
+                latency: LatencyHistogram { counts: [0; LAT_BUCKETS], max: Duration::ZERO },
                 completed: 0,
                 failed: 0,
                 deadline_exceeded: 0,
@@ -895,6 +865,7 @@ impl ServeEngine {
             shared: Arc::clone(&shared),
             max_batch,
             batch_timeout: opts.batch_timeout,
+            latency_class: opts.latency_class,
             cores: cores.clone(),
             input_shape: input_shape.clone(),
             input_layout,
@@ -956,8 +927,6 @@ impl ServeEngine {
             input_layout,
             out_row_shapes,
             out_layouts,
-            shed_policy: opts.shed_policy,
-            latency_class: opts.latency_class,
             cores,
             started: Instant::now(),
         })
@@ -989,12 +958,6 @@ impl ServeEngine {
         self.shared.health()
     }
 
-    /// Current submission-queue depth (requests admitted, not yet picked
-    /// up by a worker).
-    pub fn queue_depth(&self) -> usize {
-        lock(&self.shared.queue).len()
-    }
-
     /// Creates a request slot with pre-allocated input/output buffers.
     ///
     /// This is the only allocating step of a client's steady state:
@@ -1021,7 +984,6 @@ impl ServeEngine {
                 submitted: Instant::now(),
                 budget: None,
                 deadline: None,
-                class: None,
                 engine: Weak::new(),
             }),
             done: Condvar::new(),
@@ -1042,16 +1004,14 @@ impl ServeEngine {
         self.admit(req, true)
     }
 
-    /// Non-blocking admission. On a full queue, applies
-    /// [`ServeOptions::shed_policy`]: either rejects this request with
-    /// [`NeoError::Busy`] (reject-newest, the default) or sheds the
-    /// oldest queued request — which then resolves with
-    /// [`NeoError::Busy`] — and admits this one (shed-oldest).
+    /// Non-blocking admission. On a full queue this request is refused
+    /// with [`NeoError::Busy`] (counted as [`ServeReport::shed`]); queued
+    /// requests keep their place.
     ///
     /// # Errors
     ///
-    /// As [`ServeEngine::submit`], plus [`NeoError::Busy`] under
-    /// reject-newest.
+    /// As [`ServeEngine::submit`], plus [`NeoError::Busy`] on a full
+    /// queue.
     pub fn try_submit(&self, req: &Arc<Request>) -> Result<()> {
         self.admit(req, false)
     }
@@ -1060,7 +1020,7 @@ impl ServeEngine {
         if req.module_uid != self.module.uid() {
             return Err(NeoError::Serve("request belongs to a different engine".into()));
         }
-        let (seq, deadline, class) = {
+        let (seq, deadline) = {
             let mut inner = lock(&req.inner);
             if matches!(inner.state, SlotState::Queued) {
                 return Err(NeoError::Serve("request is already in flight".into()));
@@ -1071,7 +1031,7 @@ impl ServeEngine {
             inner.submitted = now;
             inner.deadline = inner.budget.and_then(|b| now.checked_add(b));
             inner.engine = Arc::downgrade(&self.shared);
-            (inner.seq, inner.deadline, inner.class.unwrap_or(self.latency_class))
+            (inner.seq, inner.deadline)
         };
         let mut q = lock(&self.shared.queue);
         loop {
@@ -1080,26 +1040,15 @@ impl ServeEngine {
                 lock(&req.inner).state = SlotState::Idle;
                 return Err(NeoError::Shutdown);
             }
-            if q.len() < self.shared.queue_cap {
+            if q.fifo.len() < self.shared.queue_cap {
                 break;
             }
             if !blocking {
-                let queue_depth = q.len();
-                match self.shed_policy {
-                    ShedPolicy::RejectNewest => {
-                        drop(q);
-                        lock(&req.inner).state = SlotState::Idle;
-                        return Err(NeoError::Busy { queue_depth });
-                    }
-                    ShedPolicy::ShedOldest => {
-                        if let Some((victim, vseq)) = q.pop_oldest_any() {
-                            if resolve_failure(&victim, vseq, &NeoError::Busy { queue_depth }) {
-                                lock(&self.shared.stats).shed += 1;
-                            }
-                        }
-                        break;
-                    }
-                }
+                let queue_depth = q.fifo.len();
+                drop(q);
+                lock(&req.inner).state = SlotState::Idle;
+                lock(&self.shared.stats).shed += 1;
+                return Err(NeoError::Busy { queue_depth });
             }
             match deadline {
                 None => {
@@ -1122,13 +1071,8 @@ impl ServeEngine {
                 }
             }
         }
-        match class {
-            LatencyClass::Interactive => q.hi.push_back((Arc::clone(req), seq)),
-            LatencyClass::Bulk => q.bulk.push_back((Arc::clone(req), seq)),
-        }
-        if q.len() > q.depth_hwm {
-            q.depth_hwm = q.len();
-        }
+        q.fifo.push_back((Arc::clone(req), seq));
+        q.depth_hwm = q.depth_hwm.max(q.fifo.len());
         drop(q);
         self.shared.not_empty.notify_one();
         Ok(())
@@ -1149,15 +1093,12 @@ impl ServeEngine {
         req.with_outputs(|outs| outs.to_vec())
     }
 
-    /// Snapshot of the engine's serving statistics. Percentiles use the
-    /// nearest-rank method (`ceil(p/100 · n)`-th smallest sample): exact
-    /// for any non-empty set (p50 of one sample is that sample; tiny sets
-    /// collapse high percentiles to the max) and NaN when empty.
+    /// Snapshot of the engine's serving statistics (see
+    /// [`ServeReport::p50_ms`] for how percentiles are computed).
     pub fn report(&self) -> ServeReport {
         let queue_depth_hwm = lock(&self.shared.queue).depth_hwm;
         let st = lock(&self.shared.stats);
-        let mut lat = st.latencies_us.clone();
-        let mut report = ServeReport {
+        ServeReport {
             completed: st.completed,
             failed: st.failed,
             deadline_exceeded: st.deadline_exceeded,
@@ -1175,29 +1116,15 @@ impl ServeEngine {
             },
             max_batch_formed: st.max_batch_formed,
             queue_depth_hwm,
-            latency_samples: lat.len(),
-            p50_ms: f64::NAN,
-            p95_ms: f64::NAN,
-            p99_ms: f64::NAN,
+            p50_ms: st.latency.percentile_ms(50.0),
+            p95_ms: st.latency.percentile_ms(95.0),
+            p99_ms: st.latency.percentile_ms(99.0),
             workers: self.worker_count,
             module_batch: self.batch,
             arena_bytes_per_context: self.module.memory_report().planned_peak_bytes,
             elapsed_s: self.started.elapsed().as_secs_f64(),
             health: self.shared.health(),
-        };
-        // Sort outside the stats lock: workers take it once per request.
-        drop(st);
-        if !lat.is_empty() {
-            lat.sort_by(f64::total_cmp);
-            let pct = |p: f64| {
-                let rank = ((p / 100.0) * lat.len() as f64).ceil() as usize;
-                lat[rank.clamp(1, lat.len()) - 1] / 1e3
-            };
-            report.p50_ms = pct(50.0);
-            report.p95_ms = pct(95.0);
-            report.p99_ms = pct(99.0);
         }
-        report
     }
 
     /// Stops the engine gracefully, drain bounded by `budget`: admissions
@@ -1236,7 +1163,7 @@ impl ServeEngine {
             // slices so a vanished workforce or an expired budget is
             // noticed promptly.
             loop {
-                if q.len() == 0 {
+                if q.fifo.is_empty() {
                     break;
                 }
                 let any_alive = lock(&self.shared.workers).iter().any(|e| e.alive);
@@ -1259,7 +1186,7 @@ impl ServeEngine {
             }
             // Whatever is left missed the budget.
             let mut cancelled = 0u64;
-            while let Some((req, seq)) = q.pop_oldest_any() {
+            while let Some((req, seq)) = q.fifo.pop_front() {
                 if resolve_failure(&req, seq, &NeoError::Shutdown) {
                     cancelled += 1;
                 }
@@ -1343,6 +1270,7 @@ struct WorkerTemplate {
     shared: Arc<Shared>,
     max_batch: usize,
     batch_timeout: Duration,
+    latency_class: LatencyClass,
     /// Cores workers pin inside (`None` = unbound); worker `w` takes the
     /// `w`-th core, wrapping.
     cores: Option<CoreSet>,
@@ -1478,20 +1406,12 @@ fn worker_main(cfg: &WorkerCfg) {
     }
 }
 
-/// Pops queue items (interactive lane first), resolving expired requests
-/// (deadline passed, or the deadline-skew drill fired) without executing
-/// them, until a live one is found. The returned flag reports whether the
-/// item came from the interactive lane. Caller holds the queue lock.
-fn pop_live(shared: &Shared, q: &mut QueueInner) -> Option<(Arc<Request>, u64, bool)> {
+/// Pops queue items, resolving expired requests (deadline passed, or the
+/// deadline-skew drill fired) without executing them, until a live one is
+/// found. Caller holds the queue lock.
+fn pop_live(shared: &Shared, q: &mut QueueInner) -> Option<(Arc<Request>, u64)> {
     loop {
-        let (item, interactive) = match q.hi.pop_front() {
-            Some(item) => (item, true),
-            None => match q.bulk.pop_front() {
-                Some(item) => (item, false),
-                None => return None,
-            },
-        };
-        let (req, seq) = item;
+        let (req, seq) = q.fifo.pop_front()?;
         shared.not_full.notify_one();
         let deadline = lock(&req.inner).deadline;
         if let Some(d) = deadline {
@@ -1503,7 +1423,7 @@ fn pop_live(shared: &Shared, q: &mut QueueInner) -> Option<(Arc<Request>, u64, b
                 continue;
             }
         }
-        return Some((req, seq, interactive));
+        return Some((req, seq));
     }
 }
 
@@ -1512,22 +1432,18 @@ fn pop_live(shared: &Shared, q: &mut QueueInner) -> Option<(Arc<Request>, u64, b
 /// the queue is drained (the worker should exit).
 ///
 /// Two scheduling rules live here:
-/// * **Latency classes** — a batch that contains an interactive request
-///   (one popped from the high-priority lane) is capped at what is
-///   already queued: the worker never waits out the batch timeout while
-///   holding latency-sensitive work.
+/// * **Latency class** — on an interactive engine a batch is capped at
+///   what is already queued: the worker never waits out the batch timeout.
 /// * **Idle siblings** — a partial bulk batch waits for more rows only
 ///   while no other worker of this engine is idle (`QueueInner::idle`,
 ///   counted under the queue lock). A worker that goes idle wakes any
 ///   worker forming a batch, which then runs the rows it holds.
 fn form_batch(cfg: &WorkerCfg, batch: &mut Vec<(Arc<Request>, u64)>) -> bool {
     let tpl = &cfg.template;
-    let mut interactive = false;
     let mut q = lock(&tpl.shared.queue);
     loop {
-        if let Some((req, seq, hi)) = pop_live(&tpl.shared, &mut q) {
-            interactive |= hi;
-            batch.push((req, seq));
+        if let Some(item) = pop_live(&tpl.shared, &mut q) {
+            batch.push(item);
             break;
         }
         if q.stopping {
@@ -1545,12 +1461,11 @@ fn form_batch(cfg: &WorkerCfg, batch: &mut Vec<(Arc<Request>, u64)>) -> bool {
     if tpl.max_batch > 1 {
         let deadline = Instant::now() + tpl.batch_timeout;
         while batch.len() < tpl.max_batch {
-            if let Some((req, seq, hi)) = pop_live(&tpl.shared, &mut q) {
-                interactive |= hi;
-                batch.push((req, seq));
+            if let Some(item) = pop_live(&tpl.shared, &mut q) {
+                batch.push(item);
                 continue;
             }
-            if q.stopping || interactive || q.idle > 0 {
+            if q.stopping || tpl.latency_class == LatencyClass::Interactive || q.idle > 0 {
                 break;
             }
             let now = Instant::now();
@@ -1565,7 +1480,7 @@ fn form_batch(cfg: &WorkerCfg, batch: &mut Vec<(Arc<Request>, u64)>) -> bool {
                 .unwrap_or_else(PoisonError::into_inner);
             q = guard;
             q.forming -= 1;
-            if timeout.timed_out() && q.len() == 0 {
+            if timeout.timed_out() && q.fifo.is_empty() {
                 break;
             }
         }
@@ -1699,19 +1614,11 @@ fn staging_views(input_shape: &Shape, layout: Layout) -> Vec<Tensor> {
         .collect()
 }
 
-/// Records one completed request's latency in the ring (allocation-free
-/// past the pre-reserved capacity).
+/// Counts one completed request and records its latency.
 fn record_completion(shared: &Shared, latency: Duration) {
     let mut st = lock(&shared.stats);
     st.completed += 1;
-    let us = latency.as_secs_f64() * 1e6;
-    if st.latencies_us.len() < st.latencies_us.capacity() {
-        st.latencies_us.push(us);
-    } else if !st.latencies_us.is_empty() {
-        let i = st.ring_next % st.latencies_us.len();
-        st.latencies_us[i] = us;
-        st.ring_next = st.ring_next.wrapping_add(1);
-    }
+    st.latency.record(latency);
 }
 
 /// Watchdog configuration (owned by the supervisor thread).
@@ -1895,7 +1802,6 @@ mod tests {
         for opts in [
             ServeOptions { workers: 0, ..Default::default() },
             ServeOptions { queue_cap: 0, ..Default::default() },
-            ServeOptions { latency_capacity: 0, ..Default::default() },
             ServeOptions { watchdog_interval: Duration::ZERO, ..Default::default() },
             ServeOptions { stall_budget: Some(Duration::ZERO), ..Default::default() },
         ] {
@@ -1924,18 +1830,38 @@ mod tests {
         let engine = ServeEngine::new(batched_module(2), &ServeOptions::default()).unwrap();
         // No samples: percentiles are NaN, not a bogus 0 ms.
         let empty = engine.report();
-        assert_eq!(empty.latency_samples, 0);
+        assert_eq!(empty.completed, 0);
         assert!(empty.p50_ms.is_nan() && empty.p95_ms.is_nan() && empty.p99_ms.is_nan());
 
         // One sample: every percentile is that sample.
         let img = Tensor::random([1, 4, 8, 8], Layout::Nchw, 3, 1.0).unwrap();
         engine.infer(&img).unwrap();
         let one = engine.report();
-        assert_eq!(one.latency_samples, 1);
+        assert_eq!(one.completed, 1);
         assert!(one.p50_ms > 0.0);
         assert_eq!(one.p50_ms, one.p95_ms);
         assert_eq!(one.p95_ms, one.p99_ms);
         engine.shutdown();
+
+        // Known values, 0 µs and past the top bucket included: each percentile
+        // is exact nearest rank plus at most one bucket (1 µs, or 1/16).
+        let mut us: Vec<u64> = vec![0, 0, 3, 15, 16, 17, 31, 33, 100, 4_321, 999_999, 1 << 40];
+        let mut hist = LatencyHistogram { counts: [0; LAT_BUCKETS], max: Duration::ZERO };
+        for &v in &us {
+            hist.record(Duration::from_micros(v));
+        }
+        us.sort_unstable();
+        for p in [1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0, 100.0] {
+            let rank = ((p / 100.0) * us.len() as f64).ceil() as usize;
+            let exact = us[rank.clamp(1, us.len()) - 1] as f64;
+            let got = hist.percentile_ms(p) * 1e3;
+            let width = (exact / 16.0).max(1.0);
+            assert!(
+                got >= exact - 1e-6 && got <= exact + width + 1e-6,
+                "p{p}: got {got} µs, exact {exact} µs"
+            );
+        }
+        assert_eq!(hist.percentile_ms(100.0), (1u64 << 40) as f64 / 1e3, "top bucket saturates");
     }
 
     #[test]
@@ -1962,31 +1888,28 @@ mod tests {
 
     #[test]
     fn interactive_request_caps_batch_formation() {
-        // With a batch-4 module and a long batch timeout, a lone *bulk*
-        // request makes the worker wait out the timeout hoping to
-        // coalesce; a lone *interactive* request must be dispatched
-        // immediately instead. The contrast is deterministic: only the
-        // latency class changes between the two submissions.
+        // With a batch-4 module and a long batch timeout, a lone request on
+        // a one-worker *bulk* engine waits out the timeout hoping to
+        // coalesce; on an *interactive* engine it must run at once. Only
+        // the engines' latency class differs.
         let m = batched_module(4);
         let timeout = Duration::from_millis(600);
         let opts = ServeOptions { workers: 1, batch_timeout: timeout, ..Default::default() };
-        let engine = ServeEngine::new(m, &opts).unwrap();
         let img = Tensor::random([1, 4, 8, 8], Layout::Nchw, 6, 1.0).unwrap();
-
-        let bulk = engine.make_request();
-        bulk.fill(&img).unwrap();
-        let t0 = Instant::now();
-        engine.submit(&bulk).unwrap();
-        bulk.wait().unwrap();
-        let bulk_elapsed = t0.elapsed();
-
-        let hot = engine.make_request();
-        hot.set_latency_class(LatencyClass::Interactive).unwrap();
-        hot.fill(&img).unwrap();
-        let t0 = Instant::now();
-        engine.submit(&hot).unwrap();
-        hot.wait().unwrap();
-        let hot_elapsed = t0.elapsed();
+        let lone_request = |class: LatencyClass| {
+            let opts = ServeOptions { latency_class: class, ..opts.clone() };
+            let engine = ServeEngine::new(Arc::clone(&m), &opts).unwrap();
+            let req = engine.make_request();
+            req.fill(&img).unwrap();
+            let t0 = Instant::now();
+            engine.submit(&req).unwrap();
+            req.wait().unwrap();
+            let elapsed = t0.elapsed();
+            engine.shutdown();
+            elapsed
+        };
+        let bulk_elapsed = lone_request(LatencyClass::Bulk);
+        let hot_elapsed = lone_request(LatencyClass::Interactive);
 
         assert!(
             bulk_elapsed >= timeout,
@@ -1997,49 +1920,6 @@ mod tests {
             "an interactive request must not wait for batch coalescing \
              (took {hot_elapsed:?}, timeout {timeout:?})"
         );
-        engine.shutdown();
-    }
-
-    #[test]
-    fn interactive_class_overtakes_queued_bulk_work() {
-        // Heavier module so the single worker holds a real backlog, then
-        // an interactive request submitted last must overtake the queued
-        // bulk requests via the high-priority lane.
-        let mut b = GraphBuilder::new(31);
-        let x = b.input([1, 16, 32, 32]);
-        let c1 = b.conv_bn_relu(x, 32, 3, 1, 1);
-        let c2 = b.conv_bn_relu(c1, 32, 3, 1, 1);
-        let g = b.finish(vec![c2]);
-        let opts = CompileOptions::level(OptLevel::O2).with_pool(PoolChoice::Sequential);
-        let m = Arc::new(compile(&g, &CpuTarget::host(), &opts).unwrap());
-
-        let engine =
-            ServeEngine::new(m, &ServeOptions { workers: 1, ..Default::default() }).unwrap();
-        let img = Tensor::random([1, 16, 32, 32], Layout::Nchw, 6, 1.0).unwrap();
-        let bulk: Vec<Arc<Request>> = (0..24)
-            .map(|_| {
-                let r = engine.make_request();
-                r.fill(&img).unwrap();
-                engine.submit(&r).unwrap();
-                r
-            })
-            .collect();
-        let hot = engine.make_request();
-        hot.set_latency_class(LatencyClass::Interactive).unwrap();
-        hot.fill(&img).unwrap();
-        engine.submit(&hot).unwrap();
-        hot.wait().unwrap();
-        // The interactive request finished while bulk work was still
-        // queued — it did not wait for the tail of the bulk backlog.
-        let depth_at_hot_completion = engine.queue_depth();
-        for r in &bulk {
-            r.wait().unwrap();
-        }
-        assert!(
-            depth_at_hot_completion > 0,
-            "interactive request should complete while bulk work is still queued"
-        );
-        engine.shutdown();
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! one and two routes never contend for the same core.
 //!
 //! Routes whose planned working set is small next to the heaviest route
-//! are classed [`LatencyClass::Interactive`]: their requests jump the
-//! high-priority lane and cap batch coalescing, so a MobileNet ping is
-//! not stuck behind a ResNet-50 bulk batch.
+//! get an [`LatencyClass::Interactive`] engine: it never holds a partial
+//! batch waiting for more rows, so a lone request to a small model runs at
+//! once. The heavy routes stay `Bulk` and coalesce.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -95,7 +95,7 @@ pub struct RegistryEntry {
     pub module: Arc<Module>,
     /// The engine executing this route.
     pub engine: ServeEngine,
-    /// The latency class this route's requests default to.
+    /// The latency class of this route's engine.
     pub latency_class: LatencyClass,
     /// Exact per-request input payload size: one image as LE `f32` bytes.
     pub input_bytes: usize,
@@ -168,8 +168,8 @@ impl ModelRegistry {
             return Err(NeoError::Config("registry needs at least one route".into()));
         }
         // A route is "small" when its planned working set is at most half
-        // of the heaviest route's: its requests ride the interactive lane
-        // so they overtake bulk batches of the big models at dispatch.
+        // of the heaviest route's: its engine is interactive, so its
+        // batches never wait out the batch timeout for more rows.
         let max_peak = modules
             .iter()
             .map(|(_, m, _)| m.memory_report().planned_peak_bytes)
@@ -363,6 +363,28 @@ mod tests {
         assert_eq!(registry.route_index(ModelKind::MobileNet, WireDtype::F32), Some(0));
         registry.shutdown_within(Duration::from_secs(5));
         assert_eq!(registry.health(), EngineHealth::Stopped);
+    }
+
+    #[test]
+    fn small_routes_are_interactive_unless_every_route_is() {
+        let small = ModelSpec::serving(ModelKind::MobileNet, WireDtype::F32, false, 1);
+        let big = ModelSpec::serving(ModelKind::ResNet50, WireDtype::F32, false, 4);
+        let modules = vec![
+            (small, small.compile().expect("tiny MobileNet compiles").0),
+            (big, big.compile().expect("tiny ResNet-50 compiles").0),
+        ];
+        let peak = |i: usize| modules[i].1.memory_report().planned_peak_bytes;
+        assert!(peak(1) > 2 * peak(0), "ResNet-50 at batch 4 must dwarf MobileNet at batch 1");
+        let classes = |opts: &ServeOptions| {
+            let registry = ModelRegistry::from_modules(modules.clone(), opts).expect("starts");
+            let classes: Vec<_> = registry.entries().iter().map(|e| e.latency_class).collect();
+            registry.shutdown();
+            classes
+        };
+        let opts = ServeOptions { workers: 1, ..Default::default() };
+        assert_eq!(classes(&opts), [LatencyClass::Interactive, LatencyClass::Bulk]);
+        let all_interactive = ServeOptions { latency_class: LatencyClass::Interactive, ..opts };
+        assert_eq!(classes(&all_interactive), [LatencyClass::Interactive; 2]);
     }
 
     #[test]

@@ -335,6 +335,10 @@ fn saturated_queue_answers_busy_on_the_wire() {
         assert_eq!(ok + busy, (CLIENTS as u64) * REQUESTS, "every request resolved");
         assert!(busy > 0, "a single-slot queue under 8 clients must shed");
         assert!(ok > 0, "shedding must not starve the queue entirely");
+        // Every Busy frame is one refused `try_submit`, and the engine
+        // counts exactly those as `shed`.
+        let (_, report) = &registry.reports()[0];
+        assert_eq!(report.shed, busy, "the route's shed count must match the Busy frames");
 
         // The server stays servable after the storm.
         let mut stream = connect(&server);
