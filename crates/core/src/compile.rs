@@ -371,36 +371,13 @@ fn global_search(
             Some(TimedMeasurer { repeats, warmup: 1, max_lanes: target.max_lanes() })
         }
     };
-    let tname = target.name.clone();
     let mut ranked = |node: NodeId, params: &Conv2dParams| -> Vec<RankedScheme> {
-        let mut kept: Vec<RankedScheme> = match db.get(&tname, params) {
-            Some(cached) => cached
-                .iter()
-                .cloned()
-                .filter(|r| match verify_ranked_for_target(params, r, target) {
-                    Ok(()) => true,
-                    Err(reason) => {
-                        report.dropped_schemes.push(DroppedScheme {
-                            node,
-                            params: *params,
-                            schedule: r.schedule,
-                            reason,
-                        });
-                        false
-                    }
-                })
-                .collect(),
-            None => {
-                let fresh = match &timed {
-                    Some(t) => local_search(params, t, &local_cfg),
-                    None => local_search(params, &analytical, &local_cfg),
-                };
-                fresh
-                    .into_iter()
-                    .filter(|r| verify_ranked_for_target(params, r, target).is_ok())
-                    .collect()
+        let mut kept = verified_schemes(db, target, node, params, DType::F32, report, || {
+            match &timed {
+                Some(t) => local_search(params, t, &local_cfg),
+                None => local_search(params, &analytical, &local_cfg),
             }
-        };
+        });
         if kept.is_empty() {
             let fb = default_schedule(params, target);
             report.fallbacks.push(ScheduleFallback {
@@ -417,31 +394,12 @@ fn global_search(
         // target — dropped schemes never resurface on the next compile.
         // `replace` (not the merging `put`) is load-bearing here: merging
         // would resurrect the very entries verification just rejected.
-        db.replace(&tname, params, kept.clone());
+        db.replace(&target.name, params, kept.clone());
         if int8 {
-            let kept8: Vec<RankedScheme> = match db.get_dtyped(&tname, params, DType::U8) {
-                Some(cached) => cached
-                    .iter()
-                    .cloned()
-                    .filter(|r| match verify_ranked_for_target(params, r, target) {
-                        Ok(()) => true,
-                        Err(reason) => {
-                            report.dropped_schemes.push(DroppedScheme {
-                                node,
-                                params: *params,
-                                schedule: r.schedule,
-                                reason,
-                            });
-                            false
-                        }
-                    })
-                    .collect(),
-                None => local_search(params, &Int8Cost(&analytical), &local_cfg)
-                    .into_iter()
-                    .filter(|r| verify_ranked_for_target(params, r, target).is_ok())
-                    .collect(),
-            };
-            db.replace_dtyped(&tname, params, DType::U8, kept8.clone());
+            let kept8 = verified_schemes(db, target, node, params, DType::U8, report, || {
+                local_search(params, &Int8Cost(&analytical), &local_cfg)
+            });
+            db.replace_dtyped(&target.name, params, DType::U8, kept8.clone());
             // No fallback synthesis on the int8 side: a workload with no
             // finite int8 candidate (e.g. a 3-channel stem that cannot
             // quad-pack) simply stays on its f32 list.
@@ -466,6 +424,42 @@ fn global_search(
     let problem = extract_problem(g, &mut ranked, edge_model)?;
     let (assignment, _obj) = solve(&problem, &GlobalCfg::default());
     Ok(problem.assignment_to_schedules(&assignment))
+}
+
+/// One workload's candidate list for `dtype`: the database's entry minus
+/// the schemes that no longer verify on `target` (each drop recorded in
+/// `report`), or, without an entry, `search()`'s list filtered the same way.
+fn verified_schemes(
+    db: &SchemeDatabase,
+    target: &CpuTarget,
+    node: NodeId,
+    params: &Conv2dParams,
+    dtype: DType,
+    report: &mut CompileReport,
+    search: impl FnOnce() -> Vec<RankedScheme>,
+) -> Vec<RankedScheme> {
+    let Some(cached) = db.get_dtyped(&target.name, params, dtype) else {
+        return search()
+            .into_iter()
+            .filter(|r| verify_ranked_for_target(params, r, target).is_ok())
+            .collect();
+    };
+    cached
+        .iter()
+        .filter(|r| match verify_ranked_for_target(params, r, target) {
+            Ok(()) => true,
+            Err(reason) => {
+                report.dropped_schemes.push(DroppedScheme {
+                    node,
+                    params: *params,
+                    schedule: r.schedule,
+                    reason,
+                });
+                false
+            }
+        })
+        .cloned()
+        .collect()
 }
 
 /// A conservative schedule for `params` that always verifies on `target`:

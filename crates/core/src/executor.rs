@@ -32,8 +32,12 @@
 //! Kernel and tensor errors are likewise enriched with node context
 //! ([`NeoError::AtNode`]) on their way out.
 //!
-//! [`Module::run_reference`] keeps the old clone-everything interpreter
-//! alive as the correctness oracle the plan is tested against.
+//! One node loop and one node dispatch serve two storage strategies: the
+//! planned arena views, and [`Module::run_reference`]'s fresh tensor per
+//! node with no in-place reuse and no planned scratch — the correctness
+//! oracle the plan is tested against. A per-node hook on that loop (node
+//! id, value, wall time) is how [`Module::run_profiled`] times operators
+//! and int8 calibration reads activation ranges from the arena run.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,10 +54,10 @@ use neocpu_kernels::pool2d::{global_avg_pool, pool2d};
 use neocpu_kernels::quantize::{dequantize_slice_par, f32_slice_as_u8_mut, quantize_slice_par};
 use neocpu_kernels::{dense, padded_input_len, softmax};
 use neocpu_tensor::{
-    transform::{to_layout, to_layout_into},
+    transform::to_layout_into,
     Arena, DType, Layout, Shape, Tensor,
 };
-use neocpu_threadpool::Parallelism;
+use neocpu_threadpool::{panic_message, Parallelism};
 
 use crate::memory::{plan_memory, MemoryPlan, MemoryReport};
 use crate::{NeoError, Result};
@@ -101,7 +105,7 @@ pub struct RunContext {
 // SAFETY: every field but `fanin` is `Send` by composition (`Arc<Arena>`
 // and arena-view tensors are `Send + Sync`). `fanin` is an empty scratch
 // buffer whenever the context is at rest — pointers are written and
-// cleared within one `exec_node_planned` call — so moving the context
+// cleared within one `exec_node` call — so moving the context
 // across threads never moves live aliases.
 unsafe impl Send for RunContext {}
 
@@ -303,16 +307,12 @@ impl Module {
     pub fn run_profiled(&self, inputs: &[Tensor]) -> Result<(Vec<Tensor>, Vec<OpProfile>)> {
         let mut per_op: std::collections::HashMap<&'static str, OpProfile> =
             std::collections::HashMap::new();
-        let mut probe = |name: &'static str, secs: f64| {
-            let e = per_op.entry(name).or_insert(OpProfile { op: name, count: 0, total_ms: 0.0 });
+        let outputs = self.run_hooked(inputs, Some(&mut |id, _, secs| {
+            let op = self.graph.nodes[id].op.name();
+            let e = per_op.entry(op).or_insert(OpProfile { op, count: 0, total_ms: 0.0 });
             e.count += 1;
             e.total_ms += secs * 1e3;
-        };
-        let mut ctx = self.checkout_context();
-        let result = self.run_ctx(&mut ctx, inputs, Some(&mut probe));
-        let outputs = result.map(|()| ctx.outputs().into_iter().cloned().collect());
-        self.contexts.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(ctx);
-        let outputs = outputs?;
+        }))?;
         let mut profiles: Vec<OpProfile> = per_op.into_values().collect();
         profiles.sort_by(|a, b| b.total_ms.total_cmp(&a.total_ms));
         Ok((outputs, profiles))
@@ -338,8 +338,21 @@ impl Module {
     /// kernel or thread-pool code is caught at the per-node boundary and
     /// returned as [`NeoError::Panicked`]; the module stays usable.
     pub fn run(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
-        let mut ctx = self.checkout_context();
-        let result = self.run_ctx(&mut ctx, inputs, None);
+        self.run_hooked(inputs, None)
+    }
+
+    /// [`Module::run`] with an optional per-node hook (see
+    /// [`Module::run_nodes`]). Profiling and int8 calibration observe the
+    /// arena run through it.
+    pub(crate) fn run_hooked(
+        &self,
+        inputs: &[Tensor],
+        hook: Option<NodeHook<'_>>,
+    ) -> Result<Vec<Tensor>> {
+        let pooled =
+            self.contexts.lock().unwrap_or_else(std::sync::PoisonError::into_inner).pop();
+        let mut ctx = pooled.unwrap_or_else(|| self.make_context());
+        let result = self.run_ctx(&mut ctx, inputs, hook);
         let outputs = result.map(|()| ctx.outputs().into_iter().cloned().collect());
         self.contexts.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(ctx);
         outputs
@@ -359,17 +372,31 @@ impl Module {
         self.run_ctx(ctx, inputs, None)
     }
 
-    fn checkout_context(&self) -> RunContext {
-        let pooled =
-            self.contexts.lock().unwrap_or_else(std::sync::PoisonError::into_inner).pop();
-        pooled.unwrap_or_else(|| self.make_context())
+    /// Runs one inference through the **reference storage strategy**: every
+    /// node output is a freshly allocated tensor ([`Tensor::uninit`] — all
+    /// kernels overwrite their outputs in full), nothing is reused in
+    /// place, and all values live to the end of the run.
+    ///
+    /// This is the oracle the static memory plan is validated against: for
+    /// any module and inputs, [`Module::run`] must produce **bit-identical**
+    /// outputs to this method (same kernels, same order — only the storage
+    /// strategy differs). It takes the declared shapes only: the n-row runs
+    /// of [`Module::run`] are held to the B-row run instead.
+    ///
+    /// # Errors
+    ///
+    /// As [`Module::run`].
+    pub fn run_reference(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
+        let mut values = Vec::with_capacity(self.graph.len());
+        self.run_nodes(Values::Fresh(&mut values), &mut Vec::new(), inputs, None)?;
+        Ok(self.graph.outputs.iter().map(|&o| values[o].clone()).collect())
     }
 
     fn run_ctx(
         &self,
         ctx: &mut RunContext,
         inputs: &[Tensor],
-        mut probe: Option<&mut dyn FnMut(&'static str, f64)>,
+        hook: Option<NodeHook<'_>>,
     ) -> Result<()> {
         if ctx.module_uid != self.uid {
             return Err(NeoError::BadInput(
@@ -387,23 +414,54 @@ impl Module {
             )));
         }
         ctx.rows = rows;
-        let g = &self.graph;
-        let mut next_input = 0usize;
+        let values = Values::Planned { views: &mut ctx.values[rows - 1], arena: &ctx.arena };
+        self.run_nodes(values, &mut ctx.fanin, inputs, hook)
+    }
+
+    /// The node loop of both storage strategies. Every node runs inside a
+    /// panic boundary: an unwind from kernel code (including one re-raised
+    /// by the pool's own containment) becomes a typed error instead of
+    /// tearing down the serving thread. `hook` sees each node's id, value
+    /// and wall time in seconds as soon as the node has run — before an
+    /// in-place consumer can overwrite that value.
+    fn run_nodes(
+        &self,
+        mut values: Values<'_>,
+        fanin: &mut Vec<*const Tensor>,
+        inputs: &[Tensor],
+        mut hook: Option<NodeHook<'_>>,
+    ) -> Result<()> {
         #[cfg(feature = "fault-injection")]
         let pool_wrap = crate::faults::WorkerFaultPar(&*self.pool);
         #[cfg(feature = "fault-injection")]
         let par: &dyn Parallelism = &pool_wrap;
         #[cfg(not(feature = "fault-injection"))]
         let par: &dyn Parallelism = &*self.pool;
+        let mut feed = Feed { inputs, next_input: 0, par, fanin };
 
-        for id in 0..g.len() {
-            let node = &g.nodes[id];
-            let t0 = probe.is_some().then(std::time::Instant::now);
-            // Panic boundary: an unwind from kernel code (including one
-            // re-raised by the pool's own containment) becomes a typed
-            // error instead of tearing down the serving thread.
-            let unwound = panic::catch_unwind(AssertUnwindSafe(|| {
-                self.exec_node_planned(id, node, ctx, inputs, &mut next_input, par)
+        for (id, node) in self.graph.nodes.iter().enumerate() {
+            let t0 = hook.is_some().then(std::time::Instant::now);
+            let unwound = panic::catch_unwind(AssertUnwindSafe(|| match &mut values {
+                Values::Planned { views, arena } => {
+                    // Split so earlier values stay readable while this
+                    // node's view is written: planner disjointness makes the
+                    // aliased cases (in-place, Flatten/Dropout) never touch
+                    // both sides at once.
+                    let (before, rest) = views.split_at_mut(id);
+                    let scratch = self.plan.scratch[id].map(|off| (&**arena, off));
+                    let inplace = self.plan.inplace[id];
+                    self.exec_node(id, before, &mut rest[0], inplace, scratch, &mut feed)
+                }
+                Values::Fresh(values) => {
+                    let mut out = Tensor::uninit_dtyped(
+                        self.shapes[id].clone(),
+                        self.layouts[id],
+                        self.dtypes[id],
+                    )?;
+                    self.exec_node(id, values, &mut out, None, None, &mut feed)?;
+                    values.push(out);
+                    Ok(())
+                }
             }));
             match unwound {
                 Ok(Ok(())) => {}
@@ -416,32 +474,43 @@ impl Module {
                     })
                 }
             }
-            if let (Some(p), Some(t0)) = (probe.as_deref_mut(), t0) {
-                p(node.op.name(), t0.elapsed().as_secs_f64());
+            if let (Some(h), Some(t0)) = (hook.as_deref_mut(), t0) {
+                let value = match &values {
+                    Values::Planned { views, .. } => &views[id],
+                    Values::Fresh(values) => &values[id],
+                };
+                h(id, value, t0.elapsed().as_secs_f64());
             }
         }
 
-        if next_input != inputs.len() {
+        if feed.next_input != inputs.len() {
             return Err(NeoError::BadInput(format!(
-                "graph consumes {next_input} input tensor(s) but {} were provided",
+                "graph consumes {} input tensor(s) but {} were provided",
+                feed.next_input,
                 inputs.len()
             )));
         }
         Ok(())
     }
 
-    /// Executes one node into its planned arena region. Called inside the
-    /// per-node panic boundary of [`Module::run_ctx`].
-    fn exec_node_planned(
+    /// Executes node `id` into `out`, reading its operands from `before`
+    /// (the values of nodes `0..id`). `inplace` and `scratch` are the
+    /// plan's decisions for this node — which input `out` aliases, and the
+    /// arena region for padded input — or `None` on the reference path,
+    /// where the aliasing ops copy and convs pad into their own buffer.
+    /// Called inside the per-node panic boundary of [`Module::run_nodes`].
+    fn exec_node(
         &self,
         id: usize,
-        node: &neocpu_graph::Node,
-        ctx: &mut RunContext,
-        inputs: &[Tensor],
-        next_input: &mut usize,
-        par: &dyn Parallelism,
+        before: &[Tensor],
+        out: &mut Tensor,
+        inplace: Option<usize>,
+        scratch: Option<(&Arena, usize)>,
+        feed: &mut Feed<'_>,
     ) -> Result<()> {
         let g = &self.graph;
+        let node = &g.nodes[id];
+        let par = feed.par;
         if !matches!(node.op, Op::Input { .. } | Op::LayoutTransform { .. }) {
             crate::faults::fire(crate::faults::KERNEL_ENTRY)?;
         }
@@ -464,33 +533,25 @@ impl Module {
         ) {
             crate::faults::fire(crate::faults::TENSOR_ALLOC)?;
         }
-        let arena = &ctx.arena;
-        let fanin = &mut ctx.fanin;
-        // Split so earlier values stay readable while this node's view is
-        // written: planner disjointness makes the aliased cases (in-place,
-        // Flatten/Dropout) never touch both sides at once.
-        let (before, rest) = ctx.values[ctx.rows - 1].split_at_mut(id);
-        let out = &mut rest[0];
         match &node.op {
             Op::Input { shape } => {
-                let t = inputs
-                    .get(*next_input)
-                    .ok_or_else(|| NeoError::BadInput(format!("missing input #{next_input}")))?;
-                *next_input += 1;
+                let i = feed.next_input;
+                let t = feed
+                    .inputs
+                    .get(i)
+                    .ok_or_else(|| NeoError::BadInput(format!("missing input #{i}")))?;
+                feed.next_input += 1;
                 // `out` is this run's view: the declared shape at n rows.
                 if t.shape() != out.shape() {
                     return Err(NeoError::BadInput(format!(
-                        "input #{} has shape {}, expected {} (declared {:?})",
-                        *next_input - 1,
+                        "input #{i} has shape {}, expected {} (declared {shape:?})",
                         t.shape(),
                         out.shape(),
-                        shape
                     )));
                 }
                 if t.layout() != self.layouts[id] {
                     return Err(NeoError::BadInput(format!(
-                        "input #{} must be {}, got {}",
-                        *next_input - 1,
+                        "input #{i} must be {}, got {}",
                         self.layouts[id],
                         t.layout()
                     )));
@@ -511,7 +572,7 @@ impl Module {
                         // SAFETY: as below; the planner reserved the region
                         // in u8 elements for a quantized conv's input, so
                         // reinterpret the f32 slots and trim to exact size.
-                        let scratch = self.plan.scratch[id].map(|off| {
+                        let scratch = scratch.map(|(arena, off)| {
                             let len = pad_len(s.ic_bn);
                             let slots = DType::U8.slots(len);
                             let raw = unsafe { arena.slice_mut(off, slots) };
@@ -543,8 +604,8 @@ impl Module {
                         // SAFETY: the scratch region is live only at this
                         // node, so it overlaps no value view accessed here
                         // (planner invariant, verified at compile time).
-                        let scratch = self.plan.scratch[id]
-                            .map(|off| unsafe { arena.slice_mut(off, pad_len(s.ic_bn)) });
+                        let scratch = scratch
+                            .map(|(arena, off)| unsafe { arena.slice_mut(off, pad_len(s.ic_bn)) });
                         conv2d_nchwc(
                             x,
                             &g.params[*weight],
@@ -587,19 +648,17 @@ impl Module {
                 let x = &before[node.inputs[0]];
                 scale_shift(x, out, &scale, &shift, par)?;
             }
-            Op::Relu => {
-                if self.plan.inplace[id].is_none() {
-                    // Input storage outlives this node: work on a copy in
-                    // the planned output region.
+            // Flatten is a shape view and Dropout the identity: with the
+            // plan's alias, `out` is the producer's storage and nothing
+            // moves; Relu then clamps it where it sits.
+            Op::Relu | Op::Dropout | Op::Flatten => {
+                if inplace.is_none() {
                     out.data_mut().copy_from_slice(before[node.inputs[0]].data());
                 }
-                // In-place: `out` aliases the input's region, which already
-                // holds the data — clamp it where it sits.
-                relu_inplace(out, par);
+                if matches!(node.op, Op::Relu) {
+                    relu_inplace(out, par);
+                }
             }
-            // Aliased reinterpretations: the plan mapped the output view
-            // onto the producer's storage; nothing moves at run time.
-            Op::Dropout | Op::Flatten => {}
             Op::Pool { params, kind } => {
                 let x = &before[node.inputs[0]];
                 pool2d(x, out, params, *kind, par)?;
@@ -608,7 +667,7 @@ impl Module {
                 let x = &before[node.inputs[0]];
                 global_avg_pool(x, out, par)?;
             }
-            Op::Add => match self.plan.inplace[id] {
+            Op::Add => match inplace {
                 // `out` aliases input `pos`; accumulate the other operand
                 // into it without ever forming an aliased `&`/`&mut` pair.
                 Some(pos) => {
@@ -622,6 +681,7 @@ impl Module {
                 }
             },
             Op::Concat => {
+                let fanin = &mut *feed.fanin;
                 fanin.clear();
                 fanin.extend(node.inputs.iter().map(|&i| std::ptr::from_ref(&before[i])));
                 // SAFETY: `&Tensor` and `*const Tensor` have identical
@@ -651,275 +711,27 @@ impl Module {
         }
         Ok(())
     }
+}
 
-    /// Runs one inference through the **naive reference interpreter**: every
-    /// node output is a freshly allocated tensor ([`Tensor::uninit`] — all
-    /// kernels overwrite their outputs in full), nothing is reused in
-    /// place, and all values live to the end of the run.
-    ///
-    /// This is the oracle the static memory plan is validated against: for
-    /// any module and inputs, [`Module::run`] must produce **bit-identical**
-    /// outputs to this method (same kernels, same order — only the storage
-    /// strategy differs). It takes the declared shapes only: the n-row runs
-    /// of [`Module::run`] are held to the B-row run instead.
-    ///
-    /// # Errors
-    ///
-    /// As [`Module::run`].
-    pub fn run_reference(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
-        self.run_reference_probe(inputs, &mut |_, _| {})
-    }
+/// A per-node observer: node id, its value, its wall time in seconds.
+pub(crate) type NodeHook<'a> = &'a mut dyn FnMut(usize, &Tensor, f64);
 
-    /// [`Module::run_reference`] with a per-node observation hook: `probe`
-    /// is called with each node's id and freshly computed value, in
-    /// execution order. This is how int8 calibration sees every conv input
-    /// without the interpreter retaining the whole value table for the
-    /// caller.
-    ///
-    /// # Errors
-    ///
-    /// As [`Module::run_reference`].
-    pub fn run_reference_probe(
-        &self,
-        inputs: &[Tensor],
-        probe: &mut dyn FnMut(usize, &Tensor),
-    ) -> Result<Vec<Tensor>> {
-        let g = &self.graph;
-        let mut values: Vec<Option<Tensor>> = vec![None; g.len()];
-        let mut next_input = 0usize;
-        #[cfg(feature = "fault-injection")]
-        let pool_wrap = crate::faults::WorkerFaultPar(&*self.pool);
-        #[cfg(feature = "fault-injection")]
-        let par: &dyn Parallelism = &pool_wrap;
-        #[cfg(not(feature = "fault-injection"))]
-        let par: &dyn Parallelism = &*self.pool;
+/// Where a run keeps its node values.
+enum Values<'a> {
+    /// A context's planned arena views for this run's row count.
+    Planned { views: &'a mut [Tensor], arena: &'a Arena },
+    /// One fresh tensor per node, pushed as it is computed (the oracle).
+    Fresh(&'a mut Vec<Tensor>),
+}
 
-        for id in 0..g.len() {
-            let node = &g.nodes[id];
-            let unwound = panic::catch_unwind(AssertUnwindSafe(|| {
-                self.exec_node_reference(id, node, &values, inputs, &mut next_input, par)
-            }));
-            let out = match unwound {
-                Ok(Ok(t)) => t,
-                Ok(Err(e)) => return Err(at_node(id, node.op.name(), e)),
-                Err(payload) => {
-                    return Err(NeoError::Panicked {
-                        node: id,
-                        op: node.op.name(),
-                        message: panic_message(payload.as_ref()),
-                    })
-                }
-            };
-            probe(id, &out);
-            values[id] = Some(out);
-        }
-
-        if next_input != inputs.len() {
-            return Err(NeoError::BadInput(format!(
-                "graph consumes {next_input} input tensor(s) but {} were provided",
-                inputs.len()
-            )));
-        }
-
-        g.outputs
-            .iter()
-            .map(|&o| {
-                values[o]
-                    .clone()
-                    .ok_or_else(|| NeoError::Internal(format!("output {o} not computed")))
-            })
-            .collect()
-    }
-
-    /// Allocates the output buffer of node `id` for the reference path —
-    /// uninitialized, because every kernel writes its output in full.
-    fn alloc(&self, id: usize) -> Result<Tensor> {
-        crate::faults::fire(crate::faults::TENSOR_ALLOC)?;
-        Ok(Tensor::uninit_dtyped(self.shapes[id].clone(), self.layouts[id], self.dtypes[id])?)
-    }
-
-    /// Executes one node of the reference interpreter.
-    fn exec_node_reference(
-        &self,
-        id: usize,
-        node: &neocpu_graph::Node,
-        values: &[Option<Tensor>],
-        inputs: &[Tensor],
-        next_input: &mut usize,
-        par: &dyn Parallelism,
-    ) -> Result<Tensor> {
-        let g = &self.graph;
-        if !matches!(node.op, Op::Input { .. } | Op::LayoutTransform { .. }) {
-            crate::faults::fire(crate::faults::KERNEL_ENTRY)?;
-        }
-        let value = |vid: usize| -> Result<&Tensor> {
-            values[vid]
-                .as_ref()
-                .ok_or_else(|| NeoError::Internal(format!("value {vid} not computed")))
-        };
-        let out = match &node.op {
-            Op::Input { shape } => {
-                let t = inputs
-                    .get(*next_input)
-                    .ok_or_else(|| NeoError::BadInput(format!("missing input #{next_input}")))?;
-                *next_input += 1;
-                if t.shape().dims() != &shape[..] {
-                    return Err(NeoError::BadInput(format!(
-                        "input #{} has shape {}, expected {:?}",
-                        *next_input - 1,
-                        t.shape(),
-                        shape
-                    )));
-                }
-                if t.layout() != self.layouts[id] {
-                    return Err(NeoError::BadInput(format!(
-                        "input #{} must be {}, got {}",
-                        *next_input - 1,
-                        self.layouts[id],
-                        t.layout()
-                    )));
-                }
-                t.clone()
-            }
-            Op::Conv2d { params, weight, bias, schedule, relu, residual, quant, requant } => {
-                let x = value(node.inputs[0])?;
-                let res = if *residual { Some(value(node.inputs[1])?) } else { None };
-                let bias_data = bias.map(|b| g.params[b].data());
-                let epi =
-                    Epilogue { bias: bias_data, relu: *relu, residual: res, requant: *requant };
-                let mut out = self.alloc(id)?;
-                match (schedule, quant) {
-                    (Some(s), Some(q)) => {
-                        let cq = ConvQuant {
-                            mult: g.params[q.mult].data(),
-                            zero_point: q.in_zp,
-                        };
-                        conv2d_nchwc_u8(
-                            x,
-                            &g.params[*weight],
-                            &mut out,
-                            params,
-                            s,
-                            &cq,
-                            &epi,
-                            par,
-                            self.max_lanes,
-                            None,
-                        )?;
-                    }
-                    (None, Some(_)) => {
-                        return Err(NeoError::Internal(
-                            "quantized conv without a schedule".into(),
-                        ));
-                    }
-                    (Some(s), None) => {
-                        conv2d_nchwc(
-                            x,
-                            &g.params[*weight],
-                            &mut out,
-                            params,
-                            s,
-                            &epi,
-                            par,
-                            self.max_lanes,
-                            None,
-                        )?;
-                    }
-                    (None, None) => {
-                        conv2d_nchw_direct(x, &g.params[*weight], &mut out, params, &epi, par)?;
-                    }
-                }
-                out
-            }
-            Op::Quantize { scale, zero_point } => {
-                let x = value(node.inputs[0])?;
-                let mut out = self.alloc(id)?;
-                let (src, dst) = (x.data(), out.data_u8_mut());
-                quantize_slice_par(src, dst, *scale, *zero_point, par, self.max_lanes);
-                out
-            }
-            Op::Dequantize { scale, zero_point } => {
-                let x = value(node.inputs[0])?;
-                let mut out = self.alloc(id)?;
-                dequantize_slice_par(x.data_u8(), out.data_mut(), *scale, *zero_point, par);
-                out
-            }
-            Op::ScaleShift { scale, shift } => {
-                let x = value(node.inputs[0])?;
-                let mut out = self.alloc(id)?;
-                scale_shift(x, &mut out, g.params[*scale].data(), g.params[*shift].data(), par)?;
-                out
-            }
-            Op::BatchNorm { gamma, beta, mean, var, eps } => {
-                let (scale, shift) = batchnorm_fold(
-                    g.params[*gamma].data(),
-                    g.params[*beta].data(),
-                    g.params[*mean].data(),
-                    g.params[*var].data(),
-                    *eps,
-                );
-                let x = value(node.inputs[0])?;
-                let mut out = self.alloc(id)?;
-                scale_shift(x, &mut out, &scale, &shift, par)?;
-                out
-            }
-            Op::Relu => {
-                let mut t = value(node.inputs[0])?.clone();
-                relu_inplace(&mut t, par);
-                t
-            }
-            Op::Dropout => value(node.inputs[0])?.clone(),
-            Op::Pool { params, kind } => {
-                let x = value(node.inputs[0])?;
-                let mut out = self.alloc(id)?;
-                pool2d(x, &mut out, params, *kind, par)?;
-                out
-            }
-            Op::GlobalAvgPool => {
-                let x = value(node.inputs[0])?;
-                let mut out = self.alloc(id)?;
-                global_avg_pool(x, &mut out, par)?;
-                out
-            }
-            Op::Add => {
-                let a = value(node.inputs[0])?;
-                let b = value(node.inputs[1])?;
-                let mut out = self.alloc(id)?;
-                add(a, b, &mut out, par)?;
-                out
-            }
-            Op::Concat => {
-                let ins: Vec<&Tensor> =
-                    node.inputs.iter().map(|&i| value(i)).collect::<Result<_>>()?;
-                let mut out = self.alloc(id)?;
-                concat_channels(&ins, &mut out, par)?;
-                out
-            }
-            Op::Flatten => {
-                let x = value(node.inputs[0])?;
-                x.reshaped(self.shapes[id].clone())?
-            }
-            Op::Dense { weight, bias, relu } => {
-                let x = value(node.inputs[0])?;
-                let bias_data = bias.map(|b| g.params[b].data());
-                let mut out = self.alloc(id)?;
-                dense::dense(x, &g.params[*weight], &mut out, bias_data, *relu, par)?;
-                out
-            }
-            Op::Softmax => {
-                let x = value(node.inputs[0])?;
-                let mut out = self.alloc(id)?;
-                softmax::softmax(x, &mut out, par)?;
-                out
-            }
-            Op::LayoutTransform { to } => {
-                crate::faults::fire(crate::faults::LAYOUT_TRANSFORM)?;
-                let x = value(node.inputs[0])?;
-                to_layout(x, *to)?
-            }
-        };
-        Ok(out)
-    }
+/// What the node dispatch reads and advances across one run: the caller's
+/// inputs and how many `Input` nodes have taken one, the pool, and the
+/// `Concat` fan-in pointer buffer.
+struct Feed<'a> {
+    inputs: &'a [Tensor],
+    next_input: usize,
+    par: &'a dyn Parallelism,
+    fanin: &'a mut Vec<*const Tensor>,
 }
 
 /// `shape` with its leading dim set to `rows`, when that dim is the plan's
@@ -941,17 +753,6 @@ fn at_node(node: usize, op: &'static str, e: NeoError) -> NeoError {
         NeoError::BadInput(_) => e,
         NeoError::AtNode { node: n, .. } | NeoError::Panicked { node: n, .. } if n == node => e,
         e => NeoError::AtNode { node, op, source: Box::new(e) },
-    }
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else {
-        "<non-string panic payload>".to_string()
     }
 }
 
@@ -1144,6 +945,40 @@ mod tests {
             let planned = m.run(std::slice::from_ref(&input)).unwrap();
             let reference = m.run_reference(std::slice::from_ref(&input)).unwrap();
             assert_eq!(planned[0].data(), reference[0].data(), "{level:?} diverged");
+        }
+    }
+
+    #[test]
+    fn hook_sees_identical_values_in_arena_and_reference_storage() {
+        // A residual block whose Add and trailing Relu the plan runs in
+        // place: on the arena the hook must see each value before its
+        // in-place consumer overwrites it.
+        let mut b = GraphBuilder::new(9);
+        let x = b.input([1, 8, 8, 8]);
+        let c0 = b.conv2d(x, 8, 1, 1, 0);
+        let c1 = b.conv_bn_relu(c0, 8, 3, 1, 1);
+        let a = b.add(c1, c0);
+        let r = b.relu(a);
+        let g = b.finish(vec![r]);
+        let input = [Tensor::random([1, 8, 8, 8], Layout::Nchw, 19, 1.0).unwrap()];
+        let bits = |t: &Tensor| -> Vec<u32> { t.data().iter().map(|v| v.to_bits()).collect() };
+        for level in [OptLevel::O0, OptLevel::O1, OptLevel::O2, OptLevel::O3] {
+            let m = compile(&g, &CpuTarget::host(), &CompileOptions::level(level)).unwrap();
+            let inplace: Vec<&str> = (0..m.graph.len())
+                .filter(|&id| m.plan.inplace[id].is_some())
+                .map(|id| m.graph.nodes[id].op.name())
+                .collect();
+            assert_eq!(inplace, ["add", "relu"], "{level:?}");
+            let mut arena = Vec::new();
+            let mut ctx = m.make_context();
+            m.run_ctx(&mut ctx, &input, Some(&mut |id, t, _| arena.push((id, bits(t)))))
+                .unwrap();
+            let mut fresh = Vec::new();
+            let mut values = Vec::new();
+            let hook = &mut |id, t: &Tensor, _| fresh.push((id, bits(t)));
+            m.run_nodes(Values::Fresh(&mut values), &mut Vec::new(), &input, Some(hook)).unwrap();
+            assert_eq!(arena.len(), m.graph.len());
+            assert!(arena == fresh, "{level:?}: a node value differs");
         }
     }
 

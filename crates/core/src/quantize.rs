@@ -4,9 +4,10 @@
 //! `u8 × i8 → i32` quad-packed kernels:
 //!
 //! 1. **Calibration** — the planned graph is compiled to an f32 module and
-//!    run over calibration inputs with a probe that records the min/max of
-//!    every quantized conv's input tensor. Activation scale and zero point
-//!    come from that range (asymmetric, zero always representable).
+//!    run over calibration inputs; the executor's per-node hook records
+//!    the min/max of every quantized conv's input tensor. Activation scale
+//!    and zero point come from that range (asymmetric, zero always
+//!    representable).
 //! 2. **Rewrite** — each eligible conv gets a memoized [`Op::Quantize`]
 //!    node spliced onto its data input, its weights re-packed to symmetric
 //!    per-out-channel i8 ([`Layout `]`::OihwIo4` dense, `OIHW1i[x]o`
@@ -226,8 +227,9 @@ fn auto_calibration(graph: &Graph, qopts: &QuantizeOptions) -> Result<Vec<Vec<Te
 }
 
 /// Records per-node (min, max) over the calibration set for every node
-/// feeding a quantization-candidate conv, via the reference interpreter's
-/// probe hook. NaNs are skipped (they quantize to the zero point anyway).
+/// feeding a quantization-candidate conv, read by the per-node hook of an
+/// arena run as each value is produced. NaNs are skipped (they quantize to
+/// the zero point anyway).
 fn calibrate(
     module: &Module,
     planned: &Graph,
@@ -243,7 +245,7 @@ fn calibrate(
         .collect();
     let mut stats: HashMap<NodeId, (f32, f32)> = HashMap::new();
     for set in calib {
-        module.run_reference_probe(set, &mut |id, t| {
+        module.run_hooked(set, Some(&mut |id, t, _| {
             if !wanted.contains(&id) {
                 return;
             }
@@ -260,7 +262,7 @@ fn calibrate(
                     entry.1 = v;
                 }
             }
-        })?;
+        }))?;
     }
     Ok(stats)
 }
@@ -746,5 +748,34 @@ mod tests {
         let reloaded = SchemeDatabase::from_text(&text).unwrap();
         let p = neocpu_kernels::conv::Conv2dParams::square(16, 16, 12, 3, 1, 1);
         assert!(reloaded.get_dtyped(&target.name, &p, DType::U8).is_some());
+    }
+
+    #[test]
+    fn invalid_int8_db_entry_is_dropped_with_report() {
+        use neocpu_kernels::conv::{Conv2dParams, ConvSchedule};
+        use neocpu_search::RankedScheme;
+        let g = conv_net(8);
+        let target = CpuTarget::skylake_avx512();
+        let opts = CompileOptions::level(OptLevel::O3);
+        let mut db = SchemeDatabase::new();
+        // The second conv's workload, poisoned on its `du8` side only with
+        // a schedule whose ic_bn does not divide in_channels.
+        let p = Conv2dParams::square(16, 16, 12, 3, 1, 1);
+        let bad =
+            ConvSchedule { ic_bn: 5, oc_bn: 16, reg_n: 8, unroll_ker: true, ..Default::default() };
+        db.put_dtyped(&target.name, &p, DType::U8, vec![RankedScheme { schedule: bad, time: 1e-4 }]);
+        let qopts = QuantizeOptions::default();
+        let (_, report) = compile_quantized_with_db(&g, &target, &opts, &qopts, &mut db).unwrap();
+        let dropped = &report.compile.dropped_schemes;
+        assert_eq!(dropped.len(), 1, "{dropped:?}");
+        assert_eq!((dropped[0].params, dropped[0].schedule), (p, bad));
+        assert!(dropped[0].reason.contains("ic_bn"), "{}", dropped[0].reason);
+        // The row left the database with nothing in its place, and the f32
+        // side of the workload is untouched by it.
+        assert!(db.get_dtyped(&target.name, &p, DType::U8).is_none());
+        assert!(db.get(&target.name, &p).is_some());
+        // A recompile searches the int8 side afresh and is clean.
+        let (_, report2) = compile_quantized_with_db(&g, &target, &opts, &qopts, &mut db).unwrap();
+        assert!(report2.compile.is_clean(), "poison resurfaced: {:?}", report2.compile);
     }
 }

@@ -82,6 +82,7 @@ use std::time::{Duration, Instant};
 
 use neocpu_tensor::{Arena, Layout, Shape, Tensor};
 use neocpu_threadpool::affinity::{self, CoreSet};
+use neocpu_threadpool::panic_message;
 
 use crate::executor::{with_rows, Module, RunContext};
 use crate::{NeoError, Result};
@@ -268,17 +269,6 @@ pub struct Request {
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Best-effort panic payload extraction for [`NeoError::WorkerLost`].
-fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker panicked with a non-string payload".to_string()
-    }
 }
 
 /// Moves a queued slot to `Failed(err)` iff it is still the `seq`-th
@@ -1370,7 +1360,7 @@ fn worker_main(cfg: &WorkerCfg) {
             Err(payload) => {
                 // Requests already popped must not vanish with the thread.
                 let err =
-                    NeoError::WorkerLost { worker: cfg.index, reason: panic_reason(&*payload) };
+                    NeoError::WorkerLost { worker: cfg.index, reason: panic_message(&*payload) };
                 fail_batch(&shared, &batch, &err);
                 return; // retire; the watchdog respawns a replacement
             }
@@ -1395,7 +1385,7 @@ fn worker_main(cfg: &WorkerCfg) {
             Ok(Err(e)) => fail_batch(&shared, &batch, &e), // contained: keep serving
             Err(payload) => {
                 let err =
-                    NeoError::WorkerLost { worker: cfg.index, reason: panic_reason(&*payload) };
+                    NeoError::WorkerLost { worker: cfg.index, reason: panic_message(&*payload) };
                 fail_batch(&shared, &batch, &err);
                 return; // context may be mid-write; respawn gets a fresh one
             }

@@ -79,8 +79,9 @@ impl Parallelism for Sequential {
 /// Best-effort extraction of a human-readable message from a panic payload
 /// (the `String`/`&str` cases cover `panic!` with and without formatting).
 /// Shared by both pools so a worker panic propagates with its original
-/// message instead of an anonymous "a worker panicked".
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// message instead of an anonymous "a worker panicked", and by the
+/// executor's per-node and the serve engine's per-batch panic boundaries.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else if let Some(s) = payload.downcast_ref::<&'static str>() {
