@@ -48,9 +48,8 @@ pub mod shard;
 mod target;
 
 pub use compile::{
-    compile, compile_with_db, compile_with_report, load_scheme_db,
-    load_scheme_db_lenient, CompileOptions, CompileReport, DroppedScheme, OptLevel, PoolChoice,
-    ScheduleFallback, SearchStrategy,
+    compile, compile_with_db, compile_with_report, load_scheme_db, CompileOptions, CompileReport,
+    DroppedScheme, OptLevel, PoolChoice, ScheduleFallback, SearchStrategy,
 };
 pub use error::NeoError;
 pub use executor::{Module, OpProfile, RunContext};

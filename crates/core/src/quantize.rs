@@ -745,7 +745,8 @@ mod tests {
         let text = db.to_text();
         assert!(text.contains("du8"), "missing int8 dtype key:\n{text}");
         // Reload round-trips, and the u8 entries resolve under the dtype key.
-        let reloaded = SchemeDatabase::from_text(&text).unwrap();
+        let (reloaded, problems) = SchemeDatabase::from_text(&text);
+        assert!(problems.is_empty(), "{problems:?}");
         let p = neocpu_kernels::conv::Conv2dParams::square(16, 16, 12, 3, 1, 1);
         assert!(reloaded.get_dtyped(&target.name, &p, DType::U8).is_some());
     }

@@ -25,8 +25,13 @@ pub enum GraphError {
         /// Actual input count.
         actual: usize,
     },
-    /// A parameter id is out of range.
-    BadParamRef(usize),
+    /// A node references a parameter id that is out of range.
+    BadParamRef {
+        /// The referring node.
+        node: usize,
+        /// The offending parameter id.
+        param: usize,
+    },
     /// Shape inference failed at a node.
     Shape {
         /// The node at which inference failed.
@@ -56,7 +61,9 @@ impl fmt::Display for GraphError {
             Self::BadArity { node, expected, actual } => {
                 write!(f, "node {node} expects {expected} inputs, has {actual}")
             }
-            Self::BadParamRef(p) => write!(f, "invalid parameter reference {p}"),
+            Self::BadParamRef { node, param } => {
+                write!(f, "node {node} references invalid parameter {param}")
+            }
             Self::Shape { node, msg } => write!(f, "shape error at node {node}: {msg}"),
             Self::Layout { node, msg } => write!(f, "layout error at node {node}: {msg}"),
             Self::Tensor(e) => write!(f, "tensor error: {e}"),

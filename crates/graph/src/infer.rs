@@ -126,9 +126,13 @@ pub fn infer_shapes(g: &Graph) -> Result<Vec<Shape>> {
                 }
                 ins[0].clone()
             }
-            Op::Relu | Op::Dropout | Op::Quantize { .. } | Op::Dequantize { .. } => {
-                ins[0].clone()
-            }
+            // A transform's target is checked against this shape once, by
+            // `infer_layouts`, with every other node's layout.
+            Op::Relu
+            | Op::Dropout
+            | Op::Quantize { .. }
+            | Op::Dequantize { .. }
+            | Op::LayoutTransform { .. } => ins[0].clone(),
             Op::Pool { params, .. } => {
                 let d = ins[0].dims();
                 if ins[0].rank() != 4 {
@@ -197,10 +201,6 @@ pub fn infer_shapes(g: &Graph) -> Result<Vec<Shape>> {
                 }
                 ins[0].clone()
             }
-            Op::LayoutTransform { to } => {
-                to.physical_dims(ins[0]).map_err(|e| err(id, e.to_string()))?;
-                ins[0].clone()
-            }
         };
         shapes.push(shape);
     }
@@ -209,11 +209,12 @@ pub fn infer_shapes(g: &Graph) -> Result<Vec<Shape>> {
 
 /// Computes the layout every node produces, validating that each operator
 /// receives a layout it can handle (the consistency the layout passes must
-/// establish).
+/// establish) and that each node's layout fits its shape.
 ///
 /// # Errors
 ///
-/// Returns an error at the first node whose input layout is unacceptable.
+/// Returns an error at the first node whose input layout is unacceptable or
+/// whose layout does not fit its shape.
 pub fn infer_layouts(g: &Graph, shapes: &[Shape]) -> Result<Vec<Layout>> {
     let mut layouts: Vec<Layout> = Vec::with_capacity(g.len());
     for (id, node) in g.nodes.iter().enumerate() {
@@ -274,9 +275,8 @@ pub fn infer_layouts(g: &Graph, shapes: &[Shape]) -> Result<Vec<Layout>> {
                     return Err(lerr(id, "concat inputs must share a layout".to_string()));
                 }
                 if let Layout::NchwC(x) = l0 {
-                    for (&inp, &l) in node.inputs.iter().zip(&ins) {
+                    for &inp in &node.inputs {
                         let c = shapes[inp].dims()[1];
-                        let _ = l;
                         if !c.is_multiple_of(x) {
                             return Err(lerr(
                                 id,
@@ -307,11 +307,11 @@ pub fn infer_layouts(g: &Graph, shapes: &[Shape]) -> Result<Vec<Layout>> {
                 }
                 Layout::Nc
             }
-            Op::LayoutTransform { to } => {
-                to.physical_dims(&shapes[id]).map_err(|e| lerr(id, e.to_string()))?;
-                *to
-            }
+            Op::LayoutTransform { to } => *to,
         };
+        layout.physical_dims(&shapes[id]).map_err(|e| {
+            lerr(id, format!("layout {layout} disagrees with shape {}: {e}", shapes[id]))
+        })?;
         layouts.push(layout);
     }
     Ok(layouts)
@@ -440,6 +440,31 @@ mod tests {
         let shapes = infer_shapes(&g2).unwrap();
         // Input is NCHW but the conv now demands NCHW4c: inference errors.
         assert!(infer_layouts(&g2, &shapes).is_err());
+    }
+
+    #[test]
+    fn layout_must_fit_its_nodes_shape() {
+        // A 4 → 6 channel conv scheduled with oc_bn 4: its NCHW4c output
+        // cannot hold 6 channels.
+        let mut b = GraphBuilder::new(1);
+        let x = b.input([1, 4, 8, 8]);
+        let t = b.conv2d(x, 6, 3, 1, 1);
+        let mut g = b.finish(vec![t]);
+        let c = g.push(Op::LayoutTransform { to: Layout::NchwC(4) }, vec![x]);
+        g.nodes.swap(t, c); // keep topological order: transform before conv
+        g.nodes[c].inputs = vec![t];
+        g.outputs = vec![c];
+        if let Op::Conv2d { schedule, .. } = &mut g.nodes[c].op {
+            *schedule = Some(ConvSchedule { ic_bn: 4, oc_bn: 4, reg_n: 4, ..Default::default() });
+        }
+        let shapes = infer_shapes(&g).unwrap();
+        match infer_layouts(&g, &shapes) {
+            Err(GraphError::Layout { node, msg }) => {
+                assert_eq!(node, c);
+                assert!(msg.contains("disagrees with shape"), "message was: {msg}");
+            }
+            other => panic!("expected a layout error at node {c}, got {other:?}"),
+        }
     }
 
     #[test]

@@ -161,9 +161,9 @@ impl Op {
 
     /// Parameter tensors this operator references, in declaration order.
     ///
-    /// This is the single source of truth for parameter usage; both
-    /// [`Graph::validate`] and the module verifier bounds-check these ids
-    /// against the graph's parameter store.
+    /// This is the single source of truth for parameter usage;
+    /// [`Graph::validate`] bounds-checks these ids against the graph's
+    /// parameter store.
     pub fn param_ids(&self) -> Vec<ParamId> {
         match self {
             Op::Conv2d { weight, bias, quant, .. } => {
@@ -312,9 +312,9 @@ impl Graph {
                     actual: node.inputs.len(),
                 });
             }
-            for p in node.op.param_ids() {
-                if p >= self.params.len() {
-                    return Err(GraphError::BadParamRef(p));
+            for param in node.op.param_ids() {
+                if param >= self.params.len() {
+                    return Err(GraphError::BadParamRef { node: id, param });
                 }
             }
         }
@@ -384,7 +384,7 @@ mod tests {
             op: Op::ScaleShift { scale: 0, shift: 1 },
             inputs: vec![a],
         });
-        assert!(matches!(g.validate(), Err(GraphError::BadParamRef(_))));
+        assert!(matches!(g.validate(), Err(GraphError::BadParamRef { node: 1, param: 0 })));
     }
 
     #[test]

@@ -16,9 +16,11 @@ use crate::Result;
 ///
 /// # Errors
 ///
-/// Returns an error if a weight cannot be blocked as scheduled (the
-/// schedule validation should make this unreachable in practice).
+/// Returns an error if the graph fails validation, or if a weight cannot be
+/// blocked as scheduled (the schedule validation should make this
+/// unreachable in practice).
 pub fn precompute_weights(g: &Graph) -> Result<Graph> {
+    g.validate()?;
     let mut g = g.clone();
     for id in g.conv_ids() {
         let Op::Conv2d { params, weight, schedule, quant, .. } = &g.nodes[id].op else {
@@ -80,7 +82,7 @@ pub fn precompute_weights(g: &Graph) -> Result<Graph> {
 mod tests {
     use super::*;
     use crate::passes::{plan_uniform, UniformPlanCfg};
-    use crate::GraphBuilder;
+    use crate::{GraphBuilder, GraphError};
 
     #[test]
     fn weights_become_blocked() {
@@ -116,6 +118,23 @@ mod tests {
         let s = schedule.unwrap();
         // Depthwise filters have one input channel: i is pinned to 1.
         assert_eq!(pre.params[*weight].layout(), Layout::OihwIo { i: 1, o: s.oc_bn });
+    }
+
+    #[test]
+    fn out_of_range_weight_is_a_typed_error() {
+        let mut b = GraphBuilder::new(4);
+        let x = b.input([1, 8, 8, 8]);
+        let c = b.conv2d(x, 8, 3, 1, 1);
+        let g = b.finish(vec![c]);
+        let mut planned =
+            plan_uniform(&g, &UniformPlanCfg { block: 8, reg_n: 4, unroll: false }).unwrap();
+        let conv = planned.conv_ids()[0];
+        let Op::Conv2d { weight, .. } = &mut planned.nodes[conv].op else { panic!() };
+        *weight = 10_000;
+        assert_eq!(
+            precompute_weights(&planned).unwrap_err(),
+            GraphError::BadParamRef { node: conv, param: 10_000 }
+        );
     }
 
     #[test]

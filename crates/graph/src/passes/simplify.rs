@@ -26,7 +26,7 @@ pub fn simplify_inference(g: &Graph) -> Result<Graph> {
     // Maps old node id → new node id (dropout maps to its input's image).
     let mut remap: Vec<usize> = Vec::with_capacity(g.len());
 
-    for (id, node) in g.nodes.iter().enumerate() {
+    for node in &g.nodes {
         let inputs: Vec<usize> = node.inputs.iter().map(|&i| remap[i]).collect();
         match &node.op {
             Op::Dropout => {
@@ -64,7 +64,6 @@ pub fn simplify_inference(g: &Graph) -> Result<Graph> {
                 remap.push(new);
             }
         }
-        let _ = id;
     }
     out.outputs = g.outputs.iter().map(|&o| remap[o]).collect();
     Ok(out)

@@ -10,12 +10,12 @@
 //! hardened: every malformed line produces a typed, line-numbered
 //! [`DbError`], schedules that cannot execute their workload (zero or
 //! non-dividing blocks, out-of-range `reg_n`) are rejected at parse time,
-//! non-finite times are refused, and exact duplicate rows are flagged. The
-//! strict entry points ([`SchemeDatabase::from_text`] /
-//! [`SchemeDatabase::load`]) fail on the first problem; the lenient ones
-//! ([`SchemeDatabase::from_text_lenient`] / [`SchemeDatabase::load_lenient`])
-//! skip bad lines and report them, so one corrupt row cannot take down a
-//! server that merely loses a cached tuning result.
+//! non-finite times are refused, and exact duplicate rows are flagged. There
+//! is one reader ([`SchemeDatabase::from_text`], and [`SchemeDatabase::load`]
+//! around it): it skips each bad line and returns it as a problem beside the
+//! surviving entries, so one corrupt row cannot take down a server that
+//! merely loses a cached tuning result. A caller that wants a clean file
+//! checks that the problem list is empty.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -235,43 +235,45 @@ impl SchemeDatabase {
         s
     }
 
-    /// Parses the text format produced by [`SchemeDatabase::to_text`],
-    /// failing on the first malformed line.
+    /// Parses the text format produced by [`SchemeDatabase::to_text`].
     ///
-    /// # Errors
-    ///
-    /// Returns a line-numbered [`DbError`] on a bad header, malformed
-    /// fields, schemes that do not validate against their workload,
-    /// non-finite times, or exact duplicate rows.
-    pub fn from_text(text: &str) -> Result<Self, DbError> {
+    /// Returns the entries of every well-formed line plus one line-numbered
+    /// [`DbError`] per skipped problem: malformed fields, schemes that do not
+    /// validate against their workload, non-finite times, exact duplicate
+    /// rows. A bad header yields an empty database and that one problem,
+    /// because no line after it can be trusted.
+    pub fn from_text(text: &str) -> (Self, Vec<DbError>) {
         let mut db = Self::new();
-        parse_into(text, &mut db, &mut |e| Err(e))?;
-        db.sort_entries();
-        Ok(db)
-    }
-
-    /// Parses the text format, skipping malformed lines instead of failing.
-    ///
-    /// Returns the recovered database plus one [`DbError`] per skipped
-    /// problem (including a bad header, after which no lines are trusted).
-    pub fn from_text_lenient(text: &str) -> (Self, Vec<DbError>) {
-        let mut db = Self::new();
-        let mut skipped = Vec::new();
-        let result = parse_into(text, &mut db, &mut |e| {
-            // A bad header means the rest of the file cannot be trusted.
-            let fatal = matches!(e, DbError::BadHeader { .. });
-            skipped.push(e);
-            if fatal {
-                Err(DbError::BadHeader { found: String::new() })
-            } else {
-                Ok(())
-            }
-        });
-        if result.is_err() {
-            return (Self::new(), skipped);
+        let mut problems = Vec::new();
+        let mut lines = text.lines();
+        let header = lines.next().unwrap_or("");
+        if header != HEADER {
+            return (db, vec![DbError::BadHeader { found: header.to_string() }]);
         }
-        db.sort_entries();
-        (db, skipped)
+        for (no, line) in lines.enumerate() {
+            if line.trim().is_empty() {
+                continue;
+            }
+            let line_no = no + 2;
+            match parse_line(line) {
+                Ok((key, scheme)) => {
+                    let list = db.entries.entry(key).or_default();
+                    if list.iter().any(|r| r.schedule == scheme.schedule) {
+                        problems.push(DbError::Line {
+                            line: line_no,
+                            reason: format!("duplicate scheme {:?} for this workload", scheme.schedule),
+                        });
+                    } else {
+                        list.push(scheme);
+                    }
+                }
+                Err(reason) => problems.push(DbError::Line { line: line_no, reason }),
+            }
+        }
+        for v in db.entries.values_mut() {
+            v.sort_by(|a, b| a.time.total_cmp(&b.time));
+        }
+        (db, problems)
     }
 
     /// Saves to a file.
@@ -283,67 +285,15 @@ impl SchemeDatabase {
         fs::write(path, self.to_text())
     }
 
-    /// Loads from a file, failing on the first malformed line.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures and line-numbered parse errors.
-    pub fn load(path: &Path) -> Result<Self, DbError> {
-        Self::from_text(&fs::read_to_string(path)?)
-    }
-
-    /// Loads from a file, skipping malformed lines and reporting them.
+    /// Loads from a file through [`SchemeDatabase::from_text`].
     ///
     /// # Errors
     ///
     /// Fails only on I/O errors; parse problems are returned as the second
     /// tuple element.
-    pub fn load_lenient(path: &Path) -> Result<(Self, Vec<DbError>), DbError> {
-        Ok(Self::from_text_lenient(&fs::read_to_string(path)?))
+    pub fn load(path: &Path) -> Result<(Self, Vec<DbError>), DbError> {
+        Ok(Self::from_text(&fs::read_to_string(path)?))
     }
-
-    fn sort_entries(&mut self) {
-        for v in self.entries.values_mut() {
-            // Times are validated finite at insertion, but total_cmp keeps
-            // the sort panic-free even for programmatically inserted NaNs.
-            v.sort_by(|a, b| a.time.total_cmp(&b.time));
-        }
-    }
-}
-
-/// Parses `text` into `db`, routing each problem through `on_err`: strict
-/// parsing propagates the error, lenient parsing records it and continues.
-fn parse_into(
-    text: &str,
-    db: &mut SchemeDatabase,
-    on_err: &mut dyn FnMut(DbError) -> Result<(), DbError>,
-) -> Result<(), DbError> {
-    let mut lines = text.lines();
-    let header = lines.next().unwrap_or("");
-    if header != HEADER {
-        on_err(DbError::BadHeader { found: header.to_string() })?;
-    }
-    for (no, line) in lines.enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let lineno = no + 2;
-        match parse_line(line) {
-            Ok((key, scheme)) => {
-                let list = db.entries.entry(key).or_default();
-                if list.iter().any(|r| r.schedule == scheme.schedule) {
-                    on_err(DbError::Line {
-                        line: lineno,
-                        reason: format!("duplicate scheme {:?} for this workload", scheme.schedule),
-                    })?;
-                } else {
-                    list.push(scheme);
-                }
-            }
-            Err(reason) => on_err(DbError::Line { line: lineno, reason })?,
-        }
-    }
-    Ok(())
 }
 
 /// Parses one data line, returning a reason string on any defect.
@@ -464,13 +414,27 @@ mod tests {
         (p, schemes)
     }
 
+    /// Parses `text`, asserting that it reports no problems.
+    fn parse_clean(text: &str) -> SchemeDatabase {
+        let (db, problems) = SchemeDatabase::from_text(text);
+        assert!(problems.is_empty(), "unexpected problems: {problems:?}");
+        db
+    }
+
+    /// Parses `text`, asserting that it reports exactly one problem.
+    fn only_problem(text: &str) -> DbError {
+        let (_, mut problems) = SchemeDatabase::from_text(text);
+        assert_eq!(problems.len(), 1, "expected one problem, got {problems:?}");
+        problems.pop().unwrap()
+    }
+
     #[test]
     fn round_trips_through_text() {
         let (p, schemes) = sample();
         let mut db = SchemeDatabase::new();
         db.put("skylake-avx512", &p, schemes.clone());
         let text = db.to_text();
-        let back = SchemeDatabase::from_text(&text).unwrap();
+        let back = parse_clean(&text);
         let got = back.get("skylake-avx512", &p).unwrap();
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].schedule, schemes[0].schedule);
@@ -488,7 +452,7 @@ mod tests {
         db.put("host", &p, schemes.clone());
         let text = db.to_text();
         assert!(text.contains("g64"), "depthwise key missing groups suffix: {text}");
-        let back = SchemeDatabase::from_text(&text).unwrap();
+        let back = parse_clean(&text);
         let got = back.get("host", &p).unwrap();
         assert_eq!(got[0].schedule, schemes[0].schedule);
         // A depthwise workload and a dense workload with identical
@@ -509,7 +473,7 @@ mod tests {
         db.put_dtyped("host", &p, DType::U8, schemes.clone());
         let text = db.to_text();
         assert!(text.contains("du8"), "int8 key missing dtype suffix: {text}");
-        let back = SchemeDatabase::from_text(&text).unwrap();
+        let back = parse_clean(&text);
         let got = back.get_dtyped("host", &p, DType::U8).unwrap();
         assert_eq!(got[0].schedule, schemes[0].schedule);
         // Same workload, different dtype: distinct keys, no aliasing.
@@ -528,7 +492,7 @@ mod tests {
         db.put_dtyped("host", &p, DType::U8, schemes.clone());
         let text = db.to_text();
         assert!(text.contains("g64du8"), "expected g then d suffix order: {text}");
-        let back = SchemeDatabase::from_text(&text).unwrap();
+        let back = parse_clean(&text);
         assert_eq!(back.get_dtyped("host", &p, DType::U8).unwrap()[0].schedule, schemes[0].schedule);
     }
 
@@ -560,7 +524,7 @@ mod tests {
         let text = db.to_text();
         assert!(text.starts_with("neocpu-scheme-db v3\n"), "{text}");
         assert!(text.contains(" sr ") && text.contains(" os "), "row missing its token: {text}");
-        let back = SchemeDatabase::from_text(&text).unwrap();
+        let back = parse_clean(&text);
         let got = back.get("host", &p).unwrap();
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].schedule.dataflow, Dataflow::ShiftReuse);
@@ -568,41 +532,21 @@ mod tests {
     }
 
     #[test]
-    fn v3_rows_parse_all_tokens_and_reject_junk() {
-        let text = "neocpu-scheme-db v3\n\
-            host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 sr 2e-4\n\
-            host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 os 3e-4\n";
-        let db = SchemeDatabase::from_text(text).unwrap();
-        let p = Conv2dParams::square(64, 128, 28, 3, 1, 1);
-        assert_eq!(db.get("host", &p).unwrap().len(), 2);
-        let bad = "neocpu-scheme-db v3\nhost 64x128x28x28k3x3s1x1p1x1 16 16 8 1 xx 1e-4\n";
-        let err = SchemeDatabase::from_text(bad).unwrap_err();
-        match err {
-            DbError::Line { line: 2, reason } => {
-                assert!(reason.contains("dataflow token"), "reason was: {reason}")
-            }
-            other => panic!("expected line-2 dataflow error, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn weight_stationary_rows_of_older_files_are_rejected_by_name() {
         // A v3 file written before the weight-stationary dataflow was
-        // removed: the strict parser names the line and the token, the
-        // lenient one drops exactly that row and keeps its neighbours.
+        // removed: the reader names the line and the token, and drops
+        // exactly that row while keeping its neighbours.
         let text = "neocpu-scheme-db v3\n\
             host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 sr 2e-4\n\
             host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 ws 1e-4\n\
             host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 os 3e-4\n";
-        match SchemeDatabase::from_text(text).unwrap_err() {
-            DbError::Line { line: 3, reason } => {
+        let (db, problems) = SchemeDatabase::from_text(text);
+        match &problems[..] {
+            [DbError::Line { line: 3, reason }] => {
                 assert!(reason.contains("dataflow token 'ws'"), "reason was: {reason}")
             }
-            other => panic!("expected a line-3 dataflow error, got {other:?}"),
+            other => panic!("expected one line-3 dataflow error, got {other:?}"),
         }
-        let (db, skipped) = SchemeDatabase::from_text_lenient(text);
-        assert_eq!(skipped.len(), 1);
-        assert!(matches!(skipped[0], DbError::Line { line: 3, .. }), "got {:?}", skipped[0]);
         let p = Conv2dParams::square(64, 128, 28, 3, 1, 1);
         let kept = db.get("host", &p).unwrap();
         assert_eq!(kept.len(), 2);
@@ -613,7 +557,7 @@ mod tests {
     #[test]
     fn rejects_bad_dtype_suffix() {
         let text = "neocpu-scheme-db v3\nhost 64x128x28x28k3x3s1x1p1x1df16 16 16 8 1 os 1e-4\n";
-        let err = SchemeDatabase::from_text(text).unwrap_err();
+        let err = only_problem(text);
         assert!(matches!(err, DbError::Line { line: 2, .. }), "got {err:?}");
     }
 
@@ -688,29 +632,27 @@ mod tests {
 
     #[test]
     fn rejects_bad_header_and_lines() {
-        assert!(matches!(
-            SchemeDatabase::from_text("nope\n"),
-            Err(DbError::BadHeader { .. })
-        ));
+        // A bad header means no line after it is trusted, good ones included.
+        let (db, problems) =
+            SchemeDatabase::from_text("who knows\nhost 64x128x28x28k3x3s1x1p1x1 16 16 8 1 os 1e-4\n");
+        assert!(db.is_empty());
+        assert!(matches!(problems[..], [DbError::BadHeader { .. }]), "got {problems:?}");
         let bad = "neocpu-scheme-db v3\nfoo bar\n";
-        assert!(matches!(
-            SchemeDatabase::from_text(bad),
-            Err(DbError::Line { line: 2, .. })
-        ));
+        assert!(matches!(only_problem(bad), DbError::Line { line: 2, .. }));
     }
 
     #[test]
     fn only_the_v3_header_and_six_field_rows_parse() {
         let v1 = "neocpu-scheme-db v1\nhost 64x128x28x28k3x3s1x1p1x1 16 16 8 1 1e-4\n";
-        match SchemeDatabase::from_text(v1) {
-            Err(e @ DbError::BadHeader { .. }) => {
+        match only_problem(v1) {
+            e @ DbError::BadHeader { .. } => {
                 assert!(e.to_string().contains("'neocpu-scheme-db v3'"), "message was: {e}")
             }
             other => panic!("expected a bad header, got {other:?}"),
         }
         let five = "neocpu-scheme-db v3\nhost 64x128x28x28k3x3s1x1p1x1 16 16 8 1 1e-4\n";
-        match SchemeDatabase::from_text(five) {
-            Err(DbError::Line { line: 2, reason }) => {
+        match only_problem(five) {
+            DbError::Line { line: 2, reason } => {
                 assert!(reason.contains("6 scheme fields"), "reason was: {reason}")
             }
             other => panic!("expected a line-2 error, got {other:?}"),
@@ -725,12 +667,14 @@ mod tests {
         let mut text = db.to_text();
         text.push_str("host garbage-workload 1 1 4 0 1.0\n");
         // Header is line 1, two good rows are lines 2-3, garbage is line 4.
-        match SchemeDatabase::from_text(&text) {
-            Err(DbError::Line { line: 4, reason }) => {
+        let (back, problems) = SchemeDatabase::from_text(&text);
+        match &problems[..] {
+            [DbError::Line { line: 4, reason }] => {
                 assert!(reason.contains("workload"), "reason was: {reason}")
             }
-            other => panic!("expected line-4 error, got {other:?}"),
+            other => panic!("expected one line-4 error, got {other:?}"),
         }
+        assert_eq!(back.get("host", &p).unwrap().len(), 2);
     }
 
     #[test]
@@ -739,8 +683,7 @@ mod tests {
         let text = "neocpu-scheme-db v3\n\
             host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 os 1e-4\n\
             host 64x128x28x28k3x3s1x1p1x1 8 32\n";
-        let err = SchemeDatabase::from_text(text).unwrap_err();
-        match err {
+        match only_problem(text) {
             DbError::Line { line: 3, reason } => {
                 assert!(reason.contains("6 scheme fields"), "reason was: {reason}")
             }
@@ -752,7 +695,7 @@ mod tests {
     fn rejects_non_finite_and_negative_times() {
         for bad_time in ["NaN", "inf", "-1.0"] {
             let text = format!("neocpu-scheme-db v3\nhost 64x128x28x28k3x3s1x1p1x1 16 16 8 1 os {bad_time}\n");
-            let err = SchemeDatabase::from_text(&text).unwrap_err();
+            let err = only_problem(&text);
             assert!(matches!(err, DbError::Line { line: 2, .. }), "{bad_time}: got {err:?}");
         }
     }
@@ -765,8 +708,7 @@ mod tests {
             "host 64x128x28x28k3x3s1x1p1x1 16 16 0 1 os 1e-4",
         ] {
             let text = format!("neocpu-scheme-db v3\n{bad}\n");
-            let err = SchemeDatabase::from_text(&text).unwrap_err();
-            match err {
+            match only_problem(&text) {
                 DbError::Line { line: 2, reason } => {
                     assert!(reason.contains("invalid scheme"), "reason was: {reason}")
                 }
@@ -779,8 +721,7 @@ mod tests {
     fn rejects_duplicate_rows() {
         let row = "host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 os 1e-4";
         let text = format!("neocpu-scheme-db v3\n{row}\n{row}\n");
-        let err = SchemeDatabase::from_text(&text).unwrap_err();
-        match err {
+        match only_problem(&text) {
             DbError::Line { line: 3, reason } => {
                 assert!(reason.contains("duplicate"), "reason was: {reason}")
             }
@@ -789,12 +730,12 @@ mod tests {
     }
 
     #[test]
-    fn lenient_parse_skips_and_reports() {
+    fn bad_lines_are_skipped_and_reported() {
         let good = "host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 os 1e-4";
         let text = format!(
             "neocpu-scheme-db v3\n{good}\ntotal garbage\n{good}\nhost 64x128x28x28k3x3s1x1p1x1 48 16 8 1 os 1e-4\n"
         );
-        let (db, skipped) = SchemeDatabase::from_text_lenient(&text);
+        let (db, skipped) = SchemeDatabase::from_text(&text);
         // The good row survives; the duplicate, the garbage line, and the
         // non-dividing scheme are each reported with their line numbers.
         let p = Conv2dParams::square(64, 128, 28, 3, 1, 1);
@@ -810,20 +751,11 @@ mod tests {
     }
 
     #[test]
-    fn lenient_parse_distrusts_file_with_bad_header() {
-        let (db, skipped) =
-            SchemeDatabase::from_text_lenient("who knows\nhost 64x128x28x28k3x3s1x1p1x1 16 16 8 1 os 1e-4\n");
-        assert!(db.is_empty());
-        assert!(matches!(skipped[0], DbError::BadHeader { .. }));
-    }
-
-    #[test]
-    fn lenient_sorts_surviving_schemes_by_time() {
+    fn surviving_schemes_are_sorted_by_time() {
         let text = "neocpu-scheme-db v3\n\
             host 64x128x28x28k3x3s1x1p1x1 8 32 4 0 os 2.5e-4\n\
             host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 os 1.25e-4\n";
-        let (db, skipped) = SchemeDatabase::from_text_lenient(text);
-        assert!(skipped.is_empty());
+        let db = parse_clean(text);
         let p = Conv2dParams::square(64, 128, 28, 3, 1, 1);
         let got = db.get("host", &p).unwrap();
         assert!(got[0].time <= got[1].time);
@@ -836,7 +768,8 @@ mod tests {
         db.put("host", &p, schemes);
         let path = std::env::temp_dir().join("neocpu_db_test.txt");
         db.save(&path).unwrap();
-        let back = SchemeDatabase::load(&path).unwrap();
+        let (back, problems) = SchemeDatabase::load(&path).unwrap();
+        assert!(problems.is_empty(), "{problems:?}");
         assert_eq!(back.len(), 1);
         let _ = std::fs::remove_file(&path);
     }
@@ -845,6 +778,5 @@ mod tests {
     fn load_missing_file_is_io_error() {
         let path = std::env::temp_dir().join("neocpu_db_does_not_exist.txt");
         assert!(matches!(SchemeDatabase::load(&path), Err(DbError::Io(_))));
-        assert!(matches!(SchemeDatabase::load_lenient(&path), Err(DbError::Io(_))));
     }
 }

@@ -61,7 +61,8 @@ fn main() {
     // Persist and reload the database, as a cross-model cache would.
     let path = std::env::temp_dir().join("neocpu_schemes.txt");
     db.save(&path).expect("save scheme database");
-    let db2 = SchemeDatabase::load(&path).expect("load scheme database");
+    let (db2, problems) = SchemeDatabase::load(&path).expect("load scheme database");
+    assert!(problems.is_empty(), "the round-trip reported problems: {problems:?}");
     println!("scheme database round-tripped through {} ({} workloads)", path.display(), db2.len());
 
     // Stage 2: global search over the whole model.
