@@ -23,7 +23,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use neocpu_graph::passes::{
-    fuse_ops, plan_assigned, plan_uniform, precompute_weights, simplify_inference,
+    fuse_ops, plan_assigned, plan_uniform, precompute_weights_in_place, simplify_inference,
     wrap_convs_with_transforms, UniformPlanCfg,
 };
 use neocpu_graph::{infer_layouts, infer_shapes, Graph, NodeId, Op};
@@ -216,7 +216,7 @@ pub fn compile_with_report(
 ) -> Result<(Module, CompileReport)> {
     let mut report = CompileReport::default();
     let planned = plan_stage(graph, target, opts, db, &mut report, false)?;
-    let module = finish_module(&planned, target, opts, &mut report)?;
+    let module = finish_module(planned, target, opts, &mut report)?;
     Ok((module, report))
 }
 
@@ -259,19 +259,23 @@ pub(crate) fn plan_stage(
 
 /// Runs the back half of the pipeline on a planned graph: weight
 /// pre-transformation, shape and layout inference, the target check of
-/// every conv schedule, and executable module construction.
+/// every conv schedule, parameter compaction, and executable module
+/// construction. Taking the graph by value lets each plain weight go as
+/// soon as its blocked copy exists, and the module keeps only the
+/// parameters its nodes reference.
 pub(crate) fn finish_module(
-    planned: &Graph,
+    mut g: Graph,
     target: &CpuTarget,
     opts: &CompileOptions,
     report: &mut CompileReport,
 ) -> Result<Module> {
-    let pre = precompute_weights(planned)?;
-    let shapes = infer_shapes(&pre)?;
-    let layouts = infer_layouts(&pre, &shapes)?;
-    verify_module(&pre, target)?;
+    precompute_weights_in_place(&mut g)?;
+    let shapes = infer_shapes(&g)?;
+    let layouts = infer_layouts(&g, &shapes)?;
+    verify_module(&g, target)?;
+    g.compact_params();
     let pool = make_pool(opts);
-    let module = Module::new(pre, shapes, layouts, pool, target.max_lanes())?;
+    let module = Module::new(g, shapes, layouts, pool, target.max_lanes())?;
     report.memory = *module.memory_report();
     Ok(module)
 }
@@ -847,11 +851,11 @@ mod tests {
         for (name, target, conv, mangle, node_of) in cases {
             let target = target();
             let mut g = planned_small_net(&target);
-            finish_module(&g, &target, &opts, &mut CompileReport::default())
+            finish_module(g.clone(), &target, &opts, &mut CompileReport::default())
                 .unwrap_or_else(|e| panic!("{name}: the unmangled graph failed: {e}"));
             let id = g.conv_ids()[conv];
             mangle(&mut g, id);
-            let Err(err) = finish_module(&g, &target, &opts, &mut CompileReport::default()) else {
+            let Err(err) = finish_module(g, &target, &opts, &mut CompileReport::default()) else {
                 panic!("{name}: the mangled graph compiled");
             };
             assert_eq!(node_of(&err), Some(id), "{name}: unexpected error {err}");

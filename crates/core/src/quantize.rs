@@ -151,7 +151,7 @@ pub fn compile_quantized_with_db(
 ) -> Result<(Module, QuantizeReport)> {
     let mut report = CompileReport::default();
     let planned = plan_stage(graph, target, opts, db, &mut report, true)?;
-    let f32_module = finish_module(&planned, target, opts, &mut report)?;
+    let f32_module = finish_module(planned.clone(), target, opts, &mut report)?;
 
     let calib: Vec<Vec<Tensor>> = if qopts.calibration.is_empty() {
         auto_calibration(graph, qopts)?
@@ -173,7 +173,7 @@ pub fn compile_quantized_with_db(
         return Ok((f32_module, qreport));
     }
 
-    let q_module = finish_module(&qgraph, target, opts, &mut report)?;
+    let q_module = finish_module(qgraph, target, opts, &mut report)?;
 
     // Accuracy gate: quantized vs f32 outputs over the calibration set.
     let mut max_err = 0f32;
@@ -391,7 +391,6 @@ fn fold_quantizes(g: Graph, report: &mut QuantizeReport) -> Result<Graph> {
         nodes.push(Node { op: node.op.clone(), inputs });
     }
     let outputs = g.outputs.iter().map(|&o| map[o]).collect();
-    // The parameters move: the weights are not copied a second time.
     Ok(Graph { nodes, params: g.params, outputs })
 }
 
@@ -633,7 +632,7 @@ mod tests {
         }
         assert_eq!(quantize_nodes(&folded), 3);
         let module =
-            finish_module(&folded, &target, &opts, &mut CompileReport::default()).unwrap();
+            finish_module(folded.clone(), &target, &opts, &mut CompileReport::default()).unwrap();
         let input = Tensor::random([1, 8, 10, 10], Layout::Nchw, 3, 1.0).unwrap();
         module.run(&[input]).unwrap();
 
@@ -671,7 +670,7 @@ mod tests {
             let g = build(kind, scale, 42);
             let mut report = CompileReport::default();
             let planned = plan(&g, &target, &opts);
-            let f32_module = finish_module(&planned, &target, &opts, &mut report).unwrap();
+            let f32_module = finish_module(planned.clone(), &target, &opts, &mut report).unwrap();
             let calib = auto_calibration(&g, &QuantizeOptions::default()).unwrap();
             let stats = calibrate(&f32_module, &planned, &calib).unwrap();
             let (unfolded, quantized, _) =
@@ -688,8 +687,8 @@ mod tests {
             );
             assert_eq!(quantize_nodes(&folded), census.standalone.len());
 
-            let before = finish_module(&unfolded, &target, &opts, &mut report).unwrap();
-            let after = finish_module(&folded, &target, &opts, &mut report).unwrap();
+            let before = finish_module(unfolded, &target, &opts, &mut report).unwrap();
+            let after = finish_module(folded, &target, &opts, &mut report).unwrap();
             let dims = [scale.batch, 3, scale.input, scale.input];
             let input = Tensor::random(dims, Layout::Nchw, 777, 1.0).unwrap();
             let want = before.run(std::slice::from_ref(&input)).unwrap();

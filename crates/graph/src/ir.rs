@@ -5,6 +5,14 @@
 //! tensors (weights, folded BN statistics), and a list of output node ids.
 //! Keeping nodes topologically sorted by construction makes every pass a
 //! single forward walk, exactly how Algorithm 2 visits the graph.
+//!
+//! Parameters are shared handles: cloning a graph, or starting a pass's
+//! output from its input's store, copies reference counts, not weights. A
+//! pass that changes a weight pushes a new tensor (or replaces the handle)
+//! and never writes through a shared one; [`Graph::compact_params`] then
+//! drops whatever no node references.
+
+use std::sync::Arc;
 
 use neocpu_kernels::conv::{Conv2dParams, ConvSchedule};
 use neocpu_kernels::pool2d::{Pool2dParams, PoolKind};
@@ -165,22 +173,27 @@ impl Op {
     /// [`Graph::validate`] bounds-checks these ids against the graph's
     /// parameter store.
     pub fn param_ids(&self) -> Vec<ParamId> {
+        self.clone().param_ids_mut().into_iter().map(|p| *p).collect()
+    }
+
+    /// The parameter ids of [`Op::param_ids`], writable — the one match over
+    /// the ops that hold parameters, so [`Graph::compact_params`] renumbers
+    /// exactly what [`Graph::validate`] checks.
+    fn param_ids_mut(&mut self) -> Vec<&mut ParamId> {
         match self {
             Op::Conv2d { weight, bias, quant, .. } => {
-                let mut v = vec![*weight];
-                v.extend(bias.iter().copied());
-                v.extend(quant.iter().map(|q| q.mult));
+                let mut v = vec![weight];
+                v.extend(bias.as_mut());
+                v.extend(quant.as_mut().map(|q| &mut q.mult));
                 v
             }
             Op::Dense { weight, bias, .. } => {
-                let mut v = vec![*weight];
-                v.extend(bias.iter().copied());
+                let mut v = vec![weight];
+                v.extend(bias.as_mut());
                 v
             }
-            Op::ScaleShift { scale, shift } => vec![*scale, *shift],
-            Op::BatchNorm { gamma, beta, mean, var, .. } => {
-                vec![*gamma, *beta, *mean, *var]
-            }
+            Op::ScaleShift { scale, shift } => vec![scale, shift],
+            Op::BatchNorm { gamma, beta, mean, var, .. } => vec![gamma, beta, mean, var],
             _ => Vec::new(),
         }
     }
@@ -223,8 +236,9 @@ pub struct Node {
 pub struct Graph {
     /// Nodes in topological id order.
     pub nodes: Vec<Node>,
-    /// Constant parameter tensors referenced by ops.
-    pub params: Vec<Tensor>,
+    /// Constant parameter tensors referenced by ops, shared with every graph
+    /// cloned from or rewritten out of this one.
+    pub params: Vec<Arc<Tensor>>,
     /// Output node ids.
     pub outputs: Vec<NodeId>,
 }
@@ -249,8 +263,39 @@ impl Graph {
 
     /// Adds a parameter tensor, returning its id.
     pub fn push_param(&mut self, t: Tensor) -> ParamId {
-        self.params.push(t);
+        self.params.push(Arc::new(t));
         self.params.len() - 1
+    }
+
+    /// Drops every parameter no node references and renumbers the rest in
+    /// their old order, rewriting each op's ids ([`QuantInfo::mult`]
+    /// included). A tensor several nodes share is kept once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node references a parameter out of range; run
+    /// [`Graph::validate`] first.
+    pub fn compact_params(&mut self) {
+        let mut used = vec![false; self.params.len()];
+        for node in &self.nodes {
+            for p in node.op.param_ids() {
+                used[p] = true;
+            }
+        }
+        let mut new_id = vec![ParamId::MAX; self.params.len()];
+        let mut kept = Vec::new();
+        for (id, t) in std::mem::take(&mut self.params).into_iter().enumerate() {
+            if used[id] {
+                new_id[id] = kept.len();
+                kept.push(t);
+            }
+        }
+        for node in &mut self.nodes {
+            for p in node.op.param_ids_mut() {
+                *p = new_id[*p];
+            }
+        }
+        self.params = kept;
     }
 
     /// Number of nodes.
@@ -385,6 +430,50 @@ mod tests {
             inputs: vec![a],
         });
         assert!(matches!(g.validate(), Err(GraphError::BadParamRef { node: 1, param: 0 })));
+    }
+
+    /// Three convs with biases: the second's weight is replaced by the
+    /// first's, a spare tensor is pushed, and the third becomes a quantized
+    /// conv whose multiplier is the last parameter.
+    #[test]
+    fn compact_params_drops_the_unreferenced_and_renumbers_the_rest() {
+        use crate::GraphBuilder;
+
+        let mut b = GraphBuilder::new(5);
+        let x = b.input([1, 8, 8, 8]);
+        let c1 = b.conv2d(x, 8, 3, 1, 1);
+        let c2 = b.conv2d(c1, 8, 3, 1, 1);
+        let c3 = b.conv2d(c2, 8, 3, 1, 1);
+        let mut g = b.finish(vec![c3]);
+        let weight_of = |g: &Graph, c: NodeId| match g.nodes[c].op {
+            Op::Conv2d { weight, .. } => weight,
+            _ => unreachable!(),
+        };
+        let shared = weight_of(&g, c1);
+        let Op::Conv2d { weight, .. } = &mut g.nodes[c2].op else { unreachable!() };
+        *weight = shared;
+        g.push_param(Tensor::zeros([4], Layout::Flat).unwrap());
+        let mult = g.push_param(Tensor::random([8], Layout::Flat, 1, 0.1).unwrap());
+        let Op::Conv2d { quant, .. } = &mut g.nodes[c3].op else { unreachable!() };
+        *quant = Some(QuantInfo { in_scale: 0.05, in_zp: 128, mult });
+        let held = g.params.len();
+        let tensors_of = |g: &Graph| -> Vec<Vec<Vec<f32>>> {
+            let ids = g.nodes.iter().map(|n| n.op.param_ids());
+            ids.map(|ids| ids.iter().map(|&p| g.params[p].data().to_vec()).collect()).collect()
+        };
+        let before = tensors_of(&g);
+
+        g.compact_params();
+        assert_eq!(g.validate(), Ok(()));
+        // c2's own weight and the spare tensor are gone; the shared weight
+        // is held once.
+        assert_eq!(g.params.len(), held - 2);
+        assert_eq!(weight_of(&g, c1), weight_of(&g, c2));
+        let Op::Conv2d { quant: Some(q), .. } = g.nodes[c3].op else { unreachable!() };
+        assert_eq!(q.mult, g.params.len() - 1);
+        assert_ne!(q.mult, mult);
+        // Every node reads the tensors it read before.
+        assert_eq!(tensors_of(&g), before);
     }
 
     #[test]

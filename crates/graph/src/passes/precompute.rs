@@ -5,6 +5,8 @@
 //! `KCRS → OIHW[x]i[y]o` transform every scheduled convolution needs is
 //! applied once at compile time instead of on the inference path.
 
+use std::sync::Arc;
+
 use neocpu_tensor::{transform::to_layout, Layout};
 
 use crate::ir::{Graph, Op};
@@ -14,14 +16,29 @@ use crate::Result;
 /// schedule requires. Weights shared by differently-scheduled convs are
 /// cloned first, so each conv sees exactly the layout it expects.
 ///
+/// Returns a new graph and leaves `g` as it was; [`precompute_weights_in_place`]
+/// does the same to a graph the caller owns.
+///
 /// # Errors
 ///
 /// Returns an error if the graph fails validation, or if a weight cannot be
 /// blocked as scheduled (the schedule validation should make this
 /// unreachable in practice).
 pub fn precompute_weights(g: &Graph) -> Result<Graph> {
-    g.validate()?;
     let mut g = g.clone();
+    precompute_weights_in_place(&mut g)?;
+    Ok(g)
+}
+
+/// [`precompute_weights`] on `g` itself: each blocked weight replaces its
+/// plain handle, so a plain tensor no other graph shares is freed as soon as
+/// its blocked copy exists.
+///
+/// # Errors
+///
+/// See [`precompute_weights`].
+pub fn precompute_weights_in_place(g: &mut Graph) -> Result<()> {
+    g.validate()?;
     for id in g.conv_ids() {
         let Op::Conv2d { params, weight, schedule, quant, .. } = &g.nodes[id].op else {
             unreachable!()
@@ -57,25 +74,22 @@ pub fn precompute_weights(g: &Graph) -> Result<Graph> {
                 .count()
                 > 0;
             if shared {
-                g.params.push(blocked);
-                let new = g.params.len() - 1;
+                let new = g.push_param(blocked);
                 let Op::Conv2d { weight, .. } = &mut g.nodes[id].op else { unreachable!() };
                 *weight = new;
             } else {
-                g.params[wid] = blocked;
+                g.params[wid] = Arc::new(blocked);
             }
         } else {
             // Already blocked with a different factor: re-derive from a
             // fresh copy through OIHW.
             let plain = to_layout(w, Layout::Oihw)?;
-            let reblocked = to_layout(&plain, want)?;
-            g.params.push(reblocked);
-            let new = g.params.len() - 1;
+            let new = g.push_param(to_layout(&plain, want)?);
             let Op::Conv2d { weight, .. } = &mut g.nodes[id].op else { unreachable!() };
             *weight = new;
         }
     }
-    Ok(g)
+    Ok(())
 }
 
 #[cfg(test)]

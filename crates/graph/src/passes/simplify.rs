@@ -76,8 +76,7 @@ fn fold_into_conv(g: &mut Graph, conv: usize, scale: &[f32], shift: &[f32]) {
         unreachable!("caller checked the producer is a conv");
     };
     let p = *params;
-    // Clone-on-fold keeps any hypothetical shared parameter intact.
-    let mut w = g.params[*weight].clone();
+    let mut w = Tensor::clone(&g.params[*weight]);
     // Per-group input channels, not `in_channels`: depthwise filters hold a
     // single input channel per output channel.
     let per_oc = p.in_channels_per_group() * p.kernel_h * p.kernel_w;
@@ -96,12 +95,10 @@ fn fold_into_conv(g: &mut Graph, conv: usize, scale: &[f32], shift: &[f32]) {
             .collect(),
         None => shift.to_vec(),
     };
-    g.params.push(w);
-    let new_weight = g.params.len() - 1;
-    g.params.push(
+    let new_weight = g.push_param(w);
+    let new_bias_id = g.push_param(
         Tensor::from_vec(new_bias, [p.out_channels], Layout::Flat).expect("flat shape valid"),
     );
-    let new_bias_id = g.params.len() - 1;
     let Op::Conv2d { weight, bias, .. } = &mut g.nodes[conv].op else { unreachable!() };
     *weight = new_weight;
     *bias = Some(new_bias_id);

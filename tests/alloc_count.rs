@@ -1,11 +1,14 @@
 //! Asserts the arena executor's headline property: a **warm** inference
-//! performs zero heap allocations.
+//! performs zero heap allocations — and that compiling a model costs about
+//! one copy of its weights at the heap's high-water mark.
 //!
 //! A counting global allocator wraps the system allocator; after warming a
 //! module's pooled context, repeated `Module::run_with` calls must not
 //! change the allocation counter at all. `Module::run` is also measured —
 //! it clones the outputs out of the arena, so it is allowed exactly the
-//! output-tensor allocations and nothing more.
+//! output-tensor allocations and nothing more. The same allocator keeps
+//! the bytes live and their peak, which bound an O3 compile's high-water
+//! mark against the input graph's parameter bytes.
 //!
 //! The test is its own integration-test binary so the `#[global_allocator]`
 //! hook cannot interfere with (or be perturbed by) other tests, and it is
@@ -19,7 +22,7 @@
 //! shard and net tests allocate on worker threads they do not own.
 
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use neocpu::{compile, CompileOptions, CpuTarget, OptLevel, PoolChoice};
 use neocpu_graph::GraphBuilder;
@@ -28,24 +31,42 @@ use neocpu_tensor::{DType, Layout, Tensor};
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated and not yet freed.
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+/// High-water mark of [`LIVE_BYTES`] since [`heap_peak_above_start`] last
+/// reset it.
+static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+fn grow(bytes: usize) {
+    let live = LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: AllocLayout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        grow(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: AllocLayout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        grow(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: AllocLayout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        if new_size >= layout.size() {
+            grow(new_size - layout.size());
+        } else {
+            LIVE_BYTES.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
+        }
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: AllocLayout) {
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -55,6 +76,15 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn allocation_count() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Runs `f` and returns its result with the heap's high-water mark during
+/// the call, in bytes above what was live when it started.
+fn heap_peak_above_start<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let start = LIVE_BYTES.load(Ordering::Relaxed);
+    PEAK_BYTES.store(start, Ordering::Relaxed);
+    let out = f();
+    (out, PEAK_BYTES.load(Ordering::Relaxed) - start)
 }
 
 /// Every test of this file, in the order [`main`] runs them.
@@ -78,6 +108,7 @@ const TESTS: &[(&str, fn())] = &[
         "pooled_run_allocates_only_the_returned_outputs",
         pooled_run_allocates_only_the_returned_outputs,
     ),
+    ("o3_compile_peaks_near_the_weight_bytes", o3_compile_peaks_near_the_weight_bytes),
 ];
 
 /// A sequential stand-in for the libtest harness: runs the tests whose name
@@ -605,4 +636,34 @@ fn pooled_run_allocates_only_the_returned_outputs() {
          out of the arena"
     );
     drop(outputs);
+}
+
+/// A compile holds about one copy of the weights at a time: passes share
+/// parameter handles, each plain weight is freed once its blocked copy
+/// exists, and the module keeps only the parameters its nodes reference.
+/// The int8 compile also holds the f32 module (calibration and the
+/// accuracy gate run it) beside the planned f32 weights it quantizes.
+/// Full-width MobileNet, so the weights are full size; a 64² input keeps
+/// the run short.
+fn o3_compile_peaks_near_the_weight_bytes() {
+    use neocpu::{compile_quantized, QuantizeOptions};
+    use neocpu_models::{build, ModelKind, ModelScale};
+
+    let kind = ModelKind::MobileNet;
+    let g = build(kind, ModelScale { input: 64, ..ModelScale::full(kind) }, 42);
+    let weight_bytes: usize = g.params.iter().map(|t| std::mem::size_of_val(t.data())).sum();
+    let (target, opts) = (CpuTarget::host(), CompileOptions::level(OptLevel::O3));
+
+    let (module, peak) = heap_peak_above_start(|| compile(&g, &target, &opts).unwrap());
+    let ratio = peak as f64 / weight_bytes as f64;
+    assert!(ratio <= 1.25, "f32 O3 compile peaked at {ratio:.2}x the {weight_bytes} weight bytes");
+    drop(module);
+
+    let ((module, report), peak) = heap_peak_above_start(|| {
+        compile_quantized(&g, &target, &opts, &QuantizeOptions::default()).unwrap()
+    });
+    assert!(report.quantized > 0, "no conv took the int8 path: {report:?}");
+    let ratio = peak as f64 / weight_bytes as f64;
+    assert!(ratio <= 2.5, "int8 O3 compile peaked at {ratio:.2}x the {weight_bytes} weight bytes");
+    drop(module);
 }

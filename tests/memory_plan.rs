@@ -11,11 +11,16 @@
 //! 2. **Plan quality** — over the whole model zoo, the planned arena
 //!    peak stays strictly below the naive sum of all intermediate outputs,
 //!    and liveness reuse actually fires.
+//! 3. **A module holds only what it runs** — every parameter a compiled
+//!    module keeps is referenced by one of its nodes, and compiling never
+//!    writes through the parameter handles it shares with the caller's
+//!    graph.
 
 use neocpu::{
     compile, compile_quantized, compile_with_report, CompileOptions, CpuTarget, OptLevel,
     QuantizeOptions,
 };
+use neocpu_graph::Graph;
 use neocpu_models::{build, quantized_zoo, zoo, ModelKind, ModelScale};
 use neocpu_search::SchemeDatabase;
 use neocpu_tensor::{Layout, Tensor};
@@ -159,4 +164,71 @@ fn warm_context_reuse_is_stable_on_resnet18() {
     let mut ctx = m.make_context();
     m.run_with(&mut ctx, std::slice::from_ref(&input)).unwrap();
     assert_eq!(first[0].data(), ctx.output(0).unwrap().data());
+}
+
+/// Bytes of the module's parameters, then bytes of those its nodes
+/// reference (each tensor once); panics on a parameter no node references.
+fn held_and_referenced_bytes(m: &neocpu::Module, what: &str) -> (usize, usize) {
+    let g = m.graph();
+    let referenced: std::collections::BTreeSet<usize> =
+        g.nodes.iter().flat_map(|n| n.op.param_ids()).collect();
+    for p in 0..g.params.len() {
+        assert!(referenced.contains(&p), "{what}: parameter {p} is referenced by no node");
+    }
+    let bytes = |p: usize| std::mem::size_of_val(g.params[p].data());
+    ((0..g.params.len()).map(bytes).sum(), referenced.into_iter().map(bytes).sum())
+}
+
+/// Over the zoo at every level and over the quantized zoo, the compiled
+/// module keeps no pre-fold, pre-transform or pre-quantization tensor.
+#[test]
+fn modules_hold_only_the_parameters_they_reference() {
+    let target = CpuTarget::host();
+    for kind in zoo() {
+        let g = build(kind, ModelScale::tiny(kind), 11);
+        for level in [OptLevel::O0, OptLevel::O1, OptLevel::O2, OptLevel::O3] {
+            let m = compile(&g, &target, &CompileOptions::level(level)).unwrap();
+            let what = format!("{} {level:?}", kind.name());
+            let (held, referenced) = held_and_referenced_bytes(&m, &what);
+            assert_eq!(held, referenced, "{what}");
+        }
+    }
+    for kind in quantized_zoo() {
+        let g = build(kind, ModelScale::tiny(kind), 11);
+        let opts = CompileOptions::level(OptLevel::O3);
+        let (m, report) = compile_quantized(&g, &target, &opts, &QuantizeOptions::default()).unwrap();
+        assert!(report.quantized > 0 && !report.fell_back, "{}: {report:?}", kind.name());
+        let what = format!("{} int8", kind.name());
+        let (held, referenced) = held_and_referenced_bytes(&m, &what);
+        assert_eq!(held, referenced, "{what}");
+    }
+}
+
+fn param_bits(g: &Graph) -> Vec<Vec<u32>> {
+    g.params.iter().map(|t| t.data().iter().map(|v| v.to_bits()).collect()).collect()
+}
+
+fn output_bits(m: &neocpu::Module, input: &Tensor) -> Vec<Vec<u32>> {
+    let outs = m.run(std::slice::from_ref(input)).unwrap();
+    outs.iter().map(|t| t.data().iter().map(|v| v.to_bits()).collect()).collect()
+}
+
+/// Modules share parameter handles with the graph they were compiled
+/// from. Compiling one graph twice, f32 and int8, must leave the caller's
+/// parameters bit for bit as they were, and the second compile of each
+/// kind must run exactly like the first.
+#[test]
+fn compiling_twice_leaves_the_callers_parameters_untouched() {
+    let kind = ModelKind::MobileNet;
+    let g = build(kind, ModelScale::tiny(kind), 23);
+    let before = param_bits(&g);
+    let (target, opts) = (CpuTarget::host(), CompileOptions::level(OptLevel::O3));
+    let int8 = || compile_quantized(&g, &target, &opts, &QuantizeOptions::default()).unwrap().0;
+    let f32_modules = [compile(&g, &target, &opts).unwrap(), compile(&g, &target, &opts).unwrap()];
+    let int8_modules = [int8(), int8()];
+    assert!(param_bits(&g) == before, "compiling wrote to the caller's parameters");
+    let input = tiny_input(kind, 5);
+    for [first, second] in [&f32_modules, &int8_modules] {
+        assert_eq!(output_bits(first, &input), output_bits(second, &input));
+    }
 }
