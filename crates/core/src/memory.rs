@@ -78,20 +78,6 @@ pub struct MemoryReport {
     pub batch: usize,
 }
 
-impl MemoryReport {
-    /// Planned arena bytes attributable to one image of the batch — the
-    /// per-request memory cost a batched serving engine amortizes.
-    pub fn per_image_peak_bytes(&self) -> usize {
-        self.planned_peak_bytes / self.batch.max(1)
-    }
-
-    /// Total arena bytes for a pool of `contexts` concurrent
-    /// `RunContext`s sharing this plan.
-    pub fn pool_bytes(&self, contexts: usize) -> usize {
-        self.planned_peak_bytes * contexts
-    }
-}
-
 /// The compile-time storage assignment for one module.
 #[derive(Debug, Clone)]
 pub(crate) struct MemoryPlan {
@@ -367,7 +353,7 @@ pub(crate) fn plan_memory(
         shapes.iter().zip(dtypes).map(|(s, dt)| s.num_elements() * dt.size_bytes()).sum();
     // Batch from the first graph input: every context built from this plan
     // serves that many images per run, which the report surfaces so a
-    // context pool's memory bill is `pool_bytes(workers)`.
+    // context pool's memory bill is `workers × planned_peak_bytes`.
     let batch = g
         .nodes
         .iter()

@@ -11,7 +11,7 @@ mod simd;
 pub use blocked::{conv2d_nchwc, padded_input_len};
 pub use int8::{conv2d_nchwc_u8, ConvQuant};
 pub use microkernel::StripPlan;
-pub use reference::{conv2d_nchw_direct, conv2d_nhwc_direct};
+pub use reference::conv2d_nchw_direct;
 
 use neocpu_tensor::{DType, Tensor};
 

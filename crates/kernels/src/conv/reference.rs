@@ -5,9 +5,6 @@
 //! crate is tested against it. It doubles as the `O0`/Table 3 "Baseline"
 //! row — it is vectorizer-friendly NCHW code with thread-level parallelism
 //! but no layout blocking or register tiling.
-//!
-//! `conv2d_nhwc_direct` provides the channels-last variant used by the
-//! TensorFlow-like baseline mode.
 
 use neocpu_tensor::{Layout, Tensor};
 use neocpu_threadpool::Parallelism;
@@ -20,13 +17,12 @@ fn check_layouts(
     input: &Tensor,
     weights: &Tensor,
     output: &Tensor,
-    want_act: Layout,
     p: &Conv2dParams,
 ) -> Result<usize> {
     for (t, want, what) in [
-        (input, want_act, "input"),
+        (input, Layout::Nchw, "input"),
         (weights, Layout::Oihw, "weights"),
-        (output, want_act, "output"),
+        (output, Layout::Nchw, "output"),
     ] {
         if t.layout() != want {
             return Err(KernelError::BadOperand(format!(
@@ -80,7 +76,7 @@ pub fn conv2d_nchw_direct(
     epilogue: &Epilogue<'_>,
     par: &dyn Parallelism,
 ) -> Result<()> {
-    let n = check_layouts(input, weights, output, Layout::Nchw, p)?;
+    let n = check_layouts(input, weights, output, p)?;
     epilogue.validate(output, p.out_channels)?;
     let (oh, ow) = (p.out_h(), p.out_w());
     let (ih, iw) = (p.in_h, p.in_w);
@@ -134,82 +130,6 @@ pub fn conv2d_nchw_direct(
                     // SAFETY: `(b, oc)` jobs are disjoint per the
                     // `Parallelism` contract, so each `off` is written by
                     // exactly one worker.
-                    unsafe { *out_ptr.0.add(off) = acc };
-                }
-            }
-        }
-    });
-    Ok(())
-}
-
-/// Direct convolution with `NHWC` activations and `OIHW` weights (the
-/// TensorFlow-default layout used by the tf-like baseline).
-///
-/// # Errors
-///
-/// Returns an error if operand layouts/shapes do not match `p`.
-pub fn conv2d_nhwc_direct(
-    input: &Tensor,
-    weights: &Tensor,
-    output: &mut Tensor,
-    p: &Conv2dParams,
-    epilogue: &Epilogue<'_>,
-    par: &dyn Parallelism,
-) -> Result<()> {
-    let n = check_layouts(input, weights, output, Layout::Nhwc, p)?;
-    epilogue.validate(output, p.out_channels)?;
-    let (oh, ow) = (p.out_h(), p.out_w());
-    let (ih, iw) = (p.in_h, p.in_w);
-    let (kh, kw) = (p.kernel_h, p.kernel_w);
-    let (cin, cout) = (p.in_channels, p.out_channels);
-
-    let in_data = input.data();
-    let w_data = weights.data();
-    let res_data = epilogue.residual.map(Tensor::data);
-    let out_ptr = SendPtr(output.data_mut().as_mut_ptr());
-
-    // Parallelize over (batch, out_row): channels-last keeps all of `C`
-    // contiguous per pixel, so rows are the natural disjoint chunks.
-    let cpg = p.in_channels_per_group();
-    let ocpg = cout / p.groups.max(1);
-    par.run(n * oh, &|_, range| {
-        let out_ptr = out_ptr;
-        for job in range {
-            let (b, y) = (job / oh, job % oh);
-            for x in 0..ow {
-                let out_px = ((b * oh + y) * ow + x) * cout;
-                for oc in 0..cout {
-                    let ic0 = (oc / ocpg.max(1)) * cpg;
-                    let mut acc = 0f32;
-                    for r in 0..kh {
-                        let yy = (y * p.stride_h + r) as isize - p.pad_h as isize;
-                        if yy < 0 || yy as usize >= ih {
-                            continue;
-                        }
-                        for s in 0..kw {
-                            let xx = (x * p.stride_w + s) as isize - p.pad_w as isize;
-                            if xx < 0 || xx as usize >= iw {
-                                continue;
-                            }
-                            let in_px = ((b * ih + yy as usize) * iw + xx as usize) * cin;
-                            let w_base = (oc * cpg) * kh * kw + r * kw + s;
-                            for icg in 0..cpg {
-                                acc += in_data[in_px + ic0 + icg] * w_data[w_base + icg * kh * kw];
-                            }
-                        }
-                    }
-                    if let Some(bias) = epilogue.bias {
-                        acc += bias[oc];
-                    }
-                    let off = out_px + oc;
-                    if let Some(res) = res_data {
-                        acc += res[off];
-                    }
-                    if epilogue.relu && acc < 0.0 {
-                        acc = 0.0;
-                    }
-                    // SAFETY: `(b, y)` jobs are disjoint, so each output
-                    // pixel is written by exactly one worker.
                     unsafe { *out_ptr.0.add(off) = acc };
                 }
             }
@@ -282,30 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn nhwc_matches_nchw() {
-        use neocpu_tensor::transform::to_layout;
-        let p = Conv2dParams::square(3, 5, 8, 3, 2, 1);
-        let input = Tensor::random([2, 3, 8, 8], Layout::Nchw, 11, 1.0).unwrap();
-        let weights = Tensor::random([5, 3, 3, 3], Layout::Oihw, 12, 1.0).unwrap();
-        let mut out_nchw = Tensor::zeros([2, 5, p.out_h(), p.out_w()], Layout::Nchw).unwrap();
-        conv2d_nchw_direct(&input, &weights, &mut out_nchw, &p, &Epilogue::none(), &Sequential)
-            .unwrap();
-
-        let input_nhwc = to_layout(&input, Layout::Nhwc).unwrap();
-        let mut out_nhwc = Tensor::zeros([2, 5, p.out_h(), p.out_w()], Layout::Nhwc).unwrap();
-        conv2d_nhwc_direct(
-            &input_nhwc,
-            &weights,
-            &mut out_nhwc,
-            &p,
-            &Epilogue::none(),
-            &Sequential,
-        )
-        .unwrap();
-        assert!(out_nchw.approx_eq(&out_nhwc, 1e-4));
-    }
-
-    #[test]
     fn depthwise_reference_is_per_channel() {
         // Depthwise with per-channel identity-vs-doubling 1x1 filters:
         // channel 0 passes through, channel 1 doubles.
@@ -321,30 +217,6 @@ mod tests {
         conv2d_nchw_direct(&input, &weights, &mut out, &p, &Epilogue::none(), &Sequential)
             .unwrap();
         assert_eq!(out.data(), &[1.0, 2.0, 3.0, 4.0, 20.0, 40.0, 60.0, 80.0]);
-    }
-
-    #[test]
-    fn grouped_nhwc_matches_grouped_nchw() {
-        use neocpu_tensor::transform::to_layout;
-        // Two groups of 2→3 channels each.
-        let p = Conv2dParams { groups: 2, ..Conv2dParams::square(4, 6, 8, 3, 1, 1) };
-        let input = Tensor::random([2, 4, 8, 8], Layout::Nchw, 13, 1.0).unwrap();
-        let weights = Tensor::random([6, 2, 3, 3], Layout::Oihw, 14, 1.0).unwrap();
-        let mut out_nchw = Tensor::zeros([2, 6, 8, 8], Layout::Nchw).unwrap();
-        conv2d_nchw_direct(&input, &weights, &mut out_nchw, &p, &Epilogue::none(), &Sequential)
-            .unwrap();
-        let input_nhwc = to_layout(&input, Layout::Nhwc).unwrap();
-        let mut out_nhwc = Tensor::zeros([2, 6, 8, 8], Layout::Nhwc).unwrap();
-        conv2d_nhwc_direct(
-            &input_nhwc,
-            &weights,
-            &mut out_nhwc,
-            &p,
-            &Epilogue::none(),
-            &Sequential,
-        )
-        .unwrap();
-        assert!(out_nchw.approx_eq(&out_nhwc, 1e-4));
     }
 
     #[test]

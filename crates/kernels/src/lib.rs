@@ -39,7 +39,7 @@ mod error;
 mod util;
 
 pub use conv::{
-    conv2d_nchw_direct, conv2d_nchwc, conv2d_nchwc_u8, conv2d_nhwc_direct, padded_input_len,
+    conv2d_nchw_direct, conv2d_nchwc, conv2d_nchwc_u8, padded_input_len,
     Conv2dParams, ConvQuant, ConvSchedule, Epilogue,
 };
 pub use error::KernelError;

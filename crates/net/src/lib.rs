@@ -26,5 +26,5 @@ pub use codec::{
     model_to_wire, parse_request_header, FrameError, FrameKind, RequestFrame, RequestHeader,
     ResponseFrame, WireDtype, MAGIC, MAX_PAYLOAD, REQ_HEADER_LEN, RESP_HEADER_LEN, VERSION,
 };
-pub use registry::{default_specs, ModelRegistry, ModelSpec, RegistryEntry};
+pub use registry::{ModelRegistry, ModelSpec, RegistryEntry};
 pub use server::{install_sigterm_flag, NetServer};

@@ -19,7 +19,7 @@ use neocpu::{
     NeoError, OptLevel, PoolChoice, QuantizeOptions, Result, ServeEngine, ServeOptions,
     ServeReport,
 };
-use neocpu_models::{build, quantized_zoo, ModelKind, ModelScale};
+use neocpu_models::{build, ModelKind, ModelScale};
 
 use crate::codec::WireDtype;
 
@@ -103,26 +103,6 @@ pub struct RegistryEntry {
     pub output_bytes: usize,
     /// Convs on the int8 path in this route's module (0 for f32 routes).
     pub quantized_convs: usize,
-}
-
-/// The default serving trio (f32), plus int8 variants of the quantized zoo
-/// when `int8` is set — the routes `netbench --serve` serves from one
-/// process and `netbench --addr` drives.
-pub fn default_specs(int8: bool, full: bool, batch: usize) -> Vec<ModelSpec> {
-    let mut specs: Vec<ModelSpec> =
-        [ModelKind::ResNet50, ModelKind::InceptionV3, ModelKind::MobileNet]
-            .into_iter()
-            .map(|kind| ModelSpec::serving(kind, WireDtype::F32, full, batch))
-            .collect();
-    if int8 {
-        // Only the validated int8 deployments; Inception has no entry in
-        // the quantized zoo, so its int8 route would fail the accuracy gate
-        // audit that quantized_zoo() encodes.
-        for kind in quantized_zoo() {
-            specs.push(ModelSpec::serving(kind, WireDtype::Int8, full, batch));
-        }
-    }
-    specs
 }
 
 /// A set of live routes, each backed by its own [`ServeEngine`].
@@ -317,19 +297,6 @@ impl ModelRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_specs_cover_the_trio_and_int8_variants() {
-        let f32_only = default_specs(false, false, 4);
-        assert_eq!(f32_only.len(), 3);
-        assert!(f32_only.iter().all(|s| s.dtype == WireDtype::F32));
-        let with_int8 = default_specs(true, false, 4);
-        assert_eq!(with_int8.len(), 3 + quantized_zoo().len());
-        assert!(with_int8
-            .iter()
-            .filter(|s| s.dtype == WireDtype::Int8)
-            .all(|s| quantized_zoo().contains(&s.kind)));
-    }
 
     #[test]
     fn duplicate_routes_are_rejected() {

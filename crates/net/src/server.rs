@@ -20,9 +20,10 @@
 //! Wait ──▶ Ok / DeadlineExceeded / Shutdown / Busy / Error frame ─▶ ReadHeader
 //! ```
 //!
-//! Drain sequence (`shutdown_within`, also triggered by SIGTERM in
-//! `netbench --serve`): mark draining (new `Infer` frames answer
-//! `Shutdown`, `Health` answers `Draining`) → stop + join the accept loop
+//! Drain sequence (`shutdown_within`, also triggered by SIGTERM through
+//! [`install_sigterm_flag`], as in the server process of `tests/net_serve.rs`'s
+//! `sigterm_drains_a_server_process`): mark draining (new `Infer` frames
+//! answer `Shutdown`, `Health` answers `Draining`) → stop + join the accept loop
 //! → drain every engine (in-flight and queued requests resolve exactly
 //! once) → wait for connection threads to flush their last responses →
 //! half-close every socket's read side (connection loops see EOF and
@@ -134,12 +135,6 @@ impl NetServer {
     /// thread is joined, otherwise the registry's aggregate health.
     pub fn health(&self) -> EngineHealth {
         self.shared.health()
-    }
-
-    /// Requests admitted to an engine whose response has not been written
-    /// yet.
-    pub fn in_flight(&self) -> usize {
-        self.shared.in_flight.load(Ordering::Acquire)
     }
 
     /// Enters the draining state without touching the engines: the accept
@@ -436,10 +431,11 @@ fn frame_error_msg(e: &FrameError) -> String {
     format!("bad frame: {e}")
 }
 
-/// SIGTERM-to-flag plumbing for `netbench --serve`: installs a minimal
+/// SIGTERM-to-flag plumbing for a serving process: installs a minimal
 /// handler through the C library's `signal` (already linked — no new
 /// dependency) that sets an atomic the serve loop polls to trigger
-/// [`NetServer::shutdown_within`].
+/// [`NetServer::shutdown_within`]. `tests/net_serve.rs`'s
+/// `sigterm_drains_a_server_process` drives it across two processes.
 pub fn install_sigterm_flag() -> &'static AtomicBool {
     static FLAG: AtomicBool = AtomicBool::new(false);
     extern "C" fn on_sigterm(_sig: i32) {

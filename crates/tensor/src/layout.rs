@@ -65,19 +65,6 @@ impl Layout {
         }
     }
 
-    /// Returns the channel block size for blocked activation layouts.
-    pub fn channel_block(&self) -> Option<usize> {
-        match self {
-            Self::NchwC(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    /// Returns `true` for activation layouts (as opposed to weight layouts).
-    pub fn is_activation(&self) -> bool {
-        matches!(self, Self::Nchw | Self::Nhwc | Self::NchwC(_) | Self::Nc | Self::Flat)
-    }
-
     /// Physical dimension extents for a logical `shape` stored in this
     /// layout.
     ///

@@ -139,45 +139,24 @@ impl ThreadPool {
     /// (the caller plus `threads − 1` spawned workers), with workers bound
     /// to distinct cores (best effort).
     ///
+    /// The pool reserves `threads` core slots from the process-global
+    /// cursor ([`affinity::reserve_cores`]), so two pools constructed in one
+    /// process land on disjoint cores instead of both stacking their
+    /// workers onto `1..threads`. Worker `w` (1-based; slot 0 belongs to the
+    /// caller, who is not bound by the pool) binds to the reserved set's
+    /// `core_at(w)`.
+    ///
     /// # Panics
     ///
     /// Panics if `threads` is zero or a worker thread cannot be spawned.
     pub fn new(threads: usize) -> Self {
-        Self::with_binding(threads, true)
-    }
-
-    /// Like [`ThreadPool::new`] but with explicit control over core binding.
-    ///
-    /// When `bind` is set the pool reserves `threads` core slots from the
-    /// process-global cursor ([`affinity::reserve_cores`]), so two pools
-    /// constructed in one process land on disjoint cores by default
-    /// instead of both stacking their workers onto `1..threads` (the old
-    /// `w % available_cores` behavior, which collided across engines and
-    /// ignored the cpuset).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero or a worker thread cannot be spawned.
-    pub fn with_binding(threads: usize, bind: bool) -> Self {
-        let cores = bind.then(|| affinity::reserve_cores(threads));
-        Self::with_cores(threads, cores.as_ref())
-    }
-
-    /// Like [`ThreadPool::new`] but pinning workers inside an explicit
-    /// core set: worker `w` (1-based; slot 0 belongs to the caller, who is
-    /// not bound by the pool) binds to `cores.core_at(w)`, wrapping when
-    /// the set is smaller than the pool. `None` leaves workers unbound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero or a worker thread cannot be spawned.
-    pub fn with_cores(threads: usize, cores: Option<&affinity::CoreSet>) -> Self {
         assert!(threads > 0, "a pool needs at least one executor");
+        let cores = affinity::reserve_cores(threads);
         let panics = Arc::new(AtomicU64::new(0));
         let mut handles = Vec::with_capacity(threads.saturating_sub(1));
         for w in 1..threads {
             let (tx, rx) = spsc::channel::<Msg>(QUEUE_CAP);
-            let core = cores.and_then(|set| set.core_at(w));
+            let core = cores.core_at(w);
             let worker_panics = Arc::clone(&panics);
             let join = thread::Builder::new()
                 .name(format!("neocpu-worker-{w}"))

@@ -74,8 +74,8 @@ fn main() {
         println!("{n:>8}  {:>12.2}  {:>12.2}", row[0], row[1]);
     }
     println!(
-        "\nNote: on a single-core host, thread counts above 1 oversubscribe;\n\
-         the overhead gap between the pools is the meaningful signal, and\n\
-         the fig4 bench projects strong scaling from it (see EXPERIMENTS.md)."
+        "\nNote: thread counts above the host's cores oversubscribe; there the\n\
+         overhead gap between the pools is the meaningful signal. Figure 4 is\n\
+         measured, not projected, by `paper_tables fig4` (EXPERIMENTS.md E4)."
     );
 }

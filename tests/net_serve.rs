@@ -11,13 +11,17 @@
 //!   outstanding request exactly once (each client's responses echo its
 //!   request ids, in order, with at most the final racing send unanswered);
 //! - the drain window itself is observable: existing connections get
-//!   `Shutdown` frames for new work and `Draining` from `Health` probes.
+//!   `Shutdown` frames for new work and `Draining` from `Health` probes;
+//! - (unix) SIGTERM drains a server running in another process: this test
+//!   binary re-run as the server, driven over TCP, must answer every request
+//!   in flight at the signal exactly once and exit 0 with health `Stopped`.
 //!
-//! Every tiny module is compiled once (in `modules()`) and shared across
-//! registries, so the whole suite pays four compiles total.
+//! Every tiny module is compiled once per process (in `modules()`) and
+//! shared across registries, so the suite pays four compiles in-process
+//! and four more in the SIGTERM drill's server process.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -178,32 +182,69 @@ fn infer_frame<'a>(
     }
 }
 
-fn connect(server: &NetServer) -> TcpStream {
-    let stream = TcpStream::connect(server.local_addr()).expect("connect to test server");
+fn connect(addr: SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connect to test server");
     stream.set_nodelay(true).expect("nodelay");
     stream
 }
 
-/// Runs the route's module directly on a full batch of copies of `image`
-/// and returns `(argmax, scores)` for one row — the wire oracle.
-fn reference_row(module: &Module, image: &[f32]) -> (u32, Vec<f32>) {
-    let dims = module.input_shapes()[0].dims().to_vec();
-    let batch = dims[0];
-    let mut data = Vec::with_capacity(batch * image.len());
-    for _ in 0..batch {
-        data.extend_from_slice(image);
+/// One route's wire oracle: the payload of its `image_for` image and the
+/// argmax and score row that a direct run of its module gives for it.
+struct Oracle {
+    spec: ModelSpec,
+    payload: Vec<u8>,
+    argmax: u32,
+    row: Vec<f32>,
+}
+
+impl Oracle {
+    /// Runs the route's module directly on a full batch of copies of the
+    /// route's image and keeps one row.
+    fn new(spec: ModelSpec, module: &Module) -> Self {
+        let dims = module.input_shapes()[0].dims().to_vec();
+        let (batch, elems) = (dims[0], dims[1..].iter().product());
+        let image = image_for(&spec, elems);
+        let mut data = Vec::with_capacity(batch * elems);
+        for _ in 0..batch {
+            data.extend_from_slice(&image);
+        }
+        let input = Tensor::from_vec(data, dims, Layout::Nchw).expect("reference input");
+        let outputs = module.run(std::slice::from_ref(&input)).expect("reference run");
+        let row_len = outputs[0].data().len() / batch;
+        let row = outputs[0].data()[..row_len].to_vec();
+        let argmax = row
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.total_cmp(b.1))
+            .map(|(i, _)| i as u32)
+            .expect("non-empty score row");
+        let payload = image.iter().flat_map(|v| v.to_le_bytes()).collect();
+        Self { spec, payload, argmax, row }
     }
-    let input = Tensor::from_vec(data, dims, Layout::Nchw).expect("reference input");
-    let outputs = module.run(std::slice::from_ref(&input)).expect("reference run");
-    let row_len = outputs[0].data().len() / batch;
-    let row = outputs[0].data()[..row_len].to_vec();
-    let argmax = row
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))
-        .map(|(i, _)| i as u32)
-        .expect("non-empty score row");
-    (argmax, row)
+
+    /// One oracle per route of `modules()`, in registry order.
+    fn all() -> Vec<Self> {
+        modules().iter().map(|(spec, module)| Self::new(*spec, module)).collect()
+    }
+
+    fn frame(&self, request_id: u64) -> RequestFrame<'_> {
+        infer_frame(&self.spec, request_id, 0, &self.payload)
+    }
+
+    /// Panics unless `resp` answers request `rid` with `Ok`, this route's
+    /// argmax and its score row.
+    fn assert_ok(&self, rid: u64, resp: &Resp) {
+        let (name, dtype) = (self.spec.kind.name(), self.spec.dtype);
+        let Resp::Ok { request_id, argmax, scores } = resp else {
+            panic!("{name} {dtype}: expected Ok, got {resp:?}")
+        };
+        assert_eq!(*request_id, rid, "id echo");
+        assert_eq!(*argmax, self.argmax, "{name} {dtype} argmax");
+        assert_eq!(scores.len(), self.row.len());
+        for (got, want) in scores.iter().zip(&self.row) {
+            assert!((got - want).abs() <= 1e-5, "{name} {dtype} score drifted: {got} vs {want}");
+        }
+    }
 }
 
 #[test]
@@ -214,17 +255,7 @@ fn eight_concurrent_clients_match_direct_module_runs() {
             batch_timeout: Duration::from_millis(1),
             ..Default::default()
         });
-        // Per-route oracle: payload bytes plus the expected (argmax, row).
-        let oracles: Vec<(ModelSpec, Vec<u8>, u32, Vec<f32>)> = registry
-            .entries()
-            .iter()
-            .map(|e| {
-                let image = image_for(&e.spec, e.input_bytes / 4);
-                let (argmax, row) = reference_row(&e.module, &image);
-                let bytes = image.iter().flat_map(|v| v.to_le_bytes()).collect();
-                (e.spec, bytes, argmax, row)
-            })
-            .collect();
+        let oracles = Oracle::all();
         let server = NetServer::bind(Arc::clone(&registry), "127.0.0.1:0").expect("bind");
 
         const CLIENTS: usize = 8;
@@ -232,36 +263,13 @@ fn eight_concurrent_clients_match_direct_module_runs() {
         std::thread::scope(|scope| {
             for client in 0..CLIENTS {
                 let oracle = &oracles[client % oracles.len()];
-                let server = &server;
+                let addr = server.local_addr();
                 scope.spawn(move || {
-                    let (spec, payload, want_argmax, want_row) = oracle;
-                    let mut stream = connect(server);
+                    let mut stream = connect(addr);
                     for r in 0..REQUESTS {
                         let rid = ((client as u64) << 32) | r;
-                        send_request(&mut stream, &infer_frame(spec, rid, 0, payload))
-                            .expect("request write");
-                        let resp = read_response(&mut stream).expect("response read");
-                        match resp {
-                            Resp::Ok { request_id, argmax, scores } => {
-                                assert_eq!(request_id, rid, "id echo");
-                                assert_eq!(
-                                    argmax, *want_argmax,
-                                    "{} {} argmax",
-                                    spec.kind.name(),
-                                    spec.dtype
-                                );
-                                assert_eq!(scores.len(), want_row.len());
-                                for (got, want) in scores.iter().zip(want_row) {
-                                    assert!(
-                                        (got - want).abs() <= 1e-5,
-                                        "{} {} score drifted: {got} vs {want}",
-                                        spec.kind.name(),
-                                        spec.dtype
-                                    );
-                                }
-                            }
-                            other => panic!("expected Ok, got {other:?}"),
-                        }
+                        send_request(&mut stream, &oracle.frame(rid)).expect("request write");
+                        oracle.assert_ok(rid, &read_response(&mut stream).expect("response read"));
                     }
                 });
             }
@@ -305,7 +313,7 @@ fn saturated_queue_answers_busy_on_the_wire() {
                 .map(|client| {
                     let (server, spec, payload) = (&server, &spec, &payload);
                     scope.spawn(move || {
-                        let mut stream = connect(server);
+                        let mut stream = connect(server.local_addr());
                         let (mut ok, mut busy) = (0u64, 0u64);
                         for r in 0..REQUESTS {
                             let rid = ((client as u64) << 32) | r;
@@ -341,7 +349,7 @@ fn saturated_queue_answers_busy_on_the_wire() {
         assert_eq!(report.shed, busy, "the route's shed count must match the Busy frames");
 
         // The server stays servable after the storm.
-        let mut stream = connect(&server);
+        let mut stream = connect(server.local_addr());
         send_request(&mut stream, &infer_frame(&spec, 999, 0, &payload)).expect("write");
         loop {
             match read_response(&mut stream).expect("read") {
@@ -379,7 +387,7 @@ fn microscopic_deadline_is_exceeded_without_execution() {
         let payload: Vec<u8> = image.iter().flat_map(|v| v.to_le_bytes()).collect();
         let server = NetServer::bind(Arc::clone(&registry), "127.0.0.1:0").expect("bind");
 
-        let mut stream = connect(&server);
+        let mut stream = connect(server.local_addr());
         send_request(&mut stream, &infer_frame(&entry.spec, 41, 1, &payload)).expect("write");
         match read_response(&mut stream).expect("read") {
             Resp::DeadlineExceeded { request_id } => assert_eq!(request_id, 41),
@@ -419,7 +427,7 @@ fn drain_mid_flight_resolves_every_request_exactly_once() {
                 .map(|client| {
                     let (server, spec, payload) = (&server, &spec, &payload);
                     scope.spawn(move || {
-                        let mut stream = connect(server);
+                        let mut stream = connect(server.local_addr());
                         let mut sent: u64 = 0;
                         let mut answered: u64 = 0;
                         loop {
@@ -497,7 +505,7 @@ fn drain_window_is_observable_on_existing_connections() {
         let server = NetServer::bind(Arc::clone(&registry), "127.0.0.1:0").expect("bind");
 
         // A healthy request on a connection that outlives the drain start.
-        let mut stream = connect(&server);
+        let mut stream = connect(server.local_addr());
         send_request(&mut stream, &infer_frame(&spec, 1, 0, &payload)).expect("write");
         assert!(
             matches!(read_response(&mut stream), Some(Resp::Ok { request_id: 1, .. })),
@@ -638,4 +646,185 @@ fn registry_drain_is_concurrent_across_routes() {
             assert_eq!(e.engine.health(), EngineHealth::Stopped, "{}", e.spec.kind.name());
         }
     });
+}
+
+/// Set in the environment of the server process that
+/// `sigterm_drains_a_server_process` starts from this test binary: with it,
+/// the test plays the server instead of the driver.
+#[cfg(unix)]
+const DRILL_SERVER_ENV: &str = "NET_SERVE_DRILL_SERVER";
+
+/// The drill's server role: all four routes behind a `NetServer` on an
+/// ephemeral port, the address on stdout, then serve until SIGTERM (polled
+/// through `install_sigterm_flag`) and drain. Its assertions decide the
+/// process's exit code.
+#[cfg(unix)]
+fn serve_until_sigterm() {
+    let sigterm = neocpu_net::install_sigterm_flag();
+    let server =
+        NetServer::bind(registry(&ServeOptions::default()), "127.0.0.1:0").expect("bind");
+    println!("listening on {}", server.local_addr());
+    std::io::stdout().flush().expect("flush stdout");
+    let waiting = std::time::Instant::now();
+    while !sigterm.load(std::sync::atomic::Ordering::Acquire) {
+        // Bounds an orphaned server's life if the driver dies.
+        assert!(waiting.elapsed() < Duration::from_secs(120), "no SIGTERM within 120 s");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    server.shutdown_within(Duration::from_secs(10));
+    let health = server.health();
+    println!("drained: health {health:?}");
+    assert_eq!(health, EngineHealth::Stopped, "SIGTERM drain left the server {health:?}");
+}
+
+/// The cross-process SIGTERM drill. The driver starts this binary again as
+/// the server (`DRILL_SERVER_ENV`) and, over TCP:
+/// 1. sends 4 clients × 8 requests round-robin across the four routes;
+///    every reply must be `Ok` with its route's reference row;
+/// 2. asks `Health` on the wire: `Ready`;
+/// 3. has each client write one more request (one per route), then sends
+///    SIGTERM; each gets exactly one answer, `Ok` (with the reference row)
+///    or `Shutdown`, and then EOF;
+/// 4. the server process must exit within 30 s, with status 0 and health
+///    `Stopped`.
+///
+/// Every wait has a deadline, so a server that ignores the signal or
+/// drains badly fails with a message instead of hanging.
+#[cfg(unix)]
+#[test]
+fn sigterm_drains_a_server_process() {
+    use std::io::{BufRead, BufReader};
+    use std::process::{Child, Command, Stdio};
+    use std::time::Instant;
+
+    if std::env::var_os(DRILL_SERVER_ENV).is_some() {
+        return serve_until_sigterm();
+    }
+
+    /// Kills the server if the driver fails before it exits.
+    struct ServerProcess(Child);
+    impl Drop for ServerProcess {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+    const SIGTERM: i32 = 15;
+    const BUDGET: Duration = Duration::from_secs(30);
+
+    let exe = std::env::current_exe().expect("test binary path");
+    let mut server = ServerProcess(
+        Command::new(exe)
+            .args(["sigterm_drains_a_server_process", "--exact", "--nocapture"])
+            .env(DRILL_SERVER_ENV, "1")
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("spawn the server process"),
+    );
+    // The server's stdout, line by line, so every wait below has a deadline.
+    let (tx, lines) = std::sync::mpsc::channel();
+    let stdout = server.0.stdout.take().expect("piped stdout");
+    let reader = std::thread::spawn(move || {
+        for line in BufReader::new(stdout).lines().map_while(|l| l.ok()) {
+            if tx.send(line).is_err() {
+                break;
+            }
+        }
+    });
+    let oracles = Oracle::all();
+    let addr: SocketAddr = loop {
+        let line = lines
+            .recv_timeout(Duration::from_secs(120))
+            .expect("the server process never reported its address");
+        if let Some(addr) = line.strip_prefix("listening on ") {
+            break addr.parse().expect("server address");
+        }
+    };
+    let dial = || {
+        let stream = connect(addr);
+        stream.set_read_timeout(Some(BUDGET)).expect("read timeout");
+        stream
+    };
+
+    // 1. 4 clients × 8 requests, round-robin across the routes.
+    const CLIENTS: u64 = 4;
+    const REQUESTS: u64 = 8;
+    let route = |client: u64, r: u64| &oracles[((client + r) % oracles.len() as u64) as usize];
+    let mut clients: Vec<TcpStream> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..CLIENTS)
+            .map(|client| {
+                let (route, dial) = (&route, &dial);
+                scope.spawn(move || {
+                    let mut stream = dial();
+                    for r in 0..REQUESTS {
+                        let rid = (client << 32) | r;
+                        let oracle = route(client, r);
+                        send_request(&mut stream, &oracle.frame(rid)).expect("request write");
+                        oracle.assert_ok(rid, &read_response(&mut stream).expect("response read"));
+                    }
+                    stream
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("client thread")).collect()
+    });
+
+    // 2. Health on the wire before the signal.
+    let mut probe = dial();
+    let health = RequestFrame {
+        kind: FrameKind::Health,
+        payload: &[],
+        ..oracles[0].frame(7)
+    };
+    send_request(&mut probe, &health).expect("health write");
+    assert_eq!(
+        read_response(&mut probe),
+        Some(Resp::Health { request_id: 7, health: EngineHealth::Ready })
+    );
+
+    // 3. One more request per client, in flight on its accepted connection
+    //    (one per route), then SIGTERM.
+    for (client, stream) in (0..).zip(&mut clients) {
+        let rid = (client << 32) | REQUESTS;
+        send_request(stream, &route(client, REQUESTS).frame(rid)).expect("request write");
+    }
+    let pid = i32::try_from(server.0.id()).expect("pid fits in i32");
+    // SAFETY: `kill` only sends a signal to the server process.
+    assert_eq!(unsafe { kill(pid, SIGTERM) }, 0, "kill(SIGTERM) failed");
+    for (client, stream) in (0..).zip(&mut clients) {
+        let rid = (client << 32) | REQUESTS;
+        match read_response(stream) {
+            Some(Resp::Shutdown { request_id }) => assert_eq!(request_id, rid, "id echo"),
+            Some(resp) => route(client, REQUESTS).assert_ok(rid, &resp),
+            None => panic!("request {rid:#x} in flight at SIGTERM got no answer"),
+        }
+    }
+
+    // 4. The server exits 0, drained to `Stopped`.
+    let deadline = Instant::now() + BUDGET;
+    let status = loop {
+        if let Some(status) = server.0.try_wait().expect("poll the server process") {
+            break status;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "server process still running {BUDGET:?} after SIGTERM: the signal started no drain"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let rest: Vec<String> = lines.iter().collect();
+    reader.join().expect("stdout reader thread");
+    assert!(status.success(), "server process exited with {status}; its stdout tail: {rest:?}");
+    assert!(
+        rest.iter().any(|l| l == "drained: health Stopped"),
+        "server process did not report health Stopped: {rest:?}"
+    );
+    // Exactly once: nothing follows each in-flight request's answer.
+    for (client, stream) in clients.iter_mut().enumerate() {
+        assert_eq!(read_response(stream), None, "a second answer to client {client}");
+    }
 }
