@@ -862,6 +862,28 @@ mod tests {
         }
     }
 
+    /// A concat of a rank-4 and a rank-2 input, in either order, is a
+    /// typed shape error at the concat, at every level.
+    #[test]
+    fn mixed_rank_concat_is_a_shape_error() {
+        let mut g = Graph::default();
+        let x = g.push(Op::Input { shape: vec![1, 4, 8, 8] }, vec![]);
+        let y = g.push(Op::Input { shape: vec![1, 4] }, vec![]);
+        for inputs in [vec![x, y], vec![y, x]] {
+            let mut g = g.clone();
+            let cat = g.push(Op::Concat, inputs);
+            g.outputs = vec![cat];
+            for level in [OptLevel::O0, OptLevel::O1, OptLevel::O2, OptLevel::O3] {
+                let opts = CompileOptions::level(level);
+                let err = compile(&g, &CpuTarget::host(), &opts).unwrap_err();
+                assert!(
+                    matches!(&err, NeoError::Graph(GraphError::Shape { node, .. }) if *node == cat),
+                    "{level:?}: unexpected error {err}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn db_load_helper_maps_errors() {
         let dir = std::env::temp_dir().join("neocpu-compile-dbload");

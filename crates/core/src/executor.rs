@@ -3,7 +3,7 @@
 //!
 //! At compile time the memory planner (`crate::memory`) assigns every
 //! intermediate value an offset into a single 64-byte-aligned arena, with
-//! in-place reuse (Relu/Dropout/Flatten/residual-Add) decided by liveness
+//! in-place reuse (Relu/Flatten/residual-Add) decided by liveness
 //! analysis rather than runtime reference juggling. A [`RunContext`] holds
 //! that arena plus one prebuilt tensor *view* per node, so a warm inference
 //! performs **zero heap allocations** for intermediates: kernels write
@@ -47,9 +47,7 @@ use neocpu_graph::{Graph, Op};
 use neocpu_kernels::conv::{
     conv2d_nchw_direct, conv2d_nchwc, conv2d_nchwc_u8, ConvQuant, Epilogue,
 };
-use neocpu_kernels::elementwise::{
-    add, add_assign, batchnorm_fold, concat_channels, relu_inplace, scale_shift,
-};
+use neocpu_kernels::elementwise::{add, add_assign, concat_channels, relu_inplace, scale_shift};
 use neocpu_kernels::pool2d::{global_avg_pool, pool2d};
 use neocpu_kernels::quantize::{dequantize_slice_par, f32_slice_as_u8_mut, quantize_slice_par};
 use neocpu_kernels::{dense, padded_input_len, softmax};
@@ -88,7 +86,7 @@ pub struct RunContext {
     arena: Arc<Arena>,
     /// `values[n - 1]` holds one view per node for an n-row run, at the
     /// node's planned offset with its inferred shape/layout, leading dim n.
-    /// Aliased views (Flatten/Dropout/in-place ops) share offsets by plan;
+    /// Aliased views (Flatten/in-place ops) share offsets by plan;
     /// the executor only ever *accesses* disjoint ones.
     values: Vec<Vec<Tensor>>,
     /// Row count of the most recent run: the table [`RunContext::outputs`]
@@ -445,7 +443,7 @@ impl Module {
                 Values::Planned { views, arena } => {
                     // Split so earlier values stay readable while this
                     // node's view is written: planner disjointness makes the
-                    // aliased cases (in-place, Flatten/Dropout) never touch
+                    // aliased cases (in-place, Flatten) never touch
                     // both sides at once.
                     let (before, rest) = views.split_at_mut(id);
                     let scratch = self.plan.scratch[id].map(|off| (&**arena, off));
@@ -521,7 +519,6 @@ impl Module {
             node.op,
             Op::Conv2d { .. }
                 | Op::ScaleShift { .. }
-                | Op::BatchNorm { .. }
                 | Op::Pool { .. }
                 | Op::GlobalAvgPool
                 | Op::Add
@@ -636,22 +633,14 @@ impl Module {
                 let x = &before[node.inputs[0]];
                 scale_shift(x, out, g.params[*scale].data(), g.params[*shift].data(), par)?;
             }
-            Op::BatchNorm { gamma, beta, mean, var, eps } => {
-                // Normally folded away; kept total for un-simplified graphs.
-                let (scale, shift) = batchnorm_fold(
-                    g.params[*gamma].data(),
-                    g.params[*beta].data(),
-                    g.params[*mean].data(),
-                    g.params[*var].data(),
-                    *eps,
-                );
-                let x = &before[node.inputs[0]];
-                scale_shift(x, out, &scale, &shift, par)?;
+            // `simplify_inference` removes both before any module is built.
+            Op::BatchNorm { .. } | Op::Dropout => {
+                return Err(NeoError::Internal(format!("{} reached the executor", node.op.name())));
             }
-            // Flatten is a shape view and Dropout the identity: with the
-            // plan's alias, `out` is the producer's storage and nothing
-            // moves; Relu then clamps it where it sits.
-            Op::Relu | Op::Dropout | Op::Flatten => {
+            // Flatten is a shape view: with the plan's alias, `out` is the
+            // producer's storage and nothing moves; Relu then clamps it
+            // where it sits.
+            Op::Relu | Op::Flatten => {
                 if inplace.is_none() {
                     out.data_mut().copy_from_slice(before[node.inputs[0]].data());
                 }
@@ -1002,6 +991,32 @@ mod tests {
         assert!(r.scratch_bytes > 0, "padded convs must reserve scratch");
         let ctx = m.make_context();
         assert_eq!(ctx.arena_bytes(), r.planned_peak_bytes);
+    }
+
+    /// BatchNorm and Dropout never reach a module through `compile`; a
+    /// graph that skips `simplify_inference` fails at the node, typed.
+    #[test]
+    fn unsimplified_ops_are_internal_errors_at_their_node() {
+        use crate::compile::{finish_module, CompileReport};
+        type Push = fn(&mut GraphBuilder, usize) -> usize;
+        let target = CpuTarget::host();
+        let opts = CompileOptions::level(OptLevel::O0);
+        let input = Tensor::random([1, 4, 8, 8], Layout::Nchw, 1, 1.0).unwrap();
+        let ops: [(&str, Push); 2] =
+            [("batch_norm", GraphBuilder::batch_norm), ("dropout", GraphBuilder::dropout)];
+        for (op, push) in ops {
+            let mut b = GraphBuilder::new(3);
+            let x = b.input([1, 4, 8, 8]);
+            let y = push(&mut b, x);
+            let g = b.finish(vec![y]);
+            let m = finish_module(g, &target, &opts, &mut CompileReport::default()).unwrap();
+            let err = m.run(std::slice::from_ref(&input)).unwrap_err();
+            assert!(
+                matches!(&err, NeoError::AtNode { node: 1, op: o, .. } if *o == op),
+                "unexpected error: {err}"
+            );
+            assert!(matches!(err.root_cause(), NeoError::Internal(_)), "{err}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! 1. **Liveness** — each node's output value is live over the interval
 //!    `[def, last_use]` (graph outputs are pinned to the end of the run).
 //! 2. **Slot merging** — values that may share storage are unioned into one
-//!    slot: `Flatten`/`Dropout` always alias their producer (read-only
+//!    slot: `Flatten` always aliases its producer (a read-only
 //!    reinterpretation), and `Relu`/`Add` run **in place** when the planner
 //!    proves the overwritten input's slot dies at exactly that node. What
 //!    the old executor decided at run time with `take_or_clone`, the plan
@@ -67,7 +67,7 @@ pub struct MemoryReport {
     /// output size, the old per-run allocation bill.
     pub naive_bytes: usize,
     /// Storage-reuse decisions: values aliased onto their producer
-    /// (`Flatten`/`Dropout`) or computed in place (`Relu`/`Add`).
+    /// (`Flatten`) or computed in place (`Relu`/`Add`).
     pub reused: usize,
     /// Bytes of planned conv padded-input scratch inside the arena.
     pub scratch_bytes: usize,
@@ -228,10 +228,9 @@ pub(crate) fn plan_memory(
     let mut slot_end: Vec<usize> = last_use.clone();
     for (id, node) in g.nodes.iter().enumerate() {
         let merge = match &node.op {
-            // Read-only reinterpretations always share their producer's
-            // storage: Flatten is a shape view, Dropout is the identity at
-            // inference time.
-            Op::Flatten | Op::Dropout => Some(0),
+            // Flatten is a shape view: it always shares its producer's
+            // storage.
+            Op::Flatten => Some(0),
             // Relu may overwrite its input iff that storage is never read
             // after this node.
             Op::Relu => {

@@ -154,7 +154,7 @@ pub fn compile_quantized_with_db(
     let f32_module = finish_module(planned.clone(), target, opts, &mut report)?;
 
     let calib: Vec<Vec<Tensor>> = if qopts.calibration.is_empty() {
-        auto_calibration(graph, qopts)?
+        auto_calibration(&f32_module, qopts)?
     } else {
         qopts.calibration.clone()
     };
@@ -197,27 +197,16 @@ pub fn compile_quantized_with_db(
     Ok((q_module, qreport))
 }
 
-/// Deterministic random calibration inputs from the graph's input shapes.
-fn auto_calibration(graph: &Graph, qopts: &QuantizeOptions) -> Result<Vec<Vec<Tensor>>> {
-    let shapes: Vec<&Vec<usize>> = graph
-        .nodes
-        .iter()
-        .filter_map(|n| match &n.op {
-            Op::Input { shape } => Some(shape),
-            _ => None,
-        })
-        .collect();
+/// Deterministic random calibration inputs in the f32 module's input
+/// shapes and layouts.
+fn auto_calibration(module: &Module, qopts: &QuantizeOptions) -> Result<Vec<Vec<Tensor>>> {
+    let inputs: Vec<_> = module.input_shapes().into_iter().zip(module.input_layouts()).collect();
     let mut runs = Vec::with_capacity(qopts.auto_runs.max(1));
     for r in 0..qopts.auto_runs.max(1) {
-        let mut set = Vec::with_capacity(shapes.len());
-        for (i, shape) in shapes.iter().enumerate() {
-            let layout = match shape.len() {
-                4 => Layout::Nchw,
-                2 => Layout::Nc,
-                _ => Layout::Flat,
-            };
+        let mut set = Vec::with_capacity(inputs.len());
+        for (i, (shape, layout)) in inputs.iter().enumerate() {
             let seed = qopts.seed ^ (r as u64).wrapping_mul(0x9e37_79b9) ^ (i as u64) << 32;
-            let t = Tensor::random(shape.as_slice(), layout, seed, 1.0)
+            let t = Tensor::random(shape.dims(), *layout, seed, 1.0)
                 .map_err(|e| NeoError::BadInput(format!("calibration input: {e}")))?;
             set.push(t);
         }
@@ -671,7 +660,7 @@ mod tests {
             let mut report = CompileReport::default();
             let planned = plan(&g, &target, &opts);
             let f32_module = finish_module(planned.clone(), &target, &opts, &mut report).unwrap();
-            let calib = auto_calibration(&g, &QuantizeOptions::default()).unwrap();
+            let calib = auto_calibration(&f32_module, &QuantizeOptions::default()).unwrap();
             let stats = calibrate(&f32_module, &planned, &calib).unwrap();
             let (unfolded, quantized, _) =
                 rewrite_planned(&planned, &stats, &target.analytical_model(), target.max_lanes())

@@ -11,6 +11,7 @@ use neocpu_kernels::conv::Conv2dParams;
 use neocpu_kernels::pool2d::{Pool2dParams, PoolKind};
 use neocpu_tensor::{Layout, Shape, Tensor};
 
+use crate::infer::node_shape;
 use crate::ir::{Graph, NodeId, Op};
 
 /// Incremental graph builder that tracks output shapes as nodes are added.
@@ -31,10 +32,18 @@ impl GraphBuilder {
         self.seed
     }
 
-    fn push(&mut self, op: Op, inputs: Vec<NodeId>, shape: Shape) -> NodeId {
-        let id = self.graph.push(op, inputs);
+    /// Appends a node and records its shape by the graph's shape rule.
+    ///
+    /// # Panics
+    ///
+    /// Panics at a node whose operands are inconsistent (builder misuse),
+    /// naming its op.
+    fn push(&mut self, op: Op, inputs: Vec<NodeId>) -> NodeId {
+        let ins: Vec<&Shape> = inputs.iter().map(|&i| &self.shapes[i]).collect();
+        let shape = node_shape(&self.graph, &op, &ins)
+            .unwrap_or_else(|msg| panic!("{} at node {}: {msg}", op.name(), self.graph.len()));
         self.shapes.push(shape);
-        id
+        self.graph.push(op, inputs)
     }
 
     /// Shape of an already-added node.
@@ -42,16 +51,37 @@ impl GraphBuilder {
         &self.shapes[id]
     }
 
-    /// Read-only access to the graph under construction (for tests).
-    pub fn graph_ref(&self) -> &Graph {
-        &self.graph
-    }
-
     /// Adds an external input.
     pub fn input(&mut self, shape: impl Into<Vec<usize>>) -> NodeId {
-        let shape = shape.into();
-        let s = Shape::new(shape.clone());
-        self.push(Op::Input { shape }, vec![], s)
+        self.push(Op::Input { shape: shape.into() }, vec![])
+    }
+
+    /// Adds a convolution over `x` with the given geometry, drawing its
+    /// `OIHW` weight and then, if asked, its bias.
+    fn conv(&mut self, x: NodeId, params: Conv2dParams, bias: bool) -> NodeId {
+        let (oc, icg) = (params.out_channels, params.in_channels_per_group());
+        let (kh, kw) = (params.kernel_h, params.kernel_w);
+        let scale = (3.0 / (icg * kh * kw) as f32).sqrt();
+        let seed = self.next_seed();
+        let weight = self.graph.push_param(
+            Tensor::random([oc, icg, kh, kw], Layout::Oihw, seed, scale)
+                .expect("conv weight shape is always valid"),
+        );
+        let bias = bias.then(|| {
+            let seed = self.next_seed();
+            self.graph.push_param(
+                Tensor::random([oc], Layout::Flat, seed, 0.1).expect("bias shape is always valid"),
+            )
+        });
+        self.push(
+            Op::Conv2d { params, weight, bias, schedule: None, relu: false, residual: false, quant: None, requant: None },
+            vec![x],
+        )
+    }
+
+    /// The `[N, C, H, W]` dims of a conv input.
+    fn conv_input(&self, x: NodeId) -> [usize; 4] {
+        self.shapes[x].dims().try_into().expect("conv2d input must be rank 4")
     }
 
     /// Adds a (biased) convolution with square kernel geometry.
@@ -78,41 +108,7 @@ impl GraphBuilder {
         pad: usize,
         bias: bool,
     ) -> NodeId {
-        let d = self.shapes[x].dims().to_vec();
-        assert_eq!(d.len(), 4, "conv2d input must be rank 4");
-        let params = Conv2dParams {
-            in_channels: d[1],
-            out_channels: out_c,
-            in_h: d[2],
-            in_w: d[3],
-            kernel_h: kernel,
-            kernel_w: kernel,
-            stride_h: stride,
-            stride_w: stride,
-            pad_h: pad,
-            pad_w: pad,
-            groups: 1,
-        };
-        let fan_in = (d[1] * kernel * kernel) as f32;
-        let scale = (3.0 / fan_in).sqrt();
-        let seed = self.next_seed();
-        let weight = self.graph.push_param(
-            Tensor::random([out_c, d[1], kernel, kernel], Layout::Oihw, seed, scale)
-                .expect("conv weight shape is always valid"),
-        );
-        let bias = bias.then(|| {
-            let seed = self.next_seed();
-            self.graph.push_param(
-                Tensor::random([out_c], Layout::Flat, seed, 0.1)
-                    .expect("bias shape is always valid"),
-            )
-        });
-        let shape = Shape::from([d[0], out_c, params.out_h(), params.out_w()]);
-        self.push(
-            Op::Conv2d { params, weight, bias, schedule: None, relu: false, residual: false, quant: None, requant: None },
-            vec![x],
-            shape,
-        )
+        self.conv2d_rect(x, out_c, (kernel, kernel), (stride, stride), (pad, pad), bias)
     }
 
     /// Adds a convolution with rectangular kernel/stride/padding (needed by
@@ -130,13 +126,12 @@ impl GraphBuilder {
         pad: (usize, usize),
         bias: bool,
     ) -> NodeId {
-        let d = self.shapes[x].dims().to_vec();
-        assert_eq!(d.len(), 4, "conv2d input must be rank 4");
+        let [_, c, h, w] = self.conv_input(x);
         let params = Conv2dParams {
-            in_channels: d[1],
+            in_channels: c,
             out_channels: out_c,
-            in_h: d[2],
-            in_w: d[3],
+            in_h: h,
+            in_w: w,
             kernel_h: kernel.0,
             kernel_w: kernel.1,
             stride_h: stride.0,
@@ -145,26 +140,7 @@ impl GraphBuilder {
             pad_w: pad.1,
             groups: 1,
         };
-        let fan_in = (d[1] * kernel.0 * kernel.1) as f32;
-        let scale = (3.0 / fan_in).sqrt();
-        let seed = self.next_seed();
-        let weight = self.graph.push_param(
-            Tensor::random([out_c, d[1], kernel.0, kernel.1], Layout::Oihw, seed, scale)
-                .expect("conv weight shape is always valid"),
-        );
-        let bias = bias.then(|| {
-            let seed = self.next_seed();
-            self.graph.push_param(
-                Tensor::random([out_c], Layout::Flat, seed, 0.1)
-                    .expect("bias shape is always valid"),
-            )
-        });
-        let shape = Shape::from([d[0], out_c, params.out_h(), params.out_w()]);
-        self.push(
-            Op::Conv2d { params, weight, bias, schedule: None, relu: false, residual: false, quant: None, requant: None },
-            vec![x],
-            shape,
-        )
+        self.conv(x, params, bias)
     }
 
     /// Adds a depthwise convolution (`groups == channels`, one `kh×kw`
@@ -181,31 +157,9 @@ impl GraphBuilder {
         pad: usize,
         bias: bool,
     ) -> NodeId {
-        let d = self.shapes[x].dims().to_vec();
-        assert_eq!(d.len(), 4, "depthwise conv input must be rank 4");
-        let c = d[1];
-        let params = Conv2dParams::depthwise(c, d[2], kernel, stride, pad);
-        let params = Conv2dParams { in_w: d[3], ..params };
-        let fan_in = (kernel * kernel) as f32;
-        let scale = (3.0 / fan_in).sqrt();
-        let seed = self.next_seed();
-        let weight = self.graph.push_param(
-            Tensor::random([c, 1, kernel, kernel], Layout::Oihw, seed, scale)
-                .expect("depthwise weight shape is always valid"),
-        );
-        let bias = bias.then(|| {
-            let seed = self.next_seed();
-            self.graph.push_param(
-                Tensor::random([c], Layout::Flat, seed, 0.1)
-                    .expect("bias shape is always valid"),
-            )
-        });
-        let shape = Shape::from([d[0], c, params.out_h(), params.out_w()]);
-        self.push(
-            Op::Conv2d { params, weight, bias, schedule: None, relu: false, residual: false, quant: None, requant: None },
-            vec![x],
-            shape,
-        )
+        let [_, c, h, w] = self.conv_input(x);
+        let params = Conv2dParams { in_w: w, ..Conv2dParams::depthwise(c, h, kernel, stride, pad) };
+        self.conv(x, params, bias)
     }
 
     /// depthwise conv → BN → ReLU, the MobileNet separable-block half.
@@ -250,27 +204,22 @@ impl GraphBuilder {
         let beta = mk(self, -0.3, 0.3);
         let mean = mk(self, -0.2, 0.2);
         let var = mk(self, 0.5, 1.5);
-        let shape = self.shapes[x].clone();
-        self.push(Op::BatchNorm { gamma, beta, mean, var, eps: 1e-5 }, vec![x], shape)
+        self.push(Op::BatchNorm { gamma, beta, mean, var, eps: 1e-5 }, vec![x])
     }
 
     /// Adds a ReLU.
     pub fn relu(&mut self, x: NodeId) -> NodeId {
-        let shape = self.shapes[x].clone();
-        self.push(Op::Relu, vec![x], shape)
+        self.push(Op::Relu, vec![x])
     }
 
     /// Adds a dropout node (identity at inference; exercised by the
     /// simplification pass).
     pub fn dropout(&mut self, x: NodeId) -> NodeId {
-        let shape = self.shapes[x].clone();
-        self.push(Op::Dropout, vec![x], shape)
+        self.push(Op::Dropout, vec![x])
     }
 
     fn pool(&mut self, x: NodeId, params: Pool2dParams, kind: PoolKind) -> NodeId {
-        let d = self.shapes[x].dims();
-        let shape = Shape::from([d[0], d[1], params.out_h(d[2]), params.out_w(d[3])]);
-        self.push(Op::Pool { params, kind }, vec![x], shape)
+        self.push(Op::Pool { params, kind }, vec![x])
     }
 
     /// Adds a square max pool.
@@ -285,38 +234,39 @@ impl GraphBuilder {
 
     /// Adds a global average pool (`[N, C, 1, 1]`).
     pub fn global_avg_pool(&mut self, x: NodeId) -> NodeId {
-        let d = self.shapes[x].dims();
-        let shape = Shape::from([d[0], d[1], 1, 1]);
-        self.push(Op::GlobalAvgPool, vec![x], shape)
+        self.push(Op::GlobalAvgPool, vec![x])
     }
 
     /// Adds an element-wise addition.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operands' shapes differ.
     pub fn add(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let shape = self.shapes[a].clone();
-        self.push(Op::Add, vec![a, b], shape)
+        self.push(Op::Add, vec![a, b])
     }
 
     /// Adds a channel concatenation.
     ///
     /// # Panics
     ///
-    /// Panics if fewer than two inputs are given.
+    /// Panics if fewer than two inputs are given or they do not share rank
+    /// 4, batch and spatial dims.
     pub fn concat(&mut self, xs: &[NodeId]) -> NodeId {
         assert!(xs.len() >= 2, "concat needs at least two inputs");
-        let d0 = self.shapes[xs[0]].dims().to_vec();
-        let c: usize = xs.iter().map(|&x| self.shapes[x].dims()[1]).sum();
-        let shape = Shape::from([d0[0], c, d0[2], d0[3]]);
-        self.push(Op::Concat, xs.to_vec(), shape)
+        self.push(Op::Concat, xs.to_vec())
     }
 
     /// Adds a flatten to rank 2.
     pub fn flatten(&mut self, x: NodeId) -> NodeId {
-        let d = self.shapes[x].dims();
-        let shape = Shape::from([d[0], d[1] * d[2] * d[3]]);
-        self.push(Op::Flatten, vec![x], shape)
+        self.push(Op::Flatten, vec![x])
     }
 
     /// Adds a biased dense (fully connected) layer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input is not rank 2.
     pub fn dense(&mut self, x: NodeId, out_f: usize) -> NodeId {
         let d = self.shapes[x].dims().to_vec();
         assert_eq!(d.len(), 2, "dense input must be rank 2");
@@ -330,14 +280,12 @@ impl GraphBuilder {
         let bias = Some(self.graph.push_param(
             Tensor::random([out_f], Layout::Flat, seed, 0.1).expect("bias shape valid"),
         ));
-        let shape = Shape::from([d[0], out_f]);
-        self.push(Op::Dense { weight, bias, relu: false }, vec![x], shape)
+        self.push(Op::Dense { weight, bias, relu: false }, vec![x])
     }
 
     /// Adds a softmax over `NC`.
     pub fn softmax(&mut self, x: NodeId) -> NodeId {
-        let shape = self.shapes[x].clone();
-        self.push(Op::Softmax, vec![x], shape)
+        self.push(Op::Softmax, vec![x])
     }
 
     /// The ubiquitous conv → BN → ReLU block.
@@ -382,6 +330,16 @@ mod tests {
             assert!(s.dims().iter().product::<usize>() > 0, "node {id}");
         }
         assert_eq!(shapes[s.min(shapes.len() - 1)].dims(), &[1, 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "add at node 3: add operands [1x8x8x8] vs [1x8x4x4]")]
+    fn mismatched_add_panics_at_the_add() {
+        let mut b = GraphBuilder::new(1);
+        let x = b.input([1, 4, 8, 8]);
+        let c1 = b.conv2d(x, 8, 3, 1, 1);
+        let c2 = b.conv2d(x, 8, 3, 2, 1); // different spatial dims
+        b.add(c1, c2);
     }
 
     #[test]

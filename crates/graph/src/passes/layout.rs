@@ -12,17 +12,18 @@
 //!
 //! [`insert_layout_transforms`] is the elimination machinery shared by the
 //! first two: walk the graph, track the layout each value carries, and
-//! materialize a `LayoutTransform` only when a consumer genuinely requires
-//! a different layout — with look-through so a transform of a transform
-//! collapses, and memoization so one value transformed to the same target
-//! twice shares a single node.
+//! materialize a `LayoutTransform` only where a consumer's layout contract
+//! (`layout_contract` in `infer.rs`, the rule [`crate::infer_layouts`]
+//! checks) needs a different layout — with look-through so a transform of
+//! a transform collapses, and memoization so one value transformed to the
+//! same target twice shares a single node.
 
 use std::collections::HashMap;
 
 use neocpu_kernels::conv::{fitting_reg_n, ConvSchedule};
-use neocpu_tensor::{DType, Layout};
+use neocpu_tensor::{DType, Layout, Shape};
 
-use crate::infer::infer_shapes;
+use crate::infer::{infer_shapes, layout_contract};
 use crate::ir::{Graph, NodeId, Op};
 use crate::{GraphError, Result};
 
@@ -200,15 +201,14 @@ pub fn wrap_convs_with_transforms(g: &Graph, cfg: &UniformPlanCfg) -> Result<Gra
 }
 
 /// Inserts the minimal set of `LayoutTransform` nodes so every operator
-/// receives a layout it accepts, letting blocked layouts flow as far as
-/// possible (Figure 2, right side).
+/// receives the layouts its `layout_contract` needs, letting blocked layouts
+/// flow as far as possible (Figure 2, right side).
 ///
 /// # Errors
 ///
-/// Returns an error if the graph is invalid or a conv input cannot be
-/// blocked as its schedule demands.
+/// Returns an error if the graph is invalid or an input has a rank no
+/// layout describes.
 pub fn insert_layout_transforms(g: &Graph) -> Result<Graph> {
-    g.validate()?;
     let shapes = infer_shapes(g)?;
     let mut out = Graph { nodes: Vec::new(), params: g.params.clone(), outputs: Vec::new() };
     let mut remap: Vec<usize> = Vec::with_capacity(g.len());
@@ -247,96 +247,22 @@ pub fn insert_layout_transforms(g: &Graph) -> Result<Graph> {
 
     for (id, node) in g.nodes.iter().enumerate() {
         let ins: Vec<usize> = node.inputs.iter().map(|&i| remap[i]).collect();
-        let (new_inputs, out_layout): (Vec<usize>, Layout) = match &node.op {
-            Op::Input { shape } => {
-                let l = match shape.len() {
-                    4 => Layout::Nchw,
-                    2 => Layout::Nc,
-                    _ => Layout::Flat,
-                };
-                (vec![], l)
-            }
-            Op::Conv2d { schedule, residual, .. } => {
-                let s = schedule.ok_or_else(|| GraphError::Layout {
-                    node: id,
-                    msg: "insert_layout_transforms requires scheduled convs".into(),
-                })?;
-                let x = get_as(&mut out, &mut layout, &mut memo, ins[0], Layout::NchwC(s.ic_bn));
-                let mut v = vec![x];
-                if *residual {
-                    let r =
-                        get_as(&mut out, &mut layout, &mut memo, ins[1], Layout::NchwC(s.oc_bn));
-                    v.push(r);
-                }
-                (v, Layout::NchwC(s.oc_bn))
-            }
-            // Layout-tolerant channel-wise ops: pass blocked data through.
-            Op::ScaleShift { .. } | Op::BatchNorm { .. } | Op::Pool { .. } | Op::GlobalAvgPool => {
-                let l = match layout[ins[0]] {
-                    l @ (Layout::Nchw | Layout::NchwC(_)) => l,
-                    _ => {
-                        let t = get_as(&mut out, &mut layout, &mut memo, ins[0], Layout::Nchw);
-                        return_tolerant(&mut remap, &mut out, &mut layout, node, vec![t]);
-                        continue;
-                    }
-                };
-                (ins.clone(), l)
-            }
-            // Layout-oblivious unary ops.
-            Op::Relu | Op::Dropout | Op::Quantize { .. } | Op::Dequantize { .. } => {
-                (ins.clone(), layout[ins[0]])
-            }
-            Op::Add => {
-                // Both operands must share a layout; convert the second to
-                // the first's (Figure 3's Elementwise_Add constraint).
-                let l = layout[ins[0]];
-                let b = get_as(&mut out, &mut layout, &mut memo, ins[1], l);
-                (vec![ins[0], b], l)
-            }
-            Op::Concat => {
-                // Keep a blocked layout if some operand's block divides
-                // every operand's channel count (preferring the first
-                // operand's, then wider blocks); otherwise fall back to
-                // NCHW for all.
-                let mut blocks: Vec<usize> = ins
-                    .iter()
-                    .filter_map(|&i| match layout[i] {
-                        Layout::NchwC(x) => Some(x),
-                        _ => None,
-                    })
-                    .collect();
-                blocks.sort_unstable_by(|a, b| b.cmp(a));
-                if let Layout::NchwC(first) = layout[ins[0]] {
-                    blocks.insert(0, first);
-                }
-                let target = blocks
-                    .into_iter()
-                    .find(|&x| node.inputs.iter().all(|&i| shapes[i].dims()[1] % x == 0))
-                    .map_or(Layout::Nchw, Layout::NchwC);
-                let v: Vec<usize> = ins
-                    .iter()
-                    .map(|&i| get_as(&mut out, &mut layout, &mut memo, i, target))
-                    .collect();
-                (v, target)
-            }
-            Op::Flatten => {
-                let x = get_as(&mut out, &mut layout, &mut memo, ins[0], Layout::Nchw);
-                (vec![x], Layout::Nc)
-            }
-            Op::Dense { .. } | Op::Softmax => {
-                // Rank-2 data is always NC by this point.
-                (ins.clone(), Layout::Nc)
-            }
-            Op::LayoutTransform { to } => {
-                let x = get_as(&mut out, &mut layout, &mut memo, ins[0], *to);
-                // The transform itself collapses into `get_as`'s result.
-                remap.push(x);
-                continue;
-            }
-        };
-        let new = out.push(node.op.clone(), new_inputs);
-        layout.push(out_layout);
-        remap.push(new);
+        if let Op::LayoutTransform { to } = node.op {
+            // A transform already in the graph collapses into `get_as`.
+            remap.push(get_as(&mut out, &mut layout, &mut memo, ins[0], to));
+            continue;
+        }
+        let have: Vec<Layout> = ins.iter().map(|&i| layout[i]).collect();
+        let in_shapes: Vec<&Shape> = node.inputs.iter().map(|&i| &shapes[i]).collect();
+        let (need, produced) = layout_contract(&node.op, &have, &in_shapes)
+            .map_err(|msg| GraphError::Layout { node: id, msg })?;
+        let inputs: Vec<usize> = ins
+            .iter()
+            .zip(need)
+            .map(|(&i, want)| get_as(&mut out, &mut layout, &mut memo, i, want))
+            .collect();
+        remap.push(out.push(node.op.clone(), inputs));
+        layout.push(produced);
     }
 
     // Graph outputs revert to framework-default layouts (Figure 2: "we
@@ -352,20 +278,6 @@ pub fn insert_layout_transforms(g: &Graph) -> Result<Graph> {
     }
     out.outputs = final_outputs;
     Ok(out)
-}
-
-/// Helper for the tolerant-op fallback path (non-activation layouts).
-fn return_tolerant(
-    remap: &mut Vec<usize>,
-    out: &mut Graph,
-    layout: &mut Vec<Layout>,
-    node: &crate::ir::Node,
-    inputs: Vec<usize>,
-) {
-    let l = layout[inputs[0]];
-    let new = out.push(node.op.clone(), inputs);
-    layout.push(l);
-    remap.push(new);
 }
 
 #[cfg(test)]

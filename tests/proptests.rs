@@ -612,3 +612,64 @@ proptest! {
         }
     }
 }
+
+/// Every tiny zoo model after the passes that precede layout planning.
+fn prepared_tiny_zoo() -> &'static [(&'static str, neocpu_graph::Graph)] {
+    use neocpu_graph::passes::{fuse_ops, simplify_inference};
+    use neocpu_models::{build, zoo, ModelScale};
+    static ZOO: std::sync::OnceLock<Vec<(&'static str, neocpu_graph::Graph)>> =
+        std::sync::OnceLock::new();
+    ZOO.get_or_init(|| {
+        let prepare = |g| fuse_ops(&simplify_inference(&g).unwrap()).unwrap();
+        zoo().into_iter().map(|k| (k.name(), prepare(build(k, ModelScale::tiny(k), 42)))).collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 20, ..ProptestConfig::default() })]
+
+    /// Layout planning is a fixed point of the transform placer and clean
+    /// under the checker: on every tiny zoo model, a uniform plan (block
+    /// drawn from 4, 8, 16) and a plan with a random candidate schedule per
+    /// conv come back from `insert_layout_transforms` node for node, and
+    /// `infer_layouts` accepts them.
+    #[test]
+    fn layout_planning_is_idempotent_and_checker_clean(
+        block_sel in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        use neocpu_graph::passes::{
+            insert_layout_transforms, plan_assigned, plan_uniform, UniformPlanCfg,
+        };
+        use neocpu_graph::{infer_layouts, infer_shapes, Graph, Op};
+
+        let nodes = |g: &Graph| -> Vec<(Op, Vec<usize>)> {
+            g.nodes.iter().map(|n| (n.op.clone(), n.inputs.clone())).collect()
+        };
+        let mut state = seed;
+        let cfg = UniformPlanCfg::default();
+        for (name, g) in prepared_tiny_zoo() {
+            let mut schedules = std::collections::HashMap::new();
+            for id in g.conv_ids() {
+                let Op::Conv2d { params, .. } = &g.nodes[id].op else { unreachable!() };
+                let cands = ConvSchedule::candidates(params, 16);
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                schedules.insert(id, cands[(state >> 33) as usize % cands.len()]);
+            }
+            let uniform = UniformPlanCfg { block: [4, 8, 16][block_sel], ..cfg };
+            let plans = [
+                ("uniform", plan_uniform(g, &uniform).unwrap()),
+                ("assigned", plan_assigned(g, &schedules, &cfg).unwrap()),
+            ];
+            for (plan, planned) in plans {
+                let again = insert_layout_transforms(&planned).unwrap();
+                let same = nodes(&again) == nodes(&planned);
+                prop_assert!(same, "{name} {plan}: the placer changed a planned graph");
+                prop_assert_eq!(&again.outputs, &planned.outputs);
+                let shapes = infer_shapes(&planned).unwrap();
+                let checked = infer_layouts(&planned, &shapes);
+                prop_assert!(checked.is_ok(), "{name} {plan}: {:?}", checked.err());
+            }
+        }
+    }
+}
