@@ -12,7 +12,8 @@
 //! 2. **Checks on the final graph** — each invariant is checked once before
 //!    any kernel runs: structure (topological inputs, arity, parameter and
 //!    output bounds) by `Graph::validate`, shapes against each conv's
-//!    workload by `infer_shapes`, layout flow and layout/shape agreement by
+//!    workload by `infer_shapes`, layout and dtype flow (u8 edges with their
+//!    quantization parameters) and layout/shape agreement by
 //!    `infer_layouts`. The one rule graph inference cannot know is the
 //!    target's: every scheduled conv's schedule must divide its workload and
 //!    fit the target's register file. `verify_module` checks that and
@@ -271,11 +272,11 @@ pub(crate) fn finish_module(
 ) -> Result<Module> {
     precompute_weights_in_place(&mut g)?;
     let shapes = infer_shapes(&g)?;
-    let layouts = infer_layouts(&g, &shapes)?;
+    let (layouts, dtypes) = infer_layouts(&g, &shapes)?;
     verify_module(&g, target)?;
     g.compact_params();
     let pool = make_pool(opts);
-    let module = Module::new(g, shapes, layouts, pool, target.max_lanes())?;
+    let module = Module::new(g, shapes, layouts, dtypes, pool, target.max_lanes())?;
     report.memory = *module.memory_report();
     Ok(module)
 }

@@ -159,10 +159,10 @@ impl Module {
         graph: Graph,
         shapes: Vec<Shape>,
         layouts: Vec<Layout>,
+        dtypes: Vec<DType>,
         pool: Arc<dyn Parallelism>,
         max_lanes: usize,
     ) -> Result<Self> {
-        let dtypes = neocpu_graph::infer_dtypes(&graph)?;
         let plan = plan_memory(&graph, &shapes, &layouts, &dtypes)?;
         Ok(Self {
             graph,

@@ -1,40 +1,40 @@
 //! Post-training int8 quantization (compile-time pass).
 //!
-//! The int8 path replaces eligible scheduled convolutions with their
-//! `u8 × i8 → i32` quad-packed kernels:
+//! The int8 path runs eligible scheduled convolutions on their
+//! `u8 × i8 → i32` quad-packed kernels, in one compile:
 //!
-//! 1. **Calibration** — the planned graph is compiled to an f32 module and
-//!    run over calibration inputs; the executor's per-node hook records
-//!    the min/max of every quantized conv's input tensor. Activation scale
-//!    and zero point come from that range (asymmetric, zero always
-//!    representable).
-//! 2. **Rewrite** — each eligible conv gets a memoized [`Op::Quantize`]
-//!    node spliced onto its data input, its weights re-packed to symmetric
-//!    per-out-channel i8 ([`Layout `]`::OihwIo4` dense, `OIHW1i[x]o`
-//!    depthwise), its bias folded with the compile-time zero-point
-//!    correction `bias − m·zp·Σw_q`, and a per-out-channel multiplier
-//!    parameter `m[oc] = s_in · s_w[oc]` attached via
-//!    [`QuantInfo`]. Eligibility is the kernel's quad-packing rule plus an
-//!    analytical profit test, so 3-channel stems and other
-//!    vectorization-hostile workloads stay f32 per layer.
-//! 3. **Fold** — a `Quantize` node whose producer is a scheduled conv with
-//!    no other consumer disappears into that conv's epilogue
-//!    (`requant`): the conv stores the `u8` the next conv reads, and the f32
-//!    tensor between them is never written. The fused byte is
+//! 1. **Decide and pack** — while the planned graph's weights are still
+//!    plain `OIHW`, each scheduled conv must pass an analytical profit test
+//!    (so 3-channel stems and other vectorization-hostile workloads stay
+//!    f32 per layer), and the winners' weights are packed to symmetric
+//!    per-out-channel i8 ([`Layout`]`::OihwIo4` dense, `OIHW1i[x]o`
+//!    depthwise). The planned graph then becomes the f32 module.
+//! 2. **Calibrate** — the f32 module runs over calibration inputs; the
+//!    executor's per-node hook records the range of every int8 conv's
+//!    input, which gives its asymmetric u8 scale and zero point.
+//! 3. **Annotate and place** — on a copy of the f32 module's graph (its f32
+//!    convs keep the module's blocked weights), each int8 conv takes its
+//!    packed weights, its bias folded with the zero-point correction
+//!    `bias − m·zp·Σw_q`, and a [`QuantInfo`] with the multiplier
+//!    `m[oc] = s_in · s_w[oc]`. Its contract now asks for u8, and the one
+//!    placer, `insert_layout_transforms`, adds the [`Op::Quantize`] nodes.
+//! 4. **Fold** — a `Quantize` node whose producer is a scheduled conv with
+//!    no other consumer disappears into that conv's epilogue (`requant`):
+//!    the conv stores the `u8` the next conv reads. The fused byte is
 //!    `quantize_value` of the very f32 the pair would have stored, so the
 //!    fold moves no output bit; [`QuantizeReport`] carries the census of
 //!    folded and standalone boundaries with the reason for each one left.
-//! 4. **Accuracy gate** — the quantized module's outputs are compared to
-//!    the f32 module's on the calibration set; if the max abs error
-//!    exceeds the budget, compilation *falls back to the f32 module* and
-//!    reports it, instead of shipping a module that fails accuracy.
+//! 5. **Accuracy gate** — if the quantized module's outputs differ from the
+//!    f32 module's on the calibration set by more than the budget, the
+//!    compile *falls back to the f32 module* and reports it.
 //!
-//! The whole pass is per-layer: a model compiles into a mix of int8 and
-//! f32 convs, with dtype chosen per workload by the same search that
-//! chooses blocking factors (see `plan_stage` with `int8 = true`).
+//! A model thus compiles into a mix of int8 and f32 convs, with dtype
+//! chosen per workload by the same search that chooses blocking factors
+//! (see `plan_stage` with `int8 = true`).
 
 use std::collections::HashMap;
 
+use neocpu_graph::passes::insert_layout_transforms;
 use neocpu_graph::{infer_shapes, Graph, Node, NodeId, Op, QuantInfo};
 use neocpu_kernels::conv::fitting_reg_n;
 use neocpu_kernels::quantize::{quantize_dense_weights, quantize_dw_weights, QuantizedWeights};
@@ -151,7 +151,11 @@ pub fn compile_quantized_with_db(
 ) -> Result<(Module, QuantizeReport)> {
     let mut report = CompileReport::default();
     let planned = plan_stage(graph, target, opts, db, &mut report, true)?;
-    let f32_module = finish_module(planned.clone(), target, opts, &mut report)?;
+    // Which convs go int8 and their packed weights depend on the schedules
+    // and the plain weights only, so they are settled before `finish_module`
+    // blocks those weights in place.
+    let packed = pack_int8_convs(&planned, &target.analytical_model());
+    let f32_module = finish_module(planned, target, opts, &mut report)?;
 
     let calib: Vec<Vec<Tensor>> = if qopts.calibration.is_empty() {
         auto_calibration(&f32_module, qopts)?
@@ -164,37 +168,40 @@ pub fn compile_quantized_with_db(
         ));
     }
 
-    let stats = calibrate(&f32_module, &planned, &calib)?;
-    let analytical = target.analytical_model();
-    let (qgraph, mut qreport) =
-        quantize_planned(&planned, &stats, &analytical, target.max_lanes())?;
-    if qreport.quantized == 0 {
-        qreport.compile = report;
-        return Ok((f32_module, qreport));
-    }
-
-    let q_module = finish_module(qgraph, target, opts, &mut report)?;
-
-    // Accuracy gate: quantized vs f32 outputs over the calibration set.
-    let mut max_err = 0f32;
-    for set in &calib {
-        let reference = f32_module.run(set)?;
-        let quant = q_module.run(set)?;
-        for (a, b) in reference.iter().zip(&quant) {
-            max_err = max_err.max(a.max_abs_diff(b));
+    let stats = calibrate(&f32_module, &packed, &calib)?;
+    let mut qreport = QuantizeReport::default();
+    // On the f32 module's graph, so the f32 convs share the blocked weights
+    // the module holds.
+    let unfolded = quantize_convs(
+        f32_module.graph().clone(),
+        packed,
+        &stats,
+        target.max_lanes(),
+        &mut qreport,
+    )?;
+    let module = if qreport.quantized == 0 {
+        f32_module
+    } else {
+        let qgraph = fold_quantizes(unfolded, &mut qreport)?;
+        let q_module = finish_module(qgraph, target, opts, &mut report)?;
+        // Accuracy gate: quantized vs f32 outputs over the calibration set.
+        for set in &calib {
+            for (a, b) in f32_module.run(set)?.iter().zip(&q_module.run(set)?) {
+                qreport.max_abs_error = qreport.max_abs_error.max(a.max_abs_diff(b));
+            }
         }
-    }
-    qreport.max_abs_error = max_err;
-    if max_err > qopts.error_budget {
-        // `finish_module` recorded the quantized module's memory plan;
-        // re-point the report at the module actually returned.
-        report.memory = *f32_module.memory_report();
-        qreport.fell_back = true;
-        qreport.compile = report;
-        return Ok((f32_module, qreport));
-    }
+        qreport.fell_back = qreport.max_abs_error > qopts.error_budget;
+        if qreport.fell_back {
+            f32_module
+        } else {
+            q_module
+        }
+    };
+    // `finish_module` recorded the last module it built; the report names
+    // the one returned.
+    report.memory = *module.memory_report();
     qreport.compile = report;
-    Ok((q_module, qreport))
+    Ok((module, qreport))
 }
 
 /// Deterministic random calibration inputs in the f32 module's input
@@ -215,41 +222,27 @@ fn auto_calibration(module: &Module, qopts: &QuantizeOptions) -> Result<Vec<Vec<
     Ok(runs)
 }
 
-/// Records per-node (min, max) over the calibration set for every node
-/// feeding a quantization-candidate conv, read by the per-node hook of an
-/// arena run as each value is produced. NaNs are skipped (they quantize to
-/// the zero point anyway).
+/// Records (min, max) over the calibration set of every value an int8
+/// conv reads, by the per-node hook of an arena run as each value is
+/// produced. `min` and `max` pass over NaNs (they quantize to the zero
+/// point anyway).
 fn calibrate(
     module: &Module,
-    planned: &Graph,
+    packed: &[(NodeId, QuantizedWeights)],
     calib: &[Vec<Tensor>],
 ) -> Result<HashMap<NodeId, (f32, f32)>> {
-    let wanted: std::collections::HashSet<NodeId> = planned
-        .nodes
-        .iter()
-        .filter_map(|n| match &n.op {
-            Op::Conv2d { schedule: Some(_), quant: None, .. } => Some(n.inputs[0]),
-            _ => None,
-        })
-        .collect();
+    let nodes = &module.graph().nodes;
+    let wanted: std::collections::HashSet<NodeId> =
+        packed.iter().map(|&(id, _)| nodes[id].inputs[0]).collect();
     let mut stats: HashMap<NodeId, (f32, f32)> = HashMap::new();
     for set in calib {
         module.run_hooked(set, Some(&mut |id, t, _| {
             if !wanted.contains(&id) {
                 return;
             }
-            let entry = stats.entry(id).or_insert((f32::INFINITY, f32::NEG_INFINITY));
-            let n = t.num_elements();
-            for &v in &t.data()[..n] {
-                if v.is_nan() {
-                    continue;
-                }
-                if v < entry.0 {
-                    entry.0 = v;
-                }
-                if v > entry.1 {
-                    entry.1 = v;
-                }
+            let (lo, hi) = stats.entry(id).or_insert((f32::INFINITY, f32::NEG_INFINITY));
+            for &v in &t.data()[..t.num_elements()] {
+                (*lo, *hi) = (lo.min(v), hi.max(v));
             }
         }))?;
     }
@@ -273,73 +266,84 @@ fn activation_qparams(min: f32, max: f32) -> (f32, u8) {
     (scale, zp)
 }
 
-/// Rewrites a planned graph onto the int8 path ([`rewrite_planned`]) and
-/// folds every `Quantize` node it can into its producer
-/// ([`fold_quantizes`]). The report carries the conv counts and the
-/// boundary census.
-fn quantize_planned(
-    planned: &Graph,
-    stats: &HashMap<NodeId, (f32, f32)>,
-    model: &impl CostModel,
-    max_lanes: usize,
-) -> Result<(Graph, QuantizeReport)> {
-    let (unfolded, quantized, skipped) = rewrite_planned(planned, stats, model, max_lanes)?;
-    let mut report = QuantizeReport { quantized, skipped, ..Default::default() };
-    let folded = fold_quantizes(unfolded, &mut report)?;
-    Ok((folded, report))
+/// Decides which scheduled convs of `planned` go int8 and packs their
+/// plain `OIHW` weights to symmetric per-out-channel i8. Each must pass the
+/// analytical profit test under the schedule the planner assigned
+/// (`conv_time_i8 < conv_time`, infinite for dense workloads whose `ic_bn`
+/// cannot quad-pack, so the test also encodes hard eligibility), and its
+/// weights must pack cleanly. Neither depends on calibration.
+fn pack_int8_convs(planned: &Graph, model: &impl CostModel) -> Vec<(NodeId, QuantizedWeights)> {
+    let pack = |id: NodeId| {
+        let Op::Conv2d { params, weight, schedule: Some(s), quant: None, .. } =
+            &planned.nodes[id].op
+        else {
+            return None;
+        };
+        let t8 = model.conv_time_i8(params, s);
+        if !t8.is_finite() || t8 >= model.conv_time(params, s) {
+            return None;
+        }
+        let w = &planned.params[*weight];
+        let qw = if params.groups > 1 {
+            quantize_dw_weights(w, s.oc_bn)
+        } else {
+            quantize_dense_weights(w, s.ic_bn, s.oc_bn)
+        };
+        Some((id, qw.ok()?))
+    };
+    planned.conv_ids().into_iter().filter_map(pack).collect()
 }
 
-/// Splices `Quantize` nodes, re-packs weights, folds biases, attaches
-/// [`QuantInfo`] and re-fits each rewritten conv's `reg_n` to the int8 strips
-/// of its block under `max_lanes` (the planner's schedules name f32 strip
-/// lengths). Returns the new graph — every int8 conv still storing f32 —
-/// plus (quantized, skipped) conv counts.
-///
-/// Only scheduled convs with calibration stats are considered; each must
-/// pass the analytical profit test (`conv_time_i8 < conv_time`, infinite
-/// for un-quad-packable dense workloads) and its weights must re-pack
-/// cleanly. Everything else is carried over untouched.
-fn rewrite_planned(
-    planned: &Graph,
+/// Puts each packed conv of `g` on the int8 path in place, then places the
+/// `Quantize` nodes their u8 inputs need with the one placer
+/// (`insert_layout_transforms`). A conv gets its packed weights, the
+/// [`QuantInfo`] of its input's calibrated range with the per-out-channel
+/// multiplier `m[oc] = s_in · s_w[oc]`, its bias folded with the
+/// zero-point correction, and its `reg_n` re-fit to the int8 strips under
+/// `max_lanes` (the planner's schedules name f32 strip lengths). A conv
+/// whose input has no range stays f32. Every int8 conv still stores f32;
+/// `report` gets the conv counts.
+fn quantize_convs(
+    mut g: Graph,
+    packed: Vec<(NodeId, QuantizedWeights)>,
     stats: &HashMap<NodeId, (f32, f32)>,
-    model: &impl CostModel,
     max_lanes: usize,
-) -> Result<(Graph, usize, usize)> {
-    let mut out = Graph {
-        nodes: Vec::with_capacity(planned.len()),
-        params: planned.params.clone(),
-        outputs: Vec::new(),
-    };
-    let mut map: Vec<NodeId> = Vec::with_capacity(planned.len());
-    // One Quantize node per (producer, qparams); two convs sharing an input
-    // share its quantized form. Keyed by producer id only — the qparams
-    // derive deterministically from that producer's calibration stats.
-    let mut memo: HashMap<NodeId, NodeId> = HashMap::new();
-    let (mut quantized, mut skipped) = (0usize, 0usize);
-
-    for node in &planned.nodes {
-        let new_inputs: Vec<NodeId> = node.inputs.iter().map(|&i| map[i]).collect();
-        let id = match try_quantize_conv(planned, node, &new_inputs, stats, model, &mut out, &mut memo)
-        {
-            Some(id) => {
-                quantized += 1;
-                // The module records the strip the u8 template runs.
-                if let Op::Conv2d { params, schedule: Some(s), .. } = &mut out.nodes[id].op {
-                    s.reg_n = fitting_reg_n(params, s.oc_bn, max_lanes, s.reg_n, DType::U8);
-                }
-                id
-            }
-            None => {
-                if matches!(&node.op, Op::Conv2d { schedule: Some(_), quant: None, .. }) {
-                    skipped += 1;
-                }
-                out.push(node.op.clone(), new_inputs)
-            }
+    report: &mut QuantizeReport,
+) -> Result<Graph> {
+    for (id, qw) in packed {
+        let Some(&(lo, hi)) = stats.get(&g.nodes[id].inputs[0]) else { continue };
+        let (in_scale, in_zp) = activation_qparams(lo, hi);
+        let Op::Conv2d { params, bias, .. } = &g.nodes[id].op else { unreachable!() };
+        let oc = params.out_channels;
+        let mult: Vec<f32> = qw.scales.iter().map(|&sw| in_scale * sw).collect();
+        // Compile-time zero-point correction: with a zp-filled padding halo
+        // the exact dequantized conv is `m·Σa_q·w_q − m·zp·Σw_q`, so the
+        // second term folds into the bias once, here.
+        let folded: Vec<f32> = (0..oc)
+            .map(|o| {
+                let base = bias.map_or(0.0, |b| g.params[b].data()[o]);
+                base - mult[o] * f32::from(in_zp) * qw.tap_sums[o] as f32
+            })
+            .collect();
+        let qweight = g.push_param(qw.tensor);
+        let qmult = g.push_param(Tensor::from_vec(mult, [oc], Layout::Flat)?);
+        let qbias = g.push_param(Tensor::from_vec(folded, [oc], Layout::Flat)?);
+        let Op::Conv2d { params, weight, bias, schedule: Some(s), quant, .. } = &mut g.nodes[id].op
+        else {
+            unreachable!("only scheduled convs are packed")
         };
-        map.push(id);
+        (*weight, *bias) = (qweight, Some(qbias));
+        *quant = Some(QuantInfo { in_scale, in_zp, mult: qmult });
+        // The module records the strip the u8 template runs.
+        s.reg_n = fitting_reg_n(params, s.oc_bn, max_lanes, s.reg_n, DType::U8);
+        report.quantized += 1;
     }
-    out.outputs = planned.outputs.iter().map(|&o| map[o]).collect();
-    Ok((out, quantized, skipped))
+    report.skipped = g
+        .nodes
+        .iter()
+        .filter(|n| matches!(n.op, Op::Conv2d { schedule: Some(_), quant: None, .. }))
+        .count();
+    Ok(insert_layout_transforms(&g)?)
 }
 
 /// Folds `conv → Quantize{s, zp}` into `conv{requant (s, zp)}` wherever the
@@ -383,74 +387,6 @@ fn fold_quantizes(g: Graph, report: &mut QuantizeReport) -> Result<Graph> {
     Ok(Graph { nodes, params: g.params, outputs })
 }
 
-/// Attempts the int8 rewrite of one conv node; `None` keeps it f32.
-fn try_quantize_conv(
-    planned: &Graph,
-    node: &Node,
-    new_inputs: &[NodeId],
-    stats: &HashMap<NodeId, (f32, f32)>,
-    model: &impl CostModel,
-    out: &mut Graph,
-    memo: &mut HashMap<NodeId, NodeId>,
-) -> Option<NodeId> {
-    let Op::Conv2d {
-        params, weight, bias, schedule: Some(s), relu, residual, quant: None, requant: None,
-    } = &node.op
-    else {
-        return None;
-    };
-    let &(lo, hi) = stats.get(&node.inputs[0])?;
-    // Per-layer dtype decision: the int8 kernel must be analytically
-    // profitable under the schedule the planner assigned. `conv_time_i8`
-    // is infinite for dense workloads whose `ic_bn` cannot quad-pack, so
-    // this test also encodes hard eligibility.
-    let t8 = model.conv_time_i8(params, s);
-    if !t8.is_finite() || t8 >= model.conv_time(params, s) {
-        return None;
-    }
-    let w = &planned.params[*weight];
-    let qw: QuantizedWeights = if params.groups > 1 {
-        quantize_dw_weights(w, s.oc_bn).ok()?
-    } else {
-        quantize_dense_weights(w, s.ic_bn, s.oc_bn).ok()?
-    };
-    let (in_scale, in_zp) = activation_qparams(lo, hi);
-
-    let oc = params.out_channels;
-    let mult: Vec<f32> = qw.scales.iter().map(|&sw| in_scale * sw).collect();
-    // Compile-time zero-point correction: with a zp-filled padding halo the
-    // exact dequantized conv is `m·Σa_q·w_q − m·zp·Σw_q`, so the second
-    // term folds into the bias once, here.
-    let folded: Vec<f32> = (0..oc)
-        .map(|o| {
-            let base = bias.map_or(0.0, |b| planned.params[b].data()[o]);
-            base - mult[o] * f32::from(in_zp) * qw.tap_sums[o] as f32
-        })
-        .collect();
-
-    let qweight = out.push_param(qw.tensor);
-    let qmult = out.push_param(Tensor::from_vec(mult, [oc], Layout::Flat).ok()?);
-    let qbias = out.push_param(Tensor::from_vec(folded, [oc], Layout::Flat).ok()?);
-
-    let producer = node.inputs[0];
-    let quantize_node = *memo.entry(producer).or_insert_with(|| {
-        out.push(Op::Quantize { scale: in_scale, zero_point: in_zp }, vec![new_inputs[0]])
-    });
-    let mut inputs = vec![quantize_node];
-    inputs.extend_from_slice(&new_inputs[1..]);
-    let op = Op::Conv2d {
-        params: *params,
-        weight: qweight,
-        bias: Some(qbias),
-        schedule: Some(*s),
-        relu: *relu,
-        residual: *residual,
-        quant: Some(QuantInfo { in_scale, in_zp, mult: qmult }),
-        requant: None,
-    };
-    Some(out.push(op, inputs))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -488,6 +424,7 @@ mod tests {
         assert!(report.quantized >= 1, "no conv quantized: {report:?}");
         assert!(!report.fell_back, "accuracy gate rejected: {report:?}");
         assert!(report.max_abs_error <= qopts.error_budget);
+        assert_eq!(report.compile.memory, *m.memory_report(), "the report names another module");
 
         let input = Tensor::random([1, 8, 12, 12], Layout::Nchw, 77, 1.0).unwrap();
         let f = compile(&g, &target, &opts).unwrap();
@@ -531,6 +468,7 @@ mod tests {
                 .unwrap();
         assert!(report.fell_back, "a zero budget cannot pass: {report:?}");
         assert!(report.max_abs_error > 0.0);
+        assert_eq!(report.compile.memory, *m.memory_report(), "the report names another module");
         // The returned module is the f32 one: bit-identical to a plain compile.
         let input = Tensor::random([1, 8, 12, 12], Layout::Nchw, 9, 1.0).unwrap();
         let f = compile(&g, &target, &CompileOptions::level(OptLevel::O2)).unwrap();
@@ -600,9 +538,8 @@ mod tests {
         let target = CpuTarget::host();
         let opts = CompileOptions::level(OptLevel::O2);
         let planned = plan(&g, &target, &opts);
-        let (mut unfolded, quantized, _) =
-            rewrite_planned(&planned, &any_range(&planned), &target.analytical_model(), target.max_lanes()).unwrap();
-        assert_eq!(quantized, 4);
+        let (mut unfolded, counts) = quantize_unfolded(&planned, &any_range(&planned), &target);
+        assert_eq!(counts.quantized, 4);
         let reasons = |census: &QuantizeReport| -> Vec<_> {
             census.standalone.iter().map(|s| s.reason).collect()
         };
@@ -637,10 +574,57 @@ mod tests {
         assert!(reasons(&census).contains(&"graph output"), "{census:?}");
     }
 
+    /// A u8 edge carries one quantization: a requantizing conv whose
+    /// `(scale, zp)` is not the one its reader was calibrated for is a typed
+    /// error at the reader, not a module that runs at the wrong scale.
+    #[test]
+    fn a_requant_its_reader_was_not_calibrated_for_is_rejected() {
+        use neocpu_graph::GraphError;
+        use neocpu_models::{build, ModelKind, ModelScale};
+        let target = CpuTarget::host();
+        let opts = CompileOptions::level(OptLevel::O3);
+        let kind = ModelKind::MobileNet;
+        let planned = plan(&build(kind, ModelScale::tiny(kind), 42), &target, &opts);
+        let (unfolded, mut census) = quantize_unfolded(&planned, &any_range(&planned), &target);
+        let mut folded = fold_quantizes(unfolded, &mut census).unwrap();
+        let finish = |g| finish_module(g, &target, &opts, &mut CompileReport::default());
+        finish(folded.clone()).unwrap();
+
+        let requantizing =
+            |n: &Node| matches!(n.op, Op::Conv2d { requant: Some(_), .. });
+        let producer = folded.nodes.iter().position(requantizing).unwrap();
+        let reader = folded.nodes.iter().position(|n| n.inputs.first() == Some(&producer)).unwrap();
+        let Op::Conv2d { requant: Some((scale, _)), .. } = &mut folded.nodes[producer].op else {
+            unreachable!()
+        };
+        *scale *= 2.0;
+        match finish(folded) {
+            Err(NeoError::Graph(GraphError::Layout { node, msg })) => {
+                assert_eq!(node, reader, "{msg}");
+                assert!(msg.contains("u8 (scale"), "{msg}");
+            }
+            Err(e) => panic!("expected a layout error at node {reader}, got {e}"),
+            Ok(_) => panic!("a conv read u8 at a scale it was not calibrated for"),
+        }
+    }
+
     /// Some range for every conv input: which convs go int8 depends on their
     /// workloads and schedules, not on the calibrated values.
     fn any_range(planned: &Graph) -> HashMap<NodeId, (f32, f32)> {
         planned.conv_ids().iter().map(|&c| (planned.nodes[c].inputs[0], (-1.0, 1.0))).collect()
+    }
+
+    /// The int8 pass up to the fold, on a planned graph with plain weights:
+    /// the graph with its `Quantize` nodes placed, and the conv counts.
+    fn quantize_unfolded(
+        planned: &Graph,
+        stats: &HashMap<NodeId, (f32, f32)>,
+        target: &CpuTarget,
+    ) -> (Graph, QuantizeReport) {
+        let packed = pack_int8_convs(planned, &target.analytical_model());
+        let mut counts = QuantizeReport::default();
+        let g = quantize_convs(planned.clone(), packed, stats, target.max_lanes(), &mut counts);
+        (g.unwrap(), counts)
     }
 
     /// The planned graph the int8 pass starts from.
@@ -661,13 +645,11 @@ mod tests {
             let planned = plan(&g, &target, &opts);
             let f32_module = finish_module(planned.clone(), &target, &opts, &mut report).unwrap();
             let calib = auto_calibration(&f32_module, &QuantizeOptions::default()).unwrap();
-            let stats = calibrate(&f32_module, &planned, &calib).unwrap();
-            let (unfolded, quantized, _) =
-                rewrite_planned(&planned, &stats, &target.analytical_model(), target.max_lanes())
-                    .unwrap();
-            let mut census = QuantizeReport::default();
+            let packed = pack_int8_convs(&planned, &target.analytical_model());
+            let stats = calibrate(&f32_module, &packed, &calib).unwrap();
+            let (unfolded, mut census) = quantize_unfolded(&planned, &stats, &target);
             let folded = fold_quantizes(unfolded.clone(), &mut census).unwrap();
-            assert!(quantized >= 2 && census.folded >= 2, "{}: {census:?}", kind.name());
+            assert!(census.quantized >= 2 && census.folded >= 2, "{}: {census:?}", kind.name());
             assert_eq!(
                 quantize_nodes(&unfolded),
                 census.folded + census.standalone.len(),
@@ -704,9 +686,8 @@ mod tests {
         {
             let g = build(kind, ModelScale::full(kind), 42);
             let planned = plan(&g, &target, &opts);
-            let (_, report) =
-                quantize_planned(&planned, &any_range(&planned), &target.analytical_model(), target.max_lanes())
-                    .unwrap();
+            let (unfolded, mut report) = quantize_unfolded(&planned, &any_range(&planned), &target);
+            fold_quantizes(unfolded, &mut report).unwrap();
             assert_eq!(
                 (report.quantized, report.folded, report.standalone.len()),
                 (convs, folded, standalone),

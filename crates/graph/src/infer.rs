@@ -3,13 +3,17 @@
 //!
 //! `node_shape` is the shape rule: [`infer_shapes`] applies it to every
 //! node of a graph, and `GraphBuilder` applies it to each node as it is
-//! pushed. `layout_contract` is the §3.2 layout rule, the first half of
-//! Figure 2: given the layouts a node's inputs arrive in, the layout it
-//! needs on each input and the layout it produces. Layout-oblivious
-//! operators take whatever arrives, layout-tolerant ones take NCHW or any
-//! `NCHW[x]c`, and layout-dependent ones take exactly one layout.
+//! pushed. `layout_contract` is the §3.2 rule for what crosses an edge, the
+//! first half of Figure 2 with the element type as a second axis: given the
+//! ports a node's inputs arrive in, the port it needs on each input and the
+//! port it produces. A port is a layout plus f32 or u8-with-qparams.
+//! Layout-oblivious operators take whatever layout arrives,
+//! layout-tolerant ones take NCHW or any `NCHW[x]c`, and layout-dependent
+//! ones take exactly one layout; a quantized conv reads the u8 its
+//! `QuantInfo` names and every other operand is f32.
 //! `insert_layout_transforms` converts each input to what the contract
-//! asks for; [`infer_layouts`] rejects a node whose inputs differ from it.
+//! asks for — `LayoutTransform` first, then `Quantize` — and
+//! [`infer_layouts`] rejects a node whose inputs differ from it.
 
 use neocpu_tensor::{DType, Layout, Shape};
 
@@ -151,174 +155,159 @@ pub fn infer_shapes(g: &Graph) -> Result<Vec<Shape>> {
     Ok(shapes)
 }
 
-/// The §3.2 layout rule of `op`, given the layouts its inputs arrive in
-/// and their shapes: the layout it needs on each input, and the layout it
-/// produces. Fails only for an input rank no layout describes.
+/// What a value carries across an edge: its layout, and its elements —
+/// f32, or u8 codes with the `(scale, zero point)` that give them meaning.
+/// The scale is kept by its bits, so two ports agree only on the very same
+/// quantization.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct Port {
+    pub(crate) layout: Layout,
+    pub(crate) quant: Option<(u32, u8)>,
+}
+
+impl Port {
+    pub(crate) fn f32(layout: Layout) -> Self {
+        Self { layout, quant: None }
+    }
+
+    pub(crate) fn u8(layout: Layout, scale: f32, zero_point: u8) -> Self {
+        Self { layout, quant: Some((scale.to_bits(), zero_point)) }
+    }
+
+    fn dtype(self) -> DType {
+        if self.quant.is_some() {
+            DType::U8
+        } else {
+            DType::F32
+        }
+    }
+}
+
+impl std::fmt::Display for Port {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.quant {
+            None => write!(f, "{} f32", self.layout),
+            Some((s, zp)) => write!(f, "{} u8 (scale {}, zp {zp})", self.layout, f32::from_bits(s)),
+        }
+    }
+}
+
+/// The §3.2 rule of `op` for both axes of an edge, given the ports its
+/// inputs arrive in and their shapes: the port it needs on each input, and
+/// the port it produces. Fails for an input rank no layout describes and
+/// for a requantizing conv without a schedule.
 pub(crate) fn layout_contract(
     op: &Op,
-    ins: &[Layout],
+    ins: &[Port],
     shapes: &[&Shape],
-) -> std::result::Result<(Vec<Layout>, Layout), String> {
+) -> std::result::Result<(Vec<Port>, Port), String> {
     use Layout::{Nc, Nchw, NchwC};
+    let f32 = Port::f32;
     Ok(match op {
         Op::Input { shape } => match shape.len() {
-            4 => (vec![], Nchw),
-            2 => (vec![], Nc),
-            1 => (vec![], Layout::Flat),
+            4 => (vec![], f32(Nchw)),
+            2 => (vec![], f32(Nc)),
+            1 => (vec![], f32(Layout::Flat)),
             r => return Err(format!("unsupported input rank {r}")),
         },
         // A scheduled conv reads `NCHW[ic_bn]c` and writes `NCHW[oc_bn]c`,
         // an unscheduled one runs in NCHW; a fused residual arrives in the
-        // output's layout.
-        Op::Conv2d { schedule, residual, .. } => {
+        // output's layout, in f32. A quantized conv reads the u8 its
+        // `QuantInfo` was calibrated for; a requantizing one writes u8, and
+        // only a scheduled one can (the NCHW path has no requantizing store).
+        Op::Conv2d { schedule, residual, quant, requant, .. } => {
             let (i, o) = schedule.map_or((Nchw, Nchw), |s| (NchwC(s.ic_bn), NchwC(s.oc_bn)));
-            let need = if *residual { vec![i, o] } else { vec![i] };
-            (need, o)
+            let mut need = vec![quant.map_or(f32(i), |q| Port::u8(i, q.in_scale, q.in_zp))];
+            if *residual {
+                need.push(f32(o));
+            }
+            let out = match (requant, schedule) {
+                (None, _) => f32(o),
+                (Some((scale, zp)), Some(_)) => Port::u8(o, *scale, *zp),
+                (Some(_), None) => {
+                    return Err("only a scheduled conv can requantize its output".into())
+                }
+            };
+            (need, out)
         }
         // Layout-tolerant: NCHW or any `NCHW[x]c` passes through; anything
         // else comes back to NCHW.
         Op::ScaleShift { .. } | Op::BatchNorm { .. } | Op::Pool { .. } | Op::GlobalAvgPool => {
-            let l = match ins[0] {
+            let l = match ins[0].layout {
                 l @ (Nchw | NchwC(_)) => l,
                 _ => Nchw,
             };
-            (vec![l], l)
+            (vec![f32(l)], f32(l))
         }
-        // Layout-oblivious.
-        Op::Relu | Op::Dropout | Op::Quantize { .. } | Op::Dequantize { .. } => {
-            (vec![ins[0]], ins[0])
+        // Layout-oblivious; the conversions change one axis each.
+        Op::Relu | Op::Dropout => (vec![f32(ins[0].layout)], f32(ins[0].layout)),
+        Op::LayoutTransform { to } => (vec![f32(ins[0].layout)], f32(*to)),
+        Op::Quantize { scale, zero_point } => {
+            let l = ins[0].layout;
+            (vec![f32(l)], Port::u8(l, *scale, *zero_point))
         }
-        Op::LayoutTransform { to } => (vec![ins[0]], *to),
+        Op::Dequantize { scale, zero_point } => {
+            let l = ins[0].layout;
+            (vec![Port::u8(l, *scale, *zero_point)], f32(l))
+        }
         // Both operands in the first's layout (Figure 3's Elementwise_Add
         // constraint).
-        Op::Add => (vec![ins[0]; 2], ins[0]),
+        Op::Add => (vec![f32(ins[0].layout); 2], f32(ins[0].layout)),
         // Keep a blocked layout if some operand's block divides every
         // operand's channel count (the first operand's first, then wider
         // blocks); otherwise NCHW for all.
         Op::Concat => {
             let mut blocks: Vec<usize> = ins
                 .iter()
-                .filter_map(|&l| match l {
+                .filter_map(|p| match p.layout {
                     NchwC(x) => Some(x),
                     _ => None,
                 })
                 .collect();
             blocks.sort_unstable_by(|a, b| b.cmp(a));
-            if let NchwC(first) = ins[0] {
+            if let NchwC(first) = ins[0].layout {
                 blocks.insert(0, first);
             }
             let target = blocks
                 .into_iter()
                 .find(|&x| shapes.iter().all(|s| s.dims()[1].is_multiple_of(x)))
                 .map_or(Nchw, NchwC);
-            (vec![target; ins.len()], target)
+            (vec![f32(target); ins.len()], f32(target))
         }
         // Layout-dependent.
-        Op::Flatten => (vec![Nchw], Nc),
-        Op::Dense { .. } | Op::Softmax => (vec![Nc], Nc),
+        Op::Flatten => (vec![f32(Nchw)], f32(Nc)),
+        Op::Dense { .. } | Op::Softmax => (vec![f32(Nc)], f32(Nc)),
     })
 }
 
-/// Computes the layout every node produces by `layout_contract`,
-/// validating that each node receives the layouts its contract needs (the
-/// consistency the layout passes must establish) and that each node's
-/// layout fits its shape.
+/// Computes the layout and the element type every node produces by
+/// `layout_contract`, validating that each node receives the ports its
+/// contract needs — layout, dtype and, on a u8 edge, the very quantization
+/// its reader was calibrated for (the consistency the layout and quantize
+/// passes must establish) — and that each node's layout fits its shape.
 ///
 /// # Errors
 ///
-/// Returns an error at the first node whose input layout differs from its
+/// Returns an error at the first node whose input differs from its
 /// contract or whose layout does not fit its shape.
-pub fn infer_layouts(g: &Graph, shapes: &[Shape]) -> Result<Vec<Layout>> {
-    let mut layouts: Vec<Layout> = Vec::with_capacity(g.len());
+pub fn infer_layouts(g: &Graph, shapes: &[Shape]) -> Result<(Vec<Layout>, Vec<DType>)> {
+    let mut ports: Vec<Port> = Vec::with_capacity(g.len());
     for (id, node) in g.nodes.iter().enumerate() {
-        let have: Vec<Layout> = node.inputs.iter().map(|&i| layouts[i]).collect();
+        let have: Vec<Port> = node.inputs.iter().map(|&i| ports[i]).collect();
         let in_shapes: Vec<&Shape> = node.inputs.iter().map(|&i| &shapes[i]).collect();
-        let (need, layout) =
+        let (need, port) =
             layout_contract(&node.op, &have, &in_shapes).map_err(|msg| lerr(id, msg))?;
         if let Some(k) = have.iter().zip(&need).position(|(h, n)| h != n) {
             let name = node.op.name();
             return Err(lerr(id, format!("{name} needs {} on input {k}, got {}", need[k], have[k])));
         }
+        let layout = port.layout;
         layout.physical_dims(&shapes[id]).map_err(|e| {
             lerr(id, format!("layout {layout} disagrees with shape {}: {e}", shapes[id]))
         })?;
-        layouts.push(layout);
+        ports.push(port);
     }
-    Ok(layouts)
-}
-
-/// Computes the element type every node produces, validating that each
-/// operator receives the dtype it requires.
-///
-/// The dtype discipline is narrow by design: a `u8` edge is produced by
-/// `Quantize` or by a scheduled conv whose epilogue requantizes
-/// (`requant: Some(_)`, a `Quantize` folded into its producer), and the only
-/// ops that accept one are a *quantized* conv (`quant: Some(_)`) and
-/// `Dequantize`. Every other operator both requires and produces f32 — a
-/// quantized conv without `requant` stores f32 (the microkernel applies the
-/// multiplier on store), and a conv's residual is always f32.
-///
-/// # Errors
-///
-/// Returns an error at the first node whose input dtype is unacceptable.
-pub fn infer_dtypes(g: &Graph) -> Result<Vec<DType>> {
-    let mut dtypes: Vec<DType> = Vec::with_capacity(g.len());
-    for (id, node) in g.nodes.iter().enumerate() {
-        let ins: Vec<DType> = node.inputs.iter().map(|&i| dtypes[i]).collect();
-        let require_f32 = |which: usize| -> Result<()> {
-            if ins[which] != DType::F32 {
-                return Err(lerr(
-                    id,
-                    format!("{} requires f32 input, got {}", node.op.name(), ins[which]),
-                ));
-            }
-            Ok(())
-        };
-        let dt = match &node.op {
-            Op::Input { .. } => DType::F32,
-            Op::Quantize { .. } => {
-                require_f32(0)?;
-                DType::U8
-            }
-            Op::Dequantize { .. } => {
-                if ins[0] != DType::U8 {
-                    return Err(lerr(id, format!("dequantize requires u8 input, got {}", ins[0])));
-                }
-                DType::F32
-            }
-            Op::Conv2d { quant, residual, requant, schedule, .. } => {
-                match quant {
-                    Some(_) => {
-                        if ins[0] != DType::U8 {
-                            return Err(lerr(
-                                id,
-                                format!("quantized conv requires u8 input, got {}", ins[0]),
-                            ));
-                        }
-                    }
-                    None => require_f32(0)?,
-                }
-                if *residual {
-                    require_f32(1)?;
-                }
-                match (requant, schedule) {
-                    (None, _) => DType::F32,
-                    (Some(_), Some(_)) => DType::U8,
-                    (Some(_), None) => {
-                        return Err(lerr(id, "only a scheduled conv can requantize its output"));
-                    }
-                }
-            }
-            _ => {
-                for i in 0..ins.len() {
-                    require_f32(i)?;
-                }
-                DType::F32
-            }
-        };
-        dtypes.push(dt);
-    }
-    Ok(dtypes)
+    Ok(ports.iter().map(|p| (p.layout, p.dtype())).unzip())
 }
 
 #[cfg(test)]
@@ -353,7 +342,7 @@ mod tests {
         let r = b.relu(c);
         let g = b.finish(vec![r]);
         let shapes = infer_shapes(&g).unwrap();
-        let layouts = infer_layouts(&g, &shapes).unwrap();
+        let (layouts, _) = infer_layouts(&g, &shapes).unwrap();
         assert!(layouts.iter().all(|&l| l == Layout::Nchw));
     }
 
@@ -415,6 +404,11 @@ mod tests {
         }
     }
 
+    /// The element type of every node, by the checker.
+    fn dtypes(g: &Graph) -> Result<Vec<DType>> {
+        infer_layouts(g, &infer_shapes(g)?).map(|(_, dtypes)| dtypes)
+    }
+
     /// Input → Quantize → quantized Conv2d, built by splicing a `Quantize`
     /// node in front of a builder-made conv.
     fn quantized_conv_graph() -> Graph {
@@ -438,8 +432,7 @@ mod tests {
     #[test]
     fn dtypes_through_quantized_conv() {
         let g = quantized_conv_graph();
-        let dtypes = infer_dtypes(&g).unwrap();
-        assert_eq!(dtypes, vec![DType::F32, DType::U8, DType::F32]);
+        assert_eq!(dtypes(&g).unwrap(), vec![DType::F32, DType::U8, DType::F32]);
     }
 
     #[test]
@@ -447,8 +440,8 @@ mod tests {
         let mut g = quantized_conv_graph();
         // Bypass the quantize node: feed the conv the f32 input directly.
         g.nodes[2].inputs = vec![0];
-        let err = infer_dtypes(&g).unwrap_err().to_string();
-        assert!(err.contains("u8"), "unexpected error: {err}");
+        let err = dtypes(&g).unwrap_err().to_string();
+        assert!(err.contains("needs NCHW u8"), "unexpected error: {err}");
     }
 
     #[test]
@@ -458,12 +451,13 @@ mod tests {
         if let Op::Conv2d { quant, .. } = &mut g.nodes[2].op {
             *quant = None;
         }
-        assert!(infer_dtypes(&g).is_err());
+        assert!(dtypes(&g).is_err());
     }
 
     #[test]
     fn requantizing_conv_feeds_quantized_convs_only() {
-        // Input → conv{requant} → quantized conv: the edge between them is u8.
+        // Input → conv{requant} → quantized conv: the placer adds only the
+        // layout transforms, and the edge between the convs is u8.
         let mut b = GraphBuilder::new(9);
         let x = b.input([1, 8, 8, 8]);
         let c0 = b.conv2d(x, 8, 3, 1, 1);
@@ -479,35 +473,47 @@ mod tests {
             *schedule = Some(sched);
             *quant = Some(crate::QuantInfo { in_scale: 0.05, in_zp: 128, mult });
         }
-        assert_eq!(infer_dtypes(&g).unwrap(), vec![DType::F32, DType::U8, DType::F32]);
+        let mut g = crate::passes::insert_layout_transforms(&g).unwrap();
+        assert_eq!(g.transform_count(), 2);
+        use DType::{F32, U8};
+        assert_eq!(dtypes(&g).unwrap(), vec![F32, F32, U8, F32, F32]);
+        let (c0, c1) = (2, 3);
 
         // An f32 op cannot read the requantized output…
         let mut pooled = g.clone();
         pooled.nodes[c1].op = Op::GlobalAvgPool;
-        let err = infer_dtypes(&pooled).unwrap_err().to_string();
-        assert!(err.contains("requires f32 input, got u8"), "unexpected error: {err}");
+        let err = dtypes(&pooled).unwrap_err().to_string();
+        let want = "needs NCHW8c f32 on input 0, got NCHW8c u8";
+        assert!(err.contains(want), "unexpected error: {err}");
         // …and the NCHW reference path has no requantizing store.
         if let Op::Conv2d { schedule, .. } = &mut g.nodes[c0].op {
             *schedule = None;
         }
-        let err = infer_dtypes(&g).unwrap_err().to_string();
+        let err = dtypes(&g).unwrap_err().to_string();
         assert!(err.contains("scheduled"), "unexpected error: {err}");
     }
 
     #[test]
-    fn dequantize_round_trips_dtype() {
+    fn dequantize_reads_the_u8_it_names() {
         let mut b = GraphBuilder::new(8);
         let x = b.input([1, 4, 8, 8]);
-        let g0 = b.finish(vec![x]);
-        let mut g = g0;
+        let mut g = b.finish(vec![x]);
         let q = g.push(Op::Quantize { scale: 0.1, zero_point: 7 }, vec![x]);
         let d = g.push(Op::Dequantize { scale: 0.1, zero_point: 7 }, vec![q]);
         g.outputs = vec![d];
-        let dtypes = infer_dtypes(&g).unwrap();
-        assert_eq!(dtypes, vec![DType::F32, DType::U8, DType::F32]);
-        // Dequantize directly on f32 data is a dtype error.
+        assert_eq!(dtypes(&g).unwrap(), vec![DType::F32, DType::U8, DType::F32]);
+        // Another zero point is another u8 edge…
+        g.nodes[d].op = Op::Dequantize { scale: 0.1, zero_point: 8 };
+        match dtypes(&g) {
+            Err(GraphError::Layout { node, msg }) => {
+                assert_eq!(node, d);
+                assert!(msg.contains("got NCHW u8 (scale 0.1, zp 7)"), "message was: {msg}");
+            }
+            other => panic!("expected a layout error at node {d}, got {other:?}"),
+        }
+        // …and dequantize directly on f32 data is a dtype error.
         g.nodes[d].inputs = vec![x];
-        assert!(infer_dtypes(&g).is_err());
+        assert!(dtypes(&g).is_err());
     }
 
     #[test]
@@ -515,7 +521,7 @@ mod tests {
         let g = quantized_conv_graph();
         let shapes = infer_shapes(&g).unwrap();
         assert_eq!(shapes[1].dims(), shapes[0].dims());
-        let layouts = infer_layouts(&g, &shapes).unwrap();
+        let (layouts, _) = infer_layouts(&g, &shapes).unwrap();
         assert_eq!(layouts[1], layouts[0]);
     }
 }

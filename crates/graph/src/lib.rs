@@ -4,10 +4,10 @@
 //! This crate defines that IR, a builder used by the model zoo, shape and
 //! layout inference, and the optimization passes the paper describes. Each
 //! per-operator rule is written once, in `infer.rs`: one shape rule, which
-//! both [`infer_shapes`] and [`GraphBuilder`] apply, and one §3.2 layout
-//! contract (the layouts an operator needs and the layout it produces),
-//! which both [`passes::insert_layout_transforms`] and [`infer_layouts`]
-//! apply. The passes:
+//! both [`infer_shapes`] and [`GraphBuilder`] apply, and one §3.2 contract
+//! (the layout and element type an operator needs on each input and the
+//! ones it produces), which both [`passes::insert_layout_transforms`] and
+//! [`infer_layouts`] apply. The passes:
 //!
 //! * **inference simplification** — dropout elision and BatchNorm folding
 //!   (into the adjacent convolution's weights, or into a per-channel
@@ -32,7 +32,7 @@ pub mod passes;
 
 pub use builder::GraphBuilder;
 pub use error::GraphError;
-pub use infer::{infer_dtypes, infer_layouts, infer_shapes};
+pub use infer::{infer_layouts, infer_shapes};
 pub use ir::{Graph, Node, NodeId, Op, ParamId, QuantInfo};
 
 /// Crate-wide result alias.

@@ -11,19 +11,21 @@
 //!   its input from NCHW and its output back, paying both transforms.
 //!
 //! [`insert_layout_transforms`] is the elimination machinery shared by the
-//! first two: walk the graph, track the layout each value carries, and
-//! materialize a `LayoutTransform` only where a consumer's layout contract
+//! first two, and the one placer of conversions: walk the graph, track the
+//! port (layout and element type) each value carries, and materialize a
+//! `LayoutTransform`, then a `Quantize`, only where a consumer's contract
 //! (`layout_contract` in `infer.rs`, the rule [`crate::infer_layouts`]
-//! checks) needs a different layout — with look-through so a transform of
-//! a transform collapses, and memoization so one value transformed to the
-//! same target twice shares a single node.
+//! checks) needs a different one — with one memo so a value converted to
+//! the same port twice shares a single node. A graph that already meets
+//! every contract is a fixed point, so the int8 pass annotates convs and
+//! calls it again to place only their `Quantize` nodes.
 
 use std::collections::HashMap;
 
 use neocpu_kernels::conv::{fitting_reg_n, ConvSchedule};
 use neocpu_tensor::{DType, Layout, Shape};
 
-use crate::infer::{infer_shapes, layout_contract};
+use crate::infer::{infer_shapes, layout_contract, Port};
 use crate::ir::{Graph, NodeId, Op};
 use crate::{GraphError, Result};
 
@@ -200,69 +202,36 @@ pub fn wrap_convs_with_transforms(g: &Graph, cfg: &UniformPlanCfg) -> Result<Gra
     Ok(out)
 }
 
-/// Inserts the minimal set of `LayoutTransform` nodes so every operator
-/// receives the layouts its `layout_contract` needs, letting blocked layouts
-/// flow as far as possible (Figure 2, right side).
+/// Inserts the minimal set of `LayoutTransform` and `Quantize` nodes so
+/// every operator receives the ports its `layout_contract` needs, letting
+/// blocked layouts flow as far as possible (Figure 2, right side). A
+/// conversion already in the graph is kept like any other op, so a graph
+/// that meets every contract comes back unchanged, and a planned graph
+/// whose convs the quantize pass annotated gains exactly their `Quantize`
+/// nodes.
 ///
 /// # Errors
 ///
-/// Returns an error if the graph is invalid or an input has a rank no
-/// layout describes.
+/// Returns an error if the graph is invalid, an input has a rank no layout
+/// describes, or a u8 value would need converting.
 pub fn insert_layout_transforms(g: &Graph) -> Result<Graph> {
     let shapes = infer_shapes(g)?;
-    let mut out = Graph { nodes: Vec::new(), params: g.params.clone(), outputs: Vec::new() };
-    let mut remap: Vec<usize> = Vec::with_capacity(g.len());
-    // Layout each *new* node produces.
-    let mut layout: Vec<Layout> = Vec::new();
-    // Memoized transforms: (new source node, target layout) → new node.
-    let mut memo: HashMap<(usize, Layout), usize> = HashMap::new();
-
-    // Obtains `src` (a new-graph id) in `want`, inserting/reusing a
-    // transform node when needed, with look-through of existing transforms.
-    let get_as = |out: &mut Graph,
-                      layout: &mut Vec<Layout>,
-                      memo: &mut HashMap<(usize, Layout), usize>,
-                      src: usize,
-                      want: Layout|
-     -> usize {
-        if layout[src] == want {
-            return src;
-        }
-        // Look through a transform whose source already carries `want` —
-        // this is the cancellation of adjacent inverse transforms.
-        if let Op::LayoutTransform { .. } = out.nodes[src].op {
-            let orig = out.nodes[src].inputs[0];
-            if layout[orig] == want {
-                return orig;
-            }
-        }
-        if let Some(&t) = memo.get(&(src, want)) {
-            return t;
-        }
-        let t = out.push(Op::LayoutTransform { to: want }, vec![src]);
-        layout.push(want);
-        memo.insert((src, want), t);
-        t
+    let mut p = Placer {
+        out: Graph { nodes: Vec::new(), params: g.params.clone(), outputs: Vec::new() },
+        ports: Vec::new(),
+        memo: HashMap::new(),
     };
-
+    let mut remap: Vec<usize> = Vec::with_capacity(g.len());
     for (id, node) in g.nodes.iter().enumerate() {
         let ins: Vec<usize> = node.inputs.iter().map(|&i| remap[i]).collect();
-        if let Op::LayoutTransform { to } = node.op {
-            // A transform already in the graph collapses into `get_as`.
-            remap.push(get_as(&mut out, &mut layout, &mut memo, ins[0], to));
-            continue;
-        }
-        let have: Vec<Layout> = ins.iter().map(|&i| layout[i]).collect();
+        let have: Vec<Port> = ins.iter().map(|&i| p.ports[i]).collect();
         let in_shapes: Vec<&Shape> = node.inputs.iter().map(|&i| &shapes[i]).collect();
-        let (need, produced) = layout_contract(&node.op, &have, &in_shapes)
-            .map_err(|msg| GraphError::Layout { node: id, msg })?;
-        let inputs: Vec<usize> = ins
-            .iter()
-            .zip(need)
-            .map(|(&i, want)| get_as(&mut out, &mut layout, &mut memo, i, want))
-            .collect();
-        remap.push(out.push(node.op.clone(), inputs));
-        layout.push(produced);
+        let err = |msg| GraphError::Layout { node: id, msg };
+        let (need, produced) = layout_contract(&node.op, &have, &in_shapes).map_err(err)?;
+        let inputs = ins.iter().zip(need).map(|(&i, want)| p.get_as(i, want));
+        let inputs = inputs.collect::<std::result::Result<Vec<_>, _>>().map_err(err)?;
+        remap.push(p.out.push(node.op.clone(), inputs));
+        p.ports.push(produced);
     }
 
     // Graph outputs revert to framework-default layouts (Figure 2: "we
@@ -270,14 +239,55 @@ pub fn insert_layout_transforms(g: &Graph) -> Result<Graph> {
     let mut final_outputs = Vec::with_capacity(g.outputs.len());
     for &o in &g.outputs {
         let src = remap[o];
-        let want = match layout[src] {
+        let have = p.ports[src];
+        let layout = match have.layout {
             Layout::NchwC(_) | Layout::Nhwc => Layout::Nchw,
             l => l,
         };
-        final_outputs.push(get_as(&mut out, &mut layout, &mut memo, src, want));
+        let out = p.get_as(src, Port { layout, ..have });
+        final_outputs.push(out.map_err(|msg| GraphError::Layout { node: o, msg })?);
     }
-    out.outputs = final_outputs;
-    Ok(out)
+    p.out.outputs = final_outputs;
+    Ok(p.out)
+}
+
+/// The graph `insert_layout_transforms` builds, with the port each new node
+/// produces and the conversions made so far.
+struct Placer {
+    out: Graph,
+    ports: Vec<Port>,
+    /// Memoized conversions: (new source node, port it converts to) → new
+    /// node, so one value converted to the same port twice shares one node.
+    memo: HashMap<(usize, Port), usize>,
+}
+
+impl Placer {
+    /// Obtains `src` (a new-graph id) as `want`: its layout converted first,
+    /// then f32 quantized to `want`'s u8. A u8 value is never converted.
+    fn get_as(&mut self, src: usize, want: Port) -> std::result::Result<usize, String> {
+        let have = self.ports[src];
+        if have == want {
+            return Ok(src);
+        }
+        if have.quant.is_some() {
+            return Err(format!("cannot convert {have} to {want}"));
+        }
+        let mut at = src;
+        for to in [Port::f32(want.layout), want] {
+            if self.ports[at] == to {
+                continue;
+            }
+            let op = match to.quant {
+                Some((s, zero_point)) => Op::Quantize { scale: f32::from_bits(s), zero_point },
+                None => Op::LayoutTransform { to: to.layout },
+            };
+            at = *self.memo.entry((at, to)).or_insert_with(|| {
+                self.ports.push(to);
+                self.out.push(op, vec![at])
+            });
+        }
+        Ok(at)
+    }
 }
 
 #[cfg(test)]
@@ -380,7 +390,7 @@ mod tests {
         let cfg = UniformPlanCfg { block: 8, reg_n: 8, unroll: false };
         let planned = plan_uniform(&g, &cfg).unwrap();
         let shapes = infer_shapes(&planned).unwrap();
-        let layouts = infer_layouts(&planned, &shapes).unwrap();
+        let (layouts, _) = infer_layouts(&planned, &shapes).unwrap();
         // The concat output must be valid; inference passing is the check.
         assert!(layouts.len() == planned.len());
     }

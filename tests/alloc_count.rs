@@ -641,8 +641,10 @@ fn pooled_run_allocates_only_the_returned_outputs() {
 /// A compile holds about one copy of the weights at a time: passes share
 /// parameter handles, each plain weight is freed once its blocked copy
 /// exists, and the module keeps only the parameters its nodes reference.
-/// The int8 compile also holds the f32 module (calibration and the
-/// accuracy gate run it) beside the planned f32 weights it quantizes.
+/// The int8 compile packs its int8 weights from the plain ones before the
+/// f32 module is built, then holds that module (calibration, the accuracy
+/// gate and the fallback run it) and the packed weights; its f32 convs
+/// share the module's blocked weights.
 /// Full-width MobileNet, so the weights are full size; a 64² input keeps
 /// the run short.
 fn o3_compile_peaks_near_the_weight_bytes() {
@@ -664,6 +666,6 @@ fn o3_compile_peaks_near_the_weight_bytes() {
     });
     assert!(report.quantized > 0, "no conv took the int8 path: {report:?}");
     let ratio = peak as f64 / weight_bytes as f64;
-    assert!(ratio <= 2.5, "int8 O3 compile peaked at {ratio:.2}x the {weight_bytes} weight bytes");
+    assert!(ratio <= 1.5, "int8 O3 compile peaked at {ratio:.2}x the {weight_bytes} weight bytes");
     drop(module);
 }

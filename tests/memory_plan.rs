@@ -134,10 +134,7 @@ fn planned_peak_beats_naive_across_the_zoo() {
         let eligible = m.graph().nodes.iter().any(|n| {
             matches!(
                 n.op,
-                neocpu_graph::Op::Relu
-                    | neocpu_graph::Op::Add
-                    | neocpu_graph::Op::Flatten
-                    | neocpu_graph::Op::Dropout
+                neocpu_graph::Op::Relu | neocpu_graph::Op::Add | neocpu_graph::Op::Flatten
             )
         });
         assert!(

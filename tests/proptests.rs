@@ -625,14 +625,39 @@ fn prepared_tiny_zoo() -> &'static [(&'static str, neocpu_graph::Graph)] {
     })
 }
 
+/// The module graph of every tiny quantized-zoo model compiled int8 at O2
+/// and O3: `Quantize` nodes placed, folded where they can be, weights packed.
+fn int8_tiny_module_graphs() -> &'static [(String, neocpu_graph::Graph)] {
+    use neocpu::{compile_quantized, CompileOptions, CpuTarget, OptLevel, QuantizeOptions};
+    use neocpu_models::{build, quantized_zoo, ModelScale};
+    static GRAPHS: std::sync::OnceLock<Vec<(String, neocpu_graph::Graph)>> =
+        std::sync::OnceLock::new();
+    GRAPHS.get_or_init(|| {
+        let mut graphs = Vec::new();
+        for kind in quantized_zoo() {
+            let g = build(kind, ModelScale::tiny(kind), 42);
+            for level in [OptLevel::O2, OptLevel::O3] {
+                let opts = CompileOptions::level(level);
+                let (m, report) =
+                    compile_quantized(&g, &CpuTarget::host(), &opts, &QuantizeOptions::default())
+                        .unwrap();
+                assert!(report.quantized > 0 && !report.fell_back, "{report:?}");
+                graphs.push((format!("{} int8 {level:?}", kind.name()), m.graph().clone()));
+            }
+        }
+        graphs
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 20, ..ProptestConfig::default() })]
 
-    /// Layout planning is a fixed point of the transform placer and clean
+    /// Layout and dtype planning is a fixed point of the placer and clean
     /// under the checker: on every tiny zoo model, a uniform plan (block
     /// drawn from 4, 8, 16) and a plan with a random candidate schedule per
-    /// conv come back from `insert_layout_transforms` node for node, and
-    /// `infer_layouts` accepts them.
+    /// conv, and the int8 modules of the quantized zoo at O2 and O3, come
+    /// back from `insert_layout_transforms` node for node, and
+    /// `infer_layouts` accepts their layouts and their dtypes.
     #[test]
     fn layout_planning_is_idempotent_and_checker_clean(
         block_sel in 0usize..3,
@@ -670,6 +695,15 @@ proptest! {
                 let checked = infer_layouts(&planned, &shapes);
                 prop_assert!(checked.is_ok(), "{name} {plan}: {:?}", checked.err());
             }
+        }
+        for (module, g) in int8_tiny_module_graphs() {
+            let again = insert_layout_transforms(g).unwrap();
+            prop_assert!(nodes(&again) == nodes(g), "{module}: the placer changed the graph");
+            prop_assert_eq!(&again.outputs, &g.outputs);
+            let checked = infer_layouts(g, &infer_shapes(g).unwrap());
+            prop_assert!(checked.is_ok(), "{module}: {:?}", checked.err());
+            let (_, dtypes) = checked.unwrap();
+            prop_assert!(dtypes.contains(&DType::U8), "{module}: no u8 edge");
         }
     }
 }
