@@ -240,7 +240,6 @@ pub(crate) fn plan_stage(
     let cfg = UniformPlanCfg {
         block: target.preferred_block(),
         reg_n: default_reg_n(target),
-        unroll: true,
     };
     let planned = match opts.opt_level {
         OptLevel::O0 => fused,
@@ -346,7 +345,6 @@ fn global_search(
             preselect: Some(preselect),
             preselect_model: analytical,
             keep: opts.keep_candidates,
-            ..Default::default()
         },
     };
     let timed = match opts.search {
@@ -462,7 +460,7 @@ fn default_schedule(params: &Conv2dParams, target: &CpuTarget) -> ConvSchedule {
     };
     let reg_n =
         fitting_reg_n(params, oc_bn, target.max_lanes(), default_reg_n(target), DType::F32);
-    ConvSchedule { ic_bn, oc_bn, reg_n, unroll_ker: true, ..Default::default() }
+    ConvSchedule { ic_bn, oc_bn, reg_n, ..Default::default() }
 }
 
 /// Checks a ranked database entry against the workload and target:
@@ -700,7 +698,7 @@ mod tests {
             &target.name,
             &w1,
             vec![RankedScheme {
-                schedule: ConvSchedule { ic_bn: 5, oc_bn: 16, reg_n: 8, unroll_ker: true, ..Default::default() },
+                schedule: ConvSchedule { ic_bn: 5, oc_bn: 16, reg_n: 8, ..Default::default() },
                 time: 1e-4,
             }],
         );
@@ -736,7 +734,7 @@ mod tests {
             &target.name,
             &w1,
             vec![RankedScheme {
-                schedule: ConvSchedule { ic_bn: 8, oc_bn: 16, reg_n: 8, unroll_ker: true, ..Default::default() },
+                schedule: ConvSchedule { ic_bn: 8, oc_bn: 16, reg_n: 8, ..Default::default() },
                 time: f32::NAN,
             }],
         );
@@ -752,13 +750,13 @@ mod tests {
         let target = CpuTarget::epyc_avx2();
         let p = Conv2dParams::square(8, 8, 28, 3, 1, 1);
         // 28 × (8/8) = 28 accumulators > 16 AVX2 registers.
-        let bad = ConvSchedule { ic_bn: 8, oc_bn: 8, reg_n: 28, unroll_ker: true, ..Default::default() };
+        let bad = ConvSchedule { ic_bn: 8, oc_bn: 8, reg_n: 28, ..Default::default() };
         assert!(verify_schedule_for_target(&p, &bad, &target).is_err());
         // Within budget.
-        let ok = ConvSchedule { ic_bn: 8, oc_bn: 8, reg_n: 8, unroll_ker: true, ..Default::default() };
+        let ok = ConvSchedule { ic_bn: 8, oc_bn: 8, reg_n: 8, ..Default::default() };
         assert!(verify_schedule_for_target(&p, &ok, &target).is_ok());
         // Scalar path (oc_bn below the vector width) has no register rule.
-        let scalar = ConvSchedule { ic_bn: 8, oc_bn: 4, reg_n: 28, unroll_ker: false, ..Default::default() };
+        let scalar = ConvSchedule { ic_bn: 8, oc_bn: 4, reg_n: 28, ..Default::default() };
         assert!(verify_schedule_for_target(&p, &scalar, &target).is_ok());
     }
 
@@ -791,7 +789,6 @@ mod tests {
         let cfg = UniformPlanCfg {
             block: target.preferred_block(),
             reg_n: default_reg_n(target),
-            unroll: true,
         };
         plan_uniform(&fuse_ops(&simplify_inference(&small_net()).unwrap()).unwrap(), &cfg).unwrap()
     }
@@ -892,20 +889,20 @@ mod tests {
         let missing = dir.join("does-not-exist.tsv");
         assert!(matches!(load_scheme_db(&missing), Err(NeoError::Database(_))));
         let corrupt = dir.join("corrupt.tsv");
-        std::fs::write(&corrupt, "neocpu-scheme-db v3\nnot a valid line\n").unwrap();
+        std::fs::write(&corrupt, "neocpu-scheme-db v4\nnot a valid line\n").unwrap();
         let (db, problems) = load_scheme_db(&corrupt).unwrap();
         assert_eq!(db.len(), 0);
         assert_eq!(problems.len(), 1);
         assert!(problems[0].contains("line 2"), "missing line number: {}", problems[0]);
-        // A file from a build that still searched the weight-stationary
-        // dataflow: loading names the line and the token, drops the row and
-        // keeps the rest, so compile degrades instead of failing.
+        // A row naming the removed weight-stationary dataflow: loading
+        // names the line and the token, drops the row and keeps the rest,
+        // so compile degrades instead of failing.
         let old = dir.join("pre-removal.tsv");
         std::fs::write(
             &old,
-            "neocpu-scheme-db v3\n\
-             host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 ws 1e-4\n\
-             host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 sr 2e-4\n",
+            "neocpu-scheme-db v4\n\
+             host 64x128x28x28k3x3s1x1p1x1 16 16 8 ws 1e-4\n\
+             host 64x128x28x28k3x3s1x1p1x1 16 16 8 sr 2e-4\n",
         )
         .unwrap();
         let (db, problems) = load_scheme_db(&old).unwrap();

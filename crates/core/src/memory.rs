@@ -198,8 +198,10 @@ pub(crate) fn plan_memory(
 ) -> Result<MemoryPlan> {
     let n = g.len();
 
-    // Liveness: last consumer per value; outputs pinned to the run's end.
-    let mut last_use = vec![0usize; n];
+    // Liveness: last consumer per value; outputs pinned to the run's end. A
+    // value no node reads still lives at its own definition, where it is
+    // written.
+    let mut last_use: Vec<usize> = (0..n).collect();
     for (id, node) in g.nodes.iter().enumerate() {
         for &i in &node.inputs {
             last_use[i] = last_use[i].max(id);
@@ -432,6 +434,30 @@ mod tests {
         let (off, total) = pack_live_ranges(&ranges);
         assert_eq!(total, 16);
         assert_eq!(off[1], 0);
+    }
+
+    #[test]
+    fn a_dead_value_is_disjoint_from_every_value_live_at_its_definition() {
+        // `d` is read by no node and is not an output. As the largest value
+        // it is packed first; its range must still cover its own definition,
+        // or `a`, live across it, is placed on top of it.
+        use neocpu_graph::{infer_layouts, infer_shapes, GraphBuilder};
+        let mut b = GraphBuilder::new(1);
+        let x = b.input([1, 4, 8, 8]);
+        let a = b.conv2d(x, 4, 3, 1, 1);
+        let d = b.conv2d(x, 16, 3, 1, 1);
+        let y = b.conv2d(a, 4, 3, 1, 1);
+        let g = b.finish(vec![y]);
+        let shapes = infer_shapes(&g).unwrap();
+        let (layouts, dtypes) = infer_layouts(&g, &shapes).unwrap();
+        let plan = plan_memory(&g, &shapes, &layouts, &dtypes).unwrap();
+        let region = |v: usize| (plan.offsets[v], plan.offsets[v] + shapes[v].num_elements());
+        let read_from = |v: usize, at: usize| g.nodes[at..].iter().any(|n| n.inputs.contains(&v));
+        let (ds, de) = region(d);
+        for v in (0..d).filter(|&v| read_from(v, d) || g.outputs.contains(&v)) {
+            let (vs, ve) = region(v);
+            assert!(ve <= ds || de <= vs, "dead {d} at [{ds}, {de}) overlaps live {v} at [{vs}, {ve})");
+        }
     }
 
     #[test]

@@ -732,7 +732,7 @@ mod tests {
         // a schedule whose ic_bn does not divide in_channels.
         let p = Conv2dParams::square(16, 16, 12, 3, 1, 1);
         let bad =
-            ConvSchedule { ic_bn: 5, oc_bn: 16, reg_n: 8, unroll_ker: true, ..Default::default() };
+            ConvSchedule { ic_bn: 5, oc_bn: 16, reg_n: 8, ..Default::default() };
         db.put_dtyped(&target.name, &p, DType::U8, vec![RankedScheme { schedule: bad, time: 1e-4 }]);
         let qopts = QuantizeOptions::default();
         let (_, report) = compile_quantized_with_db(&g, &target, &opts, &qopts, &mut db).unwrap();

@@ -354,7 +354,7 @@ mod tests {
         let g = b.finish(vec![c]);
         let mut g2 = g.clone();
         if let Op::Conv2d { schedule, .. } = &mut g2.nodes[c].op {
-            *schedule = Some(ConvSchedule { ic_bn: 4, oc_bn: 4, reg_n: 4, unroll_ker: false, ..Default::default() });
+            *schedule = Some(ConvSchedule { ic_bn: 4, oc_bn: 4, reg_n: 4, ..Default::default() });
         }
         let shapes = infer_shapes(&g2).unwrap();
         // Input is NCHW but the conv now demands NCHW4c: inference errors.

@@ -37,13 +37,11 @@ pub struct UniformPlanCfg {
     /// Register-blocking factor for every CONV: each takes the longest strip
     /// its template runs that is no longer than this.
     pub reg_n: usize,
-    /// Kernel-loop unrolling flag for every CONV.
-    pub unroll: bool,
 }
 
 impl Default for UniformPlanCfg {
     fn default() -> Self {
-        Self { block: 16, reg_n: 16, unroll: true }
+        Self { block: 16, reg_n: 16 }
     }
 }
 
@@ -60,7 +58,6 @@ fn uniform_schedule(p: &neocpu_kernels::Conv2dParams, cfg: &UniformPlanCfg) -> C
         ic_bn: best_factor(p.in_channels, cfg.block),
         oc_bn,
         reg_n: fitting_reg_n(p, oc_bn, usize::MAX, cfg.reg_n, DType::F32),
-        unroll_ker: cfg.unroll,
         ..Default::default()
     }
 }
@@ -319,7 +316,7 @@ mod tests {
     #[test]
     fn uniform_plan_inserts_only_boundary_transforms() {
         let g = prepared(&chain_graph());
-        let cfg = UniformPlanCfg { block: 16, reg_n: 8, unroll: false };
+        let cfg = UniformPlanCfg { block: 16, reg_n: 8 };
         let planned = plan_uniform(&g, &cfg).unwrap();
         // One transform into blocked layout at the entry, one back before
         // flatten: the pool and fused relus pass the blocked layout through.
@@ -331,7 +328,7 @@ mod tests {
     #[test]
     fn wrapped_plan_pays_two_transforms_per_conv() {
         let g = prepared(&chain_graph());
-        let cfg = UniformPlanCfg { block: 16, reg_n: 8, unroll: false };
+        let cfg = UniformPlanCfg { block: 16, reg_n: 8 };
         let wrapped = wrap_convs_with_transforms(&g, &cfg).unwrap();
         assert_eq!(wrapped.transform_count(), 2 * 2);
         let shapes = infer_shapes(&wrapped).unwrap();
@@ -345,11 +342,11 @@ mod tests {
         let mut schedules = HashMap::new();
         schedules.insert(
             convs[0],
-            ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 8, unroll_ker: false, ..Default::default() },
+            ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 8, ..Default::default() },
         );
         schedules.insert(
             convs[1],
-            ConvSchedule { ic_bn: 8, oc_bn: 32, reg_n: 8, unroll_ker: false, ..Default::default() },
+            ConvSchedule { ic_bn: 8, oc_bn: 32, reg_n: 8, ..Default::default() },
         );
         let cfg = UniformPlanCfg::default();
         let planned = plan_assigned(&g, &schedules, &cfg).unwrap();
@@ -370,7 +367,7 @@ mod tests {
         let a = b.add(c2, c0);
         let r = b.relu(a);
         let g = prepared(&b.finish(vec![r]));
-        let cfg = UniformPlanCfg { block: 16, reg_n: 8, unroll: false };
+        let cfg = UniformPlanCfg { block: 16, reg_n: 8 };
         let planned = plan_uniform(&g, &cfg).unwrap();
         // Entry NCHW→16c and exit 16c→NCHW only: the skip connection's
         // blocked tensor feeds the fused residual without any transform.
@@ -387,7 +384,7 @@ mod tests {
         let c2 = b.conv2d(x, 8, 1, 1, 0);
         let cat = b.concat(&[c1, c2]);
         let g = prepared(&b.finish(vec![cat]));
-        let cfg = UniformPlanCfg { block: 8, reg_n: 8, unroll: false };
+        let cfg = UniformPlanCfg { block: 8, reg_n: 8 };
         let planned = plan_uniform(&g, &cfg).unwrap();
         let shapes = infer_shapes(&planned).unwrap();
         let (layouts, _) = infer_layouts(&planned, &shapes).unwrap();
@@ -405,7 +402,7 @@ mod tests {
         let c2 = b.conv2d(x, 16, 3, 1, 1);
         let a = b.add(c1, c2);
         let g = prepared(&b.finish(vec![a]));
-        let cfg = UniformPlanCfg { block: 16, reg_n: 8, unroll: false };
+        let cfg = UniformPlanCfg { block: 16, reg_n: 8 };
         let planned = plan_uniform(&g, &cfg).unwrap();
         // input→16c shared once + exit transform.
         assert_eq!(planned.transform_count(), 2);

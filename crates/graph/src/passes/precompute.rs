@@ -104,7 +104,7 @@ mod tests {
         let x = b.input([1, 16, 8, 8]);
         let c = b.conv2d(x, 16, 3, 1, 1);
         let g = b.finish(vec![c]);
-        let planned = plan_uniform(&g, &UniformPlanCfg { block: 8, reg_n: 4, unroll: false })
+        let planned = plan_uniform(&g, &UniformPlanCfg { block: 8, reg_n: 4 })
             .unwrap();
         let pre = precompute_weights(&planned).unwrap();
         let Op::Conv2d { weight, schedule, .. } = &pre.nodes[pre.conv_ids()[0]].op else {
@@ -124,7 +124,7 @@ mod tests {
         let c = b.depthwise_conv2d(x, 3, 1, 1, false);
         let g = b.finish(vec![c]);
         let planned =
-            plan_uniform(&g, &UniformPlanCfg { block: 8, reg_n: 4, unroll: false }).unwrap();
+            plan_uniform(&g, &UniformPlanCfg { block: 8, reg_n: 4 }).unwrap();
         let pre = precompute_weights(&planned).unwrap();
         let Op::Conv2d { weight, schedule, .. } = &pre.nodes[pre.conv_ids()[0]].op else {
             panic!()
@@ -141,7 +141,7 @@ mod tests {
         let c = b.conv2d(x, 8, 3, 1, 1);
         let g = b.finish(vec![c]);
         let mut planned =
-            plan_uniform(&g, &UniformPlanCfg { block: 8, reg_n: 4, unroll: false }).unwrap();
+            plan_uniform(&g, &UniformPlanCfg { block: 8, reg_n: 4 }).unwrap();
         let conv = planned.conv_ids()[0];
         let Op::Conv2d { weight, .. } = &mut planned.nodes[conv].op else { panic!() };
         *weight = 10_000;
@@ -169,7 +169,7 @@ mod tests {
         let c = b.conv2d(x, 8, 3, 1, 1);
         let g = b.finish(vec![c]);
         let planned =
-            plan_uniform(&g, &UniformPlanCfg { block: 8, reg_n: 4, unroll: false }).unwrap();
+            plan_uniform(&g, &UniformPlanCfg { block: 8, reg_n: 4 }).unwrap();
         let once = precompute_weights(&planned).unwrap();
         let twice = precompute_weights(&once).unwrap();
         let Op::Conv2d { weight: w1, .. } = &once.nodes[once.conv_ids()[0]].op else { panic!() };

@@ -6,7 +6,7 @@
 //! parallel for each disjoint chunk of OFMAP          // (n, oc_chunk, oh)
 //!   for ow_outer in 0 .. out_width / reg_n           //  + the remainder
 //!     init V_REG[1..=reg_n] = 0
-//!     for ic_outer, (kernel entries, opt. unrolled), ic_inner:
+//!     for ic_outer, kernel entries (one flattened loop), ic_inner:
 //!       vload kernel vector, vfmadd into the reg_n accumulators
 //!     vstore the accumulators
 //!     apply the fused epilogue to the strip, in one pass
@@ -380,8 +380,8 @@ mod tests {
     use neocpu_tensor::transform::to_layout;
     use neocpu_threadpool::{Sequential, ThreadPool};
 
-    fn sched(ic_bn: usize, oc_bn: usize, reg_n: usize, unroll_ker: bool) -> ConvSchedule {
-        ConvSchedule { ic_bn, oc_bn, reg_n, unroll_ker, ..Default::default() }
+    fn sched(ic_bn: usize, oc_bn: usize, reg_n: usize) -> ConvSchedule {
+        ConvSchedule { ic_bn, oc_bn, reg_n, ..Default::default() }
     }
 
     fn weight_dims(p: &Conv2dParams) -> [usize; 4] {
@@ -439,22 +439,22 @@ mod tests {
 
     #[test]
     fn matches_reference_scalar_blocks() {
-        assert_matches_reference(&Conv2dParams::square(6, 10, 9, 3, 1, 1), &sched(3, 5, 4, false), 1, 21, 1e-4);
-        assert_matches_reference(&Conv2dParams::depthwise(6, 9, 3, 1, 1), &sched(3, 3, 4, false), 1, 71, 1e-4);
+        assert_matches_reference(&Conv2dParams::square(6, 10, 9, 3, 1, 1), &sched(3, 5, 4), 1, 21, 1e-4);
+        assert_matches_reference(&Conv2dParams::depthwise(6, 9, 3, 1, 1), &sched(3, 3, 4), 1, 71, 1e-4);
     }
 
     #[test]
     fn matches_reference_avx2_blocks() {
         // oc_bn = 8 exercises the AVX2 path where available.
-        assert_matches_reference(&Conv2dParams::square(16, 16, 14, 3, 1, 1), &sched(8, 8, 8, true), 1, 22, 1e-3);
-        assert_matches_reference(&Conv2dParams::depthwise(16, 14, 3, 1, 1), &sched(8, 8, 8, true), 1, 72, 1e-3);
+        assert_matches_reference(&Conv2dParams::square(16, 16, 14, 3, 1, 1), &sched(8, 8, 8), 1, 22, 1e-3);
+        assert_matches_reference(&Conv2dParams::depthwise(16, 14, 3, 1, 1), &sched(8, 8, 8), 1, 72, 1e-3);
     }
 
     #[test]
     fn matches_reference_avx512_blocks() {
         // oc_bn = 16 exercises the AVX-512 path where available.
-        assert_matches_reference(&Conv2dParams::square(32, 32, 14, 3, 1, 1), &sched(16, 16, 16, false), 1, 23, 1e-3);
-        assert_matches_reference(&Conv2dParams::depthwise(32, 14, 3, 1, 1), &sched(16, 16, 16, false), 1, 73, 1e-3);
+        assert_matches_reference(&Conv2dParams::square(32, 32, 14, 3, 1, 1), &sched(16, 16, 16), 1, 23, 1e-3);
+        assert_matches_reference(&Conv2dParams::depthwise(32, 14, 3, 1, 1), &sched(16, 16, 16), 1, 73, 1e-3);
     }
 
     #[test]
@@ -463,28 +463,28 @@ mod tests {
         // one is the MobileNet downsampling shape.
         let p = Conv2dParams::square(8, 8, 14, 3, 2, 1);
         assert_eq!(p.out_w(), 7);
-        assert_matches_reference(&p, &sched(4, 8, 4, false), 1, 24, 1e-3);
-        assert_matches_reference(&Conv2dParams::depthwise(8, 14, 3, 2, 1), &sched(8, 8, 4, false), 1, 74, 1e-3);
+        assert_matches_reference(&p, &sched(4, 8, 4), 1, 24, 1e-3);
+        assert_matches_reference(&Conv2dParams::depthwise(8, 14, 3, 2, 1), &sched(8, 8, 4), 1, 74, 1e-3);
     }
 
     #[test]
     fn matches_reference_1x1_and_7x7() {
-        assert_matches_reference(&Conv2dParams::square(12, 8, 8, 1, 1, 0), &sched(4, 4, 2, true), 1, 25, 1e-3);
-        assert_matches_reference(&Conv2dParams::square(3, 8, 17, 7, 2, 3), &sched(3, 8, 8, false), 1, 26, 1e-3);
+        assert_matches_reference(&Conv2dParams::square(12, 8, 8, 1, 1, 0), &sched(4, 4, 2), 1, 25, 1e-3);
+        assert_matches_reference(&Conv2dParams::square(3, 8, 17, 7, 2, 3), &sched(3, 8, 8), 1, 26, 1e-3);
     }
 
     #[test]
     fn batch_greater_than_one() {
-        assert_matches_reference(&Conv2dParams::square(4, 4, 6, 3, 1, 1), &sched(2, 2, 2, false), 3, 27, 1e-4);
-        assert_matches_reference(&Conv2dParams::depthwise(4, 6, 3, 1, 1), &sched(2, 2, 2, true), 3, 75, 1e-4);
+        assert_matches_reference(&Conv2dParams::square(4, 4, 6, 3, 1, 1), &sched(2, 2, 2), 3, 27, 1e-4);
+        assert_matches_reference(&Conv2dParams::depthwise(4, 6, 3, 1, 1), &sched(2, 2, 2), 3, 75, 1e-4);
     }
 
     #[test]
     fn parallel_matches_sequential() {
         let pool = ThreadPool::new(4);
         for (p, s) in [
-            (Conv2dParams::square(8, 16, 12, 3, 1, 1), sched(8, 16, 8, true)),
-            (Conv2dParams::depthwise(16, 12, 3, 1, 1), sched(8, 8, 8, false)),
+            (Conv2dParams::square(8, 16, 12, 3, 1, 1), sched(8, 16, 8)),
+            (Conv2dParams::depthwise(16, 12, 3, 1, 1), sched(8, 8, 8)),
         ] {
             let (input, weights) = blocked_operands(&p, &s, 1, 31);
             let seq = run(&input, &weights, &p, &s, &Sequential, usize::MAX, None).unwrap();
@@ -496,8 +496,8 @@ mod tests {
     #[test]
     fn fused_epilogue_matches_reference_epilogue() {
         for (p, s) in [
-            (Conv2dParams::square(8, 8, 6, 3, 1, 1), sched(8, 8, 4, false)),
-            (Conv2dParams::depthwise(8, 6, 3, 1, 1), sched(8, 8, 4, false)),
+            (Conv2dParams::square(8, 8, 6, 3, 1, 1), sched(8, 8, 4)),
+            (Conv2dParams::depthwise(8, 6, 3, 1, 1), sched(8, 8, 4)),
         ] {
             let input = Tensor::random([1, 8, 6, 6], Layout::Nchw, 41, 1.0).unwrap();
             let weights = Tensor::random(weight_dims(&p), Layout::Oihw, 42, 1.0).unwrap();
@@ -522,7 +522,7 @@ mod tests {
     #[test]
     fn rejects_mismatched_operands() {
         let p = Conv2dParams::square(8, 8, 6, 3, 1, 1);
-        let s = sched(4, 4, 4, false);
+        let s = sched(4, 4, 4);
         let (input, weights) = blocked_operands(&p, &s, 1, 1);
         let run = |input, weights, p, s| run(input, weights, p, s, &Sequential, usize::MAX, None);
         run(&input, &weights, &p, &s).unwrap();
@@ -541,14 +541,14 @@ mod tests {
         assert!(run(&input, &weights, &dw, &s).is_err());
         run(&input, &dw_weights, &dw, &s).unwrap();
         // Depthwise blocks input and output channels alike.
-        assert!(run(&input, &dw_weights, &dw, &sched(4, 8, 4, false)).is_err());
+        assert!(run(&input, &dw_weights, &dw, &sched(4, 8, 4)).is_err());
     }
 
     #[test]
     fn caller_scratch_matches_internal_padding() {
         for (p, s) in [
-            (Conv2dParams::square(8, 8, 10, 3, 1, 1), sched(4, 8, 4, false)),
-            (Conv2dParams::depthwise(8, 10, 3, 1, 1), sched(4, 4, 4, false)),
+            (Conv2dParams::square(8, 8, 10, 3, 1, 1), sched(4, 8, 4)),
+            (Conv2dParams::depthwise(8, 10, 3, 1, 1), sched(4, 4, 4)),
         ] {
             let (input, weights) = blocked_operands(&p, &s, 2, 61);
             let auto = run(&input, &weights, &p, &s, &Sequential, usize::MAX, None).unwrap();
@@ -576,7 +576,7 @@ mod tests {
     fn scalar_isa_cap_matches_simd_result() {
         // Forcing max_lanes = 1 must still give identical results.
         let p = Conv2dParams::square(16, 16, 8, 3, 1, 1);
-        let s = sched(16, 16, 8, false);
+        let s = sched(16, 16, 8);
         let (input, weights) = blocked_operands(&p, &s, 1, 51);
         let simd = run(&input, &weights, &p, &s, &Sequential, usize::MAX, None).unwrap();
         let scalar = run(&input, &weights, &p, &s, &Sequential, 1, None).unwrap();

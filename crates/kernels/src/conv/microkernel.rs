@@ -56,9 +56,6 @@ pub(super) struct Geo {
     /// Strip dataflow; shift-reuse requires `sw == 1` (validated at the
     /// schedule level).
     pub dataflow: Dataflow,
-    /// Whether SIMD and f32 scalar strips flatten the `(kh, kw)` nest into
-    /// one loop — the codegen difference the `unroll_ker` knob toggles.
-    pub unroll: bool,
     /// The SIMD tier serving `oc_bn` on this host, if any.
     #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     isa: Isa,
@@ -89,7 +86,6 @@ impl Geo {
             sw: p.stride_w,
             depthwise: p.is_depthwise(),
             dataflow: s.dataflow,
-            unroll: s.unroll_ker,
             isa,
             strips: match isa {
                 Isa::Scalar => &[],
@@ -195,31 +191,6 @@ impl Iterator for StripPlan {
         Some(rn)
     }
 }
-
-/// Runs `$body` for every kernel tap — `$e` its row-major index, `($r, $s)`
-/// its row and column — and is the one place that says what the
-/// `unroll_ker` knob toggles: with `$unroll` the `(kh, kw)` nest is a single
-/// flattened loop, trading a branch per kernel row for index arithmetic per
-/// tap.
-macro_rules! for_each_tap {
-    ($kh:expr, $kw:expr, $unroll:expr, |$e:ident, $r:ident, $s:ident| $body:block) => {
-        if $unroll {
-            for $e in 0..$kh * $kw {
-                let ($r, $s) = ($e / $kw, $e % $kw);
-                $body
-            }
-        } else {
-            for $r in 0..$kh {
-                for $s in 0..$kw {
-                    let $e = $r * $kw + $s;
-                    $body
-                }
-            }
-        }
-    };
-}
-#[cfg(target_arch = "x86_64")]
-pub(super) use for_each_tap;
 
 /// Generates one `#[target_feature]` entry point — the place a generic body
 /// (a strip of [`super::simd`], the fused store) becomes code for one tier's
@@ -511,7 +482,7 @@ pub(super) fn run_epilogue(
 /// See [`run_strip`].
 #[inline(never)]
 unsafe fn strip_scalar(geo: &Geo, strip: &Strip<f32, f32>) {
-    let Geo { ic_chunks, ic_bn, oc_bn, ph, pw, kh, kw, sw, unroll, .. } = *geo;
+    let Geo { ic_chunks, ic_bn, oc_bn, ph, pw, kh, kw, sw, .. } = *geo;
     let Strip { input: in_n, weights: w_oc, rn, out, ih0, iw0 } = *strip;
     // Zero the strip; the SIMD paths keep sums in registers instead.
     for i in 0..rn * oc_bn {
@@ -521,7 +492,8 @@ unsafe fn strip_scalar(geo: &Geo, strip: &Strip<f32, f32>) {
     for icc in 0..ic_chunks {
         let in_c = in_n.add(icc * ph * pw * ic_bn);
         let w_c = w_oc.add(icc * kh * kw * ic_bn * oc_bn);
-        for_each_tap!(kh, kw, unroll, |e, r, s| {
+        for e in 0..kh * kw {
+            let (r, s) = (e / kw, e % kw);
             let in_rs = in_c.add(((ih0 + r) * pw + iw0 + s) * ic_bn);
             let w_rs = w_c.add(e * ic_bn * oc_bn);
             // Every input sub-channel against its `oc_bn` kernel values,
@@ -540,7 +512,7 @@ unsafe fn strip_scalar(geo: &Geo, strip: &Strip<f32, f32>) {
                     }
                 }
             }
-        });
+        }
     }
 }
 
@@ -551,13 +523,14 @@ unsafe fn strip_scalar(geo: &Geo, strip: &Strip<f32, f32>) {
 /// See [`run_strip`].
 #[inline(never)]
 unsafe fn dw_strip_scalar(geo: &Geo, strip: &Strip<f32, f32>) {
-    let Geo { ic_bn: c_bn, pw, kh, kw, sw, unroll, .. } = *geo;
+    let Geo { ic_bn: c_bn, pw, kh, kw, sw, .. } = *geo;
     let Strip { input: in_c, weights: w_c, rn, out, ih0, iw0 } = *strip;
     for i in 0..rn * c_bn {
         // SAFETY: `out` is valid for `rn * c_bn` elements per contract.
         unsafe { *out.add(i) = 0.0 };
     }
-    for_each_tap!(kh, kw, unroll, |e, r, s| {
+    for e in 0..kh * kw {
+        let (r, s) = (e / kw, e % kw);
         let in_rs = in_c.add(((ih0 + r) * pw + iw0 + s) * c_bn);
         let w_rs = w_c.add(e * c_bn);
         for i in 0..rn {
@@ -568,7 +541,7 @@ unsafe fn dw_strip_scalar(geo: &Geo, strip: &Strip<f32, f32>) {
                 unsafe { *o.add(ci) += *px.add(ci) * *w_rs.add(ci) };
             }
         }
-    });
+    }
 }
 
 /// Portable int8 dense strip: exact i32 accumulation per (pixel, oc), f32
@@ -699,7 +672,7 @@ mod tests {
         for &rn in strip_lengths(16, os, 1, true).expect("the AVX-512 row") {
             // A pointwise row of `rn` pixels, two input chunks of two quads.
             let p = Conv2dParams { in_h: 1, in_w: rn, ..Conv2dParams::square(16, 16, 1, 1, 1, 0) };
-            let s = ConvSchedule { ic_bn: 8, oc_bn: 16, reg_n: rn, unroll_ker: true, dataflow: os };
+            let s = ConvSchedule { ic_bn: 8, oc_bn: 16, reg_n: rn, dataflow: os };
             let geo = Geo::new(&p, &s, 16, true);
             assert_eq!(geo.isa, Isa::Avx512Vnni);
             let mut input: Vec<u8> = (0..rn * 16).map(|_| next() as u8).collect();

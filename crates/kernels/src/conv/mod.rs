@@ -260,14 +260,17 @@ pub fn reg_n_candidates(oc_bn: usize, dataflow: Dataflow, kernel_w: usize, act: 
     }
 }
 
-/// The paper's convolution schedule tuple `(ic_bn, oc_bn, reg_n,
-/// unroll_ker)` (§3.3.1), extended with the strip [`Dataflow`].
+/// The paper's convolution schedule tuple `(ic_bn, oc_bn, reg_n)`
+/// (§3.3.1), extended with the strip [`Dataflow`].
 ///
 /// `ic_bn`/`oc_bn` are the input/output channel split factors (the `x` and
 /// `y` of `NCHW[x]c` / `OIHW[x]i[y]o`), `reg_n` is the number of SIMD
-/// accumulator registers blocking the output width, `unroll_ker`
-/// selects an unrolled kernel-loop body, and `dataflow` picks the strip
-/// microkernel's register-residency scheme.
+/// accumulator registers blocking the output width, and `dataflow` picks the
+/// strip microkernel's register-residency scheme. The paper's fourth
+/// element, the kernel-loop unroll flag (line 12 of Alg. 1), is not a
+/// dimension here: every strip walks the `(kh, kw)` taps as one flattened
+/// loop, the form that won a measured search on 300 of 307 zoo convs
+/// (EXPERIMENTS.md).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConvSchedule {
     /// Input-channel block (`x` in `NCHW[x]c`).
@@ -276,8 +279,6 @@ pub struct ConvSchedule {
     pub oc_bn: usize,
     /// Output-width register-blocking factor.
     pub reg_n: usize,
-    /// Whether to use the unrolled kernel-loop body (line 12 of Alg. 1).
-    pub unroll_ker: bool,
     /// Strip microkernel dataflow.
     pub dataflow: Dataflow,
 }
@@ -295,7 +296,6 @@ impl ConvSchedule {
             ic_bn: 1,
             oc_bn: 1,
             reg_n: 4,
-            unroll_ker: false,
             dataflow: Dataflow::OutputStationary,
         }
     }
@@ -350,10 +350,7 @@ impl ConvSchedule {
     /// all channel factors for `ic_bn`/`oc_bn`, every applicable
     /// [`Dataflow`], `reg_n` from the per-dataflow register-file-capped
     /// ladder (further capped by the width of the strip row,
-    /// [`Conv2dParams::strip_row`]), and both unroll settings for the
-    /// output-stationary kernel — one where they are the same code:
-    /// shift-reuse fixes its kernel-loop structure, and a single-tap kernel
-    /// has no kernel loop to flatten.
+    /// [`Conv2dParams::strip_row`]).
     ///
     /// Depthwise workloads constrain the space to `ic_bn == oc_bn` (the
     /// channel block is convolved element-wise with its own filters, so
@@ -367,7 +364,6 @@ impl ConvSchedule {
         let ic: Vec<usize> = factors_descending(p.in_channels, max_block);
         let oc: Vec<usize> = factors_descending(p.out_channels, max_block);
         let (_, width) = p.strip_row();
-        let single_tap = p.kernel_h * p.kernel_w == 1;
         let mut out = Vec::new();
         for &ic_bn in &ic {
             for &oc_bn in &oc {
@@ -378,29 +374,19 @@ impl ConvSchedule {
                     if dataflow == Dataflow::ShiftReuse && p.stride_w != 1 {
                         continue;
                     }
-                    let unrolls: &[bool] =
-                        if dataflow == Dataflow::OutputStationary && !single_tap {
-                            &[true, false]
-                        } else {
-                            &[true]
-                        };
                     let mut pushed = false;
                     for reg_n in reg_n_candidates(oc_bn, dataflow, p.kernel_w, DType::F32) {
                         if reg_n > width {
                             continue;
                         }
-                        for &unroll_ker in unrolls {
-                            out.push(ConvSchedule { ic_bn, oc_bn, reg_n, unroll_ker, dataflow });
-                        }
+                        out.push(ConvSchedule { ic_bn, oc_bn, reg_n, dataflow });
                         pushed = true;
                     }
                     if !pushed && dataflow == Dataflow::OutputStationary {
                         // Strip row too short for every listed reg_n (e.g.
                         // 1×1 spatial output): a single-register strip still
                         // works.
-                        for &unroll_ker in unrolls {
-                            out.push(ConvSchedule { ic_bn, oc_bn, reg_n: 1, unroll_ker, dataflow });
-                        }
+                        out.push(ConvSchedule { ic_bn, oc_bn, reg_n: 1, dataflow });
                     }
                 }
             }
@@ -421,7 +407,6 @@ impl ConvSchedule {
             ic_bn: 1,
             oc_bn: 1,
             reg_n: p.out_w().clamp(1, 4),
-            unroll_ker: false,
             dataflow: Dataflow::OutputStationary,
         }
     }
@@ -522,13 +507,13 @@ mod tests {
     #[test]
     fn schedule_validation() {
         let p = Conv2dParams::square(64, 128, 28, 3, 1, 1);
-        assert!(ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 8, unroll_ker: true, ..Default::default() }
+        assert!(ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 8, ..Default::default() }
             .validate(&p)
             .is_ok());
-        assert!(ConvSchedule { ic_bn: 48, oc_bn: 16, reg_n: 8, unroll_ker: true, ..Default::default() }
+        assert!(ConvSchedule { ic_bn: 48, oc_bn: 16, reg_n: 8, ..Default::default() }
             .validate(&p)
             .is_err());
-        assert!(ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 0, unroll_ker: true, ..Default::default() }
+        assert!(ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 0, ..Default::default() }
             .validate(&p)
             .is_err());
     }
@@ -538,10 +523,9 @@ mod tests {
         let p = Conv2dParams::square(64, 64, 56, 3, 1, 1);
         let cands = ConvSchedule::candidates(&p, 64);
         assert!(!cands.is_empty());
-        // ic/oc candidates are each ≤ 7; per pair: output-stationary emits
-        // ≤ 7 reg_n × 2 unroll, shift-reuse ≤ 7 reg_n at one unroll
-        // setting → ≤ 21.
-        assert!(cands.len() <= 7 * 7 * 21);
+        // ic/oc candidates are each ≤ 7; per pair: output-stationary and
+        // shift-reuse each emit ≤ 7 reg_n → ≤ 14.
+        assert!(cands.len() <= 7 * 7 * 14);
         for c in &cands {
             c.validate(&p).unwrap();
             assert!(c.reg_n <= 56);
@@ -568,15 +552,13 @@ mod tests {
     }
 
     #[test]
-    fn pointwise_candidates_span_the_plane_and_unroll_once() {
+    fn pointwise_candidates_span_the_plane_once() {
         // A 7×7 pointwise plane is one 49-pixel strip row: `reg_n` may
-        // exceed the image width, and a single tap leaves `unroll_ker`
-        // nothing to toggle, so each (blocks, reg_n) appears once.
+        // exceed the image width, and each (blocks, reg_n) appears once.
         let p = Conv2dParams::square(64, 64, 7, 1, 1, 0);
         assert_eq!(p.strip_row(), (1, 49));
         let cands = ConvSchedule::candidates(&p, 64);
         assert!(cands.iter().any(|c| c.oc_bn == 16 && c.reg_n == 28));
-        assert!(cands.iter().all(|c| c.unroll_ker));
         let mut keys: Vec<_> = cands.iter().map(|c| (c.ic_bn, c.oc_bn, c.reg_n)).collect();
         keys.sort_unstable();
         keys.dedup();
@@ -680,7 +662,6 @@ mod tests {
             ic_bn: 16,
             oc_bn: 16,
             reg_n: 8,
-            unroll_ker: true,
             dataflow: Dataflow::ShiftReuse,
         };
         assert!(sr.validate(&strided).is_err());
@@ -703,10 +684,10 @@ mod tests {
     #[test]
     fn depthwise_schedule_requires_equal_blocks() {
         let p = Conv2dParams::depthwise(32, 28, 3, 1, 1);
-        assert!(ConvSchedule { ic_bn: 8, oc_bn: 8, reg_n: 8, unroll_ker: false, ..Default::default() }
+        assert!(ConvSchedule { ic_bn: 8, oc_bn: 8, reg_n: 8, ..Default::default() }
             .validate(&p)
             .is_ok());
-        assert!(ConvSchedule { ic_bn: 8, oc_bn: 16, reg_n: 8, unroll_ker: false, ..Default::default() }
+        assert!(ConvSchedule { ic_bn: 8, oc_bn: 16, reg_n: 8, ..Default::default() }
             .validate(&p)
             .is_err());
         for c in ConvSchedule::candidates(&p, 64) {

@@ -22,7 +22,7 @@
 
 use std::arch::x86_64::*;
 
-use super::microkernel::{for_each_tap, Geo, Strip};
+use super::microkernel::{Geo, Strip};
 use crate::quantize::Lanes;
 
 /// A SIMD register — [`Lanes`] (`LANES` f32 lanes, the `oc_bn` the register
@@ -181,14 +181,15 @@ pub(super) unsafe fn os<V: Simd, const RN: usize, const DW: bool>(
     strip: &Strip<f32, f32>,
 ) {
     debug_assert!(geo.oc_bn == V::LANES && strip.rn == RN && geo.depthwise == DW);
-    let Geo { ph, pw, kh, kw, sw, unroll, .. } = *geo;
+    let Geo { ph, pw, kh, kw, sw, .. } = *geo;
     let Strip { input, weights, out, ih0, iw0, .. } = *strip;
     let (px, red, chunks) = walk::<V, DW>(geo);
     let mut acc = [V::splat(0.0); RN];
     for icc in 0..chunks {
         let in_c = input.add(icc * ph * pw * px);
         let w_c = weights.add(icc * kh * kw * red * V::LANES);
-        for_each_tap!(kh, kw, unroll, |e, r, s| {
+        for e in 0..kh * kw {
+            let (r, s) = (e / kw, e % kw);
             let in_rs = in_c.add(((ih0 + r) * pw + iw0 + s) * px);
             let w_rs = w_c.add(e * red * V::LANES);
             // Each reduced sub-channel's kernel vector against that
@@ -199,7 +200,7 @@ pub(super) unsafe fn os<V: Simd, const RN: usize, const DW: bool>(
                     acc[i] = fetch::<V, DW>(in_rs.add(i * sw * px + ici)).fma(wv, acc[i]);
                 }
             }
-        });
+        }
     }
     for i in 0..RN {
         acc[i].store(out.add(i * V::LANES));
@@ -267,13 +268,14 @@ pub(super) unsafe fn i8_dense<V: Simd, const RN: usize, const VNNI: bool>(
     mult: *const f32,
 ) {
     debug_assert!(geo.oc_bn == V::LANES && strip.rn == RN);
-    let Geo { ic_chunks, ic_bn, ph, pw, kh, kw, sw, unroll, .. } = *geo;
+    let Geo { ic_chunks, ic_bn, ph, pw, kh, kw, sw, .. } = *geo;
     let Strip { input: in_n, weights: w_oc, out, ih0, iw0, .. } = *strip;
     let mut acc = [V::zero_i32(); RN];
     for icc in 0..ic_chunks {
         let in_c = in_n.add(icc * ph * pw * ic_bn);
         let w_c = w_oc.add(icc * kh * kw * ic_bn * V::LANES);
-        for_each_tap!(kh, kw, unroll, |e, r, s| {
+        for e in 0..kh * kw {
+            let (r, s) = (e / kw, e % kw);
             let in_rs = in_c.add(((ih0 + r) * pw + iw0 + s) * ic_bn);
             let w_rs = w_c.add(e * ic_bn * V::LANES);
             // A quad of input sub-channels at a time.
@@ -284,7 +286,7 @@ pub(super) unsafe fn i8_dense<V: Simd, const RN: usize, const VNNI: bool>(
                     acc[i] = V::dot_quads::<VNNI>(acc[i], quad, wv);
                 }
             }
-        });
+        }
     }
     let mv = V::load(mult);
     for i in 0..RN {

@@ -5,9 +5,10 @@
 //! the output width is split by a register-blocking factor `reg_n`, and the
 //! innermost loops broadcast one vector of kernel values against `reg_n`
 //! accumulator vectors held in SIMD registers. The template is configured by
-//! a [`ConvSchedule`] tuple `(ic_bn, oc_bn, reg_n, unroll_ker)` — exactly
-//! the knobs the paper's local search explores — and dispatches to an
-//! AVX-512, AVX2, or portable-scalar microkernel at runtime.
+//! a [`ConvSchedule`] tuple `(ic_bn, oc_bn, reg_n)` plus a strip dataflow —
+//! the knobs the paper's local search explores, less its kernel-loop unroll
+//! flag: every strip runs the one flattened `(kh, kw)` tap loop — and
+//! dispatches to an AVX-512, AVX2, or portable-scalar microkernel at runtime.
 //!
 //! Reference kernels in plain `NCHW`/`NHWC` serve both as the correctness
 //! oracle for every optimized path and as the "framework default layout"

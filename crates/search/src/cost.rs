@@ -72,6 +72,10 @@ fn roofline(compute: f32, mem: f32) -> f32 {
     compute.max(mem) + 0.01 * compute.min(mem)
 }
 
+/// The credit both efficiencies give the flattened `(kh, kw)` tap loop that
+/// every strip runs — the unrolled kernel loop of Alg. 1 line 12.
+const TAP_LOOP: f32 = 1.05;
+
 /// How well `rn` independent accumulators cover the FMA latency.
 fn latency_util(rn: f32) -> f32 {
     (rn / 8.0).min(1.0) * 0.5 + 0.5 * (rn / 28.0).clamp(0.5, 1.0)
@@ -149,10 +153,7 @@ impl AnalyticalModel {
         } else {
             (self.l1_bytes as f32 / ws as f32).max(0.25)
         };
-        // Unrolling helps small kernels (branchiness), is neutral on big
-        // ones; model a small constant factor.
-        let unroll = if s.unroll_ker { 1.05 } else { 1.0 };
-        (vec_util * pipe_util * cache_util * unroll).clamp(0.01, 1.05)
+        (vec_util * pipe_util * cache_util * TAP_LOOP).clamp(0.01, 1.05)
     }
 
     /// Relative efficiency of the u8×i8 quad-packed kernel, on the same
@@ -184,8 +185,7 @@ impl AnalyticalModel {
         } else {
             (self.l1_bytes as f32 / ws as f32).max(0.25)
         };
-        let unroll = if s.unroll_ker { 1.05 } else { 1.0 };
-        (vec_util * pipe_util * cache_util * unroll).clamp(0.01, 2.1)
+        (vec_util * pipe_util * cache_util * TAP_LOOP).clamp(0.01, 2.1)
     }
 }
 
@@ -355,23 +355,23 @@ mod tests {
     #[test]
     fn analytical_prefers_vector_width_blocks() {
         let m = AnalyticalModel::default();
-        let full = ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 8, unroll_ker: true, ..Default::default() };
-        let narrow = ConvSchedule { ic_bn: 16, oc_bn: 2, reg_n: 8, unroll_ker: true, ..Default::default() };
+        let full = ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 8, ..Default::default() };
+        let narrow = ConvSchedule { ic_bn: 16, oc_bn: 2, reg_n: 8, ..Default::default() };
         assert!(m.conv_time(&wl(), &full) < m.conv_time(&wl(), &narrow));
     }
 
     #[test]
     fn analytical_prefers_enough_registers() {
         let m = AnalyticalModel::default();
-        let few = ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 2, unroll_ker: true, ..Default::default() };
-        let enough = ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 16, unroll_ker: true, ..Default::default() };
+        let few = ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 2, ..Default::default() };
+        let enough = ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 16, ..Default::default() };
         assert!(m.conv_time(&wl(), &enough) < m.conv_time(&wl(), &few));
     }
 
     #[test]
     fn analytical_prices_a_row_as_the_strips_that_run() {
         let m = AnalyticalModel::default();
-        let s = |reg_n| ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n, unroll_ker: true, ..Default::default() };
+        let s = |reg_n| ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n, ..Default::default() };
         // 14 pixels under reg_n 8 are 8 + 4 + 2, not a perfect 8: the one
         // strip that covers the row must model faster, and so must 16 on a
         // 28-pixel row (16 + 8 + 4) against 14 + 14.
@@ -407,7 +407,7 @@ mod tests {
         // the fixed output-stationary baseline (the ISSUE acceptance
         // criterion that at least one workload selects non-OS).
         let m = AnalyticalModel::default();
-        let os = ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 28, unroll_ker: true, ..Default::default() };
+        let os = ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 28, ..Default::default() };
         let sr = ConvSchedule { dataflow: Dataflow::ShiftReuse, ..os };
         assert!(m.conv_time(&wl(), &sr) < m.conv_time(&wl(), &os));
     }
@@ -419,7 +419,6 @@ mod tests {
             ic_bn: 16,
             oc_bn: 16,
             reg_n: 8,
-            unroll_ker: true,
             dataflow: Dataflow::ShiftReuse,
         };
         assert_eq!(m.conv_time_i8(&wl(), &sr), f32::INFINITY);
@@ -439,7 +438,7 @@ mod tests {
     fn analytical_depthwise_is_memory_bound_and_finite() {
         let m = AnalyticalModel::default();
         let dw = Conv2dParams::depthwise(64, 28, 3, 1, 1);
-        let s = ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 8, unroll_ker: true, ..Default::default() };
+        let s = ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 8, ..Default::default() };
         let t = m.conv_time(&dw, &s);
         assert!(t > 0.0 && t.is_finite());
         // A dense conv with the same channel counts does ~64x the MACs and
@@ -451,11 +450,11 @@ mod tests {
     #[test]
     fn analytical_int8_beats_f32_on_simd_blocks() {
         let m = AnalyticalModel::default();
-        let s = ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 8, unroll_ker: true, ..Default::default() };
+        let s = ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 8, ..Default::default() };
         assert!(m.conv_time_i8(&wl(), &s) < m.conv_time(&wl(), &s));
         // A narrow AVX2-style model still credits the oc_bn == 8 strip.
         let avx2 = AnalyticalModel { vec_lanes: 8, ..AnalyticalModel::default() };
-        let s8 = ConvSchedule { ic_bn: 8, oc_bn: 8, reg_n: 8, unroll_ker: true, ..Default::default() };
+        let s8 = ConvSchedule { ic_bn: 8, oc_bn: 8, reg_n: 8, ..Default::default() };
         assert!(avx2.conv_time_i8(&wl(), &s8) < avx2.conv_time(&wl(), &s8));
     }
 
@@ -463,12 +462,12 @@ mod tests {
     fn analytical_int8_rejects_unquaddable_blocks() {
         let m = AnalyticalModel::default();
         let p = Conv2dParams::square(6, 64, 28, 3, 1, 1);
-        let s = ConvSchedule { ic_bn: 2, oc_bn: 16, reg_n: 8, unroll_ker: false, ..Default::default() };
+        let s = ConvSchedule { ic_bn: 2, oc_bn: 16, reg_n: 8, ..Default::default() };
         assert_eq!(m.conv_time_i8(&p, &s), f32::INFINITY);
         // Depthwise kernels widen before multiplying and have no quad
         // constraint.
         let dw = Conv2dParams::depthwise(64, 28, 3, 1, 1);
-        let sdw = ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 8, unroll_ker: false, ..Default::default() };
+        let sdw = ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 8, ..Default::default() };
         assert!(m.conv_time_i8(&dw, &sdw).is_finite());
     }
 
@@ -480,7 +479,7 @@ mod tests {
         // noise differs between calls).
         let m = TimedMeasurer { repeats: 1, warmup: 0, max_lanes: usize::MAX };
         let p = Conv2dParams::square(8, 8, 8, 3, 1, 1);
-        let s = ConvSchedule { ic_bn: 8, oc_bn: 8, reg_n: 4, unroll_ker: false, ..Default::default() };
+        let s = ConvSchedule { ic_bn: 8, oc_bn: 8, reg_n: 4, ..Default::default() };
         let t = m.conv_time_i8(&p, &s);
         assert!(t > 0.0 && t.is_finite());
     }
@@ -489,7 +488,7 @@ mod tests {
     fn timed_measurer_handles_depthwise() {
         let m = TimedMeasurer { repeats: 1, warmup: 0, max_lanes: usize::MAX };
         let p = Conv2dParams::depthwise(8, 8, 3, 1, 1);
-        let s = ConvSchedule { ic_bn: 8, oc_bn: 8, reg_n: 4, unroll_ker: false, ..Default::default() };
+        let s = ConvSchedule { ic_bn: 8, oc_bn: 8, reg_n: 4, ..Default::default() };
         let t = m.conv_time(&p, &s);
         assert!(t > 0.0 && t.is_finite());
     }
@@ -498,7 +497,7 @@ mod tests {
     fn timed_measurer_returns_positive_times() {
         let m = TimedMeasurer { repeats: 1, warmup: 0, max_lanes: usize::MAX };
         let p = Conv2dParams::square(8, 8, 8, 3, 1, 1);
-        let s = ConvSchedule { ic_bn: 8, oc_bn: 8, reg_n: 4, unroll_ker: false, ..Default::default() };
+        let s = ConvSchedule { ic_bn: 8, oc_bn: 8, reg_n: 4, ..Default::default() };
         let t = m.conv_time(&p, &s);
         assert!(t > 0.0 && t.is_finite());
         let tt = m.transform_time(8, 8, 8, 8, 4);

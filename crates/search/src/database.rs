@@ -82,7 +82,7 @@ impl From<io::Error> for DbError {
 }
 
 /// The one header line the text format carries.
-const HEADER: &str = "neocpu-scheme-db v3";
+const HEADER: &str = "neocpu-scheme-db v4";
 
 /// In-memory scheme cache with text-file persistence.
 #[derive(Debug, Default, Clone)]
@@ -219,13 +219,12 @@ impl SchemeDatabase {
                 let sch = r.schedule;
                 writeln!(
                     s,
-                    "{} {} {} {} {} {} {} {:e}",
+                    "{} {} {} {} {} {} {:e}",
                     k.target,
                     fmt_workload(&k.params, k.dtype),
                     sch.ic_bn,
                     sch.oc_bn,
                     sch.reg_n,
-                    u8::from(sch.unroll_ker),
                     sch.dataflow.token(),
                     r.time,
                 )
@@ -304,8 +303,8 @@ fn parse_line(line: &str) -> Result<(WorkloadKey, RankedScheme), String> {
     let (params, dtype) =
         parse_workload(params_field).ok_or_else(|| format!("bad workload '{params_field}'"))?;
     let nums: Vec<&str> = f.collect();
-    let [ic_bn, oc_bn, reg_n, unroll, dataflow, time_field] = nums[..] else {
-        return Err(format!("expected 6 scheme fields, found {}", nums.len()));
+    let [ic_bn, oc_bn, reg_n, dataflow, time_field] = nums[..] else {
+        return Err(format!("expected 5 scheme fields, found {}", nums.len()));
     };
     let int = |s: &str, what: &str| -> Result<usize, String> {
         s.parse().map_err(|_| format!("{what} '{s}' is not an unsigned integer"))
@@ -314,11 +313,6 @@ fn parse_line(line: &str) -> Result<(WorkloadKey, RankedScheme), String> {
         ic_bn: int(ic_bn, "ic_bn")?,
         oc_bn: int(oc_bn, "oc_bn")?,
         reg_n: int(reg_n, "reg_n")?,
-        unroll_ker: match unroll {
-            "0" => false,
-            "1" => true,
-            other => return Err(format!("unroll flag '{other}' is not 0 or 1")),
-        },
         dataflow: Dataflow::from_token(dataflow)
             .ok_or_else(|| format!("dataflow token '{dataflow}' is not one of os/sr"))?,
     };
@@ -403,11 +397,11 @@ mod tests {
         let p = Conv2dParams::square(64, 128, 28, 3, 1, 1);
         let schemes = vec![
             RankedScheme {
-                schedule: ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 8, unroll_ker: true, ..Default::default() },
+                schedule: ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 8, ..Default::default() },
                 time: 1.25e-4,
             },
             RankedScheme {
-                schedule: ConvSchedule { ic_bn: 8, oc_bn: 32, reg_n: 4, unroll_ker: false, ..Default::default() },
+                schedule: ConvSchedule { ic_bn: 8, oc_bn: 32, reg_n: 4, ..Default::default() },
                 time: 2.5e-4,
             },
         ];
@@ -445,7 +439,7 @@ mod tests {
     fn depthwise_workloads_round_trip_with_groups_suffix() {
         let p = Conv2dParams::depthwise(64, 28, 3, 1, 1);
         let schemes = vec![RankedScheme {
-            schedule: ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 8, unroll_ker: false, ..Default::default() },
+            schedule: ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 8, ..Default::default() },
             time: 3.0e-5,
         }];
         let mut db = SchemeDatabase::new();
@@ -485,7 +479,7 @@ mod tests {
     fn depthwise_int8_keys_stack_both_suffixes() {
         let p = Conv2dParams::depthwise(64, 28, 3, 1, 1);
         let schemes = vec![RankedScheme {
-            schedule: ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 8, unroll_ker: false, ..Default::default() },
+            schedule: ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 8, ..Default::default() },
             time: 3.0e-5,
         }];
         let mut db = SchemeDatabase::new();
@@ -497,10 +491,10 @@ mod tests {
     }
 
     #[test]
-    fn v3_dataflow_keys_survive_put_get_merge_and_text() {
+    fn dataflow_keys_survive_put_get_merge_and_text() {
         let p = Conv2dParams::square(64, 128, 28, 3, 1, 1);
         let os = RankedScheme {
-            schedule: ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 8, unroll_ker: true, ..Default::default() },
+            schedule: ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 8, ..Default::default() },
             time: 1.25e-4,
         };
         let sr = RankedScheme {
@@ -508,7 +502,6 @@ mod tests {
                 ic_bn: 16,
                 oc_bn: 16,
                 reg_n: 8,
-                unroll_ker: true,
                 dataflow: Dataflow::ShiftReuse,
             },
             time: 1.0e-4,
@@ -522,7 +515,7 @@ mod tests {
         assert_eq!(got.len(), 2, "dataflow must be part of the dedup identity");
         assert_eq!(got[0].schedule.dataflow, Dataflow::ShiftReuse);
         let text = db.to_text();
-        assert!(text.starts_with("neocpu-scheme-db v3\n"), "{text}");
+        assert!(text.starts_with("neocpu-scheme-db v4\n"), "{text}");
         assert!(text.contains(" sr ") && text.contains(" os "), "row missing its token: {text}");
         let back = parse_clean(&text);
         let got = back.get("host", &p).unwrap();
@@ -533,13 +526,13 @@ mod tests {
 
     #[test]
     fn weight_stationary_rows_of_older_files_are_rejected_by_name() {
-        // A v3 file written before the weight-stationary dataflow was
-        // removed: the reader names the line and the token, and drops
+        // A row carrying the token of the removed weight-stationary
+        // dataflow: the reader names the line and the token, and drops
         // exactly that row while keeping its neighbours.
-        let text = "neocpu-scheme-db v3\n\
-            host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 sr 2e-4\n\
-            host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 ws 1e-4\n\
-            host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 os 3e-4\n";
+        let text = "neocpu-scheme-db v4\n\
+            host 64x128x28x28k3x3s1x1p1x1 16 16 8 sr 2e-4\n\
+            host 64x128x28x28k3x3s1x1p1x1 16 16 8 ws 1e-4\n\
+            host 64x128x28x28k3x3s1x1p1x1 16 16 8 os 3e-4\n";
         let (db, problems) = SchemeDatabase::from_text(text);
         match &problems[..] {
             [DbError::Line { line: 3, reason }] => {
@@ -556,7 +549,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_dtype_suffix() {
-        let text = "neocpu-scheme-db v3\nhost 64x128x28x28k3x3s1x1p1x1df16 16 16 8 1 os 1e-4\n";
+        let text = "neocpu-scheme-db v4\nhost 64x128x28x28k3x3s1x1p1x1df16 16 16 8 os 1e-4\n";
         let err = only_problem(text);
         assert!(matches!(err, DbError::Line { line: 2, .. }), "got {err:?}");
     }
@@ -634,29 +627,48 @@ mod tests {
     fn rejects_bad_header_and_lines() {
         // A bad header means no line after it is trusted, good ones included.
         let (db, problems) =
-            SchemeDatabase::from_text("who knows\nhost 64x128x28x28k3x3s1x1p1x1 16 16 8 1 os 1e-4\n");
+            SchemeDatabase::from_text("who knows\nhost 64x128x28x28k3x3s1x1p1x1 16 16 8 os 1e-4\n");
         assert!(db.is_empty());
         assert!(matches!(problems[..], [DbError::BadHeader { .. }]), "got {problems:?}");
-        let bad = "neocpu-scheme-db v3\nfoo bar\n";
+        let bad = "neocpu-scheme-db v4\nfoo bar\n";
         assert!(matches!(only_problem(bad), DbError::Line { line: 2, .. }));
     }
 
     #[test]
-    fn only_the_v3_header_and_six_field_rows_parse() {
-        let v1 = "neocpu-scheme-db v1\nhost 64x128x28x28k3x3s1x1p1x1 16 16 8 1 1e-4\n";
-        match only_problem(v1) {
-            e @ DbError::BadHeader { .. } => {
-                assert!(e.to_string().contains("'neocpu-scheme-db v3'"), "message was: {e}")
+    fn only_the_v4_header_and_five_field_rows_parse() {
+        // Older headers are refused whole, v3 (whose rows carry the removed
+        // kernel-unroll flag) included: no reader of an older format is kept.
+        for old in [
+            "neocpu-scheme-db v1\nhost 64x128x28x28k3x3s1x1p1x1 16 16 8 1 1e-4\n",
+            "neocpu-scheme-db v3\nhost 64x128x28x28k3x3s1x1p1x1 16 16 8 1 os 1e-4\n",
+        ] {
+            match only_problem(old) {
+                e @ DbError::BadHeader { .. } => {
+                    assert!(e.to_string().contains("'neocpu-scheme-db v4'"), "message was: {e}")
+                }
+                other => panic!("expected a bad header, got {other:?}"),
             }
-            other => panic!("expected a bad header, got {other:?}"),
         }
-        let five = "neocpu-scheme-db v3\nhost 64x128x28x28k3x3s1x1p1x1 16 16 8 1 1e-4\n";
-        match only_problem(five) {
-            DbError::Line { line: 2, reason } => {
-                assert!(reason.contains("6 scheme fields"), "reason was: {reason}")
-            }
-            other => panic!("expected a line-2 error, got {other:?}"),
-        }
+        // A v3-shaped six-field row and a four-field row under the v4
+        // header: each refused with its line number, the good row kept.
+        let text = "neocpu-scheme-db v4\n\
+            host 64x128x28x28k3x3s1x1p1x1 16 16 8 os 1e-4\n\
+            host 64x128x28x28k3x3s1x1p1x1 8 16 8 1 os 2e-4\n\
+            host 64x128x28x28k3x3s1x1p1x1 8 16 8 3e-4\n";
+        let (db, problems) = SchemeDatabase::from_text(text);
+        let got: Vec<(usize, &str)> = problems
+            .iter()
+            .map(|e| match e {
+                DbError::Line { line, reason } => (*line, reason.as_str()),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [(3, "expected 5 scheme fields, found 6"), (4, "expected 5 scheme fields, found 4")]
+        );
+        let p = Conv2dParams::square(64, 128, 28, 3, 1, 1);
+        assert_eq!(db.get("host", &p).unwrap().len(), 1);
     }
 
     #[test]
@@ -665,7 +677,7 @@ mod tests {
         let mut db = SchemeDatabase::new();
         db.put("host", &p, schemes);
         let mut text = db.to_text();
-        text.push_str("host garbage-workload 1 1 4 0 1.0\n");
+        text.push_str("host garbage-workload 1 1 4 os 1.0\n");
         // Header is line 1, two good rows are lines 2-3, garbage is line 4.
         let (back, problems) = SchemeDatabase::from_text(&text);
         match &problems[..] {
@@ -680,12 +692,12 @@ mod tests {
     #[test]
     fn rejects_truncated_last_line() {
         // The second row was cut off mid-write, losing its trailing fields.
-        let text = "neocpu-scheme-db v3\n\
-            host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 os 1e-4\n\
+        let text = "neocpu-scheme-db v4\n\
+            host 64x128x28x28k3x3s1x1p1x1 16 16 8 os 1e-4\n\
             host 64x128x28x28k3x3s1x1p1x1 8 32\n";
         match only_problem(text) {
             DbError::Line { line: 3, reason } => {
-                assert!(reason.contains("6 scheme fields"), "reason was: {reason}")
+                assert!(reason.contains("5 scheme fields"), "reason was: {reason}")
             }
             other => panic!("expected line-3 error, got {other:?}"),
         }
@@ -694,7 +706,7 @@ mod tests {
     #[test]
     fn rejects_non_finite_and_negative_times() {
         for bad_time in ["NaN", "inf", "-1.0"] {
-            let text = format!("neocpu-scheme-db v3\nhost 64x128x28x28k3x3s1x1p1x1 16 16 8 1 os {bad_time}\n");
+            let text = format!("neocpu-scheme-db v4\nhost 64x128x28x28k3x3s1x1p1x1 16 16 8 os {bad_time}\n");
             let err = only_problem(&text);
             assert!(matches!(err, DbError::Line { line: 2, .. }), "{bad_time}: got {err:?}");
         }
@@ -704,10 +716,10 @@ mod tests {
     fn rejects_schemes_invalid_for_their_workload() {
         // ic_bn 48 does not divide 64; reg_n 0 is out of range.
         for bad in [
-            "host 64x128x28x28k3x3s1x1p1x1 48 16 8 1 os 1e-4",
-            "host 64x128x28x28k3x3s1x1p1x1 16 16 0 1 os 1e-4",
+            "host 64x128x28x28k3x3s1x1p1x1 48 16 8 os 1e-4",
+            "host 64x128x28x28k3x3s1x1p1x1 16 16 0 os 1e-4",
         ] {
-            let text = format!("neocpu-scheme-db v3\n{bad}\n");
+            let text = format!("neocpu-scheme-db v4\n{bad}\n");
             match only_problem(&text) {
                 DbError::Line { line: 2, reason } => {
                     assert!(reason.contains("invalid scheme"), "reason was: {reason}")
@@ -719,8 +731,8 @@ mod tests {
 
     #[test]
     fn rejects_duplicate_rows() {
-        let row = "host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 os 1e-4";
-        let text = format!("neocpu-scheme-db v3\n{row}\n{row}\n");
+        let row = "host 64x128x28x28k3x3s1x1p1x1 16 16 8 os 1e-4";
+        let text = format!("neocpu-scheme-db v4\n{row}\n{row}\n");
         match only_problem(&text) {
             DbError::Line { line: 3, reason } => {
                 assert!(reason.contains("duplicate"), "reason was: {reason}")
@@ -731,9 +743,9 @@ mod tests {
 
     #[test]
     fn bad_lines_are_skipped_and_reported() {
-        let good = "host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 os 1e-4";
+        let good = "host 64x128x28x28k3x3s1x1p1x1 16 16 8 os 1e-4";
         let text = format!(
-            "neocpu-scheme-db v3\n{good}\ntotal garbage\n{good}\nhost 64x128x28x28k3x3s1x1p1x1 48 16 8 1 os 1e-4\n"
+            "neocpu-scheme-db v4\n{good}\ntotal garbage\n{good}\nhost 64x128x28x28k3x3s1x1p1x1 48 16 8 os 1e-4\n"
         );
         let (db, skipped) = SchemeDatabase::from_text(&text);
         // The good row survives; the duplicate, the garbage line, and the
@@ -752,9 +764,9 @@ mod tests {
 
     #[test]
     fn surviving_schemes_are_sorted_by_time() {
-        let text = "neocpu-scheme-db v3\n\
-            host 64x128x28x28k3x3s1x1p1x1 8 32 4 0 os 2.5e-4\n\
-            host 64x128x28x28k3x3s1x1p1x1 16 16 8 1 os 1.25e-4\n";
+        let text = "neocpu-scheme-db v4\n\
+            host 64x128x28x28k3x3s1x1p1x1 8 32 4 os 2.5e-4\n\
+            host 64x128x28x28k3x3s1x1p1x1 16 16 8 os 1.25e-4\n";
         let db = parse_clean(text);
         let p = Conv2dParams::square(64, 128, 28, 3, 1, 1);
         let got = db.get("host", &p).unwrap();

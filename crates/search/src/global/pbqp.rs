@@ -298,7 +298,7 @@ mod tests {
     fn mk_node(conv: usize, costs: Vec<f32>) -> ProblemNode {
         let params = Conv2dParams::square(16, 16, 8, 3, 1, 1);
         let candidates = (0..costs.len())
-            .map(|i| ConvSchedule { ic_bn: 1 << i, oc_bn: 1 << i, reg_n: 4, unroll_ker: false, ..Default::default() })
+            .map(|i| ConvSchedule { ic_bn: 1 << i, oc_bn: 1 << i, reg_n: 4, ..Default::default() })
             .collect();
         ProblemNode { conv, params, candidates, costs }
     }

@@ -1,12 +1,13 @@
 //! Two-stage optimization scheme search (NeoCPU §3.3).
 //!
 //! **Local search** (§3.3.1) walks the candidate space of one convolution —
-//! all channel-factor pairs `(ic_bn, oc_bn)`, the fixed `reg_n` candidate
-//! list, both `unroll_ker` settings — and ranks the schedules by execution
-//! time, either *measured* on the real kernel (the paper's method) or
-//! *predicted* by a deterministic analytical model (used by fast tests and
-//! for pre-selection). A [`SchemeDatabase`] caches results per workload so
-//! repeated convolutions across models search once.
+//! all channel-factor pairs `(ic_bn, oc_bn)`, both strip dataflows and the
+//! per-dataflow `reg_n` ladder; not the paper's kernel-unroll flag, since
+//! every strip runs one flattened tap loop — and ranks the schedules by
+//! execution time, either *measured* on the real kernel (the paper's
+//! method) or *predicted* by a deterministic analytical model (used by fast
+//! tests and for pre-selection). A [`SchemeDatabase`] caches results per
+//! workload so repeated convolutions across models search once.
 //!
 //! **Global search** (§3.3.2) picks one scheme per convolution for a whole
 //! model, trading each CONV's local optimum against the layout-transform

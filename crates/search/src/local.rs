@@ -13,13 +13,14 @@ pub struct RankedScheme {
     pub time: f32,
 }
 
+/// Upper bound on the channel block factors a local search considers (the
+/// paper lists all factors; capping at the line size keeps the space sane
+/// for 2048-channel layers).
+const MAX_BLOCK: usize = 64;
+
 /// Local-search configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct LocalSearchCfg {
-    /// Upper bound on channel block factors considered (the paper lists all
-    /// factors; capping at the line size keeps the space sane for
-    /// 2048-channel layers).
-    pub max_block: usize,
     /// If set, the candidate space is first ranked by the analytical model
     /// and only the best `n` candidates are evaluated with the real cost
     /// model — the hybrid mode the harness uses to keep full-model searches
@@ -38,7 +39,6 @@ pub struct LocalSearchCfg {
 impl Default for LocalSearchCfg {
     fn default() -> Self {
         Self {
-            max_block: 64,
             preselect: None,
             preselect_model: AnalyticalModel::default(),
             keep: 16,
@@ -53,7 +53,7 @@ pub fn local_search(
     model: &dyn CostModel,
     cfg: &LocalSearchCfg,
 ) -> Vec<RankedScheme> {
-    let mut candidates = ConvSchedule::candidates(params, cfg.max_block);
+    let mut candidates = ConvSchedule::candidates(params, MAX_BLOCK);
     if let Some(n) = cfg.preselect {
         // Each candidate is priced once (a row-aware price walks the row's
         // strips), then ranked. `total_cmp` instead of

@@ -29,7 +29,7 @@ fn main() {
         &target.name,
         &workload,
         vec![RankedScheme {
-            schedule: ConvSchedule { ic_bn: 5, oc_bn: 16, reg_n: 8, unroll_ker: true, ..Default::default() },
+            schedule: ConvSchedule { ic_bn: 5, oc_bn: 16, reg_n: 8, ..Default::default() },
             time: 1e-4,
         }],
     );

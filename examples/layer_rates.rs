@@ -76,12 +76,11 @@ fn plan_text(p: &Conv2dParams, s: &ConvSchedule, max_lanes: usize, act: DType) -
 
 fn schedule_text(s: &ConvSchedule) -> String {
     format!(
-        "ic{} oc{} rn{} {}{}",
+        "ic{} oc{} rn{} {}",
         s.ic_bn,
         s.oc_bn,
         s.reg_n,
         s.dataflow.token(),
-        if s.unroll_ker { " unroll" } else { "" },
     )
 }
 
@@ -92,7 +91,6 @@ fn f32_best(p: &Conv2dParams, target: &CpuTarget) -> Option<(ConvSchedule, f64)>
         preselect: Some(PRESELECT),
         preselect_model: target.analytical_model(),
         keep: 1,
-        ..LocalSearchCfg::default()
     };
     local_search(p, &measurer, &cfg).first().map(|r| (r.schedule, f64::from(r.time)))
 }
@@ -173,7 +171,7 @@ fn sweep(name: &str, lanes: usize) {
         let ic_bn = if p.is_depthwise() { lanes } else { 64 };
         let mut line = format!("sweep      {name:<7} {body:<9} {:<22}", shape_text(&p));
         for reg_n in reg_n_candidates(lanes, Dataflow::OutputStationary, p.kernel_w, DType::U8) {
-            let s = ConvSchedule { ic_bn, oc_bn: lanes, reg_n, unroll_ker: true, ..Default::default() };
+            let s = ConvSchedule { ic_bn, oc_bn: lanes, reg_n, ..Default::default() };
             line += &format!(" rn{reg_n} {:.1}", u8_secs(&p, &s, lanes) * 1e6);
         }
         println!("{line} µs");

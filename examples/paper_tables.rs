@@ -499,10 +499,10 @@ fn local_search_report(cfg: &Cfg) {
             let best = db.get("host", p).expect("inserted")[0];
             let s = best.schedule;
             println!(
-                "C{:4}→{:4} @{:3}x{:<3} k{}x{} s{}: space {:4}, best (ic={:2}, oc={:2}, reg_n={:2}, unroll={}) {:9.1} µs",
+                "C{:4}→{:4} @{:3}x{:<3} k{}x{} s{}: space {:4}, best (ic={:2}, oc={:2}, reg_n={:2}) {:9.1} µs",
                 p.in_channels, p.out_channels, p.in_h, p.in_w, p.kernel_h, p.kernel_w,
                 p.stride_h, ConvSchedule::candidates(p, 64).len(),
-                s.ic_bn, s.oc_bn, s.reg_n, s.unroll_ker, best.time * 1e6,
+                s.ic_bn, s.oc_bn, s.reg_n, best.time * 1e6,
             );
         }
     }

@@ -39,7 +39,7 @@ fn main() {
             distinct += 1;
             let best = db.get("host", &p).expect("just inserted")[0];
             println!(
-                "workload C{:4}→{:4} {}x{} k{}: best (ic_bn={:2}, oc_bn={:2}, reg_n={:2}, unroll={}) {:9.1} µs",
+                "workload C{:4}→{:4} {}x{} k{}: best (ic_bn={:2}, oc_bn={:2}, reg_n={:2}) {:9.1} µs",
                 p.in_channels,
                 p.out_channels,
                 p.in_h,
@@ -48,7 +48,6 @@ fn main() {
                 best.schedule.ic_bn,
                 best.schedule.oc_bn,
                 best.schedule.reg_n,
-                best.schedule.unroll_ker,
                 best.time * 1e6,
             );
         }

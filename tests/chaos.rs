@@ -372,11 +372,15 @@ fn stalled_worker_is_abandoned_and_replaced() {
                 Ok(()) | Err(NeoError::WorkerLost { .. }) => {}
                 Err(e) => panic!("seed {seed}: unexpected stall-drill outcome {e}"),
             }
-            if engine.report().stalls >= 1 {
+            // The watchdog fails the stalled batch before it respawns the
+            // worker, so a waiter may see the stall counted and the respawn
+            // not yet: keep polling until both are.
+            let rep = engine.report();
+            if rep.stalls >= 1 && rep.respawns >= 1 {
                 break;
             }
             spins += 1;
-            assert!(spins < 10_000, "seed {seed}: watchdog never flagged a stall");
+            assert!(spins < 10_000, "seed {seed}: watchdog never replaced a stalled worker: {rep}");
         }
         let rep = engine.report();
         assert!(rep.stalls >= 1 && rep.respawns >= 1, "seed {seed}: {rep}");

@@ -67,7 +67,6 @@ impl Case {
             ic_bn,
             oc_bn: BN,
             reg_n: self.reg_n,
-            unroll_ker: false,
             ..Default::default()
         }
     }

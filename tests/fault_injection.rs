@@ -174,7 +174,6 @@ fn db_load_failpoint_blocks_the_loader() {
                 ic_bn: 8,
                 oc_bn: 16,
                 reg_n: 8,
-                unroll_ker: true,
                 ..Default::default()
             },
             time: 1e-4,

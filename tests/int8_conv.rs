@@ -1,8 +1,8 @@
 //! The int8 instantiation of the blocked template, one property per test:
 //! the u8×i8 convolution against an f32 convolution over the *dequantized*
-//! operands, SIMD tiers and `unroll_ker` variants bit-identical (integer
-//! accumulation is exact), caller-planned scratch, the fused epilogue after
-//! the dequantizing store, and the operands the template must refuse.
+//! operands, SIMD tiers bit-identical (integer accumulation is exact),
+//! caller-planned scratch, the fused epilogue after the dequantizing store,
+//! and the operands the template must refuse.
 //!
 //! `tests/strip_matrix.rs` and `tests/conv_driver_matrix.rs` sweep the same
 //! code over every strip length and driver axis; these are the readable
@@ -108,7 +108,7 @@ fn run_int8(case: &QuantCase, p: &Conv2dParams, s: &ConvSchedule, max_lanes: usi
 #[test]
 fn int8_matches_dequantized_reference_scalar() {
     let p = Conv2dParams::square(8, 6, 9, 3, 1, 1);
-    let s = ConvSchedule { ic_bn: 4, oc_bn: 3, reg_n: 4, unroll_ker: false, ..Default::default() };
+    let s = ConvSchedule { ic_bn: 4, oc_bn: 3, reg_n: 4, ..Default::default() };
     let case = make_case(&p, 4, 3, 101);
     let got = run_int8(&case, &p, &s, 1);
     let want = dequantized_reference(&case, &p);
@@ -122,7 +122,7 @@ fn int8_simd_paths_are_bit_identical_to_scalar() {
     // the comparison is then trivially exact).
     for &(oc_bn, lanes) in &[(8usize, 8usize), (16, 16)] {
         let p = Conv2dParams::square(16, 32, 11, 3, 2, 1);
-        let s = ConvSchedule { ic_bn: 8, oc_bn, reg_n: 4, unroll_ker: true, ..Default::default() };
+        let s = ConvSchedule { ic_bn: 8, oc_bn, reg_n: 4, ..Default::default() };
         let case = make_case(&p, 8, oc_bn, 202);
         let scalar = run_int8(&case, &p, &s, 1);
         let simd = run_int8(&case, &p, &s, lanes);
@@ -131,26 +131,9 @@ fn int8_simd_paths_are_bit_identical_to_scalar() {
 }
 
 #[test]
-fn int8_unroll_variants_agree() {
-    let p = Conv2dParams::square(8, 8, 10, 3, 1, 1);
-    let case = make_case(&p, 8, 8, 303);
-    let a = run_int8(
-        &case, &p,
-        &ConvSchedule { ic_bn: 8, oc_bn: 8, reg_n: 8, unroll_ker: true, ..Default::default() },
-        usize::MAX,
-    );
-    let b = run_int8(
-        &case, &p,
-        &ConvSchedule { ic_bn: 8, oc_bn: 8, reg_n: 8, unroll_ker: false, ..Default::default() },
-        usize::MAX,
-    );
-    assert_eq!(a.data(), b.data());
-}
-
-#[test]
 fn int8_depthwise_matches_dequantized_reference() {
     let p = Conv2dParams::depthwise(16, 9, 3, 1, 1);
-    let s = ConvSchedule { ic_bn: 8, oc_bn: 8, reg_n: 4, unroll_ker: false, ..Default::default() };
+    let s = ConvSchedule { ic_bn: 8, oc_bn: 8, reg_n: 4, ..Default::default() };
     let case = make_case(&p, 8, 8, 404);
     let got = run_int8(&case, &p, &s, usize::MAX);
     let want = dequantized_reference(&case, &p);
@@ -163,7 +146,7 @@ fn int8_depthwise_matches_dequantized_reference() {
 #[test]
 fn int8_depthwise_avx512_matches_scalar() {
     let p = Conv2dParams::depthwise(32, 9, 3, 2, 1);
-    let s = ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 2, unroll_ker: false, ..Default::default() };
+    let s = ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 2, ..Default::default() };
     let case = make_case(&p, 16, 16, 505);
     let scalar = run_int8(&case, &p, &s, 1);
     let simd = run_int8(&case, &p, &s, 16);
@@ -173,7 +156,7 @@ fn int8_depthwise_avx512_matches_scalar() {
 #[test]
 fn planned_scratch_matches_internal_padding() {
     let p = Conv2dParams::square(8, 8, 10, 3, 1, 1);
-    let s = ConvSchedule { ic_bn: 4, oc_bn: 8, reg_n: 4, unroll_ker: false, ..Default::default() };
+    let s = ConvSchedule { ic_bn: 4, oc_bn: 8, reg_n: 4, ..Default::default() };
     let case = make_case(&p, 4, 8, 606);
     let auto = run_int8(&case, &p, &s, usize::MAX);
     let mut planned =
@@ -201,7 +184,7 @@ fn planned_scratch_matches_internal_padding() {
 #[test]
 fn rejects_unquaddable_ic_bn_and_wrong_dtypes() {
     let p = Conv2dParams::square(6, 8, 6, 3, 1, 1);
-    let s = ConvSchedule { ic_bn: 3, oc_bn: 8, reg_n: 4, unroll_ker: false, ..Default::default() };
+    let s = ConvSchedule { ic_bn: 3, oc_bn: 8, reg_n: 4, ..Default::default() };
     let input =
         Tensor::zeros_dtyped([1, 6, 6, 6], Layout::NchwC(3), DType::U8).unwrap();
     let weights =
@@ -217,7 +200,7 @@ fn rejects_unquaddable_ic_bn_and_wrong_dtypes() {
 
     // f32 input with an int8-valid schedule: dtype check fires.
     let p = Conv2dParams::square(8, 8, 6, 3, 1, 1);
-    let s = ConvSchedule { ic_bn: 4, oc_bn: 8, reg_n: 4, unroll_ker: false, ..Default::default() };
+    let s = ConvSchedule { ic_bn: 4, oc_bn: 8, reg_n: 4, ..Default::default() };
     let f32_input = Tensor::zeros([1, 8, 6, 6], Layout::NchwC(4)).unwrap();
     let weights =
         Tensor::zeros_dtyped([8, 8, 3, 3], Layout::OihwIo4 { i: 4, o: 8 }, DType::I8).unwrap();
@@ -232,7 +215,7 @@ fn rejects_unquaddable_ic_bn_and_wrong_dtypes() {
 #[test]
 fn fused_epilogue_applies_after_dequant() {
     let p = Conv2dParams::square(8, 8, 6, 3, 1, 1);
-    let s = ConvSchedule { ic_bn: 4, oc_bn: 8, reg_n: 4, unroll_ker: false, ..Default::default() };
+    let s = ConvSchedule { ic_bn: 4, oc_bn: 8, reg_n: 4, ..Default::default() };
     let case = make_case(&p, 4, 8, 707);
     let plain = run_int8(&case, &p, &s, usize::MAX);
 

@@ -65,7 +65,6 @@ proptest! {
         ic_sel in 0usize..4,
         oc_sel in 0usize..4,
         reg_sel in 0usize..4,
-        unroll in any::<bool>(),
         seed in 0u64..500,
     ) {
         let cin = [3, 4, 6, 8][cin_sel];
@@ -80,7 +79,6 @@ proptest! {
             ic_bn: fin[ic_sel % fin.len()],
             oc_bn: fout[oc_sel % fout.len()],
             reg_n: [2, 4, 8, 16][reg_sel],
-            unroll_ker: unroll,
             ..Default::default()
         };
         let input = Tensor::random([1, cin, size, size], Layout::Nchw, seed, 1.0).unwrap();
@@ -117,7 +115,6 @@ proptest! {
         stride in 1usize..3,
         bn_sel in 0usize..4,
         reg_sel in 0usize..4,
-        unroll in any::<bool>(),
         batch in 1usize..3,
         seed in 0u64..500,
     ) {
@@ -132,7 +129,6 @@ proptest! {
             ic_bn: bn,
             oc_bn: bn,
             reg_n: [1, 2, 4, 8][reg_sel],
-            unroll_ker: unroll,
             ..Default::default()
         };
         let input = Tensor::random([batch, c, size, size], Layout::Nchw, seed, 1.0).unwrap();
@@ -226,11 +222,10 @@ proptest! {
         ic_bn in 0usize..40,
         oc_bn in 0usize..40,
         reg_n in 0usize..40,
-        unroll in any::<bool>(),
         seed in 0u64..200,
     ) {
         let p = Conv2dParams::square(12, 20, 8, 3, 1, 1);
-        let s = ConvSchedule { ic_bn, oc_bn, reg_n, unroll_ker: unroll, ..Default::default() };
+        let s = ConvSchedule { ic_bn, oc_bn, reg_n, ..Default::default() };
         prop_assume!(s.validate(&p).is_err());
         let input = Tensor::random([1, 12, 8, 8], Layout::Nchw, seed, 1.0).unwrap();
         let weights = Tensor::random([20, 12, 3, 3], Layout::Oihw, seed + 1, 1.0).unwrap();
