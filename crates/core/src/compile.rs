@@ -4,20 +4,25 @@
 //! optimization passes:
 //!
 //! 1. **Graceful degradation** — scheme-database entries (possibly loaded
-//!    from a stale, corrupt, or foreign file) are verified against the
-//!    current target *before* they can influence planning. Entries that
-//!    fail are dropped and recorded in a [`CompileReport`]; a workload left
-//!    with no viable scheme gets a synthesized conservative default rather
-//!    than aborting compilation.
+//!    from a stale, corrupt, or foreign file) are verified against their
+//!    workload *before* they can influence planning: the schedule must pass
+//!    `ConvSchedule::validate` and the recorded time must be a finite,
+//!    non-negative cost. Entries that fail are dropped and recorded in a
+//!    [`CompileReport`]; a workload left with no viable scheme gets the
+//!    unsearched schedule (`ConvSchedule::unsearched`) rather than aborting
+//!    compilation. No schedule has to fit a register file: the template
+//!    cuts every row into strips its tier's table holds (`StripPlan`), so a
+//!    `reg_n` longer than the target's registers runs as the longest strip
+//!    that fits.
 //! 2. **Checks on the final graph** — each invariant is checked once before
 //!    any kernel runs: structure (topological inputs, arity, parameter and
 //!    output bounds) by `Graph::validate`, shapes against each conv's
 //!    workload by `infer_shapes`, layout and dtype flow (u8 edges with their
 //!    quantization parameters) and layout/shape agreement by
-//!    `infer_layouts`. The one rule graph inference cannot know is the
-//!    target's: every scheduled conv's schedule must divide its workload and
-//!    fit the target's register file. `verify_module` checks that and
-//!    reports a violation as a typed [`NeoError::Verify`].
+//!    `infer_layouts`. The one rule graph inference does not check is the
+//!    schedule's own: every scheduled conv's schedule must divide its
+//!    workload. `verify_module` checks that and reports a violation as a
+//!    typed [`NeoError::Verify`].
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -28,7 +33,7 @@ use neocpu_graph::passes::{
     wrap_convs_with_transforms, UniformPlanCfg,
 };
 use neocpu_graph::{infer_layouts, infer_shapes, Graph, NodeId, Op};
-use neocpu_kernels::conv::{factors_descending, fitting_reg_n, Conv2dParams, ConvSchedule};
+use neocpu_kernels::conv::{Conv2dParams, ConvSchedule};
 use neocpu_search::{
     extract_problem, local_search, solve, CostModel, GlobalCfg, LocalSearchCfg, RankedScheme,
     SchemeDatabase, TimedMeasurer,
@@ -125,8 +130,7 @@ impl CompileOptions {
     }
 }
 
-/// A scheme-database entry rejected by target verification during
-/// compilation.
+/// A scheme-database entry rejected by verification during compilation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DroppedScheme {
     /// Conv node whose workload the entry belonged to.
@@ -237,20 +241,18 @@ pub(crate) fn plan_stage(
     let simplified = simplify_inference(graph)?;
     let fused = if opts.fuse { fuse_ops(&simplified)? } else { simplified };
 
-    let cfg = UniformPlanCfg {
-        block: target.preferred_block(),
-        reg_n: default_reg_n(target),
-    };
+    let cfg = uniform_cfg(target);
     let planned = match opts.opt_level {
         OptLevel::O0 => fused,
         OptLevel::O1 => wrap_convs_with_transforms(&fused, &cfg)?,
         OptLevel::O2 => plan_uniform(&fused, &cfg)?,
         OptLevel::O3 => {
-            // Every candidate the solver picks from has passed target
-            // verification (or is `default_schedule`), so the schedules go
-            // straight to layout planning; `verify_module` fails the
-            // compile if that ever stops holding.
-            let schedules = global_search(&fused, target, opts, db, report, int8)?;
+            // Every candidate the solver picks from is valid for its
+            // workload — freshly searched, a database entry that passed
+            // verification, or the unsearched fallback — so the schedules go
+            // straight to layout planning; `verify_module` fails the compile
+            // if that ever stops holding.
+            let schedules = global_search(&fused, target, &cfg, opts, db, report, int8)?;
             plan_assigned(&fused, &schedules, &cfg)?
         }
     };
@@ -258,8 +260,8 @@ pub(crate) fn plan_stage(
 }
 
 /// Runs the back half of the pipeline on a planned graph: weight
-/// pre-transformation, shape and layout inference, the target check of
-/// every conv schedule, parameter compaction, and executable module
+/// pre-transformation, shape and layout inference, the check of every conv
+/// schedule against its workload, parameter compaction, and executable module
 /// construction. Taking the graph by value lets each plain weight go as
 /// soon as its blocked copy exists, and the module keeps only the
 /// parameters its nodes reference.
@@ -272,7 +274,7 @@ pub(crate) fn finish_module(
     precompute_weights_in_place(&mut g)?;
     let shapes = infer_shapes(&g)?;
     let (layouts, dtypes) = infer_layouts(&g, &shapes)?;
-    verify_module(&g, target)?;
+    verify_module(&g)?;
     g.compact_params();
     let pool = make_pool(opts);
     let module = Module::new(g, shapes, layouts, dtypes, pool, target.max_lanes())?;
@@ -312,13 +314,11 @@ impl<M: CostModel> CostModel for Int8Cost<'_, M> {
 
 /// Runs the two-stage search and returns per-conv schedules.
 ///
-/// Cached database entries are verified for the current target first;
+/// Cached database entries are verified against their workload first;
 /// failures are dropped into `report` (the database may have been loaded
-/// from a stale or corrupt file, or recorded for a different machine).
-/// Freshly searched candidates pass through the same filter silently —
-/// pruning target-infeasible points of the generic candidate space is part
-/// of the search, not a fault. A workload left without any viable scheme
-/// degrades to a synthesized conservative default.
+/// from a stale or corrupt file, or edited by hand). Freshly searched
+/// candidates are valid by construction. A workload left without any
+/// viable scheme degrades to the unsearched schedule of `cfg`.
 ///
 /// With `int8` set, every conv workload is *additionally* searched under
 /// the int8 cost model (always analytical — [`TimedMeasurer`] only runs
@@ -331,6 +331,7 @@ impl<M: CostModel> CostModel for Int8Cost<'_, M> {
 fn global_search(
     g: &Graph,
     target: &CpuTarget,
+    cfg: &UniformPlanCfg,
     opts: &CompileOptions,
     db: &mut SchemeDatabase,
     report: &mut CompileReport,
@@ -354,19 +355,19 @@ fn global_search(
         }
     };
     let mut ranked = |node: NodeId, params: &Conv2dParams| -> Vec<RankedScheme> {
-        let mut kept = verified_schemes(db, target, node, params, DType::F32, report, || {
+        let mut kept = verified_schemes(db, &target.name, node, params, DType::F32, report, || {
             match &timed {
                 Some(t) => local_search(params, t, &local_cfg),
                 None => local_search(params, &analytical, &local_cfg),
             }
         });
         if kept.is_empty() {
-            let fb = default_schedule(params, target);
+            let fb = ConvSchedule::unsearched(params, cfg.block, cfg.reg_n);
             report.fallbacks.push(ScheduleFallback {
                 node,
                 params: *params,
                 fallback: fb,
-                reason: "no scheme survived target verification".into(),
+                reason: "no scheme survived verification".into(),
             });
             let t = analytical.conv_time(params, &fb);
             let time = if t.is_finite() && t >= 0.0 { t } else { 1.0 };
@@ -378,7 +379,7 @@ fn global_search(
         // would resurrect the very entries verification just rejected.
         db.replace(&target.name, params, kept.clone());
         if int8 {
-            let kept8 = verified_schemes(db, target, node, params, DType::U8, report, || {
+            let kept8 = verified_schemes(db, &target.name, node, params, DType::U8, report, || {
                 local_search(params, &Int8Cost(&analytical), &local_cfg)
             });
             db.replace_dtyped(&target.name, params, DType::U8, kept8.clone());
@@ -408,27 +409,24 @@ fn global_search(
     Ok(problem.assignment_to_schedules(&assignment))
 }
 
-/// One workload's candidate list for `dtype`: the database's entry minus
-/// the schemes that no longer verify on `target` (each drop recorded in
-/// `report`), or, without an entry, `search()`'s list filtered the same way.
+/// One workload's candidate list for `dtype`: the database's entry for
+/// `target` minus the schemes that fail [`verify_ranked`] (each drop
+/// recorded in `report`), or, without an entry, `search()`'s list.
 fn verified_schemes(
     db: &SchemeDatabase,
-    target: &CpuTarget,
+    target: &str,
     node: NodeId,
     params: &Conv2dParams,
     dtype: DType,
     report: &mut CompileReport,
     search: impl FnOnce() -> Vec<RankedScheme>,
 ) -> Vec<RankedScheme> {
-    let Some(cached) = db.get_dtyped(&target.name, params, dtype) else {
-        return search()
-            .into_iter()
-            .filter(|r| verify_ranked_for_target(params, r, target).is_ok())
-            .collect();
+    let Some(cached) = db.get_dtyped(target, params, dtype) else {
+        return search();
     };
     cached
         .iter()
-        .filter(|r| match verify_ranked_for_target(params, r, target) {
+        .filter(|r| match verify_ranked(params, r) {
             Ok(()) => true,
             Err(reason) => {
                 report.dropped_schemes.push(DroppedScheme {
@@ -444,95 +442,43 @@ fn verified_schemes(
         .collect()
 }
 
-/// A conservative schedule for `params` that always verifies on `target`:
-/// the largest channel factors within the preferred block, and the longest
-/// strip the template runs within the target's default register blocking.
-fn default_schedule(params: &Conv2dParams, target: &CpuTarget) -> ConvSchedule {
-    let block = target.preferred_block();
-    let oc_bn = factors_descending(params.out_channels, block).first().copied().unwrap_or(1);
-    // Depthwise kernels convolve one channel block at a time, so the
-    // activation and filter blockings must agree (in == out channels makes
-    // `oc_bn` always a valid choice).
-    let ic_bn = if params.groups > 1 {
-        oc_bn
-    } else {
-        factors_descending(params.in_channels, block).first().copied().unwrap_or(1)
-    };
-    let reg_n =
-        fitting_reg_n(params, oc_bn, target.max_lanes(), default_reg_n(target), DType::F32);
-    ConvSchedule { ic_bn, oc_bn, reg_n, ..Default::default() }
-}
-
-/// Checks a ranked database entry against the workload and target:
-/// schedule divisibility, register pressure, and a sane cost value.
-fn verify_ranked_for_target(
-    params: &Conv2dParams,
-    ranked: &RankedScheme,
-    target: &CpuTarget,
-) -> std::result::Result<(), String> {
-    verify_schedule_for_target(params, &ranked.schedule, target)?;
+/// Checks a ranked database entry against its workload: a valid schedule
+/// (Algorithm 1 divisibility) and a sane cost value.
+fn verify_ranked(params: &Conv2dParams, ranked: &RankedScheme) -> std::result::Result<(), String> {
+    ranked.schedule.validate(params).map_err(|e| e.to_string())?;
     if !ranked.time.is_finite() || ranked.time < 0.0 {
         return Err(format!("recorded time {} is not a sane cost", ranked.time));
     }
     Ok(())
 }
 
-/// Checks a schedule against its workload (Algorithm 1 divisibility) and
-/// the target's register file.
-///
-/// The register rule: when `oc_bn` is a (positive) multiple of the SIMD
-/// width, the vector microkernel holds `reg_n × (oc_bn / lanes)`
-/// accumulator tiles live — plus, in the single-row case where a dedicated
-/// strip kernel dispatches, the dataflow's resident vectors (kernel vector
-/// and broadcast for output-stationary; `kernel_w` kernel vectors plus the
-/// in-flight input for shift-reuse) — which must all fit the architectural
-/// register file. Narrower `oc_bn` runs the scalar path and carries no
-/// such constraint.
-fn verify_schedule_for_target(
-    params: &Conv2dParams,
-    s: &ConvSchedule,
-    target: &CpuTarget,
-) -> std::result::Result<(), String> {
-    s.validate(params).map_err(|e| e.to_string())?;
-    let lanes = target.max_lanes();
-    if lanes > 1 && s.oc_bn >= lanes && s.oc_bn.is_multiple_of(lanes) {
-        let rows = s.oc_bn / lanes;
-        let resident = if rows == 1 { s.dataflow.resident_regs(params.kernel_w) } else { 0 };
-        let regs = s.reg_n * rows + resident;
-        let budget = target.isa.vector_registers();
-        if regs > budget {
-            return Err(format!(
-                "schedule needs {regs} vector registers (reg_n {} × {rows} vector row(s) \
-                 of oc_bn {} + {resident} resident) but {:?} has only {budget}",
-                s.reg_n, s.oc_bn, target.isa
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Checks every scheduled conv of the final graph against `target` with
-/// [`verify_schedule_for_target`] — the one invariant graph inference cannot
-/// know. A violation surfaces as [`NeoError::Verify`] instead of reaching
-/// kernel code.
-fn verify_module(g: &Graph, target: &CpuTarget) -> Result<()> {
+/// Checks every scheduled conv of the final graph against its workload
+/// with `ConvSchedule::validate` — the one invariant graph inference does
+/// not check. A violation surfaces as [`NeoError::Verify`] instead of
+/// reaching kernel code.
+fn verify_module(g: &Graph) -> Result<()> {
     for (id, node) in g.nodes.iter().enumerate() {
         if let Op::Conv2d { params, schedule: Some(s), .. } = &node.op {
-            verify_schedule_for_target(params, s, target).map_err(|message| {
-                NeoError::Verify { node: id, op: node.op.name(), message }
+            s.validate(params).map_err(|e| NeoError::Verify {
+                node: id,
+                op: node.op.name(),
+                message: e.to_string(),
             })?;
         }
     }
     Ok(())
 }
 
-fn default_reg_n(target: &CpuTarget) -> usize {
-    match target.isa {
+/// The uniform plan of O1 and O2 for `target`, whose schedules are also the
+/// fallback of O3: channel blocks of the vector width, and strips of at
+/// most the target's default register blocking.
+fn uniform_cfg(target: &CpuTarget) -> UniformPlanCfg {
+    let reg_n = match target.isa {
         crate::IsaKind::Avx512 => 16,
-        crate::IsaKind::Avx2 => 8,
-        crate::IsaKind::Neon => 8,
+        crate::IsaKind::Avx2 | crate::IsaKind::Neon => 8,
         crate::IsaKind::Generic => 4,
-    }
+    };
+    UniformPlanCfg { block: target.preferred_block(), reg_n }
 }
 
 fn make_pool(opts: &CompileOptions) -> Arc<dyn Parallelism> {
@@ -746,50 +692,54 @@ mod tests {
     }
 
     #[test]
-    fn register_pressure_rule_rejects_oversized_tiles() {
-        let target = CpuTarget::epyc_avx2();
-        let p = Conv2dParams::square(8, 8, 28, 3, 1, 1);
-        // 28 × (8/8) = 28 accumulators > 16 AVX2 registers.
-        let bad = ConvSchedule { ic_bn: 8, oc_bn: 8, reg_n: 28, ..Default::default() };
-        assert!(verify_schedule_for_target(&p, &bad, &target).is_err());
-        // Within budget.
-        let ok = ConvSchedule { ic_bn: 8, oc_bn: 8, reg_n: 8, ..Default::default() };
-        assert!(verify_schedule_for_target(&p, &ok, &target).is_ok());
-        // Scalar path (oc_bn below the vector width) has no register rule.
-        let scalar = ConvSchedule { ic_bn: 8, oc_bn: 4, reg_n: 28, ..Default::default() };
-        assert!(verify_schedule_for_target(&p, &scalar, &target).is_ok());
-    }
-
-    #[test]
-    fn default_schedule_always_verifies() {
+    fn unsearched_schedule_always_validates() {
         for target in [
             CpuTarget::skylake_avx512(),
             CpuTarget::epyc_avx2(),
             CpuTarget::arm_a72_neon(),
             CpuTarget::host(),
         ] {
+            let cfg = uniform_cfg(&target);
             for (ic, oc, size) in [(3, 64, 224), (8, 16, 12), (7, 13, 5), (1, 1, 1)] {
                 let p = Conv2dParams::square(ic, oc, size, 3, 1, 1);
-                let s = default_schedule(&p, &target);
-                verify_schedule_for_target(&p, &s, &target)
-                    .unwrap_or_else(|e| panic!("{target:?} {p:?}: {e}"));
+                let s = ConvSchedule::unsearched(&p, cfg.block, cfg.reg_n);
+                s.validate(&p).unwrap_or_else(|e| panic!("{target:?} {p:?}: {e}"));
             }
             for channels in [3, 7, 32, 144] {
                 let p = Conv2dParams::depthwise(channels, 14, 3, 1, 1);
-                let s = default_schedule(&p, &target);
+                let s = ConvSchedule::unsearched(&p, cfg.block, cfg.reg_n);
                 assert_eq!(s.ic_bn, s.oc_bn, "{target:?} depthwise blocks diverge");
-                verify_schedule_for_target(&p, &s, &target)
-                    .unwrap_or_else(|e| panic!("{target:?} {p:?}: {e}"));
+                s.validate(&p).unwrap_or_else(|e| panic!("{target:?} {p:?}: {e}"));
             }
         }
     }
 
+    /// A `reg_n` longer than the target's register file holds is no fault:
+    /// the template runs the longest strip its tier's table holds in its
+    /// place, so `reg_n` 28 at `oc_bn` 8 on AVX2 runs as the 12-pixel strips
+    /// of `reg_n` 12 and computes the same bits.
+    #[test]
+    fn a_reg_n_beyond_the_register_file_runs_as_the_strips_that_fit() {
+        let target = CpuTarget::epyc_avx2();
+        let input = Tensor::random([1, 8, 12, 12], Layout::Nchw, 9, 1.0).unwrap();
+        let opts = CompileOptions::level(OptLevel::O2);
+        let run = |reg_n| {
+            let mut g = planned_small_net(&target);
+            let first = g.conv_ids()[0];
+            let s = schedule_of(&mut g, first);
+            assert_eq!(s.oc_bn, 8);
+            s.reg_n = reg_n;
+            let m = finish_module(g, &target, &opts, &mut CompileReport::default()).unwrap();
+            m.run(std::slice::from_ref(&input)).unwrap().remove(0)
+        };
+        let (long, fitting) = (run(28), run(12));
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&long), bits(&fitting));
+    }
+
     /// `small_net` after the front half of the pipeline at O2 for `target`.
     fn planned_small_net(target: &CpuTarget) -> Graph {
-        let cfg = UniformPlanCfg {
-            block: target.preferred_block(),
-            reg_n: default_reg_n(target),
-        };
+        let cfg = uniform_cfg(target);
         plan_uniform(&fuse_ops(&simplify_inference(&small_net()).unwrap()).unwrap(), &cfg).unwrap()
     }
 
@@ -805,7 +755,7 @@ mod tests {
     #[test]
     fn finish_module_rejects_each_mangled_graph_at_its_node() {
         type NodeOf = fn(&NeoError) -> Option<NodeId>;
-        type Case = (&'static str, fn() -> CpuTarget, usize, fn(&mut Graph, NodeId), NodeOf);
+        type Case = (&'static str, usize, fn(&mut Graph, NodeId), NodeOf);
         let layout: NodeOf = |e| match e {
             NeoError::Graph(GraphError::Layout { node, .. }) => Some(*node),
             _ => None,
@@ -814,40 +764,34 @@ mod tests {
             NeoError::Verify { node, op: "conv2d", .. } => Some(*node),
             _ => None,
         };
-        let skylake = CpuTarget::skylake_avx512;
-        // (what breaks, target, which conv, how, the node its error names)
-        let cases: [Case; 6] = [
-            ("conv input not NCHW{ic_bn}c", skylake, 0, |g, c| schedule_of(g, c).ic_bn = 4, layout),
-            ("residual layout differs from the output", skylake, 1, |g, c| {
+        // (what breaks, which conv, how, the node its error names)
+        let cases: [Case; 5] = [
+            ("conv input not NCHW{ic_bn}c", 0, |g, c| schedule_of(g, c).ic_bn = 4, layout),
+            ("residual layout differs from the output", 1, |g, c| {
                 schedule_of(g, c).oc_bn = 8;
                 let Op::Conv2d { residual, .. } = &mut g.nodes[c].op else { unreachable!() };
                 *residual = true;
                 let x = g.nodes[c].inputs[0];
                 g.nodes[c].inputs.push(x);
             }, layout),
-            ("input not topologically earlier", skylake, 0, |g, c| g.nodes[c].inputs[0] = c, |e| {
+            ("input not topologically earlier", 0, |g, c| g.nodes[c].inputs[0] = c, |e| {
                 match e {
                     NeoError::Graph(GraphError::BadNodeRef { node, .. }) => Some(*node),
                     _ => None,
                 }
             }),
-            ("parameter index out of range", skylake, 0, |g, c| {
+            ("parameter index out of range", 0, |g, c| {
                 let Op::Conv2d { weight, .. } = &mut g.nodes[c].op else { unreachable!() };
                 *weight = 10_000;
             }, |e| match e {
                 NeoError::Graph(GraphError::BadParamRef { node, param: 10_000 }) => Some(*node),
                 _ => None,
             }),
-            ("reg_n 28 × oc_bn 8 over AVX2's 16 registers", CpuTarget::epyc_avx2, 0, |g, c| {
-                let s = schedule_of(g, c);
-                assert_eq!(s.oc_bn, 8);
-                s.reg_n = 28;
-            }, verify),
-            ("reg_n 0, invalid for every workload", skylake, 0, |g, c| schedule_of(g, c).reg_n = 0, verify),
+            ("reg_n 0, invalid for every workload", 0, |g, c| schedule_of(g, c).reg_n = 0, verify),
         ];
         let opts = CompileOptions::level(OptLevel::O2);
-        for (name, target, conv, mangle, node_of) in cases {
-            let target = target();
+        let target = CpuTarget::skylake_avx512();
+        for (name, conv, mangle, node_of) in cases {
             let mut g = planned_small_net(&target);
             finish_module(g.clone(), &target, &opts, &mut CompileReport::default())
                 .unwrap_or_else(|e| panic!("{name}: the unmangled graph failed: {e}"));

@@ -269,9 +269,10 @@ fn activation_qparams(min: f32, max: f32) -> (f32, u8) {
 /// Decides which scheduled convs of `planned` go int8 and packs their
 /// plain `OIHW` weights to symmetric per-out-channel i8. Each must pass the
 /// analytical profit test under the schedule the planner assigned
-/// (`conv_time_i8 < conv_time`, infinite for dense workloads whose `ic_bn`
-/// cannot quad-pack, so the test also encodes hard eligibility), and its
-/// weights must pack cleanly. Neither depends on calibration.
+/// (`conv_time_i8 < conv_time`, infinite for a schedule that
+/// `ConvSchedule::validate_int8` refuses, so the test also encodes hard
+/// eligibility), and its weights must pack cleanly. Neither depends on
+/// calibration.
 fn pack_int8_convs(planned: &Graph, model: &impl CostModel) -> Vec<(NodeId, QuantizedWeights)> {
     let pack = |id: NodeId| {
         let Op::Conv2d { params, weight, schedule: Some(s), quant: None, .. } =

@@ -11,14 +11,19 @@
 
 use neocpu_search::AnalyticalModel;
 
-/// Vector instruction family of a target.
+/// Vector instruction family of a target: its vector width is what the
+/// target tells the kernels (the lane cap) and the cost model. How many
+/// accumulators fit a register file is not a target property here: the
+/// kernels' strip table (`simd_tiers!` in `neocpu-kernels`) holds only strips
+/// that stay in registers, and every row runs as those.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IsaKind {
-    /// 512-bit AVX-512F (16 f32 lanes, 32 vector registers).
+    /// 512-bit AVX-512F (16 f32 lanes).
     Avx512,
-    /// 256-bit AVX2+FMA (8 f32 lanes, 16 vector registers).
+    /// 256-bit AVX2+FMA (8 f32 lanes).
     Avx2,
-    /// 128-bit NEON-class (4 f32 lanes, 32 vector registers).
+    /// 128-bit NEON-class (4 f32 lanes), modeled: it runs the portable
+    /// scalar strips.
     Neon,
     /// No SIMD assumption; scalar microkernel.
     Generic,
@@ -32,18 +37,6 @@ impl IsaKind {
             Self::Avx2 => 8,
             Self::Neon => 4,
             Self::Generic => 1,
-        }
-    }
-
-    /// Architectural vector registers available to a microkernel — the
-    /// budget the schedule verifier checks `reg_n × (oc_bn / lanes)`
-    /// accumulator tiles against.
-    pub fn vector_registers(&self) -> usize {
-        match self {
-            Self::Avx512 => 32,
-            Self::Avx2 => 16,
-            Self::Neon => 32,
-            Self::Generic => 16,
         }
     }
 }

@@ -22,8 +22,8 @@
 
 use std::collections::HashMap;
 
-use neocpu_kernels::conv::{fitting_reg_n, ConvSchedule};
-use neocpu_tensor::{DType, Layout, Shape};
+use neocpu_kernels::conv::ConvSchedule;
+use neocpu_tensor::{Layout, Shape};
 
 use crate::infer::{infer_shapes, layout_contract, Port};
 use crate::ir::{Graph, NodeId, Op};
@@ -42,23 +42,6 @@ pub struct UniformPlanCfg {
 impl Default for UniformPlanCfg {
     fn default() -> Self {
         Self { block: 16, reg_n: 16 }
-    }
-}
-
-/// Largest factor of `n` that is ≤ `cap` (blocking factor for a channel
-/// count that may not be divisible by the preferred block).
-fn best_factor(n: usize, cap: usize) -> usize {
-    (1..=cap.min(n)).rev().find(|&d| n.is_multiple_of(d)).unwrap_or(1)
-}
-
-/// Builds the uniform schedule for one conv workload.
-fn uniform_schedule(p: &neocpu_kernels::Conv2dParams, cfg: &UniformPlanCfg) -> ConvSchedule {
-    let oc_bn = best_factor(p.out_channels, cfg.block);
-    ConvSchedule {
-        ic_bn: best_factor(p.in_channels, cfg.block),
-        oc_bn,
-        reg_n: fitting_reg_n(p, oc_bn, usize::MAX, cfg.reg_n, DType::F32),
-        ..Default::default()
     }
 }
 
@@ -114,7 +97,7 @@ pub fn plan_uniform(g: &Graph, cfg: &UniformPlanCfg) -> Result<Graph> {
     let cfg = UniformPlanCfg { block, ..*cfg };
     for id in g.conv_ids() {
         let Op::Conv2d { params, schedule, .. } = &mut g.nodes[id].op else { unreachable!() };
-        *schedule = Some(uniform_schedule(params, &cfg));
+        *schedule = Some(ConvSchedule::unsearched(params, cfg.block, cfg.reg_n));
     }
     insert_layout_transforms(&g)
 }
@@ -136,7 +119,10 @@ pub fn plan_assigned(
     let mut g = g.clone();
     for id in g.conv_ids() {
         let Op::Conv2d { params, schedule, .. } = &mut g.nodes[id].op else { unreachable!() };
-        let s = schedules.get(&id).copied().unwrap_or_else(|| uniform_schedule(params, cfg));
+        let s = schedules
+            .get(&id)
+            .copied()
+            .unwrap_or_else(|| ConvSchedule::unsearched(params, cfg.block, cfg.reg_n));
         s.validate(params).map_err(GraphError::Kernel)?;
         *schedule = Some(s);
     }
@@ -159,7 +145,7 @@ pub fn wrap_convs_with_transforms(g: &Graph, cfg: &UniformPlanCfg) -> Result<Gra
         let inputs: Vec<usize> = node.inputs.iter().map(|&i| remap[i]).collect();
         match &node.op {
             Op::Conv2d { params, weight, bias, relu, residual, .. } => {
-                let s = uniform_schedule(params, cfg);
+                let s = ConvSchedule::unsearched(params, cfg.block, cfg.reg_n);
                 let tin = out.push(
                     Op::LayoutTransform { to: Layout::NchwC(s.ic_bn) },
                     vec![inputs[0]],

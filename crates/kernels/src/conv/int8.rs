@@ -41,7 +41,7 @@ use neocpu_threadpool::Parallelism;
 
 use super::blocked::drive;
 use super::microkernel;
-use super::{Conv2dParams, ConvSchedule, Dataflow, Epilogue};
+use super::{Conv2dParams, ConvSchedule, Epilogue};
 use crate::{KernelError, Result};
 
 /// Quantization parameters of one int8 convolution call.
@@ -59,8 +59,9 @@ pub struct ConvQuant<'a> {
 /// `i8 OIHW1i[c]o` weights instead (full ±127 range — no `maddubs` headroom
 /// needed, the microkernel widens to i32 before multiplying).
 ///
-/// A dense workload's `ic_bn` must be divisible by 4 (the quad-packing
-/// requirement — the compile pipeline keeps such convs f32). `scratch`,
+/// The schedule must pass [`ConvSchedule::validate_int8`]: output-stationary,
+/// and for a dense workload an `ic_bn` divisible by 4 (the quad-packing
+/// requirement — the compile pipeline keeps other convs f32). `scratch`,
 /// when given, must hold exactly
 /// [`padded_input_len`](super::padded_input_len) bytes; the executor carves
 /// it out of the arena so the warm path never allocates.
@@ -68,8 +69,8 @@ pub struct ConvQuant<'a> {
 /// # Errors
 ///
 /// As [`conv2d_nchwc`](super::conv2d_nchwc), plus an error if the schedule
-/// is not output-stationary or not quad-packable, or `quant.mult` has the
-/// wrong length.
+/// fails [`ConvSchedule::validate_int8`] or `quant.mult` has the wrong
+/// length.
 pub fn conv2d_nchwc_u8(
     input: &Tensor,
     weights: &Tensor,
@@ -82,18 +83,8 @@ pub fn conv2d_nchwc_u8(
     max_lanes: usize,
     scratch: Option<&mut [u8]>,
 ) -> Result<()> {
-    if schedule.dataflow != Dataflow::OutputStationary {
-        return Err(KernelError::BadSchedule(format!(
-            "int8 conv only implements the output-stationary dataflow, got {:?}",
-            schedule.dataflow
-        )));
-    }
+    schedule.validate_int8(p)?;
     let (ic_bn, oc_bn) = (schedule.ic_bn, schedule.oc_bn);
-    if !p.is_depthwise() && !ic_bn.is_multiple_of(4) {
-        return Err(KernelError::BadSchedule(format!(
-            "int8 conv requires ic_bn divisible by 4, got {ic_bn}"
-        )));
-    }
     let mult = quant.mult;
     if mult.len() != p.out_channels {
         return Err(KernelError::BadOperand(format!(

@@ -179,17 +179,14 @@ impl Dataflow {
     pub fn from_token(s: &str) -> Option<Self> {
         Self::ALL.into_iter().find(|d| d.token() == s)
     }
+}
 
-    /// Vector registers the strip keeps live *besides* the `reg_n`
-    /// accumulators: output-stationary cycles one kernel vector plus one
-    /// broadcast; shift-reuse pins the `kw` kernel vectors of a row plus
-    /// the in-flight input.
-    pub fn resident_regs(&self, kernel_w: usize) -> usize {
-        match self {
-            Self::OutputStationary => 2,
-            Self::ShiftReuse => kernel_w + 1,
-        }
-    }
+/// Whether a SIMD tier of the strip dispatch table serves channel block
+/// `oc_bn` under the lane cap `max_lanes` (the templates' parameter of that
+/// name). Every other block runs the scalar strips.
+pub fn simd_tier_serves(oc_bn: usize, max_lanes: usize) -> bool {
+    oc_bn <= max_lanes
+        && microkernel::strip_lengths(oc_bn, Dataflow::OutputStationary, 1, false).is_some()
 }
 
 /// Whether the strip dispatch table holds a SIMD strip of `reg_n` pixels
@@ -346,6 +343,44 @@ impl ConvSchedule {
         Ok(())
     }
 
+    /// Checks what the int8 template adds to [`ConvSchedule::validate`]: it
+    /// implements only the output-stationary dataflow, and a dense
+    /// workload's `ic_bn` must be divisible by 4 so its weights quad-pack
+    /// (depthwise strips widen before multiplying and take any block).
+    pub fn validate_int8(&self, p: &Conv2dParams) -> Result<()> {
+        if self.dataflow != Dataflow::OutputStationary {
+            return Err(KernelError::BadSchedule(format!(
+                "int8 conv only implements the output-stationary dataflow, got {:?}",
+                self.dataflow
+            )));
+        }
+        if !p.is_depthwise() && !self.ic_bn.is_multiple_of(4) {
+            return Err(KernelError::BadSchedule(format!(
+                "int8 conv requires ic_bn divisible by 4, got {}",
+                self.ic_bn
+            )));
+        }
+        Ok(())
+    }
+
+    /// The schedule of a conv that is not searched (the uniform plans of
+    /// O1 and O2, and any conv a search left without one): the largest
+    /// channel factors within `block`, tied for a depthwise workload, and
+    /// the longest output-stationary strip of at most `reg_n` pixels the
+    /// template runs on the strip row ([`fitting_reg_n`]). `block` is at
+    /// most the target's vector width, so no lane cap is needed.
+    pub fn unsearched(p: &Conv2dParams, block: usize, reg_n: usize) -> Self {
+        let largest = |n| factors_descending(n, block).first().copied().unwrap_or(1);
+        let oc_bn = largest(p.out_channels);
+        let ic_bn = if p.groups > 1 { oc_bn } else { largest(p.in_channels) };
+        Self {
+            ic_bn,
+            oc_bn,
+            reg_n: fitting_reg_n(p, oc_bn, usize::MAX, reg_n, DType::F32),
+            dataflow: Dataflow::OutputStationary,
+        }
+    }
+
     /// Enumerates the candidate schedule space of §3.3.1 for a workload:
     /// all channel factors for `ic_bn`/`oc_bn`, every applicable
     /// [`Dataflow`], `reg_n` from the per-dataflow register-file-capped
@@ -358,8 +393,9 @@ impl ConvSchedule {
     /// `stride_w == 1` and a SIMD strip in the dispatch table for the block
     /// and kernel width (elsewhere it would only duplicate the
     /// output-stationary candidates).
-    /// The result is never empty: irregular shapes (prime channel counts,
-    /// `out_w == 1`) still yield the 1×1-blocked fallback.
+    /// The result is never empty: every channel count has the factor 1, and
+    /// each channel pair gets an output-stationary candidate even where the
+    /// strip row is shorter than every listed `reg_n` (`reg_n` 1).
     pub fn candidates(p: &Conv2dParams, max_block: usize) -> Vec<ConvSchedule> {
         let ic: Vec<usize> = factors_descending(p.in_channels, max_block);
         let oc: Vec<usize> = factors_descending(p.out_channels, max_block);
@@ -391,24 +427,7 @@ impl ConvSchedule {
                 }
             }
         }
-        if out.is_empty() {
-            // `factors_descending` always contains 1, so this is
-            // unreachable in practice — but the compile pipeline must never
-            // see an empty candidate set.
-            out.push(ConvSchedule::fallback_for(p));
-        }
         out
-    }
-
-    /// A conservative schedule valid for the given workload (1×1 channel
-    /// blocking, depthwise-safe).
-    pub fn fallback_for(p: &Conv2dParams) -> Self {
-        Self {
-            ic_bn: 1,
-            oc_bn: 1,
-            reg_n: p.out_w().clamp(1, 4),
-            dataflow: Dataflow::OutputStationary,
-        }
     }
 }
 
@@ -630,13 +649,21 @@ mod tests {
         assert_eq!(reg_n_candidates(4, Dataflow::OutputStationary, 3, DType::F32), vec![28, 16, 8, 4, 2]);
         assert!(reg_n_candidates(4, Dataflow::ShiftReuse, 3, DType::F32).is_empty());
         assert!(reg_n_candidates(16, Dataflow::ShiftReuse, 1, DType::F32).is_empty());
-        // Every candidate fits its register file (16 YMM / 32 ZMM).
+        // Every candidate fits its register file (16 YMM / 32 ZMM) beside
+        // the vectors its strip keeps live besides the accumulators:
+        // output-stationary cycles one kernel vector plus one broadcast;
+        // shift-reuse pins the `kw` kernel vectors of a row plus the
+        // in-flight input.
+        let resident_regs = |df, kw| match df {
+            Dataflow::OutputStationary => 2,
+            Dataflow::ShiftReuse => kw + 1,
+        };
         for (oc_bn, file) in [(8, 16), (16, 32)] {
             for df in Dataflow::ALL {
                 for kw in [3, 5, 7] {
                     for rn in reg_n_candidates(oc_bn, df, kw, DType::F32) {
                         assert!(
-                            rn + df.resident_regs(kw) <= file,
+                            rn + resident_regs(df, kw) <= file,
                             "{df:?} kw={kw} rn={rn} overflows the {file}-register file"
                         );
                     }

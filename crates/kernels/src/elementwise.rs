@@ -164,39 +164,6 @@ pub fn batchnorm_fold(
     (scale, shift)
 }
 
-/// Adds a per-channel bias in place (`NCHW` or `NCHW[x]c`).
-///
-/// # Errors
-///
-/// Returns an error on layout or length mismatch.
-pub fn bias_add_inplace(t: &mut Tensor, bias: &[f32], par: &dyn Parallelism) -> Result<()> {
-    let d = t.shape().dims();
-    let (n, c) = (d[0], d[1]);
-    let hw = d[2] * d[3];
-    if bias.len() != c {
-        return Err(KernelError::BadOperand(format!(
-            "bias must have {c} entries, got {}",
-            bias.len()
-        )));
-    }
-    let (block, chunks) = channel_blocking(t, "bias_add")?;
-    let dst = SendPtr(t.data_mut().as_mut_ptr());
-    par.run(n * chunks, &|_, range| {
-        let dst = dst;
-        for job in range {
-            let cc = job % chunks;
-            let base = job * hw * block;
-            for p in 0..hw {
-                for b in 0..block {
-                    // SAFETY: disjoint (batch, chunk) planes.
-                    unsafe { *dst.add(base + p * block + b) += bias[cc * block + b] };
-                }
-            }
-        }
-    });
-    Ok(())
-}
-
 /// Concatenates tensors along the channel dimension.
 ///
 /// All inputs and the output must share batch/spatial dims and layout
@@ -331,16 +298,6 @@ mod tests {
         let mut blocked = Tensor::zeros([2, 16, 4, 4], Layout::NchwC(8)).unwrap();
         scale_shift(&xb, &mut blocked, &scale, &shift, &Sequential).unwrap();
         assert!(plain.approx_eq(&blocked, 1e-6));
-    }
-
-    #[test]
-    fn bias_add_blocked() {
-        let mut t = Tensor::zeros([1, 8, 2, 2], Layout::NchwC(4)).unwrap();
-        let bias: Vec<f32> = (0..8).map(|i| i as f32).collect();
-        bias_add_inplace(&mut t, &bias, &Sequential).unwrap();
-        for c in 0..8 {
-            assert_eq!(t.at(&[0, c, 1, 1]), c as f32);
-        }
     }
 
     #[test]

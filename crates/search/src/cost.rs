@@ -10,13 +10,19 @@
 use std::time::Instant;
 
 use neocpu_kernels::conv::{
-    conv2d_nchwc, fitting_reg_n, strip_plan, Conv2dParams, ConvSchedule, Dataflow, Epilogue,
+    conv2d_nchwc, fitting_reg_n, simd_tier_serves, strip_plan, Conv2dParams, ConvSchedule,
+    Dataflow, Epilogue,
 };
 use neocpu_tensor::{DType, Layout, Tensor};
 use neocpu_threadpool::Sequential;
 
 /// Estimates or measures the execution time (in seconds) of a convolution
 /// under a schedule, and the cost of layout transforms between convs.
+///
+/// A time of `+∞` means this model's kernel cannot run the schedule (the
+/// int8 template takes only what [`ConvSchedule::validate_int8`] admits): the
+/// search drops such a candidate as a matter of course. NaN means a faulty
+/// measurement.
 pub trait CostModel {
     /// Time for one invocation of `params` under `schedule`.
     fn conv_time(&self, params: &Conv2dParams, schedule: &ConvSchedule) -> f32;
@@ -43,7 +49,7 @@ pub trait CostModel {
 /// `CpuTarget` presets supply EPYC/ARM-flavoured variants.
 #[derive(Debug, Clone, Copy)]
 pub struct AnalyticalModel {
-    /// f32 lanes per SIMD vector (16 for AVX-512, 8 for AVX2, 4 for NEON).
+    /// f32 lanes per SIMD vector of the modeled machine (its ISA's width).
     pub vec_lanes: usize,
     /// Peak FMA throughput in multiply-accumulates per second per core.
     pub macs_per_sec: f32,
@@ -106,16 +112,15 @@ impl AnalyticalModel {
     /// of peak FMA throughput the blocked loop nest sustains.
     fn efficiency(&self, p: &Conv2dParams, s: &ConvSchedule) -> f32 {
         // Vector utilization mirrors the microkernel dispatch: a dedicated
-        // SIMD strip kernel exists only for `oc_bn` equal to a supported
-        // vector width (16 → AVX-512, 8 → AVX2); every other block runs the
-        // portable scalar kernel, which the compiler auto-vectorizes to
-        // roughly a quarter of the wide-SIMD throughput (measured on the
-        // reproduction host).
+        // SIMD strip kernel exists only for an `oc_bn` a tier of the strip
+        // table serves; every other block runs the portable scalar kernel,
+        // which the compiler auto-vectorizes to roughly a quarter of the
+        // wide-SIMD throughput (measured on the reproduction host) — except
+        // that a modeled target whose own width is `oc_bn` (NEON-class)
+        // gets full vectors.
         let lanes = self.vec_lanes as f32;
-        let effective = if s.oc_bn == 16 && self.vec_lanes >= 16 {
-            16.0
-        } else if s.oc_bn == 8 && self.vec_lanes >= 8 {
-            8.0
+        let effective = if simd_tier_serves(s.oc_bn, self.vec_lanes) {
+            s.oc_bn as f32
         } else if s.oc_bn == self.vec_lanes {
             lanes
         } else {
@@ -167,14 +172,11 @@ impl AnalyticalModel {
     /// shorter strip that runs in its place, not as a long one.
     fn efficiency_i8(&self, p: &Conv2dParams, s: &ConvSchedule) -> f32 {
         let lanes = self.vec_lanes as f32;
-        let (effective, simd) = if s.oc_bn == 16 && self.vec_lanes >= 16 {
-            (16.0, true)
-        } else if s.oc_bn == 8 && self.vec_lanes >= 8 {
-            (8.0, true)
+        let vec_util = if simd_tier_serves(s.oc_bn, self.vec_lanes) {
+            s.oc_bn as f32 / lanes * 2.0
         } else {
-            ((lanes / 4.0).max(1.0).min(s.oc_bn as f32), false)
+            (lanes / 4.0).max(1.0).min(s.oc_bn as f32) / lanes
         };
-        let vec_util = (effective / lanes) * if simd { 2.0 } else { 1.0 };
         let pipe_util = self.row_pipe_util(p, s, DType::U8, |rn| latency_util(rn as f32));
         // The working set is that of the strip the row starts with, too.
         let rn = fitting_reg_n(p, s.oc_bn, self.vec_lanes, s.reg_n, DType::U8);
@@ -212,15 +214,10 @@ impl CostModel for AnalyticalModel {
     }
 
     fn conv_time_i8(&self, params: &Conv2dParams, schedule: &ConvSchedule) -> f32 {
-        // The quad-packed kernel consumes input channels four at a time;
-        // schedules whose inner block cannot be quadded (including the
-        // 3-channel stem) are ineligible and must never win the dtype race.
-        if !params.is_depthwise() && !schedule.ic_bn.is_multiple_of(4) {
-            return f32::INFINITY;
-        }
-        // The int8 templates only implement the output-stationary dataflow;
-        // other dataflows must never win the dtype race.
-        if schedule.dataflow != Dataflow::OutputStationary {
+        // A schedule the int8 template refuses (shift-reuse, or a dense
+        // block that cannot quad-pack, like the 3-channel stem's) must never
+        // win the dtype race.
+        if schedule.validate_int8(params).is_err() {
             return f32::INFINITY;
         }
         let macs = params.macs() as f32;

@@ -71,16 +71,17 @@ pub fn local_search(
         .into_iter()
         .map(|schedule| RankedScheme { schedule, time: model.conv_time(params, &schedule) })
         .collect();
-    // Non-finite times (NaN from a degenerate measurement, inf from a
-    // cost-model overflow, hand-edited DB entries) must not reach the sort
-    // or the global search: drop them with a warning instead of panicking.
-    let before = ranked.len();
+    // Non-finite times must not reach the sort or the global search. `+∞`
+    // is a model saying its kernel cannot run the schedule (the int8 model
+    // on shift-reuse or a block that cannot quad-pack): dropped silently.
+    // Anything else (NaN from a degenerate measurement) is a fault worth a
+    // warning — but still dropped, not a panic.
+    let faulty = ranked.iter().filter(|r| !r.time.is_finite() && r.time != f32::INFINITY).count();
     ranked.retain(|r| r.time.is_finite());
-    if ranked.len() < before {
+    if faulty > 0 {
         eprintln!(
-            "warning: local search dropped {} candidate(s) with non-finite cost for \
+            "warning: local search dropped {faulty} candidate(s) with non-finite cost for \
              {}x{} conv (kept {})",
-            before - ranked.len(),
             params.in_channels,
             params.out_channels,
             ranked.len()

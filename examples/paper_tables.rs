@@ -171,9 +171,6 @@ fn avx2_candidates(
         .into_iter()
         .filter(|s| s.oc_bn == 8 && s.ic_bn.is_multiple_of(4))
         .collect();
-    if cands.is_empty() {
-        cands.push(ConvSchedule::fallback_for(p));
-    }
     cands.sort_by(|a, b| cost(p, a).total_cmp(&cost(p, b)));
     cands.truncate(keep.max(1));
     cands
