@@ -375,8 +375,6 @@ fn global_search(
         }
         // The database ends up holding only verified entries for this
         // target — dropped schemes never resurface on the next compile.
-        // `replace` (not the merging `put`) is load-bearing here: merging
-        // would resurrect the very entries verification just rejected.
         db.replace(&target.name, params, kept.clone());
         if int8 {
             let kept8 = verified_schemes(db, &target.name, node, params, DType::U8, report, || {
@@ -640,7 +638,7 @@ mod tests {
         // The exact workload of the first conv of `small_net`, poisoned
         // with a schedule whose ic_bn does not divide in_channels.
         let w1 = Conv2dParams::square(8, 16, 12, 3, 1, 1);
-        db.put(
+        db.replace(
             &target.name,
             &w1,
             vec![RankedScheme {
@@ -676,7 +674,7 @@ mod tests {
         let target = CpuTarget::skylake_avx512();
         let mut db = SchemeDatabase::new();
         let w1 = Conv2dParams::square(8, 16, 12, 3, 1, 1);
-        db.put(
+        db.replace(
             &target.name,
             &w1,
             vec![RankedScheme {

@@ -734,7 +734,7 @@ mod tests {
         let p = Conv2dParams::square(16, 16, 12, 3, 1, 1);
         let bad =
             ConvSchedule { ic_bn: 5, oc_bn: 16, reg_n: 8, ..Default::default() };
-        db.put_dtyped(&target.name, &p, DType::U8, vec![RankedScheme { schedule: bad, time: 1e-4 }]);
+        db.replace_dtyped(&target.name, &p, DType::U8, vec![RankedScheme { schedule: bad, time: 1e-4 }]);
         let qopts = QuantizeOptions::default();
         let (_, report) = compile_quantized_with_db(&g, &target, &opts, &qopts, &mut db).unwrap();
         let dropped = &report.compile.dropped_schemes;

@@ -251,7 +251,7 @@ impl CostModel for AnalyticalModel {
 /// Measures schedules by running the real blocked kernel.
 #[derive(Debug, Clone, Copy)]
 pub struct TimedMeasurer {
-    /// Timed repetitions (the minimum is reported).
+    /// Timed repetitions (the minimum is reported; 0 times once).
     pub repeats: usize,
     /// Untimed warm-up runs.
     pub warmup: usize,
@@ -290,9 +290,7 @@ impl CostModel for TimedMeasurer {
             Layout::NchwC(schedule.oc_bn),
         )
         .expect("schedule validated against workload");
-        let mut best = f32::INFINITY;
-        for i in 0..self.warmup + self.repeats {
-            let t0 = Instant::now();
+        self.best_of(|| {
             conv2d_nchwc(
                 &input,
                 &weights,
@@ -305,12 +303,7 @@ impl CostModel for TimedMeasurer {
                 None,
             )
             .expect("workload/schedule validated");
-            let dt = t0.elapsed().as_secs_f32();
-            if i >= self.warmup {
-                best = best.min(dt);
-            }
-        }
-        best
+        })
     }
 
     fn transform_time(&self, c: usize, h: usize, w: usize, from: usize, to: usize) -> f32 {
@@ -325,19 +318,25 @@ impl CostModel for TimedMeasurer {
         // small tensor's transform.
         let mut dst = Tensor::zeros([1, c, h, w], Layout::NchwC(to))
             .expect("divisibility checked by caller");
-        // Same warmup + best-of-repeats discipline as conv_time: a one-shot
-        // sample is noisy enough to flip DP/PBQP layout decisions.
-        let repeats = self.repeats.max(1);
-        let mut best = f32::INFINITY;
-        for i in 0..self.warmup + repeats {
-            let t0 = Instant::now();
-            to_layout_into(&src, &mut dst).expect("same logical shape");
-            let dt = t0.elapsed().as_secs_f32();
-            if i >= self.warmup {
-                best = best.min(dt);
-            }
+        self.best_of(|| to_layout_into(&src, &mut dst).expect("same logical shape"))
+    }
+}
+
+impl TimedMeasurer {
+    /// The fastest of `repeats` timed runs of `run` (at least one, so a
+    /// measurement is always finite), after `warmup` untimed ones. One
+    /// sample is noisy enough to flip the global search's layout decisions.
+    fn best_of(&self, mut run: impl FnMut()) -> f32 {
+        for _ in 0..self.warmup {
+            run();
         }
-        best
+        (0..self.repeats.max(1))
+            .map(|_| {
+                let t0 = Instant::now();
+                run();
+                t0.elapsed().as_secs_f32()
+            })
+            .fold(f32::INFINITY, f32::min)
     }
 }
 
@@ -499,5 +498,17 @@ mod tests {
         assert!(t > 0.0 && t.is_finite());
         let tt = m.transform_time(8, 8, 8, 8, 4);
         assert!(tt > 0.0 && tt.is_finite());
+    }
+
+    #[test]
+    fn zero_repeats_still_time_one_run() {
+        // `repeats: 0` used to leave conv_time at +inf, which the local
+        // search drops, so every workload fell back to the unsearched
+        // schedule; both methods now time at least once.
+        let m = TimedMeasurer { repeats: 0, warmup: 1, max_lanes: usize::MAX };
+        let p = Conv2dParams::square(8, 8, 8, 3, 1, 1);
+        let s = ConvSchedule { ic_bn: 8, oc_bn: 8, reg_n: 4, ..Default::default() };
+        assert!(m.conv_time(&p, &s).is_finite());
+        assert!(m.transform_time(8, 8, 8, 8, 4).is_finite());
     }
 }

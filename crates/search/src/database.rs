@@ -125,50 +125,12 @@ impl SchemeDatabase {
             .map(Vec::as_slice)
     }
 
-    /// Stores ranked schemes for a workload, **merging** with any existing
-    /// entry: schemes are deduplicated by schedule (keeping the better, i.e.
-    /// smaller, time) and the merged list is re-sorted by time.
-    ///
-    /// Earlier versions replaced the entire candidate list, so an
-    /// incremental tuning run that explored a different slice of the space
-    /// silently dropped previously searched results. Use
-    /// [`SchemeDatabase::replace`] when overwrite semantics are wanted
-    /// (e.g. purging entries that failed verification).
-    pub fn put(&mut self, target: &str, params: &Conv2dParams, schemes: Vec<RankedScheme>) {
-        self.put_dtyped(target, params, DType::F32, schemes);
-    }
-
-    /// Dtype-aware variant of [`SchemeDatabase::put`].
-    pub fn put_dtyped(
-        &mut self,
-        target: &str,
-        params: &Conv2dParams,
-        dtype: DType,
-        schemes: Vec<RankedScheme>,
-    ) {
-        let list = self
-            .entries
-            .entry(WorkloadKey { target: target.to_string(), params: *params, dtype })
-            .or_default();
-        for s in schemes {
-            match list.iter_mut().find(|r| r.schedule == s.schedule) {
-                Some(existing) => {
-                    if s.time.total_cmp(&existing.time).is_lt() {
-                        existing.time = s.time;
-                    }
-                }
-                None => list.push(s),
-            }
-        }
-        list.sort_by(|a, b| a.time.total_cmp(&b.time));
-    }
-
-    /// Replaces the entire candidate list for a workload, discarding
+    /// Stores the ranked candidate list of an f32 workload, discarding
     /// whatever was stored before. An empty `schemes` removes the entry.
     ///
-    /// This is the right tool when stale candidates must **not** survive —
-    /// the compiler uses it to purge schemes that failed target
-    /// verification, so they never resurface on the next compile.
+    /// This is the one writer: the compiler stores each workload's verified
+    /// list whole, so schemes that failed verification never resurface on
+    /// the next compile.
     pub fn replace(&mut self, target: &str, params: &Conv2dParams, schemes: Vec<RankedScheme>) {
         self.replace_dtyped(target, params, DType::F32, schemes);
     }
@@ -187,22 +149,6 @@ impl SchemeDatabase {
         } else {
             self.entries.insert(key, schemes);
         }
-    }
-
-    /// Fetches from the cache or computes-and-stores via `compute`.
-    pub fn get_or_insert_with(
-        &mut self,
-        target: &str,
-        params: &Conv2dParams,
-        compute: impl FnOnce() -> Vec<RankedScheme>,
-    ) -> &[RankedScheme] {
-        self.entries
-            .entry(WorkloadKey {
-                target: target.to_string(),
-                params: *params,
-                dtype: DType::F32,
-            })
-            .or_insert_with(compute)
     }
 
     /// Serializes to the text format: the header, then one row per scheme
@@ -329,7 +275,7 @@ fn parse_line(line: &str) -> Result<(WorkloadKey, RankedScheme), String> {
 /// `ICxOCxHxWkKHxKWsSHxSWpPHxPW[gG][dDTYPE]`.
 ///
 /// This is the single definition of the key grammar — [`parse_workload`] is
-/// its exact inverse, and both `put` and `get` key through the same
+/// its exact inverse, and both `replace` and `get` key through the same
 /// [`WorkloadKey`] it round-trips. Both optional suffixes are omitted at
 /// their defaults (`groups == 1`, `dtype == f32`).
 fn fmt_workload(p: &Conv2dParams, dtype: DType) -> String {
@@ -426,7 +372,7 @@ mod tests {
     fn round_trips_through_text() {
         let (p, schemes) = sample();
         let mut db = SchemeDatabase::new();
-        db.put("skylake-avx512", &p, schemes.clone());
+        db.replace("skylake-avx512", &p, schemes.clone());
         let text = db.to_text();
         let back = parse_clean(&text);
         let got = back.get("skylake-avx512", &p).unwrap();
@@ -443,7 +389,7 @@ mod tests {
             time: 3.0e-5,
         }];
         let mut db = SchemeDatabase::new();
-        db.put("host", &p, schemes.clone());
+        db.replace("host", &p, schemes.clone());
         let text = db.to_text();
         assert!(text.contains("g64"), "depthwise key missing groups suffix: {text}");
         let back = parse_clean(&text);
@@ -456,7 +402,7 @@ mod tests {
         // Dense keys carry no `g` suffix, as in the oldest files.
         let (pd, sd) = sample();
         let mut db2 = SchemeDatabase::new();
-        db2.put("host", &pd, sd);
+        db2.replace("host", &pd, sd);
         assert!(!db2.to_text().contains('g'));
     }
 
@@ -464,7 +410,7 @@ mod tests {
     fn int8_keys_round_trip_with_dtype_suffix() {
         let (p, schemes) = sample();
         let mut db = SchemeDatabase::new();
-        db.put_dtyped("host", &p, DType::U8, schemes.clone());
+        db.replace_dtyped("host", &p, DType::U8, schemes.clone());
         let text = db.to_text();
         assert!(text.contains("du8"), "int8 key missing dtype suffix: {text}");
         let back = parse_clean(&text);
@@ -483,7 +429,7 @@ mod tests {
             time: 3.0e-5,
         }];
         let mut db = SchemeDatabase::new();
-        db.put_dtyped("host", &p, DType::U8, schemes.clone());
+        db.replace_dtyped("host", &p, DType::U8, schemes.clone());
         let text = db.to_text();
         assert!(text.contains("g64du8"), "expected g then d suffix order: {text}");
         let back = parse_clean(&text);
@@ -491,7 +437,7 @@ mod tests {
     }
 
     #[test]
-    fn dataflow_keys_survive_put_get_merge_and_text() {
+    fn dataflow_keys_survive_replace_get_and_text() {
         let p = Conv2dParams::square(64, 128, 28, 3, 1, 1);
         let os = RankedScheme {
             schedule: ConvSchedule { ic_bn: 16, oc_bn: 16, reg_n: 8, ..Default::default() },
@@ -506,13 +452,11 @@ mod tests {
             },
             time: 1.0e-4,
         };
+        // Same knobs, distinct dataflow: two candidates of one workload.
         let mut db = SchemeDatabase::new();
-        db.put("host", &p, vec![os]);
-        // Merging a shift-reuse scheme must not collide with the
-        // output-stationary one: same knobs, distinct dataflow.
-        db.put("host", &p, vec![sr]);
+        db.replace("host", &p, vec![sr, os]);
         let got = db.get("host", &p).unwrap();
-        assert_eq!(got.len(), 2, "dataflow must be part of the dedup identity");
+        assert_eq!(got.len(), 2, "dataflow must be part of the scheme's identity");
         assert_eq!(got[0].schedule.dataflow, Dataflow::ShiftReuse);
         let text = db.to_text();
         assert!(text.starts_with("neocpu-scheme-db v4\n"), "{text}");
@@ -555,44 +499,10 @@ mod tests {
     }
 
     #[test]
-    fn put_merges_instead_of_replacing() {
-        // Regression: incremental tuning runs used to lose earlier results
-        // because `put` overwrote the whole candidate list.
-        let (p, schemes) = sample();
-        let mut db = SchemeDatabase::new();
-        db.put("host", &p, vec![schemes[0]]);
-        db.put("host", &p, vec![schemes[1]]);
-        let got = db.get("host", &p).unwrap();
-        assert_eq!(got.len(), 2, "second put dropped the first run's scheme");
-        // Merged lists stay sorted by time.
-        assert!(got[0].time <= got[1].time);
-        assert_eq!(got[0].schedule, schemes[0].schedule);
-    }
-
-    #[test]
-    fn put_dedupes_by_schedule_keeping_better_time() {
-        let (p, schemes) = sample();
-        let mut db = SchemeDatabase::new();
-        db.put("host", &p, vec![schemes[0]]);
-        // Same schedule re-measured slower: the better time wins.
-        let slower = RankedScheme { schedule: schemes[0].schedule, time: 9.0e-4 };
-        db.put("host", &p, vec![slower]);
-        let got = db.get("host", &p).unwrap();
-        assert_eq!(got.len(), 1);
-        assert!((got[0].time - schemes[0].time).abs() < 1e-9);
-        // Re-measured faster: the new time wins.
-        let faster = RankedScheme { schedule: schemes[0].schedule, time: 1.0e-5 };
-        db.put("host", &p, vec![faster]);
-        let got = db.get("host", &p).unwrap();
-        assert_eq!(got.len(), 1);
-        assert!((got[0].time - 1.0e-5).abs() < 1e-9);
-    }
-
-    #[test]
     fn replace_discards_previous_candidates() {
         let (p, schemes) = sample();
         let mut db = SchemeDatabase::new();
-        db.put("host", &p, schemes.clone());
+        db.replace("host", &p, schemes.clone());
         db.replace("host", &p, vec![schemes[0]]);
         assert_eq!(db.get("host", &p).unwrap().len(), 1);
         // Replacing with nothing removes the workload entirely.
@@ -605,22 +515,8 @@ mod tests {
     fn lookup_misses_on_other_target() {
         let (p, schemes) = sample();
         let mut db = SchemeDatabase::new();
-        db.put("skylake-avx512", &p, schemes);
+        db.replace("skylake-avx512", &p, schemes);
         assert!(db.get("epyc-avx2", &p).is_none());
-    }
-
-    #[test]
-    fn get_or_insert_computes_once() {
-        let (p, schemes) = sample();
-        let mut db = SchemeDatabase::new();
-        let mut calls = 0;
-        for _ in 0..3 {
-            let _ = db.get_or_insert_with("t", &p, || {
-                calls += 1;
-                schemes.clone()
-            });
-        }
-        assert_eq!(calls, 1);
     }
 
     #[test]
@@ -675,7 +571,7 @@ mod tests {
     fn errors_carry_the_offending_line_number() {
         let (p, schemes) = sample();
         let mut db = SchemeDatabase::new();
-        db.put("host", &p, schemes);
+        db.replace("host", &p, schemes);
         let mut text = db.to_text();
         text.push_str("host garbage-workload 1 1 4 os 1.0\n");
         // Header is line 1, two good rows are lines 2-3, garbage is line 4.
@@ -777,7 +673,7 @@ mod tests {
     fn save_load_file() {
         let (p, schemes) = sample();
         let mut db = SchemeDatabase::new();
-        db.put("host", &p, schemes);
+        db.replace("host", &p, schemes);
         let path = std::env::temp_dir().join("neocpu_db_test.txt");
         db.save(&path).unwrap();
         let (back, problems) = SchemeDatabase::load(&path).unwrap();

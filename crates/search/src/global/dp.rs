@@ -16,6 +16,10 @@
 //! cheapest scheme of each sink and back-propagated through the recorded
 //! argmins, and its true cost is re-evaluated with
 //! [`SearchProblem::objective`].
+//!
+//! No compile runs it: [`super::solve`] is PBQP, which is exact wherever
+//! this DP is. It stays as the reference that `tests/search_quality.rs` and
+//! the E5 table (`paper_tables pbqp_quality`) compare PBQP against.
 
 use super::SearchProblem;
 

@@ -9,9 +9,12 @@
 //! convolutions' *output* blockings, Figure 3's "Elementwise_Add could not
 //! be omitted" constraint.
 //!
-//! Three solvers share the problem type: the Algorithm 2 dynamic program,
-//! the PBQP heuristic (register-allocation style, for SSD-class graphs),
-//! and brute-force enumeration for validation on small instances.
+//! [`solve`] runs the PBQP solver (register-allocation style), whose
+//! R0/RI/RII reductions are exact on forests and series-parallel graphs and
+//! whose RN step approximates the rest (SSD's concat blocks). Two more
+//! solvers share the problem type only as references that tests and the
+//! E5 table hold PBQP to: the Algorithm 2 dynamic program
+//! ([`solve_dp`]) and brute-force enumeration ([`solve_exhaustive`]).
 
 mod dp;
 mod pbqp;
@@ -99,38 +102,16 @@ impl SearchProblem {
     }
 }
 
-/// Which solver to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Solver {
-    /// Algorithm 2 dynamic programming.
-    Dp,
-    /// PBQP heuristic.
-    Pbqp,
-    /// Brute force (small problems only).
-    Exhaustive,
-    /// DP where it is exact (forest-shaped conv dependency graphs:
-    /// chains and trees), PBQP otherwise — the paper's "switch to the
-    /// approximation algorithm when DP struggles" policy. Skip connections
-    /// and concat blocks create the cross edges that flip the choice.
-    Auto,
-}
-
-/// Global-search configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct GlobalCfg {
-    /// Solver selection.
-    pub solver: Solver,
-}
-
-impl Default for GlobalCfg {
-    fn default() -> Self {
-        Self { solver: Solver::Auto }
-    }
-}
+/// Global-search configuration. It holds nothing: PBQP is the one solver.
+/// The type stays so that callers of [`solve`] keep their signature until
+/// the solve learns a setting; it is built with `GlobalCfg::default()`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GlobalCfg {}
 
 impl SearchProblem {
     /// Whether the edge graph is a forest (acyclic when viewed
-    /// undirected) — the condition under which the Algorithm 2 DP is exact.
+    /// undirected): where Algorithm 2's DP is exact, and where PBQP needs
+    /// no RN step. Tests and the E5 table report it; no solve reads it.
     pub fn is_forest(&self) -> bool {
         let mut parent: Vec<usize> = (0..self.nodes.len()).collect();
         fn find(parent: &mut [usize], mut x: usize) -> usize {
@@ -151,23 +132,10 @@ impl SearchProblem {
     }
 }
 
-/// Solves a problem, returning the chosen assignment and its objective.
-pub fn solve(problem: &SearchProblem, cfg: &GlobalCfg) -> (Vec<usize>, f32) {
-    if problem.nodes.is_empty() {
-        return (Vec::new(), 0.0);
-    }
-    let assignment = match cfg.solver {
-        Solver::Dp => solve_dp(problem),
-        Solver::Pbqp => solve_pbqp(problem),
-        Solver::Exhaustive => solve_exhaustive(problem),
-        Solver::Auto => {
-            if problem.is_forest() {
-                solve_dp(problem)
-            } else {
-                solve_pbqp(problem)
-            }
-        }
-    };
+/// Solves a problem with PBQP, returning the chosen assignment and its
+/// objective.
+pub fn solve(problem: &SearchProblem, _cfg: &GlobalCfg) -> (Vec<usize>, f32) {
+    let assignment = solve_pbqp(problem);
     let obj = problem.objective(&assignment);
     (assignment, obj)
 }
@@ -489,12 +457,13 @@ mod tests {
     }
 
     #[test]
-    fn solve_auto_picks_dp_for_small_problems() {
+    fn solve_matches_exhaustive_on_a_chain() {
         let g = chain();
         let m = AnalyticalModel::default();
         let prob = extract_problem(&g, &mut ranked_fn(3), &m).unwrap();
         let (assign, obj) = solve(&prob, &GlobalCfg::default());
         assert_eq!(assign.len(), 3);
-        assert!(obj.is_finite());
+        assert!((obj - prob.objective(&solve_exhaustive(&prob))).abs() <= obj * 1e-6);
+        assert_eq!(solve(&SearchProblem::default(), &GlobalCfg::default()), (Vec::new(), 0.0));
     }
 }

@@ -25,7 +25,7 @@ fn main() {
     // schedule instead of aborting.
     let workload = Conv2dParams::square(8, 16, 12, 3, 1, 1);
     let mut db = SchemeDatabase::new();
-    db.put(
+    db.replace(
         &target.name,
         &workload,
         vec![RankedScheme {

@@ -166,7 +166,7 @@ fn db_load_failpoint_blocks_the_loader() {
     let path = dir.join("schemes.tsv");
     // Write a small valid database through the public API.
     let mut db = neocpu_search::SchemeDatabase::new();
-    db.put(
+    db.replace(
         "skylake-avx512",
         &neocpu_kernels::conv::Conv2dParams::square(8, 16, 12, 3, 1, 1),
         vec![neocpu_search::RankedScheme {
