@@ -502,9 +502,9 @@ mod tests {
 
     #[test]
     fn zero_repeats_still_time_one_run() {
-        // `repeats: 0` used to leave conv_time at +inf, which the local
-        // search drops, so every workload fell back to the unsearched
-        // schedule; both methods now time at least once.
+        // An infinite time would drop the candidate from the local search,
+        // and with every candidate dropped the workload would run the
+        // unsearched schedule: `repeats: 0` still times one run.
         let m = TimedMeasurer { repeats: 0, warmup: 1, max_lanes: usize::MAX };
         let p = Conv2dParams::square(8, 8, 8, 3, 1, 1);
         let s = ConvSchedule { ic_bn: 8, oc_bn: 8, reg_n: 4, ..Default::default() };

@@ -91,24 +91,6 @@ impl SearchProblem {
         self.nodes.iter().map(|n| n.candidates.len() as f64).product()
     }
 
-    /// Converts an assignment into the per-conv schedule map consumed by
-    /// `neocpu_graph::passes::plan_assigned`.
-    pub fn assignment_to_schedules(&self, assignment: &[usize]) -> HashMap<NodeId, ConvSchedule> {
-        self.nodes
-            .iter()
-            .zip(assignment)
-            .map(|(n, &k)| (n.conv, n.candidates[k]))
-            .collect()
-    }
-}
-
-/// Global-search configuration. It holds nothing: PBQP is the one solver.
-/// The type stays so that callers of [`solve`] keep their signature until
-/// the solve learns a setting; it is built with `GlobalCfg::default()`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GlobalCfg {}
-
-impl SearchProblem {
     /// Whether the edge graph is a forest (acyclic when viewed
     /// undirected): where Algorithm 2's DP is exact, and where PBQP needs
     /// no RN step. Tests and the E5 table report it; no solve reads it.
@@ -130,7 +112,23 @@ impl SearchProblem {
         }
         true
     }
+
+    /// Converts an assignment into the per-conv schedule map consumed by
+    /// `neocpu_graph::passes::plan_assigned`.
+    pub fn assignment_to_schedules(&self, assignment: &[usize]) -> HashMap<NodeId, ConvSchedule> {
+        self.nodes
+            .iter()
+            .zip(assignment)
+            .map(|(n, &k)| (n.conv, n.candidates[k]))
+            .collect()
+    }
 }
+
+/// Global-search configuration. It holds nothing: PBQP is the one solver.
+/// The type stays so that callers of [`solve`] keep their signature until
+/// the solve learns a setting; it is built with `GlobalCfg::default()`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GlobalCfg {}
 
 /// Solves a problem with PBQP, returning the chosen assignment and its
 /// objective.

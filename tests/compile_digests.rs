@@ -48,7 +48,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use neocpu::{
-    compile, compile_quantized, CompileOptions, CompileReport, CpuTarget, Module, OptLevel,
+    compile, compile_quantized, CompileOptions, CompileReport, CpuTarget, OptLevel,
     QuantizeOptions, QuantizeReport,
 };
 use neocpu_graph::{infer_layouts, infer_shapes, Graph, Op, ParamId};
@@ -161,28 +161,20 @@ fn digest_line(case: Case, scale: fn(ModelKind) -> ModelScale) -> String {
     let target = (case.target)();
     let g = build(case.kind, scale(case.kind), 7);
     let opts = CompileOptions::level(case.level);
-    let (module, report): (Module, Option<QuantizeReport>) = if case.int8 {
-        let (m, r) = compile_quantized(&g, &target, &opts, &QuantizeOptions::default())
-            .unwrap_or_else(|e| panic!("{} {}: {e}", case.kind.name(), target.name));
-        (m, Some(r))
+    let program = format!("{} {} {:?}", case.kind.name(), target.name, case.level);
+    let (module, report) = if case.int8 {
+        let (m, r) =
+            compile_quantized(&g, &target, &opts, &QuantizeOptions::default()).expect(&program);
+        (m, format!(" report={:016x}", report_digest(&r)))
     } else {
-        let m = compile(&g, &target, &opts)
-            .unwrap_or_else(|e| panic!("{} {}: {e}", case.kind.name(), target.name));
-        (m, None)
+        (compile(&g, &target, &opts).expect(&program), String::new())
     };
-    let mut line = format!(
-        "{} {} {:?} {} {:016x} transforms={}",
-        case.kind.name(),
-        target.name,
-        case.level,
+    format!(
+        "{program} {} {:016x} transforms={}{report}",
         if case.int8 { "int8" } else { "f32" },
         graph_digest(module.graph()),
         module.transform_count(),
-    );
-    if let Some(r) = report {
-        line.push_str(&format!(" report={:016x}", report_digest(&r)));
-    }
-    line
+    )
 }
 
 const TARGETS: [fn() -> CpuTarget; 3] =
