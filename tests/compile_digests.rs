@@ -21,7 +21,9 @@
 //! node's reason, the accuracy gate's verdict and the compile diagnostics.
 //!
 //! The tier-1 test covers the 16 zoo models at tiny scale, O0–O3, on the
-//! three paper targets, and the quantized zoo at O1–O3 (210 lines). The
+//! three paper targets, the quantized zoo at O1–O3, and DenseNet-161 at
+//! tiny scale but input 112, O3 on `skylake_avx512`, the one reduced-scale
+//! program whose plan a ×10 transform price moves (211 lines). The
 //! ignored test covers the same targets at full scale, O3 only (54 lines,
 //! `tests/compile_digests_full.txt`); run it in release:
 //! `cargo test --release --test compile_digests -- --ignored`.
@@ -148,20 +150,29 @@ fn report_digest(r: &QuantizeReport) -> u64 {
     h.0
 }
 
-/// One program to compile: `int8` runs `compile_quantized`.
+/// One program to compile: `int8` runs `compile_quantized`, and `input`
+/// overrides the scale's input resolution (the line names it after the
+/// model, `DenseNet-161@112`).
 #[derive(Clone, Copy)]
 struct Case {
     kind: ModelKind,
     target: fn() -> CpuTarget,
     level: OptLevel,
     int8: bool,
+    input: Option<usize>,
 }
 
 fn digest_line(case: Case, scale: fn(ModelKind) -> ModelScale) -> String {
     let target = (case.target)();
-    let g = build(case.kind, scale(case.kind), 7);
+    let mut model_scale = scale(case.kind);
+    model_scale.input = case.input.unwrap_or(model_scale.input);
+    let g = build(case.kind, model_scale, 7);
     let opts = CompileOptions::level(case.level);
-    let program = format!("{} {} {:?}", case.kind.name(), target.name, case.level);
+    let model = match case.input {
+        Some(input) => format!("{}@{input}", case.kind.name()),
+        None => case.kind.name().to_string(),
+    };
+    let program = format!("{model} {} {:?}", target.name, case.level);
     let (module, report) = if case.int8 {
         let (m, r) =
             compile_quantized(&g, &target, &opts, &QuantizeOptions::default()).expect(&program);
@@ -188,7 +199,7 @@ fn cases(levels: &[OptLevel], int8_levels: &[OptLevel]) -> Vec<Case> {
         for target in TARGETS {
             for &kind in &models {
                 for &level in levels {
-                    out.push(Case { kind, target, level, int8 });
+                    out.push(Case { kind, target, level, int8, input: None });
                 }
             }
         }
@@ -251,11 +262,27 @@ fn check(expected_file: &str, lines: &[String]) {
     );
 }
 
+/// The one reduced-scale program known to see a target's transform price:
+/// of the zoo at O3 with `mem_bytes_per_sec` ×0.1 and ×10, at channel
+/// divisors 1, 2 and 4 and inputs 64, 112 and 224 (Inception at its own
+/// input only), on `skylake_avx512` and `epyc_avx2`, only this program
+/// moved, at ×10 on skylake. No reduced-scale program moved for
+/// `epyc_avx2`: its transform price is held by the full-scale test only.
+const TRANSFORM_PRICED: Case = Case {
+    kind: ModelKind::DenseNet161,
+    target: CpuTarget::skylake_avx512,
+    level: OptLevel::O3,
+    int8: false,
+    input: Some(112),
+};
+
 #[test]
 fn tiny_zoo_programs_match_their_digests() {
     use OptLevel::*;
-    let lines = digest_lines(&cases(&[O0, O1, O2, O3], &[O1, O2, O3]), ModelScale::tiny, 2);
-    assert_eq!(lines.len(), 210);
+    let mut cases = cases(&[O0, O1, O2, O3], &[O1, O2, O3]);
+    cases.push(TRANSFORM_PRICED);
+    let lines = digest_lines(&cases, ModelScale::tiny, 2);
+    assert_eq!(lines.len(), 211);
     check("compile_digests.txt", &lines);
 }
 
