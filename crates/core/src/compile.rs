@@ -35,8 +35,8 @@ use neocpu_graph::passes::{
 use neocpu_graph::{infer_layouts, infer_shapes, Graph, NodeId, Op};
 use neocpu_kernels::conv::{Conv2dParams, ConvSchedule};
 use neocpu_search::{
-    extract_problem, local_search, solve, CostModel, GlobalCfg, LocalSearchCfg, RankedScheme,
-    SchemeDatabase, TimedMeasurer,
+    extract_problem, local_search, local_search_i8, solve, CostModel, GlobalCfg, LocalSearchCfg,
+    RankedScheme, SchemeDatabase, TimedMeasurer,
 };
 use neocpu_tensor::DType;
 use neocpu_threadpool::{OmpLikePool, Parallelism, Sequential, ThreadPool};
@@ -297,21 +297,6 @@ pub fn load_scheme_db(path: &Path) -> Result<(SchemeDatabase, Vec<String>)> {
     Ok((db, problems.iter().map(ToString::to_string).collect()))
 }
 
-/// Prices candidate schedules with the int8 kernel cost — the dtype axis
-/// of the search. Same candidate space, same transform costs; only the
-/// conv time changes. Wrapping (rather than a second trait method on the
-/// search side) lets [`local_search`] stay dtype-agnostic.
-struct Int8Cost<'a, M: CostModel>(&'a M);
-
-impl<M: CostModel> CostModel for Int8Cost<'_, M> {
-    fn conv_time(&self, params: &Conv2dParams, schedule: &ConvSchedule) -> f32 {
-        self.0.conv_time_i8(params, schedule)
-    }
-    fn transform_time(&self, c: usize, h: usize, w: usize, from: usize, to: usize) -> f32 {
-        self.0.transform_time(c, h, w, from, to)
-    }
-}
-
 /// Runs the two-stage search and returns per-conv schedules.
 ///
 /// Cached database entries are verified against their workload first;
@@ -320,14 +305,16 @@ impl<M: CostModel> CostModel for Int8Cost<'_, M> {
 /// candidates are valid by construction. A workload left without any
 /// viable scheme degrades to the unsearched schedule of `cfg`.
 ///
-/// With `int8` set, every conv workload is *additionally* searched under
-/// the int8 cost model (always analytical — [`TimedMeasurer`] only runs
-/// the f32 kernel and its [`CostModel::conv_time_i8`] default reports no
-/// speedup). Int8 candidate lists are cached in `db` under the `d`-suffixed
-/// dtype key, and when a workload's best int8 candidate beats its best f32
-/// candidate, the int8 list is what enters the global solve — the chosen
-/// schedule is then the one the quantization pass will run, not the one
-/// the f32 kernel would prefer.
+/// With `int8` set, every conv workload is *additionally* searched over
+/// the schedules the u8 template runs ([`local_search_i8`]), ranked by the
+/// analytical int8 model under every strategy — [`TimedMeasurer`] only
+/// runs the f32 kernel and its [`CostModel::conv_time_i8`] default reports
+/// no speedup. Int8 candidate lists are cached in `db` under the
+/// `d`-suffixed dtype key, and when a workload's best int8 candidate beats
+/// its best f32 candidate, the int8 list is what enters the global solve —
+/// the chosen schedule is then the one the quantization pass runs, as is.
+/// Under [`SearchStrategy::Hybrid`] that race, and the solve after it,
+/// compare analytical int8 seconds with measured f32 seconds.
 fn global_search(
     g: &Graph,
     target: &CpuTarget,
@@ -378,7 +365,7 @@ fn global_search(
         db.replace(&target.name, params, kept.clone());
         if int8 {
             let kept8 = verified_schemes(db, &target.name, node, params, DType::U8, report, || {
-                local_search(params, &Int8Cost(&analytical), &local_cfg)
+                local_search_i8(params, &analytical, opts.keep_candidates)
             });
             db.replace_dtyped(&target.name, params, DType::U8, kept8.clone());
             // No fallback synthesis on the int8 side: a workload with no

@@ -30,16 +30,19 @@
 //!
 //! A model thus compiles into a mix of int8 and f32 convs, with dtype
 //! chosen per workload by the same search that chooses blocking factors
-//! (see `plan_stage` with `int8 = true`).
+//! (see `plan_stage` with `int8 = true`). That search ranks only the
+//! schedules the u8 template runs (`local_search_i8`, over
+//! `ConvSchedule::candidates_for` at `u8`), so no pass re-fits an int8
+//! conv's schedule to the int8 strips; `tests/strip_plan.rs` holds every
+//! int8 conv of the quantized zoo to its tier's int8 list.
 
 use std::collections::HashMap;
 
 use neocpu_graph::passes::insert_layout_transforms;
 use neocpu_graph::{infer_shapes, Graph, Node, NodeId, Op, QuantInfo};
-use neocpu_kernels::conv::fitting_reg_n;
 use neocpu_kernels::quantize::{quantize_dense_weights, quantize_dw_weights, QuantizedWeights};
 use neocpu_search::{CostModel, SchemeDatabase};
-use neocpu_tensor::{DType, Layout, Tensor};
+use neocpu_tensor::{Layout, Tensor};
 
 use crate::compile::{finish_module, plan_stage, CompileOptions, CompileReport};
 use crate::executor::Module;
@@ -172,13 +175,7 @@ pub fn compile_quantized_with_db(
     let mut qreport = QuantizeReport::default();
     // On the f32 module's graph, so the f32 convs share the blocked weights
     // the module holds.
-    let unfolded = quantize_convs(
-        f32_module.graph().clone(),
-        packed,
-        &stats,
-        target.max_lanes(),
-        &mut qreport,
-    )?;
+    let unfolded = quantize_convs(f32_module.graph().clone(), packed, &stats, &mut qreport)?;
     let module = if qreport.quantized == 0 {
         f32_module
     } else {
@@ -300,15 +297,13 @@ fn pack_int8_convs(planned: &Graph, model: &impl CostModel) -> Vec<(NodeId, Quan
 /// (`insert_layout_transforms`). A conv gets its packed weights, the
 /// [`QuantInfo`] of its input's calibrated range with the per-out-channel
 /// multiplier `m[oc] = s_in · s_w[oc]`, its bias folded with the
-/// zero-point correction, and its `reg_n` re-fit to the int8 strips under
-/// `max_lanes` (the planner's schedules name f32 strip lengths). A conv
-/// whose input has no range stays f32. Every int8 conv still stores f32;
-/// `report` gets the conv counts.
+/// zero-point correction; its schedule stays the one the search picked. A
+/// conv whose input has no range stays f32. Every int8 conv still stores
+/// f32; `report` gets the conv counts.
 fn quantize_convs(
     mut g: Graph,
     packed: Vec<(NodeId, QuantizedWeights)>,
     stats: &HashMap<NodeId, (f32, f32)>,
-    max_lanes: usize,
     report: &mut QuantizeReport,
 ) -> Result<Graph> {
     for (id, qw) in packed {
@@ -329,14 +324,11 @@ fn quantize_convs(
         let qweight = g.push_param(qw.tensor);
         let qmult = g.push_param(Tensor::from_vec(mult, [oc], Layout::Flat)?);
         let qbias = g.push_param(Tensor::from_vec(folded, [oc], Layout::Flat)?);
-        let Op::Conv2d { params, weight, bias, schedule: Some(s), quant, .. } = &mut g.nodes[id].op
-        else {
+        let Op::Conv2d { weight, bias, quant, .. } = &mut g.nodes[id].op else {
             unreachable!("only scheduled convs are packed")
         };
         (*weight, *bias) = (qweight, Some(qbias));
         *quant = Some(QuantInfo { in_scale, in_zp, mult: qmult });
-        // The module records the strip the u8 template runs.
-        s.reg_n = fitting_reg_n(params, s.oc_bn, max_lanes, s.reg_n, DType::U8);
         report.quantized += 1;
     }
     report.skipped = g
@@ -393,6 +385,7 @@ mod tests {
     use super::*;
     use crate::compile::{compile, OptLevel};
     use neocpu_graph::GraphBuilder;
+    use neocpu_tensor::DType;
 
     fn conv_net(channels: usize) -> Graph {
         let mut b = GraphBuilder::new(41);
@@ -624,7 +617,7 @@ mod tests {
     ) -> (Graph, QuantizeReport) {
         let packed = pack_int8_convs(planned, &target.analytical_model());
         let mut counts = QuantizeReport::default();
-        let g = quantize_convs(planned.clone(), packed, stats, target.max_lanes(), &mut counts);
+        let g = quantize_convs(planned.clone(), packed, stats, &mut counts);
         (g.unwrap(), counts)
     }
 

@@ -381,22 +381,32 @@ impl ConvSchedule {
         }
     }
 
-    /// Enumerates the candidate schedule space of §3.3.1 for a workload:
-    /// all channel factors for `ic_bn`/`oc_bn`, every applicable
-    /// [`Dataflow`], `reg_n` from the per-dataflow register-file-capped
-    /// ladder (further capped by the width of the strip row,
-    /// [`Conv2dParams::strip_row`]).
+    /// Enumerates the candidate schedule space of §3.3.1 for a workload with
+    /// f32 activations: [`ConvSchedule::candidates_for`] at [`DType::F32`].
+    pub fn candidates(p: &Conv2dParams, max_block: usize) -> Vec<ConvSchedule> {
+        Self::candidates_for(p, max_block, DType::F32)
+    }
+
+    /// Enumerates the candidate schedule space of §3.3.1 for a workload
+    /// whose activations are of type `act`: all channel factors for
+    /// `ic_bn`/`oc_bn`, every applicable [`Dataflow`], `reg_n` from
+    /// [`reg_n_candidates`] for `act` (further capped by the width of the
+    /// strip row, [`Conv2dParams::strip_row`]) — so every candidate names a
+    /// strip the template for `act` runs.
     ///
     /// Depthwise workloads constrain the space to `ic_bn == oc_bn` (the
     /// channel block is convolved element-wise with its own filters, so
     /// input and output blocking must agree). Shift-reuse requires
     /// `stride_w == 1` and a SIMD strip in the dispatch table for the block
     /// and kernel width (elsewhere it would only duplicate the
-    /// output-stationary candidates).
-    /// The result is never empty: every channel count has the factor 1, and
-    /// each channel pair gets an output-stationary candidate even where the
-    /// strip row is shorter than every listed `reg_n` (`reg_n` 1).
-    pub fn candidates(p: &Conv2dParams, max_block: usize) -> Vec<ConvSchedule> {
+    /// output-stationary candidates). Each channel pair gets an
+    /// output-stationary candidate even where the strip row is shorter than
+    /// every listed `reg_n` (`reg_n` 1), so the f32 space is never empty:
+    /// every channel count has the factor 1. An int8 space holds only what
+    /// [`ConvSchedule::validate_int8`] admits, which is nothing for a dense
+    /// workload without an input-channel factor divisible by 4 (the
+    /// 3-channel stem).
+    pub fn candidates_for(p: &Conv2dParams, max_block: usize, act: DType) -> Vec<ConvSchedule> {
         let ic: Vec<usize> = factors_descending(p.in_channels, max_block);
         let oc: Vec<usize> = factors_descending(p.out_channels, max_block);
         let (_, width) = p.strip_row();
@@ -411,7 +421,7 @@ impl ConvSchedule {
                         continue;
                     }
                     let mut pushed = false;
-                    for reg_n in reg_n_candidates(oc_bn, dataflow, p.kernel_w, DType::F32) {
+                    for reg_n in reg_n_candidates(oc_bn, dataflow, p.kernel_w, act) {
                         if reg_n > width {
                             continue;
                         }
@@ -426,6 +436,9 @@ impl ConvSchedule {
                     }
                 }
             }
+        }
+        if act != DType::F32 {
+            out.retain(|s| s.validate_int8(p).is_ok());
         }
         out
     }

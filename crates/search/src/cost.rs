@@ -19,10 +19,10 @@ use neocpu_threadpool::Sequential;
 /// Estimates or measures the execution time (in seconds) of a convolution
 /// under a schedule, and the cost of layout transforms between convs.
 ///
-/// A time of `+∞` means this model's kernel cannot run the schedule (the
-/// int8 template takes only what [`ConvSchedule::validate_int8`] admits): the
-/// search drops such a candidate as a matter of course. NaN means a faulty
-/// measurement.
+/// The local searches only ask for schedules the kernel runs — the int8
+/// search enumerates what [`ConvSchedule::validate_int8`] admits — so a
+/// non-finite time is a fault (NaN from a degenerate measurement): the
+/// search drops that candidate with a warning.
 pub trait CostModel {
     /// Time for one invocation of `params` under `schedule`.
     fn conv_time(&self, params: &Conv2dParams, schedule: &ConvSchedule) -> f32;
@@ -33,7 +33,10 @@ pub trait CostModel {
     /// only runs the f32 kernel (like [`TimedMeasurer`]) reports *no* int8
     /// speedup rather than guessing, so dtype selection driven by such a
     /// model conservatively keeps f32. [`AnalyticalModel`] overrides this
-    /// with the quad-packed kernel's lane and footprint credits.
+    /// with the quad-packed kernel's lane and footprint credits, and returns
+    /// `+∞` for a schedule the int8 template refuses
+    /// ([`ConvSchedule::validate_int8`]), so that a caller pricing an f32
+    /// candidate list for int8 can filter it by finiteness.
     fn conv_time_i8(&self, params: &Conv2dParams, schedule: &ConvSchedule) -> f32 {
         self.conv_time(params, schedule)
     }
@@ -216,7 +219,8 @@ impl CostModel for AnalyticalModel {
     fn conv_time_i8(&self, params: &Conv2dParams, schedule: &ConvSchedule) -> f32 {
         // A schedule the int8 template refuses (shift-reuse, or a dense
         // block that cannot quad-pack, like the 3-channel stem's) must never
-        // win the dtype race.
+        // win the dtype race: the quantize pass's profit test prices the
+        // planner's f32 picks too.
         if schedule.validate_int8(params).is_err() {
             return f32::INFINITY;
         }

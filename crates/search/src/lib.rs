@@ -33,4 +33,4 @@ pub mod local;
 pub use cost::{AnalyticalModel, CostModel, TimedMeasurer};
 pub use database::{DbError, SchemeDatabase};
 pub use global::{extract_problem, solve, GlobalCfg, SearchProblem};
-pub use local::{local_search, LocalSearchCfg, RankedScheme};
+pub use local::{local_search, local_search_i8, LocalSearchCfg, RankedScheme};

@@ -1,6 +1,7 @@
 //! Local search: ranking candidate schedules of one convolution (§3.3.1).
 
 use neocpu_kernels::conv::{Conv2dParams, ConvSchedule};
+use neocpu_tensor::DType;
 
 use crate::cost::{AnalyticalModel, CostModel};
 
@@ -55,40 +56,61 @@ pub fn local_search(
 ) -> Vec<RankedScheme> {
     let mut candidates = ConvSchedule::candidates(params, MAX_BLOCK);
     if let Some(n) = cfg.preselect {
-        // Each candidate is priced once (a row-aware price walks the row's
-        // strips), then ranked. `total_cmp` instead of
-        // `partial_cmp(..).expect(..)`: a panic here would sit between a
-        // cost model and a compile result.
-        let mut priced: Vec<(f32, ConvSchedule)> = candidates
-            .into_iter()
-            .map(|s| (cfg.preselect_model.conv_time(params, &s), s))
-            .collect();
-        priced.sort_by(|a, b| a.0.total_cmp(&b.0));
-        priced.truncate(n);
-        candidates = priced.into_iter().map(|(_, s)| s).collect();
+        let priced = rank(params, candidates, |s| cfg.preselect_model.conv_time(params, s));
+        candidates = priced.into_iter().take(n).map(|r| r.schedule).collect();
     }
+    let mut ranked = rank(params, candidates, |s| model.conv_time(params, s));
+    ranked.truncate(cfg.keep.max(1));
+    ranked
+}
+
+/// The int8 local search: every schedule the u8 template runs on the
+/// workload ([`ConvSchedule::candidates_for`] at [`DType::U8`]), priced by
+/// [`CostModel::conv_time_i8`], sorted, the best `keep` returned. There is
+/// no preselect: the space is what the int8 strip table and
+/// [`ConvSchedule::validate_int8`] admit. Empty where the template runs
+/// nothing (a dense workload without an input-channel factor divisible by
+/// 4).
+pub fn local_search_i8(
+    params: &Conv2dParams,
+    model: &dyn CostModel,
+    keep: usize,
+) -> Vec<RankedScheme> {
+    let candidates = ConvSchedule::candidates_for(params, MAX_BLOCK, DType::U8);
+    let mut ranked = rank(params, candidates, |s| model.conv_time_i8(params, s));
+    ranked.truncate(keep.max(1));
+    ranked
+}
+
+/// Prices each candidate once (a row-aware price walks the row's strips)
+/// and sorts them by ascending time, stably, so ties keep the generator's
+/// order. A non-finite time (NaN from a degenerate measurement, or `+∞`
+/// from a model asked for a schedule its kernel cannot run) is a fault:
+/// the candidate is dropped with a warning, never sorted or handed to the
+/// global search. `total_cmp` instead of `partial_cmp(..).expect(..)`: a
+/// panic here would sit between a cost model and a compile result.
+fn rank(
+    params: &Conv2dParams,
+    candidates: Vec<ConvSchedule>,
+    time: impl Fn(&ConvSchedule) -> f32,
+) -> Vec<RankedScheme> {
+    let total = candidates.len();
     let mut ranked: Vec<RankedScheme> = candidates
         .into_iter()
-        .map(|schedule| RankedScheme { schedule, time: model.conv_time(params, &schedule) })
+        .map(|schedule| RankedScheme { schedule, time: time(&schedule) })
+        .filter(|r| r.time.is_finite())
         .collect();
-    // Non-finite times must not reach the sort or the global search. `+∞`
-    // is a model saying its kernel cannot run the schedule (the int8 model
-    // on shift-reuse or a block that cannot quad-pack): dropped silently.
-    // Anything else (NaN from a degenerate measurement) is a fault worth a
-    // warning — but still dropped, not a panic.
-    let faulty = ranked.iter().filter(|r| !r.time.is_finite() && r.time != f32::INFINITY).count();
-    ranked.retain(|r| r.time.is_finite());
-    if faulty > 0 {
+    if ranked.len() < total {
         eprintln!(
-            "warning: local search dropped {faulty} candidate(s) with non-finite cost for \
+            "warning: local search dropped {} candidate(s) with non-finite cost for \
              {}x{} conv (kept {})",
+            total - ranked.len(),
             params.in_channels,
             params.out_channels,
             ranked.len()
         );
     }
     ranked.sort_by(|a, b| a.time.total_cmp(&b.time));
-    ranked.truncate(cfg.keep.max(1));
     ranked
 }
 
@@ -141,7 +163,6 @@ mod tests {
         // hand over `oc_bn` 16 ones, which such a target runs as scalar
         // code.
         use neocpu_kernels::conv::simd_strip_exists;
-        use neocpu_tensor::DType;
         use std::cell::RefCell;
         struct Recording(RefCell<Vec<ConvSchedule>>);
         impl CostModel for Recording {
@@ -213,6 +234,29 @@ mod tests {
         let cfg = LocalSearchCfg { preselect: Some(4), ..Default::default() };
         let r = local_search(&p, &AlwaysNan, &cfg);
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn int8_search_ranks_only_what_the_u8_template_runs() {
+        use neocpu_kernels::conv::simd_strip_exists;
+        let m = AnalyticalModel::default();
+        let p = Conv2dParams::square(64, 64, 56, 3, 1, 1);
+        let r = local_search_i8(&p, &m, usize::MAX);
+        assert_eq!(r.len(), ConvSchedule::candidates_for(&p, MAX_BLOCK, DType::U8).len());
+        for w in r.windows(2) {
+            assert!(w[0].time <= w[1].time);
+        }
+        for s in &r {
+            s.schedule.validate_int8(&p).unwrap();
+            if s.schedule.oc_bn == 16 {
+                let (df, rn) = (s.schedule.dataflow, s.schedule.reg_n);
+                assert!(simd_strip_exists(16, df, rn, 3, DType::U8), "{s:?}");
+            }
+        }
+        assert_eq!(local_search_i8(&p, &m, 4).len(), 4);
+        // The 3-channel stem has no schedule the template runs.
+        let stem = Conv2dParams::square(3, 64, 224, 7, 2, 3);
+        assert!(local_search_i8(&stem, &m, 16).is_empty());
     }
 
     #[test]

@@ -28,14 +28,14 @@ use neocpu::{compile_quantized, CompileOptions, CpuTarget, OptLevel, QuantizeOpt
 use neocpu_graph::passes::{fuse_ops, simplify_inference};
 use neocpu_graph::Op;
 use neocpu_kernels::conv::{
-    conv2d_nchwc_u8, fitting_reg_n, reg_n_candidates, strip_plan, Conv2dParams, ConvQuant,
+    conv2d_nchwc_u8, reg_n_candidates, strip_plan, Conv2dParams, ConvQuant,
     ConvSchedule, Dataflow, Epilogue,
 };
 use neocpu_kernels::quantize::{
     quantize_dense_weights, quantize_dw_weights, quantize_slice_par, QuantizedWeights,
 };
 use neocpu_models::{build, ModelKind, ModelScale};
-use neocpu_search::{local_search, CostModel, LocalSearchCfg, TimedMeasurer};
+use neocpu_search::{local_search, local_search_i8, LocalSearchCfg, TimedMeasurer};
 use neocpu_tensor::{DType, Layout, Tensor};
 use neocpu_threadpool::{Parallelism, Sequential, ThreadPool};
 
@@ -134,25 +134,18 @@ fn u8_secs(p: &Conv2dParams, s: &ConvSchedule, max_lanes: usize) -> f64 {
     secs
 }
 
-/// The int8 side of a compile's search over the u8×i8 template: the int8
-/// analytical model ranks the candidates, each named by the strip a u8 call
-/// runs. Returns the model's first pick with its measured seconds, and the
+/// The int8 side of a compile's search over the u8×i8 template: the
+/// compile's int8 local search ranks the schedules the template runs.
+/// Returns the model's first pick with its measured seconds, and the
 /// measured best of its first `PRESELECT` with its seconds. `None` for a
 /// workload no int8 schedule serves (the 3-channel stem).
 fn u8_best(p: &Conv2dParams, target: &CpuTarget) -> Option<[(ConvSchedule, f64); 2]> {
-    let (model, max_lanes) = (target.analytical_model(), target.max_lanes());
-    let mut candidates: Vec<ConvSchedule> = Vec::new();
-    for s in ConvSchedule::candidates(p, 64) {
-        let reg_n = fitting_reg_n(p, s.oc_bn, max_lanes, s.reg_n, DType::U8);
-        let s = ConvSchedule { reg_n, ..s };
-        if model.conv_time_i8(p, &s).is_finite() && !candidates.contains(&s) {
-            candidates.push(s);
-        }
-    }
-    candidates.sort_by(|a, b| model.conv_time_i8(p, a).total_cmp(&model.conv_time_i8(p, b)));
-    candidates.truncate(PRESELECT);
+    let max_lanes = target.max_lanes();
     let timed: Vec<(ConvSchedule, f64)> =
-        candidates.into_iter().map(|s| (s, u8_secs(p, &s, max_lanes))).collect();
+        local_search_i8(p, &target.analytical_model(), PRESELECT)
+            .into_iter()
+            .map(|r| (r.schedule, u8_secs(p, &r.schedule, max_lanes)))
+            .collect();
     let pick = *timed.first()?;
     let best = *timed.iter().min_by(|a, b| a.1.total_cmp(&b.1))?;
     Some([pick, best])

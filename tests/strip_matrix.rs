@@ -14,9 +14,11 @@
 //! generator emits for a SIMD block but the table lacks would silently run
 //! the scalar fallback and only show up as a slow layer.
 
+use std::collections::HashSet;
+
 use neocpu_kernels::conv::{
-    conv2d_nchw_direct, conv2d_nchwc, conv2d_nchwc_u8, padded_input_len, reg_n_candidates,
-    simd_strip_exists, Conv2dParams, ConvQuant, ConvSchedule, Dataflow, Epilogue,
+    conv2d_nchw_direct, conv2d_nchwc, conv2d_nchwc_u8, fitting_reg_n, padded_input_len,
+    reg_n_candidates, simd_strip_exists, Conv2dParams, ConvQuant, ConvSchedule, Dataflow, Epilogue,
 };
 use neocpu_kernels::quantize::{quantize_dense_weights, quantize_dw_weights};
 use neocpu_tensor::{transform::to_layout, DType, Layout, Tensor};
@@ -243,8 +245,13 @@ fn dispatch_table_is_pinned_and_covers_every_emitted_candidate() {
     assert!(!simd_strip_exists(4, Dataflow::OutputStationary, 4, 3, DType::F32));
 
     // Everything the candidate generator emits for a SIMD block — over the
-    // matrix workloads and a few real layer shapes — has a table entry.
-    let mut checked = 0usize;
+    // matrix workloads and a few real layer shapes — has a table entry, for
+    // f32 and for u8 activations. The u8 space is what the int8 template
+    // admits, and it equals what the search used to derive from the f32
+    // space: the schedules `validate_int8` admits, each `reg_n` re-fit to
+    // the int8 strips (every tier's table, as the generator knows no lane
+    // cap).
+    let (mut checked, mut checked_i8) = (0usize, 0usize);
     let mut check = |p: &Conv2dParams| {
         for s in ConvSchedule::candidates(p, 64) {
             if s.oc_bn == 8 || s.oc_bn == 16 {
@@ -257,17 +264,48 @@ fn dispatch_table_is_pinned_and_covers_every_emitted_candidate() {
                 assert_eq!(s.dataflow, Dataflow::OutputStationary, "scalar block {s:?}");
             }
         }
+        let int8 = ConvSchedule::candidates_for(p, 64, DType::U8);
+        for s in &int8 {
+            assert!(s.validate_int8(p).is_ok(), "{s:?} emitted for {p:?} fails validate_int8");
+            if s.oc_bn == 8 || s.oc_bn == 16 {
+                assert!(
+                    simd_strip_exists(s.oc_bn, s.dataflow, s.reg_n, p.kernel_w, DType::U8),
+                    "{s:?} emitted for {p:?} has no int8 strip"
+                );
+                checked_i8 += 1;
+            }
+        }
+        let emitted: HashSet<ConvSchedule> = int8.iter().copied().collect();
+        assert_eq!(emitted.len(), int8.len(), "duplicate int8 candidates for {p:?}");
+        let refit: HashSet<ConvSchedule> = ConvSchedule::candidates(p, 64)
+            .into_iter()
+            .filter(|s| s.validate_int8(p).is_ok())
+            .map(|s| ConvSchedule {
+                reg_n: fitting_reg_n(p, s.oc_bn, usize::MAX, s.reg_n, DType::U8),
+                ..s
+            })
+            .collect();
+        assert_eq!(emitted, refit, "int8 candidates of {p:?}");
     };
     for_each_workload(|p, _| check(p));
+    let stem = Conv2dParams::square(3, 64, 224, 7, 2, 3);
     for p in [
-        Conv2dParams::square(3, 64, 224, 7, 2, 3),
+        stem,
         Conv2dParams::square(64, 64, 56, 3, 1, 1),
         Conv2dParams::square(512, 2048, 7, 1, 1, 0),
         Conv2dParams::depthwise(32, 112, 3, 1, 1),
         Conv2dParams::depthwise(1024, 7, 3, 1, 1),
         Conv2dParams::square(16, 16, 1, 1, 1, 0),
+        // Prime channel counts: only the factor 1 (and the whole count)
+        // blocks them.
+        Conv2dParams::square(7, 13, 28, 3, 1, 1),
+        Conv2dParams::square(12, 13, 28, 3, 1, 1),
+        Conv2dParams::depthwise(13, 28, 3, 1, 1),
     ] {
         check(&p);
     }
     assert!(checked > 500, "only {checked} SIMD candidates checked");
+    assert!(checked_i8 > 200, "only {checked_i8} SIMD int8 candidates checked");
+    // A 3-channel stem has no input-channel block that quad-packs.
+    assert!(ConvSchedule::candidates_for(&stem, 64, DType::U8).is_empty());
 }
