@@ -49,7 +49,7 @@ use neocpu_kernels::conv::{
 };
 use neocpu_kernels::elementwise::{add, add_assign, concat_channels, relu_inplace, scale_shift};
 use neocpu_kernels::pool2d::{global_avg_pool, pool2d};
-use neocpu_kernels::quantize::{dequantize_slice_par, f32_slice_as_u8_mut, quantize_slice_par};
+use neocpu_kernels::quantize::{f32_slice_as_u8_mut, quantize_slice_par};
 use neocpu_kernels::{dense, padded_input_len, softmax};
 use neocpu_tensor::{
     transform::to_layout_into,
@@ -526,7 +526,6 @@ impl Module {
                 | Op::Dense { .. }
                 | Op::Softmax
                 | Op::Quantize { .. }
-                | Op::Dequantize { .. }
         ) {
             crate::faults::fire(crate::faults::TENSOR_ALLOC)?;
         }
@@ -624,10 +623,6 @@ impl Module {
                 let x = &before[node.inputs[0]];
                 let (src, dst) = (x.data(), out.data_u8_mut());
                 quantize_slice_par(src, dst, *scale, *zero_point, par, self.max_lanes);
-            }
-            Op::Dequantize { scale, zero_point } => {
-                let x = &before[node.inputs[0]];
-                dequantize_slice_par(x.data_u8(), out.data_mut(), *scale, *zero_point, par);
             }
             Op::ScaleShift { scale, shift } => {
                 let x = &before[node.inputs[0]];

@@ -83,7 +83,6 @@ pub(crate) fn node_shape(
         Op::Relu
         | Op::Dropout
         | Op::Quantize { .. }
-        | Op::Dequantize { .. }
         | Op::LayoutTransform { .. } => ins[0].clone(),
         Op::Pool { params, .. } => {
             let d = of_rank(4)?;
@@ -245,10 +244,6 @@ pub(crate) fn layout_contract(
         Op::Quantize { scale, zero_point } => {
             let l = ins[0].layout;
             (vec![f32(l)], Port::u8(l, *scale, *zero_point))
-        }
-        Op::Dequantize { scale, zero_point } => {
-            let l = ins[0].layout;
-            (vec![Port::u8(l, *scale, *zero_point)], f32(l))
         }
         // Both operands in the first's layout (Figure 3's Elementwise_Add
         // constraint).
@@ -491,29 +486,6 @@ mod tests {
         }
         let err = dtypes(&g).unwrap_err().to_string();
         assert!(err.contains("scheduled"), "unexpected error: {err}");
-    }
-
-    #[test]
-    fn dequantize_reads_the_u8_it_names() {
-        let mut b = GraphBuilder::new(8);
-        let x = b.input([1, 4, 8, 8]);
-        let mut g = b.finish(vec![x]);
-        let q = g.push(Op::Quantize { scale: 0.1, zero_point: 7 }, vec![x]);
-        let d = g.push(Op::Dequantize { scale: 0.1, zero_point: 7 }, vec![q]);
-        g.outputs = vec![d];
-        assert_eq!(dtypes(&g).unwrap(), vec![DType::F32, DType::U8, DType::F32]);
-        // Another zero point is another u8 edge…
-        g.nodes[d].op = Op::Dequantize { scale: 0.1, zero_point: 8 };
-        match dtypes(&g) {
-            Err(GraphError::Layout { node, msg }) => {
-                assert_eq!(node, d);
-                assert!(msg.contains("got NCHW u8 (scale 0.1, zp 7)"), "message was: {msg}");
-            }
-            other => panic!("expected a layout error at node {d}, got {other:?}"),
-        }
-        // …and dequantize directly on f32 data is a dtype error.
-        g.nodes[d].inputs = vec![x];
-        assert!(dtypes(&g).is_err());
     }
 
     #[test]

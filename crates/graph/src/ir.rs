@@ -90,14 +90,6 @@ pub enum Op {
         /// Zero point.
         zero_point: u8,
     },
-    /// Inverse of [`Op::Quantize`]: `x = (q − zp)·scale`. Shape- and
-    /// layout-preserving.
-    Dequantize {
-        /// Quantization scale.
-        scale: f32,
-        /// Zero point.
-        zero_point: u8,
-    },
     /// Per-channel affine `y = x·scale + shift` (folded BatchNorm).
     ScaleShift {
         /// Per-channel scale parameter (`FLAT`).
@@ -216,7 +208,6 @@ impl Op {
             Op::Softmax => "softmax",
             Op::Dropout => "dropout",
             Op::Quantize { .. } => "quantize",
-            Op::Dequantize { .. } => "dequantize",
             Op::LayoutTransform { .. } => "layout_transform",
         }
     }

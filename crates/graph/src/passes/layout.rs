@@ -224,7 +224,7 @@ pub fn insert_layout_transforms(g: &Graph) -> Result<Graph> {
         let src = remap[o];
         let have = p.ports[src];
         let layout = match have.layout {
-            Layout::NchwC(_) | Layout::Nhwc => Layout::Nchw,
+            Layout::NchwC(_) => Layout::Nchw,
             l => l,
         };
         let out = p.get_as(src, Port { layout, ..have });

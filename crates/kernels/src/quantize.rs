@@ -314,7 +314,7 @@ mod simd {
     }
 }
 
-/// Elements per pool job of the parallel quantize and dequantize: 64 KiB of
+/// Elements per pool job of the parallel quantize: 64 KiB of
 /// f32, a few microseconds of work, so a region's fixed cost stays small
 /// against it and a tensor below one block runs on the caller.
 const PAR_BLOCK: usize = 16 * 1024;
@@ -376,26 +376,10 @@ pub fn quantize_slice_par(
 ///
 /// Panics if slice lengths differ.
 pub fn dequantize_slice(src: &[u8], dst: &mut [f32], scale: f32, zero_point: u8) {
-    dequantize_slice_par(src, dst, scale, zero_point, &Sequential);
-}
-
-/// [`dequantize_slice`] as fixed-size element blocks on `par`.
-///
-/// # Panics
-///
-/// Panics if slice lengths differ.
-pub fn dequantize_slice_par(
-    src: &[u8],
-    dst: &mut [f32],
-    scale: f32,
-    zero_point: u8,
-    par: &dyn Parallelism,
-) {
-    par_blocks(src, dst, par, |s, d| {
-        for (d, &s) in d.iter_mut().zip(s) {
-            *d = dequantize_value(s, scale, zero_point);
-        }
-    });
+    assert_eq!(src.len(), dst.len(), "length mismatch");
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d = dequantize_value(s, scale, zero_point);
+    }
 }
 
 /// Quantizes an `f32` tensor into a `u8` tensor of the same shape and
@@ -452,21 +436,15 @@ pub fn dequantize_tensor(
     Ok(())
 }
 
-/// Reinterprets an f32 slot slice as bytes (all `4·len` of them).
+/// Reinterprets an f32 slot slice as bytes (all `4·len` of them), mutably.
 ///
 /// The arena/planner hand out f32-slot storage; the int8 executor path uses
 /// this to view planned scratch as the byte buffer the padding writer
-/// fills. Every bit pattern is a valid `u8`, so this is always sound.
-pub fn f32_slice_as_u8(s: &[f32]) -> &[u8] {
-    // SAFETY: u8 has alignment 1 and no invalid bit patterns; the byte
-    // length equals the f32 length times 4.
-    unsafe { std::slice::from_raw_parts(s.as_ptr().cast::<u8>(), s.len() * 4) }
-}
-
-/// Mutable flavor of [`f32_slice_as_u8`].
+/// fills.
 pub fn f32_slice_as_u8_mut(s: &mut [f32]) -> &mut [u8] {
-    // SAFETY: as `f32_slice_as_u8`; the borrow is exclusive. Writing
-    // arbitrary bytes is fine — every bit pattern is also a valid f32.
+    // SAFETY: u8 has alignment 1 and the byte length equals the f32 length
+    // times 4; the borrow is exclusive. Writing arbitrary bytes is fine —
+    // every bit pattern is a valid u8 and also a valid f32.
     unsafe { std::slice::from_raw_parts_mut(s.as_mut_ptr().cast::<u8>(), s.len() * 4) }
 }
 
@@ -610,11 +588,6 @@ mod tests {
         quantize_slice_par(&src, &mut par, scale, zp, &pool, usize::MAX);
         assert!(seq == par);
         assert!(seq.iter().zip(&src).all(|(&q, &x)| q == quantize_value(x, scale, zp)));
-        let mut back_seq = vec![f32::NAN; n];
-        let mut back_par = vec![f32::NAN; n];
-        dequantize_slice(&seq, &mut back_seq, scale, zp);
-        dequantize_slice_par(&seq, &mut back_par, scale, zp, &pool);
-        assert!(back_seq == back_par && back_par.iter().all(|v| v.is_finite()));
     }
 
     #[test]

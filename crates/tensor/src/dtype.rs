@@ -5,7 +5,7 @@
 //! non-`f32` tensor simply occupies `ceil(n · size_bytes / 4)` slots and
 //! reinterprets the bytes. That keeps every existing alignment and
 //! disjointness invariant intact while letting the int8 inference path
-//! view the same arena as `u8`/`i8`/`i32` data.
+//! view the same arena as `u8`/`i8` data.
 
 use std::fmt;
 use std::str::FromStr;
@@ -23,15 +23,13 @@ pub enum DType {
     U8,
     /// Signed 8-bit — quantized weights (symmetric per output channel).
     I8,
-    /// Signed 32-bit — int8 convolution accumulators.
-    I32,
 }
 
 impl DType {
     /// Size of one element in bytes.
     pub fn size_bytes(self) -> usize {
         match self {
-            Self::F32 | Self::I32 => 4,
+            Self::F32 => 4,
             Self::U8 | Self::I8 => 1,
         }
     }
@@ -42,14 +40,13 @@ impl DType {
         (n * self.size_bytes()).div_ceil(4)
     }
 
-    /// Short lowercase name (`f32`, `u8`, `i8`, `i32`) — also the
+    /// Short lowercase name (`f32`, `u8`, `i8`) — also the
     /// scheme-database key suffix spelling.
     pub fn name(self) -> &'static str {
         match self {
             Self::F32 => "f32",
             Self::U8 => "u8",
             Self::I8 => "i8",
-            Self::I32 => "i32",
         }
     }
 }
@@ -68,7 +65,6 @@ impl FromStr for DType {
             "f32" => Ok(Self::F32),
             "u8" => Ok(Self::U8),
             "i8" => Ok(Self::I8),
-            "i32" => Ok(Self::I32),
             _ => Err(TensorError::ParseDType(s.to_string())),
         }
     }
@@ -86,12 +82,11 @@ mod tests {
         assert_eq!(DType::U8.slots(4), 1);
         assert_eq!(DType::U8.slots(5), 2);
         assert_eq!(DType::I8.slots(16), 4);
-        assert_eq!(DType::I32.slots(3), 3);
     }
 
     #[test]
     fn name_round_trips() {
-        for d in [DType::F32, DType::U8, DType::I8, DType::I32] {
+        for d in [DType::F32, DType::U8, DType::I8] {
             assert_eq!(d.name().parse::<DType>().unwrap(), d);
         }
         assert!("f16".parse::<DType>().is_err());

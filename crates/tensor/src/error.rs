@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use crate::Layout;
-
 /// Errors produced by tensor construction, indexing, and layout transforms.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TensorError {
@@ -24,13 +22,6 @@ pub enum TensorError {
         /// Requested block factor.
         block: usize,
     },
-    /// The operation expected a tensor in one layout but got another.
-    LayoutMismatch {
-        /// Layout the operation requires.
-        expected: Layout,
-        /// Layout the tensor actually has.
-        actual: Layout,
-    },
     /// The operation expected a tensor of a particular rank.
     RankMismatch {
         /// Required rank.
@@ -38,8 +29,6 @@ pub enum TensorError {
         /// Actual rank.
         actual: usize,
     },
-    /// A layout string could not be parsed.
-    ParseLayout(String),
     /// A dtype string could not be parsed.
     ParseDType(String),
     /// Two tensors that must agree in shape do not.
@@ -62,13 +51,9 @@ impl fmt::Display for TensorError {
             Self::NotDivisible { dim, size, block } => {
                 write!(f, "dimension {dim} of size {size} is not divisible by block {block}")
             }
-            Self::LayoutMismatch { expected, actual } => {
-                write!(f, "expected layout {expected}, got {actual}")
-            }
             Self::RankMismatch { expected, actual } => {
                 write!(f, "expected rank {expected}, got {actual}")
             }
-            Self::ParseLayout(s) => write!(f, "cannot parse layout string {s:?}"),
             Self::ParseDType(s) => write!(f, "cannot parse dtype string {s:?}"),
             Self::ShapeMismatch(msg) => write!(f, "shape mismatch: {msg}"),
             Self::DTypeMismatch { expected, actual } => {

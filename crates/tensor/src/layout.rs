@@ -9,7 +9,6 @@
 //! a single vector load (`OIHW16i16o` in Figure 2).
 
 use std::fmt;
-use std::str::FromStr;
 
 use crate::{Shape, TensorError};
 
@@ -18,8 +17,6 @@ use crate::{Shape, TensorError};
 pub enum Layout {
     /// Batch, channel, height, width — the framework default.
     Nchw,
-    /// Batch, height, width, channel — TensorFlow's default on CPU.
-    Nhwc,
     /// Channel-blocked activations: physically `[N, C/x, H, W, x]`.
     NchwC(usize),
     /// Convolution weights: out-channel, in-channel, kernel-h, kernel-w
@@ -55,7 +52,6 @@ impl Layout {
     pub fn logical_rank(&self) -> usize {
         match self {
             Self::Nchw
-            | Self::Nhwc
             | Self::NchwC(_)
             | Self::Oihw
             | Self::OihwIo { .. }
@@ -82,7 +78,6 @@ impl Layout {
         let d = shape.dims();
         match *self {
             Self::Nchw | Self::Oihw => Ok(d.to_vec()),
-            Self::Nhwc => Ok(vec![d[0], d[2], d[3], d[1]]),
             Self::NchwC(x) => {
                 if x == 0 || !d[1].is_multiple_of(x) {
                     return Err(TensorError::NotDivisible { dim: "channel", size: d[1], block: x });
@@ -141,10 +136,6 @@ impl Layout {
         let d = shape.dims();
         match *self {
             Self::Nchw | Self::Oihw | Self::Nc | Self::Oi | Self::Flat => shape.offset(idx),
-            Self::Nhwc => {
-                let (n, c, h, w) = (idx[0], idx[1], idx[2], idx[3]);
-                ((n * d[2] + h) * d[3] + w) * d[1] + c
-            }
             Self::NchwC(x) => {
                 let (n, c, h, w) = (idx[0], idx[1], idx[2], idx[3]);
                 let (co, ci) = (c / x, c % x);
@@ -174,7 +165,6 @@ impl fmt::Display for Layout {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::Nchw => write!(f, "NCHW"),
-            Self::Nhwc => write!(f, "NHWC"),
             Self::NchwC(x) => write!(f, "NCHW{x}c"),
             Self::Oihw => write!(f, "OIHW"),
             Self::OihwIo { i, o } => write!(f, "OIHW{i}i{o}o"),
@@ -186,88 +176,9 @@ impl fmt::Display for Layout {
     }
 }
 
-impl FromStr for Layout {
-    type Err = TensorError;
-
-    fn from_str(s: &str) -> Result<Self, TensorError> {
-        let err = || TensorError::ParseLayout(s.to_string());
-        match s {
-            "NCHW" => return Ok(Self::Nchw),
-            "NHWC" => return Ok(Self::Nhwc),
-            "OIHW" | "KCRS" => return Ok(Self::Oihw),
-            "NC" => return Ok(Self::Nc),
-            "OI" => return Ok(Self::Oi),
-            "FLAT" => return Ok(Self::Flat),
-            _ => {}
-        }
-        if let Some(rest) = s.strip_prefix("NCHW") {
-            let digits = rest.strip_suffix('c').ok_or_else(err)?;
-            let x: usize = digits.parse().map_err(|_| err())?;
-            if x == 0 {
-                return Err(err());
-            }
-            return Ok(Self::NchwC(x));
-        }
-        if let Some(rest) = s.strip_prefix("OIHW") {
-            let (body, quad) = match rest.strip_suffix("oq4") {
-                Some(b) => (b, true),
-                None => (rest.strip_suffix('o').ok_or_else(err)?, false),
-            };
-            let (i_str, o_str) = body.split_once('i').ok_or_else(err)?;
-            let i: usize = i_str.parse().map_err(|_| err())?;
-            let o: usize = o_str.parse().map_err(|_| err())?;
-            if i == 0 || o == 0 {
-                return Err(err());
-            }
-            if quad {
-                if !i.is_multiple_of(4) {
-                    return Err(err());
-                }
-                return Ok(Self::OihwIo4 { i, o });
-            }
-            return Ok(Self::OihwIo { i, o });
-        }
-        Err(err())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn display_parse_round_trip() {
-        let layouts = [
-            Layout::Nchw,
-            Layout::Nhwc,
-            Layout::NchwC(16),
-            Layout::NchwC(8),
-            Layout::Oihw,
-            Layout::OihwIo { i: 16, o: 16 },
-            Layout::OihwIo { i: 8, o: 4 },
-            Layout::OihwIo4 { i: 16, o: 16 },
-            Layout::OihwIo4 { i: 8, o: 8 },
-            Layout::Nc,
-            Layout::Oi,
-            Layout::Flat,
-        ];
-        for l in layouts {
-            let parsed: Layout = l.to_string().parse().unwrap();
-            assert_eq!(parsed, l, "round trip for {l}");
-        }
-    }
-
-    #[test]
-    fn kcrs_alias_parses_to_oihw() {
-        assert_eq!("KCRS".parse::<Layout>().unwrap(), Layout::Oihw);
-    }
-
-    #[test]
-    fn bad_strings_rejected() {
-        for s in ["NCWH", "NCHWc", "NCHW0c", "OIHW16i", "OIHW16o", "", "nchw"] {
-            assert!(s.parse::<Layout>().is_err(), "{s} should not parse");
-        }
-    }
 
     #[test]
     fn physical_dims_blocked() {
@@ -320,7 +231,6 @@ mod tests {
         // i must be a multiple of 4.
         let s = Shape::from([8, 6, 1, 1]);
         assert!(Layout::OihwIo4 { i: 6, o: 8 }.physical_dims(&s).is_err());
-        assert!("OIHW6i8oq4".parse::<Layout>().is_err());
     }
 
     #[test]
@@ -343,15 +253,5 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&v| v));
-    }
-
-    #[test]
-    fn nhwc_offset_is_channels_last() {
-        let s = Shape::from([1, 3, 2, 2]);
-        let l = Layout::Nhwc;
-        assert_eq!(l.offset(&s, &[0, 0, 0, 0]), 0);
-        assert_eq!(l.offset(&s, &[0, 1, 0, 0]), 1);
-        assert_eq!(l.offset(&s, &[0, 0, 0, 1]), 3);
-        assert_eq!(l.offset(&s, &[0, 0, 1, 0]), 6);
     }
 }

@@ -39,7 +39,7 @@ enum Storage {
 /// Storage is always counted in 4-byte `f32` slots; a non-`f32` tensor
 /// (see [`DType`]) occupies `DType::slots(n)` slots and reinterprets the
 /// bytes through the typed accessors ([`Tensor::data_u8`],
-/// [`Tensor::data_i8`], [`Tensor::data_i32`]). That keeps the arena, the
+/// [`Tensor::data_i8`]). That keeps the arena, the
 /// planner, and the alignment guarantees dtype-oblivious.
 pub struct Tensor {
     shape: Shape,
@@ -336,32 +336,6 @@ impl Tensor {
         unsafe { std::slice::from_raw_parts_mut(raw.as_mut_ptr().cast::<i8>(), n) }
     }
 
-    /// Read-only `i32` view of the raw buffer in physical order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor's dtype is not [`DType::I32`].
-    pub fn data_i32(&self) -> &[i32] {
-        self.assert_dtype(DType::I32);
-        let raw = self.data();
-        // SAFETY: i32 and f32 have identical size/alignment; every bit
-        // pattern is a valid i32.
-        unsafe { std::slice::from_raw_parts(raw.as_ptr().cast::<i32>(), self.num_elements()) }
-    }
-
-    /// Mutable `i32` view of the raw buffer in physical order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor's dtype is not [`DType::I32`].
-    pub fn data_i32_mut(&mut self) -> &mut [i32] {
-        self.assert_dtype(DType::I32);
-        let n = self.num_elements();
-        let raw = self.data_mut();
-        // SAFETY: as `data_i32`, and the borrow is exclusive.
-        unsafe { std::slice::from_raw_parts_mut(raw.as_mut_ptr().cast::<i32>(), n) }
-    }
-
     /// Element at a logical multi-index (slow general path).
     ///
     /// # Panics
@@ -379,52 +353,6 @@ impl Tensor {
     pub fn set(&mut self, idx: &[usize], value: f32) {
         let off = self.layout.offset(&self.shape, idx);
         self.data_mut()[off] = value;
-    }
-
-    /// Reinterprets the tensor under a new logical shape of equal element
-    /// count, in the plain layout matching the new rank.
-    ///
-    /// This is the executor's `Flatten`/`Reshape` primitive; it performs no
-    /// data movement and therefore requires the current layout to be
-    /// unblocked (a blocked tensor must be transformed back first — that is
-    /// exactly why `Flatten` is layout-*dependent* in the paper's §3.2
-    /// taxonomy).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if element counts differ or the current layout is
-    /// blocked.
-    pub fn reshaped(&self, shape: impl Into<Shape>) -> Result<Self, TensorError> {
-        let shape = shape.into();
-        if shape.num_elements() != self.num_elements() {
-            return Err(TensorError::ShapeMismatch(format!(
-                "reshape {} -> {} changes element count",
-                self.shape, shape
-            )));
-        }
-        if matches!(self.layout, Layout::NchwC(_) | Layout::OihwIo { .. } | Layout::Nhwc) {
-            return Err(TensorError::LayoutMismatch {
-                expected: Layout::Nchw,
-                actual: self.layout,
-            });
-        }
-        let layout = match shape.rank() {
-            1 => Layout::Flat,
-            2 => Layout::Nc,
-            4 => Layout::Nchw,
-            r => {
-                return Err(TensorError::RankMismatch { expected: 4, actual: r });
-            }
-        };
-        let buf = match &self.buf {
-            Storage::Owned(b) => Storage::Owned(b.clone()),
-            // A reshape of a view shares the same planned region: the
-            // element count is identical and no data moves.
-            Storage::View { arena, offset, len } => {
-                Storage::View { arena: Arc::clone(arena), offset: *offset, len: *len }
-            }
-        };
-        Ok(Self { shape, layout, dtype: self.dtype, buf })
     }
 
     /// Largest absolute element-wise difference between two tensors compared
@@ -547,18 +475,6 @@ mod tests {
     }
 
     #[test]
-    fn reshape_flattens_without_moving_data() {
-        let t = Tensor::random([2, 3, 4, 4], Layout::Nchw, 1, 1.0).unwrap();
-        let r = t.reshaped([2, 48]).unwrap();
-        assert_eq!(r.layout(), Layout::Nc);
-        assert_eq!(r.data(), t.data());
-        assert!(Tensor::zeros([2, 32, 4, 4], Layout::NchwC(16))
-            .unwrap()
-            .reshaped([2, 512])
-            .is_err());
-    }
-
-    #[test]
     fn arena_view_reads_and_writes_planned_range() {
         let arena = crate::Arena::new(64);
         // SAFETY: the two views are disjoint (16..32 and 32..48).
@@ -588,18 +504,6 @@ mod tests {
     }
 
     #[test]
-    fn reshaping_a_view_shares_storage() {
-        let arena = crate::Arena::new(16);
-        // SAFETY: `r` is only accessed after writes through `v` are done.
-        let mut v =
-            unsafe { Tensor::arena_view(arena, 0, [1, 1, 4, 4], Layout::Nchw) }.unwrap();
-        v.set(&[0, 0, 3, 3], 2.0);
-        let r = v.reshaped([1, 16]).unwrap();
-        assert!(r.is_view());
-        assert_eq!(r.at(&[0, 15]), 2.0);
-    }
-
-    #[test]
     fn dtyped_tensor_sizes_round_up_to_slots() {
         let t = Tensor::zeros_dtyped([1, 1, 3, 3], Layout::Nchw, DType::U8).unwrap();
         assert_eq!(t.dtype(), DType::U8);
@@ -620,9 +524,6 @@ mod tests {
         assert_eq!(snap.dtype(), DType::I8);
         assert_eq!(snap.data_i8(), t.data_i8());
 
-        let mut a = Tensor::zeros_dtyped([4], Layout::Flat, DType::I32).unwrap();
-        a.data_i32_mut()[2] = -7;
-        assert_eq!(a.data_i32(), &[0, 0, -7, 0]);
     }
 
     #[test]

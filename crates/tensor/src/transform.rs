@@ -229,15 +229,6 @@ mod tests {
     }
 
     #[test]
-    fn nhwc_generic_path() {
-        let t = seq_tensor([1, 3, 4, 5], Layout::Nchw);
-        let nhwc = to_layout(&t, Layout::Nhwc).unwrap();
-        assert!(t.approx_eq(&nhwc, 0.0));
-        let back = to_layout(&nhwc, Layout::Nchw).unwrap();
-        assert_eq!(back.data(), t.data());
-    }
-
-    #[test]
     fn transform_rejects_indivisible() {
         let t = seq_tensor([1, 30, 2, 2], Layout::Nchw);
         assert!(to_layout(&t, Layout::NchwC(16)).is_err());

@@ -37,8 +37,8 @@
 //! them to the reference within a tolerance), so a host without AVX-512
 //! calibrates other bits. Those values are hashed by presence and dtype
 //! only — an int8 conv's input scale and zero point, its multiplier and
-//! folded-bias parameters, a requantizing epilogue's and a `Quantize` or
-//! `Dequantize` node's scale and zero point — and the report digest leaves
+//! folded-bias parameters, a requantizing epilogue's and a `Quantize`
+//! node's scale and zero point — and the report digest leaves
 //! `max_abs_error` out. Forcing the f32 lane cap to 1 on an AVX-512 host
 //! moved 16 of the 264 lines before they were masked, and none after.
 
@@ -86,7 +86,6 @@ impl Fnv {
             DType::F32 => t.data()[..n].iter().for_each(|v| self.bytes(&v.to_bits().to_le_bytes())),
             DType::U8 => self.bytes(&t.data_u8()[..n]),
             DType::I8 => t.data_i8()[..n].iter().for_each(|v| self.bytes(&v.to_le_bytes())),
-            DType::I32 => t.data_i32()[..n].iter().for_each(|v| self.bytes(&v.to_le_bytes())),
         }
     }
 }
@@ -94,7 +93,7 @@ impl Fnv {
 /// `op` with every value calibration derives set to zero, and the
 /// parameters that hold such values: an int8 conv's input scale and zero
 /// point, its multiplier and its zero-point-folded bias; a requantizing
-/// epilogue's and a `Quantize` or `Dequantize` node's scale and zero point.
+/// epilogue's and a `Quantize` node's scale and zero point.
 fn mask_calibrated(op: &Op) -> (Op, Vec<ParamId>) {
     let mut op = op.clone();
     let mut params = Vec::new();
@@ -109,7 +108,7 @@ fn mask_calibrated(op: &Op) -> (Op, Vec<ParamId>) {
                 *r = (0.0, 0);
             }
         }
-        Op::Quantize { scale, zero_point } | Op::Dequantize { scale, zero_point } => {
+        Op::Quantize { scale, zero_point } => {
             (*scale, *zero_point) = (0.0, 0);
         }
         _ => {}

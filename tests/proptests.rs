@@ -258,21 +258,6 @@ proptest! {
             prop_assert!(max - min <= 1);
         }
     }
-
-    /// Layout parsing is the inverse of display for every valid layout.
-    #[test]
-    fn layout_display_parse_round_trip(x in 1usize..65, i in 1usize..33, o in 1usize..33) {
-        for l in [
-            Layout::Nchw,
-            Layout::Nhwc,
-            Layout::NchwC(x),
-            Layout::Oihw,
-            Layout::OihwIo { i, o },
-        ] {
-            let parsed: Layout = l.to_string().parse().unwrap();
-            prop_assert_eq!(parsed, l);
-        }
-    }
 }
 
 /// Plain scalar pooling reference: same window semantics as
