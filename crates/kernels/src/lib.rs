@@ -10,7 +10,7 @@
 //! flag: every strip runs the one flattened `(kh, kw)` tap loop — and
 //! dispatches to an AVX-512, AVX2, or portable-scalar microkernel at runtime.
 //!
-//! Reference kernels in plain `NCHW`/`NHWC` serve both as the correctness
+//! Reference kernels in plain `NCHW` serve both as the correctness
 //! oracle for every optimized path and as the "framework default layout"
 //! baselines in the evaluation harness.
 //!

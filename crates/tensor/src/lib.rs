@@ -3,7 +3,7 @@
 //! This crate provides the data-plane foundation the rest of the stack is
 //! built on: 64-byte aligned dense `f32` buffers, logical shapes with
 //! row-major stride math, the blocked data layouts the paper's optimization
-//! revolves around (`NCHW`, `NHWC`, `NCHW[x]c`, `OIHW`, `OIHW[x]i[y]o`), and
+//! revolves around (`NCHW`, `NCHW[x]c`, `OIHW`, `OIHW[x]i[y]o`), and
 //! the layout-transformation routines whose *elimination* at the graph level
 //! is NeoCPU's section 3.2 contribution.
 //!
